@@ -17,22 +17,21 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
-import math
 import os
 import re
 import sys
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
 from .data import Cluster, ClusterSet, load_clusters, select_document_indices, tokenize_and_truncate
 from .decoder import DecodeParams, Reduce, beam_search
-from .errors import FormatError
-from .rouge import DEFAULT_METRICS, MultiRefStrategy, RougeConfig, compute_metric
-from .seqmodel import MODEL_KINDS, SequenceModel, load_model
+from .errors import DecodeError, FormatError
+from .rouge import DEFAULT_METRICS, MultiRefStrategy, RougeConfig, compute_metric, mean_score
+from .seqmodel import SequenceModel, load_model
 
 
 def _atomic_write(path: Path, text: str) -> None:
@@ -54,6 +53,10 @@ def _json_line(obj) -> str:
     return json.dumps(obj, sort_keys=True)
 
 
+def _write_json(path: Path, obj) -> None:
+    _atomic_write(path, json.dumps(obj, sort_keys=True, indent=2) + "\n")
+
+
 _UNSAFE_ID = re.compile(r"[^0-9A-Za-z_.-]+")
 
 
@@ -68,7 +71,6 @@ class RunConfig:
     (minus output locations, which do not affect the artifacts' bytes)."""
 
     model: str
-    model_kind: str
     clusters: str
     decode: DecodeParams
     max_docs: int
@@ -78,7 +80,6 @@ class RunConfig:
     def record(self) -> dict:
         return {
             "model": self.model,
-            "model_kind": self.model_kind,
             "clusters": self.clusters,
             "beam_size": self.decode.beam_size,
             "max_len": self.decode.max_len,
@@ -108,7 +109,6 @@ def _decode_params(args) -> DecodeParams:
 def _run_config(args) -> RunConfig:
     return RunConfig(
         model=args.model,
-        model_kind=args.model_kind,
         clusters=args.clusters,
         decode=_decode_params(args),
         max_docs=args.max_docs,
@@ -156,46 +156,29 @@ def _decode_run(
     clusters: ClusterSet,
     cfg: RunConfig,
     out_dir: Path,
-    workers: int,
-) -> list[tuple[str, str]]:
-    """Decode all clusters into ``out_dir``; returns (id, error) failures.
+) -> tuple[list[dict], list[tuple[str, str]]]:
+    """Decode all clusters into ``out_dir``, one after another in input order.
 
-    Clusters may be processed in parallel; records and trace files always
-    follow input order, so outputs are identical for any worker count.
+    Returns the summary records written and the (id, error) pairs of the
+    clusters that failed; a failed cluster does not stop the run.
     """
-
-    def job(item: tuple[int, Cluster]):
-        index, cluster = item
+    records: list[dict] = []
+    failures: list[tuple[str, str]] = []
+    for index, cluster in enumerate(clusters):
         try:
             record, trace = _decode_cluster(model, cluster, cfg)
+            trace_text = trace.export(cfg.trace_format)
         except Exception as exc:  # noqa: BLE001 - isolate per-cluster failures
-            return index, None, None, f"{type(exc).__name__}: {exc}"
-        return index, record, trace.export(cfg.trace_format), None
-
-    items = list(enumerate(clusters))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(job, items))
-    else:
-        results = [job(item) for item in items]
-
-    failures: list[tuple[str, str]] = []
-    lines: list[str] = []
-    for (index, cluster), (_, record, trace_text, error) in zip(items, results):
-        if error is not None:
-            failures.append((cluster.id, error))
+            failures.append((cluster.id, f"{type(exc).__name__}: {exc}"))
             continue
-        lines.append(_json_line(record))
+        records.append(record)
         _atomic_write(
             out_dir / "traces" / _trace_filename(index, cluster.id, cfg.trace_format),
             trace_text,
         )
-    _atomic_write(out_dir / "summaries.jsonl", "".join(f"{ln}\n" for ln in lines))
-    _atomic_write(
-        out_dir / "run_config.json",
-        json.dumps(cfg.record(), sort_keys=True, indent=2) + "\n",
-    )
-    return failures
+    _atomic_write(out_dir / "summaries.jsonl", "".join(f"{_json_line(r)}\n" for r in records))
+    _write_json(out_dir / "run_config.json", cfg.record())
+    return records, failures
 
 
 def _report_failures(failures: list[tuple[str, str]]) -> None:
@@ -207,9 +190,9 @@ def _report_failures(failures: list[tuple[str, str]]) -> None:
 
 def cmd_decode(args) -> int:
     cfg = _run_config(args)
-    model = load_model(cfg.model, cfg.model_kind)
+    model = load_model(cfg.model)
     clusters = load_clusters(cfg.clusters)
-    failures = _decode_run(model, clusters, cfg, Path(args.out), args.workers)
+    _, failures = _decode_run(model, clusters, cfg, Path(args.out))
     done = len(clusters) - len(failures)
     print(f"decoded {done}/{len(clusters)} clusters -> {args.out}")
     _report_failures(failures)
@@ -250,19 +233,16 @@ def _evaluate_records(
             f"clusters without references cannot be evaluated: {', '.join(unreferenced)}"
         )
     per_cluster = []
+    scores: dict[str, list] = {metric: [] for metric in metrics}
     for rec in records:
         refs = list(clusters.get(rec["id"]).references)
         row: dict = {"id": rec["id"]}
         for metric in metrics:
             s = compute_metric(metric, rec["text"], refs, cfg)
-            row[metric] = {"precision": s.precision, "recall": s.recall, "f": s.f}
+            scores[metric].append(s)
+            row[metric] = dataclasses.asdict(s)
         per_cluster.append(row)
-    means = {}
-    for metric in metrics:
-        means[metric] = {
-            comp: math.fsum(row[metric][comp] for row in per_cluster) / len(per_cluster)
-            for comp in ("precision", "recall", "f")
-        }
+    means = {metric: dataclasses.asdict(mean_score(scores[metric])) for metric in metrics}
     return {"mean": means, "per_cluster": per_cluster}
 
 
@@ -284,7 +264,7 @@ def cmd_evaluate(args) -> int:
     report = _evaluate_records(records, clusters, _rouge_config(args), tuple(args.metrics))
     _print_metric_table(report["mean"])
     if args.report:
-        _atomic_write(Path(args.report), json.dumps(report, sort_keys=True, indent=2) + "\n")
+        _write_json(Path(args.report), report)
         print(f"report -> {args.report}")
     return 0
 
@@ -294,7 +274,7 @@ def cmd_sweep(args) -> int:
     if any(s < 1 for s in sizes):
         raise ValueError(f"ensemble sizes must be >= 1, got {sizes}")
     cfg = _run_config(args)
-    model = load_model(cfg.model, cfg.model_kind)
+    model = load_model(cfg.model)
     clusters = load_clusters(cfg.clusters)
     rouge_cfg = _rouge_config(args)
     metrics = tuple(args.metrics)
@@ -303,23 +283,13 @@ def cmd_sweep(args) -> int:
     all_failures: list[tuple[str, str]] = []
     rows = []
     for size in sizes:
-        size_cfg = RunConfig(
-            model=cfg.model,
-            model_kind=cfg.model_kind,
-            clusters=cfg.clusters,
-            decode=cfg.decode,
-            max_docs=size,
-            max_input_tokens=cfg.max_input_tokens,
-            trace_format=cfg.trace_format,
-        )
         size_dir = out_dir / f"size_{size}"
-        failures = _decode_run(model, clusters, size_cfg, size_dir, args.workers)
-        all_failures.extend(failures)
-        records = _load_hypotheses(size_dir / "summaries.jsonl")
-        report = _evaluate_records(records, clusters, rouge_cfg, metrics)
-        _atomic_write(
-            size_dir / "report.json", json.dumps(report, sort_keys=True, indent=2) + "\n"
+        records, failures = _decode_run(
+            model, clusters, dataclasses.replace(cfg, max_docs=size), size_dir
         )
+        all_failures.extend(failures)
+        report = _evaluate_records(records, clusters, rouge_cfg, metrics)
+        _write_json(size_dir / "report.json", report)
         rows.append((size, report["mean"]))
 
     buf = io.StringIO()
@@ -334,9 +304,7 @@ def cmd_sweep(args) -> int:
             row += [f"{means[metric][comp]:.17g}" for comp in ("precision", "recall", "f")]
         writer.writerow(row)
     _atomic_write(out_dir / "sweep.csv", buf.getvalue())
-    record = _run_config(args).record()
-    record["sizes"] = list(sizes)
-    _atomic_write(out_dir / "run_config.json", json.dumps(record, sort_keys=True, indent=2) + "\n")
+    _write_json(out_dir / "run_config.json", {**cfg.record(), "sizes": list(sizes)})
 
     print(f"{'size':<6}" + "".join(f"{m + ' f':>14}" for m in metrics))
     for size, means in rows:
@@ -348,7 +316,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_trace(args) -> int:
     cfg = _run_config(args)
-    model = load_model(cfg.model, cfg.model_kind)
+    model = load_model(cfg.model)
     clusters = load_clusters(cfg.clusters)
     cluster = clusters.get(args.cluster_id)
     if cluster is None:
@@ -372,9 +340,6 @@ def _add_model_flags(p: argparse.ArgumentParser) -> None:
     # "required" flags stay optional at parse time so a --config file can
     # supply them; _require_flags enforces presence after merging.
     p.add_argument("--model", default=None, help="path to the model spec file")
-    p.add_argument(
-        "--model-kind", default="toy", choices=MODEL_KINDS, help="model file format"
-    )
 
 
 def _add_decode_flags(p: argparse.ArgumentParser) -> None:
@@ -398,8 +363,6 @@ def _add_decode_flags(p: argparse.ArgumentParser) -> None:
                    help="tokens kept per input document")
     p.add_argument("--trace-format", default="csv", choices=["csv", "json"],
                    help="provenance trace file format")
-    p.add_argument("--workers", type=int, default=1,
-                   help="clusters decoded in parallel")
 
 
 def _add_rouge_flags(p: argparse.ArgumentParser) -> None:
@@ -531,7 +494,7 @@ def main(argv: list[str] | None = None) -> int:
             args = _apply_config_file(args, subparsers, argv)
         _require_flags(args)
         return args.func(args)
-    except (FormatError, ValueError, OSError) as exc:
+    except (FormatError, ValueError, OSError, DecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -4,7 +4,9 @@ One conditional model is applied independently to several inputs; at every
 timestep the per-input next-token distributions are combined by a reduce
 function into a single distribution, so all inputs extend the same output
 prefix. The cumulative combined log-score of the chosen tokens is the
-sequence score, and a brute-force enumerator over the same scoring rules
+sequence score. The search records each chosen token's combined and
+per-input scores as it goes, so every result carries its provenance trace
+without rescoring. A brute-force enumerator over the same scoring rules
 serves as an exact search oracle at desk scale.
 
 Two reduce functions are provided: the arithmetic mean of log-probabilities
@@ -17,18 +19,20 @@ makes decoding bitwise invariant to permuting or duplicating inputs.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DecodeError
-from .provenance import TraceMatrix
+from .provenance import TraceMatrix, TraceRow
 from .seqmodel import (
     BOS_ID,
     EOS_ID,
     LogProbVector,
     SequenceModel,
     TokenSeq,
+    Vocab,
     check_token_seq,
 )
 
@@ -72,9 +76,9 @@ class DecodeParams:
             raise ValueError(
                 f"min_len must be smaller than max_len, got {self.min_len} >= {self.max_len}"
             )
-        if self.length_penalty_alpha < 0:
+        if not (math.isfinite(self.length_penalty_alpha) and self.length_penalty_alpha >= 0):
             raise ValueError(
-                f"length_penalty_alpha must be >= 0, got {self.length_penalty_alpha}"
+                f"length_penalty_alpha must be finite and >= 0, got {self.length_penalty_alpha}"
             )
         if self.block_repeat_ngram is not None and self.block_repeat_ngram < 1:
             raise ValueError(
@@ -87,16 +91,17 @@ class DecodeParams:
 
 @dataclass
 class Hypothesis:
-    """A live beam entry: shared prefix plus running scores.
+    """A beam entry: shared prefix, running score and provenance rows.
 
     ``prefix`` starts with BOS. ``ensemble_score`` accumulates the combined
-    log-score of each chosen token; ``per_input_scores`` accumulates the
-    matching per-input log-scores, one entry per ensemble input.
+    log-score of each chosen token. ``rows`` holds one trace row per
+    generated token: the combined and per-input log-scores the search used
+    when it chose that token.
     """
 
     prefix: TokenSeq
     ensemble_score: float
-    per_input_scores: tuple[float, ...]
+    rows: tuple[TraceRow, ...] = ()
     finished: bool = False
 
     def __post_init__(self) -> None:
@@ -104,6 +109,8 @@ class Hypothesis:
             raise ValueError("hypothesis prefix must begin with BOS")
         if self.finished != (self.prefix[-1] == EOS_ID):
             raise ValueError("finished must hold exactly when the prefix ends with EOS")
+        if len(self.rows) != len(self.prefix) - 1:
+            raise ValueError("a hypothesis needs one trace row per generated token")
 
     @property
     def content_length(self) -> int:
@@ -131,7 +138,10 @@ def _stacked(per_input: list[LogProbVector]) -> np.ndarray:
     widths = {len(v) for v in per_input}
     if len(widths) != 1:
         raise ValueError(f"distributions disagree on vocabulary size: {sorted(widths)}")
-    return np.stack([np.asarray(v, dtype=float) for v in per_input])
+    arr = np.stack([np.asarray(v, dtype=float) for v in per_input])
+    if np.isnan(arr).any():
+        raise ValueError("model returned NaN scores; log-probabilities must be numbers or -inf")
+    return arr
 
 
 def reduce_mean_logprob(per_input: list[LogProbVector]) -> LogProbVector:
@@ -258,24 +268,36 @@ def _default_labels(count: int) -> tuple[str, ...]:
     return tuple(f"input_{i}" for i in range(count))
 
 
-def _finalize(
-    model: SequenceModel,
-    inputs: list[TokenSeq],
-    hyp: Hypothesis,
-    params: DecodeParams,
-    input_labels: tuple[str, ...],
+def _scored(
+    tokens: TokenSeq, raw: float, trace: TraceMatrix, params: DecodeParams
 ) -> ScoredHypothesis:
-    tokens = hyp.prefix[1:]
-    _, trace = sequence_score(
-        model, inputs, tokens, params.reduce, input_labels=input_labels
-    )
     return ScoredHypothesis(
         tokens=tokens,
-        raw_score=hyp.ensemble_score,
-        ranked_score=ranked_score(
-            hyp.ensemble_score, len(tokens) - 1, params.length_penalty_alpha
-        ),
+        raw_score=raw,
+        ranked_score=ranked_score(raw, len(tokens) - 1, params.length_penalty_alpha),
         trace=trace,
+    )
+
+
+def _extend(
+    hyp: Hypothesis,
+    w: int,
+    combined: LogProbVector,
+    per_input: list[LogProbVector],
+    vocab: Vocab,
+) -> Hypothesis:
+    """``hyp`` extended by token ``w``, recording the scores that chose it."""
+    row = TraceRow(
+        token_id=w,
+        token=vocab.token(w),
+        combined=float(combined[w]),
+        per_input=tuple(float(v[w]) for v in per_input),
+    )
+    return Hypothesis(
+        prefix=hyp.prefix + (w,),
+        ensemble_score=hyp.ensemble_score + row.combined,
+        rows=hyp.rows + (row,),
+        finished=w == EOS_ID,
     )
 
 
@@ -292,7 +314,8 @@ def beam_search(
     once the pool holds ``beam_size`` entries or no live hypothesis
     remains. All tie-breaks (pruning and final ranking) prefer the
     lexicographically smaller token-id sequence, so output is fully
-    deterministic.
+    deterministic. Each trace holds exactly the scores the search used
+    for the chosen tokens; nothing is rescored.
     """
     if not inputs:
         raise ValueError("ensemble needs at least one input")
@@ -303,35 +326,35 @@ def beam_search(
         raise ValueError(
             f"got {len(input_labels)} input labels for {len(inputs)} inputs"
         )
+    vocab = model.vocab
 
-    live = [Hypothesis((BOS_ID,), 0.0, (0.0,) * len(inputs))]
+    live = [Hypothesis((BOS_ID,), 0.0)]
     pool: list[Hypothesis] = []
 
     for _ in range(params.max_len):
         if not live:
             break
         survivors: list[Hypothesis] = []
-        finished_now: list[Hypothesis] = []
         for hyp in live:
             combined, per_input = ensemble_step(model, inputs, hyp.prefix, params.reduce)
             allowed = _allowed_tokens(combined, hyp.prefix, params)
-            for w in np.flatnonzero(allowed):
-                w = int(w)
-                cand = Hypothesis(
-                    prefix=hyp.prefix + (w,),
-                    ensemble_score=hyp.ensemble_score + float(combined[w]),
-                    per_input_scores=tuple(
-                        s + float(v[w]) for s, v in zip(hyp.per_input_scores, per_input)
-                    ),
-                    finished=w == EOS_ID,
-                )
-                (finished_now if cand.finished else survivors).append(cand)
-        if not survivors and not finished_now and not pool:
+            if allowed[EOS_ID]:
+                pool.append(_extend(hyp, EOS_ID, combined, per_input, vocab))
+                allowed[EOS_ID] = False
+            # The global top beam_size under (-score, prefix) lies within each
+            # prefix's own top beam_size, ranked by the same float sums with
+            # ties to the smaller token id, so the rest are never built.
+            ids = np.flatnonzero(allowed)
+            order = np.argsort(-(hyp.ensemble_score + combined[ids]), kind="stable")
+            survivors.extend(
+                _extend(hyp, int(w), combined, per_input, vocab)
+                for w in ids[order[: params.beam_size]]
+            )
+        if not survivors and not pool:
             raise DecodeError(
                 "no viable continuation for any hypothesis "
                 f"({_constraint_summary(live[0].prefix, params)})"
             )
-        pool.extend(finished_now)
         if len(pool) >= params.beam_size:
             break
         survivors.sort(key=lambda h: (-h.ensemble_score, h.prefix))
@@ -347,9 +370,10 @@ def beam_search(
             h.prefix,
         )
     )
+    labels = tuple(input_labels)
     return [
-        _finalize(model, inputs, hyp, params, input_labels)
-        for hyp in pool[: params.beam_size]
+        _scored(h.prefix[1:], h.ensemble_score, TraceMatrix(labels, list(h.rows)), params)
+        for h in pool[: params.beam_size]
     ]
 
 
@@ -368,7 +392,8 @@ def brute_force_search(
     Walks the full tree of content-token prefixes under the same masking
     rules as the beam, scores every EOS-terminated leaf, and returns the
     best ranked one (ties to the lexicographically smallest token
-    sequence). Guarded to desk scale.
+    sequence). Its trace comes from `sequence_score`, independently of the
+    beam. Guarded to desk scale.
     """
     if not inputs:
         raise ValueError("ensemble needs at least one input")
@@ -378,22 +403,17 @@ def brute_force_search(
             f"{MAX_BRUTE_FORCE_VOCAB} tokens and max_len <= {MAX_BRUTE_FORCE_LEN}"
         )
     inputs = [tuple(x) for x in inputs]
-    if input_labels is None:
-        input_labels = _default_labels(len(inputs))
 
-    best: Hypothesis | None = None
     best_key: tuple[float, TokenSeq] | None = None
+    best_raw = 0.0
 
-    def walk(prefix: TokenSeq, score: float, per_input: tuple[float, ...]) -> None:
-        nonlocal best, best_key
-        combined, vectors = ensemble_step(model, inputs, prefix, params.reduce)
+    def walk(prefix: TokenSeq, score: float) -> None:
+        nonlocal best_key, best_raw
+        combined, _ = ensemble_step(model, inputs, prefix, params.reduce)
         allowed = _allowed_tokens(combined, prefix, params)
         for w in np.flatnonzero(allowed):
             w = int(w)
             new_score = score + float(combined[w])
-            new_per_input = tuple(
-                s + float(v[w]) for s, v in zip(per_input, vectors)
-            )
             if w == EOS_ID:
                 tokens = prefix[1:] + (w,)
                 key = (
@@ -401,17 +421,18 @@ def brute_force_search(
                     tokens,
                 )
                 if best_key is None or key < best_key:
-                    best_key = key
-                    best = Hypothesis(prefix + (w,), new_score, new_per_input, finished=True)
+                    best_key, best_raw = key, new_score
             else:
-                walk(prefix + (w,), new_score, new_per_input)
+                walk(prefix + (w,), new_score)
 
-    walk((BOS_ID,), 0.0, (0.0,) * len(inputs))
-    if best is None:
+    walk((BOS_ID,), 0.0)
+    if best_key is None:
         raise DecodeError(
             "no admissible finished sequence exists under the given constraints"
         )
-    return _finalize(model, inputs, best, params, input_labels)
+    tokens = best_key[1]
+    _, trace = sequence_score(model, inputs, tokens, params.reduce, input_labels=input_labels)
+    return _scored(tokens, best_raw, trace, params)
 
 
 def sequence_score(

@@ -96,14 +96,21 @@ def _lcs_length(xs: list[str], ys: list[str]) -> int:
     return prev[-1]
 
 
+def mean_score(scores: list[RougeScore]) -> RougeScore:
+    """Componentwise arithmetic mean, summed exactly so order never matters."""
+    if not scores:
+        raise ValueError("a mean needs at least one score")
+    return RougeScore(
+        math.fsum(s.precision for s in scores) / len(scores),
+        math.fsum(s.recall for s in scores) / len(scores),
+        math.fsum(s.f for s in scores) / len(scores),
+    )
+
+
 def _combine(per_ref: list[RougeScore], cfg: RougeConfig) -> RougeScore:
     if cfg.multi_ref_strategy is MultiRefStrategy.MAX_OVER_REFS:
         return max(per_ref, key=lambda s: s.f)
-    return RougeScore(
-        math.fsum(s.precision for s in per_ref) / len(per_ref),
-        math.fsum(s.recall for s in per_ref) / len(per_ref),
-        math.fsum(s.f for s in per_ref) / len(per_ref),
-    )
+    return mean_score(per_ref)
 
 
 def _check_references(references: list[str], cfg: RougeConfig) -> list[list[str]]:
@@ -187,12 +194,7 @@ def evaluate_corpus(
     for metric in metrics:
         if not _METRIC_RE.match(metric):
             raise ValueError(f"unknown metric {metric!r}; expected rouge-<n> or rouge-l")
-    out: dict[str, RougeScore] = {}
-    for metric in metrics:
-        scores = [compute_metric(metric, hyp, refs, cfg) for hyp, refs in pairs]
-        out[metric] = RougeScore(
-            math.fsum(s.precision for s in scores) / len(scores),
-            math.fsum(s.recall for s in scores) / len(scores),
-            math.fsum(s.f for s in scores) / len(scores),
-        )
-    return out
+    return {
+        metric: mean_score([compute_metric(metric, hyp, refs, cfg) for hyp, refs in pairs])
+        for metric in metrics
+    }

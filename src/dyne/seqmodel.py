@@ -157,8 +157,8 @@ class ToyModelSpec:
     def __post_init__(self) -> None:
         if not 0.0 <= self.copy_weight <= 1.0:
             raise ValueError(f"copy weight must lie in [0, 1], got {self.copy_weight}")
-        if not self.smooth_k > 0:
-            raise ValueError(f"smooth_k must be positive, got {self.smooth_k}")
+        if not (self.smooth_k > 0 and math.isfinite(self.smooth_k)):
+            raise ValueError(f"smooth_k must be finite and positive, got {self.smooth_k}")
         for (prev, nxt), count in self.bigram_counts.items():
             for t in (prev, nxt):
                 if not 0 <= t < len(self.vocab):
@@ -350,11 +350,6 @@ def make_toy_model(spec: ToyModelSpec) -> CopyBigramModel:
     return CopyBigramModel(spec)
 
 
-MODEL_KINDS = ("toy",)
-
-
-def load_model(path: str | Path, kind: str = "toy") -> CopyBigramModel:
-    """Load a model from a spec file. ``kind`` selects the file format."""
-    if kind not in MODEL_KINDS:
-        raise ValueError(f"unknown model kind {kind!r}; known kinds: {', '.join(MODEL_KINDS)}")
+def load_model(path: str | Path) -> CopyBigramModel:
+    """Load the copy/bigram mixture model from a spec file."""
     return make_toy_model(ToyModelSpec.load(path))

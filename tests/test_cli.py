@@ -64,13 +64,6 @@ class TestDecode:
         assert main(["decode", *flags, "--out", str(b)]) == 0
         assert read_tree(a) == read_tree(b)
 
-    def test_worker_count_does_not_change_outputs(self, workspace):
-        tmp, flags, _ = workspace
-        serial, threaded = tmp / "w1", tmp / "w4"
-        assert main(["decode", *flags, "--out", str(serial), "--workers", "1"]) == 0
-        assert main(["decode", *flags, "--out", str(threaded), "--workers", "4"]) == 0
-        assert read_tree(serial) == read_tree(threaded)
-
     def test_missing_model_is_startup_error(self, workspace):
         tmp, flags, _ = workspace
         flags = list(flags)
@@ -241,6 +234,20 @@ class TestTrace:
         tmp, flags, _ = workspace
         assert main(["trace", *flags, "--cluster-id", "ghost"]) == 1
         assert "ghost" in capsys.readouterr().err
+
+    def test_impossible_constraints_are_an_error_line(self, tmp_path, capsys):
+        # "a" is blocked after one use and EOS stays masked until two tokens.
+        vocab = Vocab.from_content(["a"])
+        ToyModelSpec(1.0, 1.0, {}, vocab).save(tmp_path / "model.json")
+        (tmp_path / "clusters.jsonl").write_text('{"id": "c", "documents": ["a a"]}\n')
+        code = main([
+            "trace", "--model", str(tmp_path / "model.json"),
+            "--clusters", str(tmp_path / "clusters.jsonl"), "--cluster-id", "c",
+            "--min-len", "2", "--max-len", "4", "--block-repeat-ngram", "1",
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "min_len" in err
 
 
 class TestConfigFile:

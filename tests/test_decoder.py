@@ -15,6 +15,7 @@ from dyne import (
     Hypothesis,
     Reduce,
     ToyModelSpec,
+    TraceRow,
     UniformModel,
     Vocab,
     beam_search,
@@ -40,6 +41,26 @@ def copy_model(vocab=AB, k=1.0):
 def skewed_model():
     """Context-free model with p(a)=0.7, p(b)=0.2, p(EOS)=0.1 on the fixed input."""
     return copy_model(), (A,) * 6 + (B,)
+
+
+class NaNModel:
+    """Uniform scores except NaN for token ``a``: breaks the model contract."""
+
+    def __init__(self, vocab=AB):
+        self.vocab = vocab
+
+    def score_next(self, input_ids, prefix):
+        v = np.full(len(self.vocab), -math.log(len(self.vocab)))
+        v[A] = np.nan
+        return v
+
+
+def bits(rows):
+    """Trace rows with every float spelled exactly, so -0.0 differs from 0.0."""
+    return [
+        (r.token_id, r.token, r.combined.hex(), tuple(x.hex() for x in r.per_input))
+        for r in rows
+    ]
 
 
 def random_probs(rng: np.random.Generator, width: int, mask_rate: float = 0.0):
@@ -78,6 +99,11 @@ class TestReduceMeanLogprob:
     def test_width_mismatch_rejected(self):
         with pytest.raises(ValueError, match="vocabulary size"):
             reduce_mean_logprob([np.zeros(2), np.zeros(3)])
+
+    def test_nan_rejected_by_both_reducers(self):
+        for reduce_fn in (reduce_mean_logprob, reduce_mean_prob):
+            with pytest.raises(ValueError, match="NaN"):
+                reduce_fn([np.array([-1.0, -2.0]), np.array([-1.0, np.nan])])
 
     @given(st.integers(0, 10_000), st.integers(2, 5))
     @settings(max_examples=50, deadline=None)
@@ -206,6 +232,10 @@ class TestBeamSearch:
         with pytest.raises(DecodeError, match="min_len"):
             beam_search(model, [(3,)], params)
 
+    def test_nan_from_model_is_an_error(self):
+        with pytest.raises(ValueError, match="NaN"):
+            beam_search(NaNModel(), [(A,)], DecodeParams(beam_size=2, max_len=3))
+
     def test_determinism(self):
         rng = np.random.default_rng(99)
         model, vocab = random_toy_model(rng)
@@ -233,10 +263,14 @@ class TestBeamSearch:
             assert params.min_len <= hyp.content_length <= params.max_len - 1
 
     @given(st.integers(0, 10_000))
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=60, deadline=None)
     def test_single_input_degenerates_to_plain_beam(self, seed):
+        # Up to 6 content tokens let beam_size fall below the number of
+        # allowed tokens; under the uniform model every candidate ties.
         rng = np.random.default_rng(seed)
-        model, vocab = random_toy_model(rng)
+        model, vocab = random_toy_model(rng, max_content=6)
+        if rng.random() < 0.3:
+            model = UniformModel(vocab)
         x = random_inputs(rng, vocab, max_inputs=1)[0]
         max_len = int(rng.integers(2, 6))
         params = DecodeParams(
@@ -265,6 +299,31 @@ class TestBeamSearch:
             top = beam_search(model, inputs, params)[0].raw_score
             assert top >= best_so_far - 1e-12
             best_so_far = max(best_so_far, top)
+
+
+    @given(st.integers(0, 10_000))
+    @settings(max_examples=60, deadline=None)
+    def test_trace_rows_equal_rescoring_bitwise(self, seed):
+        rng = np.random.default_rng(seed)
+        model, vocab = random_toy_model(rng, max_content=4)
+        inputs = random_inputs(rng, vocab)
+        max_len = int(rng.integers(2, 6))
+        params = DecodeParams(
+            beam_size=int(rng.integers(1, 5)),
+            max_len=max_len,
+            min_len=int(rng.integers(0, max_len)),
+            reduce=Reduce.MEAN_LOGPROB if rng.random() < 0.5 else Reduce.MEAN_PROB,
+            length_penalty_alpha=float(rng.choice([0.0, 0.5, 1.0])),
+            block_repeat_ngram=int(rng.integers(0, 3)) or None,
+        )
+        try:
+            hyps = beam_search(model, inputs, params)
+        except DecodeError:
+            return  # blocking with min_len can leave no admissible sequence
+        for hyp in hyps:
+            raw, trace = sequence_score(model, inputs, hyp.tokens, params.reduce)
+            assert bits(hyp.trace.rows) == bits(trace.rows)
+            assert hyp.raw_score.hex() == raw.hex()
 
 
 class TestBruteForce:
@@ -404,33 +463,42 @@ class TestInvariances:
         ]
 
 
+ROW_A = TraceRow(A, "a", -1.0, (-1.0,))
+ROW_EOS = TraceRow(EOS_ID, "</s>", -2.0, (-2.0,))
+
+
 class TestHypothesisType:
     def test_mean_logprob_consistency(self):
         model = copy_model()
         inputs = [(A, A, B), (B,)]
         combined, per = ensemble_step(model, inputs, (BOS_ID,), Reduce.MEAN_LOGPROB)
-        hyp = Hypothesis(
-            prefix=(BOS_ID, A),
-            ensemble_score=float(combined[A]),
-            per_input_scores=tuple(float(v[A]) for v in per),
-        )
-        assert abs(hyp.ensemble_score - np.mean(hyp.per_input_scores)) <= 1e-9
+        row = TraceRow(A, "a", float(combined[A]), tuple(float(v[A]) for v in per))
+        hyp = Hypothesis(prefix=(BOS_ID, A), ensemble_score=row.combined, rows=(row,))
+        assert abs(hyp.ensemble_score - np.mean(hyp.rows[0].per_input)) <= 1e-9
         assert hyp.content_length == 1
 
     def test_finished_flag_must_match_eos(self):
         with pytest.raises(ValueError, match="finished"):
-            Hypothesis((BOS_ID, A), 0.0, (0.0,), finished=True)
+            Hypothesis(prefix=(BOS_ID, A), ensemble_score=-1.0, rows=(ROW_A,), finished=True)
         with pytest.raises(ValueError, match="finished"):
-            Hypothesis((BOS_ID, EOS_ID), 0.0, (0.0,), finished=False)
+            Hypothesis(prefix=(BOS_ID, EOS_ID), ensemble_score=-2.0, rows=(ROW_EOS,))
         with pytest.raises(ValueError, match="BOS"):
-            Hypothesis((A,), 0.0, (0.0,))
+            Hypothesis(prefix=(A,), ensemble_score=0.0)
+
+    def test_one_row_per_generated_token(self):
+        assert Hypothesis(prefix=(BOS_ID,), ensemble_score=0.0).rows == ()
+        with pytest.raises(ValueError, match="one trace row"):
+            Hypothesis(prefix=(BOS_ID, A), ensemble_score=-1.0)
+        with pytest.raises(ValueError, match="one trace row"):
+            Hypothesis(prefix=(BOS_ID,), ensemble_score=-1.0, rows=(ROW_A,))
 
     def test_params_validation(self):
         with pytest.raises(ValueError, match="beam_size"):
             DecodeParams(beam_size=0)
         with pytest.raises(ValueError, match="min_len"):
             DecodeParams(max_len=3, min_len=3)
-        with pytest.raises(ValueError, match="length_penalty"):
-            DecodeParams(length_penalty_alpha=-1.0)
+        for alpha in (-1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="length_penalty"):
+                DecodeParams(length_penalty_alpha=alpha)
         with pytest.raises(ValueError, match="block_repeat_ngram"):
             DecodeParams(block_repeat_ngram=0)

@@ -178,8 +178,9 @@ class TestSpecValidation:
             ToyModelSpec(1.5, 1.0, {}, ab_vocab)
 
     def test_smooth_k_positive(self, ab_vocab):
-        with pytest.raises(ValueError, match="smooth_k"):
-            ToyModelSpec(0.5, 0.0, {}, ab_vocab)
+        for k in (0.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="smooth_k"):
+                ToyModelSpec(0.5, k, {}, ab_vocab)
 
     def test_counts_must_be_nonnegative_ints(self, ab_vocab):
         with pytest.raises(ValueError, match="nonnegative"):
@@ -203,7 +204,7 @@ class TestSpecSerialization:
         spec = ToyModelSpec(0.6, 0.5, {(3, 4): 7, (4, EOS_ID): 2}, ab_vocab)
         path = tmp_path / "model.json"
         spec.save(path)
-        loaded = load_model(path, "toy")
+        loaded = load_model(path)
         original = make_toy_model(spec)
         for prefix_tail in ((), (3,), (4, 3)):
             prefix = (BOS_ID,) + prefix_tail
@@ -232,14 +233,16 @@ class TestSpecSerialization:
         path = tmp_path / "bad.json"
         path.write_text(text)
         with pytest.raises(ValueError, match="copy weight"):
-            load_model(path, "toy")
+            load_model(path)
 
-    def test_unknown_kind(self, tmp_path, ab_vocab):
-        path = tmp_path / "model.json"
-        ToyModelSpec(1.0, 1.0, {}, ab_vocab).save(path)
-        with pytest.raises(ValueError, match="unknown model kind"):
-            load_model(path, "neural")
+    def test_infinite_smoothing_in_file(self, ab_vocab):
+        # Python's JSON parser accepts the non-standard literal Infinity.
+        text = ToyModelSpec(1.0, 1.0, {}, ab_vocab).to_json_text().replace(
+            '"smooth_k": 1.0', '"smooth_k": Infinity'
+        )
+        with pytest.raises(ValueError, match="smooth_k"):
+            ToyModelSpec.from_json_text(text)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(FormatError, match="cannot read"):
-            load_model(tmp_path / "nope.json", "toy")
+            load_model(tmp_path / "nope.json")
