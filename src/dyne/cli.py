@@ -94,23 +94,19 @@ class RunConfig:
         }
 
 
-def _decode_params(args) -> DecodeParams:
-    return DecodeParams(
-        beam_size=args.beam_size,
-        max_len=args.max_len,
-        min_len=args.min_len,
-        reduce=Reduce(args.reduce),
-        length_penalty_alpha=args.length_penalty,
-        block_repeat_ngram=args.block_repeat_ngram,
-        seed=args.seed,
-    )
-
-
 def _run_config(args) -> RunConfig:
     return RunConfig(
         model=args.model,
         clusters=args.clusters,
-        decode=_decode_params(args),
+        decode=DecodeParams(
+            beam_size=args.beam_size,
+            max_len=args.max_len,
+            min_len=args.min_len,
+            reduce=Reduce(args.reduce),
+            length_penalty_alpha=args.length_penalty,
+            block_repeat_ngram=args.block_repeat_ngram,
+            seed=args.seed,
+        ),
         max_docs=args.max_docs,
         max_input_tokens=args.max_input_tokens,
         trace_format=args.trace_format,
@@ -280,14 +276,15 @@ def cmd_sweep(args) -> int:
     metrics = tuple(args.metrics)
     out_dir = Path(args.out)
 
-    all_failures: list[tuple[str, str]] = []
+    failed = False
     rows = []
     for size in sizes:
         size_dir = out_dir / f"size_{size}"
         records, failures = _decode_run(
             model, clusters, dataclasses.replace(cfg, max_docs=size), size_dir
         )
-        all_failures.extend(failures)
+        _report_failures(failures)  # before evaluating, which fails if none decoded
+        failed = failed or bool(failures)
         report = _evaluate_records(records, clusters, rouge_cfg, metrics)
         _write_json(size_dir / "report.json", report)
         rows.append((size, report["mean"]))
@@ -310,8 +307,7 @@ def cmd_sweep(args) -> int:
     for size, means in rows:
         print(f"{size:<6}" + "".join(f"{means[m]['f']:>14.6f}" for m in metrics))
     print(f"sweep table -> {out_dir / 'sweep.csv'}")
-    _report_failures(all_failures)
-    return 1 if all_failures else 0
+    return 1 if failed else 0
 
 
 def cmd_trace(args) -> int:
@@ -435,6 +431,20 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     return parser, subparsers
 
 
+def _config_value_ok(action: argparse.Action, value) -> bool:
+    """Whether the flag could produce ``value``: ``set_defaults`` skips the
+    ``type`` and ``choices`` checks that argparse gives command-line values."""
+    if value is None:
+        return action.default is None
+    listed = action.nargs == "+"
+    if listed and not (isinstance(value, list) and value):
+        return False
+    types = {int: int, float: (int, float)}
+    kind = bool if isinstance(action.default, bool) else types.get(action.type, str)
+    return all(isinstance(v, kind) and isinstance(v, bool) == (kind is bool)
+               and v in (action.choices or [v]) for v in (value if listed else [value]))
+
+
 def _apply_config_file(args: argparse.Namespace, subparsers, argv: list[str]):
     """Re-parse the command with defaults taken from the config file.
 
@@ -450,12 +460,15 @@ def _apply_config_file(args: argparse.Namespace, subparsers, argv: list[str]):
     if not isinstance(doc, dict):
         raise FormatError(f"config file {args.config} must hold a JSON object")
     sp = subparsers[args.command]
-    known = {a.dest for a in sp._actions} - {"help", "config"}
-    unknown = doc.keys() - known
+    actions = {a.dest: a for a in sp._actions if a.dest not in ("help", "config")}
+    unknown = doc.keys() - actions.keys()
     if unknown:
         raise FormatError(
             f"config file {args.config} has unknown key(s): {', '.join(sorted(unknown))}"
         )
+    invalid = [f"{k}={v!r}" for k, v in doc.items() if not _config_value_ok(actions[k], v)]
+    if invalid:
+        raise FormatError(f"config file {args.config} has invalid value(s): {', '.join(invalid)}")
     sp.set_defaults(**doc)
     sub_argv = list(argv)
     sub_argv.remove(args.command)

@@ -21,6 +21,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -66,12 +67,10 @@ class DecodeParams:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.beam_size < 1:
-            raise ValueError(f"beam_size must be >= 1, got {self.beam_size}")
-        if self.max_len < 1:
-            raise ValueError(f"max_len must be >= 1, got {self.max_len}")
-        if self.min_len < 0:
-            raise ValueError(f"min_len must be >= 0, got {self.min_len}")
+        for name, low in (("beam_size", 1), ("max_len", 1), ("min_len", 0)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, Integral) or value < low:
+                raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
         if not self.min_len < self.max_len:
             raise ValueError(
                 f"min_len must be smaller than max_len, got {self.min_len} >= {self.max_len}"
@@ -80,11 +79,9 @@ class DecodeParams:
             raise ValueError(
                 f"length_penalty_alpha must be finite and >= 0, got {self.length_penalty_alpha}"
             )
-        if self.block_repeat_ngram is not None and self.block_repeat_ngram < 1:
-            raise ValueError(
-                f"block_repeat_ngram must be a positive integer or None, "
-                f"got {self.block_repeat_ngram}"
-            )
+        n = self.block_repeat_ngram
+        if n is not None and (isinstance(n, bool) or not isinstance(n, Integral) or n < 1):
+            raise ValueError(f"block_repeat_ngram must be a positive integer or None, got {n!r}")
         if not isinstance(self.reduce, Reduce):
             raise ValueError(f"reduce must be a Reduce member, got {self.reduce!r}")
 
@@ -132,19 +129,25 @@ class ScoredHypothesis:
         return len(self.tokens) - 1
 
 
-def _stacked(per_input: list[LogProbVector]) -> np.ndarray:
-    if not per_input:
+def _stacked(per_input: list[LogProbVector] | np.ndarray) -> np.ndarray:
+    if len(per_input) == 0:
         raise ValueError("reduce needs at least one distribution")
     widths = {len(v) for v in per_input}
     if len(widths) != 1:
         raise ValueError(f"distributions disagree on vocabulary size: {sorted(widths)}")
-    arr = np.stack([np.asarray(v, dtype=float) for v in per_input])
+    arr = np.asarray(per_input, dtype=float)
     if np.isnan(arr).any():
         raise ValueError("model returned NaN scores; log-probabilities must be numbers or -inf")
     return arr
 
 
-def reduce_mean_logprob(per_input: list[LogProbVector]) -> LogProbVector:
+def _sorted(arr: np.ndarray) -> np.ndarray:
+    """``np.sort(arr, axis=0)``, computed along the rows of a contiguous
+    ``[V, N]`` copy: much faster than numpy's strided axis-0 sort."""
+    return np.ascontiguousarray(np.sort(np.ascontiguousarray(arr.T)).T)
+
+
+def reduce_mean_logprob(per_input: list[LogProbVector] | np.ndarray) -> LogProbVector:
     """Elementwise arithmetic mean in log space; not renormalized.
 
     Masked (-inf) entries propagate. Columns are sorted before summation so
@@ -154,11 +157,11 @@ def reduce_mean_logprob(per_input: list[LogProbVector]) -> LogProbVector:
     arr = _stacked(per_input)
     if np.array_equal(arr, np.broadcast_to(arr[0], arr.shape)):
         return arr[0].copy()
-    arr = np.sort(arr, axis=0)
+    arr = _sorted(arr)
     return np.sum(arr, axis=0) / arr.shape[0]
 
 
-def reduce_mean_prob(per_input: list[LogProbVector]) -> LogProbVector:
+def reduce_mean_prob(per_input: list[LogProbVector] | np.ndarray) -> LogProbVector:
     """Log of the elementwise arithmetic mean of probabilities.
 
     Computed with a max shift for stability; normalized whenever the inputs
@@ -167,7 +170,7 @@ def reduce_mean_prob(per_input: list[LogProbVector]) -> LogProbVector:
     arr = _stacked(per_input)
     if np.array_equal(arr, np.broadcast_to(arr[0], arr.shape)):
         return arr[0].copy()
-    arr = np.sort(arr, axis=0)
+    arr = _sorted(arr)
     top = arr[-1]
     out = np.full(arr.shape[1], -np.inf)
     live = top > -np.inf
@@ -188,17 +191,16 @@ def ensemble_step(
     inputs: list[TokenSeq],
     prefix: TokenSeq,
     reduce: Reduce = Reduce.MEAN_LOGPROB,
-) -> tuple[LogProbVector, list[LogProbVector]]:
-    """Score the next token for every input, then combine.
+) -> tuple[LogProbVector, np.ndarray]:
+    """Score the next token for every input in one model call, then combine.
 
-    Returns the combined distribution and the per-input distributions in
-    input order. Per-input scoring is independent (models are read-only
-    here) and the combination is order-canonical, so results never depend
-    on evaluation scheduling.
+    Returns the combined distribution and the ``[N, V]`` per-input
+    distributions in input order. The combination is order-canonical, so
+    results never depend on input order.
     """
     if not inputs:
         raise ValueError("ensemble needs at least one input")
-    per_input = [model.score_next(x, prefix) for x in inputs]
+    per_input = model.score_batch(inputs, prefix)
     return _REDUCERS[reduce](per_input), per_input
 
 
@@ -283,7 +285,7 @@ def _extend(
     hyp: Hypothesis,
     w: int,
     combined: LogProbVector,
-    per_input: list[LogProbVector],
+    per_input: np.ndarray,
     vocab: Vocab,
 ) -> Hypothesis:
     """``hyp`` extended by token ``w``, recording the scores that chose it."""
@@ -291,7 +293,7 @@ def _extend(
         token_id=w,
         token=vocab.token(w),
         combined=float(combined[w]),
-        per_input=tuple(float(v[w]) for v in per_input),
+        per_input=tuple(per_input[:, w].tolist()),
     )
     return Hypothesis(
         prefix=hyp.prefix + (w,),
@@ -319,7 +321,7 @@ def beam_search(
     """
     if not inputs:
         raise ValueError("ensemble needs at least one input")
-    inputs = [tuple(x) for x in inputs]
+    inputs = tuple(tuple(x) for x in inputs)
     if input_labels is None:
         input_labels = _default_labels(len(inputs))
     if len(input_labels) != len(inputs):
@@ -334,7 +336,8 @@ def beam_search(
     for _ in range(params.max_len):
         if not live:
             break
-        survivors: list[Hypothesis] = []
+        # (-score, prefix, token, parent, combined, per-input) per candidate.
+        candidates: list[tuple] = []
         for hyp in live:
             combined, per_input = ensemble_step(model, inputs, hyp.prefix, params.reduce)
             allowed = _allowed_tokens(combined, hyp.prefix, params)
@@ -343,22 +346,26 @@ def beam_search(
                 allowed[EOS_ID] = False
             # The global top beam_size under (-score, prefix) lies within each
             # prefix's own top beam_size, ranked by the same float sums with
-            # ties to the smaller token id, so the rest are never built.
+            # ties to the smaller token id, so the rest are never considered.
+            # Only tokens scoring at least the beam_size-th best are sorted.
             ids = np.flatnonzero(allowed)
-            order = np.argsort(-(hyp.ensemble_score + combined[ids]), kind="stable")
-            survivors.extend(
-                _extend(hyp, int(w), combined, per_input, vocab)
-                for w in ids[order[: params.beam_size]]
+            scores = hyp.ensemble_score + combined[ids]
+            if len(ids) > params.beam_size:
+                keep = scores >= np.partition(scores, -params.beam_size)[-params.beam_size]
+                ids, scores = ids[keep], scores[keep]
+            candidates.extend(
+                (-float(scores[i]), hyp.prefix, int(ids[i]), hyp, combined, per_input)
+                for i in np.argsort(-scores, kind="stable")[: params.beam_size]
             )
-        if not survivors and not pool:
+        if not candidates and not pool:
             raise DecodeError(
                 "no viable continuation for any hypothesis "
                 f"({_constraint_summary(live[0].prefix, params)})"
             )
         if len(pool) >= params.beam_size:
             break
-        survivors.sort(key=lambda h: (-h.ensemble_score, h.prefix))
-        live = survivors[: params.beam_size]
+        candidates.sort(key=lambda c: c[:3])
+        live = [_extend(h, w, c, p, vocab) for _, _, w, h, c, p in candidates[: params.beam_size]]
 
     if not pool:
         raise DecodeError(
@@ -402,7 +409,7 @@ def brute_force_search(
             "brute-force search is limited to vocabularies of at most "
             f"{MAX_BRUTE_FORCE_VOCAB} tokens and max_len <= {MAX_BRUTE_FORCE_LEN}"
         )
-    inputs = [tuple(x) for x in inputs]
+    inputs = tuple(tuple(x) for x in inputs)
 
     best_key: tuple[float, TokenSeq] | None = None
     best_raw = 0.0
@@ -451,7 +458,7 @@ def sequence_score(
     """
     if not inputs:
         raise ValueError("ensemble needs at least one input")
-    inputs = [tuple(x) for x in inputs]
+    inputs = tuple(tuple(x) for x in inputs)
     tokens = tuple(tokens)
     vocab = model.vocab
     check_token_seq(tokens, vocab, "tokens")
@@ -475,7 +482,7 @@ def sequence_score(
             token_id=t,
             token=vocab.token(t),
             combined=float(combined[t]),
-            per_input=[float(v[t]) for v in per_input],
+            per_input=per_input[:, t].tolist(),
         )
         prefix = prefix + (t,)
     return raw, trace

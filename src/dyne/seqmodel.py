@@ -1,9 +1,9 @@
 """Conditional sequence models over a fixed vocabulary.
 
-The decoder asks a model exactly one question: given one input sequence and
-the shared output prefix, what is the log-probability of every possible next
-token? Models here are small closed-form constructions whose distributions
-can be checked by hand, which makes every decoder property exactly testable.
+The decoder asks a model one question: given several inputs and their shared
+output prefix, what is each input's log-probability of every next token?
+Models here are small closed-form constructions whose distributions can be
+checked by hand, which makes every decoder property exactly testable.
 
 Two model kinds are provided:
 
@@ -18,12 +18,12 @@ Both are deterministic and safe for concurrent read-only scoring.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
-from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Protocol
+from typing import Iterable, Protocol, Sequence
 
 import numpy as np
 
@@ -119,22 +119,22 @@ def check_token_seq(
     """Validate ids against a vocab; raises ValueError with context."""
     if non_empty and not ids:
         raise ValueError(f"{name} must not be empty")
+    size = len(vocab)
     for pos, t in enumerate(ids):
-        if not 0 <= t < len(vocab):
-            raise ValueError(
-                f"{name}[{pos}] = {t} out of vocabulary range [0, {len(vocab)})"
-            )
+        if not 0 <= t < size:
+            raise ValueError(f"{name}[{pos}] = {t} out of vocabulary range [0, {size})")
     if require_bos and (not ids or ids[0] != BOS_ID):
         raise ValueError(f"{name} must begin with the BOS id {BOS_ID}")
 
 
 class SequenceModel(Protocol):
-    """Anything that can score the next token for one input and a shared prefix."""
+    """Anything that can score the next token for several inputs sharing one prefix."""
 
     @property
     def vocab(self) -> Vocab: ...
 
-    def score_next(self, input_ids: TokenSeq, prefix: TokenSeq) -> LogProbVector: ...
+    def score_batch(self, inputs: Sequence[TokenSeq], prefix: TokenSeq) -> np.ndarray:
+        """``[len(inputs), len(vocab)]`` next-token log-scores, one row per input."""
 
 
 @dataclass
@@ -253,11 +253,6 @@ class ToyModelSpec:
             raise type(exc)(f"{path}: {exc}") from exc
 
 
-def _validate_scoring_args(vocab: Vocab, input_ids: TokenSeq, prefix: TokenSeq) -> None:
-    check_token_seq(tuple(input_ids), vocab, "input")
-    check_token_seq(tuple(prefix), vocab, "prefix", require_bos=True)
-
-
 class UniformModel:
     """Assigns probability 1/|vocab| to every token, everywhere."""
 
@@ -269,9 +264,14 @@ class UniformModel:
     def vocab(self) -> Vocab:
         return self._vocab
 
+    def score_batch(self, inputs: Sequence[TokenSeq], prefix: TokenSeq) -> np.ndarray:
+        for x in inputs:
+            check_token_seq(tuple(x), self._vocab, "input")
+        check_token_seq(tuple(prefix), self._vocab, "prefix", require_bos=True)
+        return np.tile(self._dist, (len(inputs), 1))
+
     def score_next(self, input_ids: TokenSeq, prefix: TokenSeq) -> LogProbVector:
-        _validate_scoring_args(self._vocab, input_ids, prefix)
-        return self._dist.copy()
+        return self.score_batch([input_ids], prefix)[0]
 
 
 class CopyBigramModel:
@@ -285,18 +285,17 @@ class CopyBigramModel:
         bigram(w | prev) = (C[prev, w] + k) / (sum_w' C[prev, w'] + k * |A|)
 
     Input tokens outside A (the unknown marker) do not contribute to the
-    copy counts, keeping the distribution normalized. Distributions for a
-    given input or previous token are cached; caches are idempotent, so
-    concurrent scoring stays deterministic.
+    copy counts, keeping the distribution normalized. Only the last input
+    set's copy matrix is kept, and bigram rows are cached per previous
+    token; caches are idempotent, so concurrent scoring stays deterministic.
     """
 
     def __init__(self, spec: ToyModelSpec):
         self._spec = spec
         self._vocab = spec.vocab
-        alphabet = (EOS_ID,) + spec.vocab.content_ids
-        self._alphabet = np.array(alphabet, dtype=np.intp)
-        self._alphabet_set = frozenset(alphabet)
-        self._copy_cache: dict[TokenSeq, np.ndarray] = {}
+        self._alphabet = np.array((EOS_ID,) + spec.vocab.content_ids, dtype=np.intp)
+        self._copy_entry: tuple[tuple[TokenSeq, ...], np.ndarray] | None = None
+        self._bigram_table: tuple[np.ndarray, np.ndarray] | None = None  # (pairs, counts)
         self._bigram_cache: dict[int, np.ndarray] = {}
 
     @property
@@ -307,42 +306,51 @@ class CopyBigramModel:
     def spec(self) -> ToyModelSpec:
         return self._spec
 
-    def _copy_probs(self, input_ids: TokenSeq) -> np.ndarray:
-        cached = self._copy_cache.get(input_ids)
-        if cached is not None:
-            return cached
+    def _weighted(self, counts: np.ndarray, weight: float) -> np.ndarray:
+        """``weight`` times add-k smoothed ``counts`` over A, zero outside A."""
         k = self._spec.smooth_k
-        occurrences = Counter(t for t in input_ids if t in self._alphabet_set)
-        counts = np.array([occurrences.get(int(t), 0) for t in self._alphabet], dtype=float)
-        denom = counts.sum() + k * len(self._alphabet)
-        probs = (counts + k) / denom
-        self._copy_cache[input_ids] = probs
-        return probs
+        probs = (counts + k) / (counts.sum(axis=-1, keepdims=True) + k * len(self._alphabet))
+        full = np.zeros(counts.shape[:-1] + (len(self._vocab),))
+        full[..., self._alphabet] = weight * probs
+        return full
 
-    def _bigram_probs(self, prev: int) -> np.ndarray:
+    def _copy_part(self, inputs: tuple[TokenSeq, ...]) -> np.ndarray:
+        """``[N, V]`` weighted copy distributions; validates each new input set."""
+        entry = self._copy_entry
+        if entry is not None and entry[0] == inputs:
+            return entry[1]
+        for x in inputs:
+            check_token_seq(x, self._vocab, "input")
+        counts = np.stack([np.bincount(x, minlength=len(self._vocab)) for x in inputs])
+        part = self._weighted(counts[:, self._alphabet].astype(float), self._spec.copy_weight)
+        self._copy_entry = (inputs, part)
+        return part
+
+    def _bigram_part(self, prev: int) -> np.ndarray:
         cached = self._bigram_cache.get(prev)
         if cached is not None:
             return cached
-        k = self._spec.smooth_k
-        counts = np.array(
-            [self._spec.bigram_counts.get((prev, int(t)), 0) for t in self._alphabet],
-            dtype=float,
-        )
-        denom = counts.sum() + k * len(self._alphabet)
-        probs = (counts + k) / denom
-        self._bigram_cache[prev] = probs
-        return probs
+        if self._bigram_table is None:  # built on first use, not at load
+            counts = self._spec.bigram_counts
+            pairs = np.fromiter(itertools.chain.from_iterable(counts), np.intp, 2 * len(counts))
+            self._bigram_table = (pairs.reshape(-1, 2), np.fromiter(counts.values(), float))
+        pairs, values = self._bigram_table
+        hit = pairs[:, 0] == prev
+        row = np.zeros(len(self._vocab))
+        row[pairs[hit, 1]] = values[hit]
+        part = self._weighted(row[self._alphabet], 1.0 - self._spec.copy_weight)
+        self._bigram_cache[prev] = part
+        return part
+
+    def score_batch(self, inputs: Sequence[TokenSeq], prefix: TokenSeq) -> np.ndarray:
+        prefix = tuple(prefix)
+        check_token_seq(prefix, self._vocab, "prefix", require_bos=True)
+        probs = self._copy_part(tuple(map(tuple, inputs))) + self._bigram_part(prefix[-1])
+        with np.errstate(divide="ignore"):
+            return np.log(probs)
 
     def score_next(self, input_ids: TokenSeq, prefix: TokenSeq) -> LogProbVector:
-        input_ids = tuple(input_ids)
-        prefix = tuple(prefix)
-        _validate_scoring_args(self._vocab, input_ids, prefix)
-        cw = self._spec.copy_weight
-        probs_a = cw * self._copy_probs(input_ids) + (1.0 - cw) * self._bigram_probs(prefix[-1])
-        full = np.zeros(len(self._vocab))
-        full[self._alphabet] = probs_a
-        with np.errstate(divide="ignore"):
-            return np.log(full)
+        return self.score_batch([input_ids], prefix)[0]
 
 
 def make_toy_model(spec: ToyModelSpec) -> CopyBigramModel:

@@ -211,6 +211,23 @@ class TestSweep:
         assert len({r.split(",", 1)[1] for r in rows}) == 1
 
 
+    def test_cluster_errors_printed_before_evaluation_fails(self, tmp_path, capsys):
+        vocab = Vocab.from_content(["a", "b"])
+        ToyModelSpec(1.0, 1.0, {}, vocab).save(tmp_path / "model.json")
+        (tmp_path / "clusters.jsonl").write_text(
+            '{"id": "blank", "documents": ["   "], "references": ["a b"]}\n'
+        )
+        code = main([
+            "sweep", "--model", str(tmp_path / "model.json"),
+            "--clusters", str(tmp_path / "clusters.jsonl"),
+            "--sizes", "1", "2", "--max-len", "3", "--out", str(tmp_path / "sweep"),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "cluster blank: ValueError: document 0 tokenizes to nothing" in err
+        assert err.index("cluster blank") < err.index("error:")
+
+
 class TestTrace:
     def test_stdout_trace_parses(self, workspace, capsys):
         tmp, flags, corpus = workspace
@@ -280,3 +297,36 @@ class TestConfigFile:
                      "--out", str(tmp / "x")])
         assert code == 2
         assert "beam_width" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value", [
+        ("trace_format", "xml"),
+        ("reduce", "median"),
+        ("beam_size", 2.5),
+        ("beam_size", True),
+        ("max_docs", "5"),
+        ("length_penalty", "0.5"),
+        ("sizes", 3),
+        ("rouge_stemming", "yes"),
+        ("model", 7),
+    ])
+    def test_invalid_config_value_rejected_before_decoding(self, workspace, capsys, key, value):
+        tmp, flags, _ = workspace
+        config_path = tmp / "config.json"
+        config_path.write_text(json.dumps({key: value}))
+        out = tmp / "x"
+        command = "sweep" if key in ("sizes", "rouge_stemming") else "decode"
+        extra = ["--sizes", "1"] if command == "sweep" and key != "sizes" else []
+        code = main([command, "--config", str(config_path), *flags, *extra, "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and key in err
+        assert not out.exists()
+
+    def test_config_accepts_what_flags_accept(self, workspace):
+        tmp, flags, _ = workspace
+        config = {"length_penalty": 1, "block_repeat_ngram": None, "reduce": "mean_prob",
+                  "sizes": [1, 2], "metrics": ["rouge-1"], "rouge_stemming": False}
+        config_path = tmp / "config.json"
+        config_path.write_text(json.dumps(config))
+        assert main(["sweep", "--config", str(config_path), *flags,
+                     "--out", str(tmp / "sweep")]) == 0

@@ -49,9 +49,9 @@ class NaNModel:
     def __init__(self, vocab=AB):
         self.vocab = vocab
 
-    def score_next(self, input_ids, prefix):
-        v = np.full(len(self.vocab), -math.log(len(self.vocab)))
-        v[A] = np.nan
+    def score_batch(self, inputs, prefix):
+        v = np.full((len(inputs), len(self.vocab)), -math.log(len(self.vocab)))
+        v[:, A] = np.nan
         return v
 
 
@@ -149,6 +149,28 @@ class TestReduceMeanProb:
         base = reduce_mean_prob(vs)
         perm = [vs[i] for i in rng.permutation(n)]
         assert np.array_equal(base, reduce_mean_prob(perm))
+
+
+@given(st.integers(0, 10_000))
+@settings(max_examples=80, deadline=None)
+def test_array_reducers_invariant_to_row_permutation_and_duplication(seed):
+    # Rows of an [N, V] array, with masked entries and exact ties across rows;
+    # a run of copies of one row reduces to that row exactly.
+    rng = np.random.default_rng(seed)
+    n, width = int(rng.integers(1, 10)), int(rng.integers(1, 12))
+    arr = np.stack([random_probs(rng, width, mask_rate=0.3) for _ in range(n)])
+    if rng.random() < 0.5:
+        arr[:, : width // 2] = np.round(arr[:, : width // 2], 1)
+    with_dups = np.concatenate([arr, arr[rng.integers(0, n, size=int(rng.integers(1, 4)))]])
+    copies = np.repeat(arr[:1], int(rng.integers(1, 6)), axis=0)
+    for reduce_fn in (reduce_mean_logprob, reduce_mean_prob):
+        base = reduce_fn(arr)
+        assert base.tobytes() == reduce_fn(list(arr)).tobytes()
+        assert base.tobytes() == reduce_fn(arr[rng.permutation(n)]).tobytes()
+        dup_base = reduce_fn(with_dups)
+        assert dup_base.tobytes() == reduce_fn(with_dups[::-1]).tobytes()
+        assert dup_base.tobytes() == reduce_fn(with_dups[rng.permutation(len(with_dups))]).tobytes()
+        assert reduce_fn(copies).tobytes() == arr[0].tobytes()
 
 
 class TestEnsembleStep:
@@ -502,3 +524,14 @@ class TestHypothesisType:
                 DecodeParams(length_penalty_alpha=alpha)
         with pytest.raises(ValueError, match="block_repeat_ngram"):
             DecodeParams(block_repeat_ngram=0)
+
+    def test_integer_params_must_be_integers(self):
+        for name in ("beam_size", "max_len", "min_len", "block_repeat_ngram"):
+            for value in (2.5, 3.0, True, "3"):
+                with pytest.raises(ValueError, match=f"{name} must be .*integer"):
+                    DecodeParams(**{"max_len": 8, name: value})
+        for name in ("beam_size", "max_len", "min_len"):
+            with pytest.raises(ValueError, match=f"{name} must be an integer"):
+                DecodeParams(**{name: None})
+        assert DecodeParams(block_repeat_ngram=None).block_repeat_ngram is None
+        assert DecodeParams(beam_size=np.int64(3), max_len=np.int64(6)).beam_size == 3

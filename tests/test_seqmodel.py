@@ -11,13 +11,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dyne import (
+    DecodeParams,
     FormatError,
     ToyModelSpec,
     UniformModel,
     Vocab,
+    beam_search,
     load_model,
     make_toy_model,
 )
+from dyne import seqmodel
 from dyne.seqmodel import BOS_ID, EOS_ID, UNK_ID
 
 from conftest import random_inputs, random_toy_model
@@ -161,6 +164,68 @@ class TestCopyBigramModel:
             model.score_next((3,), (3,))
         with pytest.raises(ValueError, match="empty"):
             model.score_next((), (BOS_ID,))
+
+    @given(st.integers(0, 10_000))
+    @settings(max_examples=60, deadline=None)
+    def test_score_batch_rows_equal_score_next_bitwise(self, seed):
+        rng = np.random.default_rng(seed)
+        model, vocab = random_toy_model(rng, max_content=4)
+        # random_inputs draws UNK as well as content tokens
+        inputs = random_inputs(rng, vocab, max_inputs=5) + [(UNK_ID, 3, UNK_ID)]
+        prefix = (BOS_ID,) + tuple(int(rng.choice(vocab.content_ids)) for _ in range(2))
+        for m in (model, UniformModel(vocab)):
+            batch = m.score_batch(inputs, prefix)
+            rows = np.stack([m.score_next(x, prefix) for x in inputs])
+            assert batch.shape == (len(inputs), len(vocab))
+            assert batch.tobytes() == rows.tobytes()
+
+    def test_memory_bounded_over_many_input_sets(self, ab_vocab):
+        def held_bytes(model):
+            def size(obj):
+                if isinstance(obj, np.ndarray):
+                    return obj.nbytes
+                if isinstance(obj, dict):
+                    return sum(size(v) for v in obj.values())
+                if isinstance(obj, (tuple, list)):
+                    return sum(size(v) for v in obj)
+                return 0
+            return sum(size(v) for v in vars(model).values())
+
+        model = make_toy_model(ToyModelSpec(0.5, 1.0, {(3, 4): 2}, ab_vocab))
+        model.score_batch([(3, 4)], (BOS_ID, 3))
+        one_set = held_bytes(model)
+        for i in range(1, 200):
+            model.score_batch([(3,) * i, (4, 3)], (BOS_ID, 3))
+        model.score_batch([(4, 4)], (BOS_ID, 3))
+        assert held_bytes(model) == one_set
+
+    def test_inputs_validated_once_per_decode(self, ab_vocab, monkeypatch):
+        checked = []
+        real_check = seqmodel.check_token_seq
+
+        def counting_check(ids, vocab, name="sequence", **kwargs):
+            checked.append(name)
+            return real_check(ids, vocab, name, **kwargs)
+
+        monkeypatch.setattr(seqmodel, "check_token_seq", counting_check)
+        model = make_toy_model(ToyModelSpec(0.5, 1.0, {(3, 4): 2}, ab_vocab))
+        inputs = [(3, 4, 3), (4,), (3, UNK_ID)]
+        beam_search(model, inputs, DecodeParams(beam_size=3, max_len=5))
+        assert checked.count("input") == len(inputs)
+        assert checked.count("prefix") > 1  # the prefix is checked on every call
+
+    def test_bad_input_rejected_after_good_decode(self, ab_vocab):
+        model = make_toy_model(ToyModelSpec(0.5, 1.0, {(3, 4): 2}, ab_vocab))
+        good = [(3, 4, 3), (4,)]
+        beam_search(model, good, DecodeParams(beam_size=2, max_len=3))
+        for bad in ([(3, 4, 3), (4, 99)], [(3, 4, 3), ()], [(3, 4, 3), (4, -1)]):
+            with pytest.raises(ValueError, match="input"):
+                model.score_batch(bad, (BOS_ID,))
+            with pytest.raises(ValueError, match="input"):
+                beam_search(model, bad, DecodeParams(beam_size=2, max_len=3))
+        # the failed calls left no entry behind that skips validation
+        with pytest.raises(ValueError, match="out of vocabulary"):
+            model.score_batch([(3, 4, 3), (4, 99)], (BOS_ID,))
 
     def test_concurrent_scoring_matches_serial(self, ab_vocab):
         model = make_toy_model(ToyModelSpec(0.7, 1.0, {(3, 4): 5}, ab_vocab))
