@@ -22,6 +22,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass, field
+from numbers import Integral
 from pathlib import Path
 from typing import Iterable, Protocol, Sequence
 
@@ -159,17 +160,25 @@ class ToyModelSpec:
             raise ValueError(f"copy weight must lie in [0, 1], got {self.copy_weight}")
         if not (self.smooth_k > 0 and math.isfinite(self.smooth_k)):
             raise ValueError(f"smooth_k must be finite and positive, got {self.smooth_k}")
-        for (prev, nxt), count in self.bigram_counts.items():
-            for t in (prev, nxt):
-                if not 0 <= t < len(self.vocab):
-                    raise ValueError(f"bigram count id {t} out of vocabulary range")
-            if nxt in (BOS_ID, UNK_ID):
-                raise ValueError(
-                    f"bigram count targets unpredictable token "
-                    f"{self.vocab.token(nxt)!r} as successor"
-                )
-            if not isinstance(count, int) or count < 0:
-                raise ValueError(f"bigram count for {(prev, nxt)} must be a nonnegative integer")
+        size = len(self.vocab)
+        for pair, count in self.bigram_counts.items():
+            prev, nxt = pair
+            if not (type(prev) is int and type(nxt) is int and type(count) is int and count >= 0
+                    and 0 <= prev < size and 0 <= nxt < size and BOS_ID != nxt != UNK_ID):
+                self._check_count(pair, count)  # names the fault, or accepts numpy ids
+
+    def _check_count(self, pair: tuple[int, int], count: int) -> None:
+        """Raise ValueError naming what is wrong with one bigram count, if anything."""
+        for t in pair:
+            if isinstance(t, bool) or not isinstance(t, Integral) or not 0 <= t < len(self.vocab):
+                raise ValueError(f"bigram count id {t!r} not an integer in vocabulary range")
+        if pair[1] in (BOS_ID, UNK_ID):
+            raise ValueError(
+                f"bigram count targets unpredictable token "
+                f"{self.vocab.token(pair[1])!r} as successor"
+            )
+        if isinstance(count, bool) or not isinstance(count, int) or count < 0:
+            raise ValueError(f"bigram count for {pair} must be a nonnegative integer")
 
     def to_json_text(self) -> str:
         """Canonical serialization: sorted fields, sorted count triples."""
@@ -206,34 +215,34 @@ class ToyModelSpec:
             raise FormatError("field 'vocab' must be a list of strings")
         vocab = Vocab(tuple(doc["vocab"]))
         for f in ("lambda", "smooth_k"):
-            if not isinstance(doc[f], (int, float)) or isinstance(doc[f], bool):
+            if type(doc[f]) not in (int, float):
                 raise FormatError(f"field {f!r} must be a number")
+        try:
+            copy_weight, smooth_k = float(doc["lambda"]), float(doc["smooth_k"])
+        except OverflowError:
+            raise FormatError("fields 'lambda' and 'smooth_k' must fit in a float") from None
         counts: dict[tuple[int, int], int] = {}
         if not isinstance(doc["bigram_counts"], list):
             raise FormatError("field 'bigram_counts' must be a list of [prev, next, count] triples")
+        index = vocab._index
+        # json.loads yields exact types, so ``type(...) is`` also rejects bools
         for i, triple in enumerate(doc["bigram_counts"]):
-            if (
-                not isinstance(triple, list)
-                or len(triple) != 3
-                or not isinstance(triple[0], str)
-                or not isinstance(triple[1], str)
-                or not isinstance(triple[2], int)
-                or isinstance(triple[2], bool)
-            ):
+            if not (type(triple) is list and len(triple) == 3 and type(triple[0]) is str
+                    and type(triple[1]) is str and type(triple[2]) is int):
                 raise FormatError(
                     f"bigram_counts[{i}] must be a [prev_token, next_token, count] triple"
                 )
             prev_tok, next_tok, count = triple
-            for tok in (prev_tok, next_tok):
-                if tok not in vocab:
-                    raise FormatError(f"bigram_counts[{i}] names unknown token {tok!r}")
-            key = (vocab.id_of(prev_tok), vocab.id_of(next_tok))
-            if key in counts:
+            prev, nxt = index.get(prev_tok), index.get(next_tok)
+            if prev is None or nxt is None:
+                tok = prev_tok if prev is None else next_tok
+                raise FormatError(f"bigram_counts[{i}] names unknown token {tok!r}")
+            if (prev, nxt) in counts:
                 raise FormatError(f"bigram_counts[{i}] repeats pair {prev_tok!r}->{next_tok!r}")
-            counts[key] = count
+            counts[prev, nxt] = count
         return cls(
-            copy_weight=float(doc["lambda"]),
-            smooth_k=float(doc["smooth_k"]),
+            copy_weight=copy_weight,
+            smooth_k=smooth_k,
             bigram_counts=counts,
             vocab=vocab,
         )
@@ -285,9 +294,10 @@ class CopyBigramModel:
         bigram(w | prev) = (C[prev, w] + k) / (sum_w' C[prev, w'] + k * |A|)
 
     Input tokens outside A (the unknown marker) do not contribute to the
-    copy counts, keeping the distribution normalized. Only the last input
-    set's copy matrix is kept, and bigram rows are cached per previous
-    token; caches are idempotent, so concurrent scoring stays deterministic.
+    copy counts, keeping the distribution normalized. The model holds one
+    copy-matrix entry, for the last input set, and one bigram table built
+    on first use, so its memory is bounded by the spec; each is set in one
+    assignment, so concurrent scoring stays deterministic.
     """
 
     def __init__(self, spec: ToyModelSpec):
@@ -295,8 +305,7 @@ class CopyBigramModel:
         self._vocab = spec.vocab
         self._alphabet = np.array((EOS_ID,) + spec.vocab.content_ids, dtype=np.intp)
         self._copy_entry: tuple[tuple[TokenSeq, ...], np.ndarray] | None = None
-        self._bigram_table: tuple[np.ndarray, np.ndarray] | None = None  # (pairs, counts)
-        self._bigram_cache: dict[int, np.ndarray] = {}
+        self._bigram_table: tuple[np.ndarray, ...] | None = None
 
     @property
     def vocab(self) -> Vocab:
@@ -306,14 +315,6 @@ class CopyBigramModel:
     def spec(self) -> ToyModelSpec:
         return self._spec
 
-    def _weighted(self, counts: np.ndarray, weight: float) -> np.ndarray:
-        """``weight`` times add-k smoothed ``counts`` over A, zero outside A."""
-        k = self._spec.smooth_k
-        probs = (counts + k) / (counts.sum(axis=-1, keepdims=True) + k * len(self._alphabet))
-        full = np.zeros(counts.shape[:-1] + (len(self._vocab),))
-        full[..., self._alphabet] = weight * probs
-        return full
-
     def _copy_part(self, inputs: tuple[TokenSeq, ...]) -> np.ndarray:
         """``[N, V]`` weighted copy distributions; validates each new input set."""
         entry = self._copy_entry
@@ -322,25 +323,37 @@ class CopyBigramModel:
         for x in inputs:
             check_token_seq(x, self._vocab, "input")
         counts = np.stack([np.bincount(x, minlength=len(self._vocab)) for x in inputs])
-        part = self._weighted(counts[:, self._alphabet].astype(float), self._spec.copy_weight)
+        counts = counts[:, self._alphabet].astype(float)
+        k = self._spec.smooth_k
+        probs = (counts + k) / (counts.sum(axis=-1, keepdims=True) + k * len(self._alphabet))
+        part = np.zeros((len(inputs), len(self._vocab)))
+        part[:, self._alphabet] = self._spec.copy_weight * probs
         self._copy_entry = (inputs, part)
         return part
 
+    def _build_bigram_table(self) -> tuple[np.ndarray, ...]:
+        """Pairs sorted by previous token with ``starts`` offsets, each row's fill
+        ``w * (k / total)`` and each pair's ``w * ((c + k) / total)``."""
+        counts = self._spec.bigram_counts
+        pairs = np.fromiter(itertools.chain.from_iterable(counts), np.intp, 2 * len(counts))
+        order = np.argsort(pairs[0::2], kind="stable")
+        prevs, nexts = pairs[0::2][order], pairs[1::2][order]
+        raw = np.fromiter(counts.values(), float, len(counts))[order]
+        k, w, size = self._spec.smooth_k, 1.0 - self._spec.copy_weight, len(self._vocab)
+        # sums of integer counts below 2**53 are exact in any order
+        totals = np.bincount(prevs, weights=raw, minlength=size) + k * len(self._alphabet)
+        on_alphabet = np.bincount(self._alphabet, minlength=size).astype(float)
+        starts = np.searchsorted(prevs, np.arange(size + 1))
+        return on_alphabet, w * (k / totals), starts, nexts, w * ((raw + k) / totals[prevs])
+
     def _bigram_part(self, prev: int) -> np.ndarray:
-        cached = self._bigram_cache.get(prev)
-        if cached is not None:
-            return cached
         if self._bigram_table is None:  # built on first use, not at load
-            counts = self._spec.bigram_counts
-            pairs = np.fromiter(itertools.chain.from_iterable(counts), np.intp, 2 * len(counts))
-            self._bigram_table = (pairs.reshape(-1, 2), np.fromiter(counts.values(), float))
-        pairs, values = self._bigram_table
-        hit = pairs[:, 0] == prev
-        row = np.zeros(len(self._vocab))
-        row[pairs[hit, 1]] = values[hit]
-        part = self._weighted(row[self._alphabet], 1.0 - self._spec.copy_weight)
-        self._bigram_cache[prev] = part
-        return part
+            self._bigram_table = self._build_bigram_table()
+        on_alphabet, fill, starts, nexts, values = self._bigram_table
+        row = on_alphabet * fill[prev]
+        lo, hi = starts[prev], starts[prev + 1]
+        row[nexts[lo:hi]] = values[lo:hi]
+        return row
 
     def score_batch(self, inputs: Sequence[TokenSeq], prefix: TokenSeq) -> np.ndarray:
         prefix = tuple(prefix)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 from concurrent.futures import ThreadPoolExecutor
 
@@ -31,6 +32,40 @@ def logsumexp(v: np.ndarray) -> float:
     if m == -np.inf:
         return -np.inf
     return float(m + np.log(np.sum(np.exp(v - m))))
+
+
+def held_bytes(model) -> int:
+    """Bytes of the numpy arrays a model holds in its attributes."""
+    def size(obj):
+        if isinstance(obj, np.ndarray):
+            return obj.nbytes
+        if isinstance(obj, dict):
+            return sum(size(v) for v in obj.values())
+        if isinstance(obj, (tuple, list)):
+            return sum(size(v) for v in obj)
+        return 0
+    return sum(size(v) for v in vars(model).values())
+
+
+def dense_reference(spec: ToyModelSpec, x, prev: int) -> np.ndarray:
+    """``log(cw * copy + (1 - cw) * bigram)`` from a dense count matrix, in the
+    operation order of the documented formula."""
+    vocab, k, cw = spec.vocab, spec.smooth_k, spec.copy_weight
+    alphabet = np.array((EOS_ID,) + vocab.content_ids)
+    dense = np.zeros((len(vocab), len(vocab)))
+    for (p, n), c in spec.bigram_counts.items():
+        dense[p, n] = c
+
+    def weighted(counts, weight):
+        probs = (counts + k) / (counts.sum() + k * len(alphabet))
+        full = np.zeros(len(vocab))
+        full[alphabet] = weight * probs
+        return full
+
+    copy_counts = np.bincount(x, minlength=len(vocab))[alphabet].astype(float)
+    probs = weighted(copy_counts, cw) + weighted(dense[prev][alphabet], 1.0 - cw)
+    with np.errstate(divide="ignore"):
+        return np.log(probs)
 
 
 @pytest.fixture
@@ -180,17 +215,6 @@ class TestCopyBigramModel:
             assert batch.tobytes() == rows.tobytes()
 
     def test_memory_bounded_over_many_input_sets(self, ab_vocab):
-        def held_bytes(model):
-            def size(obj):
-                if isinstance(obj, np.ndarray):
-                    return obj.nbytes
-                if isinstance(obj, dict):
-                    return sum(size(v) for v in obj.values())
-                if isinstance(obj, (tuple, list)):
-                    return sum(size(v) for v in obj)
-                return 0
-            return sum(size(v) for v in vars(model).values())
-
         model = make_toy_model(ToyModelSpec(0.5, 1.0, {(3, 4): 2}, ab_vocab))
         model.score_batch([(3, 4)], (BOS_ID, 3))
         one_set = held_bytes(model)
@@ -198,6 +222,36 @@ class TestCopyBigramModel:
             model.score_batch([(3,) * i, (4, 3)], (BOS_ID, 3))
         model.score_batch([(4, 4)], (BOS_ID, 3))
         assert held_bytes(model) == one_set
+
+    def test_memory_bounded_over_every_previous_token(self):
+        vocab = Vocab.from_content([f"w{i}" for i in range(40)])
+        counts = {(p, n): p + n for p in range(0, len(vocab), 3) for n in (EOS_ID, 5, 9)}
+        model = make_toy_model(ToyModelSpec(0.5, 1.0, counts, vocab))
+        model.score_batch([(3, 4)], (BOS_ID,))
+        first_use = held_bytes(model)
+        for prev in range(len(vocab)):
+            model.score_batch([(3, 4)], (BOS_ID, prev))
+        assert held_bytes(model) == first_use
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_rows_equal_dense_formula(self, data):
+        n_content = data.draw(st.integers(1, 5))
+        vocab = Vocab.from_content([f"w{i}" for i in range(n_content)])
+        targets = (EOS_ID, *vocab.content_ids)
+        counts = data.draw(st.dictionaries(
+            st.tuples(st.integers(0, len(vocab) - 1), st.sampled_from(targets)),
+            st.integers(0, 1000), max_size=12,
+        ))
+        cw = data.draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0))
+        k = data.draw(st.sampled_from([1e-3, 0.1, 0.5, 1.0]) | st.floats(1e-3, 5.0))
+        spec = ToyModelSpec(cw, k, counts, vocab)
+        model = make_toy_model(spec)
+        x = tuple(data.draw(st.lists(st.integers(1, len(vocab) - 1), min_size=1, max_size=6)))
+        # every previous token, BOS and EOS included, with and without counts
+        for prev in data.draw(st.permutations(range(len(vocab)))):
+            prefix = (BOS_ID,) if prev == BOS_ID else (BOS_ID, prev)
+            assert np.array_equal(model.score_next(x, prefix), dense_reference(spec, x, prev))
 
     def test_inputs_validated_once_per_decode(self, ab_vocab, monkeypatch):
         checked = []
@@ -250,6 +304,24 @@ class TestSpecValidation:
     def test_counts_must_be_nonnegative_ints(self, ab_vocab):
         with pytest.raises(ValueError, match="nonnegative"):
             ToyModelSpec(0.5, 1.0, {(3, 4): -1}, ab_vocab)
+
+    @pytest.mark.parametrize("counts", [
+        {(3.5, 4): 2},
+        {(3, 4.0): 2},
+        {("3", 4): 2},
+        {(True, 4): 2},
+        {(3, True): 2},
+        {(3, 4): True},
+        {(3, 4): 2.0},
+    ], ids=["float-prev", "float-next", "str-prev", "bool-prev", "bool-next",
+            "bool-count", "float-count"])
+    def test_ids_and_counts_must_be_integers(self, ab_vocab, counts):
+        with pytest.raises(ValueError, match="integer"):
+            ToyModelSpec(0.5, 1.0, counts, ab_vocab)
+
+    def test_numpy_integer_ids_accepted(self, ab_vocab):
+        spec = ToyModelSpec(0.5, 1.0, {(np.int64(3), np.intp(4)): 2}, ab_vocab)
+        assert ToyModelSpec.from_json_text(spec.to_json_text()).bigram_counts == {(3, 4): 2}
 
     def test_counts_cannot_target_bos_or_unk(self, ab_vocab):
         with pytest.raises(ValueError, match="unpredictable"):
@@ -311,3 +383,87 @@ class TestSpecSerialization:
     def test_missing_file(self, tmp_path):
         with pytest.raises(FormatError, match="cannot read"):
             load_model(tmp_path / "nope.json")
+
+
+SPEC_DOC = {
+    "lambda": 0.5,
+    "smooth_k": 1.0,
+    "vocab": ["<s>", "</s>", "<unk>", "a", "b"],
+    "bigram_counts": [["<s>", "a", 2], ["a", "b", 1], ["b", "</s>", 3]],
+}
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3)
+    | st.sampled_from(["<s>", "</s>", "<unk>", "a", "b"]),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner,
+                                                                max_size=3),
+    max_leaves=6,
+)
+
+
+def _paths(node, path=()):
+    """Every position in a parsed JSON document, the root included."""
+    yield path
+    items = node.items() if isinstance(node, dict) else enumerate(node) \
+        if isinstance(node, list) else ()
+    for key, child in items:
+        yield from _paths(child, path + (key,))
+
+
+class TestSpecLoaderErrors:
+    @pytest.mark.parametrize("bad, message", [
+        ({"a": "b"}, r"bigram_counts\[1\] must be a \[prev_token, next_token, count\] triple"),
+        (["a", "b"], r"bigram_counts\[1\] must be a \[prev_token, next_token, count\] triple"),
+        (["a", "b", 1, 1], r"bigram_counts\[1\] must be a \[prev_token, next_token, count\]"),
+        ([3, "b", 1], r"bigram_counts\[1\] must be a \[prev_token, next_token, count\] triple"),
+        (["a", None, 1], r"bigram_counts\[1\] must be a \[prev_token, next_token, count\]"),
+        (["a", "b", 1.0], r"bigram_counts\[1\] must be a \[prev_token, next_token, count\]"),
+        (["a", "b", True], r"bigram_counts\[1\] must be a \[prev_token, next_token, count\]"),
+        (["a", "zz", 1], r"bigram_counts\[1\] names unknown token 'zz'"),
+        (["yy", "zz", 1], r"bigram_counts\[1\] names unknown token 'yy'"),
+        (["<s>", "a", 5], r"bigram_counts\[1\] repeats pair '<s>'->'a'"),
+    ], ids=["not-a-list", "short", "long", "int-token", "null-token", "float-count",
+            "bool-count", "unknown-next", "unknown-prev-first", "repeated-pair"])
+    def test_bad_triple_named_by_index(self, bad, message):
+        doc = dict(SPEC_DOC, bigram_counts=[SPEC_DOC["bigram_counts"][0], bad])
+        with pytest.raises(FormatError, match=message):
+            ToyModelSpec.from_json_text(json.dumps(doc))
+
+    def test_first_bad_triple_in_file_order_reported(self):
+        doc = dict(SPEC_DOC, bigram_counts=[["a", "zz", 1], ["a"], ["a", "b", 1.5]])
+        with pytest.raises(FormatError, match=r"bigram_counts\[0\] names unknown token 'zz'"):
+            ToyModelSpec.from_json_text(json.dumps(doc))
+
+    @pytest.mark.parametrize("field", ["lambda", "smooth_k"])
+    def test_number_too_large_for_a_float(self, field):
+        text = json.dumps(dict(SPEC_DOC, **{field: 10**400}))
+        with pytest.raises(FormatError, match=field):
+            ToyModelSpec.from_json_text(text)
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_mutated_spec_text_fails_cleanly(self, data):
+        doc = json.loads(json.dumps(SPEC_DOC))
+        for _ in range(data.draw(st.integers(1, 3))):
+            path = data.draw(st.sampled_from(list(_paths(doc))))
+            value = data.draw(JSON_VALUES)
+            if not path:
+                doc = value
+                continue
+            parent = doc
+            for key in path[:-1]:
+                parent = parent[key]
+            if data.draw(st.booleans()):
+                del parent[path[-1]]
+            else:
+                parent[path[-1]] = value
+        text = json.dumps(doc)
+        if data.draw(st.booleans()):  # a character-level edit on top
+            start = data.draw(st.integers(0, len(text)))
+            end = data.draw(st.integers(start, min(len(text), start + 3)))
+            text = text[:start] + data.draw(st.text(max_size=3)) + text[end:]
+        try:
+            spec = ToyModelSpec.from_json_text(text)
+        except ValueError:  # FormatError is a ValueError
+            return
+        assert ToyModelSpec.from_json_text(spec.to_json_text()) == spec
