@@ -13,7 +13,6 @@ from .data import (
     load_clusters,
     save_clusters,
     select_document_indices,
-    select_documents,
     tokenize_and_truncate,
 )
 from .decoder import (
@@ -34,7 +33,6 @@ from .rouge import (
     MultiRefStrategy,
     RougeConfig,
     RougeScore,
-    evaluate_corpus,
     rouge_l,
     rouge_n,
 )
@@ -50,7 +48,6 @@ from .seqmodel import (
     UniformModel,
     Vocab,
     load_model,
-    make_toy_model,
 )
 from .synthetic import ConsensusCorpus, build_consensus_corpus
 
@@ -85,17 +82,14 @@ __all__ = [
     "brute_force_search",
     "build_consensus_corpus",
     "ensemble_step",
-    "evaluate_corpus",
     "load_clusters",
     "load_model",
-    "make_toy_model",
     "reduce_mean_logprob",
     "reduce_mean_prob",
     "rouge_l",
     "rouge_n",
     "save_clusters",
     "select_document_indices",
-    "select_documents",
     "sequence_score",
     "tokenize_and_truncate",
 ]

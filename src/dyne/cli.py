@@ -30,7 +30,9 @@ from pathlib import Path
 from .data import Cluster, ClusterSet, load_clusters, select_document_indices, tokenize_and_truncate
 from .decoder import DecodeParams, Reduce, beam_search
 from .errors import DecodeError, FormatError
-from .rouge import DEFAULT_METRICS, MultiRefStrategy, RougeConfig, compute_metric, mean_score
+from .rouge import (
+    DEFAULT_METRICS, METRIC_RE, MultiRefStrategy, RougeConfig, compute_metric, mean_score,
+)
 from .seqmodel import SequenceModel, load_model
 
 
@@ -77,6 +79,11 @@ class RunConfig:
     max_input_tokens: int
     trace_format: str
 
+    def __post_init__(self) -> None:
+        for name in ("max_docs", "max_input_tokens"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+
     def record(self) -> dict:
         return {
             "model": self.model,
@@ -113,14 +120,19 @@ def _run_config(args) -> RunConfig:
     )
 
 
-def _rouge_config(args) -> RougeConfig:
-    return RougeConfig(
+def _rouge_setup(args) -> tuple[RougeConfig, tuple[str, ...]]:
+    """The ROUGE config and metric names, checked before anything is loaded."""
+    unknown = [m for m in args.metrics if not METRIC_RE.match(m)]
+    if unknown:
+        raise ValueError(f"metrics must be rouge-<n> or rouge-l, got {unknown}")
+    cfg = RougeConfig(
         lowercase=args.rouge_lowercase,
         strip_punctuation=args.rouge_strip_punctuation,
         use_porter_stemming=args.rouge_stemming,
         multi_ref_strategy=MultiRefStrategy(args.multi_ref),
         beta=args.beta,
     )
+    return cfg, tuple(args.metrics)
 
 
 def _decode_cluster(model: SequenceModel, cluster: Cluster, cfg: RunConfig):
@@ -252,12 +264,13 @@ def _print_metric_table(means: dict) -> None:
 
 
 def cmd_evaluate(args) -> int:
+    rouge_cfg, metrics = _rouge_setup(args)
     records = _load_hypotheses(Path(args.hypotheses))
     if not records:
         print("hypotheses file holds no records", file=sys.stderr)
         return 1
     clusters = load_clusters(args.clusters)
-    report = _evaluate_records(records, clusters, _rouge_config(args), tuple(args.metrics))
+    report = _evaluate_records(records, clusters, rouge_cfg, metrics)
     _print_metric_table(report["mean"])
     if args.report:
         _write_json(Path(args.report), report)
@@ -270,10 +283,9 @@ def cmd_sweep(args) -> int:
     if any(s < 1 for s in sizes):
         raise ValueError(f"ensemble sizes must be >= 1, got {sizes}")
     cfg = _run_config(args)
+    rouge_cfg, metrics = _rouge_setup(args)
     model = load_model(cfg.model)
     clusters = load_clusters(cfg.clusters)
-    rouge_cfg = _rouge_config(args)
-    metrics = tuple(args.metrics)
     out_dir = Path(args.out)
 
     failed = False

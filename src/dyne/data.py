@@ -142,7 +142,12 @@ def _selection_rng(seed: int, cluster_id: str) -> np.random.Generator:
 
 
 def select_document_indices(cluster: Cluster, max_docs: int, seed: int) -> list[int]:
-    """Indices of the selected documents, ascending (original order)."""
+    """Indices of up to ``max_docs`` documents, drawn uniformly without replacement.
+
+    Clusters at or under the limit are returned whole; larger clusters are
+    subsampled deterministically in (seed, cluster id). Indices ascend, so
+    the chosen documents keep their original relative order.
+    """
     if max_docs < 1:
         raise ValueError(f"max_docs must be >= 1, got {max_docs}")
     n = len(cluster.documents)
@@ -151,16 +156,6 @@ def select_document_indices(cluster: Cluster, max_docs: int, seed: int) -> list[
     rng = _selection_rng(seed, cluster.id)
     chosen = rng.choice(n, size=max_docs, replace=False)
     return sorted(int(i) for i in chosen)
-
-
-def select_documents(cluster: Cluster, max_docs: int, seed: int) -> list[str]:
-    """Up to ``max_docs`` documents, drawn uniformly without replacement.
-
-    Clusters at or under the limit are returned whole; larger clusters are
-    subsampled deterministically in (seed, cluster id), preserving the
-    original relative order of the chosen documents.
-    """
-    return [cluster.documents[i] for i in select_document_indices(cluster, max_docs, seed)]
 
 
 def tokenize_and_truncate(text: str, vocab: Vocab, max_tokens: int) -> TokenSeq:

@@ -281,6 +281,16 @@ def _scored(
     )
 
 
+def _trace_row(w: int, combined: LogProbVector, per_input: np.ndarray, vocab: Vocab) -> TraceRow:
+    """The trace row of token ``w``: the combined and per-input scores that chose it."""
+    return TraceRow(
+        token_id=int(w),  # numpy integer tokens would not export to JSON
+        token=vocab.token(w),
+        combined=float(combined[w]),
+        per_input=tuple(per_input[:, w].tolist()),
+    )
+
+
 def _extend(
     hyp: Hypothesis,
     w: int,
@@ -289,12 +299,7 @@ def _extend(
     vocab: Vocab,
 ) -> Hypothesis:
     """``hyp`` extended by token ``w``, recording the scores that chose it."""
-    row = TraceRow(
-        token_id=w,
-        token=vocab.token(w),
-        combined=float(combined[w]),
-        per_input=tuple(per_input[:, w].tolist()),
-    )
+    row = _trace_row(w, combined, per_input, vocab)
     return Hypothesis(
         prefix=hyp.prefix + (w,),
         ensemble_score=hyp.ensemble_score + row.combined,
@@ -377,9 +382,8 @@ def beam_search(
             h.prefix,
         )
     )
-    labels = tuple(input_labels)
     return [
-        _scored(h.prefix[1:], h.ensemble_score, TraceMatrix(labels, list(h.rows)), params)
+        _scored(h.prefix[1:], h.ensemble_score, TraceMatrix(input_labels, h.rows), params)
         for h in pool[: params.beam_size]
     ]
 
@@ -472,17 +476,12 @@ def sequence_score(
     if input_labels is None:
         input_labels = _default_labels(len(inputs))
 
-    trace = TraceMatrix(input_labels=tuple(input_labels))
     raw = 0.0
+    rows = []
     prefix: TokenSeq = (BOS_ID,)
     for t in tokens:
         combined, per_input = ensemble_step(model, inputs, prefix, reduce)
-        raw += float(combined[t])
-        trace.record_step(
-            token_id=t,
-            token=vocab.token(t),
-            combined=float(combined[t]),
-            per_input=per_input[:, t].tolist(),
-        )
+        rows.append(_trace_row(t, combined, per_input, vocab))
+        raw += rows[-1].combined
         prefix = prefix + (t,)
-    return raw, trace
+    return raw, TraceMatrix(input_labels, rows)

@@ -4,9 +4,10 @@ Because the combined score of each generated token is composed from
 per-input scores that depend only on (model, that input, shared prefix),
 the contribution of every input at every timestep is exact: it can be
 reproduced by an independent single-input scoring call. The trace matrix
-records those per-input log-scores, one row per timestep and one column
-per input; column sums give the log-likelihood of the whole output under
-each input alone.
+holds those per-input log-scores, one row per timestep and one column per
+input; column sums give the log-likelihood of the whole output under each
+input alone. A trace is an immutable value, built once from its rows by
+the beam search or by ``sequence_score``, and only written out.
 
 Exports carry log-scores. The CSV layout is
 ``timestep,token,combined,<label_1>,...,<label_n>``; JSON mirrors those
@@ -21,9 +22,7 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass, field
-
-from .errors import FormatError
+from dataclasses import dataclass
 
 
 def _format_float(x: float) -> str:
@@ -42,39 +41,26 @@ class TraceRow:
     per_input: tuple[float, ...]
 
 
-@dataclass
+@dataclass(frozen=True)
 class TraceMatrix:
     """Timesteps x inputs matrix of per-input chosen-token log-scores."""
 
     input_labels: tuple[str, ...]
-    rows: list[TraceRow] = field(default_factory=list)
+    rows: tuple[TraceRow, ...] = ()
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "input_labels", tuple(self.input_labels))
+        object.__setattr__(self, "rows", tuple(self.rows))
+        width = len(self.input_labels)
+        for t, row in enumerate(self.rows):
+            if len(row.per_input) != width:
+                raise ValueError(
+                    f"row {t} has {len(row.per_input)} per-input scores but the trace "
+                    f"has {width} inputs"
+                )
 
     def __len__(self) -> int:
         return len(self.rows)
-
-    def record_step(
-        self,
-        token_id: int,
-        token: str,
-        combined: float,
-        per_input: list[float] | tuple[float, ...],
-    ) -> "TraceMatrix":
-        """Append one timestep; earlier rows are never touched."""
-        per_input = tuple(float(x) for x in per_input)
-        if len(per_input) != len(self.input_labels):
-            raise ValueError(
-                f"row has {len(per_input)} per-input scores but the trace "
-                f"has {len(self.input_labels)} inputs"
-            )
-        self.rows.append(
-            TraceRow(
-                token_id=int(token_id),
-                token=token,
-                combined=float(combined),
-                per_input=per_input,
-            )
-        )
-        return self
 
     def input_totals(self) -> list[float]:
         """Column sums: the full sequence's log-likelihood under each input."""
@@ -129,50 +115,3 @@ class TraceMatrix:
         if fmt == "json":
             return self.to_json()
         raise ValueError(f"unknown trace format {fmt!r}; use 'csv' or 'json'")
-
-    @classmethod
-    def from_csv(cls, text: str, vocab=None) -> "TraceMatrix":
-        """Parse a CSV export. Token ids are recovered through ``vocab``
-        when given (the CSV itself carries only token strings); without a
-        vocab they are set to -1."""
-        reader = csv.reader(io.StringIO(text))
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise FormatError("trace CSV is empty") from None
-        if header[:3] != ["timestep", "token", "combined"]:
-            raise FormatError(
-                f"trace CSV header must start with timestep,token,combined; got {header[:3]}"
-            )
-        labels = tuple(header[3:])
-        trace = cls(input_labels=labels)
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != 3 + len(labels):
-                raise FormatError(
-                    f"trace CSV line {lineno}: expected {3 + len(labels)} fields, got {len(row)}"
-                )
-            token = row[1]
-            try:
-                combined = float(row[2])
-                per_input = tuple(float(x) for x in row[3:])
-            except ValueError as exc:
-                raise FormatError(f"trace CSV line {lineno}: {exc}") from exc
-            token_id = vocab.id_of(token) if vocab is not None else -1
-            trace.record_step(token_id, token, combined, per_input)
-        return trace
-
-    @classmethod
-    def from_json(cls, text: str) -> "TraceMatrix":
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"trace JSON is invalid: {exc}") from exc
-        try:
-            trace = cls(input_labels=tuple(doc["input_labels"]))
-            for row in doc["rows"]:
-                trace.record_step(
-                    row["token_id"], row["token"], row["combined"], row["scores"]
-                )
-        except (KeyError, TypeError) as exc:
-            raise FormatError(f"trace JSON missing field: {exc}") from exc
-        return trace

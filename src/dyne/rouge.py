@@ -41,8 +41,9 @@ class RougeConfig:
     beta: float = 1.0
 
     def __post_init__(self) -> None:
-        if not self.beta > 0:
-            raise ValueError(f"beta must be positive, got {self.beta}")
+        # a square past the float range would turn every F score into NaN
+        if not (self.beta > 0 and math.isfinite(self.beta * self.beta)):
+            raise ValueError(f"beta must be positive with a finite square, got {self.beta}")
 
 
 DEFAULT_CONFIG = RougeConfig()
@@ -158,7 +159,7 @@ def rouge_l(
     return _combine(per_ref, cfg)
 
 
-_METRIC_RE = re.compile(r"^rouge-([0-9]+|l)$")
+METRIC_RE = re.compile(r"^rouge-([0-9]+|l)$")
 
 
 def compute_metric(
@@ -168,7 +169,7 @@ def compute_metric(
     cfg: RougeConfig = DEFAULT_CONFIG,
 ) -> RougeScore:
     """Dispatch on a metric name: ``rouge-<n>`` or ``rouge-l``."""
-    m = _METRIC_RE.match(metric)
+    m = METRIC_RE.match(metric)
     if not m:
         raise ValueError(f"unknown metric {metric!r}; expected rouge-<n> or rouge-l")
     if m.group(1) == "l":
@@ -177,24 +178,3 @@ def compute_metric(
 
 
 DEFAULT_METRICS = ("rouge-1", "rouge-2", "rouge-l")
-
-
-def evaluate_corpus(
-    pairs: list[tuple[str, list[str]]],
-    cfg: RougeConfig = DEFAULT_CONFIG,
-    metrics: tuple[str, ...] = DEFAULT_METRICS,
-) -> dict[str, RougeScore]:
-    """Unweighted componentwise mean of per-pair scores for each metric.
-
-    Means are accumulated with exact summation, so the result is
-    independent of pair order.
-    """
-    if not pairs:
-        raise ValueError("corpus evaluation needs at least one pair")
-    for metric in metrics:
-        if not _METRIC_RE.match(metric):
-            raise ValueError(f"unknown metric {metric!r}; expected rouge-<n> or rouge-l")
-    return {
-        metric: mean_score([compute_metric(metric, hyp, refs, cfg) for hyp, refs in pairs])
-        for metric in metrics
-    }

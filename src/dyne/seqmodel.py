@@ -163,8 +163,9 @@ class ToyModelSpec:
         size = len(self.vocab)
         for pair, count in self.bigram_counts.items():
             prev, nxt = pair
-            if not (type(prev) is int and type(nxt) is int and type(count) is int and count >= 0
-                    and 0 <= prev < size and 0 <= nxt < size and BOS_ID != nxt != UNK_ID):
+            if not (type(prev) is int and type(nxt) is int and type(count) is int
+                    and 0 <= count < 2**53 and 0 <= prev < size and 0 <= nxt < size
+                    and BOS_ID != nxt != UNK_ID):
                 self._check_count(pair, count)  # names the fault, or accepts numpy ids
 
     def _check_count(self, pair: tuple[int, int], count: int) -> None:
@@ -177,8 +178,9 @@ class ToyModelSpec:
                 f"bigram count targets unpredictable token "
                 f"{self.vocab.token(pair[1])!r} as successor"
             )
-        if isinstance(count, bool) or not isinstance(count, int) or count < 0:
-            raise ValueError(f"bigram count for {pair} must be a nonnegative integer")
+        # a float holds every count below 2**53 exactly, and their sums stay finite
+        if isinstance(count, bool) or not isinstance(count, int) or not 0 <= count < 2**53:
+            raise ValueError(f"bigram count for {pair} must be a nonnegative integer below 2**53")
 
     def to_json_text(self) -> str:
         """Canonical serialization: sorted fields, sorted count triples."""
@@ -366,11 +368,6 @@ class CopyBigramModel:
         return self.score_batch([input_ids], prefix)[0]
 
 
-def make_toy_model(spec: ToyModelSpec) -> CopyBigramModel:
-    """Build the copy/bigram mixture model from a validated spec."""
-    return CopyBigramModel(spec)
-
-
 def load_model(path: str | Path) -> CopyBigramModel:
     """Load the copy/bigram mixture model from a spec file."""
-    return make_toy_model(ToyModelSpec.load(path))
+    return CopyBigramModel(ToyModelSpec.load(path))

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from dyne import DecodeParams, ToyModelSpec, Vocab, make_toy_model
+from dyne import CopyBigramModel, DecodeParams, ToyModelSpec, Vocab
 from dyne.seqmodel import BOS_ID, EOS_ID, UNK_ID
 
 
@@ -24,7 +24,7 @@ def random_toy_model(rng: np.random.Generator, max_content: int = 2):
         bigram_counts=counts,
         vocab=vocab,
     )
-    return make_toy_model(spec), vocab
+    return CopyBigramModel(spec), vocab
 
 
 def random_inputs(rng: np.random.Generator, vocab: Vocab, max_inputs: int = 3):

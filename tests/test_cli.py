@@ -2,14 +2,16 @@
 
 from __future__ import annotations
 
+import csv
+import io
 import json
+import math
 from pathlib import Path
 
 import pytest
 
 from dyne import ToyModelSpec, Vocab, save_clusters
 from dyne.cli import main
-from dyne.provenance import TraceMatrix
 from dyne.synthetic import build_consensus_corpus
 
 
@@ -53,8 +55,10 @@ class TestDecode:
         assert set(record) >= {"id", "tokens", "text", "raw_score", "ranked_score"}
         traces = sorted((out / "traces").iterdir())
         assert len(traces) == len(corpus.clusters)
-        parsed = TraceMatrix.from_csv(traces[0].read_text())
-        assert len(parsed) == len(record["tokens"]) + 1  # content + EOS rows
+        header, *rows = csv.reader(io.StringIO(traces[0].read_text()))
+        assert header[:3] == ["timestep", "token", "combined"]
+        assert len(rows) == len(record["tokens"]) + 1  # content + EOS rows
+        assert [row[1] for row in rows] == [*record["tokens"], "</s>"]
         assert (out / "run_config.json").exists()
 
     def test_rerun_is_byte_identical(self, workspace):
@@ -70,6 +74,19 @@ class TestDecode:
         flags[flags.index("--model") + 1] = str(tmp / "missing.json")
         out = tmp / "run"
         assert main(["decode", *flags, "--out", str(out)]) == 2
+        assert not out.exists()
+
+    def test_count_too_large_for_a_float_is_startup_error(self, workspace, capsys):
+        tmp, flags, _ = workspace
+        spec = {"lambda": 0.5, "smooth_k": 1.0, "vocab": ["<s>", "</s>", "<unk>", "a", "b"],
+                "bigram_counts": [["a", "b", 10**400]]}
+        (tmp / "huge.json").write_text(json.dumps(spec))
+        flags = list(flags)
+        flags[flags.index("--model") + 1] = str(tmp / "huge.json")
+        out = tmp / "run"
+        assert main(["decode", *flags, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "below 2**53" in err
         assert not out.exists()
 
     def test_cluster_failures_are_isolated(self, tmp_path, capsys):
@@ -147,6 +164,17 @@ class TestEvaluate:
         ]) == 0
         report = json.loads(report_path.read_text())
         assert report["mean"]["rouge-1"]["f"] == pytest.approx(0.5)
+
+    @pytest.mark.parametrize("command", ["evaluate", "sweep"])
+    @pytest.mark.parametrize("flag, value", [("--beta", "inf"), ("--metrics", "bleu")])
+    def test_bad_rouge_flag_rejected_before_loading(self, tmp_path, capsys, command, flag, value):
+        missing, target = str(tmp_path / "missing.json"), tmp_path / "out"
+        files = (["--hypotheses", missing, "--report", str(target)] if command == "evaluate"
+                 else ["--model", missing, "--sizes", "1", "--out", str(target)])
+        assert main([command, *files, "--clusters", missing, flag, value]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and flag[2:] in err  # not the missing file
+        assert not target.exists()
 
     def test_unknown_id_lists_missing(self, workspace, capsys):
         tmp, flags, _ = workspace
@@ -235,8 +263,10 @@ class TestTrace:
         assert main(["trace", *flags, "--cluster-id", cid]) == 0
         out = capsys.readouterr().out
         csv_part = out[: out.index("decoded:")]
-        parsed = TraceMatrix.from_csv(csv_part)
-        assert len(parsed) >= 1
+        header, *rows = csv.reader(io.StringIO(csv_part))
+        assert header[:3] == ["timestep", "token", "combined"] and len(header) > 3
+        assert rows and all(len(row) == len(header) for row in rows)
+        assert rows[-1][1] == "</s>"
         assert "raw score:" in out
 
     def test_trace_to_file(self, workspace):
@@ -245,7 +275,9 @@ class TestTrace:
         target = tmp / "trace.json"
         assert main(["trace", *flags, "--cluster-id", cid,
                      "--trace-format", "json", "--output", str(target)]) == 0
-        TraceMatrix.from_json(target.read_text())
+        doc = json.loads(target.read_text())
+        assert doc["rows"] and doc["rows"][-1]["token"] == "</s>"
+        assert all(len(row["scores"]) == len(doc["input_labels"]) for row in doc["rows"])
 
     def test_unknown_cluster_id(self, workspace, capsys):
         tmp, flags, _ = workspace
@@ -308,18 +340,34 @@ class TestConfigFile:
         ("sizes", 3),
         ("rouge_stemming", "yes"),
         ("model", 7),
+        ("max_docs", 0),
+        ("max_input_tokens", 0),
+        pytest.param("metrics", ["bleu"], id="metrics-bleu"),
+        ("beta", math.inf),
     ])
     def test_invalid_config_value_rejected_before_decoding(self, workspace, capsys, key, value):
         tmp, flags, _ = workspace
         config_path = tmp / "config.json"
         config_path.write_text(json.dumps({key: value}))
         out = tmp / "x"
-        command = "sweep" if key in ("sizes", "rouge_stemming") else "decode"
+        command = "sweep" if key in ("sizes", "rouge_stemming", "metrics", "beta") else "decode"
         extra = ["--sizes", "1"] if command == "sweep" and key != "sizes" else []
         code = main([command, "--config", str(config_path), *flags, *extra, "--out", str(out)])
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and key in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, flag", [
+        ("decode", "--max-docs"), ("decode", "--max-input-tokens"), ("sweep", "--max-input-tokens"),
+    ])
+    def test_run_size_below_one_rejected_before_decoding(self, workspace, capsys, command, flag):
+        tmp, flags, _ = workspace
+        out = tmp / "x"
+        extra = ["--sizes", "1"] if command == "sweep" else []
+        assert main([command, *flags, *extra, flag, "0", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and flag[2:].replace("-", "_") in err
         assert not out.exists()
 
     def test_config_accepts_what_flags_accept(self, workspace):

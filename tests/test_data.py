@@ -16,7 +16,6 @@ from dyne import (
     load_clusters,
     save_clusters,
     select_document_indices,
-    select_documents,
     tokenize_and_truncate,
 )
 from dyne.data import clusters_to_jsonl
@@ -104,12 +103,12 @@ def make_cluster(n_docs: int, cluster_id: str = "c") -> Cluster:
 class TestSelection:
     def test_small_cluster_returned_whole(self):
         cluster = make_cluster(3)
-        assert select_documents(cluster, 5, seed=1) == list(cluster.documents)
+        assert select_document_indices(cluster, 5, seed=1) == [0, 1, 2]
 
     def test_deterministic_in_seed_and_id(self):
         cluster = make_cluster(10)
-        first = select_documents(cluster, 5, seed=42)
-        assert select_documents(cluster, 5, seed=42) == first
+        first = select_document_indices(cluster, 5, seed=42)
+        assert select_document_indices(cluster, 5, seed=42) == first
         # both the seed and the cluster id feed the generator
         by_seed = {tuple(select_document_indices(cluster, 5, s)) for s in range(20)}
         assert len(by_seed) > 1
@@ -137,7 +136,7 @@ class TestSelection:
 
     def test_invalid_max_docs(self):
         with pytest.raises(ValueError, match="max_docs"):
-            select_documents(make_cluster(3), 0, seed=0)
+            select_document_indices(make_cluster(3), 0, seed=0)
 
     def test_monte_carlo_uniformity(self):
         # 10 documents, 5 kept: every document should be selected with

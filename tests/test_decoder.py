@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dyne import (
+    CopyBigramModel,
     DecodeError,
     DecodeParams,
     Hypothesis,
@@ -21,7 +22,6 @@ from dyne import (
     beam_search,
     brute_force_search,
     ensemble_step,
-    make_toy_model,
     reduce_mean_logprob,
     reduce_mean_prob,
     sequence_score,
@@ -35,7 +35,7 @@ A, B = 3, 4
 
 
 def copy_model(vocab=AB, k=1.0):
-    return make_toy_model(ToyModelSpec(1.0, k, {}, vocab))
+    return CopyBigramModel(ToyModelSpec(1.0, k, {}, vocab))
 
 
 def skewed_model():

@@ -1,7 +1,10 @@
-"""Trace matrix tests: recording, totals, exports and round-trips."""
+"""Trace matrix tests: construction, totals, exports and exact float round-trips."""
 
 from __future__ import annotations
 
+import csv
+import dataclasses
+import io
 import json
 import math
 
@@ -11,14 +14,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dyne import (
+    CopyBigramModel,
     DecodeParams,
-    FormatError,
     Reduce,
     ToyModelSpec,
     TraceMatrix,
+    TraceRow,
     Vocab,
     beam_search,
-    make_toy_model,
     sequence_score,
 )
 from dyne.seqmodel import BOS_ID, EOS_ID
@@ -35,33 +38,81 @@ finite_or_neginf = st.one_of(
 
 
 def small_trace() -> TraceMatrix:
-    trace = TraceMatrix(input_labels=("doc0", "doc1"))
-    trace.record_step(A, "a", -1.5, [-1.0, -2.0])
-    trace.record_step(B, "b", -3.5, [-3.0, -4.0])
-    return trace
+    return TraceMatrix(
+        ("doc0", "doc1"),
+        (TraceRow(A, "a", -1.5, (-1.0, -2.0)), TraceRow(B, "b", -3.5, (-3.0, -4.0))),
+    )
+
+
+def parse_csv(text: str, vocab: Vocab) -> TraceMatrix:
+    """A trace rebuilt from a CSV export with the stdlib; ids through ``vocab``."""
+    header, *lines = csv.reader(io.StringIO(text))
+    assert header[:3] == ["timestep", "token", "combined"]
+    assert [int(line[0]) for line in lines] == list(range(len(lines)))
+    return TraceMatrix(tuple(header[3:]), tuple(
+        TraceRow(vocab.id_of(token), token, float(combined), tuple(map(float, scores)))
+        for _, token, combined, *scores in lines
+    ))
+
+
+def parse_json(text: str) -> TraceMatrix:
+    """A trace rebuilt from a JSON export with the stdlib."""
+    doc = json.loads(text)
+    assert [row["timestep"] for row in doc["rows"]] == list(range(len(doc["rows"])))
+    return TraceMatrix(tuple(doc["input_labels"]), tuple(
+        TraceRow(row["token_id"], row["token"], row["combined"], tuple(row["scores"]))
+        for row in doc["rows"]
+    ))
+
+
+def exact(trace: TraceMatrix) -> tuple:
+    """Every cell of ``trace``, floats as ``float.hex`` so -0.0 differs from 0.0."""
+    return trace.input_labels, [
+        (row.token_id, row.token, row.combined.hex(), [x.hex() for x in row.per_input])
+        for row in trace.rows
+    ]
+
+
+class TestConstruction:
+    @pytest.mark.parametrize("widths", [(1,), (3,), (2, 1), (2, 2, 3)])
+    def test_wrong_width_row_rejected(self, widths):
+        rows = tuple(TraceRow(A, "a", -1.0, (-1.0,) * w) for w in widths)
+        with pytest.raises(ValueError, match=f"row {len(widths) - 1} has {widths[-1]} per-input"):
+            TraceMatrix(("doc0", "doc1"), rows)
+
+    def test_trace_is_immutable(self):
+        trace = small_trace()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            trace.rows = ()
+        assert TraceMatrix(["doc0"], [TraceRow(A, "a", -1.0, (-1.0,))]).rows[0].token == "a"
+        assert isinstance(TraceMatrix(["doc0"]).input_labels, tuple)
+
+    def test_numpy_integer_tokens_export_to_json(self):
+        model = CopyBigramModel(ToyModelSpec(1.0, 1.0, {}, AB))
+        _, trace = sequence_score(model, [(A, B)], np.array([A, EOS_ID]))
+        assert [type(row.token_id) for row in trace.rows] == [int, int]
+        assert trace.to_json() == sequence_score(model, [(A, B)], (A, EOS_ID))[1].to_json()
 
 
 class TestRecording:
     def test_append_grows_by_one(self):
         trace = TraceMatrix(input_labels=("x",))
         assert len(trace) == 0
-        trace.record_step(A, "a", -1.0, [-1.0])
-        assert len(trace) == 1
+        longer = TraceMatrix(trace.input_labels, trace.rows + (TraceRow(A, "a", -1.0, (-1.0,)),))
+        assert (len(trace), len(longer)) == (0, 1)
 
     def test_consistency_of_recorded_row(self):
-        trace = TraceMatrix(input_labels=("doc0", "doc1"))
-        per = [math.log(0.5), math.log(0.25)]
+        per = (math.log(0.5), math.log(0.25))
         combined = sum(per) / 2
-        trace.record_step(A, "a", combined, per)
-        row = trace.rows[0]
+        row = TraceMatrix(("doc0", "doc1"), (TraceRow(A, "a", combined, per),)).rows[0]
         assert row.combined == pytest.approx(-1.0397207708399179, abs=1e-12)
         assert abs(row.combined - np.mean(row.per_input)) <= 1e-9
 
     def test_width_mismatch_leaves_trace_unchanged(self):
         trace = small_trace()
         with pytest.raises(ValueError, match="per-input scores"):
-            trace.record_step(A, "a", -1.0, [-1.0])
-        assert len(trace) == 2
+            TraceMatrix(trace.input_labels, trace.rows + (TraceRow(A, "a", -1.0, (-1.0,)),))
+        assert trace == small_trace()
 
 
 class TestTotals:
@@ -72,19 +123,19 @@ class TestTotals:
         assert small_trace().combined_total() == -5.0
 
     def test_empty_trace_rejected(self):
-        empty = TraceMatrix(input_labels=("x",))
+        empty = TraceMatrix(("x",))
         with pytest.raises(ValueError, match="empty"):
             empty.input_totals()
         with pytest.raises(ValueError, match="empty"):
             empty.combined_total()
 
     def test_single_input_totals_equal_raw_score(self):
-        model = make_toy_model(ToyModelSpec(1.0, 1.0, {}, AB))
+        model = CopyBigramModel(ToyModelSpec(1.0, 1.0, {}, AB))
         raw, trace = sequence_score(model, [(A, A, B)], (A, EOS_ID))
         assert trace.input_totals() == pytest.approx([raw], abs=1e-12)
 
     def test_duplicated_inputs_have_equal_totals(self):
-        model = make_toy_model(ToyModelSpec(1.0, 1.0, {}, AB))
+        model = CopyBigramModel(ToyModelSpec(1.0, 1.0, {}, AB))
         _, trace = sequence_score(model, [(A, B)] * 3, (A, EOS_ID))
         totals = trace.input_totals()
         assert totals[0] == totals[1] == totals[2]
@@ -92,8 +143,7 @@ class TestTotals:
 
 class TestExports:
     def test_csv_layout(self):
-        trace = TraceMatrix(input_labels=("doc0", "doc1"))
-        trace.record_step(A, "a", -1.0, [-1.0, -1.0])
+        trace = TraceMatrix(("doc0", "doc1"), (TraceRow(A, "a", -1.0, (-1.0, -1.0)),))
         lines = trace.to_csv().splitlines()
         assert len(lines) == 2
         assert lines[0] == "timestep,token,combined,doc0,doc1"
@@ -113,12 +163,11 @@ class TestExports:
 
     def test_csv_round_trip_with_vocab(self):
         trace = small_trace()
-        again = TraceMatrix.from_csv(trace.to_csv(), vocab=AB)
-        assert again == trace
+        assert parse_csv(trace.to_csv(), AB) == trace
 
     def test_json_round_trip(self):
         trace = small_trace()
-        assert TraceMatrix.from_json(trace.to_json()) == trace
+        assert parse_json(trace.to_json()) == trace
 
     @given(
         st.lists(
@@ -129,19 +178,12 @@ class TestExports:
     )
     @settings(max_examples=50, deadline=None)
     def test_round_trips_are_exact(self, rows):
-        trace = TraceMatrix(input_labels=("doc0", "doc1"))
-        for i, (combined, per) in enumerate(rows):
-            trace.record_step(A if i % 2 else B, "a" if i % 2 else "b", combined, per)
-        assert TraceMatrix.from_csv(trace.to_csv(), vocab=AB) == trace
-        assert TraceMatrix.from_json(trace.to_json()) == trace
-
-    def test_csv_parse_errors(self):
-        with pytest.raises(FormatError, match="header"):
-            TraceMatrix.from_csv("nope,nope\n")
-        with pytest.raises(FormatError, match="line 2"):
-            TraceMatrix.from_csv("timestep,token,combined,doc0\n0,a\n")
-        with pytest.raises(FormatError, match="empty"):
-            TraceMatrix.from_csv("")
+        tokens = [(B, "b"), (A, "a")]
+        trace = TraceMatrix(("doc0", "doc1"), tuple(
+            TraceRow(*tokens[i % 2], combined, tuple(per)) for i, (combined, per) in enumerate(rows)
+        ))
+        assert exact(parse_csv(trace.to_csv(), AB)) == exact(trace)
+        assert exact(parse_json(trace.to_json())) == exact(trace)
 
 
 class TestDecodeTraces:

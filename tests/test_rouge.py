@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dyne import MultiRefStrategy, RougeConfig, RougeScore, evaluate_corpus, rouge_l, rouge_n
-from dyne.rouge import compute_metric, tokenize
+from dyne import MultiRefStrategy, RougeConfig, RougeScore, rouge_l, rouge_n
+from dyne.rouge import DEFAULT_METRICS, compute_metric, mean_score, tokenize
 from dyne.stemmer import porter_stem
 
 CFG = RougeConfig()
@@ -136,8 +138,10 @@ class TestConventions:
         assert heavy.f == pytest.approx(2 / 3, abs=1e-2)
 
     def test_beta_validation(self):
-        with pytest.raises(ValueError, match="beta"):
-            RougeConfig(beta=0.0)
+        # beta = 1e200 is finite, but its square is not: every F would be NaN
+        for beta in (0.0, math.inf, math.nan, 1e200):
+            with pytest.raises(ValueError, match="beta"):
+                RougeConfig(beta=beta)
 
     def test_tokenize_pipeline(self):
         cfg = RougeConfig(lowercase=True, strip_punctuation=True, use_porter_stemming=True)
@@ -169,33 +173,35 @@ class TestPorterStemmer:
 
 
 class TestCorpus:
+    @staticmethod
+    def corpus_mean(pairs, metric):
+        return mean_score([compute_metric(metric, hyp, refs, CFG) for hyp, refs in pairs])
+
     def test_single_pair_equals_pair_score(self):
-        pairs = [("the cat", ["the cat sat"])]
-        corpus = evaluate_corpus(pairs, CFG, ("rouge-1",))["rouge-1"]
+        corpus = self.corpus_mean([("the cat", ["the cat sat"])], "rouge-1")
         single = rouge_n("the cat", ["the cat sat"], 1, CFG)
         assert corpus == single
 
     def test_mean_of_extremes(self):
         pairs = [("the cat", ["the cat"]), ("dog", ["the cat"])]
-        corpus = evaluate_corpus(pairs, CFG, ("rouge-1",))["rouge-1"]
-        assert corpus.f == pytest.approx(0.5, abs=1e-12)
+        assert self.corpus_mean(pairs, "rouge-1").f == pytest.approx(0.5, abs=1e-12)
 
     @given(st.lists(st.tuples(texts, st.lists(texts, min_size=1, max_size=2)),
                     min_size=2, max_size=6), st.randoms(use_true_random=False))
     @settings(max_examples=30, deadline=None)
     def test_order_invariance_exact(self, pairs, rnd):
-        base = evaluate_corpus(pairs, CFG)
         shuffled = list(pairs)
         rnd.shuffle(shuffled)
-        assert evaluate_corpus(shuffled, CFG) == base
+        for metric in DEFAULT_METRICS:
+            assert self.corpus_mean(shuffled, metric) == self.corpus_mean(pairs, metric)
 
     def test_empty_corpus_rejected(self):
-        with pytest.raises(ValueError, match="at least one pair"):
-            evaluate_corpus([], CFG)
+        with pytest.raises(ValueError, match="at least one score"):
+            mean_score([])
 
     def test_unknown_metric_rejected(self):
         with pytest.raises(ValueError, match="unknown metric"):
-            evaluate_corpus([("a", ["a"])], CFG, ("rouge-x",))
+            compute_metric("rouge-x", "a", ["a"], CFG)
 
     def test_metric_dispatch(self):
         assert compute_metric("rouge-2", "a b c", ["a b c"], CFG).f == 1.0

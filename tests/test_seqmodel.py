@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dyne import (
+    CopyBigramModel,
     DecodeParams,
     FormatError,
     ToyModelSpec,
@@ -19,7 +20,6 @@ from dyne import (
     Vocab,
     beam_search,
     load_model,
-    make_toy_model,
 )
 from dyne import seqmodel
 from dyne.seqmodel import BOS_ID, EOS_ID, UNK_ID
@@ -121,7 +121,7 @@ class TestCopyBigramModel:
         # copy-only over input "a a b"; alphabet {EOS, a, b}, k = 1:
         # p(a) = (2+1)/(3+3) = 1/2, p(b) = (1+1)/6 = 1/3, p(EOS) = 1/6
         spec = ToyModelSpec(1.0, 1.0, {}, ab_vocab)
-        model = make_toy_model(spec)
+        model = CopyBigramModel(spec)
         a, b = ab_vocab.id_of("a"), ab_vocab.id_of("b")
         v = model.score_next((a, a, b), (BOS_ID,))
         assert v[a] == pytest.approx(math.log(0.5), abs=1e-12)
@@ -134,7 +134,7 @@ class TestCopyBigramModel:
     def test_bigram_only_ignores_input(self, ab_vocab):
         a, b = 3, 4
         spec = ToyModelSpec(0.0, 1.0, {(a, b): 2}, ab_vocab)
-        model = make_toy_model(spec)
+        model = CopyBigramModel(spec)
         v1 = model.score_next((a,), (BOS_ID, a))
         v2 = model.score_next((b, b, b), (BOS_ID, b, a))
         assert np.array_equal(v1, v2)
@@ -143,7 +143,7 @@ class TestCopyBigramModel:
 
     def test_zero_counts_give_uniform_over_alphabet(self, ab_vocab):
         spec = ToyModelSpec(0.0, 1.0, {}, ab_vocab)
-        model = make_toy_model(spec)
+        model = CopyBigramModel(spec)
         v = model.score_next((3,), (BOS_ID,))
         for t in (EOS_ID, 3, 4):
             assert v[t] == pytest.approx(math.log(1 / 3), abs=1e-12)
@@ -153,17 +153,17 @@ class TestCopyBigramModel:
         # (BOS, b) count gives p(a) = 1/4; mixture at 0.5 -> 0.375
         a, b = 3, 4
         spec = ToyModelSpec(0.5, 1.0, {(BOS_ID, b): 1}, ab_vocab)
-        model = make_toy_model(spec)
+        model = CopyBigramModel(spec)
         v = model.score_next((a, a, b), (BOS_ID,))
         assert math.exp(v[a]) == pytest.approx(0.375, abs=1e-12)
 
     def test_mixture_linearity(self, ab_vocab):
         a, b = 3, 4
         counts = {(BOS_ID, a): 3, (a, b): 1}
-        copy_only = make_toy_model(ToyModelSpec(1.0, 0.5, counts, ab_vocab))
-        bigram_only = make_toy_model(ToyModelSpec(0.0, 0.5, counts, ab_vocab))
+        copy_only = CopyBigramModel(ToyModelSpec(1.0, 0.5, counts, ab_vocab))
+        bigram_only = CopyBigramModel(ToyModelSpec(0.0, 0.5, counts, ab_vocab))
         for cw in (0.0, 0.25, 0.5, 0.75, 1.0):
-            mixed = make_toy_model(ToyModelSpec(cw, 0.5, counts, ab_vocab))
+            mixed = CopyBigramModel(ToyModelSpec(cw, 0.5, counts, ab_vocab))
             x, prefix = (a, b, a), (BOS_ID, a)
             expected = cw * np.exp(copy_only.score_next(x, prefix)) + (1 - cw) * np.exp(
                 bigram_only.score_next(x, prefix)
@@ -171,7 +171,7 @@ class TestCopyBigramModel:
             assert np.exp(mixed.score_next(x, prefix)) == pytest.approx(expected, abs=1e-12)
 
     def test_unknown_tokens_in_input_do_not_leak_mass(self, ab_vocab):
-        model = make_toy_model(ToyModelSpec(1.0, 1.0, {}, ab_vocab))
+        model = CopyBigramModel(ToyModelSpec(1.0, 1.0, {}, ab_vocab))
         v = model.score_next((3, UNK_ID, UNK_ID), (BOS_ID,))
         assert abs(logsumexp(v)) <= 1e-9
         # only the in-alphabet token counts: p(a) = (1+1)/(1+3)
@@ -192,7 +192,7 @@ class TestCopyBigramModel:
         assert np.array_equal(v, model.score_next(x, prefix))
 
     def test_input_validation(self, ab_vocab):
-        model = make_toy_model(ToyModelSpec(1.0, 1.0, {}, ab_vocab))
+        model = CopyBigramModel(ToyModelSpec(1.0, 1.0, {}, ab_vocab))
         with pytest.raises(ValueError, match="out of vocabulary"):
             model.score_next((99,), (BOS_ID,))
         with pytest.raises(ValueError, match="BOS"):
@@ -215,7 +215,7 @@ class TestCopyBigramModel:
             assert batch.tobytes() == rows.tobytes()
 
     def test_memory_bounded_over_many_input_sets(self, ab_vocab):
-        model = make_toy_model(ToyModelSpec(0.5, 1.0, {(3, 4): 2}, ab_vocab))
+        model = CopyBigramModel(ToyModelSpec(0.5, 1.0, {(3, 4): 2}, ab_vocab))
         model.score_batch([(3, 4)], (BOS_ID, 3))
         one_set = held_bytes(model)
         for i in range(1, 200):
@@ -226,7 +226,7 @@ class TestCopyBigramModel:
     def test_memory_bounded_over_every_previous_token(self):
         vocab = Vocab.from_content([f"w{i}" for i in range(40)])
         counts = {(p, n): p + n for p in range(0, len(vocab), 3) for n in (EOS_ID, 5, 9)}
-        model = make_toy_model(ToyModelSpec(0.5, 1.0, counts, vocab))
+        model = CopyBigramModel(ToyModelSpec(0.5, 1.0, counts, vocab))
         model.score_batch([(3, 4)], (BOS_ID,))
         first_use = held_bytes(model)
         for prev in range(len(vocab)):
@@ -246,7 +246,7 @@ class TestCopyBigramModel:
         cw = data.draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0))
         k = data.draw(st.sampled_from([1e-3, 0.1, 0.5, 1.0]) | st.floats(1e-3, 5.0))
         spec = ToyModelSpec(cw, k, counts, vocab)
-        model = make_toy_model(spec)
+        model = CopyBigramModel(spec)
         x = tuple(data.draw(st.lists(st.integers(1, len(vocab) - 1), min_size=1, max_size=6)))
         # every previous token, BOS and EOS included, with and without counts
         for prev in data.draw(st.permutations(range(len(vocab)))):
@@ -262,14 +262,14 @@ class TestCopyBigramModel:
             return real_check(ids, vocab, name, **kwargs)
 
         monkeypatch.setattr(seqmodel, "check_token_seq", counting_check)
-        model = make_toy_model(ToyModelSpec(0.5, 1.0, {(3, 4): 2}, ab_vocab))
+        model = CopyBigramModel(ToyModelSpec(0.5, 1.0, {(3, 4): 2}, ab_vocab))
         inputs = [(3, 4, 3), (4,), (3, UNK_ID)]
         beam_search(model, inputs, DecodeParams(beam_size=3, max_len=5))
         assert checked.count("input") == len(inputs)
         assert checked.count("prefix") > 1  # the prefix is checked on every call
 
     def test_bad_input_rejected_after_good_decode(self, ab_vocab):
-        model = make_toy_model(ToyModelSpec(0.5, 1.0, {(3, 4): 2}, ab_vocab))
+        model = CopyBigramModel(ToyModelSpec(0.5, 1.0, {(3, 4): 2}, ab_vocab))
         good = [(3, 4, 3), (4,)]
         beam_search(model, good, DecodeParams(beam_size=2, max_len=3))
         for bad in ([(3, 4, 3), (4, 99)], [(3, 4, 3), ()], [(3, 4, 3), (4, -1)]):
@@ -282,7 +282,7 @@ class TestCopyBigramModel:
             model.score_batch([(3, 4, 3), (4, 99)], (BOS_ID,))
 
     def test_concurrent_scoring_matches_serial(self, ab_vocab):
-        model = make_toy_model(ToyModelSpec(0.7, 1.0, {(3, 4): 5}, ab_vocab))
+        model = CopyBigramModel(ToyModelSpec(0.7, 1.0, {(3, 4): 5}, ab_vocab))
         calls = [((3, 4, 3), (BOS_ID, t)) for t in (3, 4, EOS_ID, UNK_ID) for _ in range(16)]
         serial = [model.score_next(x, p) for x, p in calls]
         with ThreadPoolExecutor(max_workers=8) as pool:
@@ -302,8 +302,11 @@ class TestSpecValidation:
                 ToyModelSpec(0.5, k, {}, ab_vocab)
 
     def test_counts_must_be_nonnegative_ints(self, ab_vocab):
-        with pytest.raises(ValueError, match="nonnegative"):
-            ToyModelSpec(0.5, 1.0, {(3, 4): -1}, ab_vocab)
+        # 2**53 and up would lose exactness as floats; 10**400 overflowed in the bigram table
+        for count in (-1, 2**53, 10**400):
+            with pytest.raises(ValueError, match=r"nonnegative integer below 2\*\*53"):
+                ToyModelSpec(0.5, 1.0, {(3, 4): count}, ab_vocab)
+        ToyModelSpec(0.5, 1.0, {(3, 4): 2**53 - 1}, ab_vocab)
 
     @pytest.mark.parametrize("counts", [
         {(3.5, 4): 2},
@@ -342,7 +345,7 @@ class TestSpecSerialization:
         path = tmp_path / "model.json"
         spec.save(path)
         loaded = load_model(path)
-        original = make_toy_model(spec)
+        original = CopyBigramModel(spec)
         for prefix_tail in ((), (3,), (4, 3)):
             prefix = (BOS_ID,) + prefix_tail
             assert np.array_equal(
