@@ -31,7 +31,8 @@ from .data import Cluster, ClusterSet, load_clusters, select_document_indices, t
 from .decoder import DecodeParams, Reduce, beam_search
 from .errors import DecodeError, FormatError
 from .rouge import (
-    DEFAULT_METRICS, METRIC_RE, MultiRefStrategy, RougeConfig, compute_metric, mean_score,
+    DEFAULT_METRICS, MultiRefStrategy, RougeConfig, mean_score, parse_metric, score_tokens,
+    tokenize, tokenize_references,
 )
 from .seqmodel import SequenceModel, load_model
 
@@ -122,9 +123,10 @@ def _run_config(args) -> RunConfig:
 
 def _rouge_setup(args) -> tuple[RougeConfig, tuple[str, ...]]:
     """The ROUGE config and metric names, checked before anything is loaded."""
-    unknown = [m for m in args.metrics if not METRIC_RE.match(m)]
-    if unknown:
-        raise ValueError(f"metrics must be rouge-<n> or rouge-l, got {unknown}")
+    for i, metric in enumerate(args.metrics):
+        parse_metric(metric)
+        if metric in args.metrics[:i]:
+            raise ValueError(f"metrics must not repeat a name, got {metric!r} twice")
     cfg = RougeConfig(
         lowercase=args.rouge_lowercase,
         strip_punctuation=args.rouge_strip_punctuation,
@@ -210,7 +212,7 @@ def cmd_decode(args) -> int:
 def _load_hypotheses(path: Path) -> list[dict]:
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise FormatError(f"cannot read hypotheses file {path}: {exc}") from exc
     records = []
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -220,8 +222,9 @@ def _load_hypotheses(path: Path) -> list[dict]:
             rec = json.loads(line)
         except json.JSONDecodeError as exc:
             raise FormatError(f"{path}: line {lineno}: invalid JSON: {exc}") from exc
-        if not isinstance(rec, dict) or "id" not in rec or "text" not in rec:
-            raise FormatError(f"{path}: line {lineno}: record needs 'id' and 'text' fields")
+        if not (isinstance(rec, dict) and isinstance(rec.get("id"), str)
+                and isinstance(rec.get("text"), str)):
+            raise FormatError(f"{path}: line {lineno}: record needs string 'id' and 'text' fields")
         records.append(rec)
     return records
 
@@ -231,7 +234,10 @@ def _evaluate_records(
     clusters: ClusterSet,
     cfg: RougeConfig,
     metrics: tuple[str, ...],
+    ref_tokens: dict[str, list[list[str]]],
 ) -> dict:
+    """Score every record. ``ref_tokens`` maps cluster ids to reference tokens
+    under ``cfg``; it fills on first use, so one command can share it."""
     missing = [r["id"] for r in records if clusters.get(r["id"]) is None]
     if missing:
         raise ValueError(f"hypothesis ids not present in cluster file: {', '.join(missing)}")
@@ -243,24 +249,18 @@ def _evaluate_records(
     per_cluster = []
     scores: dict[str, list] = {metric: [] for metric in metrics}
     for rec in records:
-        refs = list(clusters.get(rec["id"]).references)
-        row: dict = {"id": rec["id"]}
+        cid = rec["id"]
+        if cid not in ref_tokens:
+            ref_tokens[cid] = tokenize_references(list(clusters.get(cid).references), cfg)
+        hyp_tokens = tokenize(rec["text"], cfg)
+        row: dict = {"id": cid}
         for metric in metrics:
-            s = compute_metric(metric, rec["text"], refs, cfg)
+            s = score_tokens(metric, hyp_tokens, ref_tokens[cid], cfg)
             scores[metric].append(s)
             row[metric] = dataclasses.asdict(s)
         per_cluster.append(row)
     means = {metric: dataclasses.asdict(mean_score(scores[metric])) for metric in metrics}
     return {"mean": means, "per_cluster": per_cluster}
-
-
-def _print_metric_table(means: dict) -> None:
-    print(f"{'metric':<10} {'precision':>10} {'recall':>10} {'f':>10}")
-    for metric, comps in means.items():
-        print(
-            f"{metric:<10} {comps['precision']:>10.6f} "
-            f"{comps['recall']:>10.6f} {comps['f']:>10.6f}"
-        )
 
 
 def cmd_evaluate(args) -> int:
@@ -270,8 +270,11 @@ def cmd_evaluate(args) -> int:
         print("hypotheses file holds no records", file=sys.stderr)
         return 1
     clusters = load_clusters(args.clusters)
-    report = _evaluate_records(records, clusters, rouge_cfg, metrics)
-    _print_metric_table(report["mean"])
+    report = _evaluate_records(records, clusters, rouge_cfg, metrics, {})
+    print(f"{'metric':<10} {'precision':>10} {'recall':>10} {'f':>10}")
+    for metric, comps in report["mean"].items():
+        print(f"{metric:<10} {comps['precision']:>10.6f} "
+              f"{comps['recall']:>10.6f} {comps['f']:>10.6f}")
     if args.report:
         _write_json(Path(args.report), report)
         print(f"report -> {args.report}")
@@ -290,6 +293,7 @@ def cmd_sweep(args) -> int:
 
     failed = False
     rows = []
+    ref_tokens: dict[str, list[list[str]]] = {}
     for size in sizes:
         size_dir = out_dir / f"size_{size}"
         records, failures = _decode_run(
@@ -297,23 +301,20 @@ def cmd_sweep(args) -> int:
         )
         _report_failures(failures)  # before evaluating, which fails if none decoded
         failed = failed or bool(failures)
-        report = _evaluate_records(records, clusters, rouge_cfg, metrics)
+        report = _evaluate_records(records, clusters, rouge_cfg, metrics, ref_tokens)
         _write_json(size_dir / "report.json", report)
         rows.append((size, report["mean"]))
 
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    header = ["size"]
-    for metric in metrics:
-        header += [f"{metric}_{comp}" for comp in ("precision", "recall", "f")]
-    writer.writerow(header)
+    comps = ("precision", "recall", "f")
+    writer.writerow(["size", *(f"{m}_{c}" for m in metrics for c in comps)])
     for size, means in rows:
-        row = [size]
-        for metric in metrics:
-            row += [f"{means[metric][comp]:.17g}" for comp in ("precision", "recall", "f")]
-        writer.writerow(row)
+        writer.writerow([size, *(f"{means[m][c]:.17g}" for m in metrics for c in comps)])
     _atomic_write(out_dir / "sweep.csv", buf.getvalue())
-    _write_json(out_dir / "run_config.json", {**cfg.record(), "sizes": list(sizes)})
+    # each size ran with max_docs = size; the flag's value was never used
+    record = {k: v for k, v in cfg.record().items() if k != "max_docs"}
+    _write_json(out_dir / "run_config.json", {**record, "sizes": list(sizes)})
 
     print(f"{'size':<6}" + "".join(f"{m + ' f':>14}" for m in metrics))
     for size, means in rows:
@@ -465,7 +466,7 @@ def _apply_config_file(args: argparse.Namespace, subparsers, argv: list[str]):
     """
     try:
         doc = json.loads(Path(args.config).read_text(encoding="utf-8"))
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise FormatError(f"cannot read config file {args.config}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise FormatError(f"config file {args.config} is not valid JSON: {exc}") from exc

@@ -100,7 +100,7 @@ def load_clusters(path: str | Path) -> ClusterSet:
     """Parse a JSONL cluster file, preserving order. Blank lines are skipped."""
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise FormatError(f"cannot read cluster file {path}: {exc}") from exc
     clusters = []
     seen: dict[str, int] = {}

@@ -10,6 +10,10 @@ Scores returned for a single hypothesis/reference computation satisfy the
 F-measure identity f = (1+b^2)PR / (R + b^2 P). Aggregates (the average
 over references, or over a corpus) are componentwise arithmetic means and
 are not required to satisfy that identity themselves.
+
+Scoring runs on token lists (`score_tokens`); `compute_metric`, `rouge_n`
+and `rouge_l` tokenize and call it. The CLI tokenizes each text once per
+command: a hypothesis once for all metrics, a cluster's references once.
 """
 
 from __future__ import annotations
@@ -56,17 +60,14 @@ class RougeScore:
     f: float
 
 
-def _fmeasure(precision: float, recall: float, beta: float) -> float:
-    if precision + recall == 0.0:
-        return 0.0
-    b2 = beta * beta
-    return (1.0 + b2) * precision * recall / (recall + b2 * precision)
-
-
 def _score(overlap: float, hyp_total: int, ref_total: int, beta: float) -> RougeScore:
     precision = overlap / hyp_total if hyp_total else 0.0
     recall = overlap / ref_total if ref_total else 0.0
-    return RougeScore(precision, recall, _fmeasure(precision, recall, beta))
+    if precision + recall == 0.0:
+        return RougeScore(precision, recall, 0.0)
+    b2 = beta * beta
+    f = (1.0 + b2) * precision * recall / (recall + b2 * precision)
+    return RougeScore(precision, recall, f)
 
 
 def tokenize(text: str, cfg: RougeConfig = DEFAULT_CONFIG) -> list[str]:
@@ -114,7 +115,8 @@ def _combine(per_ref: list[RougeScore], cfg: RougeConfig) -> RougeScore:
     return mean_score(per_ref)
 
 
-def _check_references(references: list[str], cfg: RougeConfig) -> list[list[str]]:
+def tokenize_references(references: list[str], cfg: RougeConfig) -> list[list[str]]:
+    """Tokenize a reference set, rejecting an empty set or an empty reference."""
     if not references:
         raise ValueError("at least one reference is required")
     tokenized = [tokenize(r, cfg) for r in references]
@@ -124,57 +126,54 @@ def _check_references(references: list[str], cfg: RougeConfig) -> list[list[str]
     return tokenized
 
 
-def rouge_n(
-    hypothesis: str,
-    references: list[str],
-    n: int,
-    cfg: RougeConfig = DEFAULT_CONFIG,
-) -> RougeScore:
-    """Clipped n-gram overlap score against one or more references."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    ref_tokens = _check_references(references, cfg)
-    hyp_grams = _ngrams(tokenize(hypothesis, cfg), n)
-    hyp_total = sum(hyp_grams.values())
-    per_ref = []
-    for toks in ref_tokens:
-        ref_grams = _ngrams(toks, n)
-        overlap = sum(min(c, ref_grams[g]) for g, c in hyp_grams.items())
-        per_ref.append(_score(overlap, hyp_total, sum(ref_grams.values()), cfg.beta))
-    return _combine(per_ref, cfg)
+_METRIC_RE = re.compile(r"^rouge-([0-9]+|l)$")
 
 
-def rouge_l(
-    hypothesis: str,
-    references: list[str],
-    cfg: RougeConfig = DEFAULT_CONFIG,
-) -> RougeScore:
-    """Longest-common-subsequence score against one or more references."""
-    ref_tokens = _check_references(references, cfg)
-    hyp_tokens = tokenize(hypothesis, cfg)
-    per_ref = []
-    for toks in ref_tokens:
-        lcs = _lcs_length(hyp_tokens, toks)
-        per_ref.append(_score(lcs, len(hyp_tokens), len(toks), cfg.beta))
-    return _combine(per_ref, cfg)
-
-
-METRIC_RE = re.compile(r"^rouge-([0-9]+|l)$")
-
-
-def compute_metric(
-    metric: str,
-    hypothesis: str,
-    references: list[str],
-    cfg: RougeConfig = DEFAULT_CONFIG,
-) -> RougeScore:
-    """Dispatch on a metric name: ``rouge-<n>`` or ``rouge-l``."""
-    m = METRIC_RE.match(metric)
+def parse_metric(metric: str) -> int | None:
+    """The n of a ``rouge-<n>`` name (n >= 1), or None for ``rouge-l``."""
+    m = _METRIC_RE.match(metric)
     if not m:
-        raise ValueError(f"unknown metric {metric!r}; expected rouge-<n> or rouge-l")
-    if m.group(1) == "l":
-        return rouge_l(hypothesis, references, cfg)
-    return rouge_n(hypothesis, references, int(m.group(1)), cfg)
+        raise ValueError(f"unknown metric {metric!r}; metrics are rouge-<n> or rouge-l")
+    n = None if m.group(1) == "l" else int(m.group(1))
+    if n is not None and n < 1:
+        raise ValueError(f"n must be >= 1 in metrics rouge-<n>, got {metric!r}")
+    return n
+
+
+def score_tokens(metric: str, hyp_tokens: list[str], ref_tokens: list[list[str]],
+                 cfg: RougeConfig = DEFAULT_CONFIG) -> RougeScore:
+    """Score one metric on a tokenized hypothesis against tokenized references."""
+    n = parse_metric(metric)
+    hyp_grams = None if n is None else _ngrams(hyp_tokens, n)
+    per_ref = []
+    for toks in ref_tokens:
+        if hyp_grams is None:
+            counts = _lcs_length(hyp_tokens, toks), len(hyp_tokens), len(toks)
+        else:
+            ref_grams = _ngrams(toks, n)
+            overlap = sum(min(c, ref_grams[g]) for g, c in hyp_grams.items())
+            counts = overlap, sum(hyp_grams.values()), sum(ref_grams.values())
+        per_ref.append(_score(*counts, cfg.beta))
+    return _combine(per_ref, cfg)
+
+
+def compute_metric(metric: str, hypothesis: str, references: list[str],
+                   cfg: RougeConfig = DEFAULT_CONFIG) -> RougeScore:
+    """Score a metric name, ``rouge-<n>`` or ``rouge-l``, on raw texts."""
+    ref_tokens = tokenize_references(references, cfg)
+    return score_tokens(metric, tokenize(hypothesis, cfg), ref_tokens, cfg)
+
+
+def rouge_n(hypothesis: str, references: list[str], n: int,
+            cfg: RougeConfig = DEFAULT_CONFIG) -> RougeScore:
+    """Clipped n-gram overlap score against one or more references."""
+    return compute_metric(f"rouge-{n}", hypothesis, references, cfg)
+
+
+def rouge_l(hypothesis: str, references: list[str],
+            cfg: RougeConfig = DEFAULT_CONFIG) -> RougeScore:
+    """Longest-common-subsequence score against one or more references."""
+    return compute_metric("rouge-l", hypothesis, references, cfg)
 
 
 DEFAULT_METRICS = ("rouge-1", "rouge-2", "rouge-l")

@@ -256,7 +256,7 @@ class ToyModelSpec:
     def load(cls, path: str | Path) -> "ToyModelSpec":
         try:
             text = Path(path).read_text(encoding="utf-8")
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise FormatError(f"cannot read model spec {path}: {exc}") from exc
         try:
             return cls.from_json_text(text)

@@ -1,8 +1,12 @@
-"""Shared test helpers: random toy models and a reference plain decoder."""
+"""Shared test helpers: random toy models, a reference plain decoder and a
+JSON mutator for loader fuzzing."""
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
+from hypothesis import strategies as st
 
 from dyne import CopyBigramModel, DecodeParams, ToyModelSpec, Vocab
 from dyne.seqmodel import BOS_ID, EOS_ID, UNK_ID
@@ -99,3 +103,38 @@ def plain_beam_search(model, input_ids, params: DecodeParams):
         (prefix[1:], score, ranked(score, len(prefix) - 2))
         for prefix, score in pool[: params.beam_size]
     ]
+
+
+
+def _json_paths(node, path=()):
+    """Every position in a parsed JSON document, the root included."""
+    yield path
+    items = node.items() if isinstance(node, dict) else enumerate(node) \
+        if isinstance(node, list) else ()
+    for key, child in items:
+        yield from _json_paths(child, path + (key,))
+
+
+def mutate_json(data, doc, values, serialize=json.dumps) -> str:
+    """``doc`` after 1-3 random deletions or replacements drawn from
+    ``values``, serialized, then maybe with a character-level edit on top."""
+    doc = json.loads(json.dumps(doc))
+    for _ in range(data.draw(st.integers(1, 3))):
+        path = data.draw(st.sampled_from(list(_json_paths(doc))))
+        value = data.draw(values)
+        if not path:
+            doc = value
+            continue
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        if data.draw(st.booleans()):
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = value
+    text = serialize(doc)
+    if data.draw(st.booleans()):
+        start = data.draw(st.integers(0, len(text)))
+        end = data.draw(st.integers(start, min(len(text), start + 3)))
+        text = text[:start] + data.draw(st.text(max_size=3)) + text[end:]
+    return text

@@ -6,11 +6,12 @@ import csv
 import io
 import json
 import math
+import sys
 from pathlib import Path
 
 import pytest
 
-from dyne import ToyModelSpec, Vocab, save_clusters
+from dyne import ToyModelSpec, Vocab, rouge, save_clusters
 from dyne.cli import main
 from dyne.synthetic import build_consensus_corpus
 
@@ -166,15 +167,48 @@ class TestEvaluate:
         assert report["mean"]["rouge-1"]["f"] == pytest.approx(0.5)
 
     @pytest.mark.parametrize("command", ["evaluate", "sweep"])
-    @pytest.mark.parametrize("flag, value", [("--beta", "inf"), ("--metrics", "bleu")])
+    @pytest.mark.parametrize("flag, value", [
+        ("--beta", "inf"), ("--metrics", "bleu"), ("--metrics", "rouge-0"),
+        pytest.param("--metrics", "rouge-1 rouge-1", id="--metrics-repeated"),
+    ])
     def test_bad_rouge_flag_rejected_before_loading(self, tmp_path, capsys, command, flag, value):
         missing, target = str(tmp_path / "missing.json"), tmp_path / "out"
         files = (["--hypotheses", missing, "--report", str(target)] if command == "evaluate"
                  else ["--model", missing, "--sizes", "1", "--out", str(target)])
-        assert main([command, *files, "--clusters", missing, flag, value]) == 2
+        assert main([command, *files, "--clusters", missing, flag, *value.split()]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and flag[2:] in err  # not the missing file
         assert not target.exists()
+
+    @pytest.mark.parametrize("record", ['{"id": "c", "text": 5}', '{"id": 5, "text": "x"}'],
+                             ids=["number-text", "number-id"])
+    def test_non_string_hypothesis_fields_rejected(self, tmp_path, capsys, record):
+        (tmp_path / "clusters.jsonl").write_text(
+            '{"id": "c", "documents": ["x"], "references": ["x"]}\n'
+        )
+        (tmp_path / "hyp.jsonl").write_text(record + "\n")
+        code = main([
+            "evaluate", "--hypotheses", str(tmp_path / "hyp.jsonl"),
+            "--clusters", str(tmp_path / "clusters.jsonl"),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "line 1" in err
+
+    def test_unnamed_cluster_references_never_tokenized(self, tmp_path, capsys):
+        # c2's only reference is empty after punctuation stripping; scoring
+        # c1 alone must not touch it, while naming c2 is an error.
+        (tmp_path / "clusters.jsonl").write_text(
+            '{"id": "c1", "documents": ["x"], "references": ["the cat"]}\n'
+            '{"id": "c2", "documents": ["x"], "references": ["!!!"]}\n'
+        )
+        args = ["evaluate", "--clusters", str(tmp_path / "clusters.jsonl"),
+                "--hypotheses", str(tmp_path / "hyp.jsonl")]
+        (tmp_path / "hyp.jsonl").write_text('{"id": "c1", "text": "the cat"}\n')
+        assert main(args) == 0
+        (tmp_path / "hyp.jsonl").write_text('{"id": "c2", "text": "the cat"}\n')
+        assert main(args) == 2
+        assert "reference 0 is empty after tokenization" in capsys.readouterr().err
 
     def test_unknown_id_lists_missing(self, workspace, capsys):
         tmp, flags, _ = workspace
@@ -220,6 +254,53 @@ class TestSweep:
         rows = (out / "sweep.csv").read_text().splitlines()[1:]
         f_column = [float(r.split(",")[3]) for r in rows]
         assert f_column == sorted(f_column)
+
+    def test_run_config_records_sizes_not_max_docs(self, workspace):
+        tmp, flags, _ = workspace
+        out = tmp / "sweep"
+        assert main(["sweep", *flags, "--sizes", "1", "2", "--out", str(out)]) == 0
+        record = json.loads((out / "run_config.json").read_text())
+        assert record["sizes"] == [1, 2]
+        assert "max_docs" not in record
+
+    def test_size_reports_equal_evaluate_reports(self, workspace):
+        tmp, flags, _ = workspace
+        out = tmp / "sweep"
+        rouge_flags = ["--rouge-stemming", "--metrics", "rouge-2", "rouge-l", "rouge-1"]
+        assert main(["sweep", *flags, *rouge_flags, "--sizes", "1", "2", "5",
+                     "--out", str(out)]) == 0
+        for size in (1, 2, 5):
+            report = tmp / f"evaluate_{size}.json"
+            assert main([
+                "evaluate", "--hypotheses", str(out / f"size_{size}" / "summaries.jsonl"),
+                "--clusters", flags[flags.index("--clusters") + 1], *rouge_flags,
+                "--report", str(report),
+            ]) == 0
+            assert (out / f"size_{size}" / "report.json").read_bytes() == report.read_bytes()
+
+    def test_each_text_tokenized_once_per_command(self, tmp_path, monkeypatch):
+        corpus = build_consensus_corpus(n_clusters=1, seed=3)
+        (cluster,) = corpus.clusters
+        assert len(cluster.references) == 1
+        save_clusters(corpus.clusters, tmp_path / "clusters.jsonl")
+        corpus.model_spec.save(tmp_path / "model.json")
+        texts = []
+        original = rouge.tokenize
+
+        def counting(text, cfg=rouge.DEFAULT_CONFIG):
+            texts.append(text)
+            return original(text, cfg)
+
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "dyne" and getattr(module, "tokenize", None) is original:
+                monkeypatch.setattr(module, "tokenize", counting)
+        assert main([
+            "sweep", "--model", str(tmp_path / "model.json"),
+            "--clusters", str(tmp_path / "clusters.jsonl"), "--rouge-stemming",
+            "--sizes", "1", "2", "5", "--out", str(tmp_path / "sweep"),
+        ]) == 0
+        assert len(texts) == 4  # three summaries, one reference set
+        assert texts.count(cluster.references[0]) == 1
 
     def test_duplicate_document_clusters_are_size_invariant(self, tmp_path):
         vocab = Vocab.from_content(["a", "b", "c"])
@@ -343,6 +424,8 @@ class TestConfigFile:
         ("max_docs", 0),
         ("max_input_tokens", 0),
         pytest.param("metrics", ["bleu"], id="metrics-bleu"),
+        pytest.param("metrics", ["rouge-0"], id="metrics-rouge-0"),
+        pytest.param("metrics", ["rouge-1", "rouge-1"], id="metrics-repeated"),
         ("beta", math.inf),
     ])
     def test_invalid_config_value_rejected_before_decoding(self, workspace, capsys, key, value):
@@ -369,6 +452,28 @@ class TestConfigFile:
         err = capsys.readouterr().err
         assert err.startswith("error:") and flag[2:].replace("-", "_") in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("bad", ["model", "clusters", "config", "hypotheses"])
+    def test_file_that_is_not_utf8_is_named(self, workspace, capsys, bad):
+        tmp, flags, corpus = workspace
+        paths = {
+            "model": flags[flags.index("--model") + 1],
+            "clusters": flags[flags.index("--clusters") + 1],
+            "config": str(tmp / "config.json"),
+            "hypotheses": str(tmp / "hyp.jsonl"),
+        }
+        Path(paths["config"]).write_text("{}")
+        cid = corpus.clusters.clusters[0].id
+        Path(paths["hypotheses"]).write_text(json.dumps({"id": cid, "text": "x"}) + "\n")
+        Path(paths[bad]).write_bytes(b'{"id": "\xff"}\n')
+        if bad == "hypotheses":
+            command = ["evaluate", "--hypotheses", paths["hypotheses"]]
+        else:
+            command = ["decode", "--model", paths["model"], "--out", str(tmp / "x")]
+        assert main([*command, "--clusters", paths["clusters"], "--config", paths["config"]]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and paths[bad] in err and "utf-8" in err
+        assert not (tmp / "x").exists()
 
     def test_config_accepts_what_flags_accept(self, workspace):
         tmp, flags, _ = workspace

@@ -2,7 +2,12 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
+import json
+import tempfile
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -12,14 +17,18 @@ from dyne import (
     Cluster,
     ClusterSet,
     FormatError,
+    ToyModelSpec,
     Vocab,
     load_clusters,
     save_clusters,
     select_document_indices,
     tokenize_and_truncate,
 )
+from dyne.cli import main
 from dyne.data import clusters_to_jsonl
 from dyne.seqmodel import UNK_ID
+
+from conftest import mutate_json
 
 TWO_LINES = (
     '{"id": "c1", "documents": ["a b", "b c"], "references": ["a"]}\n'
@@ -94,6 +103,49 @@ class TestLoading:
         cs = ClusterSet((Cluster("c1", ("a",)), Cluster("c2", ("b",))))
         assert cs.get("c2").documents == ("b",)
         assert cs.get("missing") is None
+
+
+CLUSTER_DOCS = [
+    {"id": "c1", "documents": ["a b", "b c"], "references": ["a"]},
+    {"id": "c2", "documents": ["x"], "references": []},
+]
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3)
+    | st.sampled_from(["id", "documents", "references", "c1", "c2", "a b"]),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(
+        st.sampled_from(["id", "documents", "references"]) | st.text(max_size=3), inner,
+        max_size=3),
+    max_leaves=6,
+)
+
+
+class TestLoaderFuzz:
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_mutated_cluster_file_fails_cleanly(self, data):
+        text = mutate_json(data, CLUSTER_DOCS, JSON_VALUES, serialize=lambda doc: "".join(
+            json.dumps(line) + "\n" for line in (doc if isinstance(doc, list) else [doc])))
+        raw = bytearray(text.encode("utf-8"))
+        for _ in range(data.draw(st.integers(0, 2)) if raw else 0):  # byte edits, UTF-8 or not
+            raw[data.draw(st.integers(0, len(raw) - 1))] = data.draw(st.integers(0, 255))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "clusters.jsonl"
+            path.write_bytes(raw)
+            try:
+                clusters = load_clusters(path)
+            except ValueError:  # FormatError is a ValueError
+                model = Path(tmp) / "model.json"
+                ToyModelSpec(1.0, 1.0, {}, Vocab.from_content(["a"])).save(model)
+                err = io.StringIO()
+                with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                    code = main(["decode", "--model", str(model), "--clusters", str(path),
+                                 "--out", str(Path(tmp) / "out")])
+                assert code == 2 and err.getvalue().startswith("error:")
+                assert not (Path(tmp) / "out").exists()
+                return
+            save_clusters(clusters, path)
+            assert load_clusters(path) == clusters
 
 
 def make_cluster(n_docs: int, cluster_id: str = "c") -> Cluster:

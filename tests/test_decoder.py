@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -403,6 +404,36 @@ class TestBruteForce:
         oracle = brute_force_search(model, inputs, params)
         assert beam.tokens == oracle.tokens
         assert abs(beam.raw_score - oracle.raw_score) <= 1e-9
+
+    @given(st.integers(0, 10_000), st.integers(1, 3), st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_exhaustive_beam_equals_oracle_under_blocking(self, seed, block, uniform):
+        # Under UniformModel every sequence of one length ties exactly, so
+        # both searches must break ties to the smaller token sequence.
+        rng = np.random.default_rng(seed)
+        model, vocab = random_toy_model(rng)
+        if uniform:
+            model = UniformModel(vocab)
+        inputs = random_inputs(rng, vocab)
+        max_len = int(rng.integers(2, 6))
+        params = DecodeParams(
+            beam_size=1,
+            max_len=max_len,
+            min_len=int(rng.integers(0, max_len)),
+            reduce=Reduce.MEAN_LOGPROB if rng.random() < 0.5 else Reduce.MEAN_PROB,
+            length_penalty_alpha=float(rng.choice([0.0, 0.0, 0.5, 1.0])),
+            block_repeat_ngram=block,
+        )
+        params = dataclasses.replace(params, beam_size=exhaustive_beam_size(vocab, params))
+        try:
+            oracle = brute_force_search(model, inputs, params)
+        except DecodeError:
+            with pytest.raises(DecodeError):
+                beam_search(model, inputs, params)
+            return
+        beam = beam_search(model, inputs, params)[0]
+        assert beam.tokens == oracle.tokens
+        assert beam.raw_score.hex() == oracle.raw_score.hex()
 
 
 class TestSequenceScore:

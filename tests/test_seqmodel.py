@@ -24,7 +24,7 @@ from dyne import (
 from dyne import seqmodel
 from dyne.seqmodel import BOS_ID, EOS_ID, UNK_ID
 
-from conftest import random_inputs, random_toy_model
+from conftest import mutate_json, random_inputs, random_toy_model
 
 
 def logsumexp(v: np.ndarray) -> float:
@@ -404,15 +404,6 @@ JSON_VALUES = st.recursive(
 )
 
 
-def _paths(node, path=()):
-    """Every position in a parsed JSON document, the root included."""
-    yield path
-    items = node.items() if isinstance(node, dict) else enumerate(node) \
-        if isinstance(node, list) else ()
-    for key, child in items:
-        yield from _paths(child, path + (key,))
-
-
 class TestSpecLoaderErrors:
     @pytest.mark.parametrize("bad, message", [
         ({"a": "b"}, r"bigram_counts\[1\] must be a \[prev_token, next_token, count\] triple"),
@@ -446,25 +437,7 @@ class TestSpecLoaderErrors:
     @given(st.data())
     @settings(max_examples=300, deadline=None)
     def test_mutated_spec_text_fails_cleanly(self, data):
-        doc = json.loads(json.dumps(SPEC_DOC))
-        for _ in range(data.draw(st.integers(1, 3))):
-            path = data.draw(st.sampled_from(list(_paths(doc))))
-            value = data.draw(JSON_VALUES)
-            if not path:
-                doc = value
-                continue
-            parent = doc
-            for key in path[:-1]:
-                parent = parent[key]
-            if data.draw(st.booleans()):
-                del parent[path[-1]]
-            else:
-                parent[path[-1]] = value
-        text = json.dumps(doc)
-        if data.draw(st.booleans()):  # a character-level edit on top
-            start = data.draw(st.integers(0, len(text)))
-            end = data.draw(st.integers(start, min(len(text), start + 3)))
-            text = text[:start] + data.draw(st.text(max_size=3)) + text[end:]
+        text = mutate_json(data, SPEC_DOC, JSON_VALUES)
         try:
             spec = ToyModelSpec.from_json_text(text)
         except ValueError:  # FormatError is a ValueError
