@@ -13,7 +13,28 @@ import json
 from pathlib import Path
 
 from dyne.data import save_clusters
-from dyne.synthetic import build_consensus_corpus
+from dyne.synthetic import ConsensusCorpus, build_consensus_corpus
+
+
+def write_corpus(corpus: ConsensusCorpus, out: Path) -> Path:
+    """Write the corpus files into ``out``; returns the decode config's path."""
+    out.mkdir(parents=True, exist_ok=True)
+    save_clusters(corpus.clusters, out / "clusters.jsonl")
+    corpus.model_spec.save(out / "model.json")
+    p = corpus.decode_params
+    config = {
+        "model": str(out / "model.json"),
+        "clusters": str(out / "clusters.jsonl"),
+        "beam_size": p.beam_size,
+        "max_len": p.max_len,
+        "min_len": p.min_len,
+        "reduce": p.reduce.value,
+        "block_repeat_ngram": p.block_repeat_ngram,
+        "seed": p.seed,
+    }
+    path = out / "decode_config.json"
+    path.write_text(json.dumps(config, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    return path
 
 
 def main() -> int:
@@ -31,23 +52,7 @@ def main() -> int:
         signal_len=args.signal_len,
         seed=args.seed,
     )
-    args.out.mkdir(parents=True, exist_ok=True)
-    save_clusters(corpus.clusters, args.out / "clusters.jsonl")
-    corpus.model_spec.save(args.out / "model.json")
-    p = corpus.decode_params
-    config = {
-        "model": str(args.out / "model.json"),
-        "clusters": str(args.out / "clusters.jsonl"),
-        "beam_size": p.beam_size,
-        "max_len": p.max_len,
-        "min_len": p.min_len,
-        "reduce": p.reduce.value,
-        "block_repeat_ngram": p.block_repeat_ngram,
-        "seed": p.seed,
-    }
-    (args.out / "decode_config.json").write_text(
-        json.dumps(config, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
+    write_corpus(corpus, args.out)
     print(f"wrote {len(corpus.clusters)} clusters and model spec -> {args.out}")
     return 0
 

@@ -2,9 +2,9 @@
 """End-to-end consensus experiment: build the corpus, sweep ensemble sizes.
 
 Generates the synthetic benchmark, then runs the CLI sweep over the given
-ensemble sizes and reports how summary quality moves with the number of
-ensembled documents. Rerunning with the same seed reproduces every output
-byte.
+ensemble sizes with the corpus's decode config and reports how summary
+quality moves with the number of ensembled documents. Rerunning with the
+same seed reproduces every output byte.
 """
 
 from __future__ import annotations
@@ -13,8 +13,9 @@ import argparse
 from pathlib import Path
 
 from dyne.cli import main as dyne_main
-from dyne.data import save_clusters
 from dyne.synthetic import build_consensus_corpus
+
+from make_consensus_corpus import write_corpus
 
 
 def main() -> int:
@@ -25,28 +26,13 @@ def main() -> int:
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
 
-    corpus = build_consensus_corpus(n_clusters=args.clusters, seed=args.seed)
-    args.out.mkdir(parents=True, exist_ok=True)
-    clusters_path = args.out / "clusters.jsonl"
-    model_path = args.out / "model.json"
-    save_clusters(corpus.clusters, clusters_path)
-    corpus.model_spec.save(model_path)
-
-    p = corpus.decode_params
-    return dyne_main(
-        [
-            "sweep",
-            "--model", str(model_path),
-            "--clusters", str(clusters_path),
-            "--sizes", *[str(s) for s in args.sizes],
-            "--beam-size", str(p.beam_size),
-            "--max-len", str(p.max_len),
-            "--min-len", str(p.min_len),
-            "--block-repeat-ngram", str(p.block_repeat_ngram),
-            "--seed", str(p.seed),
-            "--out", str(args.out / "sweep"),
-        ]
-    )
+    config = write_corpus(build_consensus_corpus(n_clusters=args.clusters, seed=args.seed),
+                          args.out)
+    return dyne_main([
+        "sweep", "--config", str(config),
+        "--sizes", *[str(s) for s in args.sizes],
+        "--out", str(args.out / "sweep"),
+    ])
 
 
 if __name__ == "__main__":

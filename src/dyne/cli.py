@@ -11,6 +11,11 @@ Commands:
 Every command accepts ``--config FILE`` (JSON object of flag names);
 explicit flags override file values. Given the same config and seed, all
 output artifacts are byte-identical across runs.
+
+``decode`` and ``sweep`` record every setting (all flags but ``--config``
+and the output location, keyed as ``--config`` reads them) in one
+``run_config.json``, so ``--config run_config.json --out DIR`` replays the
+run. A sweep has no ``--max-docs``: each size decodes with max_docs = size.
 """
 
 from __future__ import annotations
@@ -24,7 +29,6 @@ import os
 import re
 import sys
 import tempfile
-from dataclasses import dataclass
 from pathlib import Path
 
 from .data import Cluster, ClusterSet, load_clusters, select_document_indices, tokenize_and_truncate
@@ -52,10 +56,6 @@ def _atomic_write(path: Path, text: str) -> None:
         raise
 
 
-def _json_line(obj) -> str:
-    return json.dumps(obj, sort_keys=True)
-
-
 def _write_json(path: Path, obj) -> None:
     _atomic_write(path, json.dumps(obj, sort_keys=True, indent=2) + "\n")
 
@@ -68,56 +68,16 @@ def _trace_filename(index: int, cluster_id: str, fmt: str) -> str:
     return f"{index:04d}_{safe}.{fmt}"
 
 
-@dataclass
-class RunConfig:
-    """Everything one decode run depends on. Serialized next to outputs
-    (minus output locations, which do not affect the artifacts' bytes)."""
-
-    model: str
-    clusters: str
-    decode: DecodeParams
-    max_docs: int
-    max_input_tokens: int
-    trace_format: str
-
-    def __post_init__(self) -> None:
-        for name in ("max_docs", "max_input_tokens"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
-
-    def record(self) -> dict:
-        return {
-            "model": self.model,
-            "clusters": self.clusters,
-            "beam_size": self.decode.beam_size,
-            "max_len": self.decode.max_len,
-            "min_len": self.decode.min_len,
-            "reduce": self.decode.reduce.value,
-            "length_penalty": self.decode.length_penalty_alpha,
-            "block_repeat_ngram": self.decode.block_repeat_ngram,
-            "seed": self.decode.seed,
-            "max_docs": self.max_docs,
-            "max_input_tokens": self.max_input_tokens,
-            "trace_format": self.trace_format,
-        }
-
-
-def _run_config(args) -> RunConfig:
-    return RunConfig(
-        model=args.model,
-        clusters=args.clusters,
-        decode=DecodeParams(
-            beam_size=args.beam_size,
-            max_len=args.max_len,
-            min_len=args.min_len,
-            reduce=Reduce(args.reduce),
-            length_penalty_alpha=args.length_penalty,
-            block_repeat_ngram=args.block_repeat_ngram,
-            seed=args.seed,
-        ),
-        max_docs=args.max_docs,
-        max_input_tokens=args.max_input_tokens,
-        trace_format=args.trace_format,
+def _decode_params(args) -> DecodeParams:
+    """The decode settings, with the run sizes checked before anything is loaded."""
+    for name in ("max_docs", "max_input_tokens", "sizes"):
+        value = getattr(args, name, None)
+        if value is not None and min(value if isinstance(value, list) else [value]) < 1:
+            raise ValueError(f"{name} must be >= 1, got {value}")
+    return DecodeParams(
+        beam_size=args.beam_size, max_len=args.max_len, min_len=args.min_len,
+        reduce=Reduce(args.reduce), length_penalty_alpha=args.length_penalty,
+        block_repeat_ngram=args.block_repeat_ngram, seed=args.seed,
     )
 
 
@@ -137,18 +97,19 @@ def _rouge_setup(args) -> tuple[RougeConfig, tuple[str, ...]]:
     return cfg, tuple(args.metrics)
 
 
-def _decode_cluster(model: SequenceModel, cluster: Cluster, cfg: RunConfig):
+def _decode_cluster(model: SequenceModel, cluster: Cluster, args, params: DecodeParams,
+                    max_docs: int):
     """Decode one cluster; returns (summary record, provenance trace)."""
     vocab = model.vocab
-    indices = select_document_indices(cluster, cfg.max_docs, cfg.decode.seed)
+    indices = select_document_indices(cluster, max_docs, params.seed)
     inputs = []
     for i in indices:
-        ids = tokenize_and_truncate(cluster.documents[i], vocab, cfg.max_input_tokens)
+        ids = tokenize_and_truncate(cluster.documents[i], vocab, args.max_input_tokens)
         if not ids:
             raise ValueError(f"document {i} tokenizes to nothing")
         inputs.append(ids)
     labels = tuple(f"doc{i}" for i in indices)
-    best = beam_search(model, inputs, cfg.decode, input_labels=labels)[0]
+    best = beam_search(model, inputs, params, input_labels=labels)[0]
     content = [vocab.token(t) for t in best.tokens[:-1]]
     record = {
         "id": cluster.id,
@@ -161,12 +122,8 @@ def _decode_cluster(model: SequenceModel, cluster: Cluster, cfg: RunConfig):
     return record, best.trace
 
 
-def _decode_run(
-    model: SequenceModel,
-    clusters: ClusterSet,
-    cfg: RunConfig,
-    out_dir: Path,
-) -> tuple[list[dict], list[tuple[str, str]]]:
+def _decode_run(model: SequenceModel, clusters: ClusterSet, args, params: DecodeParams,
+                max_docs: int, out_dir: Path) -> tuple[list[dict], list[tuple[str, str]]]:
     """Decode all clusters into ``out_dir``, one after another in input order.
 
     Returns the summary records written and the (id, error) pairs of the
@@ -176,18 +133,17 @@ def _decode_run(
     failures: list[tuple[str, str]] = []
     for index, cluster in enumerate(clusters):
         try:
-            record, trace = _decode_cluster(model, cluster, cfg)
-            trace_text = trace.export(cfg.trace_format)
+            record, trace = _decode_cluster(model, cluster, args, params, max_docs)
+            trace_text = trace.export(args.trace_format)
         except Exception as exc:  # noqa: BLE001 - isolate per-cluster failures
             failures.append((cluster.id, f"{type(exc).__name__}: {exc}"))
             continue
         records.append(record)
         _atomic_write(
-            out_dir / "traces" / _trace_filename(index, cluster.id, cfg.trace_format),
+            out_dir / "traces" / _trace_filename(index, cluster.id, args.trace_format),
             trace_text,
         )
-    _atomic_write(out_dir / "summaries.jsonl", "".join(f"{_json_line(r)}\n" for r in records))
-    _write_json(out_dir / "run_config.json", cfg.record())
+    _atomic_write(out_dir / "summaries.jsonl", "".join(json.dumps(r, sort_keys=True) + "\n" for r in records))
     return records, failures
 
 
@@ -198,11 +154,12 @@ def _report_failures(failures: list[tuple[str, str]]) -> None:
         print(f"{len(failures)} cluster(s) failed", file=sys.stderr)
 
 
-def cmd_decode(args) -> int:
-    cfg = _run_config(args)
-    model = load_model(cfg.model)
-    clusters = load_clusters(cfg.clusters)
-    _, failures = _decode_run(model, clusters, cfg, Path(args.out))
+def cmd_decode(args, settings: dict) -> int:
+    params = _decode_params(args)
+    model = load_model(args.model)
+    clusters = load_clusters(args.clusters)
+    _, failures = _decode_run(model, clusters, args, params, args.max_docs, Path(args.out))
+    _write_json(Path(args.out) / "run_config.json", settings)
     done = len(clusters) - len(failures)
     print(f"decoded {done}/{len(clusters)} clusters -> {args.out}")
     _report_failures(failures)
@@ -263,7 +220,7 @@ def _evaluate_records(
     return {"mean": means, "per_cluster": per_cluster}
 
 
-def cmd_evaluate(args) -> int:
+def cmd_evaluate(args, settings: dict) -> int:
     rouge_cfg, metrics = _rouge_setup(args)
     records = _load_hypotheses(Path(args.hypotheses))
     if not records:
@@ -281,24 +238,19 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
-def cmd_sweep(args) -> int:
-    sizes = args.sizes
-    if any(s < 1 for s in sizes):
-        raise ValueError(f"ensemble sizes must be >= 1, got {sizes}")
-    cfg = _run_config(args)
+def cmd_sweep(args, settings: dict) -> int:
+    params = _decode_params(args)
     rouge_cfg, metrics = _rouge_setup(args)
-    model = load_model(cfg.model)
-    clusters = load_clusters(cfg.clusters)
+    model = load_model(args.model)
+    clusters = load_clusters(args.clusters)
     out_dir = Path(args.out)
 
     failed = False
     rows = []
     ref_tokens: dict[str, list[list[str]]] = {}
-    for size in sizes:
+    for size in args.sizes:
         size_dir = out_dir / f"size_{size}"
-        records, failures = _decode_run(
-            model, clusters, dataclasses.replace(cfg, max_docs=size), size_dir
-        )
+        records, failures = _decode_run(model, clusters, args, params, size, size_dir)
         _report_failures(failures)  # before evaluating, which fails if none decoded
         failed = failed or bool(failures)
         report = _evaluate_records(records, clusters, rouge_cfg, metrics, ref_tokens)
@@ -312,9 +264,7 @@ def cmd_sweep(args) -> int:
     for size, means in rows:
         writer.writerow([size, *(f"{means[m][c]:.17g}" for m in metrics for c in comps)])
     _atomic_write(out_dir / "sweep.csv", buf.getvalue())
-    # each size ran with max_docs = size; the flag's value was never used
-    record = {k: v for k, v in cfg.record().items() if k != "max_docs"}
-    _write_json(out_dir / "run_config.json", {**record, "sizes": list(sizes)})
+    _write_json(out_dir / "run_config.json", settings)
 
     print(f"{'size':<6}" + "".join(f"{m + ' f':>14}" for m in metrics))
     for size, means in rows:
@@ -323,16 +273,16 @@ def cmd_sweep(args) -> int:
     return 1 if failed else 0
 
 
-def cmd_trace(args) -> int:
-    cfg = _run_config(args)
-    model = load_model(cfg.model)
-    clusters = load_clusters(cfg.clusters)
+def cmd_trace(args, settings: dict) -> int:
+    params = _decode_params(args)
+    model = load_model(args.model)
+    clusters = load_clusters(args.clusters)
     cluster = clusters.get(args.cluster_id)
     if cluster is None:
         print(f"no cluster with id {args.cluster_id!r}", file=sys.stderr)
         return 1
-    record, trace = _decode_cluster(model, cluster, cfg)
-    text = trace.export(cfg.trace_format)
+    record, trace = _decode_cluster(model, cluster, args, params, args.max_docs)
+    text = trace.export(args.trace_format)
     if args.output:
         _atomic_write(Path(args.output), text)
         print(f"trace -> {args.output}")
@@ -351,7 +301,7 @@ def _add_model_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--model", default=None, help="path to the model spec file")
 
 
-def _add_decode_flags(p: argparse.ArgumentParser) -> None:
+def _add_decode_flags(p: argparse.ArgumentParser, max_docs: bool = True) -> None:
     d = DecodeParams()
     p.add_argument("--beam-size", type=int, default=d.beam_size, help="beam width")
     p.add_argument("--max-len", type=int, default=d.max_len,
@@ -366,8 +316,9 @@ def _add_decode_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--block-repeat-ngram", type=int, default=None,
                    help="forbid repeating any n-gram of this size")
     p.add_argument("--seed", type=int, default=0, help="seed for document selection")
-    p.add_argument("--max-docs", type=int, default=5,
-                   help="documents sampled per cluster")
+    if max_docs:  # a sweep sets it from each of its sizes
+        p.add_argument("--max-docs", type=int, default=5,
+                       help="documents sampled per cluster")
     p.add_argument("--max-input-tokens", type=int, default=512,
                    help="tokens kept per input document")
     p.add_argument("--trace-format", default="csv", choices=["csv", "json"],
@@ -420,7 +371,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
                        formatter_class=argparse.ArgumentDefaultsHelpFormatter)
     _add_model_flags(p)
     p.add_argument("--clusters", default=None, help="JSONL cluster file")
-    _add_decode_flags(p)
+    _add_decode_flags(p, max_docs=False)
     _add_rouge_flags(p)
     p.add_argument("--sizes", type=int, nargs="+", default=None,
                    help="ensemble sizes to decode with")
@@ -458,6 +409,16 @@ def _config_value_ok(action: argparse.Action, value) -> bool:
                and v in (action.choices or [v]) for v in (value if listed else [value]))
 
 
+# Where a command writes; the one part of its settings a run does not record.
+_OUTPUT_FLAGS = ("out", "output", "report")
+
+
+def _settings_table(sp: argparse.ArgumentParser) -> dict[str, argparse.Action]:
+    """The command's settings by config key (flag dest name): every flag of
+    the command but ``--help`` and ``--config``."""
+    return {a.dest: a for a in sp._actions if a.dest not in ("help", "config")}
+
+
 def _apply_config_file(args: argparse.Namespace, subparsers, argv: list[str]):
     """Re-parse the command with defaults taken from the config file.
 
@@ -473,7 +434,7 @@ def _apply_config_file(args: argparse.Namespace, subparsers, argv: list[str]):
     if not isinstance(doc, dict):
         raise FormatError(f"config file {args.config} must hold a JSON object")
     sp = subparsers[args.command]
-    actions = {a.dest: a for a in sp._actions if a.dest not in ("help", "config")}
+    actions = _settings_table(sp)
     unknown = doc.keys() - actions.keys()
     if unknown:
         raise FormatError(
@@ -519,7 +480,9 @@ def main(argv: list[str] | None = None) -> int:
         if args.config:
             args = _apply_config_file(args, subparsers, argv)
         _require_flags(args)
-        return args.func(args)
+        settings = {name: getattr(args, name) for name in _settings_table(subparsers[args.command])
+                    if name not in _OUTPUT_FLAGS}
+        return args.func(args, settings)
     except (FormatError, ValueError, OSError, DecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import FormatError
-from .seqmodel import TokenSeq, Vocab
+from .seqmodel import TokenSeq, Vocab, check_utf8
 
 
 @dataclass(frozen=True)
@@ -34,6 +34,7 @@ class Cluster:
         object.__setattr__(self, "references", tuple(self.references))
         if not self.id:
             raise ValueError("cluster id must be a non-empty string")
+        check_utf8((self.id,), "cluster id")
         if not self.documents:
             raise ValueError(f"cluster {self.id!r} has no documents")
 
@@ -65,39 +66,35 @@ class ClusterSet:
 _CLUSTER_FIELDS = {"id", "documents", "references"}
 
 
-def _parse_cluster_line(line: str, lineno: int) -> Cluster:
+def _parse_cluster_line(line: str, where: str) -> Cluster:
+    """One cluster record; ``where`` ("<path>: line <n>") starts every error."""
     try:
         doc = json.loads(line)
     except json.JSONDecodeError as exc:
-        raise FormatError(f"line {lineno}: invalid JSON: {exc}") from exc
+        raise FormatError(f"{where}: invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
-        raise FormatError(f"line {lineno}: cluster record must be a JSON object")
+        raise FormatError(f"{where}: cluster record must be a JSON object")
     unknown = doc.keys() - _CLUSTER_FIELDS
     if unknown:
-        raise FormatError(
-            f"line {lineno}: unknown field(s): {', '.join(sorted(unknown))}"
-        )
+        raise FormatError(f"{where}: unknown field(s): {', '.join(sorted(unknown))}")
     for name in ("id", "documents"):
         if name not in doc:
-            raise FormatError(f"line {lineno}: missing field {name!r}")
+            raise FormatError(f"{where}: missing field {name!r}")
     if not isinstance(doc["id"], str):
-        raise FormatError(f"line {lineno}: field 'id' must be a string")
+        raise FormatError(f"{where}: field 'id' must be a string")
     for name in ("documents", "references"):
         value = doc.get(name, [])
         if not isinstance(value, list) or not all(isinstance(x, str) for x in value):
-            raise FormatError(f"line {lineno}: field {name!r} must be a list of strings")
+            raise FormatError(f"{where}: field {name!r} must be a list of strings")
     try:
-        return Cluster(
-            id=doc["id"],
-            documents=tuple(doc["documents"]),
-            references=tuple(doc.get("references", [])),
-        )
+        return Cluster(doc["id"], tuple(doc["documents"]), tuple(doc.get("references", [])))
     except ValueError as exc:
-        raise FormatError(f"line {lineno}: {exc}") from exc
+        raise FormatError(f"{where}: {exc}") from exc
 
 
 def load_clusters(path: str | Path) -> ClusterSet:
-    """Parse a JSONL cluster file, preserving order. Blank lines are skipped."""
+    """Parse a JSONL cluster file, preserving order. Blank lines are skipped.
+    Every error names the file and the line."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
@@ -107,10 +104,10 @@ def load_clusters(path: str | Path) -> ClusterSet:
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
-        cluster = _parse_cluster_line(line, lineno)
+        cluster = _parse_cluster_line(line, f"{path}: line {lineno}")
         if cluster.id in seen:
             raise ValueError(
-                f"line {lineno}: duplicate cluster id {cluster.id!r} "
+                f"{path}: line {lineno}: duplicate cluster id {cluster.id!r} "
                 f"(first seen on line {seen[cluster.id]})"
             )
         seen[cluster.id] = lineno

@@ -196,11 +196,16 @@ def ensemble_step(
 
     Returns the combined distribution and the ``[N, V]`` per-input
     distributions in input order. The combination is order-canonical, so
-    results never depend on input order.
+    results never depend on input order. A model result of any other type
+    or shape is a ValueError.
     """
     if not inputs:
         raise ValueError("ensemble needs at least one input")
     per_input = model.score_batch(inputs, prefix)
+    expected = (len(inputs), len(model.vocab))
+    if not isinstance(per_input, np.ndarray) or per_input.shape != expected:
+        got = per_input.shape if isinstance(per_input, np.ndarray) else type(per_input).__name__
+        raise ValueError(f"score_batch returned {got}; expected an ndarray of shape {expected}")
     return _REDUCERS[reduce](per_input), per_input
 
 
@@ -266,8 +271,19 @@ def _constraint_summary(prefix: TokenSeq, params: DecodeParams) -> str:
     return ", ".join(parts)
 
 
-def _default_labels(count: int) -> tuple[str, ...]:
-    return tuple(f"input_{i}" for i in range(count))
+def _checked_inputs(
+    inputs: list[TokenSeq], input_labels: tuple[str, ...] | None
+) -> tuple[tuple[TokenSeq, ...], tuple[str, ...]]:
+    """The inputs as tuples and one label per input (``input_<i>`` by
+    default), checked before anything is scored."""
+    if not inputs:
+        raise ValueError("ensemble needs at least one input")
+    inputs = tuple(tuple(x) for x in inputs)
+    if input_labels is None:
+        input_labels = tuple(f"input_{i}" for i in range(len(inputs)))
+    if len(input_labels) != len(inputs):
+        raise ValueError(f"got {len(input_labels)} input labels for {len(inputs)} inputs")
+    return inputs, input_labels
 
 
 def _scored(
@@ -324,15 +340,7 @@ def beam_search(
     deterministic. Each trace holds exactly the scores the search used
     for the chosen tokens; nothing is rescored.
     """
-    if not inputs:
-        raise ValueError("ensemble needs at least one input")
-    inputs = tuple(tuple(x) for x in inputs)
-    if input_labels is None:
-        input_labels = _default_labels(len(inputs))
-    if len(input_labels) != len(inputs):
-        raise ValueError(
-            f"got {len(input_labels)} input labels for {len(inputs)} inputs"
-        )
+    inputs, input_labels = _checked_inputs(inputs, input_labels)
     vocab = model.vocab
 
     live = [Hypothesis((BOS_ID,), 0.0)]
@@ -406,14 +414,12 @@ def brute_force_search(
     sequence). Its trace comes from `sequence_score`, independently of the
     beam. Guarded to desk scale.
     """
-    if not inputs:
-        raise ValueError("ensemble needs at least one input")
+    inputs, input_labels = _checked_inputs(inputs, input_labels)
     if len(model.vocab) > MAX_BRUTE_FORCE_VOCAB or params.max_len > MAX_BRUTE_FORCE_LEN:
         raise ValueError(
             "brute-force search is limited to vocabularies of at most "
             f"{MAX_BRUTE_FORCE_VOCAB} tokens and max_len <= {MAX_BRUTE_FORCE_LEN}"
         )
-    inputs = tuple(tuple(x) for x in inputs)
 
     best_key: tuple[float, TokenSeq] | None = None
     best_raw = 0.0
@@ -460,9 +466,7 @@ def sequence_score(
     length masks apply here: any well-formed sequence can be scored, and
     rescoring a beam search result reproduces its raw score.
     """
-    if not inputs:
-        raise ValueError("ensemble needs at least one input")
-    inputs = tuple(tuple(x) for x in inputs)
+    inputs, input_labels = _checked_inputs(inputs, input_labels)
     tokens = tuple(tokens)
     vocab = model.vocab
     check_token_seq(tokens, vocab, "tokens")
@@ -473,8 +477,6 @@ def sequence_score(
             raise ValueError(f"EOS appears mid-sequence at position {pos}")
         if t == BOS_ID:
             raise ValueError(f"BOS appears inside the sequence at position {pos}")
-    if input_labels is None:
-        input_labels = _default_labels(len(inputs))
 
     raw = 0.0
     rows = []

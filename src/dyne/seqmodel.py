@@ -21,6 +21,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import re
 from dataclasses import dataclass, field
 from numbers import Integral
 from pathlib import Path
@@ -47,6 +48,20 @@ TokenSeq = tuple[int, ...]
 #: Entries may be ``-inf`` (masked) but never NaN; model outputs satisfy
 #: ``|logsumexp(v)| <= 1e-6``.
 LogProbVector = np.ndarray
+
+
+_SURROGATE = re.compile("[\ud800-\udfff]")
+
+
+def check_utf8(texts: Sequence[str], what: str) -> None:
+    """Raise ValueError naming the first of ``texts`` that holds an unpaired
+    surrogate: UTF-8 cannot encode it, so no output file could carry it."""
+    if "".join(texts).isascii():  # the common case, one pass
+        return
+    for text in texts:
+        if _SURROGATE.search(text):
+            raise ValueError(f"{what} {text!r} holds an unpaired surrogate, "
+                             "which UTF-8 cannot encode")
 
 
 @dataclass(frozen=True)
@@ -77,6 +92,7 @@ class Vocab:
             seen: set[str] = set()
             dup = next(t for t in self.tokens if t in seen or seen.add(t))
             raise ValueError(f"duplicate vocab token {dup!r}")
+        check_utf8(self.tokens, "vocab token")
         object.__setattr__(self, "_index", index)
 
     @classmethod
@@ -115,10 +131,9 @@ def check_token_seq(
     name: str = "sequence",
     *,
     require_bos: bool = False,
-    non_empty: bool = True,
 ) -> None:
     """Validate ids against a vocab; raises ValueError with context."""
-    if non_empty and not ids:
+    if not ids:
         raise ValueError(f"{name} must not be empty")
     size = len(vocab)
     for pos, t in enumerate(ids):

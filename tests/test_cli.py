@@ -90,6 +90,24 @@ class TestDecode:
         assert err.startswith("error:") and "below 2**53" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("bad", ["model", "clusters"])
+    def test_unpaired_surrogate_is_startup_error(self, workspace, capsys, bad):
+        tmp, flags, _ = workspace
+        flags = list(flags)
+        path = tmp / f"bad_{bad}"
+        if bad == "model":
+            spec = {"lambda": 1.0, "smooth_k": 1.0, "bigram_counts": [],
+                    "vocab": ["<s>", "</s>", "<unk>", "a", "c\ud800"]}
+            path.write_text(json.dumps(spec))
+        else:  # more documents than --max-docs, so the id seeds a selection
+            path.write_text(json.dumps({"id": "k\ud800", "documents": ["a"] * 6}) + "\n")
+        flags[flags.index(f"--{bad}") + 1] = str(path)
+        out = tmp / "run"
+        assert main(["decode", *flags, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ") and "unpaired surrogate" in err
+        assert not out.exists()
+
     def test_cluster_failures_are_isolated(self, tmp_path, capsys):
         vocab = Vocab.from_content(["a", "b"])
         ToyModelSpec(1.0, 1.0, {}, vocab).save(tmp_path / "model.json")
@@ -236,8 +254,7 @@ class TestSweep:
     def test_single_size_matches_decode_plus_evaluate(self, workspace):
         tmp, flags, _ = workspace
         sweep_out = tmp / "sweep"
-        assert main(["sweep", *flags, "--sizes", "1", "--max-docs", "1",
-                     "--out", str(sweep_out)]) == 0
+        assert main(["sweep", *flags, "--sizes", "1", "--out", str(sweep_out)]) == 0
         decode_out = tmp / "plain"
         assert main(["decode", *flags, "--max-docs", "1", "--out", str(decode_out)]) == 0
         assert (sweep_out / "size_1" / "summaries.jsonl").read_bytes() == (
@@ -378,6 +395,69 @@ class TestTrace:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and "min_len" in err
+
+
+class TestRunConfig:
+    """``run_config.json`` records every setting of the command under its
+    config key, so ``--config run_config.json`` replays the run."""
+
+    def test_decode_record_keeps_its_keys_values_and_bytes(self, workspace):
+        tmp, flags, _ = workspace
+        out = tmp / "run"
+        assert main(["decode", *flags, "--out", str(out)]) == 0
+        expected = {
+            "beam_size": 4, "block_repeat_ngram": 1, "clusters": str(tmp / "clusters.jsonl"),
+            "length_penalty": 0.0, "max_docs": 5, "max_input_tokens": 512, "max_len": 5,
+            "min_len": 4, "model": str(tmp / "model.json"), "reduce": "mean_logprob",
+            "seed": 3, "trace_format": "csv",
+        }
+        text = (out / "run_config.json").read_text()
+        assert json.loads(text) == expected
+        assert text == json.dumps(expected, sort_keys=True, indent=2) + "\n"
+
+    @pytest.mark.parametrize("command, extra", [
+        ("decode", ["--max-docs", "2", "--reduce", "mean_prob", "--length-penalty", "0.5"]),
+        ("sweep", ["--sizes", "1", "2", "5", "--rouge-stemming", "--metrics", "rouge-2",
+                   "rouge-l", "--beta", "2", "--multi-ref", "average", "--reduce", "mean_prob",
+                   "--trace-format", "json"]),
+    ])
+    def test_run_config_replays_the_run(self, workspace, command, extra):
+        tmp, flags, _ = workspace
+        out, replay = tmp / "run", tmp / "replay"
+        assert main([command, *flags, *extra, "--out", str(out)]) == 0
+        assert main([command, "--config", str(out / "run_config.json"),
+                     "--out", str(replay)]) == 0
+        assert read_tree(replay) == read_tree(out)
+
+    def test_sweep_writes_one_record_with_its_rouge_settings(self, workspace):
+        tmp, flags, _ = workspace
+        out = tmp / "sweep"
+        assert main(["sweep", *flags, "--sizes", "1", "2", "--out", str(out)]) == 0
+        assert [p.relative_to(out) for p in out.rglob("run_config.json")] == [
+            Path("run_config.json")]
+        record = json.loads((out / "run_config.json").read_text())
+        assert record["sizes"] == [1, 2] and "max_docs" not in record
+        assert {k: record[k] for k in ("metrics", "rouge_lowercase", "rouge_strip_punctuation",
+                                       "rouge_stemming", "multi_ref", "beta")} == {
+            "metrics": ["rouge-1", "rouge-2", "rouge-l"], "rouge_lowercase": True,
+            "rouge_strip_punctuation": True, "rouge_stemming": False, "multi_ref": "max",
+            "beta": 1.0,
+        }
+
+    def test_sweep_has_no_max_docs(self, workspace, capsys):
+        tmp, flags, _ = workspace
+        out = tmp / "sweep"
+        with pytest.raises(SystemExit) as info:
+            main(["sweep", *flags, "--sizes", "1", "--max-docs", "1", "--out", str(out)])
+        assert info.value.code == 2
+        config = tmp / "config.json"
+        config.write_text('{"max_docs": 1}')
+        capsys.readouterr()
+        assert main(["sweep", "--config", str(config), *flags, "--sizes", "1",
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "max_docs" in err
+        assert not out.exists()
 
 
 class TestConfigFile:

@@ -59,8 +59,9 @@ class TestLoading:
     def test_missing_documents_cites_line(self, tmp_path):
         path = tmp_path / "clusters.jsonl"
         path.write_text('{"id": "ok", "documents": ["a"]}\n{"id": "bad"}\n')
-        with pytest.raises(FormatError, match="line 2.*documents"):
+        with pytest.raises(FormatError) as info:
             load_clusters(path)
+        assert str(info.value) == f"{path}: line 2: missing field 'documents'"
 
     def test_empty_documents_rejected(self, tmp_path):
         path = tmp_path / "clusters.jsonl"
@@ -77,7 +78,15 @@ class TestLoading:
     def test_duplicate_id_rejected(self, tmp_path):
         path = tmp_path / "clusters.jsonl"
         path.write_text('{"id": "c", "documents": ["a"]}\n{"id": "c", "documents": ["b"]}\n')
-        with pytest.raises(ValueError, match="duplicate cluster id"):
+        with pytest.raises(ValueError) as info:
+            load_clusters(path)
+        assert str(info.value).startswith(f"{path}: line 2: duplicate cluster id 'c'")
+
+    def test_unpaired_surrogate_id_rejected(self, tmp_path):
+        assert Cluster("café", ("a",)).id == "café"
+        path = tmp_path / "clusters.jsonl"
+        path.write_text('{"id": "ok", "documents": ["a"]}\n{"id": "k\\ud800", "documents": ["a"]}\n')
+        with pytest.raises(FormatError, match=r"line 2: cluster id 'k\\ud800' holds an unpaired"):
             load_clusters(path)
 
     def test_invalid_json_cites_line(self, tmp_path):

@@ -56,6 +56,47 @@ class NaNModel:
         return v
 
 
+class MisshapenModel:
+    """Uniform scores, reshaped so that they break the ``[N, V]`` model contract."""
+
+    def __init__(self, reshape, vocab=AB):
+        self.vocab = vocab
+        self._uniform = UniformModel(vocab)
+        self._reshape = reshape
+
+    def score_batch(self, inputs, prefix):
+        return self._reshape(self._uniform.score_batch(inputs, prefix))
+
+
+class UnscoredModel:
+    """Fails the test if anything asks it for a score."""
+
+    vocab = AB
+
+    def score_batch(self, inputs, prefix):
+        raise AssertionError("scored before the inputs were checked")
+
+
+# model-output shape faults on two inputs over AB (V = 5): (reshape, what it returns)
+MISSHAPEN = {
+    "extra-column": (lambda v: np.hstack([v, v[:, :1]]), "(2, 6)"),
+    "missing-column": (lambda v: v[:, :-1], "(2, 4)"),
+    "extra-row": (lambda v: np.vstack([v, v[:1]]), "(3, 5)"),
+    "missing-row": (lambda v: v[:1], "(1, 5)"),
+    "1-d": (lambda v: v[0], "(5,)"),
+    "list": (lambda v: v.tolist(), "list"),
+}
+
+ENTRY_POINTS = {
+    "beam_search": lambda model, inputs, labels=None: beam_search(
+        model, inputs, DecodeParams(beam_size=2, max_len=3), input_labels=labels),
+    "brute_force_search": lambda model, inputs, labels=None: brute_force_search(
+        model, inputs, DecodeParams(beam_size=2, max_len=3), input_labels=labels),
+    "sequence_score": lambda model, inputs, labels=None: sequence_score(
+        model, inputs, (A, EOS_ID), input_labels=labels),
+}
+
+
 def bits(rows):
     """Trace rows with every float spelled exactly, so -0.0 differs from 0.0."""
     return [
@@ -434,6 +475,27 @@ class TestBruteForce:
         beam = beam_search(model, inputs, params)[0]
         assert beam.tokens == oracle.tokens
         assert beam.raw_score.hex() == oracle.raw_score.hex()
+
+
+class TestEntryChecks:
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    @pytest.mark.parametrize("fault", MISSHAPEN)
+    def test_misshapen_model_output_is_an_error(self, fault, entry):
+        reshape, got = MISSHAPEN[fault]
+        expected = f"score_batch returned {got}; expected an ndarray of shape (2, 5)"
+        with pytest.raises(ValueError) as info:
+            ENTRY_POINTS[entry](MisshapenModel(reshape), [(A,), (B,)])
+        assert str(info.value) == expected
+
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    def test_label_count_checked_before_scoring(self, entry):
+        with pytest.raises(ValueError, match="got 2 input labels for 3 inputs"):
+            ENTRY_POINTS[entry](UnscoredModel(), [(A,), (B,), (A,)], ("x", "y"))
+
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    def test_empty_inputs_rejected_before_scoring(self, entry):
+        with pytest.raises(ValueError, match="at least one input"):
+            ENTRY_POINTS[entry](UnscoredModel(), [])
 
 
 class TestSequenceScore:

@@ -51,4 +51,7 @@ def test_consensus_scripts_run_end_to_end(tmp_path):
     swept = run_script("run_consensus_sweep.py", "--out", str(run), "--clusters", "3",
                        "--sizes", "1", "2", "5")
     assert swept.returncode == 0, swept.stderr
-    assert [row[0] for row in sweep_rows(run / "sweep" / "sweep.csv")] == ["1", "2", "5"]
+    rows = sweep_rows(run / "sweep" / "sweep.csv")
+    assert [row[0] for row in rows] == ["1", "2", "5"]
+    # the same corpus and decode config: both sweeps agree on their shared sizes
+    assert rows[:2] == sweep_rows(tmp_path / "via_config" / "sweep.csv")

@@ -91,6 +91,11 @@ class TestVocab:
         with pytest.raises(ValueError, match="reserved"):
             Vocab(("a", "b", "c", "d"))
 
+    def test_unpaired_surrogate_token_rejected(self):
+        assert Vocab.from_content(["café", "a\U0001F600"]).id_of("café") == 3
+        with pytest.raises(ValueError, match=r"vocab token 'c\\ud800' holds an unpaired surrogate"):
+            Vocab.from_content(["a", "c\ud800"])
+
     def test_encode_token_maps_oov_to_unk(self, ab_vocab):
         assert ab_vocab.encode_token("a") == 3
         assert ab_vocab.encode_token("zebra") == UNK_ID
