@@ -33,7 +33,7 @@ from pathlib import Path
 
 from .data import Cluster, ClusterSet, load_clusters, select_document_indices, tokenize_and_truncate
 from .decoder import DecodeParams, Reduce, beam_search
-from .errors import DecodeError, FormatError
+from .errors import DecodeError, FormatError, input_lines, parse_object, read_input
 from .rouge import (
     DEFAULT_METRICS, MultiRefStrategy, RougeConfig, mean_score, parse_metric, score_tokens,
     tokenize, tokenize_references,
@@ -167,21 +167,12 @@ def cmd_decode(args, settings: dict) -> int:
 
 
 def _load_hypotheses(path: Path) -> list[dict]:
-    try:
-        text = path.read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise FormatError(f"cannot read hypotheses file {path}: {exc}") from exc
     records = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            rec = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"{path}: line {lineno}: invalid JSON: {exc}") from exc
-        if not (isinstance(rec, dict) and isinstance(rec.get("id"), str)
-                and isinstance(rec.get("text"), str)):
-            raise FormatError(f"{path}: line {lineno}: record needs string 'id' and 'text' fields")
+    for where, line in input_lines(path, "hypotheses file"):
+        rec = parse_object(line, where, required=("id", "text"))
+        for name in ("id", "text"):
+            if not isinstance(rec[name], str):
+                raise FormatError(f"{where}: field {name!r} must be a string")
         records.append(rec)
     return records
 
@@ -425,24 +416,12 @@ def _apply_config_file(args: argparse.Namespace, subparsers, argv: list[str]):
     Config keys are flag dest names (``beam_size``, ``max_docs``, ...);
     flags present on the command line keep precedence.
     """
-    try:
-        doc = json.loads(Path(args.config).read_text(encoding="utf-8"))
-    except (OSError, UnicodeDecodeError) as exc:
-        raise FormatError(f"cannot read config file {args.config}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"config file {args.config} is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise FormatError(f"config file {args.config} must hold a JSON object")
     sp = subparsers[args.command]
     actions = _settings_table(sp)
-    unknown = doc.keys() - actions.keys()
-    if unknown:
-        raise FormatError(
-            f"config file {args.config} has unknown key(s): {', '.join(sorted(unknown))}"
-        )
+    doc = parse_object(read_input(args.config, "config file"), args.config, allowed=actions)
     invalid = [f"{k}={v!r}" for k, v in doc.items() if not _config_value_ok(actions[k], v)]
     if invalid:
-        raise FormatError(f"config file {args.config} has invalid value(s): {', '.join(invalid)}")
+        raise FormatError(f"{args.config}: invalid value(s): {', '.join(invalid)}")
     sp.set_defaults(**doc)
     sub_argv = list(argv)
     sub_argv.remove(args.command)

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import FormatError
+from .errors import FormatError, input_lines, parse_object
 from .seqmodel import TokenSeq, Vocab, check_utf8
 
 
@@ -63,23 +63,12 @@ class ClusterSet:
         return self._by_id.get(cluster_id)
 
 
-_CLUSTER_FIELDS = {"id", "documents", "references"}
+_CLUSTER_FIELDS = ("id", "documents", "references")
 
 
 def _parse_cluster_line(line: str, where: str) -> Cluster:
     """One cluster record; ``where`` ("<path>: line <n>") starts every error."""
-    try:
-        doc = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"{where}: invalid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise FormatError(f"{where}: cluster record must be a JSON object")
-    unknown = doc.keys() - _CLUSTER_FIELDS
-    if unknown:
-        raise FormatError(f"{where}: unknown field(s): {', '.join(sorted(unknown))}")
-    for name in ("id", "documents"):
-        if name not in doc:
-            raise FormatError(f"{where}: missing field {name!r}")
+    doc = parse_object(line, where, required=_CLUSTER_FIELDS[:2], allowed=_CLUSTER_FIELDS)
     if not isinstance(doc["id"], str):
         raise FormatError(f"{where}: field 'id' must be a string")
     for name in ("documents", "references"):
@@ -95,22 +84,14 @@ def _parse_cluster_line(line: str, where: str) -> Cluster:
 def load_clusters(path: str | Path) -> ClusterSet:
     """Parse a JSONL cluster file, preserving order. Blank lines are skipped.
     Every error names the file and the line."""
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise FormatError(f"cannot read cluster file {path}: {exc}") from exc
     clusters = []
-    seen: dict[str, int] = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        cluster = _parse_cluster_line(line, f"{path}: line {lineno}")
+    seen: dict[str, str] = {}  # cluster id -> "line <n>" of its first record
+    for where, line in input_lines(path, "cluster file"):
+        cluster = _parse_cluster_line(line, where)
         if cluster.id in seen:
-            raise ValueError(
-                f"{path}: line {lineno}: duplicate cluster id {cluster.id!r} "
-                f"(first seen on line {seen[cluster.id]})"
-            )
-        seen[cluster.id] = lineno
+            raise ValueError(f"{where}: duplicate cluster id {cluster.id!r} "
+                             f"(first seen on {seen[cluster.id]})")
+        seen[cluster.id] = where.rpartition(": ")[2]
         clusters.append(cluster)
     return ClusterSet(tuple(clusters))
 

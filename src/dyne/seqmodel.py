@@ -29,7 +29,7 @@ from typing import Iterable, Protocol, Sequence
 
 import numpy as np
 
-from .errors import FormatError
+from .errors import FormatError, parse_object, read_input
 
 BOS_ID = 0
 EOS_ID = 1
@@ -103,9 +103,6 @@ class Vocab:
     def __len__(self) -> int:
         return len(self.tokens)
 
-    def __contains__(self, token: str) -> bool:
-        return token in self._index
-
     def id_of(self, token: str) -> int:
         """Exact lookup; raises KeyError for unknown tokens."""
         return self._index[token]
@@ -151,6 +148,9 @@ class SequenceModel(Protocol):
 
     def score_batch(self, inputs: Sequence[TokenSeq], prefix: TokenSeq) -> np.ndarray:
         """``[len(inputs), len(vocab)]`` next-token log-scores, one row per input."""
+
+
+_SPEC_FIELDS = ("lambda", "smooth_k", "vocab", "bigram_counts")
 
 
 @dataclass
@@ -213,22 +213,8 @@ class ToyModelSpec:
 
     @classmethod
     def from_json_text(cls, text: str) -> "ToyModelSpec":
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"model spec is not valid JSON: {exc}") from exc
-        if not isinstance(doc, dict):
-            raise FormatError("model spec must be a JSON object")
-        required = {"lambda", "smooth_k", "vocab", "bigram_counts"}
-        missing = required - doc.keys()
-        if missing:
-            raise FormatError(f"model spec missing field(s): {', '.join(sorted(missing))}")
-        unknown = doc.keys() - required
-        if unknown:
-            raise FormatError(f"model spec has unknown field(s): {', '.join(sorted(unknown))}")
-        if not isinstance(doc["vocab"], list) or not all(
-            isinstance(t, str) for t in doc["vocab"]
-        ):
+        doc = parse_object(text, "model spec", required=_SPEC_FIELDS, allowed=_SPEC_FIELDS)
+        if not (isinstance(doc["vocab"], list) and all(isinstance(t, str) for t in doc["vocab"])):
             raise FormatError("field 'vocab' must be a list of strings")
         vocab = Vocab(tuple(doc["vocab"]))
         for f in ("lambda", "smooth_k"):
@@ -269,10 +255,7 @@ class ToyModelSpec:
 
     @classmethod
     def load(cls, path: str | Path) -> "ToyModelSpec":
-        try:
-            text = Path(path).read_text(encoding="utf-8")
-        except (OSError, UnicodeDecodeError) as exc:
-            raise FormatError(f"cannot read model spec {path}: {exc}") from exc
+        text = read_input(path, "model spec")
         try:
             return cls.from_json_text(text)
         except ValueError as exc:
@@ -327,10 +310,6 @@ class CopyBigramModel:
     @property
     def vocab(self) -> Vocab:
         return self._vocab
-
-    @property
-    def spec(self) -> ToyModelSpec:
-        return self._spec
 
     def _copy_part(self, inputs: tuple[TokenSeq, ...]) -> np.ndarray:
         """``[N, V]`` weighted copy distributions; validates each new input set."""

@@ -106,12 +106,15 @@ _STEP4 = (
     "al", "ance", "ence", "er", "ic", "able", "ible", "ant", "ement",
     "ment", "ent", "ion", "ou", "ism", "ate", "iti", "ous", "ive", "ize",
 )
+# searched longest suffix first; the sorts are stable, so ties keep listed order
+_STEP2, _STEP3 = (tuple(sorted(t, key=lambda r: -len(r[0]))) for t in (_STEP2, _STEP3))
+_STEP4 = tuple(sorted(_STEP4, key=len, reverse=True))
 
 
 def _apply_table(word: str, table: tuple[tuple[str, str], ...], min_measure: int) -> str:
     # Longest matching suffix wins; if its measure condition fails, the
     # whole step is a no-op.
-    for suffix, repl in sorted(table, key=lambda r: -len(r[0])):
+    for suffix, repl in table:
         if word.endswith(suffix):
             stem = word[: len(word) - len(suffix)]
             if _measure(stem) > min_measure:
@@ -121,7 +124,7 @@ def _apply_table(word: str, table: tuple[tuple[str, str], ...], min_measure: int
 
 
 def _step4(word: str) -> str:
-    for suffix in sorted(_STEP4, key=len, reverse=True):
+    for suffix in _STEP4:
         if word.endswith(suffix):
             stem = word[: len(word) - len(suffix)]
             if _measure(stem) > 1:

@@ -28,51 +28,47 @@ class ConsensusCorpus:
     decode_params: DecodeParams
 
 
+# Per-document token counts: noise outnumbers signal, so a single document
+# ranks its own noise above the shared signal and the benchmark bites.
+_SIGNAL_COPIES, _NOISE_COPIES, _NOISE_WORDS_PER_DOC = 2, 3, 5
+_SIGNAL_POOL, _NOISE_POOL, _BEAM_SIZE = 40, 200, 4
+
+
 def build_consensus_corpus(
     n_clusters: int = 100,
     docs_per_cluster: int = 6,
     signal_len: int = 4,
-    noise_words_per_doc: int = 5,
-    signal_copies: int = 2,
-    noise_copies: int = 3,
-    signal_pool: int = 40,
-    noise_pool: int = 200,
     seed: int = 0,
-    beam_size: int = 4,
 ) -> ConsensusCorpus:
     """Generate clusters, a matching copy model spec, and decode params.
 
-    ``signal_copies`` and ``noise_copies`` are per-document token counts;
-    keeping ``noise_copies > signal_copies`` guarantees that a single
-    document ranks its own noise above the shared signal. Documents inside
-    a cluster never share noise words. Deterministic in ``seed``.
+    Documents inside a cluster never share noise words. Deterministic in
+    ``seed``.
     """
-    if noise_copies <= signal_copies:
-        raise ValueError("noise_copies must exceed signal_copies for the benchmark to bite")
-    if docs_per_cluster * noise_words_per_doc > noise_pool:
+    if docs_per_cluster * _NOISE_WORDS_PER_DOC > _NOISE_POOL:
         raise ValueError(
-            f"need {docs_per_cluster * noise_words_per_doc} distinct noise words "
-            f"per cluster but the pool has only {noise_pool}"
+            f"need {docs_per_cluster * _NOISE_WORDS_PER_DOC} distinct noise words "
+            f"per cluster but the pool has only {_NOISE_POOL}"
         )
-    if signal_len > signal_pool:
-        raise ValueError(f"signal_len {signal_len} exceeds the signal pool {signal_pool}")
+    if signal_len > _SIGNAL_POOL:
+        raise ValueError(f"signal_len {signal_len} exceeds the signal pool {_SIGNAL_POOL}")
 
-    signal_words = [f"sig{i:02d}" for i in range(signal_pool)]
-    noise_words = [f"nz{i:03d}" for i in range(noise_pool)]
+    signal_words = [f"sig{i:02d}" for i in range(_SIGNAL_POOL)]
+    noise_words = [f"nz{i:03d}" for i in range(_NOISE_POOL)]
     vocab = Vocab.from_content(signal_words + noise_words)
     rng = np.random.default_rng(seed)
 
     clusters = []
     for c in range(n_clusters):
-        signal = [signal_words[i] for i in rng.choice(signal_pool, signal_len, replace=False)]
+        signal = [signal_words[i] for i in rng.choice(_SIGNAL_POOL, signal_len, replace=False)]
         cluster_noise = [
             noise_words[i]
-            for i in rng.choice(noise_pool, docs_per_cluster * noise_words_per_doc, replace=False)
+            for i in rng.choice(_NOISE_POOL, docs_per_cluster * _NOISE_WORDS_PER_DOC, replace=False)
         ]
         documents = []
         for d in range(docs_per_cluster):
-            own = cluster_noise[d * noise_words_per_doc:(d + 1) * noise_words_per_doc]
-            bag = signal * signal_copies + own * noise_copies
+            own = cluster_noise[d * _NOISE_WORDS_PER_DOC:(d + 1) * _NOISE_WORDS_PER_DOC]
+            bag = signal * _SIGNAL_COPIES + own * _NOISE_COPIES
             order = rng.permutation(len(bag))
             documents.append(" ".join(bag[i] for i in order))
         clusters.append(
@@ -84,7 +80,7 @@ def build_consensus_corpus(
     # negative log-probabilities, so without a length floor the shortest
     # admissible sequence always ranks first.
     params = DecodeParams(
-        beam_size=beam_size,
+        beam_size=_BEAM_SIZE,
         max_len=signal_len + 1,
         min_len=signal_len,
         block_repeat_ngram=1,

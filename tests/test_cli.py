@@ -563,3 +563,49 @@ class TestConfigFile:
         config_path.write_text(json.dumps(config))
         assert main(["sweep", "--config", str(config_path), *flags,
                      "--out", str(tmp / "sweep")]) == 0
+
+
+# One malformed file per case, keyed by (kind, fault). Every input file
+# fails at startup with an error line that begins with that file's path.
+_FAULTY_INPUTS = {
+    ("clusters", "invalid-json"): '{"id": "c", \n',
+    ("clusters", "not-an-object"): '["c", ["a"]]\n',
+    ("clusters", "unknown-field"): '{"id": "c", "documents": ["a"], "extra": 1}\n',
+    ("clusters", "missing-field"): '{"id": "c"}\n',
+    ("model", "invalid-json"): '{"lambda": 1.0,',
+    ("model", "not-an-object"): "[1.0, 1.0]",
+    ("model", "unknown-field"): json.dumps({"lambda": 1.0, "smooth_k": 1.0, "extra": 1,
+                                            "vocab": ["<s>", "</s>", "<unk>", "a"],
+                                            "bigram_counts": []}),
+    ("model", "missing-field"): '{"lambda": 1.0}',
+    ("config", "invalid-json"): '{"beam_size": ',
+    ("config", "not-an-object"): "[4]",
+    ("config", "unknown-field"): '{"beam_width": 4}',
+    ("hypotheses", "invalid-json"): '{"id": \n',
+    ("hypotheses", "not-an-object"): '"summary"\n',
+    ("hypotheses", "missing-field"): '{"id": "c"}\n',
+}
+
+
+class TestInputFaults:
+    @pytest.mark.parametrize("kind, fault", list(_FAULTY_INPUTS),
+                             ids=[f"{k}-{f}" for k, f in _FAULTY_INPUTS])
+    def test_fault_names_the_file(self, workspace, capsys, kind, fault):
+        tmp, flags, corpus = workspace
+        path = tmp / f"bad_{kind}"
+        path.write_text(_FAULTY_INPUTS[kind, fault])
+        out = tmp / "out"
+        if kind == "hypotheses":
+            clusters = flags[flags.index("--clusters") + 1]
+            argv = ["evaluate", "--hypotheses", str(path), "--clusters", clusters,
+                    "--report", str(out)]
+        elif kind == "config":
+            argv = ["decode", "--config", str(path), *flags, "--out", str(out)]
+        else:
+            flags = list(flags)
+            flags[flags.index(f"--{kind}") + 1] = str(path)
+            argv = ["decode", *flags, "--out", str(out)]
+        assert main(argv) == 2
+        first_line = capsys.readouterr().err.splitlines()[0]
+        assert first_line.startswith(f"error: {path}:")
+        assert not out.exists()

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
 import json
 import tempfile
@@ -26,7 +27,9 @@ from dyne import (
 )
 from dyne.cli import main
 from dyne.data import clusters_to_jsonl
+from dyne.errors import parse_object
 from dyne.seqmodel import UNK_ID
+from dyne.synthetic import build_consensus_corpus
 
 from conftest import mutate_json
 
@@ -127,6 +130,24 @@ JSON_VALUES = st.recursive(
         max_size=3),
     max_leaves=6,
 )
+
+
+class TestParseObject:
+    @pytest.mark.parametrize("text, message", [
+        ('{"a": ', "w: invalid JSON: "),
+        ("[1]", "w: must hold a JSON object"),
+        ('{"a": 1, "z": 2, "y": 3}', "w: unknown field(s): y, z"),
+        ('{"z": 1}', "w: unknown field(s): z"),  # checked before missing fields
+        ('{"b": 1}', "w: missing field 'a'"),
+        ("{}", "w: missing field 'a'"),  # the first missing, in required order
+    ])
+    def test_each_fault_reads_one_way(self, text, message):
+        with pytest.raises(FormatError) as info:
+            parse_object(text, "w", required=("a", "b"), allowed=("a", "b"))
+        assert str(info.value).startswith(message)
+
+    def test_fields_unchecked_without_allowed(self):
+        assert parse_object('{"a": 1, "z": 2}', "w", required=("a",)) == {"a": 1, "z": 2}
 
 
 class TestLoaderFuzz:
@@ -231,3 +252,12 @@ class TestTokenize:
     def test_invalid_max_tokens(self):
         with pytest.raises(ValueError, match="max_tokens"):
             tokenize_and_truncate("a", self.VOCAB, 0)
+
+
+def test_consensus_corpus_is_pinned():
+    # the corpus the scripts, tests and benchmark generate; any change to its
+    # constants or its draw order changes this digest
+    c = build_consensus_corpus(n_clusters=5, seed=7)
+    text = clusters_to_jsonl(c.clusters) + c.model_spec.to_json_text() + repr(c.decode_params)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "499cf0cbca4d118398a30372637d7b0c4480a8715dba5379fff5ccc4d7cf1920")

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -628,3 +629,21 @@ class TestHypothesisType:
                 DecodeParams(**{name: None})
         assert DecodeParams(block_repeat_ngram=None).block_repeat_ngram is None
         assert DecodeParams(beam_size=np.int64(3), max_len=np.int64(6)).beam_size == 3
+
+
+def test_reducers_return_equal_rows_bit_exact_and_unaliased():
+    # np.sum and exp/log would both turn -0.0 into 0.0
+    v = np.array([-0.0, -1.0, -np.inf])
+    for reduce_fn in (reduce_mean_logprob, reduce_mean_prob):
+        for per_input in ([v], [v, v.copy()], v[None, :]):
+            out = reduce_fn(per_input)
+            assert out.tobytes() == v.tobytes()
+            out[:] = 5.0
+            assert v.tobytes() == np.array([-0.0, -1.0, -np.inf]).tobytes()
+
+
+def test_reducers_invariant_to_order_of_signed_zeros():
+    arr = np.array([[0.0, -1.0], [-0.0, -1.0], [0.0, -1.0]])
+    for reduce_fn in (reduce_mean_logprob, reduce_mean_prob):
+        outs = {reduce_fn(arr[list(order)]).tobytes() for order in itertools.permutations(range(3))}
+        assert len(outs) == 1

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import csv
 import io
 import os
@@ -19,6 +20,45 @@ def test_every_exported_name_resolves():
     missing = [name for name in dyne.__all__ if not hasattr(dyne, name)]
     assert missing == []
     assert len(set(dyne.__all__)) == len(dyne.__all__)
+
+
+def unused_imports(source: str, filename: str) -> list[str]:
+    """``<filename>:<line>: <name>`` for each name a module imports and never
+    uses. Names listed in ``__all__`` count as used; ``__future__`` is skipped."""
+    imported: dict[str, int] = {}
+    used: set[str] = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            used.update(ast.literal_eval(node.value))
+    return [f"{filename}:{line}: {name}" for name, line in imported.items() if name not in used]
+
+
+def test_no_unused_imports():
+    modules = sorted((ROOT / "src" / "dyne").glob("*.py")) + sorted((ROOT / "scripts").glob("*.py"))
+    assert len(modules) > 2
+    hits = [hit for path in modules
+            for hit in unused_imports(path.read_text("utf-8"), str(path.relative_to(ROOT)))]
+    assert hits == []
+
+
+def test_unused_import_guard_names_file_line_and_name():
+    source = ("from __future__ import annotations\n"
+              "import json\n"
+              "import os.path\n"
+              "from pathlib import Path as P\n"
+              "from typing import Any\n"
+              "__all__ = ['P']\n"
+              "sep = os.sep\n")
+    assert unused_imports(source, "m.py") == ["m.py:2: json", "m.py:5: Any"]
 
 
 def run_script(name: str, *args: str) -> subprocess.CompletedProcess:
