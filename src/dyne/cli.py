@@ -33,7 +33,7 @@ from pathlib import Path
 
 from .data import Cluster, ClusterSet, load_clusters, select_document_indices, tokenize_and_truncate
 from .decoder import DecodeParams, Reduce, beam_search
-from .errors import DecodeError, FormatError, input_lines, parse_object, read_input
+from .errors import DecodeError, FormatError, input_records, parse_object, read_input
 from .rouge import (
     DEFAULT_METRICS, MultiRefStrategy, RougeConfig, mean_score, parse_metric, score_tokens,
     tokenize, tokenize_references,
@@ -83,10 +83,8 @@ def _decode_params(args) -> DecodeParams:
 
 def _rouge_setup(args) -> tuple[RougeConfig, tuple[str, ...]]:
     """The ROUGE config and metric names, checked before anything is loaded."""
-    for i, metric in enumerate(args.metrics):
+    for metric in args.metrics:
         parse_metric(metric)
-        if metric in args.metrics[:i]:
-            raise ValueError(f"metrics must not repeat a name, got {metric!r} twice")
     cfg = RougeConfig(
         lowercase=args.rouge_lowercase,
         strip_punctuation=args.rouge_strip_punctuation,
@@ -168,11 +166,9 @@ def cmd_decode(args, settings: dict) -> int:
 
 def _load_hypotheses(path: Path) -> list[dict]:
     records = []
-    for where, line in input_lines(path, "hypotheses file"):
-        rec = parse_object(line, where, required=("id", "text"))
-        for name in ("id", "text"):
-            if not isinstance(rec[name], str):
-                raise FormatError(f"{where}: field {name!r} must be a string")
+    for where, rec in input_records(path, "hypotheses file", "hypothesis id", required=("text",)):
+        if not isinstance(rec["text"], str):
+            raise FormatError(f"{where}: field 'text' must be a string")
         records.append(rec)
     return records
 
@@ -461,6 +457,10 @@ def main(argv: list[str] | None = None) -> int:
         _require_flags(args)
         settings = {name: getattr(args, name) for name in _settings_table(subparsers[args.command])
                     if name not in _OUTPUT_FLAGS}
+        for name, values in settings.items():  # sizes, metrics: each value once
+            if isinstance(values, list) and len(set(values)) < len(values):
+                twice = next(v for i, v in enumerate(values) if v in values[:i])
+                raise ValueError(f"{name} must not repeat a value, got {twice!r} twice")
         return args.func(args, settings)
     except (FormatError, ValueError, OSError, DecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

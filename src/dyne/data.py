@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import FormatError, input_lines, parse_object
+from .errors import FormatError, input_records
 from .seqmodel import TokenSeq, Vocab, check_utf8
 
 
@@ -63,36 +63,21 @@ class ClusterSet:
         return self._by_id.get(cluster_id)
 
 
-_CLUSTER_FIELDS = ("id", "documents", "references")
-
-
-def _parse_cluster_line(line: str, where: str) -> Cluster:
-    """One cluster record; ``where`` ("<path>: line <n>") starts every error."""
-    doc = parse_object(line, where, required=_CLUSTER_FIELDS[:2], allowed=_CLUSTER_FIELDS)
-    if not isinstance(doc["id"], str):
-        raise FormatError(f"{where}: field 'id' must be a string")
-    for name in ("documents", "references"):
-        value = doc.get(name, [])
-        if not isinstance(value, list) or not all(isinstance(x, str) for x in value):
-            raise FormatError(f"{where}: field {name!r} must be a list of strings")
-    try:
-        return Cluster(doc["id"], tuple(doc["documents"]), tuple(doc.get("references", [])))
-    except ValueError as exc:
-        raise FormatError(f"{where}: {exc}") from exc
-
-
 def load_clusters(path: str | Path) -> ClusterSet:
     """Parse a JSONL cluster file, preserving order. Blank lines are skipped.
     Every error names the file and the line."""
     clusters = []
-    seen: dict[str, str] = {}  # cluster id -> "line <n>" of its first record
-    for where, line in input_lines(path, "cluster file"):
-        cluster = _parse_cluster_line(line, where)
-        if cluster.id in seen:
-            raise ValueError(f"{where}: duplicate cluster id {cluster.id!r} "
-                             f"(first seen on {seen[cluster.id]})")
-        seen[cluster.id] = where.rpartition(": ")[2]
-        clusters.append(cluster)
+    for where, doc in input_records(path, "cluster file", "cluster id", required=("documents",),
+                                    allowed=("id", "documents", "references")):
+        for name in ("documents", "references"):
+            value = doc.get(name, [])
+            if not isinstance(value, list) or not all(isinstance(x, str) for x in value):
+                raise FormatError(f"{where}: field {name!r} must be a list of strings")
+        try:
+            clusters.append(Cluster(doc["id"], tuple(doc["documents"]),
+                                    tuple(doc.get("references", []))))
+        except ValueError as exc:
+            raise FormatError(f"{where}: {exc}") from exc
     return ClusterSet(tuple(clusters))
 
 

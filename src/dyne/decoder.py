@@ -88,31 +88,26 @@ class DecodeParams:
 
 @dataclass
 class Hypothesis:
-    """A beam entry: shared prefix, running score and provenance rows.
+    """A live beam entry: shared prefix, running score and provenance rows.
 
-    ``prefix`` starts with BOS. ``ensemble_score`` accumulates the combined
-    log-score of each chosen token. ``rows`` holds one trace row per
-    generated token: the combined and per-input log-scores the search used
-    when it chose that token.
+    ``prefix`` starts with BOS and does not end with EOS: a hypothesis that
+    takes EOS becomes a `ScoredHypothesis` result at once.
+    ``ensemble_score`` accumulates the combined log-score of each chosen
+    token. ``rows`` holds one trace row per generated token: the combined
+    and per-input log-scores the search used when it chose that token.
     """
 
     prefix: TokenSeq
     ensemble_score: float
     rows: tuple[TraceRow, ...] = ()
-    finished: bool = False
 
     def __post_init__(self) -> None:
         if not self.prefix or self.prefix[0] != BOS_ID:
             raise ValueError("hypothesis prefix must begin with BOS")
-        if self.finished != (self.prefix[-1] == EOS_ID):
-            raise ValueError("finished must hold exactly when the prefix ends with EOS")
+        if self.prefix[-1] == EOS_ID:
+            raise ValueError("a live hypothesis prefix must not end with EOS")
         if len(self.rows) != len(self.prefix) - 1:
             raise ValueError("a hypothesis needs one trace row per generated token")
-
-    @property
-    def content_length(self) -> int:
-        n = len(self.prefix) - 1
-        return n - 1 if self.finished else n
 
 
 @dataclass
@@ -309,23 +304,6 @@ def _trace_row(w: int, combined: LogProbVector, per_input: np.ndarray, vocab: Vo
     )
 
 
-def _extend(
-    hyp: Hypothesis,
-    w: int,
-    combined: LogProbVector,
-    per_input: np.ndarray,
-    vocab: Vocab,
-) -> Hypothesis:
-    """``hyp`` extended by token ``w``, recording the scores that chose it."""
-    row = _trace_row(w, combined, per_input, vocab)
-    return Hypothesis(
-        prefix=hyp.prefix + (w,),
-        ensemble_score=hyp.ensemble_score + row.combined,
-        rows=hyp.rows + (row,),
-        finished=w == EOS_ID,
-    )
-
-
 def beam_search(
     model: SequenceModel,
     inputs: list[TokenSeq],
@@ -335,67 +313,71 @@ def beam_search(
     """Ensemble beam search over a shared output prefix.
 
     Returns up to ``beam_size`` finished hypotheses, best ranked first.
-    Finished hypotheses accumulate in a completed pool; the search stops
-    once the pool holds ``beam_size`` entries or no live hypothesis
-    remains. All tie-breaks (pruning and final ranking) prefer the
-    lexicographically smaller token-id sequence, so output is fully
-    deterministic. Each trace holds exactly the scores the search used
-    for the chosen tokens; nothing is rescored.
+    Each step scores every live prefix once and ranks all their selectable
+    continuations together; a hypothesis that takes EOS is a result at
+    once and joins the pool. The search stops once the pool holds
+    ``beam_size`` results or no live hypothesis remains. All tie-breaks
+    (pruning and final ranking) prefer the lexicographically smaller
+    token-id sequence, so output is fully deterministic. Each trace holds
+    exactly the scores the search used for the chosen tokens; nothing is
+    rescored.
     """
     inputs, input_labels = _checked_inputs(inputs, input_labels)
     vocab = model.vocab
+    width = len(vocab)
 
     live = [Hypothesis((BOS_ID,), 0.0)]
-    pool: list[Hypothesis] = []
+    pool: list[ScoredHypothesis] = []
 
     for _ in range(params.max_len):
         if not live:
             break
-        # (-score, prefix, token, parent, combined, per-input) per candidate.
-        candidates: list[tuple] = []
-        for hyp in live:
-            combined, per_input = ensemble_step(model, inputs, hyp.prefix, params.reduce)
-            allowed = _allowed_tokens(combined, hyp.prefix, params)
-            if allowed[EOS_ID]:
-                pool.append(_extend(hyp, EOS_ID, combined, per_input, vocab))
-                allowed[EOS_ID] = False
-            # The global top beam_size under (-score, prefix) lies within each
-            # prefix's own top beam_size, ranked by the same float sums with
-            # ties to the smaller token id, so the rest are never considered.
-            # Only tokens scoring at least the beam_size-th best are sorted.
-            ids = np.flatnonzero(allowed)
-            scores = hyp.ensemble_score + combined[ids]
-            if len(ids) > params.beam_size:
-                keep = scores >= np.partition(scores, -params.beam_size)[-params.beam_size]
-                ids, scores = ids[keep], scores[keep]
-            candidates.extend(
-                (-float(scores[i]), hyp.prefix, int(ids[i]), hyp, combined, per_input)
-                for i in np.argsort(-scores, kind="stable")[: params.beam_size]
-            )
-        if not candidates and not pool:
+        steps = [ensemble_step(model, inputs, hyp.prefix, params.reduce) for hyp in live]
+        scores = np.empty((len(live), width))
+        allowed = np.empty((len(live), width), dtype=bool)
+        for i, (hyp, (combined, per_input)) in enumerate(zip(live, steps)):
+            scores[i] = hyp.ensemble_score + combined
+            # the mask, not a -inf score, marks what is selectable: two finite
+            # scores near -1e308 can sum to -inf and must still rank
+            allowed[i] = _allowed_tokens(combined, hyp.prefix, params)
+            if allowed[i, EOS_ID]:
+                row = _trace_row(EOS_ID, combined, per_input, vocab)
+                trace = TraceMatrix(input_labels, hyp.rows + (row,))
+                pool.append(_scored(hyp.prefix[1:] + (EOS_ID,), float(scores[i, EOS_ID]),
+                                    trace, params))
+        allowed[:, EOS_ID] = False
+        flat = np.flatnonzero(allowed)
+        if not len(flat) and not pool:
             raise DecodeError(
                 "no viable continuation for any hypothesis "
                 f"({_constraint_summary(live[0].prefix, params)})"
             )
         if len(pool) >= params.beam_size:
             break
-        candidates.sort(key=lambda c: c[:3])
-        live = [_extend(h, w, c, p, vocab) for _, _, w, h, c, p in candidates[: params.beam_size]]
+        # Live prefixes share one length and stay in sequence order, so flat
+        # index order is (prefix, token) order: the stable sort breaks score
+        # ties toward the smaller sequence, and the survivors in ascending
+        # flat index keep ``live`` in sequence order. Only entries scoring at
+        # least the beam_size-th best are sorted; ties at the cut all stay.
+        picked = scores.ravel()[flat]
+        if len(flat) > params.beam_size:
+            keep = picked >= np.partition(picked, -params.beam_size)[-params.beam_size]
+            flat, picked = flat[keep], picked[keep]
+        survivors = np.sort(flat[np.argsort(-picked, kind="stable")[: params.beam_size]])
+        extended = []
+        for i, w in zip(*np.divmod(survivors, width)):
+            hyp, (combined, per_input) = live[i], steps[i]
+            row = _trace_row(w, combined, per_input, vocab)
+            extended.append(Hypothesis(hyp.prefix + (int(w),), float(scores[i, w]),
+                                       hyp.rows + (row,)))
+        live = extended
 
     if not pool:
         raise DecodeError(
             f"no hypothesis finished within max_len={params.max_len}"
         )
-    pool.sort(
-        key=lambda h: (
-            -ranked_score(h.ensemble_score, h.content_length, params.length_penalty_alpha),
-            h.prefix,
-        )
-    )
-    return [
-        _scored(h.prefix[1:], h.ensemble_score, TraceMatrix(input_labels, h.rows), params)
-        for h in pool[: params.beam_size]
-    ]
+    pool.sort(key=lambda h: (-h.ranked_score, h.tokens))
+    return pool[: params.beam_size]
 
 
 MAX_BRUTE_FORCE_VOCAB = 8

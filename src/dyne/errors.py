@@ -4,7 +4,8 @@ Cluster and hypotheses JSONL, model specs and ``--config`` files are all
 read and decoded here, so a fault reads one way whatever the file:
 ``cannot read <what> <path>: <reason>``, or ``<path>[: line <n>]: <fault>``
 with ``invalid JSON: ...``, ``must hold a JSON object``, ``unknown
-field(s): ...`` or ``missing field '...'`` as the fault.
+field(s): ...``, ``missing field '...'`` or, in JSONL, ``duplicate <kind>
+id '...' (first seen on line <m>)`` as the fault.
 """
 
 from __future__ import annotations
@@ -39,11 +40,27 @@ def read_input(path: str | Path, what: str) -> str:
         raise FormatError(f"cannot read {what} {path}: {exc}") from exc
 
 
-def input_lines(path: str | Path, what: str) -> Iterator[tuple[str, str]]:
-    """``("<path>: line <n>", line)`` for each non-blank line of a JSONL file."""
+def input_records(path: str | Path, what: str, id_name: str, required: Collection[str],
+                  allowed: Collection[str] | None = None) -> Iterator[tuple[str, dict]]:
+    """``("<path>: line <n>", record)`` for each non-blank line of a JSONL file:
+    a JSON object (see `parse_object`) with a string ``id``, checked before
+    the other ``required`` fields, that no earlier line holds; ``id_name``
+    names that id in the duplicate message."""
+    seen: dict[str, int] = {}  # id -> line of its first record
     for lineno, line in enumerate(read_input(path, what).splitlines(), start=1):
-        if line.strip():
-            yield f"{path}: line {lineno}", line
+        if not line.strip():
+            continue
+        where = f"{path}: line {lineno}"
+        rec = parse_object(line, where, ("id", *required), allowed)
+        key = rec["id"]
+        if not isinstance(key, str):
+            raise FormatError(f"{where}: field 'id' must be a string")
+        if key in seen:
+            raise FormatError(
+                f"{where}: duplicate {id_name} {key!r} (first seen on line {seen[key]})"
+            )
+        seen[key] = lineno
+        yield where, rec
 
 
 def parse_object(text: str, where: str, required: Collection[str] = (),

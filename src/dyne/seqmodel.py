@@ -213,7 +213,15 @@ class ToyModelSpec:
 
     @classmethod
     def from_json_text(cls, text: str) -> "ToyModelSpec":
+        """Parse a spec; every fault is a ValueError that starts with ``model spec: ``."""
         doc = parse_object(text, "model spec", required=_SPEC_FIELDS, allowed=_SPEC_FIELDS)
+        try:
+            return cls._from_doc(doc)
+        except ValueError as exc:
+            raise type(exc)(f"model spec: {exc}") from exc
+
+    @classmethod
+    def _from_doc(cls, doc: dict) -> "ToyModelSpec":
         if not (isinstance(doc["vocab"], list) and all(isinstance(t, str) for t in doc["vocab"])):
             raise FormatError("field 'vocab' must be a list of strings")
         vocab = Vocab(tuple(doc["vocab"]))

@@ -213,6 +213,22 @@ class TestEvaluate:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "line 1" in err
 
+    def test_repeated_hypothesis_id_rejected(self, tmp_path, capsys):
+        # scoring the repeat would weight its cluster twice in the mean
+        (tmp_path / "clusters.jsonl").write_text(
+            '{"id": "c1", "documents": ["x"], "references": ["the cat"]}\n'
+            '{"id": "c2", "documents": ["x"], "references": ["the cat"]}\n'
+        )
+        hyp = tmp_path / "hyp.jsonl"
+        hyp.write_text('{"id": "c1", "text": "the cat"}\n{"id": "c2", "text": "dog"}\n\n'
+                       '{"id": "c1", "text": "the cat"}\n')
+        report = tmp_path / "report.json"
+        assert main(["evaluate", "--hypotheses", str(hyp), "--clusters",
+                     str(tmp_path / "clusters.jsonl"), "--report", str(report)]) == 2
+        assert capsys.readouterr().err.splitlines()[0] == (
+            f"error: {hyp}: line 4: duplicate hypothesis id 'c1' (first seen on line 1)")
+        assert not report.exists()
+
     def test_unnamed_cluster_references_never_tokenized(self, tmp_path, capsys):
         # c2's only reference is empty after punctuation stripping; scoring
         # c1 alone must not touch it, while naming c2 is an error.
@@ -352,6 +368,16 @@ class TestSweep:
         err = capsys.readouterr().err
         assert "cluster blank: ValueError: document 0 tokenizes to nothing" in err
         assert err.index("cluster blank") < err.index("error:")
+
+
+    @pytest.mark.parametrize("sizes", ["1 1", "2 1 2"])
+    def test_repeated_size_rejected_before_decoding(self, workspace, capsys, sizes):
+        tmp, flags, _ = workspace
+        out = tmp / "x"
+        assert main(["sweep", *flags, "--sizes", *sizes.split(), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.splitlines()[0] == f"error: sizes must not repeat a value, got {sizes[0]} twice"
+        assert not out.exists()
 
 
 class TestTrace:
@@ -507,6 +533,7 @@ class TestConfigFile:
         pytest.param("metrics", ["rouge-0"], id="metrics-rouge-0"),
         pytest.param("metrics", ["rouge-1", "rouge-1"], id="metrics-repeated"),
         ("beta", math.inf),
+        pytest.param("sizes", [1, 1], id="sizes-repeated"),
     ])
     def test_invalid_config_value_rejected_before_decoding(self, workspace, capsys, key, value):
         tmp, flags, _ = workspace
@@ -554,6 +581,18 @@ class TestConfigFile:
         err = capsys.readouterr().err
         assert err.startswith("error:") and paths[bad] in err and "utf-8" in err
         assert not (tmp / "x").exists()
+
+    @pytest.mark.parametrize("command, given, missing", [
+        ("decode", ["--out"], "--model, --clusters"),
+        ("evaluate", ["--report"], "--hypotheses, --clusters"),
+        ("sweep", ["--sizes", "1", "--out"], "--model, --clusters"),
+        ("trace", ["--output"], "--model, --clusters, --cluster-id"),
+    ])
+    def test_missing_required_flag_rejected(self, tmp_path, capsys, command, given, missing):
+        assert main([command, *given, str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: missing required argument(s) for {command}: {missing} ")
+        assert list(tmp_path.iterdir()) == []
 
     def test_config_accepts_what_flags_accept(self, workspace):
         tmp, flags, _ = workspace
@@ -608,4 +647,23 @@ class TestInputFaults:
         assert main(argv) == 2
         first_line = capsys.readouterr().err.splitlines()[0]
         assert first_line.startswith(f"error: {path}:")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("field, value, fault", [
+        ("vocab", "abc", "field 'vocab' must be a list of strings"),
+        ("lambda", 2.0, "copy weight must lie in [0, 1]"),
+        ("bigram_counts", [["zz", "a", 1]], "bigram_counts[0] names unknown token 'zz'"),
+    ], ids=["vocab", "lambda", "bigram-token"])
+    def test_model_spec_fault_reads_model_spec(self, workspace, capsys, field, value, fault):
+        tmp, flags, _ = workspace
+        spec = {"lambda": 1.0, "smooth_k": 1.0, "vocab": ["<s>", "</s>", "<unk>", "a"],
+                "bigram_counts": [], field: value}
+        path = tmp / "bad_model"
+        path.write_text(json.dumps(spec))
+        flags = list(flags)
+        flags[flags.index("--model") + 1] = str(path)
+        out = tmp / "out"
+        assert main(["decode", *flags, "--out", str(out)]) == 2
+        first_line = capsys.readouterr().err.splitlines()[0]
+        assert first_line.startswith(f"error: {path}: model spec: {fault}")
         assert not out.exists()

@@ -78,6 +78,18 @@ class UnscoredModel:
         raise AssertionError("scored before the inputs were checked")
 
 
+class LastTokenModel:
+    """Scores every input with ``rows[prefix[-1]]``."""
+
+    vocab = AB
+
+    def __init__(self, rows):
+        self.rows = rows
+
+    def score_batch(self, inputs, prefix):
+        return np.tile(np.array(self.rows[prefix[-1]]), (len(inputs), 1))
+
+
 # model-output shape faults on two inputs over AB (V = 5): (reshape, what it returns)
 MISSHAPEN = {
     "extra-column": (lambda v: np.hstack([v, v[:, :1]]), "(2, 6)"),
@@ -275,6 +287,28 @@ class TestBeamSearch:
         params = DecodeParams(beam_size=2, max_len=2, min_len=1)
         best = beam_search(model, [(A,)], params)[0]
         assert best.tokens == (UNK_ID, EOS_ID)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_continuations_summing_to_minus_inf_still_rank(self):
+        # finite scores near -1e308 sum to -inf; the selectable mask, not the
+        # score, decides what ranks, so (4, 4) survives the second step
+        row = [-np.inf, -1e308, -np.inf, 0.0, -1e308]
+        model = LastTokenModel(dict.fromkeys((BOS_ID, A, B), row))
+        params = DecodeParams(beam_size=4, max_len=3, min_len=2)
+        hyps = beam_search(model, [(A,)], params)
+        assert [h.tokens for h in hyps] == [(A, A, EOS_ID), (A, B, EOS_ID),
+                                           (B, A, EOS_ID), (B, B, EOS_ID)]
+        assert [h.raw_score for h in hyps] == [-1e308, -np.inf, -np.inf, -np.inf]
+
+    def test_score_ties_go_to_the_smaller_sequence_after_the_first_step(self):
+        # b outscores a at step 1, then a-a and b-a tie for the last slot:
+        # a-a wins only if the live prefixes stay in sequence order
+        model = LastTokenModel({BOS_ID: [-np.inf, 0.0, -np.inf, -2.0, -1.0],
+                                A: [-np.inf, 0.0, -np.inf, -1.0, -10.0],
+                                B: [-np.inf, 0.0, -np.inf, -2.0, -1.0]})
+        hyps = beam_search(model, [(A,)], DecodeParams(beam_size=2, max_len=3, min_len=2))
+        assert [(h.tokens, h.raw_score) for h in hyps] == [((B, B, EOS_ID), -2.0),
+                                                          ((A, A, EOS_ID), -3.0)]
 
     def test_bos_never_generated(self):
         model = UniformModel(AB)  # assigns BOS nonzero probability
@@ -591,15 +625,18 @@ class TestHypothesisType:
         row = TraceRow(A, "a", float(combined[A]), tuple(float(v[A]) for v in per))
         hyp = Hypothesis(prefix=(BOS_ID, A), ensemble_score=row.combined, rows=(row,))
         assert abs(hyp.ensemble_score - np.mean(hyp.rows[0].per_input)) <= 1e-9
-        assert hyp.content_length == 1
 
-    def test_finished_flag_must_match_eos(self):
-        with pytest.raises(ValueError, match="finished"):
-            Hypothesis(prefix=(BOS_ID, A), ensemble_score=-1.0, rows=(ROW_A,), finished=True)
-        with pytest.raises(ValueError, match="finished"):
-            Hypothesis(prefix=(BOS_ID, EOS_ID), ensemble_score=-2.0, rows=(ROW_EOS,))
+    def test_live_hypothesis_rules(self):
+        # BOS first, no EOS at the end (taking EOS makes a result), one row per token
         with pytest.raises(ValueError, match="BOS"):
             Hypothesis(prefix=(A,), ensemble_score=0.0)
+        with pytest.raises(ValueError, match="must not end with EOS"):
+            Hypothesis(prefix=(BOS_ID, EOS_ID), ensemble_score=-2.0, rows=(ROW_EOS,))
+        with pytest.raises(ValueError, match="must not end with EOS"):
+            Hypothesis(prefix=(BOS_ID, A, EOS_ID), ensemble_score=-3.0, rows=(ROW_A, ROW_EOS))
+        with pytest.raises(ValueError, match="one trace row"):
+            Hypothesis(prefix=(BOS_ID, A, A), ensemble_score=-1.0, rows=(ROW_A,))
+        assert Hypothesis(prefix=(BOS_ID, A), ensemble_score=-1.0, rows=(ROW_A,)).rows == (ROW_A,)
 
     def test_one_row_per_generated_token(self):
         assert Hypothesis(prefix=(BOS_ID,), ensemble_score=0.0).rows == ()

@@ -61,6 +61,61 @@ def test_unused_import_guard_names_file_line_and_name():
     assert unused_imports(source, "m.py") == ["m.py:2: json", "m.py:5: Any"]
 
 
+def unused_private_names(sources: dict[str, str]) -> list[str]:
+    """``<filename>:<line>: <name>`` for each module-level ``_name`` (def, class
+    or assignment) that no module in ``sources`` loads as a name or attribute."""
+    defined: list[tuple[str, int, str]] = []
+    loaded: set[str] = set()
+    for filename, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            defined += [(filename, node.lineno, name) for name in names
+                        if name.startswith("_") and not name.startswith("__")]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.attr)
+    return [f"{filename}:{line}: {name}" for filename, line, name in defined
+            if name not in loaded]
+
+
+def test_no_unused_private_names():
+    modules = sorted((ROOT / "src" / "dyne").glob("*.py"))
+    assert len(modules) > 2
+    sources = {str(path.relative_to(ROOT)): path.read_text("utf-8") for path in modules}
+    assert unused_private_names(sources) == []
+
+
+def test_unused_private_name_guard_names_file_line_and_name():
+    sources = {
+        "a.py": ("__all__ = []\n"
+                 "_LIMIT = 3\n"
+                 "def _helper():\n"
+                 "    return _LIMIT\n"
+                 "class _Orphan:\n"
+                 "    pass\n"
+                 "_table: dict = {}\n"
+                 "_stored = 1\n"
+                 "_stored = 2\n"),
+        "b.py": ("from a import _helper\n"
+                 "import a\n"
+                 "x = a._table\n"
+                 "y = _helper()\n"
+                 "a._Orphan = None\n"),
+    }
+    assert unused_private_names(sources) == [
+        "a.py:5: _Orphan", "a.py:8: _stored", "a.py:9: _stored",
+    ]
+
+
 def run_script(name: str, *args: str) -> subprocess.CompletedProcess:
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p
