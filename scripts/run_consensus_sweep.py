@@ -4,7 +4,8 @@
 Generates the synthetic benchmark, then runs the CLI sweep over the given
 ensemble sizes with the corpus's decode config and reports how summary
 quality moves with the number of ensembled documents. Rerunning with the
-same seed reproduces every output byte.
+same seed into a new ``--out`` reproduces every output byte; the sweep
+refuses an ``--out`` whose ``sweep/`` already holds files.
 """
 
 from __future__ import annotations

@@ -68,6 +68,15 @@ def _trace_filename(index: int, cluster_id: str, fmt: str) -> str:
     return f"{index:04d}_{safe}.{fmt}"
 
 
+def _fresh_out(path: str) -> Path:
+    """``--out`` as a path that is new or an empty directory, so no file of an
+    earlier run can sit beside this run's artifacts."""
+    out = Path(path)
+    if out.exists() and not (out.is_dir() and not any(out.iterdir())):
+        raise ValueError(f"--out {path} already exists and is not an empty directory")
+    return out
+
+
 def _decode_params(args) -> DecodeParams:
     """The decode settings, with the run sizes checked before anything is loaded."""
     for name in ("max_docs", "max_input_tokens", "sizes"):
@@ -153,11 +162,12 @@ def _report_failures(failures: list[tuple[str, str]]) -> None:
 
 
 def cmd_decode(args, settings: dict) -> int:
+    out_dir = _fresh_out(args.out)
     params = _decode_params(args)
     model = load_model(args.model)
     clusters = load_clusters(args.clusters)
-    _, failures = _decode_run(model, clusters, args, params, args.max_docs, Path(args.out))
-    _write_json(Path(args.out) / "run_config.json", settings)
+    _, failures = _decode_run(model, clusters, args, params, args.max_docs, out_dir)
+    _write_json(out_dir / "run_config.json", settings)
     done = len(clusters) - len(failures)
     print(f"decoded {done}/{len(clusters)} clusters -> {args.out}")
     _report_failures(failures)
@@ -170,32 +180,39 @@ def _load_hypotheses(path: Path) -> list[dict]:
         if not isinstance(rec["text"], str):
             raise FormatError(f"{where}: field 'text' must be a string")
         records.append(rec)
+    if not records:
+        raise FormatError(f"{path}: holds no records")
     return records
 
 
-def _evaluate_records(
-    records: list[dict],
-    clusters: ClusterSet,
-    cfg: RougeConfig,
-    metrics: tuple[str, ...],
-    ref_tokens: dict[str, list[list[str]]],
-) -> dict:
-    """Score every record. ``ref_tokens`` maps cluster ids to reference tokens
-    under ``cfg``; it fills on first use, so one command can share it."""
-    missing = [r["id"] for r in records if clusters.get(r["id"]) is None]
+def _reference_tokens(clusters: ClusterSet, ids: list[str],
+                      cfg: RougeConfig) -> dict[str, list[list[str]]]:
+    """The references of each named cluster, tokenized under ``cfg``; checked
+    before anything is decoded or scored."""
+    missing = [cid for cid in ids if clusters.get(cid) is None]
     if missing:
         raise ValueError(f"hypothesis ids not present in cluster file: {', '.join(missing)}")
-    unreferenced = [r["id"] for r in records if not clusters.get(r["id"]).references]
+    unreferenced = [cid for cid in ids if not clusters.get(cid).references]
     if unreferenced:
         raise ValueError(
             f"clusters without references cannot be evaluated: {', '.join(unreferenced)}"
         )
+    ref_tokens = {}
+    for cid in ids:
+        try:
+            ref_tokens[cid] = tokenize_references(list(clusters.get(cid).references), cfg)
+        except ValueError as exc:
+            raise ValueError(f"cluster {cid}: {exc}") from exc
+    return ref_tokens
+
+
+def _evaluate_records(records: list[dict], cfg: RougeConfig, metrics: tuple[str, ...],
+                      ref_tokens: dict[str, list[list[str]]]) -> dict:
+    """Score every record against ``ref_tokens`` (see `_reference_tokens`)."""
     per_cluster = []
     scores: dict[str, list] = {metric: [] for metric in metrics}
     for rec in records:
         cid = rec["id"]
-        if cid not in ref_tokens:
-            ref_tokens[cid] = tokenize_references(list(clusters.get(cid).references), cfg)
         hyp_tokens = tokenize(rec["text"], cfg)
         row: dict = {"id": cid}
         for metric in metrics:
@@ -210,11 +227,9 @@ def _evaluate_records(
 def cmd_evaluate(args, settings: dict) -> int:
     rouge_cfg, metrics = _rouge_setup(args)
     records = _load_hypotheses(Path(args.hypotheses))
-    if not records:
-        print("hypotheses file holds no records", file=sys.stderr)
-        return 1
     clusters = load_clusters(args.clusters)
-    report = _evaluate_records(records, clusters, rouge_cfg, metrics, {})
+    ref_tokens = _reference_tokens(clusters, [r["id"] for r in records], rouge_cfg)
+    report = _evaluate_records(records, rouge_cfg, metrics, ref_tokens)
     print(f"{'metric':<10} {'precision':>10} {'recall':>10} {'f':>10}")
     for metric, comps in report["mean"].items():
         print(f"{metric:<10} {comps['precision']:>10.6f} "
@@ -226,21 +241,21 @@ def cmd_evaluate(args, settings: dict) -> int:
 
 
 def cmd_sweep(args, settings: dict) -> int:
+    out_dir = _fresh_out(args.out)
     params = _decode_params(args)
     rouge_cfg, metrics = _rouge_setup(args)
     model = load_model(args.model)
     clusters = load_clusters(args.clusters)
-    out_dir = Path(args.out)
+    ref_tokens = _reference_tokens(clusters, [c.id for c in clusters], rouge_cfg)
 
     failed = False
     rows = []
-    ref_tokens: dict[str, list[list[str]]] = {}
     for size in args.sizes:
         size_dir = out_dir / f"size_{size}"
         records, failures = _decode_run(model, clusters, args, params, size, size_dir)
         _report_failures(failures)  # before evaluating, which fails if none decoded
         failed = failed or bool(failures)
-        report = _evaluate_records(records, clusters, rouge_cfg, metrics, ref_tokens)
+        report = _evaluate_records(records, rouge_cfg, metrics, ref_tokens)
         _write_json(size_dir / "report.json", report)
         rows.append((size, report["mean"]))
 

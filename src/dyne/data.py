@@ -82,15 +82,11 @@ def load_clusters(path: str | Path) -> ClusterSet:
 
 
 def clusters_to_jsonl(clusters: ClusterSet) -> str:
-    lines = []
-    for c in clusters:
-        lines.append(
-            json.dumps(
-                {"id": c.id, "documents": list(c.documents), "references": list(c.references)},
-                sort_keys=True,
-            )
-        )
-    return "\n".join(lines) + "\n" if lines else ""
+    return "".join(
+        json.dumps({"id": c.id, "documents": list(c.documents), "references": list(c.references)},
+                   sort_keys=True) + "\n"
+        for c in clusters
+    )
 
 
 def save_clusters(clusters: ClusterSet, path: str | Path) -> None:

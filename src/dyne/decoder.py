@@ -119,10 +119,6 @@ class ScoredHypothesis:
     ranked_score: float
     trace: TraceMatrix
 
-    @property
-    def content_length(self) -> int:
-        return len(self.tokens) - 1
-
 
 def _canonical(per_input: list[LogProbVector] | np.ndarray) -> np.ndarray:
     """The checked ``[N, V]`` stack with sorted columns, so a reduce does not
@@ -171,9 +167,8 @@ def reduce_mean_prob(per_input: list[LogProbVector] | np.ndarray) -> LogProbVect
     top = arr[-1]
     out = np.full(arr.shape[1], -np.inf)
     live = top > -np.inf
-    if np.any(live):
-        shifted = np.exp(arr[:, live] - top[live])
-        out[live] = top[live] + np.log(np.sum(shifted, axis=0) / arr.shape[0])
+    shifted = np.exp(arr[:, live] - top[live])
+    out[live] = top[live] + np.log(np.sum(shifted, axis=0) / arr.shape[0])
     return out
 
 
@@ -207,26 +202,19 @@ def ensemble_step(
 
 
 def ranked_score(raw: float, content_length: int, alpha: float) -> float:
-    """Length-penalized ranking score: raw / content_length**alpha.
+    """Length-penalized ranking score: raw / max(1, content_length)**alpha.
 
-    With alpha = 0 this is the raw score. A zero-length hypothesis (the
-    bare end marker) uses divisor 1 to stay defined for alpha > 0.
+    The bare end marker (content length 0) uses divisor 1. With alpha = 0
+    the divisor is 1.0, so the result is the raw score bit for bit.
     """
-    if alpha == 0.0:
-        return raw
     return raw / max(1, content_length) ** alpha
 
 
 def _banned_next_tokens(prefix: TokenSeq, n: int) -> set[int]:
-    """Tokens that would complete an n-gram already present in the prefix."""
-    if len(prefix) < n:
-        return set()
-    tail = prefix[len(prefix) - (n - 1):] if n > 1 else ()
-    banned = set()
-    for i in range(len(prefix) - n + 1):
-        if prefix[i:i + n - 1] == tail:
-            banned.add(prefix[i + n - 1])
-    return banned
+    """Tokens that would complete an n-gram already present in the prefix:
+    each token that follows an occurrence of the prefix's last n - 1 tokens."""
+    tail = prefix[len(prefix) - n + 1:]
+    return {prefix[i + n - 1] for i in range(len(prefix) - n + 1) if prefix[i:i + n - 1] == tail}
 
 
 def _allowed_tokens(
@@ -316,11 +304,13 @@ def beam_search(
     Each step scores every live prefix once and ranks all their selectable
     continuations together; a hypothesis that takes EOS is a result at
     once and joins the pool. The search stops once the pool holds
-    ``beam_size`` results or no live hypothesis remains. All tie-breaks
-    (pruning and final ranking) prefer the lexicographically smaller
-    token-id sequence, so output is fully deterministic. Each trace holds
-    exactly the scores the search used for the chosen tokens; nothing is
-    rescored.
+    ``beam_size`` results or no live hypothesis remains; the mask alone
+    enforces ``max_len`` (see `_allowed_tokens`). A step with nothing
+    selectable and an empty pool is a DecodeError naming the constraints
+    in effect. All tie-breaks (pruning and final ranking) prefer the
+    lexicographically smaller token-id sequence, so output is fully
+    deterministic. Each trace holds exactly the scores the search used for
+    the chosen tokens; nothing is rescored.
     """
     inputs, input_labels = _checked_inputs(inputs, input_labels)
     vocab = model.vocab
@@ -329,9 +319,9 @@ def beam_search(
     live = [Hypothesis((BOS_ID,), 0.0)]
     pool: list[ScoredHypothesis] = []
 
-    for _ in range(params.max_len):
-        if not live:
-            break
+    # Live prefixes grow together; at content length max_len - 1 the mask
+    # leaves only EOS, so after at most max_len steps nothing is live.
+    while live:
         steps = [ensemble_step(model, inputs, hyp.prefix, params.reduce) for hyp in live]
         scores = np.empty((len(live), width))
         allowed = np.empty((len(live), width), dtype=bool)
@@ -372,10 +362,6 @@ def beam_search(
                                        hyp.rows + (row,)))
         live = extended
 
-    if not pool:
-        raise DecodeError(
-            f"no hypothesis finished within max_len={params.max_len}"
-        )
     pool.sort(key=lambda h: (-h.ranked_score, h.tokens))
     return pool[: params.beam_size]
 

@@ -21,14 +21,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-import math
 from dataclasses import dataclass
-
-
-def _format_float(x: float) -> str:
-    if x == -math.inf:
-        return "-inf"
-    return f"{x:.17g}"
 
 
 @dataclass(frozen=True)
@@ -82,14 +75,7 @@ class TraceMatrix:
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["timestep", "token", "combined", *self.input_labels])
         for t, row in enumerate(self.rows):
-            writer.writerow(
-                [
-                    t,
-                    row.token,
-                    _format_float(row.combined),
-                    *(_format_float(x) for x in row.per_input),
-                ]
-            )
+            writer.writerow([t, row.token, *(f"{x:.17g}" for x in (row.combined, *row.per_input))])
         return buf.getvalue()
 
     def to_json(self) -> str:

@@ -87,8 +87,6 @@ def _ngrams(tokens: list[str], n: int) -> Counter:
 
 
 def _lcs_length(xs: list[str], ys: list[str]) -> int:
-    if not xs or not ys:
-        return 0
     prev = [0] * (len(ys) + 1)
     for x in xs:
         cur = [0]

@@ -136,7 +136,7 @@ def check_token_seq(
     for pos, t in enumerate(ids):
         if not 0 <= t < size:
             raise ValueError(f"{name}[{pos}] = {t} out of vocabulary range [0, {size})")
-    if require_bos and (not ids or ids[0] != BOS_ID):
+    if require_bos and ids[0] != BOS_ID:
         raise ValueError(f"{name} must begin with the BOS id {BOS_ID}")
 
 

@@ -311,6 +311,20 @@ class TestSweep:
             ]) == 0
             assert (out / f"size_{size}" / "report.json").read_bytes() == report.read_bytes()
 
+    def test_references_checked_before_the_first_decode(self, workspace, capsys):
+        tmp, flags, _ = workspace
+        path = Path(flags[flags.index("--clusters") + 1])
+        lines = path.read_text().splitlines()
+        third = json.loads(lines[2])
+        third["references"] = ["!!! ..."]
+        lines[2] = json.dumps(third)
+        path.write_text("\n".join(lines) + "\n")
+        out = tmp / "sweep"
+        assert main(["sweep", *flags, "--sizes", "1", "2", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: cluster {third['id']}: reference 0 is empty after tokenization\n")
+        assert not out.exists()
+
     def test_each_text_tokenized_once_per_command(self, tmp_path, monkeypatch):
         corpus = build_consensus_corpus(n_clusters=1, seed=3)
         (cluster,) = corpus.clusters
@@ -623,6 +637,7 @@ _FAULTY_INPUTS = {
     ("hypotheses", "invalid-json"): '{"id": \n',
     ("hypotheses", "not-an-object"): '"summary"\n',
     ("hypotheses", "missing-field"): '{"id": "c"}\n',
+    ("hypotheses", "no-records"): "\n",
 }
 
 
@@ -648,6 +663,31 @@ class TestInputFaults:
         first_line = capsys.readouterr().err.splitlines()[0]
         assert first_line.startswith(f"error: {path}:")
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["decode", "sweep"])
+    def test_out_that_holds_files_rejected(self, workspace, capsys, command):
+        # a rerun into a used --out would keep the old run's traces beside the new
+        tmp, flags, _ = workspace
+        flags = list(flags)
+        flags[flags.index("--model") + 1] = str(tmp / "missing.json")  # never read
+        argv = [command, *flags, *(["--sizes", "1"] if command == "sweep" else [])]
+        used, file = tmp / "used", tmp / "file"
+        (used / "traces").mkdir(parents=True)
+        (used / "traces" / "0002_c.csv").write_text("old")
+        file.write_text("old")
+        for out in (used, file):
+            assert main([*argv, "--out", str(out)]) == 2
+            assert capsys.readouterr().err == (
+                f"error: --out {out} already exists and is not an empty directory\n")
+        assert read_tree(used) == {"traces/0002_c.csv": b"old"}
+        assert file.read_text() == "old"
+
+    def test_empty_out_directory_accepted(self, workspace):
+        tmp, flags, _ = workspace
+        out = tmp / "run"
+        out.mkdir()
+        assert main(["decode", *flags, "--out", str(out)]) == 0
+        assert (out / "summaries.jsonl").exists()
 
     @pytest.mark.parametrize("field, value, fault", [
         ("vocab", "abc", "field 'vocab' must be a list of strings"),

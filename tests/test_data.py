@@ -116,6 +116,17 @@ class TestLoading:
         assert cs.get("c2").documents == ("b",)
         assert cs.get("missing") is None
 
+    def test_cluster_values_checked(self):
+        with pytest.raises(ValueError, match="cluster id must be a non-empty string"):
+            Cluster("", ("a",))
+        with pytest.raises(ValueError, match="duplicate cluster id 'c1'"):
+            ClusterSet((Cluster("c1", ("a",)), Cluster("c1", ("b",))))
+
+    def test_empty_cluster_set_writes_an_empty_file(self, tmp_path):
+        assert clusters_to_jsonl(ClusterSet(())) == ""
+        save_clusters(ClusterSet(()), tmp_path / "empty.jsonl")
+        assert load_clusters(tmp_path / "empty.jsonl") == ClusterSet(())
+
 
 CLUSTER_DOCS = [
     {"id": "c1", "documents": ["a b", "b c"], "references": ["a"]},

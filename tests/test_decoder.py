@@ -331,6 +331,21 @@ class TestBeamSearch:
         with pytest.raises(DecodeError, match="min_len"):
             beam_search(model, [(3,)], params)
 
+    def test_eos_scored_at_minus_inf_leaves_nothing_at_max_len(self):
+        # only EOS is selectable at content length max_len - 1, and the model
+        # rules it out; a search past max_len fails here instead of running on
+        row = [-math.inf, -math.inf, -math.inf, -0.5, -1.0]
+        model = LastTokenModel({BOS_ID: row, A: row, B: row})
+
+        def capped(inputs, prefix):
+            assert len(prefix) <= 3, "scored a prefix past max_len"
+            return LastTokenModel.score_batch(model, inputs, prefix)
+
+        model.score_batch = capped
+        with pytest.raises(DecodeError, match=r"^no viable continuation for any hypothesis "
+                           r"\(content length 2, max_len=3 forces EOS\)$"):
+            beam_search(model, [(A,)], DecodeParams(beam_size=2, max_len=3, min_len=0))
+
     def test_nan_from_model_is_an_error(self):
         with pytest.raises(ValueError, match="NaN"):
             beam_search(NaNModel(), [(A,)], DecodeParams(beam_size=2, max_len=3))
@@ -359,7 +374,7 @@ class TestBeamSearch:
             reduce=Reduce.MEAN_LOGPROB if rng.random() < 0.5 else Reduce.MEAN_PROB,
         )
         for hyp in beam_search(model, inputs, params):
-            assert params.min_len <= hyp.content_length <= params.max_len - 1
+            assert params.min_len <= len(hyp.tokens) - 1 <= params.max_len - 1
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=60, deadline=None)
@@ -655,6 +670,10 @@ class TestHypothesisType:
                 DecodeParams(length_penalty_alpha=alpha)
         with pytest.raises(ValueError, match="block_repeat_ngram"):
             DecodeParams(block_repeat_ngram=0)
+
+    def test_reduce_must_be_a_member(self):
+        with pytest.raises(ValueError, match="reduce must be a Reduce member, got 'mean_prob'"):
+            DecodeParams(reduce="mean_prob")
 
     def test_integer_params_must_be_integers(self):
         for name in ("beam_size", "max_len", "min_len", "block_repeat_ngram"):

@@ -158,6 +158,28 @@ class TestPorterStemmer:
         ("conditional", "condit"), ("rational", "ration"), ("agreed", "agre"),
         ("generalizations", "gener"), ("oscillators", "oscil"),
         ("at", "at"), ("on", "on"),
+        # the remaining step-by-step examples of Porter (1980), through all steps
+        ("caress", "caress"), ("bled", "bled"), ("conflated", "conflat"),
+        ("troubled", "troubl"), ("sized", "size"), ("tanned", "tan"), ("hissing", "hiss"),
+        ("fizzed", "fizz"), ("failing", "fail"), ("valenci", "valenc"),
+        ("hesitanci", "hesit"), ("digitizer", "digit"), ("conformabli", "conform"),
+        ("radicalli", "radic"), ("differentli", "differ"), ("vileli", "vile"),
+        ("analogousli", "analog"), ("vietnamization", "vietnam"), ("predication", "predic"),
+        ("operator", "oper"), ("feudalism", "feudal"), ("decisiveness", "decis"),
+        ("hopefulness", "hope"), ("callousness", "callous"), ("formaliti", "formal"),
+        ("sensitiviti", "sensit"), ("sensibiliti", "sensibl"), ("triplicate", "triplic"),
+        ("formative", "form"), ("formalize", "formal"), ("electriciti", "electr"),
+        ("electrical", "electr"), ("hopeful", "hope"), ("goodness", "good"),
+        ("revival", "reviv"), ("allowance", "allow"), ("inference", "infer"),
+        ("airliner", "airlin"), ("gyroscopic", "gyroscop"), ("adjustable", "adjust"),
+        ("defensible", "defens"), ("irritant", "irrit"), ("replacement", "replac"),
+        ("adjustment", "adjust"), ("dependent", "depend"), ("adoption", "adopt"),
+        ("homologou", "homolog"), ("communism", "commun"), ("activate", "activ"),
+        ("angulariti", "angular"), ("homologous", "homolog"), ("effective", "effect"),
+        ("bowdlerize", "bowdler"), ("probate", "probat"), ("rate", "rate"), ("cease", "ceas"),
+        ("controll", "control"), ("roll", "roll"),
+        # -ion stays unless after s or t; step 5a drops the e of a short cvc-less stem
+        ("opinion", "opinion"), ("ate", "at"),
     ]
 
     @pytest.mark.parametrize("word,expected", CASES)

@@ -96,6 +96,12 @@ class TestVocab:
         with pytest.raises(ValueError, match=r"vocab token 'c\\ud800' holds an unpaired surrogate"):
             Vocab.from_content(["a", "c\ud800"])
 
+    def test_token_id_out_of_range_rejected(self, ab_vocab):
+        assert ab_vocab.token(4) == "b"
+        for idx in (-1, 5):
+            with pytest.raises(ValueError, match=f"token id {idx} out of range for vocab of"):
+                ab_vocab.token(idx)
+
     def test_encode_token_maps_oov_to_unk(self, ab_vocab):
         assert ab_vocab.encode_token("a") == 3
         assert ab_vocab.encode_token("zebra") == UNK_ID
