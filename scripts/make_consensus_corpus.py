@@ -9,10 +9,10 @@ via ``--config``.
 from __future__ import annotations
 
 import argparse
-import json
 from pathlib import Path
 
 from dyne.data import save_clusters
+from dyne.errors import json_text, write_output
 from dyne.synthetic import ConsensusCorpus, build_consensus_corpus
 
 
@@ -33,7 +33,7 @@ def write_corpus(corpus: ConsensusCorpus, out: Path) -> Path:
         "seed": p.seed,
     }
     path = out / "decode_config.json"
-    path.write_text(json.dumps(config, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    write_output(path, json_text(config))
     return path
 
 

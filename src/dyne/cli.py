@@ -21,43 +21,20 @@ run. A sweep has no ``--max-docs``: each size decodes with max_docs = size.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
-import io
-import json
-import os
 import re
 import sys
-import tempfile
 from pathlib import Path
 
 from .data import Cluster, ClusterSet, load_clusters, select_document_indices, tokenize_and_truncate
 from .decoder import DecodeParams, Reduce, beam_search
-from .errors import DecodeError, FormatError, input_records, parse_object, read_input
+from .errors import (DecodeError, FormatError, csv_text, input_records, json_text, jsonl_text,
+                     parse_object, read_input, write_output)
 from .rouge import (
     DEFAULT_METRICS, MultiRefStrategy, RougeConfig, mean_score, parse_metric, score_tokens,
     tokenize, tokenize_references,
 )
 from .seqmodel import SequenceModel, load_model
-
-
-def _atomic_write(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
-
-
-def _write_json(path: Path, obj) -> None:
-    _atomic_write(path, json.dumps(obj, sort_keys=True, indent=2) + "\n")
 
 
 _UNSAFE_ID = re.compile(r"[^0-9A-Za-z_.-]+")
@@ -146,11 +123,9 @@ def _decode_run(model: SequenceModel, clusters: ClusterSet, args, params: Decode
             failures.append((cluster.id, f"{type(exc).__name__}: {exc}"))
             continue
         records.append(record)
-        _atomic_write(
-            out_dir / "traces" / _trace_filename(index, cluster.id, args.trace_format),
-            trace_text,
-        )
-    _atomic_write(out_dir / "summaries.jsonl", "".join(json.dumps(r, sort_keys=True) + "\n" for r in records))
+        name = _trace_filename(index, cluster.id, args.trace_format)
+        write_output(out_dir / "traces" / name, trace_text)
+    write_output(out_dir / "summaries.jsonl", jsonl_text(records))
     return records, failures
 
 
@@ -167,7 +142,7 @@ def cmd_decode(args, settings: dict) -> int:
     model = load_model(args.model)
     clusters = load_clusters(args.clusters)
     _, failures = _decode_run(model, clusters, args, params, args.max_docs, out_dir)
-    _write_json(out_dir / "run_config.json", settings)
+    write_output(out_dir / "run_config.json", json_text(settings))
     done = len(clusters) - len(failures)
     print(f"decoded {done}/{len(clusters)} clusters -> {args.out}")
     _report_failures(failures)
@@ -235,7 +210,7 @@ def cmd_evaluate(args, settings: dict) -> int:
         print(f"{metric:<10} {comps['precision']:>10.6f} "
               f"{comps['recall']:>10.6f} {comps['f']:>10.6f}")
     if args.report:
-        _write_json(Path(args.report), report)
+        write_output(args.report, json_text(report))
         print(f"report -> {args.report}")
     return 0
 
@@ -256,17 +231,15 @@ def cmd_sweep(args, settings: dict) -> int:
         _report_failures(failures)  # before evaluating, which fails if none decoded
         failed = failed or bool(failures)
         report = _evaluate_records(records, rouge_cfg, metrics, ref_tokens)
-        _write_json(size_dir / "report.json", report)
+        write_output(size_dir / "report.json", json_text(report))
         rows.append((size, report["mean"]))
 
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
     comps = ("precision", "recall", "f")
-    writer.writerow(["size", *(f"{m}_{c}" for m in metrics for c in comps)])
-    for size, means in rows:
-        writer.writerow([size, *(f"{means[m][c]:.17g}" for m in metrics for c in comps)])
-    _atomic_write(out_dir / "sweep.csv", buf.getvalue())
-    _write_json(out_dir / "run_config.json", settings)
+    write_output(out_dir / "sweep.csv", csv_text([
+        ["size", *(f"{m}_{c}" for m in metrics for c in comps)],
+        *([size, *(means[m][c] for m in metrics for c in comps)] for size, means in rows),
+    ]))
+    write_output(out_dir / "run_config.json", json_text(settings))
 
     print(f"{'size':<6}" + "".join(f"{m + ' f':>14}" for m in metrics))
     for size, means in rows:
@@ -281,12 +254,11 @@ def cmd_trace(args, settings: dict) -> int:
     clusters = load_clusters(args.clusters)
     cluster = clusters.get(args.cluster_id)
     if cluster is None:
-        print(f"no cluster with id {args.cluster_id!r}", file=sys.stderr)
-        return 1
+        raise ValueError(f"no cluster with id {args.cluster_id!r}")
     record, trace = _decode_cluster(model, cluster, args, params, args.max_docs)
     text = trace.export(args.trace_format)
     if args.output:
-        _atomic_write(Path(args.output), text)
+        write_output(args.output, text)
         print(f"trace -> {args.output}")
     else:
         sys.stdout.write(text)

@@ -11,13 +11,12 @@ dataset never change a cluster's selection.
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .errors import FormatError, input_records
+from .errors import FormatError, input_records, jsonl_text, write_output
 from .seqmodel import TokenSeq, Vocab, check_utf8
 
 
@@ -82,15 +81,12 @@ def load_clusters(path: str | Path) -> ClusterSet:
 
 
 def clusters_to_jsonl(clusters: ClusterSet) -> str:
-    return "".join(
-        json.dumps({"id": c.id, "documents": list(c.documents), "references": list(c.references)},
-                   sort_keys=True) + "\n"
-        for c in clusters
-    )
+    return jsonl_text({"id": c.id, "documents": list(c.documents), "references": list(c.references)}
+                      for c in clusters)
 
 
 def save_clusters(clusters: ClusterSet, path: str | Path) -> None:
-    Path(path).write_text(clusters_to_jsonl(clusters), encoding="utf-8")
+    write_output(path, clusters_to_jsonl(clusters))
 
 
 def _selection_rng(seed: int, cluster_id: str) -> np.random.Generator:

@@ -132,8 +132,8 @@ def _canonical(per_input: list[LogProbVector] | np.ndarray) -> np.ndarray:
     if len(widths) != 1:
         raise ValueError(f"distributions disagree on vocabulary size: {sorted(widths)}")
     arr = np.asarray(per_input, dtype=float)
-    if np.isnan(arr).any():
-        raise ValueError("model returned NaN scores; log-probabilities must be numbers or -inf")
+    if not (arr < np.inf).all():  # false for NaN and +inf alike
+        raise ValueError("model returned NaN or +inf; log-probabilities must be finite or -inf")
     if len(arr) > 1:
         arr = np.ascontiguousarray(np.sort(np.ascontiguousarray(arr.T)).T)
     # after the column sort, equal end rows mean equal values in every row; the
@@ -198,6 +198,7 @@ def ensemble_step(
     if not isinstance(per_input, np.ndarray) or per_input.shape != expected:
         got = per_input.shape if isinstance(per_input, np.ndarray) else type(per_input).__name__
         raise ValueError(f"score_batch returned {got}; expected an ndarray of shape {expected}")
+    per_input = per_input.astype(float, copy=False)  # the floats the reduce and trace see
     return _REDUCERS[reduce](per_input), per_input
 
 
@@ -326,10 +327,11 @@ def beam_search(
         scores = np.empty((len(live), width))
         allowed = np.empty((len(live), width), dtype=bool)
         for i, (hyp, (combined, per_input)) in enumerate(zip(live, steps)):
-            scores[i] = hyp.ensemble_score + combined
             # the mask, not a -inf score, marks what is selectable: two finite
-            # scores near -1e308 can sum to -inf and must still rank
+            # scores near -1e308 can sum to -inf and must still rank. Masked
+            # entries are never read, so they are not summed (-inf + inf is NaN)
             allowed[i] = _allowed_tokens(combined, hyp.prefix, params)
+            np.add(hyp.ensemble_score, combined, out=scores[i], where=allowed[i])
             if allowed[i, EOS_ID]:
                 row = _trace_row(EOS_ID, combined, per_input, vocab)
                 trace = TraceMatrix(input_labels, hyp.rows + (row,))

@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the one reader of input files.
+"""Shared exception types, the one reader of input files and the one writer of outputs.
 
 Cluster and hypotheses JSONL, model specs and ``--config`` files are all
 read and decoded here, so a fault reads one way whatever the file:
@@ -6,12 +6,18 @@ read and decoded here, so a fault reads one way whatever the file:
 with ``invalid JSON: ...``, ``must hold a JSON object``, ``unknown
 field(s): ...``, ``missing field '...'`` or, in JSONL, ``duplicate <kind>
 id '...' (first seen on line <m>)`` as the fault.
+
+Every output file, from the CLI or a library save, is encoded by `json_text`,
+`jsonl_text` or `csv_text` and written by `write_output`.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import json
-from collections.abc import Collection, Iterator
+import os
+from collections.abc import Collection, Iterable, Iterator, Sequence
 from pathlib import Path
 
 
@@ -81,3 +87,39 @@ def parse_object(text: str, where: str, required: Collection[str] = (),
         if name not in doc:
             raise FormatError(f"{where}: missing field {name!r}")
     return doc
+
+
+def write_output(path: str | Path, text: str) -> None:
+    """Replace ``path`` (creating its directories) with ``text`` in UTF-8 in one
+    step, through a new file beside it, so readers see the old file or the new
+    one, never a part; like any file ``open`` creates, it gets 0o666 minus the umask."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f".{path.name}.{os.urandom(6).hex()}.tmp")
+    fh = open(tmp, "x", encoding="utf-8", newline="")  # never an existing file
+    try:
+        with fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def json_text(doc) -> str:
+    """``doc`` as a JSON document: sorted keys, indent 2, final newline."""
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+def jsonl_text(records: Iterable) -> str:
+    """One JSON line, with sorted keys, per record."""
+    return "".join(json.dumps(rec, sort_keys=True) + "\n" for rec in records)
+
+
+def csv_text(rows: Iterable[Sequence]) -> str:
+    """CSV with ``\\n`` line ends; floats as ``%.17g``, enough digits to
+    round-trip exactly."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(
+        [f"{v:.17g}" if isinstance(v, float) else v for v in row] for row in rows)
+    return buf.getvalue()

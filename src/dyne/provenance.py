@@ -18,10 +18,9 @@ and ``-Infinity`` in JSON).
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 from dataclasses import dataclass
+
+from .errors import csv_text, json_text
 
 
 @dataclass(frozen=True)
@@ -71,12 +70,10 @@ class TraceMatrix:
         return sum(row.combined for row in self.rows)
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["timestep", "token", "combined", *self.input_labels])
-        for t, row in enumerate(self.rows):
-            writer.writerow([t, row.token, *(f"{x:.17g}" for x in (row.combined, *row.per_input))])
-        return buf.getvalue()
+        return csv_text([
+            ["timestep", "token", "combined", *self.input_labels],
+            *([t, row.token, row.combined, *row.per_input] for t, row in enumerate(self.rows)),
+        ])
 
     def to_json(self) -> str:
         doc = {
@@ -92,7 +89,7 @@ class TraceMatrix:
                 for t, row in enumerate(self.rows)
             ],
         }
-        return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+        return json_text(doc)
 
     def export(self, fmt: str) -> str:
         """Serialize to ``"csv"`` or ``"json"``."""

@@ -19,7 +19,6 @@ Both are deterministic and safe for concurrent read-only scoring.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 import re
 from dataclasses import dataclass, field
@@ -29,7 +28,7 @@ from typing import Iterable, Protocol, Sequence
 
 import numpy as np
 
-from .errors import FormatError, parse_object, read_input
+from .errors import FormatError, json_text, parse_object, read_input, write_output
 
 BOS_ID = 0
 EOS_ID = 1
@@ -45,8 +44,8 @@ RESERVED_TOKENS = (BOS_TOKEN, EOS_TOKEN, UNK_TOKEN)
 TokenSeq = tuple[int, ...]
 
 #: A next-token distribution in log space, one entry per vocabulary id.
-#: Entries may be ``-inf`` (masked) but never NaN; model outputs satisfy
-#: ``|logsumexp(v)| <= 1e-6``.
+#: Entries may be ``-inf`` (masked) but never NaN or ``+inf``, either of
+#: which stops a decode; model outputs satisfy ``|logsumexp(v)| <= 1e-6``.
 LogProbVector = np.ndarray
 
 
@@ -147,7 +146,8 @@ class SequenceModel(Protocol):
     def vocab(self) -> Vocab: ...
 
     def score_batch(self, inputs: Sequence[TokenSeq], prefix: TokenSeq) -> np.ndarray:
-        """``[len(inputs), len(vocab)]`` next-token log-scores, one row per input."""
+        """``[len(inputs), len(vocab)]`` next-token log-scores, one row per input;
+        a NaN or ``+inf`` entry stops the decode with a ValueError."""
 
 
 _SPEC_FIELDS = ("lambda", "smooth_k", "vocab", "bigram_counts")
@@ -209,7 +209,7 @@ class ToyModelSpec:
             "vocab": list(self.vocab.tokens),
             "bigram_counts": triples,
         }
-        return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+        return json_text(doc)
 
     @classmethod
     def from_json_text(cls, text: str) -> "ToyModelSpec":
@@ -259,7 +259,7 @@ class ToyModelSpec:
         )
 
     def save(self, path: str | Path) -> None:
-        Path(path).write_text(self.to_json_text(), encoding="utf-8")
+        write_output(path, self.to_json_text())
 
     @classmethod
     def load(cls, path: str | Path) -> "ToyModelSpec":

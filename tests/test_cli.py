@@ -6,12 +6,14 @@ import csv
 import io
 import json
 import math
+import os
+import stat
 import sys
 from pathlib import Path
 
 import pytest
 
-from dyne import ToyModelSpec, Vocab, rouge, save_clusters
+from dyne import Cluster, ClusterSet, ToyModelSpec, Vocab, rouge, save_clusters
 from dyne.cli import main
 from dyne.synthetic import build_consensus_corpus
 
@@ -419,8 +421,8 @@ class TestTrace:
 
     def test_unknown_cluster_id(self, workspace, capsys):
         tmp, flags, _ = workspace
-        assert main(["trace", *flags, "--cluster-id", "ghost"]) == 1
-        assert "ghost" in capsys.readouterr().err
+        assert main(["trace", *flags, "--cluster-id", "ghost"]) == 2
+        assert capsys.readouterr().err == "error: no cluster with id 'ghost'\n"
 
     def test_impossible_constraints_are_an_error_line(self, tmp_path, capsys):
         # "a" is blocked after one use and EOS stays masked until two tokens.
@@ -435,6 +437,58 @@ class TestTrace:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and "min_len" in err
+
+
+class TestOutputFiles:
+    """Every output file goes through one writer: a new file replaces the old
+    one in one step, and a file gets the mode the umask gives new files."""
+
+    SAVES = {
+        "model_spec": lambda path: ToyModelSpec(1.0, 1.0, {}, Vocab.from_content(["a"])).save(path),
+        "clusters": lambda path: save_clusters(ClusterSet((Cluster("c", ("a",)),)), path),
+    }
+
+    @pytest.mark.parametrize("save", SAVES)
+    def test_failed_save_keeps_the_old_file_and_leaves_no_temporary(self, tmp_path, monkeypatch,
+                                                                      save):
+        path = tmp_path / "saved"
+        path.write_bytes(b"old bytes")
+
+        def refuse(src, dst):
+            raise OSError("replace refused")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        with pytest.raises(OSError, match="replace refused"):
+            self.SAVES[save](path)
+        monkeypatch.undo()
+        assert path.read_bytes() == b"old bytes"
+        assert [p.name for p in tmp_path.iterdir()] == ["saved"]
+        self.SAVES[save](path)  # and with a working replace, the save lands
+        assert path.read_bytes() != b"old bytes"
+        assert [p.name for p in tmp_path.iterdir()] == ["saved"]
+
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)],
+                             ids=["umask-022", "umask-077"])
+    def test_every_artifact_takes_the_umask_mode(self, workspace, umask, mode, capsys):
+        tmp, flags, corpus = workspace
+        cid = corpus.clusters.clusters[0].id
+        old = os.umask(umask)
+        try:
+            assert main(["decode", *flags, "--out", str(tmp / "decode")]) == 0
+            assert main(["sweep", *flags, "--sizes", "1", "2", "--out", str(tmp / "sweep")]) == 0
+            assert main(["evaluate", "--hypotheses", str(tmp / "decode" / "summaries.jsonl"),
+                         "--clusters", flags[flags.index("--clusters") + 1],
+                         "--report", str(tmp / "report.json")]) == 0
+            assert main(["trace", *flags, "--cluster-id", cid,
+                         "--output", str(tmp / "trace.csv")]) == 0
+        finally:
+            os.umask(old)
+        written = [p for d in ("decode", "sweep") for p in (tmp / d).rglob("*") if p.is_file()]
+        written += [tmp / "report.json", tmp / "trace.csv"]
+        n = len(corpus.clusters)  # per size: a trace per cluster, summaries, a report
+        assert len(written) == (n + 2) + (2 * (n + 2) + 2) + 2
+        modes = {str(p.relative_to(tmp)): oct(stat.S_IMODE(p.stat().st_mode)) for p in written}
+        assert modes == dict.fromkeys(modes, oct(mode))
 
 
 class TestRunConfig:

@@ -46,14 +46,16 @@ def skewed_model():
 
 
 class NaNModel:
-    """Uniform scores except NaN for token ``a``: breaks the model contract."""
+    """Uniform scores except ``value`` (NaN by default) for token ``a`` on
+    input 0: breaks the model contract."""
 
-    def __init__(self, vocab=AB):
+    def __init__(self, vocab=AB, value=math.nan):
         self.vocab = vocab
+        self.value = value
 
     def score_batch(self, inputs, prefix):
         v = np.full((len(inputs), len(self.vocab)), -math.log(len(self.vocab)))
-        v[:, A] = np.nan
+        v[0, A] = self.value
         return v
 
 
@@ -159,6 +161,11 @@ class TestReduceMeanLogprob:
         for reduce_fn in (reduce_mean_logprob, reduce_mean_prob):
             with pytest.raises(ValueError, match="NaN"):
                 reduce_fn([np.array([-1.0, -2.0]), np.array([-1.0, np.nan])])
+
+    def test_plus_inf_rejected_by_both_reducers(self):
+        for reduce_fn in (reduce_mean_logprob, reduce_mean_prob):
+            with pytest.raises(ValueError, match=r"NaN or \+inf"):
+                reduce_fn([np.array([-1.0, -2.0]), np.array([-1.0, np.inf])])
 
     @given(st.integers(0, 10_000), st.integers(2, 5))
     @settings(max_examples=50, deadline=None)
@@ -300,6 +307,26 @@ class TestBeamSearch:
                                            (B, A, EOS_ID), (B, B, EOS_ID)]
         assert [h.raw_score for h in hyps] == [-1e308, -np.inf, -np.inf, -np.inf]
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_masked_scores_are_not_added_to_a_running_plus_inf(self):
+        # ``a`` at the largest float overflows the running score to +inf; the
+        # masked ``b`` (-inf) must not be summed with it, which warns of NaN
+        row = [-1.0, -1.0, -np.inf, float(np.finfo(float).max), -np.inf]
+        model = LastTokenModel(dict.fromkeys((BOS_ID, A, B), row))
+        best = beam_search(model, [(A,)], DecodeParams(beam_size=1, max_len=4, min_len=3))[0]
+        assert best.tokens == (A, A, A, EOS_ID)
+        assert best.raw_score == np.inf
+
+    def test_integer_model_scores_are_traced_as_the_floats_reduced(self):
+        low = -(2**62 + 1)  # no float holds it; the reduce sees -2**62
+        model = LastTokenModel(dict.fromkeys((BOS_ID, UNK_ID, A, B), [low, -1, low, -2, low]))
+        best = beam_search(model, [(A,)], DecodeParams(beam_size=1, max_len=2))[0]
+        assert best.tokens == (A, EOS_ID)
+        assert [r.per_input for r in best.trace.rows] == [(-2.0,), (-1.0,)]
+        assert all(type(x) is float for r in best.trace.rows for x in r.per_input)
+        raw, trace = sequence_score(model, [(A,)], (UNK_ID, EOS_ID))
+        assert trace.rows[0].per_input == (float(low),) == (-(2.0**62),)
+
     def test_score_ties_go_to_the_smaller_sequence_after_the_first_step(self):
         # b outscores a at step 1, then a-a and b-a tie for the last slot:
         # a-a wins only if the live prefixes stay in sequence order
@@ -349,6 +376,14 @@ class TestBeamSearch:
     def test_nan_from_model_is_an_error(self):
         with pytest.raises(ValueError, match="NaN"):
             beam_search(NaNModel(), [(A,)], DecodeParams(beam_size=2, max_len=3))
+
+    @pytest.mark.parametrize("reduce", list(Reduce))
+    def test_plus_inf_from_model_is_an_error(self, reduce):
+        # Scored +inf by one of two inputs, ``a`` would rank at +inf under
+        # mean_logprob and be masked silently (inf - inf) under mean_prob.
+        with pytest.raises(ValueError, match=r"NaN or \+inf"):
+            beam_search(NaNModel(value=math.inf), [(A,), (B,)],
+                        DecodeParams(beam_size=2, max_len=3, reduce=reduce))
 
     def test_determinism(self):
         rng = np.random.default_rng(99)
@@ -703,3 +738,77 @@ def test_reducers_invariant_to_order_of_signed_zeros():
     for reduce_fn in (reduce_mean_logprob, reduce_mean_prob):
         outs = {reduce_fn(arr[list(order)]).tobytes() for order in itertools.permutations(range(3))}
         assert len(outs) == 1
+
+
+class TableModel:
+    """Scores every input set with one of fixed ``[K, N, V]`` tables, chosen by
+    the prefix, so that repeated calls on one prefix agree."""
+
+    vocab = AB
+
+    def __init__(self, tables):
+        self.tables = tables
+
+    def score_batch(self, inputs, prefix):
+        return self.tables[(len(prefix) + prefix[-1]) % len(self.tables)]
+
+
+def extreme_values(dtype) -> list:
+    """Model scores at the edges of ``dtype``: the model contract allows each
+    finite value and -inf, and forbids NaN and +inf."""
+    if np.issubdtype(dtype, np.integer):
+        info = np.iinfo(dtype)
+        return [0, -1, -3, 2, int(info.min), int(info.max)]
+    big = float(np.finfo(dtype).max)  # 1e308 as float64
+    return [-0.0, 0.0, -0.5, -2.0, -big, big, -math.inf, math.inf, math.nan]
+
+
+class TestModelOutputFuzz:
+    @pytest.mark.filterwarnings("ignore:overflow encountered")  # sums near -1e308 reach -inf
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_extreme_model_scores_fail_cleanly_or_decode_exactly(self, data):
+        dtype = data.draw(st.sampled_from([np.float64, np.float32, np.int64, np.int32]))
+        n, k = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+        common = [-1.0, -2.0] if np.issubdtype(dtype, np.floating) else [-1, -2]
+        values = st.sampled_from(common + extreme_values(dtype))
+        cells = data.draw(st.lists(st.one_of(st.sampled_from(common), values),
+                                   min_size=k * n * len(AB), max_size=k * n * len(AB)))
+        model = TableModel(np.array(cells, dtype=dtype).reshape(k, n, len(AB)))
+        inputs = [(A,)] * n
+        max_len = data.draw(st.integers(2, 4))
+        params = DecodeParams(
+            beam_size=1, max_len=max_len, min_len=data.draw(st.integers(0, max_len - 1)),
+            reduce=data.draw(st.sampled_from(list(Reduce))),
+            length_penalty_alpha=data.draw(st.sampled_from([0.0, 1.0])),
+        )
+        params = dataclasses.replace(params, beam_size=exhaustive_beam_size(AB, params))
+
+        for table in model.tables:
+            for reduce_fn in (reduce_mean_logprob, reduce_mean_prob):
+                try:
+                    out = reduce_fn(table)
+                except ValueError as exc:
+                    assert "NaN or +inf" in str(exc)
+                    continue
+                assert not np.isnan(out).any()
+                assert out.tobytes() == reduce_fn(table[::-1]).tobytes()
+
+        def run(search):
+            try:
+                return search(model, inputs, params)
+            except (ValueError, DecodeError) as exc:
+                assert str(exc)
+                return type(exc)
+
+        beam, oracle = run(beam_search), run(brute_force_search)
+        if isinstance(beam, type) or isinstance(oracle, type):
+            assert beam == oracle
+            return
+        best = beam[0]
+        assert best.tokens == oracle.tokens
+        assert best.raw_score.hex() == oracle.raw_score.hex()
+        assert best.trace.combined_total().hex() == best.raw_score.hex()
+        raw, trace = sequence_score(model, inputs, best.tokens, params.reduce)
+        assert raw.hex() == best.raw_score.hex()
+        assert bits(trace.rows) == bits(best.trace.rows)

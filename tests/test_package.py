@@ -116,6 +116,68 @@ def test_unused_private_name_guard_names_file_line_and_name():
     ]
 
 
+# (module, name) pairs that encode or write output: only dyne/errors.py uses them
+OUTPUT_NAMES = {("json", "dumps"), ("json", "dump"), ("csv", "writer"), ("os", "replace")}
+
+
+def output_writes(source: str, filename: str) -> list[str]:
+    """``<filename>:<line>: <what>`` for each place a module encodes or writes
+    output itself: any of `OUTPUT_NAMES`, any use of ``tempfile``,
+    ``.write_text(``/``.write_bytes(`` or ``open(`` in a write mode."""
+    hits: list[tuple[int, str]] = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            hits += [(node.lineno, "tempfile") for a in node.names if a.name == "tempfile"]
+        elif isinstance(node, ast.ImportFrom):
+            hits += [(node.lineno, f"{node.module}.{a.name}") for a in node.names
+                     if node.module == "tempfile" or (node.module, a.name) in OUTPUT_NAMES]
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and (
+                node.value.id == "tempfile" or (node.value.id, node.attr) in OUTPUT_NAMES):
+            hits.append((node.lineno, f"{node.value.id}.{node.attr}"))
+        elif isinstance(node, ast.Call):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name in ("write_text", "write_bytes"):
+                hits.append((node.lineno, f".{name}("))
+            elif name == "open":  # open(file, mode) or Path.open(mode)
+                modes = [k.value for k in node.keywords if k.arg == "mode"]
+                modes += node.args[isinstance(func, ast.Name):][:1]
+                mode = modes[0] if modes else ast.Constant("r")
+                if not (isinstance(mode, ast.Constant) and set(str(mode.value)) <= set("rbt")):
+                    hits.append((node.lineno, f"open(..., {ast.unparse(mode)})"))
+    return [f"{filename}:{line}: {what}" for line, what in sorted(hits)]
+
+
+def test_only_the_errors_module_writes_output():
+    modules = sorted((ROOT / "src" / "dyne").glob("*.py")) + sorted((ROOT / "scripts").glob("*.py"))
+    writer = ROOT / "src" / "dyne" / "errors.py"
+    assert writer in modules and len(modules) > 3
+    hits = [hit for path in modules if path != writer
+            for hit in output_writes(path.read_text("utf-8"), str(path.relative_to(ROOT)))]
+    assert hits == []
+
+
+def test_output_writer_guard_names_file_line_and_call():
+    source = ("import json, os, tempfile\n"
+              "from csv import writer\n"
+              "from pathlib import Path\n"
+              "text = json.dumps({})\n"
+              "json.loads(text)\n"
+              "Path('a').write_text(text)\n"
+              "open('a', 'w').close()\n"
+              "open('a').read() + open('a', mode='rb').read()\n"
+              "Path('a').open(mode='a')\n"
+              "Path('a').open('rt')\n"
+              "os.replace('a', 'b')\n"
+              "os.path.join('a', 'b')\n"
+              "open('a', text)\n")
+    assert output_writes(source, "m.py") == [
+        "m.py:1: tempfile", "m.py:2: csv.writer", "m.py:4: json.dumps", "m.py:6: .write_text(",
+        "m.py:7: open(..., 'w')", "m.py:9: open(..., 'a')", "m.py:11: os.replace",
+        "m.py:13: open(..., text)",
+    ]
+
+
 def run_script(name: str, *args: str) -> subprocess.CompletedProcess:
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p
