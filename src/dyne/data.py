@@ -22,7 +22,13 @@ from .seqmodel import TokenSeq, Vocab, check_utf8
 
 @dataclass(frozen=True)
 class Cluster:
-    """One decoding unit: related documents plus optional reference summaries."""
+    """One decoding unit: related documents plus optional reference summaries.
+
+    The id is a non-empty string that UTF-8 can encode, and every document
+    and reference is a string, so a cluster built in code builds exactly
+    when the same values in a cluster file load, and `save_clusters` writes
+    a file that `load_clusters` reads back to an equal cluster.
+    """
 
     id: str
     documents: tuple[str, ...]
@@ -31,11 +37,16 @@ class Cluster:
     def __post_init__(self) -> None:
         object.__setattr__(self, "documents", tuple(self.documents))
         object.__setattr__(self, "references", tuple(self.references))
-        if not self.id:
-            raise ValueError("cluster id must be a non-empty string")
+        if not (isinstance(self.id, str) and self.id):
+            raise ValueError(f"cluster id must be a non-empty string, got {self.id!r}")
         check_utf8((self.id,), "cluster id")
         if not self.documents:
             raise ValueError(f"cluster {self.id!r} has no documents")
+        for kind, texts in (("document", self.documents), ("reference", self.references)):
+            for i, text in enumerate(texts):
+                if not isinstance(text, str):
+                    raise ValueError(f"cluster {self.id!r} {kind} {i} must be a string, "
+                                     f"got {text!r}")
 
 
 @dataclass(frozen=True)
@@ -69,8 +80,7 @@ def load_clusters(path: str | Path) -> ClusterSet:
     for where, doc in input_records(path, "cluster file", "cluster id", required=("documents",),
                                     allowed=("id", "documents", "references")):
         for name in ("documents", "references"):
-            value = doc.get(name, [])
-            if not isinstance(value, list) or not all(isinstance(x, str) for x in value):
+            if not isinstance(doc.get(name, []), list):
                 raise FormatError(f"{where}: field {name!r} must be a list of strings")
         try:
             clusters.append(Cluster(doc["id"], tuple(doc["documents"]),

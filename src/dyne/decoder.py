@@ -25,7 +25,7 @@ from numbers import Integral
 
 import numpy as np
 
-from .errors import DecodeError
+from .errors import DecodeError, real_number
 from .provenance import TraceMatrix, TraceRow
 from .seqmodel import (
     BOS_ID,
@@ -53,7 +53,9 @@ class DecodeParams:
     ``min_len`` is the minimum number of content tokens before the end
     marker may be produced. ``length_penalty_alpha`` divides the raw score
     by ``content_length ** alpha`` at ranking time (0 disables it, the
-    default, since raw scores are plain sums). ``seed`` feeds any seeded
+    default, since raw scores are plain sums); it is a real number, stored
+    as a float, such that ``(max_len - 1) ** alpha`` is a finite float, so
+    no ranking overflows. ``seed`` feeds any seeded
     preprocessing (e.g. document selection); the search itself is
     deterministic and ignores it.
     """
@@ -75,10 +77,17 @@ class DecodeParams:
             raise ValueError(
                 f"min_len must be smaller than max_len, got {self.min_len} >= {self.max_len}"
             )
-        if not (math.isfinite(self.length_penalty_alpha) and self.length_penalty_alpha >= 0):
-            raise ValueError(
-                f"length_penalty_alpha must be finite and >= 0, got {self.length_penalty_alpha}"
-            )
+        alpha = real_number(self.length_penalty_alpha, "length_penalty_alpha")
+        if not (math.isfinite(alpha) and alpha >= 0):
+            raise ValueError(f"length_penalty_alpha must be finite and >= 0, got {alpha}")
+        if alpha:  # alpha 0 makes every divisor 1.0, whatever max_len is
+            try:
+                max(1, self.max_len - 1) ** alpha  # the largest divisor a ranking can use
+            except OverflowError:
+                raise ValueError(
+                    f"length_penalty_alpha {alpha} makes the length penalty "
+                    f"(max_len - 1) ** alpha overflow at max_len={self.max_len}") from None
+        object.__setattr__(self, "length_penalty_alpha", alpha)
         n = self.block_repeat_ngram
         if n is not None and (isinstance(n, bool) or not isinstance(n, Integral) or n < 1):
             raise ValueError(f"block_repeat_ngram must be a positive integer or None, got {n!r}")

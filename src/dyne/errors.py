@@ -8,7 +8,8 @@ field(s): ...``, ``missing field '...'`` or, in JSONL, ``duplicate <kind>
 id '...' (first seen on line <m>)`` as the fault.
 
 Every output file, from the CLI or a library save, is encoded by `json_text`,
-`jsonl_text` or `csv_text` and written by `write_output`.
+`jsonl_text` or `csv_text` and written by `write_output`. Every real-valued
+setting, read from a file or passed in code, is checked by `real_number`.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import io
 import json
 import os
 from collections.abc import Collection, Iterable, Iterator, Sequence
+from numbers import Real
 from pathlib import Path
 
 
@@ -36,6 +38,18 @@ class DecodeError(RuntimeError):
     with the model's zero-probability tokens leave no candidate token at
     some step. The message names the constraints in effect.
     """
+
+
+def real_number(value, name: str) -> float:
+    """``value`` as a plain float: a real number, not a bool, that fits in a
+    float (NaN and infinities included; range rules belong to the caller).
+    Anything else is a ValueError naming the setting ``name``."""
+    if isinstance(value, bool) or not isinstance(value, Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{name} must fit in a float") from None
 
 
 def read_input(path: str | Path, what: str) -> str:

@@ -24,6 +24,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 
+from .errors import real_number
 from .stemmer import porter_stem
 
 _TOKEN_CLEAN = re.compile(r"[^0-9a-zA-Z]+")
@@ -45,9 +46,11 @@ class RougeConfig:
     beta: float = 1.0
 
     def __post_init__(self) -> None:
+        beta = real_number(self.beta, "beta")
         # a square past the float range would turn every F score into NaN
-        if not (self.beta > 0 and math.isfinite(self.beta * self.beta)):
-            raise ValueError(f"beta must be positive with a finite square, got {self.beta}")
+        if not (beta > 0 and math.isfinite(beta * beta)):
+            raise ValueError(f"beta must be positive with a finite square, got {beta}")
+        object.__setattr__(self, "beta", beta)
 
 
 DEFAULT_CONFIG = RougeConfig()

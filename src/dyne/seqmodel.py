@@ -22,13 +22,13 @@ import itertools
 import math
 import re
 from dataclasses import dataclass, field
-from numbers import Integral
 from pathlib import Path
 from typing import Iterable, Protocol, Sequence
 
 import numpy as np
 
-from .errors import FormatError, json_text, parse_object, read_input, write_output
+from .errors import (FormatError, json_text, parse_object, read_input, real_number,
+                     write_output)
 
 BOS_ID = 0
 EOS_ID = 1
@@ -65,7 +65,7 @@ def check_utf8(texts: Sequence[str], what: str) -> None:
 
 @dataclass(frozen=True)
 class Vocab:
-    """Ordered token inventory with reserved begin/end/unknown markers.
+    """Ordered inventory of string tokens with reserved begin/end/unknown markers.
 
     Ids are contiguous positions in ``tokens``; the first three entries are
     always the reserved markers, so content tokens start at id 3.
@@ -76,6 +76,9 @@ class Vocab:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "tokens", tuple(self.tokens))
+        for tok in self.tokens:
+            if not isinstance(tok, str):
+                raise ValueError(f"vocab token {tok!r} must be a string")
         if len(self.tokens) < 4:
             raise ValueError(
                 f"vocab needs the 3 reserved tokens plus at least one content "
@@ -163,6 +166,13 @@ class ToyModelSpec:
     predictable alphabet: every content token plus the end marker. The
     begin and unknown markers are never predicted and carry probability
     zero (they are excluded from the alphabet rather than renormalized).
+
+    Construction checks every value, so a spec built in code builds exactly
+    when the same values in a file load, and round-trips through its file
+    form. Both numbers are real (not bools), stored as plain floats, and
+    ``smooth_k * (len(vocab) - 2)`` is finite. Counts map pairs of vocabulary
+    ids (ints or numpy integers) to ``int`` counts in ``[0, 2**53)``, and
+    ``<s>`` and ``<unk>`` are never a successor.
     """
 
     copy_weight: float
@@ -171,31 +181,27 @@ class ToyModelSpec:
     vocab: Vocab
 
     def __post_init__(self) -> None:
+        self.copy_weight = real_number(self.copy_weight, "copy weight (lambda)")
+        self.smooth_k = real_number(self.smooth_k, "smooth_k")
         if not 0.0 <= self.copy_weight <= 1.0:
             raise ValueError(f"copy weight must lie in [0, 1], got {self.copy_weight}")
-        if not (self.smooth_k > 0 and math.isfinite(self.smooth_k)):
-            raise ValueError(f"smooth_k must be finite and positive, got {self.smooth_k}")
-        size = len(self.vocab)
+        alphabet = len(self.vocab) - 2  # both components divide by smooth_k * alphabet
+        if not (self.smooth_k > 0 and math.isfinite(self.smooth_k * alphabet)):
+            raise ValueError(f"smooth_k must be positive and finite times the {alphabet} "
+                             f"predictable tokens, got {self.smooth_k}")
+        tokens, size = self.vocab.tokens, len(self.vocab)
         for pair, count in self.bigram_counts.items():
+            for t in pair:  # a bool is neither an int nor a numpy integer here
+                if not ((type(t) is int or isinstance(t, np.integer)) and 0 <= t < size):
+                    raise ValueError(f"bigram count id {t!r} not an integer in vocabulary range")
             prev, nxt = pair
-            if not (type(prev) is int and type(nxt) is int and type(count) is int
-                    and 0 <= count < 2**53 and 0 <= prev < size and 0 <= nxt < size
-                    and BOS_ID != nxt != UNK_ID):
-                self._check_count(pair, count)  # names the fault, or accepts numpy ids
-
-    def _check_count(self, pair: tuple[int, int], count: int) -> None:
-        """Raise ValueError naming what is wrong with one bigram count, if anything."""
-        for t in pair:
-            if isinstance(t, bool) or not isinstance(t, Integral) or not 0 <= t < len(self.vocab):
-                raise ValueError(f"bigram count id {t!r} not an integer in vocabulary range")
-        if pair[1] in (BOS_ID, UNK_ID):
-            raise ValueError(
-                f"bigram count targets unpredictable token "
-                f"{self.vocab.token(pair[1])!r} as successor"
-            )
-        # a float holds every count below 2**53 exactly, and their sums stay finite
-        if isinstance(count, bool) or not isinstance(count, int) or not 0 <= count < 2**53:
-            raise ValueError(f"bigram count for {pair} must be a nonnegative integer below 2**53")
+            if nxt == BOS_ID or nxt == UNK_ID:
+                raise ValueError(f"bigram count {tokens[prev]!r}->{tokens[nxt]!r} targets "
+                                 f"unpredictable token {tokens[nxt]!r} as successor")
+            # a float holds every count below 2**53 exactly, and their sums stay finite
+            if not (type(count) is int and 0 <= count < 2**53):
+                raise ValueError(f"bigram count {tokens[prev]!r}->{tokens[nxt]!r} must be a "
+                                 f"nonnegative integer below 2**53, got {count!r}")
 
     def to_json_text(self) -> str:
         """Canonical serialization: sorted fields, sorted count triples."""
@@ -213,25 +219,19 @@ class ToyModelSpec:
 
     @classmethod
     def from_json_text(cls, text: str) -> "ToyModelSpec":
-        """Parse a spec; every fault is a ValueError that starts with ``model spec: ``."""
+        """Parse a spec; every fault is a FormatError that starts with ``model spec: ``."""
         doc = parse_object(text, "model spec", required=_SPEC_FIELDS, allowed=_SPEC_FIELDS)
         try:
             return cls._from_doc(doc)
         except ValueError as exc:
-            raise type(exc)(f"model spec: {exc}") from exc
+            raise FormatError(f"model spec: {exc}") from exc
 
     @classmethod
     def _from_doc(cls, doc: dict) -> "ToyModelSpec":
-        if not (isinstance(doc["vocab"], list) and all(isinstance(t, str) for t in doc["vocab"])):
+        """The checks JSON adds: list shapes, token names and no repeated pair."""
+        if not isinstance(doc["vocab"], list):
             raise FormatError("field 'vocab' must be a list of strings")
         vocab = Vocab(tuple(doc["vocab"]))
-        for f in ("lambda", "smooth_k"):
-            if type(doc[f]) not in (int, float):
-                raise FormatError(f"field {f!r} must be a number")
-        try:
-            copy_weight, smooth_k = float(doc["lambda"]), float(doc["smooth_k"])
-        except OverflowError:
-            raise FormatError("fields 'lambda' and 'smooth_k' must fit in a float") from None
         counts: dict[tuple[int, int], int] = {}
         if not isinstance(doc["bigram_counts"], list):
             raise FormatError("field 'bigram_counts' must be a list of [prev, next, count] triples")
@@ -252,8 +252,8 @@ class ToyModelSpec:
                 raise FormatError(f"bigram_counts[{i}] repeats pair {prev_tok!r}->{next_tok!r}")
             counts[prev, nxt] = count
         return cls(
-            copy_weight=copy_weight,
-            smooth_k=smooth_k,
+            copy_weight=doc["lambda"],
+            smooth_k=doc["smooth_k"],
             bigram_counts=counts,
             vocab=vocab,
         )
@@ -266,8 +266,8 @@ class ToyModelSpec:
         text = read_input(path, "model spec")
         try:
             return cls.from_json_text(text)
-        except ValueError as exc:
-            raise type(exc)(f"{path}: {exc}") from exc
+        except FormatError as exc:
+            raise FormatError(f"{path}: {exc}") from exc
 
 
 class UniformModel:

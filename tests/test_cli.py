@@ -92,6 +92,16 @@ class TestDecode:
         assert err.startswith("error:") and "below 2**53" in err
         assert not out.exists()
 
+    def test_length_penalty_that_overflows_is_startup_error(self, workspace, capsys):
+        # it decoded every cluster, then failed each with OverflowError when ranking
+        tmp, flags, _ = workspace
+        out = tmp / "run"
+        assert main(["decode", *flags, "--length-penalty", "1e308", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: length_penalty_alpha 1e+308 makes the length penalty (max_len - 1) ** alpha "
+            "overflow at max_len=5\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("bad", ["model", "clusters"])
     def test_unpaired_surrogate_is_startup_error(self, workspace, capsys, bad):
         tmp, flags, _ = workspace
@@ -602,6 +612,9 @@ class TestConfigFile:
         pytest.param("metrics", ["rouge-1", "rouge-1"], id="metrics-repeated"),
         ("beta", math.inf),
         pytest.param("sizes", [1, 1], id="sizes-repeated"),
+        pytest.param("beta", 10**400, id="beta-int-past-float"),
+        pytest.param("length_penalty", 10**400, id="length_penalty-int-past-float"),
+        pytest.param("length_penalty", 1e308, id="length_penalty-overflows"),
     ])
     def test_invalid_config_value_rejected_before_decoding(self, workspace, capsys, key, value):
         tmp, flags, _ = workspace

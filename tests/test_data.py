@@ -122,6 +122,26 @@ class TestLoading:
         with pytest.raises(ValueError, match="duplicate cluster id 'c1'"):
             ClusterSet((Cluster("c1", ("a",)), Cluster("c1", ("b",))))
 
+    @pytest.mark.parametrize("args, message", [
+        ((5, ("a",)), "cluster id must be a non-empty string, got 5"),
+        (("c", (1, 2)), "cluster 'c' document 0 must be a string, got 1"),
+        (("c", ("a", None)), "cluster 'c' document 1 must be a string, got None"),
+        (("c", ("a",), (None,)), "cluster 'c' reference 0 must be a string, got None"),
+    ], ids=["int-id", "int-document", "none-document", "none-reference"])
+    def test_cluster_built_in_code_follows_the_file_rules(self, args, message):
+        # an int id raised TypeError; the others built, and save_clusters then
+        # wrote a file that load_clusters rejected
+        with pytest.raises(ValueError) as info:
+            Cluster(*args)
+        assert str(info.value) == message
+
+    def test_non_string_document_in_file_named(self, tmp_path):
+        path = tmp_path / "clusters.jsonl"
+        path.write_text('{"id": "c", "documents": ["a", 1]}\n')
+        with pytest.raises(FormatError) as info:
+            load_clusters(path)
+        assert str(info.value) == f"{path}: line 1: cluster 'c' document 1 must be a string, got 1"
+
     def test_empty_cluster_set_writes_an_empty_file(self, tmp_path):
         assert clusters_to_jsonl(ClusterSet(())) == ""
         save_clusters(ClusterSet(()), tmp_path / "empty.jsonl")

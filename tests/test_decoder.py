@@ -706,6 +706,37 @@ class TestHypothesisType:
         with pytest.raises(ValueError, match="block_repeat_ngram"):
             DecodeParams(block_repeat_ngram=0)
 
+    @pytest.mark.parametrize("alpha, message", [
+        ("x", "length_penalty_alpha must be a real number, got 'x'"),
+        (None, "length_penalty_alpha must be a real number, got None"),
+        (True, "length_penalty_alpha must be a real number, got True"),
+        (10**400, "length_penalty_alpha must fit in a float"),
+        (2000.0, "length_penalty_alpha 2000.0 makes the length penalty (max_len - 1) ** alpha "
+                 "overflow at max_len=4"),
+    ], ids=["str", "none", "bool", "int-past-float", "penalty-overflows"])
+    def test_length_penalty_fails_at_the_boundary(self, alpha, message):
+        # "x" raised TypeError and 10**400 OverflowError; alpha 2000 built, and
+        # both searches then failed with OverflowError when ranking a result
+        with pytest.raises(ValueError) as info:
+            DecodeParams(max_len=4, length_penalty_alpha=alpha)
+        assert str(info.value) == message
+
+    def test_length_penalty_bound_follows_max_len(self):
+        # 3 ** 600 is about 1e286, a float; 3 ** 700 is not. The beam holds all
+        # 15 finished sequences, so it must agree with the oracle
+        params = DecodeParams(beam_size=15, max_len=4, length_penalty_alpha=600)
+        assert type(params.length_penalty_alpha) is float
+        model, x = skewed_model()
+        beam, oracle = beam_search(model, [x], params), brute_force_search(model, [x], params)
+        assert (beam[0].tokens, beam[0].ranked_score) == (oracle.tokens, oracle.ranked_score)
+        with pytest.raises(ValueError, match="max_len=4"):
+            DecodeParams(max_len=4, length_penalty_alpha=700.0)
+        # one content token at most: every divisor is 1 ** alpha = 1.0
+        assert DecodeParams(max_len=2, min_len=0, length_penalty_alpha=1e308)
+        assert DecodeParams(max_len=10**400).length_penalty_alpha == 0.0
+        with pytest.raises(ValueError, match="length_penalty_alpha 5e-324 makes"):
+            DecodeParams(max_len=10**400, length_penalty_alpha=5e-324)
+
     def test_reduce_must_be_a_member(self):
         with pytest.raises(ValueError, match="reduce must be a Reduce member, got 'mean_prob'"):
             DecodeParams(reduce="mean_prob")

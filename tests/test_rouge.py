@@ -143,6 +143,18 @@ class TestConventions:
             with pytest.raises(ValueError, match="beta"):
                 RougeConfig(beta=beta)
 
+    @pytest.mark.parametrize("beta, message", [
+        ("x", "beta must be a real number, got 'x'"),
+        (None, "beta must be a real number, got None"),
+        (10**400, "beta must fit in a float"),
+    ], ids=["str", "none", "int-past-float"])
+    def test_beta_must_be_a_real_number(self, beta, message):
+        # "x" and None raised TypeError, 10**400 OverflowError
+        with pytest.raises(ValueError) as info:
+            RougeConfig(beta=beta)
+        assert str(info.value) == message
+        assert type(RougeConfig(beta=2).beta) is float
+
     def test_tokenize_pipeline(self):
         cfg = RougeConfig(lowercase=True, strip_punctuation=True, use_porter_stemming=True)
         assert tokenize("The Cats, running!", cfg) == ["the", "cat", "run"]

@@ -91,6 +91,13 @@ class TestVocab:
         with pytest.raises(ValueError, match="reserved"):
             Vocab(("a", "b", "c", "d"))
 
+    @pytest.mark.parametrize("token", [5, None, 1.5, ["a"]], ids=["int", "none", "float", "list"])
+    def test_non_string_token_named(self, token):
+        # an int raised TypeError from the UTF-8 check, a list from the index
+        with pytest.raises(ValueError) as info:
+            Vocab(("<s>", "</s>", "<unk>", "a", token))
+        assert str(info.value) == f"vocab token {token!r} must be a string"
+
     def test_unpaired_surrogate_token_rejected(self):
         assert Vocab.from_content(["café", "a\U0001F600"]).id_of("café") == 3
         with pytest.raises(ValueError, match=r"vocab token 'c\\ud800' holds an unpaired surrogate"):
@@ -343,6 +350,54 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="unpredictable"):
             ToyModelSpec(0.5, 1.0, {(3, UNK_ID): 1}, ab_vocab)
 
+    @pytest.mark.parametrize("value, message", [
+        (True, "must be a real number, got True"),
+        ("0.5", "must be a real number, got '0.5'"),
+        (None, "must be a real number, got None"),
+        (10**400, "must fit in a float"),
+    ], ids=["bool", "str", "none", "int-past-float"])
+    @pytest.mark.parametrize("field, name", [("copy_weight", "copy weight (lambda)"),
+                                             ("smooth_k", "smooth_k")])
+    def test_numbers_built_in_code_follow_the_file_rules(self, ab_vocab, field, name, value,
+                                                         message):
+        # each of these built, or failed with TypeError or OverflowError, and a
+        # spec with a bool number saved a file that its own loader rejected
+        values = {"copy_weight": 0.5, "smooth_k": 1.0, field: value}
+        with pytest.raises(ValueError) as info:
+            ToyModelSpec(bigram_counts={}, vocab=ab_vocab, **values)
+        assert str(info.value) == f"{name} {message}"
+
+    def test_numbers_are_stored_as_plain_floats(self, tmp_path, ab_vocab):
+        spec = ToyModelSpec(np.float32(0.5), 1, {}, ab_vocab)
+        assert type(spec.copy_weight) is float and type(spec.smooth_k) is float
+        spec.save(tmp_path / "model.json")  # a float32 was not JSON serializable
+        assert ToyModelSpec.load(tmp_path / "model.json") == spec
+
+    def test_smooth_k_times_the_alphabet_must_be_finite(self, ab_vocab):
+        # the alphabet is the end marker plus 2 content tokens; with 3 * smooth_k
+        # infinite, every row the model returned was all -inf
+        with pytest.raises(ValueError, match="smooth_k must be positive and finite times the 3 "
+                                             "predictable tokens, got 1e"):
+            ToyModelSpec(0.5, 1e308, {}, ab_vocab)
+        model = CopyBigramModel(ToyModelSpec(0.5, 5e307, {(3, 4): 2}, ab_vocab))
+        for prev in (BOS_ID, 3):
+            assert abs(logsumexp(model.score_next((3, 4), (BOS_ID, prev)))) <= 1e-12
+
+    @pytest.mark.parametrize("pair", [(-1, 4), (3, 5), (5, 3), (3, -1)])
+    def test_ids_must_lie_in_vocabulary_range(self, ab_vocab, pair):
+        with pytest.raises(ValueError, match="not an integer in vocabulary range"):
+            ToyModelSpec(0.5, 1.0, {pair: 2}, ab_vocab)
+
+    def test_count_faults_name_the_pair_by_its_tokens(self, ab_vocab):
+        with pytest.raises(ValueError) as info:
+            ToyModelSpec(0.5, 1.0, {(BOS_ID, 3): 1, (3, 4): -1}, ab_vocab)
+        assert str(info.value) == (
+            "bigram count 'a'->'b' must be a nonnegative integer below 2**53, got -1")
+        with pytest.raises(ValueError) as info:
+            ToyModelSpec(0.5, 1.0, {(4, UNK_ID): 1}, ab_vocab)
+        assert str(info.value) == (
+            "bigram count 'b'->'<unk>' targets unpredictable token '<unk>' as successor")
+
 
 class TestSpecSerialization:
     def test_round_trip_identity(self, ab_vocab):
@@ -444,6 +499,34 @@ class TestSpecLoaderErrors:
         text = json.dumps(dict(SPEC_DOC, **{field: 10**400}))
         with pytest.raises(FormatError, match=field):
             ToyModelSpec.from_json_text(text)
+
+    def test_negative_count_in_file_named_by_its_tokens(self):
+        doc = dict(SPEC_DOC, bigram_counts=[["<s>", "a", 2], ["a", "b", -1]])
+        with pytest.raises(FormatError) as info:
+            ToyModelSpec.from_json_text(json.dumps(doc))
+        assert str(info.value) == (
+            "model spec: bigram count 'a'->'b' must be a nonnegative integer below 2**53, got -1")
+
+    @pytest.mark.parametrize("changes, message", [
+        ({"lambda": 1.5}, "copy weight must lie in [0, 1], got 1.5"),
+        ({"lambda": True}, "copy weight (lambda) must be a real number, got True"),
+        ({"smooth_k": "1"}, "smooth_k must be a real number, got '1'"),
+        ({"smooth_k": 1e308}, "smooth_k must be positive and finite times the 3 predictable"),
+        ({"vocab": ["<s>", "</s>", "<unk>", "a", 5]}, "vocab token 5 must be a string"),
+        ({"vocab": ["<s>", "</s>", "<unk>", "a", "a"]}, "duplicate vocab token 'a'"),
+        ({"bigram_counts": [["a", "<s>", 1]]}, "bigram count 'a'->'<s>' targets unpredictable"),
+    ], ids=["lambda-range", "lambda-bool", "smooth_k-str", "smooth_k-bound", "vocab-token-type",
+            "vocab-duplicate", "bos-successor"])
+    def test_every_value_fault_is_a_format_error(self, changes, message):
+        with pytest.raises(FormatError) as info:
+            ToyModelSpec.from_json_text(json.dumps(dict(SPEC_DOC, **changes)))
+        assert str(info.value).startswith(f"model spec: {message}")
+
+    def test_bigram_faults_reported_before_number_faults(self):
+        # the numbers are checked when the spec is built, after the file's structure
+        doc = dict(SPEC_DOC, smooth_k=True, bigram_counts=[["a", "zz", 1]])
+        with pytest.raises(FormatError, match=r"bigram_counts\[0\] names unknown token 'zz'"):
+            ToyModelSpec.from_json_text(json.dumps(doc))
 
     @given(st.data())
     @settings(max_examples=300, deadline=None)
