@@ -55,7 +55,7 @@ class DecodeParams:
     by ``content_length ** alpha`` at ranking time (0 disables it, the
     default, since raw scores are plain sums); it is a real number, stored
     as a float, such that ``(max_len - 1) ** alpha`` is a finite float, so
-    no ranking overflows. ``seed`` feeds any seeded
+    no ranking overflows. ``seed``, any integer, feeds any seeded
     preprocessing (e.g. document selection); the search itself is
     deterministic and ignores it.
     """
@@ -73,6 +73,8 @@ class DecodeParams:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, Integral) or value < low:
                 raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+        if isinstance(self.seed, bool) or not isinstance(self.seed, Integral):
+            raise ValueError(f"seed must be an integer, got {self.seed!r}")
         if not self.min_len < self.max_len:
             raise ValueError(
                 f"min_len must be smaller than max_len, got {self.min_len} >= {self.max_len}"
@@ -95,7 +97,7 @@ class DecodeParams:
             raise ValueError(f"reduce must be a Reduce member, got {self.reduce!r}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class Hypothesis:
     """A live beam entry: shared prefix, running score and provenance rows.
 
@@ -119,7 +121,7 @@ class Hypothesis:
             raise ValueError("a hypothesis needs one trace row per generated token")
 
 
-@dataclass
+@dataclass(frozen=True)
 class ScoredHypothesis:
     """A finished decode: generated tokens (ending in EOS) and its scores."""
 
@@ -269,15 +271,20 @@ def _constraint_summary(prefix: TokenSeq, params: DecodeParams) -> str:
 def _checked_inputs(
     inputs: list[TokenSeq], input_labels: tuple[str, ...] | None
 ) -> tuple[tuple[TokenSeq, ...], tuple[str, ...]]:
-    """The inputs as tuples and one label per input (``input_<i>`` by
-    default), checked before anything is scored."""
+    """The inputs as tuples and one distinct string label per input
+    (``input_<i>`` by default), checked before anything is scored, so each
+    trace column is named apart."""
     if not inputs:
         raise ValueError("ensemble needs at least one input")
     inputs = tuple(tuple(x) for x in inputs)
     if input_labels is None:
         input_labels = tuple(f"input_{i}" for i in range(len(inputs)))
+    input_labels = tuple(input_labels)
     if len(input_labels) != len(inputs):
         raise ValueError(f"got {len(input_labels)} input labels for {len(inputs)} inputs")
+    if not all(isinstance(label, str) for label in input_labels) or (
+            len(set(input_labels)) != len(input_labels)):
+        raise ValueError(f"input labels must be distinct strings, got {input_labels!r}")
     return inputs, input_labels
 
 

@@ -46,6 +46,12 @@ class RougeConfig:
     beta: float = 1.0
 
     def __post_init__(self) -> None:
+        for name in ("lowercase", "strip_punctuation", "use_porter_stemming"):
+            if not isinstance(getattr(self, name), bool):
+                raise ValueError(f"{name} must be a bool, got {getattr(self, name)!r}")
+        if not isinstance(self.multi_ref_strategy, MultiRefStrategy):
+            raise ValueError(f"multi_ref_strategy must be a MultiRefStrategy member, "
+                             f"got {self.multi_ref_strategy!r}")
         beta = real_number(self.beta, "beta")
         # a square past the float range would turn every F score into NaN
         if not (beta > 0 and math.isfinite(beta * beta)):

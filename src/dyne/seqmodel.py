@@ -18,12 +18,14 @@ Both are deterministic and safe for concurrent read-only scoring.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Protocol, Sequence
+from types import MappingProxyType
+from typing import Iterable, Mapping, Protocol, Sequence
 
 import numpy as np
 
@@ -143,7 +145,8 @@ def check_token_seq(
 
 
 class SequenceModel(Protocol):
-    """Anything that can score the next token for several inputs sharing one prefix."""
+    """Anything that can score the next token for several inputs sharing one
+    prefix; each row of a batch depends only on its own input and the prefix."""
 
     @property
     def vocab(self) -> Vocab: ...
@@ -156,7 +159,7 @@ class SequenceModel(Protocol):
 _SPEC_FIELDS = ("lambda", "smooth_k", "vocab", "bigram_counts")
 
 
-@dataclass
+@dataclass(frozen=True)
 class ToyModelSpec:
     """Parameters of the copy/bigram mixture model.
 
@@ -172,17 +175,21 @@ class ToyModelSpec:
     form. Both numbers are real (not bools), stored as plain floats, and
     ``smooth_k * (len(vocab) - 2)`` is finite. Counts map pairs of vocabulary
     ids (ints or numpy integers) to ``int`` counts in ``[0, 2**53)``, and
-    ``<s>`` and ``<unk>`` are never a successor.
+    ``<s>`` and ``<unk>`` are never a successor. The spec is frozen, and its
+    counts are a read-only copy of the mapping passed in.
     """
 
     copy_weight: float
     smooth_k: float
-    bigram_counts: dict[tuple[int, int], int]
+    bigram_counts: Mapping[tuple[int, int], int]
     vocab: Vocab
 
     def __post_init__(self) -> None:
-        self.copy_weight = real_number(self.copy_weight, "copy weight (lambda)")
-        self.smooth_k = real_number(self.smooth_k, "smooth_k")
+        if not isinstance(self.vocab, Vocab):
+            raise ValueError(f"vocab must be a Vocab, got {self.vocab!r}")
+        for name, what in (("copy_weight", "copy weight (lambda)"), ("smooth_k", "smooth_k")):
+            object.__setattr__(self, name, real_number(getattr(self, name), what))
+        object.__setattr__(self, "bigram_counts", MappingProxyType(dict(self.bigram_counts)))
         if not 0.0 <= self.copy_weight <= 1.0:
             raise ValueError(f"copy weight must lie in [0, 1], got {self.copy_weight}")
         alphabet = len(self.vocab) - 2  # both components divide by smooth_k * alphabet
@@ -302,22 +309,21 @@ class CopyBigramModel:
         bigram(w | prev) = (C[prev, w] + k) / (sum_w' C[prev, w'] + k * |A|)
 
     Input tokens outside A (the unknown marker) do not contribute to the
-    copy counts, keeping the distribution normalized. The model holds one
-    copy-matrix entry, for the last input set, and one bigram table built
-    on first use, so its memory is bounded by the spec; each is set in one
-    assignment, so concurrent scoring stays deterministic.
+    copy counts, keeping the distribution normalized. All the model holds
+    derives from its frozen spec: the ``[V]`` mask of A (0 at ``<s>`` and
+    ``<unk>``, so ``|A| = V - 2``), one copy-matrix entry for the last input
+    set and the bigram table, cached on first use; so its memory is bounded.
     """
 
     def __init__(self, spec: ToyModelSpec):
         self._spec = spec
-        self._vocab = spec.vocab
-        self._alphabet = np.array((EOS_ID,) + spec.vocab.content_ids, dtype=np.intp)
+        self._on_alphabet = np.ones(len(spec.vocab))
+        self._on_alphabet[[BOS_ID, UNK_ID]] = 0.0
         self._copy_entry: tuple[tuple[TokenSeq, ...], np.ndarray] | None = None
-        self._bigram_table: tuple[np.ndarray, ...] | None = None
 
     @property
     def vocab(self) -> Vocab:
-        return self._vocab
+        return self._spec.vocab
 
     def _copy_part(self, inputs: tuple[TokenSeq, ...]) -> np.ndarray:
         """``[N, V]`` weighted copy distributions; validates each new input set."""
@@ -325,17 +331,16 @@ class CopyBigramModel:
         if entry is not None and entry[0] == inputs:
             return entry[1]
         for x in inputs:
-            check_token_seq(x, self._vocab, "input")
-        counts = np.stack([np.bincount(x, minlength=len(self._vocab)) for x in inputs])
-        counts = counts[:, self._alphabet].astype(float)
-        k = self._spec.smooth_k
-        probs = (counts + k) / (counts.sum(axis=-1, keepdims=True) + k * len(self._alphabet))
-        part = np.zeros((len(inputs), len(self._vocab)))
-        part[:, self._alphabet] = self._spec.copy_weight * probs
+            check_token_seq(x, self._spec.vocab, "input")
+        mask, k = self._on_alphabet, self._spec.smooth_k
+        counts = np.stack([np.bincount(x, minlength=len(mask)) for x in inputs]) * mask
+        totals = counts.sum(axis=-1, keepdims=True) + k * (len(mask) - 2)
+        part = self._spec.copy_weight * ((counts + k * mask) / totals)
         self._copy_entry = (inputs, part)
         return part
 
-    def _build_bigram_table(self) -> tuple[np.ndarray, ...]:
+    @functools.cached_property
+    def _bigram_table(self) -> tuple[np.ndarray, ...]:
         """Pairs sorted by previous token with ``starts`` offsets, each row's fill
         ``w * (k / total)`` and each pair's ``w * ((c + k) / total)``."""
         counts = self._spec.bigram_counts
@@ -343,25 +348,22 @@ class CopyBigramModel:
         order = np.argsort(pairs[0::2], kind="stable")
         prevs, nexts = pairs[0::2][order], pairs[1::2][order]
         raw = np.fromiter(counts.values(), float, len(counts))[order]
-        k, w, size = self._spec.smooth_k, 1.0 - self._spec.copy_weight, len(self._vocab)
+        k, w, size = self._spec.smooth_k, 1.0 - self._spec.copy_weight, len(self._spec.vocab)
         # sums of integer counts below 2**53 are exact in any order
-        totals = np.bincount(prevs, weights=raw, minlength=size) + k * len(self._alphabet)
-        on_alphabet = np.bincount(self._alphabet, minlength=size).astype(float)
+        totals = np.bincount(prevs, weights=raw, minlength=size) + k * (size - 2)
         starts = np.searchsorted(prevs, np.arange(size + 1))
-        return on_alphabet, w * (k / totals), starts, nexts, w * ((raw + k) / totals[prevs])
+        return w * (k / totals), starts, nexts, w * ((raw + k) / totals[prevs])
 
     def _bigram_part(self, prev: int) -> np.ndarray:
-        if self._bigram_table is None:  # built on first use, not at load
-            self._bigram_table = self._build_bigram_table()
-        on_alphabet, fill, starts, nexts, values = self._bigram_table
-        row = on_alphabet * fill[prev]
+        fill, starts, nexts, values = self._bigram_table
+        row = self._on_alphabet * fill[prev]
         lo, hi = starts[prev], starts[prev + 1]
         row[nexts[lo:hi]] = values[lo:hi]
         return row
 
     def score_batch(self, inputs: Sequence[TokenSeq], prefix: TokenSeq) -> np.ndarray:
         prefix = tuple(prefix)
-        check_token_seq(prefix, self._vocab, "prefix", require_bos=True)
+        check_token_seq(prefix, self._spec.vocab, "prefix", require_bos=True)
         probs = self._copy_part(tuple(map(tuple, inputs))) + self._bigram_part(prefix[-1])
         with np.errstate(divide="ignore"):
             return np.log(probs)

@@ -6,6 +6,7 @@ import contextlib
 import hashlib
 import io
 import json
+import re
 import tempfile
 from collections import Counter
 from pathlib import Path
@@ -292,3 +293,21 @@ def test_consensus_corpus_is_pinned():
     text = clusters_to_jsonl(c.clusters) + c.model_spec.to_json_text() + repr(c.decode_params)
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "499cf0cbca4d118398a30372637d7b0c4480a8715dba5379fff5ccc4d7cf1920")
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"docs_per_cluster": 41}, "need 205 distinct noise words per cluster but the pool has only 200"),
+    ({"signal_len": 41}, "signal_len 41 exceeds the signal pool 40"),
+], ids=["noise-pool", "signal-pool"])
+def test_consensus_corpus_rejects_what_its_pools_cannot_hold(kwargs, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        build_consensus_corpus(n_clusters=1, **kwargs)
+
+
+def test_consensus_corpus_fills_its_pools_exactly():
+    c = build_consensus_corpus(n_clusters=1, docs_per_cluster=40, signal_len=40)
+    (cluster,) = c.clusters
+    assert len(cluster.documents) == 40
+    assert len(set(cluster.references[0].split())) == 40
+    noise = {w for doc in cluster.documents for w in doc.split() if w.startswith("nz")}
+    assert len(noise) == 200  # every noise word of the pool, none shared

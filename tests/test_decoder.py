@@ -578,6 +578,14 @@ class TestEntryChecks:
             ENTRY_POINTS[entry](UnscoredModel(), [(A,), (B,), (A,)], ("x", "y"))
 
     @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    @pytest.mark.parametrize("labels", [("x", "x"), ("x", 1), (None, "y")],
+                             ids=["repeated", "int", "none"])
+    def test_labels_must_be_distinct_strings(self, entry, labels):
+        # a repeated label would name two trace columns alike
+        with pytest.raises(ValueError, match="input labels must be distinct strings"):
+            ENTRY_POINTS[entry](UnscoredModel(), [(A,), (B,)], labels)
+
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
     def test_empty_inputs_rejected_before_scoring(self, entry):
         with pytest.raises(ValueError, match="at least one input"):
             ENTRY_POINTS[entry](UnscoredModel(), [])

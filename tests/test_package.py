@@ -178,6 +178,57 @@ def test_output_writer_guard_names_file_line_and_call():
     ]
 
 
+def unfrozen_dataclasses(source: str, filename: str) -> list[str]:
+    """``<filename>:<line>: <Class>`` for each class decorated with ``dataclass``
+    (bare, called, or as ``dataclasses.dataclass``) without ``frozen=True``."""
+    hits = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        for dec in node.decorator_list:
+            target = dec.func if isinstance(dec, ast.Call) else dec
+            name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", None)
+            frozen = isinstance(dec, ast.Call) and any(
+                k.arg == "frozen" and isinstance(k.value, ast.Constant) and k.value.value is True
+                for k in dec.keywords)
+            if name == "dataclass" and not frozen:
+                hits.append(f"{filename}:{node.lineno}: {node.name}")
+    return hits
+
+
+def test_every_dataclass_is_frozen():
+    # a value that cannot change after its checks stays checked
+    modules = sorted((ROOT / "src" / "dyne").glob("*.py"))
+    assert len(modules) > 2
+    hits = [hit for path in modules
+            for hit in unfrozen_dataclasses(path.read_text("utf-8"), str(path.relative_to(ROOT)))]
+    assert hits == []
+
+
+def test_frozen_dataclass_guard_names_file_line_and_class():
+    source = ("import dataclasses\n"
+              "from dataclasses import dataclass\n"
+              "@dataclass\n"
+              "class A:\n"
+              "    x: int\n"
+              "@dataclass(frozen=True)\n"
+              "class B:\n"
+              "    x: int\n"
+              "@dataclasses.dataclass(order=True)\n"
+              "class C:\n"
+              "    x: int\n"
+              "@dataclasses.dataclass(eq=True, frozen=True)\n"
+              "class D:\n"
+              "    x: int\n"
+              "@dataclass(frozen=False)\n"
+              "class E:\n"
+              "    x: int\n"
+              "@staticmethod\n"
+              "class F:\n"
+              "    pass\n")
+    assert unfrozen_dataclasses(source, "m.py") == ["m.py:4: A", "m.py:10: C", "m.py:16: E"]
+
+
 def run_script(name: str, *args: str) -> subprocess.CompletedProcess:
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p

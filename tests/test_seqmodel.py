@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
+import operator
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -271,6 +273,38 @@ class TestCopyBigramModel:
             prefix = (BOS_ID,) if prev == BOS_ID else (BOS_ID, prev)
             assert np.array_equal(model.score_next(x, prefix), dense_reference(spec, x, prev))
 
+    @pytest.mark.parametrize("seed", range(24))
+    def test_rows_pinned_bitwise_to_the_documented_formulas(self, seed):
+        # every value is rebuilt in scalar floats, in the model's operation
+        # order, then goes through the same np.log on an array of the same shape
+        rng = np.random.default_rng(seed)
+        vocab = Vocab.from_content([f"w{i}" for i in range(int(rng.integers(1, 14)))])
+        size, alphabet = len(vocab), len(vocab) - 2
+        successors = [EOS_ID, *vocab.content_ids]
+        counts = {}
+        for _ in range(int(rng.integers(0, 3 * size))):
+            pair = (int(rng.integers(size)), int(rng.choice(successors)))
+            # up to 2**48 each: the row sums stay below 2**53, so they are exact
+            counts[pair] = int(rng.integers(0, 2 ** int(rng.choice([3, 20, 48]))))
+        cw = float(rng.choice([0.0, 1.0, rng.random(), rng.random()]))
+        k = float(rng.choice([1e-3, 1.0, rng.uniform(1e-3, 5.0), rng.uniform(1e-3, 5.0)]))
+        model = CopyBigramModel(ToyModelSpec(cw, k, counts, vocab))
+        inputs = [tuple(int(t) for t in rng.integers(0, size, int(rng.integers(1, 7))))
+                  for _ in range(int(rng.integers(1, 5)))]
+        for prev in range(size):
+            total = sum(c for (p, _), c in counts.items() if p == prev) + k * alphabet
+            probs = []
+            for x in inputs:
+                own = [x.count(w) if w in successors else 0 for w in range(size)]
+                denom = sum(own) + k * alphabet
+                probs.append([cw * ((own[w] + k) / denom)
+                              + (1.0 - cw) * ((counts.get((prev, w), 0) + k) / total)
+                              if w in successors else 0.0 for w in range(size)])
+            with np.errstate(divide="ignore"):
+                expected = np.log(np.array(probs))
+            prefix = (BOS_ID,) if prev == BOS_ID else (BOS_ID, prev)
+            assert model.score_batch(inputs, prefix).tobytes() == expected.tobytes()
+
     def test_inputs_validated_once_per_decode(self, ab_vocab, monkeypatch):
         checked = []
         real_check = seqmodel.check_token_seq
@@ -397,6 +431,52 @@ class TestSpecValidation:
             ToyModelSpec(0.5, 1.0, {(4, UNK_ID): 1}, ab_vocab)
         assert str(info.value) == (
             "bigram count 'b'->'<unk>' targets unpredictable token '<unk>' as successor")
+
+
+class TestSpecIsImmutable:
+    COUNTS = {(3, 4): 2, (4, EOS_ID): 5, (BOS_ID, 3): 1}
+
+    @staticmethod
+    def state(spec, model):
+        """The spec's file form and the model's every row, as bytes."""
+        rows = [model.score_batch([(3, 4, 3), (UNK_ID, 4)], (BOS_ID, prev)).tobytes()
+                for prev in range(len(spec.vocab))]
+        return spec.to_json_text(), rows
+
+    @pytest.mark.parametrize("attempt, error", [
+        (lambda spec: setattr(spec, "copy_weight", 7), dataclasses.FrozenInstanceError),
+        (lambda spec: setattr(spec, "smooth_k", True), dataclasses.FrozenInstanceError),
+        (lambda spec: setattr(spec, "vocab", Vocab.from_content(["a"])),
+         dataclasses.FrozenInstanceError),
+        (lambda spec: setattr(spec, "bigram_counts", {}), dataclasses.FrozenInstanceError),
+        (lambda spec: operator.setitem(spec.bigram_counts, (3, 4), 40), TypeError),
+        (lambda spec: operator.delitem(spec.bigram_counts, (3, 4)), TypeError),
+    ], ids=["copy_weight", "smooth_k", "vocab", "bigram_counts", "set-count", "del-count"])
+    def test_assignment_raises_and_changes_nothing(self, ab_vocab, attempt, error):
+        # a copy_weight of 7 assigned after a decode once gave a built model
+        # rows with probabilities above 1
+        spec = ToyModelSpec(0.5, 1.0, dict(self.COUNTS), ab_vocab)
+        model = CopyBigramModel(spec)
+        before = self.state(spec, model)
+        with pytest.raises(error):
+            attempt(spec)
+        assert self.state(spec, model) == before
+        assert self.state(spec, CopyBigramModel(spec)) == before
+
+    def test_the_callers_dict_does_not_reach_the_spec_or_its_models(self, ab_vocab):
+        fresh = ToyModelSpec(0.5, 1.0, dict(self.COUNTS), ab_vocab)
+        expected = self.state(fresh, CopyBigramModel(fresh))
+        counts = dict(self.COUNTS)
+        spec = ToyModelSpec(0.5, 1.0, counts, ab_vocab)
+        scored, unscored = CopyBigramModel(spec), CopyBigramModel(spec)
+        assert self.state(spec, scored) == expected
+        counts[3, 4] = 40
+        counts[3, UNK_ID] = -1  # a pair the spec would reject
+        del counts[4, EOS_ID]
+        assert spec.bigram_counts == self.COUNTS
+        # the unscored model builds its bigram table only now, after the edits
+        assert self.state(spec, unscored) == expected
+        assert self.state(spec, scored) == expected
 
 
 class TestSpecSerialization:

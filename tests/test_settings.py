@@ -2,16 +2,22 @@
 that settings and input files are built into (`DecodeParams`, `RougeConfig`,
 `ToyModelSpec` with its `Vocab`, and `Cluster`).
 
-Three rules hold. Construction either builds or raises ValueError. A spec or
+Four rules hold. Construction either builds or raises ValueError. A spec or
 cluster that builds round-trips through its file form to an equal value.
 What builds works: a decode ends in a result or a DecodeError, a model row is
-a distribution, a ROUGE score is finite.
+a distribution, a ROUGE score is finite. What builds holds its declared field
+types: an int field an int or numpy integer (never a bool), a float field a
+float, a bool field a bool, an enum field a member.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import tempfile
+import types
+import typing
+from collections.abc import Mapping
 from pathlib import Path
 
 import numpy as np
@@ -60,12 +66,42 @@ def fields(data, plausible: dict) -> dict:
             for name, strategy in plausible.items()}
 
 
+def has_type(value, hint) -> bool:
+    """Whether ``value`` is of the type ``hint`` that a dataclass field declares."""
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin in (typing.Union, types.UnionType):
+        return any(has_type(value, arg) for arg in args)
+    if origin is tuple:  # tuple[X, ...] or tuple[X, Y]
+        if not isinstance(value, tuple):
+            return False
+        elements = args[:1] * len(value) if args[-1] is Ellipsis else args
+        return len(elements) == len(value) and all(map(has_type, value, elements))
+    if origin is Mapping:
+        return isinstance(value, Mapping) and all(
+            has_type(k, args[0]) and has_type(v, args[1]) for k, v in value.items())
+    if hint is int:
+        return type(value) is int or isinstance(value, np.integer)
+    if hint in (float, bool, str, type(None)):
+        return type(value) is hint
+    return isinstance(value, hint)
+
+
+def mistyped_fields(value) -> list[str]:
+    """The init fields of dataclass ``value`` that do not hold their declared type."""
+    hints = typing.get_type_hints(type(value))
+    return [f.name for f in dataclasses.fields(value)
+            if f.init and not has_type(getattr(value, f.name), hints[f.name])]
+
+
 def built(make, *args, **kwargs):
-    """``make(...)``, or None when it raises ValueError (rule 1: nothing else)."""
+    """``make(...)``, or None when it raises ValueError (rule 1: nothing else);
+    what builds holds its declared field types (rule 4)."""
     try:
-        return make(*args, **kwargs)
+        value = make(*args, **kwargs)
     except ValueError:
         return None
+    assert mistyped_fields(value) == []
+    return value
 
 
 def logsumexp(v: np.ndarray) -> float:
@@ -159,3 +195,43 @@ class TestSettingsFuzz:
             path = Path(tmp) / "clusters.jsonl"
             save_clusters(ClusterSet((cluster,)), path)
             assert load_clusters(path) == ClusterSet((cluster,))
+
+
+@pytest.mark.parametrize("make, field", [
+    (lambda: RougeConfig(multi_ref_strategy="max"), "multi_ref_strategy"),
+    (lambda: RougeConfig(lowercase="false"), "lowercase"),
+    (lambda: RougeConfig(strip_punctuation=0), "strip_punctuation"),
+    (lambda: RougeConfig(use_porter_stemming=None), "use_porter_stemming"),
+    (lambda: DecodeParams(seed=True), "seed"),
+    (lambda: DecodeParams(seed=1.0), "seed"),
+    (lambda: DecodeParams(seed="x"), "seed"),
+    (lambda: ToyModelSpec(0.5, 1.0, {}, ("<s>", "</s>", "<unk>", "a")), "vocab"),
+], ids=["strategy-str", "lowercase-str", "strip-int", "stemming-none", "seed-bool",
+        "seed-float", "seed-str", "vocab-tuple"])
+def test_mistyped_setting_named(make, field):
+    # built, these misread: a text "max" averaged, a bool seed drew other documents
+    with pytest.raises(ValueError, match=field):
+        make()
+
+
+@pytest.mark.parametrize("seed", [np.int64(3), -1, 10**30])
+def test_any_integer_seed_builds(seed):
+    assert mistyped_fields(DecodeParams(seed=seed)) == []
+
+
+def test_mistyped_field_rule_bites():
+    params = DecodeParams()
+    object.__setattr__(params, "seed", True)
+    object.__setattr__(params, "length_penalty_alpha", 0)
+    object.__setattr__(params, "block_repeat_ngram", 2.0)
+    assert mistyped_fields(params) == ["length_penalty_alpha", "block_repeat_ngram", "seed"]
+    cfg = RougeConfig()
+    object.__setattr__(cfg, "multi_ref_strategy", "max")
+    assert mistyped_fields(cfg) == ["multi_ref_strategy"]
+    spec = ToyModelSpec(0.5, 1.0, {(3, 3): 1}, Vocab.from_content(["a"]))
+    object.__setattr__(spec, "bigram_counts", {(3, 3): 1.0})
+    object.__setattr__(spec, "smooth_k", 1)
+    assert mistyped_fields(spec) == ["smooth_k", "bigram_counts"]
+    cluster = Cluster("c", ("d",))
+    object.__setattr__(cluster, "documents", ["d"])
+    assert mistyped_fields(cluster) == ["documents"]
