@@ -24,10 +24,10 @@ from .seqmodel import TokenSeq, Vocab, check_utf8
 class Cluster:
     """One decoding unit: related documents plus optional reference summaries.
 
-    The id is a non-empty string that UTF-8 can encode, and every document
-    and reference is a string, so a cluster built in code builds exactly
-    when the same values in a cluster file load, and `save_clusters` writes
-    a file that `load_clusters` reads back to an equal cluster.
+    The id is a non-empty string that UTF-8 can encode; ``documents`` and
+    ``references`` are lists or tuples of strings, stored as tuples. So a
+    cluster built in code builds exactly when its values in a file load, and
+    `save_clusters` writes a file that `load_clusters` reads back as equal.
     """
 
     id: str
@@ -35,18 +35,20 @@ class Cluster:
     references: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "documents", tuple(self.documents))
-        object.__setattr__(self, "references", tuple(self.references))
         if not (isinstance(self.id, str) and self.id):
             raise ValueError(f"cluster id must be a non-empty string, got {self.id!r}")
         check_utf8((self.id,), "cluster id")
-        if not self.documents:
-            raise ValueError(f"cluster {self.id!r} has no documents")
-        for kind, texts in (("document", self.documents), ("reference", self.references)):
+        for name, texts in (("documents", self.documents), ("references", self.references)):
+            if not isinstance(texts, (list, tuple)):  # a str or dict would iterate
+                raise ValueError(f"cluster {self.id!r} {name} must be a list of strings, "
+                                 f"got {texts!r}")
+            object.__setattr__(self, name, tuple(texts))
             for i, text in enumerate(texts):
                 if not isinstance(text, str):
-                    raise ValueError(f"cluster {self.id!r} {kind} {i} must be a string, "
+                    raise ValueError(f"cluster {self.id!r} {name[:-1]} {i} must be a string, "
                                      f"got {text!r}")
+        if not self.documents:
+            raise ValueError(f"cluster {self.id!r} has no documents")
 
 
 @dataclass(frozen=True)
@@ -79,12 +81,8 @@ def load_clusters(path: str | Path) -> ClusterSet:
     clusters = []
     for where, doc in input_records(path, "cluster file", "cluster id", required=("documents",),
                                     allowed=("id", "documents", "references")):
-        for name in ("documents", "references"):
-            if not isinstance(doc.get(name, []), list):
-                raise FormatError(f"{where}: field {name!r} must be a list of strings")
         try:
-            clusters.append(Cluster(doc["id"], tuple(doc["documents"]),
-                                    tuple(doc.get("references", []))))
+            clusters.append(Cluster(doc["id"], doc["documents"], doc.get("references", [])))
         except ValueError as exc:
             raise FormatError(f"{where}: {exc}") from exc
     return ClusterSet(tuple(clusters))

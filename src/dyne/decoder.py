@@ -21,7 +21,6 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from numbers import Integral
 
 import numpy as np
 
@@ -57,7 +56,8 @@ class DecodeParams:
     as a float, such that ``(max_len - 1) ** alpha`` is a finite float, so
     no ranking overflows. ``seed``, any integer, feeds any seeded
     preprocessing (e.g. document selection); the search itself is
-    deterministic and ignores it.
+    deterministic and ignores it. Every integer field takes an ``int`` or a
+    numpy integer, never a bool or another ``int`` subclass such as an enum.
     """
 
     beam_size: int = 4
@@ -71,9 +71,9 @@ class DecodeParams:
     def __post_init__(self) -> None:
         for name, low in (("beam_size", 1), ("max_len", 1), ("min_len", 0)):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, Integral) or value < low:
+            if not (type(value) is int or isinstance(value, np.integer)) or value < low:
                 raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
-        if isinstance(self.seed, bool) or not isinstance(self.seed, Integral):
+        if not (type(self.seed) is int or isinstance(self.seed, np.integer)):
             raise ValueError(f"seed must be an integer, got {self.seed!r}")
         if not self.min_len < self.max_len:
             raise ValueError(
@@ -91,7 +91,7 @@ class DecodeParams:
                     f"(max_len - 1) ** alpha overflow at max_len={self.max_len}") from None
         object.__setattr__(self, "length_penalty_alpha", alpha)
         n = self.block_repeat_ngram
-        if n is not None and (isinstance(n, bool) or not isinstance(n, Integral) or n < 1):
+        if n is not None and not ((type(n) is int or isinstance(n, np.integer)) and n >= 1):
             raise ValueError(f"block_repeat_ngram must be a positive integer or None, got {n!r}")
         if not isinstance(self.reduce, Reduce):
             raise ValueError(f"reduce must be a Reduce member, got {self.reduce!r}")
@@ -279,13 +279,13 @@ def _checked_inputs(
     inputs = tuple(tuple(x) for x in inputs)
     if input_labels is None:
         input_labels = tuple(f"input_{i}" for i in range(len(inputs)))
-    input_labels = tuple(input_labels)
-    if len(input_labels) != len(inputs):
-        raise ValueError(f"got {len(input_labels)} input labels for {len(inputs)} inputs")
-    if not all(isinstance(label, str) for label in input_labels) or (
-            len(set(input_labels)) != len(input_labels)):
+    labels = tuple(input_labels)  # a str would give one label per character
+    if isinstance(input_labels, str) or not all(isinstance(label, str) for label in labels) or (
+            len(set(labels)) != len(labels)):
         raise ValueError(f"input labels must be distinct strings, got {input_labels!r}")
-    return inputs, input_labels
+    if len(labels) != len(inputs):
+        raise ValueError(f"got {len(labels)} input labels for {len(inputs)} inputs")
+    return inputs, labels
 
 
 def _scored(

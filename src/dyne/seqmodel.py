@@ -69,14 +69,16 @@ def check_utf8(texts: Sequence[str], what: str) -> None:
 class Vocab:
     """Ordered inventory of string tokens with reserved begin/end/unknown markers.
 
-    Ids are contiguous positions in ``tokens``; the first three entries are
-    always the reserved markers, so content tokens start at id 3.
+    Ids are positions in ``tokens`` (a list or tuple of strings, stored as a
+    tuple); the first three are the reserved markers, so content ids start at 3.
     """
 
     tokens: tuple[str, ...]
     _index: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        if not isinstance(self.tokens, (list, tuple)):  # a str or dict would iterate
+            raise ValueError(f"vocab tokens must be a list of strings, got {self.tokens!r}")
         object.__setattr__(self, "tokens", tuple(self.tokens))
         for tok in self.tokens:
             if not isinstance(tok, str):
@@ -238,7 +240,7 @@ class ToyModelSpec:
         """The checks JSON adds: list shapes, token names and no repeated pair."""
         if not isinstance(doc["vocab"], list):
             raise FormatError("field 'vocab' must be a list of strings")
-        vocab = Vocab(tuple(doc["vocab"]))
+        vocab = Vocab(doc["vocab"])
         counts: dict[tuple[int, int], int] = {}
         if not isinstance(doc["bigram_counts"], list):
             raise FormatError("field 'bigram_counts' must be a list of [prev, next, count] triples")
@@ -341,15 +343,15 @@ class CopyBigramModel:
 
     @functools.cached_property
     def _bigram_table(self) -> tuple[np.ndarray, ...]:
-        """Pairs sorted by previous token with ``starts`` offsets, each row's fill
-        ``w * (k / total)`` and each pair's ``w * ((c + k) / total)``."""
-        counts = self._spec.bigram_counts
+        """Pairs sorted by their unique key ``prev * V + next``, so equal specs sum
+        each row in one order whatever order built them, with ``starts`` offsets,
+        each row's fill ``w * (k / total)`` and each pair's ``w * ((c + k) / total)``."""
+        counts, size = self._spec.bigram_counts, len(self._spec.vocab)
         pairs = np.fromiter(itertools.chain.from_iterable(counts), np.intp, 2 * len(counts))
-        order = np.argsort(pairs[0::2], kind="stable")
+        order = np.argsort(pairs[0::2] * size + pairs[1::2])
         prevs, nexts = pairs[0::2][order], pairs[1::2][order]
         raw = np.fromiter(counts.values(), float, len(counts))[order]
-        k, w, size = self._spec.smooth_k, 1.0 - self._spec.copy_weight, len(self._spec.vocab)
-        # sums of integer counts below 2**53 are exact in any order
+        k, w = self._spec.smooth_k, 1.0 - self._spec.copy_weight
         totals = np.bincount(prevs, weights=raw, minlength=size) + k * (size - 2)
         starts = np.searchsorted(prevs, np.arange(size + 1))
         return w * (k / totals), starts, nexts, w * ((raw + k) / totals[prevs])

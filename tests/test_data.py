@@ -136,6 +136,29 @@ class TestLoading:
             Cluster(*args)
         assert str(info.value) == message
 
+    @pytest.mark.parametrize("field", ["documents", "references"])
+    @pytest.mark.parametrize("value", ["ab c", 5, None, {"a": 1}],
+                             ids=["str", "int", "none", "dict"])
+    def test_cluster_containers_must_be_lists(self, field, value):
+        # a str built one document per character, a dict one per key, and an
+        # int or None raised TypeError
+        with pytest.raises(ValueError) as info:
+            Cluster("c", **{"documents": ("a",), field: value})
+        assert str(info.value) == f"cluster 'c' {field} must be a list of strings, got {value!r}"
+
+    def test_string_documents_in_file_named(self, tmp_path, capsys):
+        path = tmp_path / "clusters.jsonl"
+        path.write_text('{"id": "ok", "documents": ["a"]}\n{"id": "c", "documents": "ab"}\n')
+        message = f"{path}: line 2: cluster 'c' documents must be a list of strings, got 'ab'"
+        with pytest.raises(FormatError) as info:
+            load_clusters(path)
+        assert str(info.value) == message
+        model = tmp_path / "model.json"
+        ToyModelSpec(1.0, 1.0, {}, Vocab.from_content(["a"])).save(model)
+        code = main(["decode", "--model", str(model), "--clusters", str(path),
+                     "--out", str(tmp_path / "out")])
+        assert code == 2 and capsys.readouterr().err.startswith(f"error: {message}")
+
     def test_non_string_document_in_file_named(self, tmp_path):
         path = tmp_path / "clusters.jsonl"
         path.write_text('{"id": "c", "documents": ["a", 1]}\n')

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import enum
 import itertools
 import math
 
@@ -578,10 +579,11 @@ class TestEntryChecks:
             ENTRY_POINTS[entry](UnscoredModel(), [(A,), (B,), (A,)], ("x", "y"))
 
     @pytest.mark.parametrize("entry", ENTRY_POINTS)
-    @pytest.mark.parametrize("labels", [("x", "x"), ("x", 1), (None, "y")],
-                             ids=["repeated", "int", "none"])
+    @pytest.mark.parametrize("labels", [("x", "x"), ("x", 1), (None, "y"), "xy"],
+                             ids=["repeated", "int", "none", "str"])
     def test_labels_must_be_distinct_strings(self, entry, labels):
-        # a repeated label would name two trace columns alike
+        # a repeated label would name two trace columns alike; a str would
+        # name one column per character
         with pytest.raises(ValueError, match="input labels must be distinct strings"):
             ENTRY_POINTS[entry](UnscoredModel(), [(A,), (B,)], labels)
 
@@ -757,6 +759,13 @@ class TestHypothesisType:
         for name in ("beam_size", "max_len", "min_len"):
             with pytest.raises(ValueError, match=f"{name} must be an integer"):
                 DecodeParams(**{name: None})
+
+        class E(enum.IntEnum):  # an int subclass: a member built and was kept
+            A = 3
+
+        for name in ("beam_size", "max_len", "min_len", "block_repeat_ngram", "seed"):
+            with pytest.raises(ValueError, match=f"{name} must be .*integer"):
+                DecodeParams(**{"max_len": 8, name: E.A})
         assert DecodeParams(block_repeat_ngram=None).block_repeat_ngram is None
         assert DecodeParams(beam_size=np.int64(3), max_len=np.int64(6)).beam_size == 3
 

@@ -100,6 +100,16 @@ class TestVocab:
             Vocab(("<s>", "</s>", "<unk>", "a", token))
         assert str(info.value) == f"vocab token {token!r} must be a string"
 
+    @pytest.mark.parametrize("tokens", [
+        5, None, "<s></s><unk>a", {"<s>": 0, "</s>": 1, "<unk>": 2, "a": 3},
+    ], ids=["int", "none", "str", "dict"])
+    def test_tokens_must_be_a_list(self, tokens):
+        # an int or None raised TypeError, and a dict built from its keys
+        with pytest.raises(ValueError) as info:
+            Vocab(tokens)
+        assert str(info.value) == f"vocab tokens must be a list of strings, got {tokens!r}"
+        assert Vocab(["<s>", "</s>", "<unk>", "a"]).tokens == ("<s>", "</s>", "<unk>", "a")
+
     def test_unpaired_surrogate_token_rejected(self):
         assert Vocab.from_content(["café", "a\U0001F600"]).id_of("café") == 3
         with pytest.raises(ValueError, match=r"vocab token 'c\\ud800' holds an unpaired surrogate"):
@@ -304,6 +314,49 @@ class TestCopyBigramModel:
                 expected = np.log(np.array(probs))
             prefix = (BOS_ID,) if prev == BOS_ID else (BOS_ID, prev)
             assert model.score_batch(inputs, prefix).tobytes() == expected.tobytes()
+
+    def test_rows_of_equal_specs_bitwise_equal_past_2_to_the_53(self, tmp_path):
+        # row a sums to 2**53 + 2: summed in insertion order, one order rounded
+        # it to 2**53 and the </s> entries read -7.77e-16 and -9.99e-16
+        vocab = Vocab.from_content(["a", "b", "c", "d", "e"])
+        items = [((3, EOS_ID), 2**53 - 2)] + [((3, nxt), 1) for nxt in range(4, 8)]
+        specs = [ToyModelSpec(0.5, 1.0, dict(order), vocab) for order in (items, items[::-1])]
+        assert specs[0] == specs[1]
+        for i, spec in enumerate(list(specs)):
+            spec.save(tmp_path / f"spec{i}.json")
+            specs.append(ToyModelSpec.load(tmp_path / f"spec{i}.json"))
+        for prev in range(len(vocab)):
+            rows = {CopyBigramModel(spec).score_batch([(3,)], (BOS_ID, prev)).tobytes()
+                    for spec in specs}
+            assert len(rows) == 1
+
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_rows_independent_of_count_insertion_order(self, data):
+        n_content = data.draw(st.integers(2, 5))
+        vocab = Vocab.from_content([f"w{i}" for i in range(n_content)])
+        targets = (EOS_ID, *vocab.content_ids)
+        pair = st.tuples(st.integers(0, len(vocab) - 1), st.sampled_from(targets))
+        counts = data.draw(st.dictionaries(pair, st.integers(0, 2**20), max_size=12))
+        # one row at or past 2**53, where float sums round: a count of at least
+        # 2**53 - 4 and at least two more counts of at least 2
+        big_prev, big_next = data.draw(pair)
+        counts[big_prev, big_next] = 2**53 - data.draw(st.integers(1, 4))
+        others = [t for t in targets if t != big_next]
+        for nxt in data.draw(st.lists(st.sampled_from(others), min_size=2, unique=True)):
+            counts[big_prev, nxt] = data.draw(st.integers(2, 5))
+        cw = data.draw(st.sampled_from([0.0, 0.5]) | st.floats(0.0, 1.0))
+        k = data.draw(st.sampled_from([1e-3, 1.0]) | st.floats(1e-3, 5.0))
+        specs = [ToyModelSpec(cw, k, dict(data.draw(st.permutations(list(counts.items())))),
+                              vocab) for _ in range(2)]
+        assert specs[0] == specs[1]
+        specs.append(ToyModelSpec.from_json_text(specs[0].to_json_text()))
+        models = [CopyBigramModel(spec) for spec in specs]
+        x = tuple(data.draw(st.lists(st.integers(1, len(vocab) - 1), min_size=1, max_size=6)))
+        for prev in range(len(vocab)):
+            prefix = (BOS_ID,) if prev == BOS_ID else (BOS_ID, prev)
+            rows = {model.score_batch([x], prefix).tobytes() for model in models}
+            assert len(rows) == 1
 
     def test_inputs_validated_once_per_decode(self, ab_vocab, monkeypatch):
         checked = []

@@ -66,6 +66,14 @@ def fields(data, plausible: dict) -> dict:
             for name, strategy in plausible.items()}
 
 
+def container(data, items: list):
+    """``items`` as a list or a tuple, or now and then a JSON-typed value in
+    their place: a string, a number or null where a list of strings belongs."""
+    if data.draw(st.integers(0, 3)) == 0:
+        return data.draw(JSON_VALUES)
+    return data.draw(st.sampled_from([list(items), tuple(items)]))
+
+
 def has_type(value, hint) -> bool:
     """Whether ``value`` is of the type ``hint`` that a dataclass field declares."""
     origin, args = typing.get_origin(hint), typing.get_args(hint)
@@ -111,12 +119,13 @@ def logsumexp(v: np.ndarray) -> float:
 
 def draw_spec(data) -> ToyModelSpec | None:
     """A spec over ``<s> </s> <unk> a <token>`` built from fuzzed fields: the
-    last vocab token, one bigram pair and count, and both numbers."""
+    vocab's container and last token, one bigram pair and count, and both
+    numbers."""
     targets = st.sampled_from([EOS_ID, 3, 4])
     values = fields(data, {"token": st.just("b"), "prev": st.integers(0, 4), "next": targets,
                            "count": st.integers(0, 50), "copy_weight": st.floats(0.0, 1.0),
                            "smooth_k": st.floats(0.0, 1e308, exclude_min=True)})
-    vocab = built(Vocab, ("<s>", "</s>", "<unk>", "a", values["token"]))
+    vocab = built(Vocab, container(data, ["<s>", "</s>", "<unk>", "a", values["token"]]))
     if vocab is None:
         return None
     counts = data.draw(st.dictionaries(st.tuples(st.integers(0, 4), targets),
@@ -186,9 +195,10 @@ class TestSettingsFuzz:
         texts = st.lists(st.text(max_size=4), min_size=1, max_size=2)
         values = fields(data, {"id": st.text(min_size=1, max_size=3), "document": st.text(),
                                "reference": st.text()})
-        documents = data.draw(texts) + [values["document"]]
-        references = data.draw(st.lists(st.text(max_size=4), max_size=1)) + [values["reference"]]
-        cluster = built(Cluster, values["id"], tuple(documents), tuple(references))
+        documents = container(data, data.draw(texts) + [values["document"]])
+        references = container(data, data.draw(st.lists(st.text(max_size=4), max_size=1))
+                               + [values["reference"]])
+        cluster = built(Cluster, values["id"], documents, references)
         if cluster is None:
             return
         with tempfile.TemporaryDirectory() as tmp:
