@@ -53,13 +53,20 @@ class Cluster:
 
 @dataclass(frozen=True)
 class ClusterSet:
+    """Clusters with distinct ids, given as a list or tuple of `Cluster` values
+    and stored as a tuple in the order given."""
+
     clusters: tuple[Cluster, ...]
     _by_id: dict[str, Cluster] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        if not isinstance(self.clusters, (list, tuple)):  # a str would iterate
+            raise ValueError(f"clusters must be a list of Cluster values, got {self.clusters!r}")
         object.__setattr__(self, "clusters", tuple(self.clusters))
         by_id: dict[str, Cluster] = {}
-        for c in self.clusters:
+        for i, c in enumerate(self.clusters):
+            if not isinstance(c, Cluster):
+                raise ValueError(f"cluster {i} must be a Cluster, got {c!r}")
             if c.id in by_id:
                 raise ValueError(f"duplicate cluster id {c.id!r}")
             by_id[c.id] = c

@@ -41,7 +41,10 @@ class TraceMatrix:
     rows: tuple[TraceRow, ...] = ()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "input_labels", tuple(self.input_labels))
+        labels = self.input_labels  # a str would give one label per character
+        if not (isinstance(labels, (list, tuple)) and all(isinstance(x, str) for x in labels)):
+            raise ValueError(f"input labels must be a list of strings, got {labels!r}")
+        object.__setattr__(self, "input_labels", tuple(labels))
         object.__setattr__(self, "rows", tuple(self.rows))
         width = len(self.input_labels)
         for t, row in enumerate(self.rows):

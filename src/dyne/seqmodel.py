@@ -21,11 +21,12 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 import re
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
-from types import MappingProxyType
-from typing import Iterable, Mapping, Protocol, Sequence
+from typing import Protocol
 
 import numpy as np
 
@@ -161,6 +162,53 @@ class SequenceModel(Protocol):
 _SPEC_FIELDS = ("lambda", "smooth_k", "vocab", "bigram_counts")
 
 
+class _BigramCounts(Mapping):
+    """A read-only ``(prev, next) -> count`` view over three read-only arrays; a
+    spec holds its own sorted by the pair key ``prev * V + next``."""
+
+    def __init__(self, prev: np.ndarray, nxt: np.ndarray, count: np.ndarray):
+        for array in (prev, nxt, count):
+            array.setflags(write=False)
+        self.prev, self.next, self.count = prev, nxt, count
+
+    @functools.cached_property
+    def _lookup(self) -> dict:  # built by the first lookup; loading and scoring never look up
+        return dict(zip(self, self.count.tolist()))
+
+    def __getitem__(self, pair):
+        return self._lookup[pair]
+
+    def __iter__(self):
+        return zip(self.prev.tolist(), self.next.tolist())
+
+    def __len__(self) -> int:
+        return len(self.count)
+
+    def __repr__(self) -> str:
+        return f"bigram_counts({self._lookup!r})"
+
+
+_NO_COUNTS = _BigramCounts(np.zeros(0, np.intp), np.zeros(0, np.intp), np.zeros(0, np.int64))
+
+
+def _repeats(keys: np.ndarray) -> np.ndarray:
+    """The positions of the keys that repeat an earlier key."""
+    order = np.argsort(keys, kind="stable")  # a key's first position leads its run
+    runs = keys[order]
+    return order[1:][runs[1:] == runs[:-1]]
+
+
+def _columns(triples: list) -> list[list] | None:
+    """The prev-token, next-token and count columns of ``[str, str, int]`` lists,
+    or None; json.loads yields exact types, so ``type`` also refuses bools."""
+    if set(map(type, triples)) <= {list} and set(map(len, triples)) <= {3}:
+        cols = [list(map(operator.itemgetter(j), triples)) for j in range(3)]
+        token_types = set(map(type, cols[0])) | set(map(type, cols[1]))
+        if token_types <= {str} and set(map(type, cols[2])) <= {int}:
+            return cols
+    return None
+
+
 @dataclass(frozen=True)
 class ToyModelSpec:
     """Parameters of the copy/bigram mixture model.
@@ -177,8 +225,11 @@ class ToyModelSpec:
     form. Both numbers are real (not bools), stored as plain floats, and
     ``smooth_k * (len(vocab) - 2)`` is finite. Counts map pairs of vocabulary
     ids (ints or numpy integers) to ``int`` counts in ``[0, 2**53)``, and
-    ``<s>`` and ``<unk>`` are never a successor. The spec is frozen, and its
-    counts are a read-only copy of the mapping passed in.
+    ``<s>`` and ``<unk>`` are never a successor; the first pair given that
+    breaks a rule is named. The spec is frozen and holds its counts as three
+    read-only arrays, ``bigram_counts.prev``, ``.next`` and ``.count``, sorted
+    by the pair key ``prev * V + next``; ``bigram_counts`` is a read-only
+    mapping view over them.
     """
 
     copy_weight: float
@@ -191,33 +242,51 @@ class ToyModelSpec:
             raise ValueError(f"vocab must be a Vocab, got {self.vocab!r}")
         for name, what in (("copy_weight", "copy weight (lambda)"), ("smooth_k", "smooth_k")):
             object.__setattr__(self, name, real_number(getattr(self, name), what))
-        object.__setattr__(self, "bigram_counts", MappingProxyType(dict(self.bigram_counts)))
+        counts, given = self.bigram_counts, None
+        if not isinstance(counts, _BigramCounts):  # not a loaded file's columns or a spec's
+            given = [(p, n, c) for (p, n), c in dict(counts).items()]
+            # a mistyped value becomes -1, which fails the range rule that names it
+            typed = [[v if type(v) is int or (j < 2 and isinstance(v, np.integer)) else -1
+                      for j, v in enumerate(item)] for item in given]
+            counts = _BigramCounts(*np.array(typed, object).reshape(-1, 3).T)
         if not 0.0 <= self.copy_weight <= 1.0:
             raise ValueError(f"copy weight must lie in [0, 1], got {self.copy_weight}")
         alphabet = len(self.vocab) - 2  # both components divide by smooth_k * alphabet
         if not (self.smooth_k > 0 and math.isfinite(self.smooth_k * alphabet)):
             raise ValueError(f"smooth_k must be positive and finite times the {alphabet} "
                              f"predictable tokens, got {self.smooth_k}")
-        tokens, size = self.vocab.tokens, len(self.vocab)
-        for pair, count in self.bigram_counts.items():
-            for t in pair:  # a bool is neither an int nor a numpy integer here
-                if not ((type(t) is int or isinstance(t, np.integer)) and 0 <= t < size):
-                    raise ValueError(f"bigram count id {t!r} not an integer in vocabulary range")
-            prev, nxt = pair
-            if nxt == BOS_ID or nxt == UNK_ID:
-                raise ValueError(f"bigram count {tokens[prev]!r}->{tokens[nxt]!r} targets "
-                                 f"unpredictable token {tokens[nxt]!r} as successor")
-            # a float holds every count below 2**53 exactly, and their sums stay finite
-            if not (type(count) is int and 0 <= count < 2**53):
-                raise ValueError(f"bigram count {tokens[prev]!r}->{tokens[nxt]!r} must be a "
-                                 f"nonnegative integer below 2**53, got {count!r}")
+        object.__setattr__(self, "bigram_counts",
+                           self._checked(counts, given) if len(counts) else _NO_COUNTS)
+
+    def _checked(self, counts: _BigramCounts, given: list | None) -> _BigramCounts:
+        """``counts`` sorted by pair key, after the value rules: one row of array
+        tests per rule, in the order a pair is checked, so a fault names the first
+        pair, in the order given, that breaks a rule, and the first rule it breaks."""
+        prev, nxt, count, size = counts.prev, counts.next, counts.count, len(self.vocab)
+        # a float holds every count below 2**53 exactly, and their sums stay finite
+        faults = np.array([(prev < 0) | (prev >= size), (nxt < 0) | (nxt >= size),
+                           (nxt == BOS_ID) | (nxt == UNK_ID), (count < 0) | (count >= 2**53)], bool)
+        if faults.any():
+            i = int(faults.any(axis=0).argmax())
+            p, n, c = (given[i] if given is not None
+                       else (int(prev[i]), int(nxt[i]), int(count[i])))
+            rule, tokens = int(faults[:, i].argmax()), self.vocab.tokens
+            if rule < 2:
+                raise ValueError(f"bigram count id {(p, n)[rule]!r} not an integer in "
+                                 "vocabulary range")
+            pair = f"bigram count {tokens[p]!r}->{tokens[n]!r}"
+            raise ValueError(f"{pair} targets unpredictable token {tokens[n]!r} as successor"
+                             if rule == 2 else
+                             f"{pair} must be a nonnegative integer below 2**53, got {c!r}")
+        prev, nxt = prev.astype(np.intp, copy=False), nxt.astype(np.intp, copy=False)
+        order = np.argsort(prev * size + nxt)
+        return _BigramCounts(prev[order], nxt[order], count[order].astype(np.int64))
 
     def to_json_text(self) -> str:
         """Canonical serialization: sorted fields, sorted count triples."""
-        triples = sorted(
-            [self.vocab.token(p), self.vocab.token(n), c]
-            for (p, n), c in self.bigram_counts.items()
-        )
+        tokens, counts = self.vocab.tokens, self.bigram_counts
+        triples = sorted((tokens[p], tokens[n], c)
+                         for (p, n), c in zip(counts, counts.count.tolist()))
         doc = {
             "lambda": self.copy_weight,
             "smooth_k": self.smooth_k,
@@ -237,35 +306,37 @@ class ToyModelSpec:
 
     @classmethod
     def _from_doc(cls, doc: dict) -> "ToyModelSpec":
-        """The checks JSON adds: list shapes, token names and no repeated pair."""
+        """The checks JSON adds, list shapes, token names and no repeated pair, as
+        array tests; the first triple that breaks one is named."""
         if not isinstance(doc["vocab"], list):
             raise FormatError("field 'vocab' must be a list of strings")
         vocab = Vocab(doc["vocab"])
-        counts: dict[tuple[int, int], int] = {}
-        if not isinstance(doc["bigram_counts"], list):
+        triples = doc["bigram_counts"]
+        if not isinstance(triples, list):
             raise FormatError("field 'bigram_counts' must be a list of [prev, next, count] triples")
-        index = vocab._index
-        # json.loads yields exact types, so ``type(...) is`` also rejects bools
-        for i, triple in enumerate(doc["bigram_counts"]):
-            if not (type(triple) is list and len(triple) == 3 and type(triple[0]) is str
-                    and type(triple[1]) is str and type(triple[2]) is int):
-                raise FormatError(
-                    f"bigram_counts[{i}] must be a [prev_token, next_token, count] triple"
-                )
-            prev_tok, next_tok, count = triple
-            prev, nxt = index.get(prev_tok), index.get(next_tok)
-            if prev is None or nxt is None:
-                tok = prev_tok if prev is None else next_tok
-                raise FormatError(f"bigram_counts[{i}] names unknown token {tok!r}")
-            if (prev, nxt) in counts:
-                raise FormatError(f"bigram_counts[{i}] repeats pair {prev_tok!r}->{next_tok!r}")
-            counts[prev, nxt] = count
-        return cls(
-            copy_weight=doc["lambda"],
-            smooth_k=doc["smooth_k"],
-            bigram_counts=counts,
-            vocab=vocab,
-        )
+        if not triples:  # nothing to check
+            return cls(doc["lambda"], doc["smooth_k"], _NO_COUNTS, vocab)
+        bad, cols = len(triples), _columns(triples)
+        if cols is None:  # the triples before the first malformed one may hold a fault
+            bad = next(i for i, triple in enumerate(triples) if _columns([triple]) is None)
+            cols = _columns(triples[:bad])
+        prev, nxt = (np.fromiter(map(vocab._index.get, col, itertools.repeat(-1)), np.intp,
+                                 len(col)) for col in cols[:2])
+        unknown = np.flatnonzero(np.minimum(prev, nxt) < 0)
+        known = int(unknown[0]) if unknown.size else bad  # the triples before name known tokens
+        # the first faulty triple: a repeated pair, else an unknown token, else a malformed one
+        i = int(_repeats(prev[:known] * len(vocab) + nxt[:known]).min(initial=known))
+        if i < known:
+            raise FormatError(f"bigram_counts[{i}] repeats pair {cols[0][i]!r}->{cols[1][i]!r}")
+        if i < bad:
+            tok = cols[0][i] if prev[i] < 0 else cols[1][i]
+            raise FormatError(f"bigram_counts[{i}] names unknown token {tok!r}")
+        if i < len(triples):
+            raise FormatError(
+                f"bigram_counts[{i}] must be a [prev_token, next_token, count] triple")
+        # the counts stay Python ints until the spec checks each below 2**53
+        return cls(doc["lambda"], doc["smooth_k"],
+                   _BigramCounts(prev, nxt, np.array(cols[2], object)), vocab)
 
     def save(self, path: str | Path) -> None:
         write_output(path, self.to_json_text())
@@ -314,7 +385,8 @@ class CopyBigramModel:
     copy counts, keeping the distribution normalized. All the model holds
     derives from its frozen spec: the ``[V]`` mask of A (0 at ``<s>`` and
     ``<unk>``, so ``|A| = V - 2``), one copy-matrix entry for the last input
-    set and the bigram table, cached on first use; so its memory is bounded.
+    set and the bigram table, built on first use from the spec's key-sorted
+    count arrays with no pass over the pairs in Python; so its memory is bounded.
     """
 
     def __init__(self, spec: ToyModelSpec):
@@ -343,18 +415,15 @@ class CopyBigramModel:
 
     @functools.cached_property
     def _bigram_table(self) -> tuple[np.ndarray, ...]:
-        """Pairs sorted by their unique key ``prev * V + next``, so equal specs sum
-        each row in one order whatever order built them, with ``starts`` offsets,
-        each row's fill ``w * (k / total)`` and each pair's ``w * ((c + k) / total)``."""
+        """The spec's key-sorted pairs, so equal specs sum each row in one order,
+        with ``starts`` offsets, each row's fill ``w * (k / total)`` and each
+        pair's ``w * ((c + k) / total)``."""
         counts, size = self._spec.bigram_counts, len(self._spec.vocab)
-        pairs = np.fromiter(itertools.chain.from_iterable(counts), np.intp, 2 * len(counts))
-        order = np.argsort(pairs[0::2] * size + pairs[1::2])
-        prevs, nexts = pairs[0::2][order], pairs[1::2][order]
-        raw = np.fromiter(counts.values(), float, len(counts))[order]
+        prevs, raw = counts.prev, counts.count.astype(float)
         k, w = self._spec.smooth_k, 1.0 - self._spec.copy_weight
         totals = np.bincount(prevs, weights=raw, minlength=size) + k * (size - 2)
         starts = np.searchsorted(prevs, np.arange(size + 1))
-        return w * (k / totals), starts, nexts, w * ((raw + k) / totals[prevs])
+        return w * (k / totals), starts, counts.next, w * ((raw + k) / totals[prevs])
 
     def _bigram_part(self, prev: int) -> np.ndarray:
         fill, starts, nexts, values = self._bigram_table

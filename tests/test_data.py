@@ -123,6 +123,20 @@ class TestLoading:
         with pytest.raises(ValueError, match="duplicate cluster id 'c1'"):
             ClusterSet((Cluster("c1", ("a",)), Cluster("c1", ("b",))))
 
+    @pytest.mark.parametrize("clusters, message", [
+        ("ab", "clusters must be a list of Cluster values, got 'ab'"),
+        (None, "clusters must be a list of Cluster values, got None"),
+        ({"c": 1}, "clusters must be a list of Cluster values, got {'c': 1}"),
+        ([Cluster("c", ("a",)), "x"], "cluster 1 must be a Cluster, got 'x'"),
+        ((None,), "cluster 0 must be a Cluster, got None"),
+    ], ids=["str", "none", "dict", "str-entry", "none-entry"])
+    def test_cluster_set_holds_only_clusters(self, clusters, message):
+        # a str raised AttributeError from reading c.id, None a TypeError
+        with pytest.raises(ValueError) as info:
+            ClusterSet(clusters)
+        assert str(info.value) == message
+        assert ClusterSet([Cluster("c", ("a",))]).clusters == (Cluster("c", ("a",)),)
+
     @pytest.mark.parametrize("args, message", [
         ((5, ("a",)), "cluster id must be a non-empty string, got 5"),
         (("c", (1, 2)), "cluster 'c' document 0 must be a string, got 1"),

@@ -670,3 +670,189 @@ class TestSpecLoaderErrors:
         except ValueError:  # FormatError is a ValueError
             return
         assert ToyModelSpec.from_json_text(spec.to_json_text()) == spec
+
+
+def scalar_value_fault(copy_weight, smooth_k, counts, vocab) -> str | None:
+    """The spec's value rules as the per-pair loop the array tests replaced:
+    the text of the first fault, or None when every value holds."""
+    try:
+        for value, what in ((copy_weight, "copy weight (lambda)"), (smooth_k, "smooth_k")):
+            seqmodel.real_number(value, what)
+        copy_weight, smooth_k = float(copy_weight), float(smooth_k)
+        if not 0.0 <= copy_weight <= 1.0:
+            raise ValueError(f"copy weight must lie in [0, 1], got {copy_weight}")
+        alphabet = len(vocab) - 2
+        if not (smooth_k > 0 and math.isfinite(smooth_k * alphabet)):
+            raise ValueError(f"smooth_k must be positive and finite times the {alphabet} "
+                             f"predictable tokens, got {smooth_k}")
+        tokens, size = vocab.tokens, len(vocab)
+        for pair, count in dict(counts).items():
+            for t in pair:
+                if not ((type(t) is int or isinstance(t, np.integer)) and 0 <= t < size):
+                    raise ValueError(f"bigram count id {t!r} not an integer in vocabulary range")
+            prev, nxt = pair
+            if nxt == BOS_ID or nxt == UNK_ID:
+                raise ValueError(f"bigram count {tokens[prev]!r}->{tokens[nxt]!r} targets "
+                                 f"unpredictable token {tokens[nxt]!r} as successor")
+            if not (type(count) is int and 0 <= count < 2**53):
+                raise ValueError(f"bigram count {tokens[prev]!r}->{tokens[nxt]!r} must be a "
+                                 f"nonnegative integer below 2**53, got {count!r}")
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def scalar_load(doc: dict) -> tuple[str | None, dict | None]:
+    """The loader as one loop per triple, then the value loop: the FormatError
+    text it gives for ``doc``, or the counts of the spec it builds."""
+    try:
+        if not isinstance(doc["vocab"], list):
+            raise FormatError("field 'vocab' must be a list of strings")
+        vocab = Vocab(doc["vocab"])
+        if not isinstance(doc["bigram_counts"], list):
+            raise FormatError("field 'bigram_counts' must be a list of [prev, next, count] triples")
+        counts = {}
+        for i, triple in enumerate(doc["bigram_counts"]):
+            if not (type(triple) is list and len(triple) == 3 and type(triple[0]) is str
+                    and type(triple[1]) is str and type(triple[2]) is int):
+                raise FormatError(
+                    f"bigram_counts[{i}] must be a [prev_token, next_token, count] triple")
+            prev_tok, next_tok, count = triple
+            prev, nxt = vocab._index.get(prev_tok), vocab._index.get(next_tok)
+            if prev is None or nxt is None:
+                tok = prev_tok if prev is None else next_tok
+                raise FormatError(f"bigram_counts[{i}] names unknown token {tok!r}")
+            if (prev, nxt) in counts:
+                raise FormatError(f"bigram_counts[{i}] repeats pair {prev_tok!r}->{next_tok!r}")
+            counts[prev, nxt] = count
+    except ValueError as exc:
+        return f"model spec: {exc}", None
+    fault = scalar_value_fault(doc["lambda"], doc["smooth_k"], counts, vocab)
+    return (f"model spec: {fault}", None) if fault else (None, counts)
+
+
+#: Faults one triple can carry: each maps a well-formed triple, and another
+#: triple of the same doc, to a replacement.
+TRIPLE_FAULTS = {
+    "not-a-list": lambda t, other: {"a": t[0]},
+    "tuple-like-str": lambda t, other: "abc",
+    "null": lambda t, other: None,
+    "short": lambda t, other: t[:2],
+    "long": lambda t, other: t + [1],
+    "int-token": lambda t, other: [3, t[1], t[2]],
+    "null-token": lambda t, other: [t[0], None, t[2]],
+    "float-count": lambda t, other: [t[0], t[1], 1.0],
+    "bool-count": lambda t, other: [t[0], t[1], True],
+    "str-count": lambda t, other: [t[0], t[1], "1"],
+    "unknown-prev": lambda t, other: ["zz", t[1], t[2]],
+    "unknown-next": lambda t, other: [t[0], "yy", t[2]],
+    "unknown-both": lambda t, other: ["zz", "yy", t[2]],
+    "bos-next": lambda t, other: [t[0], "<s>", t[2]],
+    "unk-next": lambda t, other: [t[0], "<unk>", t[2]],
+    "negative": lambda t, other: [t[0], t[1], -1],
+    "2**53": lambda t, other: [t[0], t[1], 2**53],
+    "2**53-1": lambda t, other: [t[0], t[1], 2**53 - 1],
+    "past-int64": lambda t, other: [t[0], t[1], 2**63],
+    "past-float": lambda t, other: [t[0], t[1], 10**400],
+    "far-negative": lambda t, other: [t[0], t[1], -(10**400)],
+    "repeat": lambda t, other: other[:2] + [t[2]],
+}
+
+
+class TestArrayLoaderMatchesScalarLoops:
+    @given(st.data())
+    @settings(max_examples=400, deadline=None)
+    def test_same_error_text_or_same_spec(self, data):
+        content = [f"w{i}" for i in range(data.draw(st.integers(1, 5)))]
+        tokens = ["<s>", "</s>", "<unk>", *content]
+        triple = st.tuples(st.sampled_from(tokens), st.sampled_from(["</s>", *content]),
+                           st.integers(0, 50)).map(list)
+        well_formed = data.draw(st.lists(triple, max_size=10))  # may repeat pairs on its own
+        triples = list(well_formed)
+        for _ in range(data.draw(st.integers(0, 4)) if triples else 0):
+            i, j = (data.draw(st.integers(0, len(triples) - 1)) for _ in range(2))
+            fault = data.draw(st.sampled_from(sorted(TRIPLE_FAULTS)))
+            triples[i] = TRIPLE_FAULTS[fault](list(well_formed[i]), well_formed[j])
+        doc = {
+            "lambda": data.draw(st.sampled_from([0.5, 0.5, 0.0, 1.5, True, "0.5", 10**400])),
+            "smooth_k": data.draw(st.sampled_from([1.0, 1.0, 2, 0.0, 1e308, None])),
+            "vocab": data.draw(st.sampled_from([tokens] * 6 + [tokens + ["w0"], "<s></s><unk>w"])),
+            "bigram_counts": triples,
+        }
+        message, counts = scalar_load(json.loads(json.dumps(doc)))
+        try:
+            spec = ToyModelSpec.from_json_text(json.dumps(doc))
+        except FormatError as exc:
+            assert str(exc) == message
+            return
+        assert message is None
+        assert spec.bigram_counts == counts and len(spec.bigram_counts) == len(counts)
+        assert (spec.copy_weight, spec.smooth_k) == (doc["lambda"], doc["smooth_k"])
+        assert spec.vocab.tokens == tuple(doc["vocab"])
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_counts_built_in_code_give_the_same_error_text(self, data):
+        vocab = Vocab.from_content(["a", "b", "c"])
+        ids = (st.integers(-1, len(vocab)) | st.sampled_from([np.int64(3), np.uint8(4), True,
+                                                              3.0, "3", None, 10**30]))
+        counts = st.integers(0, 9) | st.sampled_from([-1, 2**53, 2**53 - 1, 10**400, 2.0,
+                                                       True, np.int64(2), None])
+        pairs = data.draw(st.dictionaries(st.tuples(ids, ids), counts, max_size=8))
+        cw = data.draw(st.sampled_from([0.5, 0.5, 0.5, 2.0, True]))
+        try:
+            spec = ToyModelSpec(cw, 1.0, pairs, vocab)
+        except ValueError as exc:
+            assert str(exc) == scalar_value_fault(cw, 1.0, pairs, vocab)
+            return
+        assert scalar_value_fault(cw, 1.0, pairs, vocab) is None
+        assert spec.bigram_counts == pairs
+
+
+def table_built_from_the_mapping(spec: ToyModelSpec) -> tuple[np.ndarray, ...]:
+    """The bigram table as it was built from the count mapping, before the spec
+    held its counts as arrays."""
+    counts, size = spec.bigram_counts, len(spec.vocab)
+    pairs = np.fromiter((t for pair in counts for t in pair), np.intp, 2 * len(counts))
+    order = np.argsort(pairs[0::2] * size + pairs[1::2])
+    prevs, nexts = pairs[0::2][order], pairs[1::2][order]
+    raw = np.fromiter(counts.values(), float, len(counts))[order]
+    k, w = spec.smooth_k, 1.0 - spec.copy_weight
+    totals = np.bincount(prevs, weights=raw, minlength=size) + k * (size - 2)
+    starts = np.searchsorted(prevs, np.arange(size + 1))
+    return w * (k / totals), starts, nexts, w * ((raw + k) / totals[prevs])
+
+
+class TestBigramTableArrays:
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_table_byte_equal_however_the_spec_was_built(self, data):
+        vocab = Vocab.from_content([f"w{i}" for i in range(data.draw(st.integers(1, 8)))])
+        pair = st.tuples(st.integers(0, len(vocab) - 1),
+                         st.sampled_from((EOS_ID, *vocab.content_ids)))
+        counts = data.draw(st.dictionaries(
+            pair, st.integers(0, 2**20) | st.integers(2**52, 2**53 - 1), max_size=30))
+        cw = data.draw(st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1.0))
+        k = data.draw(st.sampled_from([1e-3, 1.0]) | st.floats(1e-3, 5.0))
+        in_code = ToyModelSpec(cw, k, counts, vocab)
+        specs = [ToyModelSpec.from_json_text(in_code.to_json_text()), in_code,
+                 ToyModelSpec(cw, k, dict(reversed(list(counts.items()))), vocab)]
+        tables = [CopyBigramModel(spec)._bigram_table for spec in specs]
+        tables.append(table_built_from_the_mapping(in_code))
+        for arrays in zip(*tables):
+            assert len({(a.dtype, a.shape, a.tobytes()) for a in arrays}) == 1
+
+    def test_counts_held_as_read_only_key_sorted_arrays(self, ab_vocab):
+        spec = ToyModelSpec(0.5, 1.0, {(4, EOS_ID): 5, (3, 4): 2, (BOS_ID, 3): 1}, ab_vocab)
+        counts = spec.bigram_counts
+        assert counts.prev.tolist() == [BOS_ID, 3, 4] and counts.next.tolist() == [3, 4, EOS_ID]
+        assert counts.count.tolist() == [1, 2, 5] and counts.count.dtype == np.int64
+        for array in (counts.prev, counts.next, counts.count):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 7
+        assert counts == {(3, 4): 2, (4, EOS_ID): 5, (BOS_ID, 3): 1} and counts[3, 4] == 2
+        assert (3, 4) in counts and (4, 3) not in counts and "x" not in counts
+        assert list(counts) == [(BOS_ID, 3), (3, 4), (4, EOS_ID)]
+        assert dataclasses.replace(spec, copy_weight=0.25).bigram_counts == counts
+        with pytest.raises(ValueError, match="bigram count id 4 not an integer"):
+            dataclasses.replace(spec, vocab=Vocab.from_content(["a"]))
