@@ -1,13 +1,13 @@
 #!/usr/bin/env python3
 """Paired timing of model loading: a base commit against the working tree.
 
-    python3 scripts/bench_spec_load.py [--base REV] [--pairs N] [--out FILE]
+    python3 scripts/bench_spec_load.py --base REV [--pairs N] [--out FILE]
 
-The base commit (default ``HEAD``, so uncommitted changes are what is
-measured) is unpacked with ``git archive REV | tar -x`` into
+The base commit ``REV`` (say the parent of the change, ``HEAD~1`` once it is
+committed, or ``HEAD`` to measure uncommitted edits) is unpacked with ``git archive REV | tar -x`` into
 ``.bench_work/`` at the root of the checkout, which the run removes when it
 ends. One worker process per side imports ``dyne`` from its own ``src/``,
-and both read the same seeded spec files:
+and both read the same spec files, drawn with the fixed seed ``SEED``:
 
 * ``wide``: the size of the ``wide`` benchmark's spec, V = 2,000 tokens and
   20,000 bigram counts, about 1 MB;
@@ -46,12 +46,13 @@ WORK = ROOT / ".bench_work"
 #: name -> (vocab size, bigram counts, loads per sample)
 WORKLOADS = {"wide": (2000, 20_000, 1), "empty": (243, 0, 50)}
 METRICS = ("load_s", "first_use_s")
+SEED = 0
 
 
-def spec_doc(vocab: int, bigrams: int, seed: int) -> dict:
+def spec_doc(vocab: int, bigrams: int) -> dict:
     """A spec with ``bigrams`` distinct random pairs, built without the model
     code so both sides read the same bytes."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(SEED)
     tokens = ["<s>", "</s>", "<unk>", *(f"w{i:04d}" for i in range(vocab - 3))]
     prevs = [0, *range(3, vocab)]  # <s> and the content tokens
     nexts = [1, *range(3, vocab)]  # </s> and the content tokens
@@ -112,7 +113,7 @@ def cpu_model() -> str:
     return platform.processor()
 
 
-def run_pairs(base_sha: str, pairs: int, seed: int) -> dict:
+def run_pairs(base_sha: str, pairs: int) -> dict:
     """``{(workload, side): [(load_s, first_use_s, table sha256), ...]}``."""
     from dyne.errors import json_text, write_output  # the working tree's, from main
 
@@ -124,7 +125,7 @@ def run_pairs(base_sha: str, pairs: int, seed: int) -> dict:
                                  capture_output=True).stdout
         subprocess.run(["tar", "-x", "-C", str(WORK / "base")], input=archive, check=True)
         for name, (vocab, bigrams, _) in WORKLOADS.items():
-            write_output(WORK / f"{name}.json", json_text(spec_doc(vocab, bigrams, seed)))
+            write_output(WORK / f"{name}.json", json_text(spec_doc(vocab, bigrams)))
         procs = {side: subprocess.Popen([sys.executable, __file__, "--worker", str(src)],
                                         stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True)
                  for side, src in (("base", WORK / "base" / "src"), ("tree", ROOT / "src"))}
@@ -147,9 +148,8 @@ def run_pairs(base_sha: str, pairs: int, seed: int) -> dict:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("--base", default="HEAD", help="commit to compare against")
+    parser.add_argument("--base", required=True, help="commit to compare against")
     parser.add_argument("--pairs", type=int, default=30)
-    parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--out", type=Path, default=ROOT / "BENCH_spec_load.json")
     args = parser.parse_args()
     if args.pairs < 2:
@@ -158,11 +158,11 @@ def main() -> int:
     from dyne.errors import json_text, write_output
 
     base_sha = git("rev-parse", f"{args.base}^{{commit}}")
-    samples = run_pairs(base_sha, args.pairs, args.seed)
+    samples = run_pairs(base_sha, args.pairs)
     result = {
         "command": " ".join(["scripts/bench_spec_load.py", *sys.argv[1:]]),
         "pairs": args.pairs,
-        "seed": args.seed,
+        "seed": SEED,
         "base": {"sha": base_sha},
         "tree": {"head": git("rev-parse", "HEAD"),
                  "dirty": bool(git("status", "--porcelain", "--untracked-files=no"))},

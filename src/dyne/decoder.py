@@ -279,10 +279,7 @@ def _checked_inputs(
     inputs = tuple(tuple(x) for x in inputs)
     if input_labels is None:
         input_labels = tuple(f"input_{i}" for i in range(len(inputs)))
-    labels = tuple(input_labels)  # a str would give one label per character
-    if isinstance(input_labels, str) or not all(isinstance(label, str) for label in labels) or (
-            len(set(labels)) != len(labels)):
-        raise ValueError(f"input labels must be distinct strings, got {input_labels!r}")
+    labels = TraceMatrix(input_labels).input_labels  # the trace states the label rule
     if len(labels) != len(inputs):
         raise ValueError(f"got {len(labels)} input labels for {len(inputs)} inputs")
     return inputs, labels

@@ -35,15 +35,23 @@ class TraceRow:
 
 @dataclass(frozen=True)
 class TraceMatrix:
-    """Timesteps x inputs matrix of per-input chosen-token log-scores."""
+    """Timesteps x inputs matrix of per-input chosen-token log-scores.
+
+    The labels, one per input, are a list or tuple of distinct strings: a str
+    would give one label per character and a repeat would name two columns
+    alike. This is the one place the rule is stated; the decoder's entry
+    points apply it by building an empty trace before anything is scored.
+    """
 
     input_labels: tuple[str, ...]
     rows: tuple[TraceRow, ...] = ()
 
     def __post_init__(self) -> None:
-        labels = self.input_labels  # a str would give one label per character
-        if not (isinstance(labels, (list, tuple)) and all(isinstance(x, str) for x in labels)):
-            raise ValueError(f"input labels must be a list of strings, got {labels!r}")
+        labels = self.input_labels
+        if not (isinstance(labels, (list, tuple)) and all(isinstance(x, str) for x in labels)
+                and len(set(labels)) == len(labels)):
+            raise ValueError(f"input labels must be distinct strings in a list or tuple, "
+                             f"got {labels!r}")
         object.__setattr__(self, "input_labels", tuple(labels))
         object.__setattr__(self, "rows", tuple(self.rows))
         width = len(self.input_labels)

@@ -192,7 +192,8 @@ _NO_COUNTS = _BigramCounts(np.zeros(0, np.intp), np.zeros(0, np.intp), np.zeros(
 
 
 def _repeats(keys: np.ndarray) -> np.ndarray:
-    """The positions of the keys that repeat an earlier key."""
+    """The positions of the keys that repeat an earlier key; the sort's
+    temporaries are freed on return, before the spec is built."""
     order = np.argsort(keys, kind="stable")  # a key's first position leads its run
     runs = keys[order]
     return order[1:][runs[1:] == runs[:-1]]
@@ -255,7 +256,7 @@ class ToyModelSpec:
         if not (self.smooth_k > 0 and math.isfinite(self.smooth_k * alphabet)):
             raise ValueError(f"smooth_k must be positive and finite times the {alphabet} "
                              f"predictable tokens, got {self.smooth_k}")
-        object.__setattr__(self, "bigram_counts",
+        object.__setattr__(self, "bigram_counts",  # no counts: no array passes
                            self._checked(counts, given) if len(counts) else _NO_COUNTS)
 
     def _checked(self, counts: _BigramCounts, given: list | None) -> _BigramCounts:
@@ -314,7 +315,9 @@ class ToyModelSpec:
         triples = doc["bigram_counts"]
         if not isinstance(triples, list):
             raise FormatError("field 'bigram_counts' must be a list of [prev, next, count] triples")
-        if not triples:  # nothing to check
+        # a spec with no counts skips the fault search: its numpy calls alone
+        # would make such a load (the sweep benchmark's) about a third slower
+        if not triples:
             return cls(doc["lambda"], doc["smooth_k"], _NO_COUNTS, vocab)
         bad, cols = len(triples), _columns(triples)
         if cols is None:  # the triples before the first malformed one may hold a fault

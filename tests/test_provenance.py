@@ -87,13 +87,16 @@ class TestConstruction:
         assert TraceMatrix(["doc0"], [TraceRow(A, "a", -1.0, (-1.0,))]).rows[0].token == "a"
         assert isinstance(TraceMatrix(["doc0"]).input_labels, tuple)
 
-    @pytest.mark.parametrize("labels", ["xy", None, 5, {"x": 0}, ("x", 1), [None]],
-                             ids=["str", "none", "int", "dict", "int-label", "none-label"])
-    def test_labels_must_be_a_list_of_strings(self, labels):
-        # "xy" built a trace with the labels ('x', 'y'); None and 5 raised TypeError
+    @pytest.mark.parametrize("labels", ["xy", None, 5, {"x": 0}, ("x", 1), [None], ("x", "x")],
+                             ids=["str", "none", "int", "dict", "int-label", "none-label",
+                                  "repeated"])
+    def test_labels_must_be_distinct_strings(self, labels):
+        # "xy" built a trace with the labels ('x', 'y'), ("x", "x") one with two
+        # columns named alike; None and 5 raised TypeError
         with pytest.raises(ValueError) as info:
             TraceMatrix(labels, ())
-        assert str(info.value) == f"input labels must be a list of strings, got {labels!r}"
+        assert str(info.value) == ("input labels must be distinct strings in a list or tuple, "
+                                   f"got {labels!r}")
         assert TraceMatrix(["x", "y"]).input_labels == ("x", "y")
 
     def test_numpy_integer_tokens_export_to_json(self):
