@@ -315,9 +315,7 @@ class ToyModelSpec:
         triples = doc["bigram_counts"]
         if not isinstance(triples, list):
             raise FormatError("field 'bigram_counts' must be a list of [prev, next, count] triples")
-        # a spec with no counts skips the fault search: its numpy calls alone
-        # would make such a load (the sweep benchmark's) about a third slower
-        if not triples:
+        if not triples:  # the fault search's numpy calls would slow this load by a third
             return cls(doc["lambda"], doc["smooth_k"], _NO_COUNTS, vocab)
         bad, cols = len(triples), _columns(triples)
         if cols is None:  # the triples before the first malformed one may hold a fault
