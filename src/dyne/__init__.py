@@ -45,7 +45,6 @@ from .seqmodel import (
     SequenceModel,
     TokenSeq,
     ToyModelSpec,
-    UniformModel,
     Vocab,
     load_model,
 )
@@ -76,7 +75,6 @@ __all__ = [
     "ToyModelSpec",
     "TraceMatrix",
     "TraceRow",
-    "UniformModel",
     "Vocab",
     "beam_search",
     "brute_force_search",

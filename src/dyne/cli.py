@@ -27,7 +27,7 @@ import sys
 from pathlib import Path
 
 from .data import Cluster, ClusterSet, load_clusters, select_document_indices, tokenize_and_truncate
-from .decoder import DecodeParams, Reduce, beam_search
+from .decoder import DecodeParams, Reduce, beam_search, check_beam_memory
 from .errors import (DecodeError, FormatError, csv_text, input_records, json_text, jsonl_text,
                      parse_object, read_input, write_output)
 from .rouge import (
@@ -54,19 +54,6 @@ def _fresh_out(path: str) -> Path:
     return out
 
 
-def _decode_params(args) -> DecodeParams:
-    """The decode settings, with the run sizes checked before anything is loaded."""
-    for name in ("max_docs", "max_input_tokens", "sizes"):
-        value = getattr(args, name, None)
-        if value is not None and min(value if isinstance(value, list) else [value]) < 1:
-            raise ValueError(f"{name} must be >= 1, got {value}")
-    return DecodeParams(
-        beam_size=args.beam_size, max_len=args.max_len, min_len=args.min_len,
-        reduce=Reduce(args.reduce), length_penalty_alpha=args.length_penalty,
-        block_repeat_ngram=args.block_repeat_ngram, seed=args.seed,
-    )
-
-
 def _rouge_setup(args) -> tuple[RougeConfig, tuple[str, ...]]:
     """The ROUGE config and metric names, checked before anything is loaded."""
     for metric in args.metrics:
@@ -79,6 +66,26 @@ def _rouge_setup(args) -> tuple[RougeConfig, tuple[str, ...]]:
         beta=args.beta,
     )
     return cfg, tuple(args.metrics)
+
+
+def _load_run(args, max_docs: int) -> tuple[DecodeParams, SequenceModel, ClusterSet]:
+    """The decode settings, checked with the run sizes before anything is loaded,
+    then the model and the clusters. A beam too wide for the largest ensemble of
+    up to ``max_docs`` documents is refused before any cluster decodes."""
+    for name in ("max_docs", "max_input_tokens", "sizes"):
+        value = getattr(args, name, None)
+        if value is not None and min(value if isinstance(value, list) else [value]) < 1:
+            raise ValueError(f"{name} must be >= 1, got {value}")
+    params = DecodeParams(
+        beam_size=args.beam_size, max_len=args.max_len, min_len=args.min_len,
+        reduce=Reduce(args.reduce), length_penalty_alpha=args.length_penalty,
+        block_repeat_ngram=args.block_repeat_ngram, seed=args.seed,
+    )
+    model = load_model(args.model)
+    clusters = load_clusters(args.clusters)
+    largest = min(max_docs, max((len(c.documents) for c in clusters), default=0))
+    check_beam_memory(params, len(model.vocab), largest)
+    return params, model, clusters
 
 
 def _decode_cluster(model: SequenceModel, cluster: Cluster, args, params: DecodeParams,
@@ -138,9 +145,7 @@ def _report_failures(failures: list[tuple[str, str]]) -> None:
 
 def cmd_decode(args, settings: dict) -> int:
     out_dir = _fresh_out(args.out)
-    params = _decode_params(args)
-    model = load_model(args.model)
-    clusters = load_clusters(args.clusters)
+    params, model, clusters = _load_run(args, args.max_docs)
     _, failures = _decode_run(model, clusters, args, params, args.max_docs, out_dir)
     write_output(out_dir / "run_config.json", json_text(settings))
     done = len(clusters) - len(failures)
@@ -217,10 +222,8 @@ def cmd_evaluate(args, settings: dict) -> int:
 
 def cmd_sweep(args, settings: dict) -> int:
     out_dir = _fresh_out(args.out)
-    params = _decode_params(args)
     rouge_cfg, metrics = _rouge_setup(args)
-    model = load_model(args.model)
-    clusters = load_clusters(args.clusters)
+    params, model, clusters = _load_run(args, max(args.sizes))
     ref_tokens = _reference_tokens(clusters, [c.id for c in clusters], rouge_cfg)
 
     failed = False
@@ -228,7 +231,9 @@ def cmd_sweep(args, settings: dict) -> int:
     for size in args.sizes:
         size_dir = out_dir / f"size_{size}"
         records, failures = _decode_run(model, clusters, args, params, size, size_dir)
-        _report_failures(failures)  # before evaluating, which fails if none decoded
+        _report_failures(failures)
+        if not records:
+            raise ValueError(f"no cluster decoded at size {size} ({len(failures)} failed)")
         failed = failed or bool(failures)
         report = _evaluate_records(records, rouge_cfg, metrics, ref_tokens)
         write_output(size_dir / "report.json", json_text(report))
@@ -249,9 +254,7 @@ def cmd_sweep(args, settings: dict) -> int:
 
 
 def cmd_trace(args, settings: dict) -> int:
-    params = _decode_params(args)
-    model = load_model(args.model)
-    clusters = load_clusters(args.clusters)
+    params, model, clusters = _load_run(args, args.max_docs)
     cluster = clusters.get(args.cluster_id)
     if cluster is None:
         raise ValueError(f"no cluster with id {args.cluster_id!r}")

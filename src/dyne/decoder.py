@@ -12,8 +12,9 @@ serves as an exact search oracle at desk scale.
 Two reduce functions are provided: the arithmetic mean of log-probabilities
 and the (log of the) arithmetic mean of probabilities. They generally
 disagree; the log-space mean is the default because sequence scores compose
-additively in log space. Both canonicalize their summation order, which
-makes decoding bitwise invariant to permuting or duplicating inputs.
+additively in log space. Both sum each column in sorted order, which makes
+decoding bitwise invariant to permuting or duplicating inputs; a search keeps
+one `ColumnOrder` per call, so a step seldom sorts.
 """
 
 from __future__ import annotations
@@ -131,12 +132,29 @@ class ScoredHypothesis:
     trace: TraceMatrix
 
 
-def _canonical(per_input: list[LogProbVector] | np.ndarray) -> np.ndarray:
-    """The checked ``[N, V]`` stack with sorted columns, so a reduce does not
-    depend on input order; one row when every row is equal. Columns are sorted
-    as rows of a contiguous ``[V, N]`` copy: on ``[8, 2000]`` (numpy 2.4.6,
-    2-vCPU Xeon) its best of 15 timings was 93 us, against 105 us for
-    ``np.sort(axis=0)``."""
+class ColumnOrder:
+    """One call's last ``[N, V]`` column sort order, as flat gather indices
+    ``order * V + arange(V)``. A stack gathered through them is kept if every
+    column comes out non-decreasing, else argsorted afresh. A non-decreasing
+    column is the sorted one up to where -0.0 and 0.0 fall, which no reduce
+    bit depends on. Under `CopyBigramModel` a row rises with its input's fixed
+    copy weight, so the order seldom goes stale within a decode."""
+
+    flat: np.ndarray | None = None
+
+    def sorted(self, arr: np.ndarray) -> np.ndarray:
+        if self.flat is not None and self.flat.shape == arr.shape:
+            out = arr.ravel().take(self.flat)
+            if (out[:-1] <= out[1:]).all():
+                return out
+        self.flat = np.argsort(arr, axis=0, kind="stable") * arr.shape[1] + np.arange(arr.shape[1])
+        return arr.ravel().take(self.flat)
+
+
+def _canonical(per_input: list[LogProbVector] | np.ndarray,
+               order: ColumnOrder | None = None) -> np.ndarray:
+    """The checked ``[N, V]`` stack with sorted columns, C-contiguous, so a
+    reduce does not depend on input order; one row when every row is equal."""
     if len(per_input) == 0:
         raise ValueError("reduce needs at least one distribution")
     widths = {len(v) for v in per_input}
@@ -145,34 +163,36 @@ def _canonical(per_input: list[LogProbVector] | np.ndarray) -> np.ndarray:
     arr = np.asarray(per_input, dtype=float)
     if not (arr < np.inf).all():  # false for NaN and +inf alike
         raise ValueError("model returned NaN or +inf; log-probabilities must be finite or -inf")
-    if len(arr) > 1:
-        arr = np.ascontiguousarray(np.sort(np.ascontiguousarray(arr.T)).T)
+    if len(arr) > 1:  # a reducer called on its own sorts afresh
+        arr = (order if order is not None else ColumnOrder()).sorted(arr)
     # after the column sort, equal end rows mean equal values in every row; the
-    # bit test then tells -0.0 from 0.0, which the sort leaves in input order
+    # bit test then tells -0.0 from 0.0, which the sort leaves in either order
     bits = arr.view(np.int64)
     return arr[:1] if np.array_equal(arr[0], arr[-1]) and (bits == bits[0]).all() else arr
 
 
-def reduce_mean_logprob(per_input: list[LogProbVector] | np.ndarray) -> LogProbVector:
+def reduce_mean_logprob(per_input: list[LogProbVector] | np.ndarray,
+                        order: ColumnOrder | None = None) -> LogProbVector:
     """Elementwise arithmetic mean in log space; not renormalized.
 
     Masked (-inf) entries propagate. Columns are sorted before summation so
     the result does not depend on input order, and a run of identical
     distributions reduces to that distribution exactly.
     """
-    arr = _canonical(per_input)
+    arr = _canonical(per_input, order)
     if len(arr) == 1:  # np.sum starts from 0.0, which would turn -0.0 into 0.0
         return arr[0].copy()
     return np.sum(arr, axis=0) / arr.shape[0]
 
 
-def reduce_mean_prob(per_input: list[LogProbVector] | np.ndarray) -> LogProbVector:
+def reduce_mean_prob(per_input: list[LogProbVector] | np.ndarray,
+                     order: ColumnOrder | None = None) -> LogProbVector:
     """Log of the elementwise arithmetic mean of probabilities.
 
     Computed with a max shift for stability; normalized whenever the inputs
     are. Order-canonical for the same reason as `reduce_mean_logprob`.
     """
-    arr = _canonical(per_input)
+    arr = _canonical(per_input, order)
     if len(arr) == 1:  # exp/log would turn -0.0 into 0.0
         return arr[0].copy()
     top = arr[-1]
@@ -194,13 +214,15 @@ def ensemble_step(
     inputs: list[TokenSeq],
     prefix: TokenSeq,
     reduce: Reduce = Reduce.MEAN_LOGPROB,
+    order: ColumnOrder | None = None,
 ) -> tuple[LogProbVector, np.ndarray]:
     """Score the next token for every input in one model call, then combine.
 
     Returns the combined distribution and the ``[N, V]`` per-input
     distributions in input order. The combination is order-canonical, so
-    results never depend on input order. A model result of any other type
-    or shape is a ValueError.
+    results never depend on input order; ``order`` is the caller's
+    `ColumnOrder` for these inputs, if it keeps one. A model result of any
+    other type or shape is a ValueError.
     """
     if not inputs:
         raise ValueError("ensemble needs at least one input")
@@ -210,7 +232,7 @@ def ensemble_step(
         got = per_input.shape if isinstance(per_input, np.ndarray) else type(per_input).__name__
         raise ValueError(f"score_batch returned {got}; expected an ndarray of shape {expected}")
     per_input = per_input.astype(float, copy=False)  # the floats the reduce and trace see
-    return _REDUCERS[reduce](per_input), per_input
+    return _REDUCERS[reduce](per_input, order), per_input
 
 
 def ranked_score(raw: float, content_length: int, alpha: float) -> float:
@@ -306,6 +328,22 @@ def _trace_row(w: int, combined: LogProbVector, per_input: np.ndarray, vocab: Vo
     )
 
 
+STEP_BYTES_LIMIT = 2**30  # what a decode's step arrays may take (see `beam_search`)
+
+
+def check_beam_memory(params: DecodeParams, width: int, n_inputs: int) -> None:
+    """Refuse a ``beam_size`` whose decode over ``n_inputs`` inputs and ``width``
+    tokens would hold more than `STEP_BYTES_LIMIT` bytes of step arrays. At most
+    ``(width - 3) ** t`` prefixes of t content tokens exist, and t < max_len."""
+    beam = int(params.beam_size)
+    live = min(beam, (width - 3) ** min(params.max_len - 1, beam.bit_length()))
+    need = live * width * (n_inputs + 2) * 8
+    if need > STEP_BYTES_LIMIT:
+        raise ValueError(f"beam_size {beam} lets {live} prefixes live, whose step arrays need "
+                         f"about {need:,} bytes for {n_inputs} input(s) over {width} tokens; "
+                         f"the limit is {STEP_BYTES_LIMIT:,}")
+
+
 def beam_search(
     model: SequenceModel,
     inputs: list[TokenSeq],
@@ -325,18 +363,25 @@ def beam_search(
     lexicographically smaller token-id sequence, so output is fully
     deterministic. Each trace holds exactly the scores the search used for
     the chosen tokens; nothing is rescored.
+
+    Memory: a step holds ``(N + 2) * V`` floats for each live prefix (N
+    inputs, V tokens), and at most ``beam_size`` prefixes live. A ``beam_size``
+    that puts this past `STEP_BYTES_LIMIT` (1 GiB) is a ValueError before
+    anything is scored (see `check_beam_memory`).
     """
     inputs, input_labels = _checked_inputs(inputs, input_labels)
     vocab = model.vocab
     width = len(vocab)
+    check_beam_memory(params, width, len(inputs))
 
+    order = ColumnOrder()
     live = [Hypothesis((BOS_ID,), 0.0)]
     pool: list[ScoredHypothesis] = []
 
     # Live prefixes grow together; at content length max_len - 1 the mask
     # leaves only EOS, so after at most max_len steps nothing is live.
     while live:
-        steps = [ensemble_step(model, inputs, hyp.prefix, params.reduce) for hyp in live]
+        steps = [ensemble_step(model, inputs, hyp.prefix, params.reduce, order) for hyp in live]
         scores = np.empty((len(live), width))
         allowed = np.empty((len(live), width), dtype=bool)
         for i, (hyp, (combined, per_input)) in enumerate(zip(live, steps)):
@@ -408,10 +453,11 @@ def brute_force_search(
 
     best_key: tuple[float, TokenSeq] | None = None
     best_raw = 0.0
+    order = ColumnOrder()
 
     def walk(prefix: TokenSeq, score: float) -> None:
         nonlocal best_key, best_raw
-        combined, _ = ensemble_step(model, inputs, prefix, params.reduce)
+        combined, _ = ensemble_step(model, inputs, prefix, params.reduce, order)
         allowed = _allowed_tokens(combined, prefix, params)
         for w in np.flatnonzero(allowed):
             w = int(w)
@@ -465,9 +511,10 @@ def sequence_score(
 
     raw = 0.0
     rows = []
+    order = ColumnOrder()
     prefix: TokenSeq = (BOS_ID,)
     for t in tokens:
-        combined, per_input = ensemble_step(model, inputs, prefix, reduce)
+        combined, per_input = ensemble_step(model, inputs, prefix, reduce, order)
         rows.append(_trace_row(t, combined, per_input, vocab))
         raw += rows[-1].combined
         prefix = prefix + (t,)

@@ -5,15 +5,10 @@ output prefix, what is each input's log-probability of every next token?
 Models here are small closed-form constructions whose distributions can be
 checked by hand, which makes every decoder property exactly testable.
 
-Two model kinds are provided:
-
-* ``UniformModel`` assigns every vocabulary entry the same probability,
-  regardless of input or prefix.
-* ``CopyBigramModel`` mixes an add-k smoothed copy distribution over the
-  input's tokens with an add-k smoothed bigram distribution conditioned on
-  the last prefix token.
-
-Both are deterministic and safe for concurrent read-only scoring.
+``CopyBigramModel`` mixes an add-k smoothed copy distribution over the
+input's tokens with an add-k smoothed bigram distribution conditioned on the
+last prefix token. It is deterministic and safe for concurrent read-only
+scoring.
 """
 
 from __future__ import annotations
@@ -349,27 +344,6 @@ class ToyModelSpec:
             return cls.from_json_text(text)
         except FormatError as exc:
             raise FormatError(f"{path}: {exc}") from exc
-
-
-class UniformModel:
-    """Assigns probability 1/|vocab| to every token, everywhere."""
-
-    def __init__(self, vocab: Vocab):
-        self._vocab = vocab
-        self._dist = np.full(len(vocab), -math.log(len(vocab)))
-
-    @property
-    def vocab(self) -> Vocab:
-        return self._vocab
-
-    def score_batch(self, inputs: Sequence[TokenSeq], prefix: TokenSeq) -> np.ndarray:
-        for x in inputs:
-            check_token_seq(tuple(x), self._vocab, "input")
-        check_token_seq(tuple(prefix), self._vocab, "prefix", require_bos=True)
-        return np.tile(self._dist, (len(inputs), 1))
-
-    def score_next(self, input_ids: TokenSeq, prefix: TokenSeq) -> LogProbVector:
-        return self.score_batch([input_ids], prefix)[0]
 
 
 class CopyBigramModel:

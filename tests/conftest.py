@@ -1,15 +1,38 @@
-"""Shared test helpers: random toy models, a reference plain decoder and a
-JSON mutator for loader fuzzing."""
+"""Shared test helpers: a uniform test model, random toy models, a reference
+plain decoder and a JSON mutator for loader fuzzing."""
 
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 from hypothesis import strategies as st
 
 from dyne import CopyBigramModel, DecodeParams, ToyModelSpec, Vocab
-from dyne.seqmodel import BOS_ID, EOS_ID, UNK_ID
+from dyne.seqmodel import BOS_ID, EOS_ID, UNK_ID, check_token_seq
+
+
+class UniformModel:
+    """Assigns probability 1/|vocab| to every token, everywhere: every
+    sequence of one length ties exactly."""
+
+    def __init__(self, vocab: Vocab):
+        self._vocab = vocab
+        self._dist = np.full(len(vocab), -math.log(len(vocab)))
+
+    @property
+    def vocab(self) -> Vocab:
+        return self._vocab
+
+    def score_batch(self, inputs, prefix) -> np.ndarray:
+        for x in inputs:
+            check_token_seq(tuple(x), self._vocab, "input")
+        check_token_seq(tuple(prefix), self._vocab, "prefix", require_bos=True)
+        return np.tile(self._dist, (len(inputs), 1))
+
+    def score_next(self, input_ids, prefix) -> np.ndarray:
+        return self.score_batch([input_ids], prefix)[0]
 
 
 def random_toy_model(rng: np.random.Generator, max_content: int = 2):

@@ -395,6 +395,23 @@ class TestSweep:
         assert "cluster blank: ValueError: document 0 tokenizes to nothing" in err
         assert err.index("cluster blank") < err.index("error:")
 
+    def test_size_where_no_cluster_decodes_is_named(self, tmp_path, capsys):
+        vocab = Vocab.from_content(["a", "b"])
+        ToyModelSpec(1.0, 1.0, {}, vocab).save(tmp_path / "model.json")
+        (tmp_path / "clusters.jsonl").write_text(
+            '{"id": "blank", "documents": ["   ", " "], "references": ["a b"]}\n'
+            '{"id": "empty", "documents": [""], "references": ["a"]}\n'
+        )
+        code = main([
+            "sweep", "--model", str(tmp_path / "model.json"),
+            "--clusters", str(tmp_path / "clusters.jsonl"),
+            "--sizes", "1", "--max-len", "3", "--out", str(tmp_path / "sweep"),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        errors = [line for line in err if line.startswith("error:")]
+        assert errors == ["error: no cluster decoded at size 1 (2 failed)"]
+
 
     @pytest.mark.parametrize("sizes", ["1 1", "2 1 2"])
     def test_repeated_size_rejected_before_decoding(self, workspace, capsys, sizes):
@@ -447,6 +464,33 @@ class TestTrace:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and "min_len" in err
+
+
+class TestBeamMemoryBound:
+    @pytest.mark.parametrize("command", ["decode", "sweep", "trace"])
+    @pytest.mark.parametrize("given", ["flag", "config"])
+    def test_beam_too_wide_rejected_before_decoding(self, workspace, capsys, monkeypatch,
+                                                    command, given):
+        tmp, flags, corpus = workspace
+        i = flags.index("--beam-size")
+        flags = flags[:i] + flags[i + 2:]
+        if given == "flag":
+            flags += ["--beam-size", "1000000"]
+        else:
+            (tmp / "config.json").write_text(json.dumps({"beam_size": 2**63}))
+            flags += ["--config", str(tmp / "config.json")]
+        extra = {"decode": [], "sweep": ["--sizes", "1", "5"],
+                 "trace": ["--cluster-id", corpus.clusters.clusters[0].id]}[command]
+        monkeypatch.setattr("dyne.cli.beam_search", lambda *a, **k: pytest.fail("decoded"))
+        out = tmp / "x"
+        assert main([command, *flags, *extra, *(["--out", str(out)] * (command != "trace"))]) == 2
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and err.startswith("error: beam_size ")
+        assert not out.exists()
+
+    def test_benchmark_sized_beam_decodes(self, workspace):
+        tmp, flags, _ = workspace
+        assert main(["decode", *flags, "--beam-size", "64", "--out", str(tmp / "x")]) == 0
 
 
 class TestOutputFiles:

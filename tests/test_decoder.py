@@ -20,7 +20,6 @@ from dyne import (
     Reduce,
     ToyModelSpec,
     TraceRow,
-    UniformModel,
     Vocab,
     beam_search,
     brute_force_search,
@@ -29,9 +28,11 @@ from dyne import (
     reduce_mean_prob,
     sequence_score,
 )
+from dyne.decoder import STEP_BYTES_LIMIT, ColumnOrder, check_beam_memory
 from dyne.seqmodel import BOS_ID, EOS_ID, UNK_ID
 
-from conftest import exhaustive_beam_size, plain_beam_search, random_inputs, random_toy_model
+from conftest import (UniformModel, exhaustive_beam_size, plain_beam_search, random_inputs,
+                      random_toy_model)
 
 AB = Vocab.from_content(["a", "b"])
 A, B = 3, 4
@@ -786,6 +787,176 @@ def test_reducers_invariant_to_order_of_signed_zeros():
     for reduce_fn in (reduce_mean_logprob, reduce_mean_prob):
         outs = {reduce_fn(arr[list(order)]).tobytes() for order in itertools.permutations(range(3))}
         assert len(outs) == 1
+
+
+# cells an [N, V] stack is drawn from: exact ties, signed zeros and -inf
+STACK_CELLS = st.sampled_from([-0.0, 0.0, -1.0, -1.0, -2.5, -1e-300, -1e308, -math.inf])
+
+
+@st.composite
+def stack_runs(draw):
+    """A run of ``[N, V]`` stacks as one decode's steps might give them: fresh
+    stacks, row permutations and small edits of the last one, all-equal stacks
+    and (rarely, as the cache allows) a change of shape."""
+    n, width = draw(st.integers(2, 6)), draw(st.integers(1, 7))
+    stacks = []
+    for _ in range(draw(st.integers(1, 8))):
+        kind = draw(st.sampled_from(["fresh", "permute", "edit", "equal", "reshape"]))
+        if kind == "reshape":
+            n, width = draw(st.integers(2, 6)), draw(st.integers(1, 7))
+        if kind in ("permute", "edit") and stacks and stacks[-1].shape == (n, width):
+            arr = stacks[-1].copy()
+            if kind == "permute":
+                arr = arr[draw(st.permutations(range(n)))]
+            else:
+                cell = draw(st.integers(0, n - 1)), draw(st.integers(0, width - 1))
+                arr[cell] = draw(STACK_CELLS)
+        elif kind == "equal":
+            arr = np.tile(np.array(draw(st.lists(STACK_CELLS, min_size=width, max_size=width))),
+                          (n, 1))
+        else:
+            arr = np.array(draw(st.lists(STACK_CELLS, min_size=n * width, max_size=n * width)),
+                           dtype=float).reshape(n, width)
+        stacks.append(arr)
+    return stacks
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")  # sums near -1e308 reach -inf
+@given(stack_runs())
+@settings(max_examples=300, deadline=None)
+def test_reduce_with_a_shared_column_order_equals_a_fresh_sort_bitwise(stacks):
+    for reduce_fn in (reduce_mean_logprob, reduce_mean_prob):
+        order = ColumnOrder()
+        for arr in stacks:
+            assert reduce_fn(arr, order).tobytes() == reduce_fn(arr).tobytes()
+            if len(arr) > 1:
+                gathered = arr.ravel().take(order.flat)  # what the next step tries first
+                assert (gathered[:-1] <= gathered[1:]).all()
+
+
+def test_column_order_is_reused_until_a_column_falls_out_of_order():
+    arr = np.array([[-1.0, -3.0, -0.0], [-2.0, -1.0, 0.0]])
+    order = ColumnOrder()
+    reduce_mean_logprob(arr, order)
+    first = order.flat
+    reduce_mean_logprob(arr - 0.5, order)  # every column keeps its order
+    assert order.flat is first
+    flipped = arr[::-1].copy()
+    flipped[:, 0] = arr[:, 0]  # column 0 keeps its order, column 1 flips
+    assert reduce_mean_logprob(flipped, order).tobytes() == reduce_mean_logprob(flipped).tobytes()
+    assert order.flat is not first
+
+
+PARITY_VOCAB = Vocab.from_content(["a", "b", "c"])
+
+
+class ParityModel:
+    """Scores input ``x`` with a weight fixed by ``x`` that raises some columns
+    and lowers others, with the sign flipped on prefixes of odd length: the
+    order of the inputs within a column flips at every step."""
+
+    vocab = PARITY_VOCAB
+
+    def score_batch(self, inputs, prefix):
+        width = len(self.vocab)
+        # irrational-looking weights, so that a sum's bits depend on its order
+        weights = np.sqrt([len(x) + 0.37 * x[0] + 0.11 * x[-1] for x in inputs])[:, None]
+        sign = 1.0 if len(prefix) % 2 == 0 else -1.0
+        slope = np.arange(width) % 3 - 1.0  # -1, 0 or +1 per column
+        base = -1.0 - ((np.arange(width) * (prefix[-1] + 2)) % 5) / 3.0
+        scores = base + sign * (math.pi / 7) * weights * slope
+        scores[:, BOS_ID] = -math.inf
+        return scores
+
+
+def exact(results):
+    """Ranked results with every score spelled exactly, combined trace column
+    included; per-input columns are left out, since they follow the inputs."""
+    return [(h.tokens, h.raw_score.hex(), h.ranked_score.hex(),
+             [r.combined.hex() for r in h.trace.rows]) for h in results]
+
+
+class TestColumnOrderInDecodes:
+    INPUTS = [(3, 4), (5, 3, 3), (4,), (5, 5, 4, 3), (3, 3, 5), (4, 5)]
+
+    def test_parity_model_makes_the_cache_sort_again(self):
+        order = ColumnOrder()
+        flats = []
+        for prefix in [(BOS_ID,), (BOS_ID, 3), (BOS_ID, 3, 4), (BOS_ID, 3, 4, 5)]:
+            ensemble_step(ParityModel(), self.INPUTS, prefix, Reduce.MEAN_LOGPROB, order)
+            flats.append(order.flat)
+        assert len({id(f) for f in flats}) == len(flats)  # a new order at every step
+
+    @pytest.mark.parametrize("reduce", list(Reduce))
+    @pytest.mark.parametrize("min_len", [0, 2])
+    def test_parity_model_beam_equals_oracle_and_fresh_sorts(self, reduce, min_len):
+        params = DecodeParams(beam_size=1, max_len=5, min_len=min_len, reduce=reduce)
+        params = dataclasses.replace(params, beam_size=exhaustive_beam_size(PARITY_VOCAB, params))
+        results = beam_search(ParityModel(), self.INPUTS, params)
+        oracle = brute_force_search(ParityModel(), self.INPUTS, params)
+        assert results[0].tokens == oracle.tokens
+        assert results[0].raw_score.hex() == oracle.raw_score.hex()
+        assert bits(results[0].trace.rows) == bits(oracle.trace.rows)
+        # every step of every result scored as a fresh sort of that step would
+        reduce_fn = {Reduce.MEAN_LOGPROB: reduce_mean_logprob, Reduce.MEAN_PROB: reduce_mean_prob}
+        for h in results:
+            prefix = (BOS_ID,)
+            for row in h.trace.rows:
+                fresh = reduce_fn[reduce](ParityModel().score_batch(self.INPUTS, prefix))
+                assert row.combined.hex() == float(fresh[row.token_id]).hex()
+                prefix += (row.token_id,)
+
+    @given(st.lists(st.integers(0, 5), min_size=1, max_size=8), st.randoms(),
+           st.sampled_from(list(Reduce)))
+    @settings(max_examples=40, deadline=None)
+    def test_parity_model_decode_invariant_to_permuting_inputs(self, picks, rnd, reduce):
+        # picks may repeat an input; any order of the same inputs decodes alike
+        params = DecodeParams(beam_size=3, max_len=5, min_len=1, reduce=reduce)
+        inputs = [self.INPUTS[i] for i in picks]
+        shuffled = rnd.sample(inputs, len(inputs))
+        base, other = (beam_search(ParityModel(), x, params) for x in (inputs, shuffled))
+        assert exact(base) == exact(other)
+
+    @pytest.mark.parametrize("reduce", list(Reduce))
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_parity_model_decode_invariant_to_duplicating_the_input(self, reduce, k):
+        params = DecodeParams(beam_size=3, max_len=5, min_len=1, reduce=reduce)
+        for x in self.INPUTS:
+            single, copies = (beam_search(ParityModel(), xs, params) for xs in ([x], [x] * k))
+            assert exact(single) == exact(copies)
+
+
+class TestBeamMemoryBound:
+    def test_huge_beam_refused_before_scoring(self):
+        vocab = Vocab.from_content(f"w{i}" for i in range(1997))
+        model = UniformModel(vocab)
+        calls = []
+        model.score_batch = lambda inputs, prefix: calls.append(prefix)
+        for beam in (10**6, 2**63, 10**400):
+            with pytest.raises(ValueError, match=r"^beam_size \d+ lets \d+ prefixes live"):
+                beam_search(model, [(3, 4)] * 8, DecodeParams(beam_size=beam, max_len=30))
+        assert calls == []
+
+    def test_huge_beam_over_a_small_tree_still_decodes(self):
+        # 2 content tokens and max_len 4 leave at most 2**3 prefixes live
+        params = DecodeParams(beam_size=2**63, max_len=4, min_len=1)
+        got = beam_search(copy_model(), [(A, B)], params)
+        exact = beam_search(copy_model(), [(A, B)], dataclasses.replace(
+            params, beam_size=exhaustive_beam_size(AB, params)))
+        assert [(h.tokens, h.raw_score.hex()) for h in got] == [
+            (h.tokens, h.raw_score.hex()) for h in exact]
+
+    def test_benchmark_settings_stay_far_inside_the_limit(self):
+        wide = DecodeParams(beam_size=8, max_len=30, min_len=10)
+        check_beam_memory(dataclasses.replace(wide, beam_size=8 * 100), 2000, 8)
+        sweep = DecodeParams(beam_size=4, max_len=5, min_len=4)
+        check_beam_memory(dataclasses.replace(sweep, beam_size=4 * 100), 243, 5)
+
+    def test_limit_is_the_boundary(self):
+        params = DecodeParams(beam_size=STEP_BYTES_LIMIT // (1000 * 10 * 8), max_len=30)
+        check_beam_memory(params, 1000, 8)  # exactly at the limit
+        with pytest.raises(ValueError, match="beam_size"):
+            check_beam_memory(dataclasses.replace(params, beam_size=params.beam_size + 1), 1000, 8)
 
 
 class TableModel:

@@ -18,7 +18,6 @@ from dyne import (
     DecodeParams,
     FormatError,
     ToyModelSpec,
-    UniformModel,
     Vocab,
     beam_search,
     load_model,
@@ -26,7 +25,7 @@ from dyne import (
 from dyne import seqmodel
 from dyne.seqmodel import BOS_ID, EOS_ID, UNK_ID
 
-from conftest import mutate_json, random_inputs, random_toy_model
+from conftest import UniformModel, mutate_json, random_inputs, random_toy_model
 
 
 def logsumexp(v: np.ndarray) -> float:
