@@ -152,7 +152,7 @@ class ColumnOrder:
 
 
 def _canonical(per_input: list[LogProbVector] | np.ndarray,
-               order: ColumnOrder | None = None) -> np.ndarray:
+               order: ColumnOrder | None) -> np.ndarray:
     """The checked ``[N, V]`` stack with sorted columns, C-contiguous, so a
     reduce does not depend on input order; one row when every row is equal."""
     if len(per_input) == 0:

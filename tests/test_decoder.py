@@ -941,10 +941,9 @@ class TestBeamMemoryBound:
         # 2 content tokens and max_len 4 leave at most 2**3 prefixes live
         params = DecodeParams(beam_size=2**63, max_len=4, min_len=1)
         got = beam_search(copy_model(), [(A, B)], params)
-        exact = beam_search(copy_model(), [(A, B)], dataclasses.replace(
+        full = beam_search(copy_model(), [(A, B)], dataclasses.replace(
             params, beam_size=exhaustive_beam_size(AB, params)))
-        assert [(h.tokens, h.raw_score.hex()) for h in got] == [
-            (h.tokens, h.raw_score.hex()) for h in exact]
+        assert exact(got) == exact(full)
 
     def test_benchmark_settings_stay_far_inside_the_limit(self):
         wide = DecodeParams(beam_size=8, max_len=30, min_len=10)
@@ -954,7 +953,7 @@ class TestBeamMemoryBound:
 
     def test_limit_is_the_boundary(self):
         params = DecodeParams(beam_size=STEP_BYTES_LIMIT // (1000 * 10 * 8), max_len=30)
-        check_beam_memory(params, 1000, 8)  # exactly at the limit
+        check_beam_memory(params, 1000, 8)  # the widest beam inside the limit
         with pytest.raises(ValueError, match="beam_size"):
             check_beam_memory(dataclasses.replace(params, beam_size=params.beam_size + 1), 1000, 8)
 
