@@ -7,11 +7,13 @@ The base commit ``REV`` (say the parent of the change, ``HEAD~1`` once it is
 committed, or ``HEAD`` to measure uncommitted edits) is unpacked with
 ``git archive REV | tar -x`` into ``.bench_work/`` at the root of the
 checkout, which the run removes when it ends. One worker process per side
-imports ``dyne`` from its own ``src/``, and both read the same files, drawn
-with the fixed seed ``SEED``:
+imports ``dyne`` from its own ``src/``. Each side builds the same counts, drawn
+with the fixed seed ``SEED``, and saves them through its own
+``ToyModelSpec.save``, so each reads a spec file in its own format; the decode
+input sets are one file that both sides read:
 
 * ``wide``: the size of the ``wide`` benchmark's spec, V = 2,000 tokens and
-  20,000 bigram counts, about 1 MB;
+  20,000 bigram counts, about 0.8 MB as columns (1 MB as the older triple list);
 * ``empty``: the shape of the ``sweep`` benchmark's spec, V = 243 tokens
   and no bigram counts, where fixed costs show;
 * ``decode``: ``beam_search`` on the ``wide`` spec, over ``DECODE_SETS`` input
@@ -63,18 +65,17 @@ METRICS = {"load": ("load_s", "first_use_s"), "decode": ("decode_s",)}
 DECODE_PARAMS = {"beam_size": 8, "max_len": 30, "min_len": 10}
 
 
-def spec_doc(vocab: int, bigrams: int) -> dict:
-    """A spec with ``bigrams`` distinct random pairs, built without the model
-    code so both sides read the same bytes."""
+def spec_counts(vocab: int, bigrams: int) -> tuple[list[str], dict]:
+    """The tokens of a ``vocab``-token spec and ``bigrams`` distinct random
+    ``(prev id, next id) -> count`` pairs, drawn alike on both sides."""
     rng = np.random.default_rng(SEED)
     tokens = ["<s>", "</s>", "<unk>", *(f"w{i:04d}" for i in range(vocab - 3))]
     prevs = [0, *range(3, vocab)]  # <s> and the content tokens
     nexts = [1, *range(3, vocab)]  # </s> and the content tokens
     flat = rng.choice(len(prevs) * len(nexts), bigrams, replace=False)
     counts = rng.integers(1, 10, bigrams)
-    triples = sorted([tokens[prevs[f // len(nexts)]], tokens[nexts[f % len(nexts)]], int(c)]
-                     for f, c in zip(flat.tolist(), counts))
-    return {"lambda": 0.5, "smooth_k": 1.0, "vocab": tokens, "bigram_counts": triples}
+    return tokens, {(prevs[f // len(nexts)], nexts[f % len(nexts)]): int(c)
+                    for f, c in zip(flat.tolist(), counts)}
 
 
 def decode_inputs(vocab: int, sets: int) -> list[list[list[int]]]:
@@ -132,16 +133,25 @@ def decode_sample(dyne, model, input_sets: list) -> tuple[list[float], str]:
 
 
 def worker(src: str) -> None:
-    """Answer each request line on stdin, the tab-separated ``<kind> <count>
-    <spec path> [<inputs path>]``, with one sample line: the metric values
-    and the sha256 of the outputs, separated by spaces."""
+    """Answer each request line on stdin, tab-separated: ``save <vocab>
+    <bigrams> <spec path>`` with ``saved`` once this side's ``ToyModelSpec``
+    wrote that spec, and ``<kind> <count> <spec path> [<inputs path>]`` with
+    one sample line: the metric values and the sha256 of the outputs,
+    separated by spaces."""
     sys.path.insert(0, src)
     import dyne
 
     models: dict[str, object] = {}  # a decode's model, loaded once per spec
     for line in sys.stdin:
-        kind, count, spec, *inputs = line.rstrip("\n").split("\t")
+        kind, *fields = line.rstrip("\n").split("\t")
         gc.collect()
+        if kind == "save":
+            vocab, bigrams, spec = fields
+            tokens, counts = spec_counts(int(vocab), int(bigrams))
+            dyne.ToyModelSpec(0.5, 1.0, counts, dyne.Vocab(tokens)).save(spec)
+            print("saved", flush=True)
+            continue
+        count, spec, *inputs = fields
         if kind == "load":
             values, sha = load_sample(dyne, int(count), spec)
         else:
@@ -183,26 +193,32 @@ def run_pairs(base_sha: str, pairs: int) -> dict:
         archive = subprocess.run(["git", "archive", base_sha], cwd=ROOT, check=True,
                                  capture_output=True).stdout
         subprocess.run(["tar", "-x", "-C", str(WORK / "base")], input=archive, check=True)
-        requests = {}
-        for name in WORKLOADS:
-            kind, vocab, bigrams, count = WORKLOADS[name]
-            spec = WORK / f"spec_{vocab}_{bigrams}.json"
-            if not spec.exists():
-                write_output(spec, json_text(spec_doc(vocab, bigrams)))
-            requests[name] = [kind, str(count), str(spec)]
-            if kind == "decode":
-                write_output(WORK / "inputs.json", json_text(decode_inputs(vocab, count)))
-                requests[name].append(str(WORK / "inputs.json"))
         procs = {side: subprocess.Popen([sys.executable, __file__, "--worker", str(src)],
                                         stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True)
                  for side, src in (("base", WORK / "base" / "src"), ("tree", ROOT / "src"))}
+
+        def ask(side: str, request: list[str]) -> str:
+            procs[side].stdin.write("\t".join(request) + "\n")
+            procs[side].stdin.flush()
+            return procs[side].stdout.readline()
+
         try:
+            requests = {}
+            for name, (kind, vocab, bigrams, count) in WORKLOADS.items():
+                requests[name] = {}
+                for side in procs:
+                    spec = str(WORK / f"spec_{side}_{vocab}_{bigrams}.json")
+                    if ask(side, ["save", str(vocab), str(bigrams), spec]) != "saved\n":
+                        raise RuntimeError(f"the {side} worker could not save {spec}")
+                    requests[name][side] = [kind, str(count), spec]
+                if kind == "decode":
+                    write_output(WORK / "inputs.json", json_text(decode_inputs(vocab, count)))
+                    for request in requests[name].values():
+                        request.append(str(WORK / "inputs.json"))
             for pair in range(pairs):
                 for name in WORKLOADS:
                     for side in ("base", "tree") if pair % 2 == 0 else ("tree", "base"):
-                        procs[side].stdin.write("\t".join(requests[name]) + "\n")
-                        procs[side].stdin.flush()
-                        *values, sha = procs[side].stdout.readline().split()
+                        *values, sha = ask(side, requests[name][side]).split()
                         samples[name, side].append((list(map(float, values)), sha))
         finally:
             for proc in procs.values():

@@ -157,10 +157,13 @@ def _canonical(per_input: list[LogProbVector] | np.ndarray,
     reduce does not depend on input order; one row when every row is equal."""
     if len(per_input) == 0:
         raise ValueError("reduce needs at least one distribution")
-    widths = {len(v) for v in per_input}
-    if len(widths) != 1:
-        raise ValueError(f"distributions disagree on vocabulary size: {sorted(widths)}")
+    if not isinstance(per_input, np.ndarray):  # a list's rows may differ in length
+        widths = {len(v) if np.ndim(v) else 0 for v in per_input}  # a scalar row has no len
+        if len(widths) != 1:
+            raise ValueError(f"distributions disagree on vocabulary size: {sorted(widths)}")
     arr = np.asarray(per_input, dtype=float)
+    if arr.ndim != 2:
+        raise ValueError(f"reduce needs an [N, V] stack of distributions, got shape {arr.shape}")
     if not (arr < np.inf).all():  # false for NaN and +inf alike
         raise ValueError("model returned NaN or +inf; log-probabilities must be finite or -inf")
     if len(arr) > 1:  # a reducer called on its own sorts afresh

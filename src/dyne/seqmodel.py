@@ -16,7 +16,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import operator
 import re
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
@@ -135,9 +134,10 @@ def check_token_seq(
     if not ids:
         raise ValueError(f"{name} must not be empty")
     size = len(vocab)
-    for pos, t in enumerate(ids):
-        if not 0 <= t < size:
-            raise ValueError(f"{name}[{pos}] = {t} out of vocabulary range [0, {size})")
+    for pos, t in enumerate(ids):  # DecodeParams' integer rule: never a bool or a float
+        if not ((type(t) is int or isinstance(t, np.integer)) and 0 <= t < size):
+            raise ValueError(f"{name}[{pos}] = {t!r} is not an integer token id, or out of "
+                             f"vocabulary range [0, {size})")
     if require_bos and ids[0] != BOS_ID:
         raise ValueError(f"{name} must begin with the BOS id {BOS_ID}")
 
@@ -155,6 +155,7 @@ class SequenceModel(Protocol):
 
 
 _SPEC_FIELDS = ("lambda", "smooth_k", "vocab", "bigram_counts")
+_COLUMNS = {"prev": str, "next": str, "count": int}  # a file's bigram columns, by value type
 
 
 class _BigramCounts(Mapping):
@@ -192,17 +193,6 @@ def _repeats(keys: np.ndarray) -> np.ndarray:
     order = np.argsort(keys, kind="stable")  # a key's first position leads its run
     runs = keys[order]
     return order[1:][runs[1:] == runs[:-1]]
-
-
-def _columns(triples: list) -> list[list] | None:
-    """The prev-token, next-token and count columns of ``[str, str, int]`` lists,
-    or None; json.loads yields exact types, so ``type`` also refuses bools."""
-    if set(map(type, triples)) <= {list} and set(map(len, triples)) <= {3}:
-        cols = [list(map(operator.itemgetter(j), triples)) for j in range(3)]
-        token_types = set(map(type, cols[0])) | set(map(type, cols[1]))
-        if token_types <= {str} and set(map(type, cols[2])) <= {int}:
-            return cols
-    return None
 
 
 @dataclass(frozen=True)
@@ -279,15 +269,16 @@ class ToyModelSpec:
         return _BigramCounts(prev[order], nxt[order], count[order].astype(np.int64))
 
     def to_json_text(self) -> str:
-        """Canonical serialization: sorted fields, sorted count triples."""
+        """Canonical serialization: sorted fields, and the counts as three
+        columns in pair-key order."""
         tokens, counts = self.vocab.tokens, self.bigram_counts
-        triples = sorted((tokens[p], tokens[n], c)
-                         for (p, n), c in zip(counts, counts.count.tolist()))
         doc = {
             "lambda": self.copy_weight,
             "smooth_k": self.smooth_k,
-            "vocab": list(self.vocab.tokens),
-            "bigram_counts": triples,
+            "vocab": list(tokens),
+            "bigram_counts": {"prev": [tokens[p] for p in counts.prev.tolist()],
+                              "next": [tokens[n] for n in counts.next.tolist()],
+                              "count": counts.count.tolist()},
         }
         return json_text(doc)
 
@@ -302,37 +293,35 @@ class ToyModelSpec:
 
     @classmethod
     def _from_doc(cls, doc: dict) -> "ToyModelSpec":
-        """The checks JSON adds, list shapes, token names and no repeated pair, as
-        array tests; the first triple that breaks one is named."""
+        """The checks JSON adds, the columns' shape and types, token names and no
+        repeated pair, as array tests; a fault is named by column and index."""
         if not isinstance(doc["vocab"], list):
             raise FormatError("field 'vocab' must be a list of strings")
         vocab = Vocab(doc["vocab"])
-        triples = doc["bigram_counts"]
-        if not isinstance(triples, list):
-            raise FormatError("field 'bigram_counts' must be a list of [prev, next, count] triples")
-        if not triples:  # the fault search's numpy calls would slow this load by a third
+        cols = doc["bigram_counts"]
+        lists = [*cols.values()] if type(cols) is dict and cols.keys() == _COLUMNS.keys() else ()
+        if not (lists and {*map(type, lists)} == {list} and len({*map(len, lists)}) == 1):
+            raise FormatError("field 'bigram_counts' must be an object of three equal-length "
+                              'lists, {"prev": [tokens], "next": [tokens], "count": [ints]}')
+        if not cols["count"]:  # array checks need an entry, and would slow the load by a third
             return cls(doc["lambda"], doc["smooth_k"], _NO_COUNTS, vocab)
-        bad, cols = len(triples), _columns(triples)
-        if cols is None:  # the triples before the first malformed one may hold a fault
-            bad = next(i for i, triple in enumerate(triples) if _columns([triple]) is None)
-            cols = _columns(triples[:bad])
-        prev, nxt = (np.fromiter(map(vocab._index.get, col, itertools.repeat(-1)), np.intp,
-                                 len(col)) for col in cols[:2])
-        unknown = np.flatnonzero(np.minimum(prev, nxt) < 0)
-        known = int(unknown[0]) if unknown.size else bad  # the triples before name known tokens
-        # the first faulty triple: a repeated pair, else an unknown token, else a malformed one
-        i = int(_repeats(prev[:known] * len(vocab) + nxt[:known]).min(initial=known))
-        if i < known:
-            raise FormatError(f"bigram_counts[{i}] repeats pair {cols[0][i]!r}->{cols[1][i]!r}")
-        if i < bad:
-            tok = cols[0][i] if prev[i] < 0 else cols[1][i]
-            raise FormatError(f"bigram_counts[{i}] names unknown token {tok!r}")
-        if i < len(triples):
-            raise FormatError(
-                f"bigram_counts[{i}] must be a [prev_token, next_token, count] triple")
+        for col, typ in _COLUMNS.items():  # json.loads yields exact types, so no bools
+            if not set(map(type, cols[col])) <= {typ}:
+                i, v = next((i, v) for i, v in enumerate(cols[col]) if type(v) is not typ)
+                raise FormatError(f"bigram_counts.{col}[{i}] = {v!r} is not of type {typ.__name__}")
+        prev, nxt = (np.fromiter(map(vocab._index.get, cols[col], itertools.repeat(-1)), np.intp,
+                                 len(cols[col])) for col in ("prev", "next"))
+        for col, ids in (("prev", prev), ("next", nxt)):
+            if ids.min() < 0:  # -1 marks an unknown token; argmin finds the first
+                i = int(ids.argmin())
+                raise FormatError(f"bigram_counts.{col}[{i}] names unknown token {cols[col][i]!r}")
+        i = int(_repeats(prev * len(vocab) + nxt).min(initial=len(prev)))
+        if i < len(prev):
+            raise FormatError(f"bigram_counts.prev[{i}] and .next[{i}] repeat pair "
+                              f"{cols['prev'][i]!r}->{cols['next'][i]!r}")
         # the counts stay Python ints until the spec checks each below 2**53
         return cls(doc["lambda"], doc["smooth_k"],
-                   _BigramCounts(prev, nxt, np.array(cols[2], object)), vocab)
+                   _BigramCounts(prev, nxt, np.array(cols["count"], object)), vocab)
 
     def save(self, path: str | Path) -> None:
         write_output(path, self.to_json_text())

@@ -17,6 +17,8 @@ from dyne import Cluster, ClusterSet, ToyModelSpec, Vocab, rouge, save_clusters
 from dyne.cli import main
 from dyne.synthetic import build_consensus_corpus
 
+NO_COUNTS = {"prev": [], "next": [], "count": []}
+
 
 @pytest.fixture
 def workspace(tmp_path):
@@ -82,7 +84,7 @@ class TestDecode:
     def test_count_too_large_for_a_float_is_startup_error(self, workspace, capsys):
         tmp, flags, _ = workspace
         spec = {"lambda": 0.5, "smooth_k": 1.0, "vocab": ["<s>", "</s>", "<unk>", "a", "b"],
-                "bigram_counts": [["a", "b", 10**400]]}
+                "bigram_counts": {"prev": ["a"], "next": ["b"], "count": [10**400]}}
         (tmp / "huge.json").write_text(json.dumps(spec))
         flags = list(flags)
         flags[flags.index("--model") + 1] = str(tmp / "huge.json")
@@ -90,6 +92,24 @@ class TestDecode:
         assert main(["decode", *flags, "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and "below 2**53" in err
+        assert not out.exists()
+
+    def test_triple_list_spec_is_one_startup_error(self, workspace, capsys):
+        # the spec file form before the counts were stored as three columns
+        tmp, flags, corpus = workspace
+        spec = json.loads(corpus.model_spec.to_json_text())
+        a, b = spec["vocab"][3:5]
+        spec["bigram_counts"] = [["<s>", a, 2], [a, b, 1], [b, "</s>", 3]]
+        path = tmp / "triples.json"
+        path.write_text(json.dumps(spec))
+        flags = list(flags)
+        flags[flags.index("--model") + 1] = str(path)
+        out = tmp / "run"
+        assert main(["decode", *flags, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and err.endswith("\n") and err.count("\n") == 1
+        assert err.startswith(f"error: {path}: model spec: field 'bigram_counts' must be an "
+                              'object of three equal-length lists, {"prev": [tokens]')
         assert not out.exists()
 
     def test_length_penalty_that_overflows_is_startup_error(self, workspace, capsys):
@@ -108,7 +128,7 @@ class TestDecode:
         flags = list(flags)
         path = tmp / f"bad_{bad}"
         if bad == "model":
-            spec = {"lambda": 1.0, "smooth_k": 1.0, "bigram_counts": [],
+            spec = {"lambda": 1.0, "smooth_k": 1.0, "bigram_counts": NO_COUNTS,
                     "vocab": ["<s>", "</s>", "<unk>", "a", "c\ud800"]}
             path.write_text(json.dumps(spec))
         else:  # more documents than --max-docs, so the id seeds a selection
@@ -740,7 +760,7 @@ _FAULTY_INPUTS = {
     ("model", "not-an-object"): "[1.0, 1.0]",
     ("model", "unknown-field"): json.dumps({"lambda": 1.0, "smooth_k": 1.0, "extra": 1,
                                             "vocab": ["<s>", "</s>", "<unk>", "a"],
-                                            "bigram_counts": []}),
+                                            "bigram_counts": NO_COUNTS}),
     ("model", "missing-field"): '{"lambda": 1.0}',
     ("config", "invalid-json"): '{"beam_size": ',
     ("config", "not-an-object"): "[4]",
@@ -803,12 +823,13 @@ class TestInputFaults:
     @pytest.mark.parametrize("field, value, fault", [
         ("vocab", "abc", "field 'vocab' must be a list of strings"),
         ("lambda", 2.0, "copy weight must lie in [0, 1]"),
-        ("bigram_counts", [["zz", "a", 1]], "bigram_counts[0] names unknown token 'zz'"),
+        ("bigram_counts", {"prev": ["zz"], "next": ["a"], "count": [1]},
+         "bigram_counts.prev[0] names unknown token 'zz'"),
     ], ids=["vocab", "lambda", "bigram-token"])
     def test_model_spec_fault_reads_model_spec(self, workspace, capsys, field, value, fault):
         tmp, flags, _ = workspace
         spec = {"lambda": 1.0, "smooth_k": 1.0, "vocab": ["<s>", "</s>", "<unk>", "a"],
-                "bigram_counts": [], field: value}
+                "bigram_counts": NO_COUNTS, field: value}
         path = tmp / "bad_model"
         path.write_text(json.dumps(spec))
         flags = list(flags)

@@ -329,7 +329,7 @@ def test_consensus_corpus_is_pinned():
     c = build_consensus_corpus(n_clusters=5, seed=7)
     text = clusters_to_jsonl(c.clusters) + c.model_spec.to_json_text() + repr(c.decode_params)
     assert hashlib.sha256(text.encode()).hexdigest() == (
-        "499cf0cbca4d118398a30372637d7b0c4480a8715dba5379fff5ccc4d7cf1920")
+        "c203c06b8b842e5eb167573829e5df1c7e8eb87bcffc1115aa64a484d9b45b0b")
 
 
 @pytest.mark.parametrize("kwargs, message", [

@@ -158,11 +158,28 @@ class TestReduceMeanLogprob:
     def test_width_mismatch_rejected(self):
         with pytest.raises(ValueError, match="vocabulary size"):
             reduce_mean_logprob([np.zeros(2), np.zeros(3)])
+        with pytest.raises(ValueError, match=r"vocabulary size: \[2, 4\]"):
+            reduce_mean_logprob([np.zeros(4), np.zeros((2, 2))])
 
     def test_nan_rejected_by_both_reducers(self):
         for reduce_fn in (reduce_mean_logprob, reduce_mean_prob):
             with pytest.raises(ValueError, match="NaN"):
                 reduce_fn([np.array([-1.0, -2.0]), np.array([-1.0, np.nan])])
+
+    @pytest.mark.parametrize("reduce_fn", [reduce_mean_logprob, reduce_mean_prob])
+    @pytest.mark.parametrize("stack, shape", [
+        (np.zeros(5), (5,)),
+        ([-1.0, -2.0], (2,)),
+        (np.zeros((2, 3, 4)), (2, 3, 4)),
+        ([np.zeros((1, 3))] * 2, (2, 1, 3)),
+    ], ids=["1-d-array", "list-of-floats", "3-d-array", "list-of-2-d"])
+    def test_stack_that_is_not_n_by_v_rejected(self, reduce_fn, stack, shape):
+        # a 1-D stack raised TypeError (a float has no len), a 3-D one a numpy
+        # broadcast error
+        with pytest.raises(ValueError) as info:
+            reduce_fn(stack)
+        assert str(info.value) == (
+            f"reduce needs an [N, V] stack of distributions, got shape {shape}")
 
     def test_plus_inf_rejected_by_both_reducers(self):
         for reduce_fn in (reduce_mean_logprob, reduce_mean_prob):
@@ -592,6 +609,29 @@ class TestEntryChecks:
     def test_empty_inputs_rejected_before_scoring(self, entry):
         with pytest.raises(ValueError, match="at least one input"):
             ENTRY_POINTS[entry](UnscoredModel(), [])
+
+    @pytest.mark.parametrize("bad", [3.5, 3.0, True, np.bool_(True), "a", None],
+                             ids=["float", "integral-float", "bool", "numpy-bool", "str", "none"])
+    @pytest.mark.parametrize("entry", ["beam_search", "sequence_score", "score_batch"])
+    def test_token_ids_must_be_integers(self, entry, bad):
+        # 3.5 decoded as token 3 and True as EOS; a str or None raised a bare TypeError
+        model = copy_model()
+        name, call = {
+            "beam_search": ("input[1]", lambda: beam_search(
+                model, [(B,), (A, bad)], DecodeParams(beam_size=2, max_len=3))),
+            "sequence_score": ("tokens[1]", lambda: sequence_score(
+                model, [(A,)], (A, bad, EOS_ID))),
+            "score_batch": ("prefix[1]", lambda: model.score_batch([(A,)], (BOS_ID, bad))),
+        }[entry]
+        with pytest.raises(ValueError) as info:
+            call()
+        assert str(info.value) == (
+            f"{name} = {bad!r} is not an integer token id, or out of vocabulary range [0, 5)")
+
+    def test_numpy_integer_ids_decode_as_ints(self):
+        model, params = copy_model(), DecodeParams(beam_size=2, max_len=3)
+        as_numpy = beam_search(model, [(np.int64(A), np.uint8(B))], params)
+        assert as_numpy == beam_search(model, [(A, B)], params)
 
 
 class TestSequenceScore:

@@ -590,8 +590,25 @@ SPEC_DOC = {
     "lambda": 0.5,
     "smooth_k": 1.0,
     "vocab": ["<s>", "</s>", "<unk>", "a", "b"],
-    "bigram_counts": [["<s>", "a", 2], ["a", "b", 1], ["b", "</s>", 3]],
+    "bigram_counts": {"prev": ["<s>", "a", "b"], "next": ["a", "b", "</s>"], "count": [2, 1, 3]},
 }
+
+SHAPE_FAULT = ("field 'bigram_counts' must be an object of three equal-length lists, "
+               '{"prev": [tokens], "next": [tokens], "count": [ints]}')
+
+
+def counts_doc(**columns) -> dict:
+    """SPEC_DOC with the given bigram columns replaced."""
+    return dict(SPEC_DOC, bigram_counts=dict(SPEC_DOC["bigram_counts"], **columns))
+
+
+def entry_doc(i: int, **values) -> dict:
+    """SPEC_DOC with entry ``i`` of the given bigram columns replaced."""
+    cols = {name: list(col) for name, col in SPEC_DOC["bigram_counts"].items()}
+    for name, value in values.items():
+        cols[name][i] = value
+    return dict(SPEC_DOC, bigram_counts=cols)
+
 
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3)
@@ -603,28 +620,60 @@ JSON_VALUES = st.recursive(
 
 
 class TestSpecLoaderErrors:
-    @pytest.mark.parametrize("bad, message", [
-        ({"a": "b"}, r"bigram_counts\[1\] must be a \[prev_token, next_token, count\] triple"),
-        (["a", "b"], r"bigram_counts\[1\] must be a \[prev_token, next_token, count\] triple"),
-        (["a", "b", 1, 1], r"bigram_counts\[1\] must be a \[prev_token, next_token, count\]"),
-        ([3, "b", 1], r"bigram_counts\[1\] must be a \[prev_token, next_token, count\] triple"),
-        (["a", None, 1], r"bigram_counts\[1\] must be a \[prev_token, next_token, count\]"),
-        (["a", "b", 1.0], r"bigram_counts\[1\] must be a \[prev_token, next_token, count\]"),
-        (["a", "b", True], r"bigram_counts\[1\] must be a \[prev_token, next_token, count\]"),
-        (["a", "zz", 1], r"bigram_counts\[1\] names unknown token 'zz'"),
-        (["yy", "zz", 1], r"bigram_counts\[1\] names unknown token 'yy'"),
-        (["<s>", "a", 5], r"bigram_counts\[1\] repeats pair '<s>'->'a'"),
+    @pytest.mark.parametrize("doc, message", [
+        (counts_doc(next={"a": "b"}), SHAPE_FAULT),
+        (counts_doc(next=["a", "b"]), SHAPE_FAULT),
+        (counts_doc(count=[2, 1, 3, 1]), SHAPE_FAULT),
+        (entry_doc(1, prev=3), "bigram_counts.prev[1] = 3 is not of type str"),
+        (entry_doc(1, next=None), "bigram_counts.next[1] = None is not of type str"),
+        (entry_doc(1, count=1.0), "bigram_counts.count[1] = 1.0 is not of type int"),
+        (entry_doc(1, count=True), "bigram_counts.count[1] = True is not of type int"),
+        (entry_doc(1, next="zz"), "bigram_counts.next[1] names unknown token 'zz'"),
+        (entry_doc(1, prev="yy", next="zz"), "bigram_counts.prev[1] names unknown token 'yy'"),
+        (entry_doc(1, prev="<s>", next="a"),
+         "bigram_counts.prev[1] and .next[1] repeat pair '<s>'->'a'"),
     ], ids=["not-a-list", "short", "long", "int-token", "null-token", "float-count",
             "bool-count", "unknown-next", "unknown-prev-first", "repeated-pair"])
-    def test_bad_triple_named_by_index(self, bad, message):
-        doc = dict(SPEC_DOC, bigram_counts=[SPEC_DOC["bigram_counts"][0], bad])
-        with pytest.raises(FormatError, match=message):
+    def test_bad_triple_named_by_index(self, doc, message):
+        # entry i of the three columns is the triple; a column that is not a
+        # list, or is of another length, breaks the one shape rule
+        with pytest.raises(FormatError) as info:
             ToyModelSpec.from_json_text(json.dumps(doc))
+        assert str(info.value) == f"model spec: {message}"
 
-    def test_first_bad_triple_in_file_order_reported(self):
-        doc = dict(SPEC_DOC, bigram_counts=[["a", "zz", 1], ["a"], ["a", "b", 1.5]])
-        with pytest.raises(FormatError, match=r"bigram_counts\[0\] names unknown token 'zz'"):
-            ToyModelSpec.from_json_text(json.dumps(doc))
+    @pytest.mark.parametrize("counts", [
+        [["<s>", "a", 2], ["a", "b", 1]],
+        [],
+        None,
+        {"prev": [], "next": []},
+        {"prev": [], "next": [], "count": [], "total": []},
+        {"prev": [], "next": [], "count": None},
+        {"prev": ["a"], "next": ["b"], "count": 1},
+        {"prev": "ab", "next": "ba", "count": [1, 1]},
+    ], ids=["triple-list", "empty-list", "null", "missing-column", "extra-column",
+            "null-column", "scalar-column", "string-columns"])
+    def test_any_other_shape_is_the_one_shape_error(self, counts):
+        with pytest.raises(FormatError) as info:
+            ToyModelSpec.from_json_text(json.dumps(dict(SPEC_DOC, bigram_counts=counts)))
+        assert str(info.value) == f"model spec: {SHAPE_FAULT}"
+
+    def test_first_fault_in_column_order_reported(self):
+        # types are checked first, column by column (prev, next, count), then
+        # token names (prev, next), then repeats; each names its lowest index
+        for doc, message in [
+            (entry_doc(2, prev=3, next="zz"), "bigram_counts.prev[2] = 3 is not of type str"),
+            (counts_doc(next=["zz", "b", None], count=[1.5, 1, 3]),
+             "bigram_counts.next[2] = None is not of type str"),
+            (counts_doc(prev=["<s>", "a", "yy"], next=["zz", "b", "</s>"]),
+             "bigram_counts.prev[2] names unknown token 'yy'"),
+            (counts_doc(prev=["a", "a", "a"], next=["b", "b", "zz"]),
+             "bigram_counts.next[2] names unknown token 'zz'"),
+            (counts_doc(prev=["a", "a", "a"], next=["b", "b", "b"], count=[1, 2, -1]),
+             "bigram_counts.prev[1] and .next[1] repeat pair 'a'->'b'"),
+        ]:
+            with pytest.raises(FormatError) as info:
+                ToyModelSpec.from_json_text(json.dumps(doc))
+            assert str(info.value) == f"model spec: {message}"
 
     @pytest.mark.parametrize("field", ["lambda", "smooth_k"])
     def test_number_too_large_for_a_float(self, field):
@@ -633,7 +682,7 @@ class TestSpecLoaderErrors:
             ToyModelSpec.from_json_text(text)
 
     def test_negative_count_in_file_named_by_its_tokens(self):
-        doc = dict(SPEC_DOC, bigram_counts=[["<s>", "a", 2], ["a", "b", -1]])
+        doc = entry_doc(1, count=-1)
         with pytest.raises(FormatError) as info:
             ToyModelSpec.from_json_text(json.dumps(doc))
         assert str(info.value) == (
@@ -646,7 +695,8 @@ class TestSpecLoaderErrors:
         ({"smooth_k": 1e308}, "smooth_k must be positive and finite times the 3 predictable"),
         ({"vocab": ["<s>", "</s>", "<unk>", "a", 5]}, "vocab token 5 must be a string"),
         ({"vocab": ["<s>", "</s>", "<unk>", "a", "a"]}, "duplicate vocab token 'a'"),
-        ({"bigram_counts": [["a", "<s>", 1]]}, "bigram count 'a'->'<s>' targets unpredictable"),
+        ({"bigram_counts": {"prev": ["a"], "next": ["<s>"], "count": [1]}},
+         "bigram count 'a'->'<s>' targets unpredictable"),
     ], ids=["lambda-range", "lambda-bool", "smooth_k-str", "smooth_k-bound", "vocab-token-type",
             "vocab-duplicate", "bos-successor"])
     def test_every_value_fault_is_a_format_error(self, changes, message):
@@ -656,8 +706,8 @@ class TestSpecLoaderErrors:
 
     def test_bigram_faults_reported_before_number_faults(self):
         # the numbers are checked when the spec is built, after the file's structure
-        doc = dict(SPEC_DOC, smooth_k=True, bigram_counts=[["a", "zz", 1]])
-        with pytest.raises(FormatError, match=r"bigram_counts\[0\] names unknown token 'zz'"):
+        doc = dict(entry_doc(0, next="zz"), smooth_k=True)
+        with pytest.raises(FormatError, match=r"bigram_counts\.next\[0\] names unknown token 'zz'"):
             ToyModelSpec.from_json_text(json.dumps(doc))
 
     @given(st.data())
@@ -702,59 +752,75 @@ def scalar_value_fault(copy_weight, smooth_k, counts, vocab) -> str | None:
 
 
 def scalar_load(doc: dict) -> tuple[str | None, dict | None]:
-    """The loader as one loop per triple, then the value loop: the FormatError
+    """The loader as one loop per column, then the value loop: the FormatError
     text it gives for ``doc``, or the counts of the spec it builds."""
     try:
         if not isinstance(doc["vocab"], list):
             raise FormatError("field 'vocab' must be a list of strings")
         vocab = Vocab(doc["vocab"])
-        if not isinstance(doc["bigram_counts"], list):
-            raise FormatError("field 'bigram_counts' must be a list of [prev, next, count] triples")
+        cols = doc["bigram_counts"]
+        if not (type(cols) is dict and sorted(cols) == ["count", "next", "prev"]
+                and all(type(col) is list for col in cols.values())
+                and len(cols["prev"]) == len(cols["next"]) == len(cols["count"])):
+            raise FormatError(SHAPE_FAULT)
+        for name, typ in (("prev", str), ("next", str), ("count", int)):
+            for i, value in enumerate(cols[name]):
+                if type(value) is not typ:  # a bool is not an int here
+                    raise FormatError(f"bigram_counts.{name}[{i}] = {value!r} is not of type "
+                                      f"{typ.__name__}")
+        ids = {}
+        for name in ("prev", "next"):
+            for i, tok in enumerate(cols[name]):
+                if tok not in vocab.tokens:
+                    raise FormatError(f"bigram_counts.{name}[{i}] names unknown token {tok!r}")
+            ids[name] = [vocab.id_of(tok) for tok in cols[name]]
         counts = {}
-        for i, triple in enumerate(doc["bigram_counts"]):
-            if not (type(triple) is list and len(triple) == 3 and type(triple[0]) is str
-                    and type(triple[1]) is str and type(triple[2]) is int):
-                raise FormatError(
-                    f"bigram_counts[{i}] must be a [prev_token, next_token, count] triple")
-            prev_tok, next_tok, count = triple
-            prev, nxt = vocab._index.get(prev_tok), vocab._index.get(next_tok)
-            if prev is None or nxt is None:
-                tok = prev_tok if prev is None else next_tok
-                raise FormatError(f"bigram_counts[{i}] names unknown token {tok!r}")
-            if (prev, nxt) in counts:
-                raise FormatError(f"bigram_counts[{i}] repeats pair {prev_tok!r}->{next_tok!r}")
-            counts[prev, nxt] = count
+        for i, pair in enumerate(zip(ids["prev"], ids["next"])):
+            if pair in counts:
+                raise FormatError(f"bigram_counts.prev[{i}] and .next[{i}] repeat pair "
+                                  f"{cols['prev'][i]!r}->{cols['next'][i]!r}")
+            counts[pair] = cols["count"][i]
     except ValueError as exc:
         return f"model spec: {exc}", None
     fault = scalar_value_fault(doc["lambda"], doc["smooth_k"], counts, vocab)
     return (f"model spec: {fault}", None) if fault else (None, counts)
 
 
-#: Faults one triple can carry: each maps a well-formed triple, and another
-#: triple of the same doc, to a replacement.
-TRIPLE_FAULTS = {
-    "not-a-list": lambda t, other: {"a": t[0]},
-    "tuple-like-str": lambda t, other: "abc",
-    "null": lambda t, other: None,
-    "short": lambda t, other: t[:2],
-    "long": lambda t, other: t + [1],
-    "int-token": lambda t, other: [3, t[1], t[2]],
-    "null-token": lambda t, other: [t[0], None, t[2]],
-    "float-count": lambda t, other: [t[0], t[1], 1.0],
-    "bool-count": lambda t, other: [t[0], t[1], True],
-    "str-count": lambda t, other: [t[0], t[1], "1"],
-    "unknown-prev": lambda t, other: ["zz", t[1], t[2]],
-    "unknown-next": lambda t, other: [t[0], "yy", t[2]],
-    "unknown-both": lambda t, other: ["zz", "yy", t[2]],
-    "bos-next": lambda t, other: [t[0], "<s>", t[2]],
-    "unk-next": lambda t, other: [t[0], "<unk>", t[2]],
-    "negative": lambda t, other: [t[0], t[1], -1],
-    "2**53": lambda t, other: [t[0], t[1], 2**53],
-    "2**53-1": lambda t, other: [t[0], t[1], 2**53 - 1],
-    "past-int64": lambda t, other: [t[0], t[1], 2**63],
-    "past-float": lambda t, other: [t[0], t[1], 10**400],
-    "far-negative": lambda t, other: [t[0], t[1], -(10**400)],
-    "repeat": lambda t, other: other[:2] + [t[2]],
+#: Faults one entry can carry: each maps a well-formed ``(prev, next, count)``
+#: entry, and another entry of the same doc, to the column values that replace it.
+ENTRY_FAULTS = {
+    "int-token": lambda t, other: {"prev": 3},
+    "null-token": lambda t, other: {"next": None},
+    "bool-token": lambda t, other: {"next": True},
+    "list-token": lambda t, other: {"prev": [t[0]]},
+    "float-count": lambda t, other: {"count": 1.0},
+    "bool-count": lambda t, other: {"count": True},
+    "str-count": lambda t, other: {"count": "1"},
+    "null-count": lambda t, other: {"count": None},
+    "unknown-prev": lambda t, other: {"prev": "zz"},
+    "unknown-next": lambda t, other: {"next": "yy"},
+    "unknown-both": lambda t, other: {"prev": "zz", "next": "yy"},
+    "bos-next": lambda t, other: {"next": "<s>"},
+    "unk-next": lambda t, other: {"next": "<unk>"},
+    "negative": lambda t, other: {"count": -1},
+    "2**53": lambda t, other: {"count": 2**53},
+    "2**53-1": lambda t, other: {"count": 2**53 - 1},
+    "past-int64": lambda t, other: {"count": 2**63},
+    "past-float": lambda t, other: {"count": 10**400},
+    "far-negative": lambda t, other: {"count": -(10**400)},
+    "repeat": lambda t, other: {"prev": other[0], "next": other[1]},
+}
+
+#: Faults of the whole ``bigram_counts`` value: each maps its columns to a replacement.
+SHAPE_FAULTS = {
+    "triple-list": lambda cols: [list(t) for t in zip(*cols.values())],
+    "null": lambda cols: None,
+    "missing-column": lambda cols: {"prev": cols["prev"], "next": cols["next"]},
+    "extra-column": lambda cols: dict(cols, total=cols["count"]),
+    "tuple-like-str": lambda cols: dict(cols, next="abc"),
+    "null-column": lambda cols: dict(cols, count=None),
+    "short-column": lambda cols: dict(cols, next=cols["next"][:-1]),
+    "long-column": lambda cols: dict(cols, prev=cols["prev"] + ["<s>"]),
 }
 
 
@@ -767,16 +833,20 @@ class TestArrayLoaderMatchesScalarLoops:
         triple = st.tuples(st.sampled_from(tokens), st.sampled_from(["</s>", *content]),
                            st.integers(0, 50)).map(list)
         well_formed = data.draw(st.lists(triple, max_size=10))  # may repeat pairs on its own
-        triples = list(well_formed)
-        for _ in range(data.draw(st.integers(0, 4)) if triples else 0):
-            i, j = (data.draw(st.integers(0, len(triples) - 1)) for _ in range(2))
-            fault = data.draw(st.sampled_from(sorted(TRIPLE_FAULTS)))
-            triples[i] = TRIPLE_FAULTS[fault](list(well_formed[i]), well_formed[j])
+        cols = {name: [t[j] for t in well_formed]
+                for j, name in enumerate(("prev", "next", "count"))}
+        for _ in range(data.draw(st.integers(0, 4)) if well_formed else 0):
+            i, j = (data.draw(st.integers(0, len(well_formed) - 1)) for _ in range(2))
+            fault = data.draw(st.sampled_from(sorted(ENTRY_FAULTS)))
+            for name, value in ENTRY_FAULTS[fault](well_formed[i], well_formed[j]).items():
+                cols[name][i] = value
+        if data.draw(st.integers(0, 5)) == 0:
+            cols = SHAPE_FAULTS[data.draw(st.sampled_from(sorted(SHAPE_FAULTS)))](cols)
         doc = {
             "lambda": data.draw(st.sampled_from([0.5, 0.5, 0.0, 1.5, True, "0.5", 10**400])),
             "smooth_k": data.draw(st.sampled_from([1.0, 1.0, 2, 0.0, 1e308, None])),
             "vocab": data.draw(st.sampled_from([tokens] * 6 + [tokens + ["w0"], "<s></s><unk>w"])),
-            "bigram_counts": triples,
+            "bigram_counts": cols,
         }
         message, counts = scalar_load(json.loads(json.dumps(doc)))
         try:
@@ -836,6 +906,7 @@ class TestBigramTableArrays:
         in_code = ToyModelSpec(cw, k, counts, vocab)
         specs = [ToyModelSpec.from_json_text(in_code.to_json_text()), in_code,
                  ToyModelSpec(cw, k, dict(reversed(list(counts.items()))), vocab)]
+        assert specs[0] == in_code and specs[0].to_json_text() == in_code.to_json_text()
         tables = [CopyBigramModel(spec)._bigram_table for spec in specs]
         tables.append(table_built_from_the_mapping(in_code))
         for arrays in zip(*tables):
