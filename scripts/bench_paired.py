@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Paired timing of model loading and decoding: a base commit against the working tree.
+"""Paired timing of model loading, decoding and stemming: a base commit against the working tree.
 
     python3 scripts/bench_paired.py --base REV [--pairs N] [--out FILE]
 
@@ -19,7 +19,9 @@ input sets are one file that both sides read:
 * ``decode``: ``beam_search`` on the ``wide`` spec, over ``DECODE_SETS`` input
   sets shaped like the ``wide`` benchmark's clusters (8 inputs of 400 token
   ids, half of them from a 10-token topic) with its settings (beam 8,
-  ``max_len`` 30, ``min_len`` 10).
+  ``max_len`` 30, ``min_len`` 10);
+* ``stem``: ``porter_stem`` over the ``STEM_WORDS`` words of `stem_corpus`,
+  one file that both sides read.
 
 Each pair times one sample on each side, in alternating order. A ``wide`` or
 ``empty`` sample times ``load_model`` (``load_s``) and, on the model it
@@ -27,11 +29,13 @@ loaded, the first ``score_batch`` call, which builds the bigram table
 (``first_use_s``, load included); an ``empty`` sample is the mean of 50
 loads, since one takes well under a millisecond. A ``decode`` sample is the
 mean seconds of one decode (``decode_s``) over every input set, on a model
-loaded once per worker. The result file holds, per workload, metric and side,
+loaded once per worker. A ``stem`` sample is the seconds of one pass over the
+corpus (``stem_s``). The result file holds, per workload, metric and side,
 the median and the quartiles, the pairs each side won, the environment
 (Python, numpy, ``nproc``, CPU), both commits, and a sha256 of each side's
-outputs: the bigram-table arrays of a load, and every ranked result of a
-decode (its tokens, the hex of both scores and every trace cell). When the
+outputs: the bigram-table arrays of a load, every ranked result of a
+decode (its tokens, the hex of both scores and every trace cell), and the
+stems of a ``stem`` pass, one per line. When the
 two sides' outputs differ, the run still writes the file but exits 1. Uses
 only the stdlib and numpy.
 """
@@ -44,8 +48,10 @@ import hashlib
 import json
 import os
 import platform
+import random
 import shutil
 import statistics
+import string
 import subprocess
 import sys
 import time
@@ -60,9 +66,20 @@ DECODE_SETS = 10
 DECODE_INPUTS, DECODE_TOKENS, DECODE_TOPIC = 8, 400, 10
 #: name -> (kind, vocab size, bigram counts, loads or decodes per sample)
 WORKLOADS = {"wide": ("load", 2000, 20_000, 1), "empty": ("load", 243, 0, 50),
-             "decode": ("decode", 2000, 20_000, DECODE_SETS)}
-METRICS = {"load": ("load_s", "first_use_s"), "decode": ("decode_s",)}
+             "decode": ("decode", 2000, 20_000, DECODE_SETS), "stem": ("stem", 0, 0, 1)}
+METRICS = {"load": ("load_s", "first_use_s"), "decode": ("decode_s",), "stem": ("stem_s",)}
 DECODE_PARAMS = {"beam_size": 8, "max_len": 30, "min_len": 10}
+STEM_WORDS = 30_000
+#: every suffix of Porter's rule tables, with the endings step 1b's tidy-up
+#: rules and step 5 test
+STEM_SUFFIXES = (
+    "sses", "ies", "ss", "s", "eed", "ed", "ing", "at", "bl", "iz", "y",
+    "ational", "tional", "enci", "anci", "izer", "abli", "alli", "entli", "eli", "ousli",
+    "ization", "ation", "ator", "alism", "iveness", "fulness", "ousness", "aliti", "iviti",
+    "biliti", "icate", "ative", "alize", "iciti", "ical", "ful", "ness", "al", "ance",
+    "ence", "er", "ic", "able", "ible", "ant", "ement", "ment", "ent", "ion", "ou", "ism",
+    "ate", "iti", "ous", "ive", "ize", "e", "ll",
+)
 
 
 def spec_counts(vocab: int, bigrams: int) -> tuple[list[str], dict]:
@@ -89,6 +106,26 @@ def decode_inputs(vocab: int, sets: int) -> list[list[list[int]]]:
                              rng.choice(content, DECODE_TOKENS)).tolist()
                     for _ in range(DECODE_INPUTS)])
     return out
+
+
+def stem_corpus() -> list[str]:
+    """``STEM_WORDS`` lowercase words, drawn with the fixed seed ``SEED``: a root
+    of 0 to 6 letters (the vowels and ``y`` twice as likely as the other
+    letters), its last letter doubled one time in four, then 0 to 3 of
+    ``STEM_SUFFIXES``."""
+    rng = random.Random(SEED)
+    letters = string.ascii_lowercase + "aeiouy"
+    words = []
+    for _ in range(STEM_WORDS):
+        root = "".join(rng.choices(letters, k=rng.randint(0, 6)))
+        if root and rng.random() < 0.25:
+            root += root[-1]
+        words.append(root + "".join(rng.choices(STEM_SUFFIXES, k=rng.randint(0, 3))))
+    return words
+
+
+def stems_sha256(stems: list[str]) -> str:
+    return hashlib.sha256("\n".join(stems).encode()).hexdigest()
 
 
 def table_sha256(model) -> str:
@@ -132,11 +169,18 @@ def decode_sample(dyne, model, input_sets: list) -> tuple[list[float], str]:
     return [decode_s / len(input_sets)], digest.hexdigest()
 
 
+def stem_sample(dyne, words: str) -> tuple[list[float], str]:
+    corpus = json.loads(Path(words).read_text())
+    t0 = time.perf_counter()
+    stems = [dyne.stemmer.porter_stem(w) for w in corpus]
+    return [time.perf_counter() - t0], stems_sha256(stems)
+
+
 def worker(src: str) -> None:
     """Answer each request line on stdin, tab-separated: ``save <vocab>
     <bigrams> <spec path>`` with ``saved`` once this side's ``ToyModelSpec``
-    wrote that spec, and ``<kind> <count> <spec path> [<inputs path>]`` with
-    one sample line: the metric values and the sha256 of the outputs,
+    wrote that spec, and ``<kind> <count> <spec or words path> [<inputs path>]``
+    with one sample line: the metric values and the sha256 of the outputs,
     separated by spaces."""
     sys.path.insert(0, src)
     import dyne
@@ -154,6 +198,8 @@ def worker(src: str) -> None:
         count, spec, *inputs = fields
         if kind == "load":
             values, sha = load_sample(dyne, int(count), spec)
+        elif kind == "stem":
+            values, sha = stem_sample(dyne, spec)
         else:
             if spec not in models:
                 models[spec] = dyne.load_model(spec)
@@ -205,6 +251,11 @@ def run_pairs(base_sha: str, pairs: int) -> dict:
         try:
             requests = {}
             for name, (kind, vocab, bigrams, count) in WORKLOADS.items():
+                if kind == "stem":
+                    write_output(WORK / "words.json", json_text(stem_corpus()))
+                    requests[name] = {side: [kind, str(count), str(WORK / "words.json")]
+                                      for side in procs}
+                    continue
                 requests[name] = {}
                 for side in procs:
                     spec = str(WORK / f"spec_{side}_{vocab}_{bigrams}.json")
@@ -260,8 +311,8 @@ def main() -> int:
         equal = shas["base"] == shas["tree"] and len(shas["base"]) == 1
         all_equal = all_equal and equal
         entry = result["workloads"][name] = {
-            "kind": kind, "vocab": vocab, "bigrams": bigrams, "per_sample": count,
-            "output_sha256": shas, "outputs_equal": equal,
+            "kind": kind, "per_sample": count, "output_sha256": shas, "outputs_equal": equal,
+            **({"words": STEM_WORDS} if kind == "stem" else {"vocab": vocab, "bigrams": bigrams}),
         }
         for column, metric in enumerate(METRICS[kind]):
             base, tree = ([s[0][column] for s in samples[name, side]]

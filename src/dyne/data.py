@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import FormatError, input_records, jsonl_text, write_output
+from .errors import FormatError, input_records, is_integer, jsonl_text, write_output
 from .seqmodel import TokenSeq, Vocab, check_utf8
 
 
@@ -118,8 +118,10 @@ def select_document_indices(cluster: Cluster, max_docs: int, seed: int) -> list[
     subsampled deterministically in (seed, cluster id). Indices ascend, so
     the chosen documents keep their original relative order.
     """
-    if max_docs < 1:
-        raise ValueError(f"max_docs must be >= 1, got {max_docs}")
+    if not (is_integer(max_docs) and max_docs >= 1):
+        raise ValueError(f"max_docs must be an integer >= 1, got {max_docs!r}")
+    if not is_integer(seed):
+        raise ValueError(f"seed must be an integer, got {seed!r}")
     n = len(cluster.documents)
     if n <= max_docs:
         return list(range(n))
@@ -131,6 +133,6 @@ def select_document_indices(cluster: Cluster, max_docs: int, seed: int) -> list[
 def tokenize_and_truncate(text: str, vocab: Vocab, max_tokens: int) -> TokenSeq:
     """Whitespace-tokenize, map out-of-vocabulary words to UNK, keep the
     first ``max_tokens`` tokens."""
-    if max_tokens < 1:
-        raise ValueError(f"max_tokens must be >= 1, got {max_tokens}")
+    if not (is_integer(max_tokens) and max_tokens >= 1):
+        raise ValueError(f"max_tokens must be an integer >= 1, got {max_tokens!r}")
     return tuple(vocab.encode_token(t) for t in text.split()[:max_tokens])

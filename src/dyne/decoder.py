@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DecodeError, real_number
+from .errors import DecodeError, is_integer, real_number
 from .provenance import TraceMatrix, TraceRow
 from .seqmodel import (
     BOS_ID,
@@ -72,9 +72,9 @@ class DecodeParams:
     def __post_init__(self) -> None:
         for name, low in (("beam_size", 1), ("max_len", 1), ("min_len", 0)):
             value = getattr(self, name)
-            if not (type(value) is int or isinstance(value, np.integer)) or value < low:
+            if not is_integer(value) or value < low:
                 raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
-        if not (type(self.seed) is int or isinstance(self.seed, np.integer)):
+        if not is_integer(self.seed):
             raise ValueError(f"seed must be an integer, got {self.seed!r}")
         if not self.min_len < self.max_len:
             raise ValueError(
@@ -92,7 +92,7 @@ class DecodeParams:
                     f"(max_len - 1) ** alpha overflow at max_len={self.max_len}") from None
         object.__setattr__(self, "length_penalty_alpha", alpha)
         n = self.block_repeat_ngram
-        if n is not None and not ((type(n) is int or isinstance(n, np.integer)) and n >= 1):
+        if n is not None and not (is_integer(n) and n >= 1):
             raise ValueError(f"block_repeat_ngram must be a positive integer or None, got {n!r}")
         if not isinstance(self.reduce, Reduce):
             raise ValueError(f"reduce must be a Reduce member, got {self.reduce!r}")
@@ -155,13 +155,13 @@ def _canonical(per_input: list[LogProbVector] | np.ndarray,
                order: ColumnOrder | None) -> np.ndarray:
     """The checked ``[N, V]`` stack with sorted columns, C-contiguous, so a
     reduce does not depend on input order; one row when every row is equal."""
-    if len(per_input) == 0:
-        raise ValueError("reduce needs at least one distribution")
-    if not isinstance(per_input, np.ndarray):  # a list's rows may differ in length
+    if isinstance(per_input, (list, tuple)):  # a list's rows may differ in length
         widths = {len(v) if np.ndim(v) else 0 for v in per_input}  # a scalar row has no len
-        if len(widths) != 1:
+        if len(widths) > 1:
             raise ValueError(f"distributions disagree on vocabulary size: {sorted(widths)}")
-    arr = np.asarray(per_input, dtype=float)
+    arr = np.asarray(per_input, dtype=float)  # None or a scalar: shape ()
+    if arr.shape[:1] == (0,):
+        raise ValueError("reduce needs at least one distribution")
     if arr.ndim != 2:
         raise ValueError(f"reduce needs an [N, V] stack of distributions, got shape {arr.shape}")
     if not (arr < np.inf).all():  # false for NaN and +inf alike

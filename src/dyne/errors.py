@@ -9,7 +9,8 @@ id '...' (first seen on line <m>)`` as the fault.
 
 Every output file, from the CLI or a library save, is encoded by `json_text`,
 `jsonl_text` or `csv_text` and written by `write_output`. Every real-valued
-setting, read from a file or passed in code, is checked by `real_number`.
+setting, read from a file or passed in code, is checked by `real_number`, and
+an integer argument of the library's entry points by `is_integer`.
 """
 
 from __future__ import annotations
@@ -21,6 +22,8 @@ import os
 from collections.abc import Collection, Iterable, Iterator, Sequence
 from numbers import Real
 from pathlib import Path
+
+import numpy as np
 
 
 class FormatError(ValueError):
@@ -50,6 +53,12 @@ def real_number(value, name: str) -> float:
         return float(value)
     except OverflowError:
         raise ValueError(f"{name} must fit in a float") from None
+
+
+def is_integer(value) -> bool:
+    """Whether ``value`` is an int or a numpy integer: never a bool or another
+    ``int`` subclass such as an ``IntEnum`` member."""
+    return type(value) is int or isinstance(value, np.integer)
 
 
 def read_input(path: str | Path, what: str) -> str:

@@ -41,6 +41,7 @@ class TraceMatrix:
     would give one label per character and a repeat would name two columns
     alike. This is the one place the rule is stated; the decoder's entry
     points apply it by building an empty trace before anything is scored.
+    The rows are a list or tuple of `TraceRow` values.
     """
 
     input_labels: tuple[str, ...]
@@ -53,9 +54,13 @@ class TraceMatrix:
             raise ValueError(f"input labels must be distinct strings in a list or tuple, "
                              f"got {labels!r}")
         object.__setattr__(self, "input_labels", tuple(labels))
+        if not isinstance(self.rows, (list, tuple)):
+            raise ValueError(f"trace rows must be a list or tuple of TraceRow, got {self.rows!r}")
         object.__setattr__(self, "rows", tuple(self.rows))
         width = len(self.input_labels)
         for t, row in enumerate(self.rows):
+            if not isinstance(row, TraceRow):
+                raise ValueError(f"trace row {t} must be a TraceRow, got {row!r}")
             if len(row.per_input) != width:
                 raise ValueError(
                     f"row {t} has {len(row.per_input)} per-input scores but the trace "

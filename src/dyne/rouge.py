@@ -81,6 +81,8 @@ def _score(overlap: float, hyp_total: int, ref_total: int, beta: float) -> Rouge
 
 def tokenize(text: str, cfg: RougeConfig = DEFAULT_CONFIG) -> list[str]:
     """Whitespace tokenization with the configured normalizations applied."""
+    if not isinstance(text, str):
+        raise ValueError(f"text to tokenize must be a str, got {text!r}")
     if cfg.lowercase:
         text = text.lower()
     tokens = text.split()
@@ -123,7 +125,10 @@ def _combine(per_ref: list[RougeScore], cfg: RougeConfig) -> RougeScore:
 
 
 def tokenize_references(references: list[str], cfg: RougeConfig) -> list[list[str]]:
-    """Tokenize a reference set, rejecting an empty set or an empty reference."""
+    """Tokenize a reference set: a list or tuple of strings (a str would give one
+    reference per character), rejecting an empty set or an empty reference."""
+    if not isinstance(references, (list, tuple)):
+        raise ValueError(f"references must be a list or tuple of strings, got {references!r}")
     if not references:
         raise ValueError("at least one reference is required")
     tokenized = [tokenize(r, cfg) for r in references]

@@ -24,7 +24,7 @@ from typing import Protocol
 
 import numpy as np
 
-from .errors import (FormatError, json_text, parse_object, read_input, real_number,
+from .errors import (FormatError, is_integer, json_text, parse_object, read_input, real_number,
                      write_output)
 
 BOS_ID = 0
@@ -98,7 +98,10 @@ class Vocab:
 
     @classmethod
     def from_content(cls, content: Iterable[str]) -> "Vocab":
-        """Build a vocab from content tokens, prepending the reserved markers."""
+        """Build a vocab from content tokens, any iterable but a str, prepending
+        the reserved markers."""
+        if isinstance(content, str):  # would give one token per character
+            raise ValueError(f"vocab content must be an iterable of strings, got {content!r}")
         return cls(RESERVED_TOKENS + tuple(content))
 
     def __len__(self) -> int:
@@ -113,8 +116,8 @@ class Vocab:
         return self._index.get(token, UNK_ID)
 
     def token(self, idx: int) -> str:
-        if not 0 <= idx < len(self.tokens):
-            raise ValueError(f"token id {idx} out of range for vocab of size {len(self)}")
+        if not (is_integer(idx) and 0 <= idx < len(self.tokens)):
+            raise ValueError(f"token id {idx!r} out of range for vocab of size {len(self)}")
         return self.tokens[idx]
 
     @property
@@ -397,9 +400,11 @@ class CopyBigramModel:
         return row
 
     def score_batch(self, inputs: Sequence[TokenSeq], prefix: TokenSeq) -> np.ndarray:
-        prefix = tuple(prefix)
+        prefix, inputs = tuple(prefix), tuple(map(tuple, inputs))
         check_token_seq(prefix, self._spec.vocab, "prefix", require_bos=True)
-        probs = self._copy_part(tuple(map(tuple, inputs))) + self._bigram_part(prefix[-1])
+        if not inputs:
+            raise ValueError("score_batch needs at least one input")
+        probs = self._copy_part(inputs) + self._bigram_part(prefix[-1])
         with np.errstate(divide="ignore"):
             return np.log(probs)
 

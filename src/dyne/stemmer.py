@@ -1,153 +1,108 @@
-"""Porter stemmer, implemented from the original published rule tables.
+"""Porter stemmer, written as the rule tables of Porter (1980).
 
-Used by the ROUGE metrics when stemming is enabled. The algorithm strips
-suffixes through five fixed rule steps; within a step only the longest
-matching suffix is consulted. This follows the original 1980 rule set
-(not the later "Porter2" revisions). Words of one or two letters are
-returned unchanged.
+Used by the ROUGE metrics when stemming is enabled: the original 1980 rules,
+not the later "Porter2". Words of one or two letters are returned unchanged.
+Each step (1a, 1b, 1c, 2, 3, 4, 5a, 5b) is a table of ``(suffix, replacement,
+condition)`` rows, applied by `_apply`: the longest suffix the table lists wins,
+and the first of its rows whose condition holds on the stem before the suffix
+replaces the suffix (a replacement of ``None`` drops the stem's last letter,
+Porter's "single letter"); when none holds, the step does nothing.
+
+The conditions are Porter's, read off the stem's C/V form: ``v`` for a, e, i,
+o, u and for a y after a consonant, ``c`` for any other character. ``m``
+counts the form's ``vc`` pairs; ``*v*``: the form holds a ``v``; ``*d``: the
+stem ends in a double consonant; ``*o``: the form ends in ``cvc``, the last
+letter not w, x or y; ``*S``: the stem ends in s (so too ``*L``, ``*T``, ``*Z``).
 """
 
 from __future__ import annotations
 
-_VOWELS = "aeiou"
+from collections import defaultdict
+
+# a vowel maps to "v", y to itself until `_form` settles it, any other character to "c"
+_CV = defaultdict(lambda: "c", {ord(ch): "v" for ch in "aeiou"} | {ord("y"): "y"})
 
 
-def _is_consonant(word: str, i: int) -> bool:
-    ch = word[i]
-    if ch in _VOWELS:
-        return False
-    if ch == "y":
-        return True if i == 0 else not _is_consonant(word, i - 1)
-    return True
+def _form(stem: str) -> str:
+    """The C/V form of ``stem``; each y is settled after the letter before it."""
+    form = stem.translate(_CV)
+    i = form.find("y")
+    while i >= 0:
+        form = form[:i] + ("v" if i and form[i - 1] == "c" else "c") + form[i + 1:]
+        i = form.find("y", i + 1)
+    return form
 
 
-def _measure(stem: str) -> int:
-    """Number of vowel-consonant spans: the m in [C](VC)^m[V]."""
-    m = 0
-    prev_vowel = False
-    for i in range(len(stem)):
-        cons = _is_consonant(stem, i)
-        if cons and prev_vowel:
-            m += 1
-        prev_vowel = not cons
-    return m
+#: each condition as a test of a stem ``s`` with C/V form ``f``
+_CONDITIONS = {
+    None: lambda s, f: True,
+    "m>0": lambda s, f: "vc" in f,
+    "m>1": lambda s, f: f.count("vc") > 1,
+    "*v*": lambda s, f: "v" in f,
+    "*v* and *d and not (*L or *S or *Z)": lambda s, f: (
+        "v" in f and f.endswith("c") and s[-2:] == s[-1] * 2 and s[-1] not in "lsz"),
+    "*v* and m=1 and *o": lambda s, f: (
+        f.count("vc") == 1 and f.endswith("cvc") and s[-1] not in "wxy"),
+    "m=1 and not *o": lambda s, f: (
+        f.count("vc") == 1 and not (f.endswith("cvc") and s[-1] not in "wxy")),
+    "m>1 and (*S or *T)": lambda s, f: f.count("vc") > 1 and s.endswith(("s", "t")),
+    "m>1 and *L": lambda s, f: f.count("vc") > 1 and s.endswith("l"),
+}
 
 
-def _contains_vowel(stem: str) -> bool:
-    return any(not _is_consonant(stem, i) for i in range(len(stem)))
+def _table(rows) -> tuple[dict, list[int]]:
+    """``{suffix: [(replacement, condition test), ...]}`` and the suffix lengths, longest first."""
+    table: dict[str, list] = {}
+    for suffix, replacement, condition in rows:
+        table.setdefault(suffix, []).append((replacement, _CONDITIONS[condition]))
+    return table, sorted({len(suffix) for suffix in table}, reverse=True)
 
 
-def _ends_double_consonant(word: str) -> bool:
-    return (
-        len(word) >= 2
-        and word[-1] == word[-2]
-        and _is_consonant(word, len(word) - 1)
-    )
-
-
-def _ends_cvc(word: str) -> bool:
-    """Consonant-vowel-consonant ending where the last letter is not w, x or y."""
-    if len(word) < 3:
-        return False
-    return (
-        _is_consonant(word, len(word) - 3)
-        and not _is_consonant(word, len(word) - 2)
-        and _is_consonant(word, len(word) - 1)
-        and word[-1] not in "wxy"
-    )
-
-
-def _step1a(word: str) -> str:
-    for suffix, repl in (("sses", "ss"), ("ies", "i"), ("ss", "ss"), ("s", "")):
-        if word.endswith(suffix):
-            return word[: len(word) - len(suffix)] + repl
-    return word
-
-
-def _step1b(word: str) -> str:
-    if word.endswith("eed"):
-        stem = word[:-3]
-        return stem + "ee" if _measure(stem) > 0 else word
-    for suffix in ("ed", "ing"):
-        if word.endswith(suffix):
-            stem = word[: len(word) - len(suffix)]
-            if not _contains_vowel(stem):
-                return word
-            if stem.endswith(("at", "bl", "iz")):
-                return stem + "e"
-            if _ends_double_consonant(stem) and stem[-1] not in "lsz":
-                return stem[:-1]
-            if _measure(stem) == 1 and _ends_cvc(stem):
-                return stem + "e"
-            return stem
-    return word
-
-
-def _step1c(word: str) -> str:
-    if word.endswith("y") and _contains_vowel(word[:-1]):
-        return word[:-1] + "i"
-    return word
-
-
-_STEP2 = (
-    ("ational", "ate"), ("tional", "tion"), ("enci", "ence"), ("anci", "ance"),
-    ("izer", "ize"), ("abli", "able"), ("alli", "al"), ("entli", "ent"),
-    ("eli", "e"), ("ousli", "ous"), ("ization", "ize"), ("ation", "ate"),
-    ("ator", "ate"), ("alism", "al"), ("iveness", "ive"), ("fulness", "ful"),
-    ("ousness", "ous"), ("aliti", "al"), ("iviti", "ive"), ("biliti", "ble"),
-)
-
-_STEP3 = (
-    ("icate", "ic"), ("ative", ""), ("alize", "al"), ("iciti", "ic"),
-    ("ical", "ic"), ("ful", ""), ("ness", ""),
-)
-
-_STEP4 = (
-    "al", "ance", "ence", "er", "ic", "able", "ible", "ant", "ement",
-    "ment", "ent", "ion", "ou", "ism", "ate", "iti", "ous", "ive", "ize",
-)
-# searched longest suffix first; the sorts are stable, so ties keep listed order
-_STEP2, _STEP3 = (tuple(sorted(t, key=lambda r: -len(r[0]))) for t in (_STEP2, _STEP3))
-_STEP4 = tuple(sorted(_STEP4, key=len, reverse=True))
-
-
-def _apply_table(word: str, table: tuple[tuple[str, str], ...], min_measure: int) -> str:
-    # Longest matching suffix wins; if its measure condition fails, the
-    # whole step is a no-op.
-    for suffix, repl in table:
-        if word.endswith(suffix):
-            stem = word[: len(word) - len(suffix)]
-            if _measure(stem) > min_measure:
-                return stem + repl
+def _apply(word: str, step: tuple[dict, list[int]]) -> str:
+    table, lengths = step
+    for n in lengths:
+        suffix = word[-n:]  # the whole word when it is shorter than n
+        if suffix in table:
+            stem = word[:-len(suffix)]
+            form = _form(stem)
+            for replacement, holds in table[suffix]:
+                if holds(stem, form):
+                    return stem[:-1] if replacement is None else stem + replacement
             return word
     return word
 
 
-def _step4(word: str) -> str:
-    for suffix in _STEP4:
-        if word.endswith(suffix):
-            stem = word[: len(word) - len(suffix)]
-            if _measure(stem) > 1:
-                if suffix == "ion" and not stem.endswith(("s", "t")):
-                    return word
-                return stem
-            return word
-    return word
-
-
-def _step5a(word: str) -> str:
-    if word.endswith("e"):
-        stem = word[:-1]
-        m = _measure(stem)
-        if m > 1 or (m == 1 and not _ends_cvc(stem)):
-            return stem
-    return word
-
-
-def _step5b(word: str) -> str:
-    if _measure(word) > 1 and _ends_double_consonant(word) and word.endswith("l"):
-        return word[:-1]
-    return word
+_STEPS = tuple(map(_table, (
+    # 1a
+    [("sses", "ss", None), ("ies", "i", None), ("ss", "ss", None), ("s", "", None)],
+    # 1b, its tidy-up rules folded into the rows for -ed and for -ing
+    [("eed", "ee", "m>0"), *((tail + end, replacement, condition) for end in ("ed", "ing")
+     for tail, replacement, condition in (
+         ("at", "ate", None), ("bl", "ble", "*v*"), ("iz", "ize", None),
+         ("", None, "*v* and *d and not (*L or *S or *Z)"),
+         ("", "e", "*v* and m=1 and *o"), ("", "", "*v*")))],
+    # 1c
+    [("y", "i", "*v*")],
+    # 2
+    [(suffix, replacement, "m>0") for suffix, replacement in (
+        ("ational", "ate"), ("tional", "tion"), ("enci", "ence"), ("anci", "ance"),
+        ("izer", "ize"), ("abli", "able"), ("alli", "al"), ("entli", "ent"),
+        ("eli", "e"), ("ousli", "ous"), ("ization", "ize"), ("ation", "ate"),
+        ("ator", "ate"), ("alism", "al"), ("iveness", "ive"), ("fulness", "ful"),
+        ("ousness", "ous"), ("aliti", "al"), ("iviti", "ive"), ("biliti", "ble"))],
+    # 3
+    [(suffix, replacement, "m>0") for suffix, replacement in (
+        ("icate", "ic"), ("ative", ""), ("alize", "al"), ("iciti", "ic"),
+        ("ical", "ic"), ("ful", ""), ("ness", ""))],
+    # 4
+    [*((suffix, "", "m>1") for suffix in (
+        "al ance ence er ic able ible ant ement ment ent ou ism ate iti ous ive ize").split()),
+     ("ion", "", "m>1 and (*S or *T)")],
+    # 5a
+    [("e", "", "m>1"), ("e", "", "m=1 and not *o")],
+    # 5b: Porter's "(m>1 and *d and *L) -> single letter", as the second l of -ll
+    [("l", "", "m>1 and *L")],
+)))
 
 
 def porter_stem(word: str) -> str:
@@ -155,12 +110,6 @@ def porter_stem(word: str) -> str:
     want case-insensitive behavior should lowercase first."""
     if len(word) <= 2:
         return word
-    word = _step1a(word)
-    word = _step1b(word)
-    word = _step1c(word)
-    word = _apply_table(word, _STEP2, 0)
-    word = _apply_table(word, _STEP3, 0)
-    word = _step4(word)
-    word = _step5a(word)
-    word = _step5b(word)
+    for step in _STEPS:
+        word = _apply(word, step)
     return word

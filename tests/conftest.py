@@ -1,8 +1,10 @@
 """Shared test helpers: a uniform test model, random toy models, a reference
-plain decoder and a JSON mutator for loader fuzzing."""
+plain decoder, a JSON mutator for loader fuzzing and an ``IntEnum`` for the
+integer rule."""
 
 from __future__ import annotations
 
+import enum
 import json
 import math
 
@@ -11,6 +13,12 @@ from hypothesis import strategies as st
 
 from dyne import CopyBigramModel, DecodeParams, ToyModelSpec, Vocab
 from dyne.seqmodel import BOS_ID, EOS_ID, UNK_ID, check_token_seq
+
+
+class Level(enum.IntEnum):
+    """An ``int`` subclass, so never an integer argument under the library's rule."""
+
+    HIGH = 2
 
 
 class UniformModel:

@@ -11,6 +11,7 @@ import tempfile
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -32,7 +33,7 @@ from dyne.errors import parse_object
 from dyne.seqmodel import UNK_ID
 from dyne.synthetic import build_consensus_corpus
 
-from conftest import mutate_json
+from conftest import Level, mutate_json
 
 TWO_LINES = (
     '{"id": "c1", "documents": ["a b", "b c"], "references": ["a"]}\n'
@@ -289,6 +290,23 @@ class TestSelection:
         with pytest.raises(ValueError, match="max_docs"):
             select_document_indices(make_cluster(3), 0, seed=0)
 
+    @pytest.mark.parametrize("max_docs", [2.5, True, 2.0, None, "2", Level.HIGH])
+    def test_max_docs_must_be_an_integer(self, max_docs):
+        # 2.5 and True raised numpy's TypeError
+        with pytest.raises(ValueError) as info:
+            select_document_indices(make_cluster(5), max_docs, 0)
+        assert str(info.value) == f"max_docs must be an integer >= 1, got {max_docs!r}"
+
+    @pytest.mark.parametrize("seed", [1.5, True, None, "1", Level.HIGH])
+    def test_seed_must_be_an_integer(self, seed):
+        # 1.5 seeded the draw with "1.5|c", True with "True|c"
+        with pytest.raises(ValueError) as info:
+            select_document_indices(make_cluster(5), 2, seed)
+        assert str(info.value) == f"seed must be an integer, got {seed!r}"
+        cluster = make_cluster(5)
+        assert (select_document_indices(cluster, np.int64(2), np.int64(7))
+                == select_document_indices(cluster, 2, 7))
+
     def test_monte_carlo_uniformity(self):
         # 10 documents, 5 kept: every document should be selected with
         # frequency 0.5 +- 0.02 across 10k seeds
@@ -321,6 +339,14 @@ class TestTokenize:
     def test_invalid_max_tokens(self):
         with pytest.raises(ValueError, match="max_tokens"):
             tokenize_and_truncate("a", self.VOCAB, 0)
+
+    @pytest.mark.parametrize("max_tokens", [True, 2.5, 2.0, None, Level.HIGH])
+    def test_max_tokens_must_be_an_integer(self, max_tokens):
+        # True kept one token; 2.5 raised TypeError from the slice
+        with pytest.raises(ValueError) as info:
+            tokenize_and_truncate("a b a", self.VOCAB, max_tokens)
+        assert str(info.value) == f"max_tokens must be an integer >= 1, got {max_tokens!r}"
+        assert len(tokenize_and_truncate("a b a", self.VOCAB, np.int64(2))) == 2
 
 
 def test_consensus_corpus_is_pinned():

@@ -172,10 +172,14 @@ class TestReduceMeanLogprob:
         ([-1.0, -2.0], (2,)),
         (np.zeros((2, 3, 4)), (2, 3, 4)),
         ([np.zeros((1, 3))] * 2, (2, 1, 3)),
-    ], ids=["1-d-array", "list-of-floats", "3-d-array", "list-of-2-d"])
+        (np.float64(3), ()),
+        (np.array(3.0), ()),
+        (None, ()),
+    ], ids=["1-d-array", "list-of-floats", "3-d-array", "list-of-2-d", "numpy-scalar",
+            "0-d-array", "none"])
     def test_stack_that_is_not_n_by_v_rejected(self, reduce_fn, stack, shape):
         # a 1-D stack raised TypeError (a float has no len), a 3-D one a numpy
-        # broadcast error
+        # broadcast error; a scalar, a 0-d array and None raised TypeError from len()
         with pytest.raises(ValueError) as info:
             reduce_fn(stack)
         assert str(info.value) == (

@@ -99,6 +99,23 @@ class TestConstruction:
                                    f"got {labels!r}")
         assert TraceMatrix(["x", "y"]).input_labels == ("x", "y")
 
+    @pytest.mark.parametrize("rows", [None, 5, "ab", TraceRow(A, "a", -1.0, (-1.0,))],
+                             ids=["none", "int", "str", "bare-row"])
+    def test_rows_must_be_a_list_or_tuple(self, rows):
+        # None and 5 raised TypeError from tuple()
+        with pytest.raises(ValueError) as info:
+            TraceMatrix(["doc0"], rows)
+        assert str(info.value) == f"trace rows must be a list or tuple of TraceRow, got {rows!r}"
+
+    @pytest.mark.parametrize("row", [5, None, (A, "a", -1.0, (-1.0,))],
+                             ids=["int", "none", "tuple"])
+    def test_row_that_is_not_a_trace_row_rejected(self, row):
+        # [5] raised AttributeError from row.per_input
+        good = TraceRow(A, "a", -1.0, (-1.0,))
+        with pytest.raises(ValueError) as info:
+            TraceMatrix(["doc0"], [good, row])
+        assert str(info.value) == f"trace row 1 must be a TraceRow, got {row!r}"
+
     def test_numpy_integer_tokens_export_to_json(self):
         model = CopyBigramModel(ToyModelSpec(1.0, 1.0, {}, AB))
         _, trace = sequence_score(model, [(A, B)], np.array([A, EOS_ID]))

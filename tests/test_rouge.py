@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import importlib.util
 import math
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -160,6 +162,40 @@ class TestConventions:
         assert tokenize("The Cats, running!", cfg) == ["the", "cat", "run"]
 
 
+class TestInputTypes:
+    SCORERS = {
+        "rouge_n": lambda refs: rouge_n("a b", refs, 1),
+        "rouge_l": lambda refs: rouge_l("storm", refs),
+        "compute_metric": lambda refs: compute_metric("rouge-2", "a b", refs),
+    }
+
+    @pytest.mark.parametrize("scorer", SCORERS)
+    @pytest.mark.parametrize("references", ["ab", None, {"ab": 1}],
+                             ids=["str", "none", "dict"])
+    def test_references_must_be_a_list_or_tuple(self, scorer, references):
+        # a str scored one reference per character (f 0.0 for "ab" against "ab");
+        # None raised TypeError
+        with pytest.raises(ValueError) as info:
+            self.SCORERS[scorer](references)
+        assert str(info.value) == (
+            f"references must be a list or tuple of strings, got {references!r}")
+        assert self.SCORERS[scorer](("a b", "storm")).f == 1.0
+
+    @pytest.mark.parametrize("scorer", SCORERS)
+    def test_reference_that_is_not_a_str_rejected(self, scorer):
+        with pytest.raises(ValueError, match=r"^text to tokenize must be a str, got 5$"):
+            self.SCORERS[scorer](["ab", 5])
+
+    @pytest.mark.parametrize("text", [None, 5, b"ab", ["ab"]])
+    def test_tokenize_rejects_text_that_is_not_a_str(self, text):
+        # None raised AttributeError from .lower()
+        with pytest.raises(ValueError) as info:
+            tokenize(text)
+        assert str(info.value) == f"text to tokenize must be a str, got {text!r}"
+        with pytest.raises(ValueError, match="must be a str"):
+            rouge_n(text, ["ab"], 1)
+
+
 class TestPorterStemmer:
     # canonical worked examples from the published algorithm description
     CASES = [
@@ -197,6 +233,20 @@ class TestPorterStemmer:
     @pytest.mark.parametrize("word,expected", CASES)
     def test_canonical_pairs(self, word, expected):
         assert porter_stem(word) == expected
+
+    # sha256 of the stems of bench_paired's corpus (30,000 words: every suffix of
+    # every table, y after a vowel and after a consonant, double consonants and
+    # cvc endings), taken with the letter-by-letter stemmer the tables replaced
+    STEMS_SHA256 = "ec9763a97e5fa82a5d709906bc21a0efa400213c2ffd1efcbcbd8c1a88cabaeb"
+
+    def test_stems_of_generated_corpus_pinned(self):
+        script = Path(__file__).resolve().parents[1] / "scripts" / "bench_paired.py"
+        spec = importlib.util.spec_from_file_location("bench_paired", script)
+        bench = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(bench)
+        corpus = bench.stem_corpus()
+        assert len(corpus) >= 30_000
+        assert bench.stems_sha256([porter_stem(w) for w in corpus]) == self.STEMS_SHA256
 
     @given(st.text(alphabet="abcdefghijklmnopqrstuvwxyz", min_size=1, max_size=12))
     @settings(max_examples=200, deadline=None)

@@ -25,7 +25,7 @@ from dyne import (
 from dyne import seqmodel
 from dyne.seqmodel import BOS_ID, EOS_ID, UNK_ID
 
-from conftest import UniformModel, mutate_json, random_inputs, random_toy_model
+from conftest import Level, UniformModel, mutate_json, random_inputs, random_toy_model
 
 
 def logsumexp(v: np.ndarray) -> float:
@@ -119,6 +119,21 @@ class TestVocab:
         for idx in (-1, 5):
             with pytest.raises(ValueError, match=f"token id {idx} out of range for vocab of"):
                 ab_vocab.token(idx)
+
+    @pytest.mark.parametrize("idx", [True, False, 3.5, 3.0, None, "3", Level.HIGH])
+    def test_token_id_must_be_an_integer(self, ab_vocab, idx):
+        # True read as id 1, '</s>'; 3.5 raised TypeError from the tuple index
+        with pytest.raises(ValueError) as info:
+            ab_vocab.token(idx)
+        assert str(info.value) == f"token id {idx!r} out of range for vocab of size 5"
+        assert ab_vocab.token(np.int64(3)) == "a"
+
+    def test_content_as_a_bare_str_rejected(self):
+        # "storm" built five one-letter tokens
+        with pytest.raises(ValueError) as info:
+            Vocab.from_content("storm")
+        assert str(info.value) == "vocab content must be an iterable of strings, got 'storm'"
+        assert Vocab.from_content(t for t in ("storm", "flood")).tokens[3:] == ("storm", "flood")
 
     def test_encode_token_maps_oov_to_unk(self, ab_vocab):
         assert ab_vocab.encode_token("a") == 3
@@ -242,6 +257,13 @@ class TestCopyBigramModel:
             rows = np.stack([m.score_next(x, prefix) for x in inputs])
             assert batch.shape == (len(inputs), len(vocab))
             assert batch.tobytes() == rows.tobytes()
+
+    def test_score_batch_without_inputs_rejected(self, ab_vocab):
+        # raised numpy's "need at least one array to stack"
+        model = CopyBigramModel(ToyModelSpec(0.5, 1.0, {(3, 4): 2}, ab_vocab))
+        for inputs in ([], ()):
+            with pytest.raises(ValueError, match=r"^score_batch needs at least one input$"):
+                model.score_batch(inputs, (BOS_ID, 3))
 
     def test_memory_bounded_over_many_input_sets(self, ab_vocab):
         model = CopyBigramModel(ToyModelSpec(0.5, 1.0, {(3, 4): 2}, ab_vocab))
