@@ -396,7 +396,7 @@ def _settings_table(sp: argparse.ArgumentParser) -> dict[str, argparse.Action]:
     return {a.dest: a for a in sp._actions if a.dest not in ("help", "config")}
 
 
-def _apply_config_file(args: argparse.Namespace, subparsers, argv: list[str]):
+def _apply_config_file(args: argparse.Namespace, parser, subparsers, argv: list[str]):
     """Re-parse the command with defaults taken from the config file.
 
     Config keys are flag dest names (``beam_size``, ``max_docs``, ...);
@@ -409,11 +409,7 @@ def _apply_config_file(args: argparse.Namespace, subparsers, argv: list[str]):
     if invalid:
         raise FormatError(f"{args.config}: invalid value(s): {', '.join(invalid)}")
     sp.set_defaults(**doc)
-    sub_argv = list(argv)
-    sub_argv.remove(args.command)
-    merged = sp.parse_args(sub_argv)
-    merged.command = args.command
-    return merged
+    return parser.parse_args(argv)
 
 
 _REQUIRED_FLAGS = {
@@ -443,7 +439,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         if args.config:
-            args = _apply_config_file(args, subparsers, argv)
+            args = _apply_config_file(args, parser, subparsers, argv)
         _require_flags(args)
         settings = {name: getattr(args, name) for name in _settings_table(subparsers[args.command])
                     if name not in _OUTPUT_FLAGS}

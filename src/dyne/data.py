@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import FormatError, input_records, is_integer, jsonl_text, write_output
+from .errors import FormatError, input_records, is_integer, jsonl_text, tuple_of, write_output
 from .seqmodel import TokenSeq, Vocab, check_utf8
 
 
@@ -38,15 +38,9 @@ class Cluster:
         if not (isinstance(self.id, str) and self.id):
             raise ValueError(f"cluster id must be a non-empty string, got {self.id!r}")
         check_utf8((self.id,), "cluster id")
-        for name, texts in (("documents", self.documents), ("references", self.references)):
-            if not isinstance(texts, (list, tuple)):  # a str or dict would iterate
-                raise ValueError(f"cluster {self.id!r} {name} must be a list of strings, "
-                                 f"got {texts!r}")
-            object.__setattr__(self, name, tuple(texts))
-            for i, text in enumerate(texts):
-                if not isinstance(text, str):
-                    raise ValueError(f"cluster {self.id!r} {name[:-1]} {i} must be a string, "
-                                     f"got {text!r}")
+        for name in ("documents", "references"):
+            texts = tuple_of(getattr(self, name), str, f"cluster {self.id!r} {name}")
+            object.__setattr__(self, name, texts)
         if not self.documents:
             raise ValueError(f"cluster {self.id!r} has no documents")
 
@@ -60,13 +54,9 @@ class ClusterSet:
     _by_id: dict[str, Cluster] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if not isinstance(self.clusters, (list, tuple)):  # a str would iterate
-            raise ValueError(f"clusters must be a list of Cluster values, got {self.clusters!r}")
-        object.__setattr__(self, "clusters", tuple(self.clusters))
+        object.__setattr__(self, "clusters", tuple_of(self.clusters, Cluster, "clusters"))
         by_id: dict[str, Cluster] = {}
-        for i, c in enumerate(self.clusters):
-            if not isinstance(c, Cluster):
-                raise ValueError(f"cluster {i} must be a Cluster, got {c!r}")
+        for c in self.clusters:
             if c.id in by_id:
                 raise ValueError(f"duplicate cluster id {c.id!r}")
             by_id[c.id] = c
@@ -118,6 +108,8 @@ def select_document_indices(cluster: Cluster, max_docs: int, seed: int) -> list[
     subsampled deterministically in (seed, cluster id). Indices ascend, so
     the chosen documents keep their original relative order.
     """
+    if not isinstance(cluster, Cluster):
+        raise ValueError(f"cluster must be a Cluster, got {cluster!r}")
     if not (is_integer(max_docs) and max_docs >= 1):
         raise ValueError(f"max_docs must be an integer >= 1, got {max_docs!r}")
     if not is_integer(seed):
@@ -135,4 +127,6 @@ def tokenize_and_truncate(text: str, vocab: Vocab, max_tokens: int) -> TokenSeq:
     first ``max_tokens`` tokens."""
     if not (is_integer(max_tokens) and max_tokens >= 1):
         raise ValueError(f"max_tokens must be an integer >= 1, got {max_tokens!r}")
+    if not isinstance(text, str):  # bytes would split into unknown words
+        raise ValueError(f"text must be a str, got {text!r}")
     return tuple(vocab.encode_token(t) for t in text.split()[:max_tokens])

@@ -9,8 +9,9 @@ id '...' (first seen on line <m>)`` as the fault.
 
 Every output file, from the CLI or a library save, is encoded by `json_text`,
 `jsonl_text` or `csv_text` and written by `write_output`. Every real-valued
-setting, read from a file or passed in code, is checked by `real_number`, and
-an integer argument of the library's entry points by `is_integer`.
+setting, read from a file or passed in code, is checked by `real_number`, an
+integer argument of the library's entry points by `is_integer`, and every
+list-or-tuple value by `tuple_of`.
 """
 
 from __future__ import annotations
@@ -59,6 +60,17 @@ def is_integer(value) -> bool:
     """Whether ``value`` is an int or a numpy integer: never a bool or another
     ``int`` subclass such as an ``IntEnum`` member."""
     return type(value) is int or isinstance(value, np.integer)
+
+
+def tuple_of(values, kind: type, what: str) -> tuple:
+    """``values``, a list or tuple whose items are all ``kind``, as a tuple (a str
+    or dict would iterate); anything else is a ValueError naming ``what``."""
+    if not isinstance(values, (list, tuple)):
+        raise ValueError(f"{what} must be a list or tuple of {kind.__name__}, got {values!r}")
+    for i, value in enumerate(values):
+        if not isinstance(value, kind):
+            raise ValueError(f"{what}[{i}] must be a {kind.__name__}, got {value!r}")
+    return tuple(values)
 
 
 def read_input(path: str | Path, what: str) -> str:

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import csv_text, json_text
+from .errors import csv_text, json_text, tuple_of
 
 
 @dataclass(frozen=True)
@@ -37,30 +37,23 @@ class TraceRow:
 class TraceMatrix:
     """Timesteps x inputs matrix of per-input chosen-token log-scores.
 
-    The labels, one per input, are a list or tuple of distinct strings: a str
-    would give one label per character and a repeat would name two columns
-    alike. This is the one place the rule is stated; the decoder's entry
-    points apply it by building an empty trace before anything is scored.
-    The rows are a list or tuple of `TraceRow` values.
+    The labels, one per input, are a list or tuple of distinct strings, since a
+    repeat would name two columns alike. This is the one place the rule is
+    stated; the decoder's entry points apply it by building an empty trace
+    before anything is scored. The rows are a list or tuple of `TraceRow` values.
     """
 
     input_labels: tuple[str, ...]
     rows: tuple[TraceRow, ...] = ()
 
     def __post_init__(self) -> None:
-        labels = self.input_labels
-        if not (isinstance(labels, (list, tuple)) and all(isinstance(x, str) for x in labels)
-                and len(set(labels)) == len(labels)):
-            raise ValueError(f"input labels must be distinct strings in a list or tuple, "
-                             f"got {labels!r}")
-        object.__setattr__(self, "input_labels", tuple(labels))
-        if not isinstance(self.rows, (list, tuple)):
-            raise ValueError(f"trace rows must be a list or tuple of TraceRow, got {self.rows!r}")
-        object.__setattr__(self, "rows", tuple(self.rows))
-        width = len(self.input_labels)
+        labels = tuple_of(self.input_labels, str, "input labels")
+        if len(set(labels)) != len(labels):
+            raise ValueError(f"input labels must be distinct, got {labels!r}")
+        object.__setattr__(self, "input_labels", labels)
+        object.__setattr__(self, "rows", tuple_of(self.rows, TraceRow, "trace rows"))
+        width = len(labels)
         for t, row in enumerate(self.rows):
-            if not isinstance(row, TraceRow):
-                raise ValueError(f"trace row {t} must be a TraceRow, got {row!r}")
             if len(row.per_input) != width:
                 raise ValueError(
                     f"row {t} has {len(row.per_input)} per-input scores but the trace "

@@ -24,7 +24,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 
-from .errors import real_number
+from .errors import real_number, tuple_of
 from .stemmer import porter_stem
 
 _TOKEN_CLEAN = re.compile(r"[^0-9a-zA-Z]+")
@@ -125,10 +125,9 @@ def _combine(per_ref: list[RougeScore], cfg: RougeConfig) -> RougeScore:
 
 
 def tokenize_references(references: list[str], cfg: RougeConfig) -> list[list[str]]:
-    """Tokenize a reference set: a list or tuple of strings (a str would give one
-    reference per character), rejecting an empty set or an empty reference."""
-    if not isinstance(references, (list, tuple)):
-        raise ValueError(f"references must be a list or tuple of strings, got {references!r}")
+    """Tokenize a reference set, a list or tuple of strings, rejecting an empty
+    set or an empty reference."""
+    references = tuple_of(references, str, "references")
     if not references:
         raise ValueError("at least one reference is required")
     tokenized = [tokenize(r, cfg) for r in references]

@@ -25,7 +25,7 @@ from typing import Protocol
 import numpy as np
 
 from .errors import (FormatError, is_integer, json_text, parse_object, read_input, real_number,
-                     write_output)
+                     tuple_of, write_output)
 
 BOS_ID = 0
 EOS_ID = 1
@@ -72,12 +72,7 @@ class Vocab:
     _index: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if not isinstance(self.tokens, (list, tuple)):  # a str or dict would iterate
-            raise ValueError(f"vocab tokens must be a list of strings, got {self.tokens!r}")
-        object.__setattr__(self, "tokens", tuple(self.tokens))
-        for tok in self.tokens:
-            if not isinstance(tok, str):
-                raise ValueError(f"vocab token {tok!r} must be a string")
+        object.__setattr__(self, "tokens", tuple_of(self.tokens, str, "vocab tokens"))
         if len(self.tokens) < 4:
             raise ValueError(
                 f"vocab needs the 3 reserved tokens plus at least one content "
@@ -298,8 +293,6 @@ class ToyModelSpec:
     def _from_doc(cls, doc: dict) -> "ToyModelSpec":
         """The checks JSON adds, the columns' shape and types, token names and no
         repeated pair, as array tests; a fault is named by column and index."""
-        if not isinstance(doc["vocab"], list):
-            raise FormatError("field 'vocab' must be a list of strings")
         vocab = Vocab(doc["vocab"])
         cols = doc["bigram_counts"]
         lists = [*cols.values()] if type(cols) is dict and cols.keys() == _COLUMNS.keys() else ()

@@ -821,7 +821,7 @@ class TestInputFaults:
         assert (out / "summaries.jsonl").exists()
 
     @pytest.mark.parametrize("field, value, fault", [
-        ("vocab", "abc", "field 'vocab' must be a list of strings"),
+        ("vocab", "abc", "vocab tokens must be a list or tuple of str, got 'abc'"),
         ("lambda", 2.0, "copy weight must lie in [0, 1]"),
         ("bigram_counts", {"prev": ["zz"], "next": ["a"], "count": [1]},
          "bigram_counts.prev[0] names unknown token 'zz'"),

@@ -125,11 +125,11 @@ class TestLoading:
             ClusterSet((Cluster("c1", ("a",)), Cluster("c1", ("b",))))
 
     @pytest.mark.parametrize("clusters, message", [
-        ("ab", "clusters must be a list of Cluster values, got 'ab'"),
-        (None, "clusters must be a list of Cluster values, got None"),
-        ({"c": 1}, "clusters must be a list of Cluster values, got {'c': 1}"),
-        ([Cluster("c", ("a",)), "x"], "cluster 1 must be a Cluster, got 'x'"),
-        ((None,), "cluster 0 must be a Cluster, got None"),
+        ("ab", "clusters must be a list or tuple of Cluster, got 'ab'"),
+        (None, "clusters must be a list or tuple of Cluster, got None"),
+        ({"c": 1}, "clusters must be a list or tuple of Cluster, got {'c': 1}"),
+        ([Cluster("c", ("a",)), "x"], "clusters[1] must be a Cluster, got 'x'"),
+        ((None,), "clusters[0] must be a Cluster, got None"),
     ], ids=["str", "none", "dict", "str-entry", "none-entry"])
     def test_cluster_set_holds_only_clusters(self, clusters, message):
         # a str raised AttributeError from reading c.id, None a TypeError
@@ -140,9 +140,9 @@ class TestLoading:
 
     @pytest.mark.parametrize("args, message", [
         ((5, ("a",)), "cluster id must be a non-empty string, got 5"),
-        (("c", (1, 2)), "cluster 'c' document 0 must be a string, got 1"),
-        (("c", ("a", None)), "cluster 'c' document 1 must be a string, got None"),
-        (("c", ("a",), (None,)), "cluster 'c' reference 0 must be a string, got None"),
+        (("c", (1, 2)), "cluster 'c' documents[0] must be a str, got 1"),
+        (("c", ("a", None)), "cluster 'c' documents[1] must be a str, got None"),
+        (("c", ("a",), (None,)), "cluster 'c' references[0] must be a str, got None"),
     ], ids=["int-id", "int-document", "none-document", "none-reference"])
     def test_cluster_built_in_code_follows_the_file_rules(self, args, message):
         # an int id raised TypeError; the others built, and save_clusters then
@@ -159,12 +159,13 @@ class TestLoading:
         # int or None raised TypeError
         with pytest.raises(ValueError) as info:
             Cluster("c", **{"documents": ("a",), field: value})
-        assert str(info.value) == f"cluster 'c' {field} must be a list of strings, got {value!r}"
+        assert str(info.value) == (
+            f"cluster 'c' {field} must be a list or tuple of str, got {value!r}")
 
     def test_string_documents_in_file_named(self, tmp_path, capsys):
         path = tmp_path / "clusters.jsonl"
         path.write_text('{"id": "ok", "documents": ["a"]}\n{"id": "c", "documents": "ab"}\n')
-        message = f"{path}: line 2: cluster 'c' documents must be a list of strings, got 'ab'"
+        message = f"{path}: line 2: cluster 'c' documents must be a list or tuple of str, got 'ab'"
         with pytest.raises(FormatError) as info:
             load_clusters(path)
         assert str(info.value) == message
@@ -179,7 +180,7 @@ class TestLoading:
         path.write_text('{"id": "c", "documents": ["a", 1]}\n')
         with pytest.raises(FormatError) as info:
             load_clusters(path)
-        assert str(info.value) == f"{path}: line 1: cluster 'c' document 1 must be a string, got 1"
+        assert str(info.value) == f"{path}: line 1: cluster 'c' documents[1] must be a str, got 1"
 
     def test_empty_cluster_set_writes_an_empty_file(self, tmp_path):
         assert clusters_to_jsonl(ClusterSet(())) == ""
@@ -307,6 +308,14 @@ class TestSelection:
         assert (select_document_indices(cluster, np.int64(2), np.int64(7))
                 == select_document_indices(cluster, 2, 7))
 
+    @pytest.mark.parametrize("cluster", [None, "ab", ("doc 0", "doc 1")],
+                             ids=["none", "str", "tuple"])
+    def test_cluster_must_be_a_cluster(self, cluster):
+        # None raised AttributeError from reading cluster.documents
+        with pytest.raises(ValueError) as info:
+            select_document_indices(cluster, 2, 0)
+        assert str(info.value) == f"cluster must be a Cluster, got {cluster!r}"
+
     def test_monte_carlo_uniformity(self):
         # 10 documents, 5 kept: every document should be selected with
         # frequency 0.5 +- 0.02 across 10k seeds
@@ -347,6 +356,14 @@ class TestTokenize:
             tokenize_and_truncate("a b a", self.VOCAB, max_tokens)
         assert str(info.value) == f"max_tokens must be an integer >= 1, got {max_tokens!r}"
         assert len(tokenize_and_truncate("a b a", self.VOCAB, np.int64(2))) == 2
+
+    @pytest.mark.parametrize("text", [b"a b", None, ["a", "b"], 5],
+                             ids=["bytes", "none", "list", "int"])
+    def test_text_must_be_a_str(self, text):
+        # b"a b" gave two unknown-word ids, None raised AttributeError from .split()
+        with pytest.raises(ValueError) as info:
+            tokenize_and_truncate(text, self.VOCAB, 5)
+        assert str(info.value) == f"text must be a str, got {text!r}"
 
 
 def test_consensus_corpus_is_pinned():

@@ -6,6 +6,7 @@ import dataclasses
 import enum
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -601,12 +602,16 @@ class TestEntryChecks:
             ENTRY_POINTS[entry](UnscoredModel(), [(A,), (B,), (A,)], ("x", "y"))
 
     @pytest.mark.parametrize("entry", ENTRY_POINTS)
-    @pytest.mark.parametrize("labels", [("x", "x"), ("x", 1), (None, "y"), "xy"],
-                             ids=["repeated", "int", "none", "str"])
-    def test_labels_must_be_distinct_strings(self, entry, labels):
+    @pytest.mark.parametrize("labels, message", [
+        (("x", "x"), "input labels must be distinct, got ('x', 'x')"),
+        (("x", 1), "input labels[1] must be a str, got 1"),
+        ((None, "y"), "input labels[0] must be a str, got None"),
+        ("xy", "input labels must be a list or tuple of str, got 'xy'"),
+    ], ids=["repeated", "int", "none", "str"])
+    def test_labels_must_be_distinct_strings(self, entry, labels, message):
         # a repeated label would name two trace columns alike; a str would
         # name one column per character
-        with pytest.raises(ValueError, match="input labels must be distinct strings"):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             ENTRY_POINTS[entry](UnscoredModel(), [(A,), (B,)], labels)
 
     @pytest.mark.parametrize("entry", ENTRY_POINTS)

@@ -178,6 +178,48 @@ def test_output_writer_guard_names_file_line_and_call():
     ]
 
 
+# words of the list-or-tuple input rule, which only errors.tuple_of states
+LIST_RULE_WORDS = ("list or tuple", "must be a list")
+
+
+def list_rule_raises(source: str, filename: str) -> list[str]:
+    """``<filename>:<line>`` for each ``raise`` whose message text (its string
+    constants and f-string parts) holds any of `LIST_RULE_WORDS`."""
+    hits = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            text = "".join(n.value for n in ast.walk(node.exc)
+                           if isinstance(n, ast.Constant) and isinstance(n.value, str))
+            if any(word in text for word in LIST_RULE_WORDS):
+                hits.append(f"{filename}:{node.lineno}")
+    return hits
+
+
+def test_only_the_errors_module_states_the_list_rule():
+    modules = sorted((ROOT / "src" / "dyne").glob("*.py"))
+    rule = ROOT / "src" / "dyne" / "errors.py"
+    assert rule in modules and len(modules) > 3
+    hits = [hit for path in modules if path != rule
+            for hit in list_rule_raises(path.read_text("utf-8"), str(path.relative_to(ROOT)))]
+    assert hits == []
+
+
+def test_list_rule_guard_names_file_and_line():
+    source = ('"""Values come as a list or tuple."""\n'
+              "def check(xs, what):\n"
+              "    if not isinstance(xs, list):\n"
+              "        raise ValueError(f'{what} must be a list of strings, got {xs!r}')\n"
+              "    if not xs:\n"
+              "        raise ValueError('need a list or tuple' ' of one item or more')\n"
+              "    if len(xs) > 9:\n"
+              "        raise ValueError(f'{what} must be a short list')\n"
+              "    try:\n"
+              "        return tuple(xs)\n"
+              "    except TypeError:\n"
+              "        raise\n")
+    assert list_rule_raises(source, "m.py") == ["m.py:4", "m.py:6"]
+
+
 def unfrozen_dataclasses(source: str, filename: str) -> list[str]:
     """``<filename>:<line>: <Class>`` for each class decorated with ``dataclass``
     (bare, called, or as ``dataclasses.dataclass``) without ``frozen=True``."""

@@ -87,16 +87,21 @@ class TestConstruction:
         assert TraceMatrix(["doc0"], [TraceRow(A, "a", -1.0, (-1.0,))]).rows[0].token == "a"
         assert isinstance(TraceMatrix(["doc0"]).input_labels, tuple)
 
-    @pytest.mark.parametrize("labels", ["xy", None, 5, {"x": 0}, ("x", 1), [None], ("x", "x")],
-                             ids=["str", "none", "int", "dict", "int-label", "none-label",
-                                  "repeated"])
-    def test_labels_must_be_distinct_strings(self, labels):
+    @pytest.mark.parametrize("labels, message", [
+        ("xy", "input labels must be a list or tuple of str, got 'xy'"),
+        (None, "input labels must be a list or tuple of str, got None"),
+        (5, "input labels must be a list or tuple of str, got 5"),
+        ({"x": 0}, "input labels must be a list or tuple of str, got {'x': 0}"),
+        (("x", 1), "input labels[1] must be a str, got 1"),
+        ([None], "input labels[0] must be a str, got None"),
+        (("x", "x"), "input labels must be distinct, got ('x', 'x')"),
+    ], ids=["str", "none", "int", "dict", "int-label", "none-label", "repeated"])
+    def test_labels_must_be_distinct_strings(self, labels, message):
         # "xy" built a trace with the labels ('x', 'y'), ("x", "x") one with two
         # columns named alike; None and 5 raised TypeError
         with pytest.raises(ValueError) as info:
             TraceMatrix(labels, ())
-        assert str(info.value) == ("input labels must be distinct strings in a list or tuple, "
-                                   f"got {labels!r}")
+        assert str(info.value) == message
         assert TraceMatrix(["x", "y"]).input_labels == ("x", "y")
 
     @pytest.mark.parametrize("rows", [None, 5, "ab", TraceRow(A, "a", -1.0, (-1.0,))],
@@ -114,7 +119,7 @@ class TestConstruction:
         good = TraceRow(A, "a", -1.0, (-1.0,))
         with pytest.raises(ValueError) as info:
             TraceMatrix(["doc0"], [good, row])
-        assert str(info.value) == f"trace row 1 must be a TraceRow, got {row!r}"
+        assert str(info.value) == f"trace rows[1] must be a TraceRow, got {row!r}"
 
     def test_numpy_integer_tokens_export_to_json(self):
         model = CopyBigramModel(ToyModelSpec(1.0, 1.0, {}, AB))

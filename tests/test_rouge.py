@@ -178,12 +178,12 @@ class TestInputTypes:
         with pytest.raises(ValueError) as info:
             self.SCORERS[scorer](references)
         assert str(info.value) == (
-            f"references must be a list or tuple of strings, got {references!r}")
+            f"references must be a list or tuple of str, got {references!r}")
         assert self.SCORERS[scorer](("a b", "storm")).f == 1.0
 
     @pytest.mark.parametrize("scorer", SCORERS)
     def test_reference_that_is_not_a_str_rejected(self, scorer):
-        with pytest.raises(ValueError, match=r"^text to tokenize must be a str, got 5$"):
+        with pytest.raises(ValueError, match=r"^references\[1\] must be a str, got 5$"):
             self.SCORERS[scorer](["ab", 5])
 
     @pytest.mark.parametrize("text", [None, 5, b"ab", ["ab"]])

@@ -97,7 +97,7 @@ class TestVocab:
         # an int raised TypeError from the UTF-8 check, a list from the index
         with pytest.raises(ValueError) as info:
             Vocab(("<s>", "</s>", "<unk>", "a", token))
-        assert str(info.value) == f"vocab token {token!r} must be a string"
+        assert str(info.value) == f"vocab tokens[4] must be a str, got {token!r}"
 
     @pytest.mark.parametrize("tokens", [
         5, None, "<s></s><unk>a", {"<s>": 0, "</s>": 1, "<unk>": 2, "a": 3},
@@ -106,7 +106,7 @@ class TestVocab:
         # an int or None raised TypeError, and a dict built from its keys
         with pytest.raises(ValueError) as info:
             Vocab(tokens)
-        assert str(info.value) == f"vocab tokens must be a list of strings, got {tokens!r}"
+        assert str(info.value) == f"vocab tokens must be a list or tuple of str, got {tokens!r}"
         assert Vocab(["<s>", "</s>", "<unk>", "a"]).tokens == ("<s>", "</s>", "<unk>", "a")
 
     def test_unpaired_surrogate_token_rejected(self):
@@ -715,7 +715,7 @@ class TestSpecLoaderErrors:
         ({"lambda": True}, "copy weight (lambda) must be a real number, got True"),
         ({"smooth_k": "1"}, "smooth_k must be a real number, got '1'"),
         ({"smooth_k": 1e308}, "smooth_k must be positive and finite times the 3 predictable"),
-        ({"vocab": ["<s>", "</s>", "<unk>", "a", 5]}, "vocab token 5 must be a string"),
+        ({"vocab": ["<s>", "</s>", "<unk>", "a", 5]}, "vocab tokens[4] must be a str, got 5"),
         ({"vocab": ["<s>", "</s>", "<unk>", "a", "a"]}, "duplicate vocab token 'a'"),
         ({"bigram_counts": {"prev": ["a"], "next": ["<s>"], "count": [1]}},
          "bigram count 'a'->'<s>' targets unpredictable"),
@@ -778,7 +778,7 @@ def scalar_load(doc: dict) -> tuple[str | None, dict | None]:
     text it gives for ``doc``, or the counts of the spec it builds."""
     try:
         if not isinstance(doc["vocab"], list):
-            raise FormatError("field 'vocab' must be a list of strings")
+            raise FormatError(f"vocab tokens must be a list or tuple of str, got {doc['vocab']!r}")
         vocab = Vocab(doc["vocab"])
         cols = doc["bigram_counts"]
         if not (type(cols) is dict and sorted(cols) == ["count", "next", "prev"]
