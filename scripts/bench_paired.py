@@ -9,8 +9,8 @@ committed, or ``HEAD`` to measure uncommitted edits) is unpacked with
 checkout, which the run removes when it ends. One worker process per side
 imports ``dyne`` from its own ``src/``. Each side builds the same counts, drawn
 with the fixed seed ``SEED``, and saves them through its own
-``ToyModelSpec.save``, so each reads a spec file in its own format; the decode
-input sets are one file that both sides read:
+``ToyModelSpec.save``, so each reads a spec file in its own format; each decode
+workload's input sets are one file that both sides read:
 
 * ``wide``: the size of the ``wide`` benchmark's spec, V = 2,000 tokens and
   20,000 bigram counts, about 0.8 MB as columns (1 MB as the older triple list);
@@ -20,6 +20,12 @@ input sets are one file that both sides read:
   sets shaped like the ``wide`` benchmark's clusters (8 inputs of 400 token
   ids, half of them from a 10-token topic) with its settings (beam 8,
   ``max_len`` 30, ``min_len`` 10);
+* ``decode_sweep``: ``beam_search`` on the ``empty`` spec, over ``SWEEP_SETS``
+  input sets shaped like the ``sweep`` benchmark's pool decodes (5 inputs of
+  23 token ids: 4 shared words twice and 5 words of each input's own three
+  times, shuffled) with its settings (beam 4, ``max_len`` 5, ``min_len`` 4,
+  ``block_repeat_ngram`` 1, ``mean_prob``), where many small decodes show
+  the search's own per-step costs;
 * ``stem``: ``porter_stem`` over the ``STEM_WORDS`` words of `stem_corpus`,
   one file that both sides read.
 
@@ -64,11 +70,19 @@ WORK = ROOT / ".bench_work"
 SEED = 0
 DECODE_SETS = 10
 DECODE_INPUTS, DECODE_TOKENS, DECODE_TOPIC = 8, 400, 10
+SWEEP_SETS = 50
+SWEEP_INPUTS, SWEEP_SHARED, SWEEP_OWN = 5, 4, 5
 #: name -> (kind, vocab size, bigram counts, loads or decodes per sample)
 WORKLOADS = {"wide": ("load", 2000, 20_000, 1), "empty": ("load", 243, 0, 50),
-             "decode": ("decode", 2000, 20_000, DECODE_SETS), "stem": ("stem", 0, 0, 1)}
+             "decode": ("decode", 2000, 20_000, DECODE_SETS),
+             "decode_sweep": ("decode", 243, 0, SWEEP_SETS), "stem": ("stem", 0, 0, 1)}
 METRICS = {"load": ("load_s", "first_use_s"), "decode": ("decode_s",), "stem": ("stem_s",)}
-DECODE_PARAMS = {"beam_size": 8, "max_len": 30, "min_len": 10}
+#: decode workload -> its ``DecodeParams`` fields, ``reduce`` by value
+DECODE_PARAMS = {
+    "decode": {"beam_size": 8, "max_len": 30, "min_len": 10},
+    "decode_sweep": {"beam_size": 4, "max_len": 5, "min_len": 4, "block_repeat_ngram": 1,
+                     "reduce": "mean_prob"},
+}
 STEM_WORDS = 30_000
 #: every suffix of Porter's rule tables, with the endings step 1b's tidy-up
 #: rules and step 5 test
@@ -105,6 +119,21 @@ def decode_inputs(vocab: int, sets: int) -> list[list[list[int]]]:
         out.append([np.where(rng.random(DECODE_TOKENS) < 0.5, rng.choice(topic, DECODE_TOKENS),
                              rng.choice(content, DECODE_TOKENS)).tolist()
                     for _ in range(DECODE_INPUTS)])
+    return out
+
+
+def sweep_inputs(vocab: int, sets: int) -> list[list[list[int]]]:
+    """``sets`` input sets of token ids, each shaped like a ``sweep`` pool
+    cluster: every input holds the set's shared words twice and its own
+    words three times, shuffled."""
+    rng = np.random.default_rng(SEED)
+    out = []
+    for _ in range(sets):
+        words = rng.choice(np.arange(3, vocab), SWEEP_SHARED + SWEEP_INPUTS * SWEEP_OWN,
+                           replace=False)
+        shared, own = words[:SWEEP_SHARED], words[SWEEP_SHARED:].reshape(SWEEP_INPUTS, -1)
+        out.append([rng.permutation(np.concatenate([np.repeat(shared, 2), np.repeat(mine, 3)]))
+                    .tolist() for mine in own])
     return out
 
 
@@ -158,8 +187,9 @@ def load_sample(dyne, loads: int, spec: str) -> tuple[list[float], str]:
     return [load_s / loads, first_use_s / loads], table_sha256(model)
 
 
-def decode_sample(dyne, model, input_sets: list) -> tuple[list[float], str]:
-    params = dyne.DecodeParams(**DECODE_PARAMS)
+def decode_sample(dyne, model, input_sets: list, name: str) -> tuple[list[float], str]:
+    params = dyne.DecodeParams(**{key: dyne.Reduce(value) if key == "reduce" else value
+                                  for key, value in DECODE_PARAMS[name].items()})
     digest, decode_s = hashlib.sha256(), 0.0
     for inputs in input_sets:
         t0 = time.perf_counter()
@@ -179,8 +209,8 @@ def stem_sample(dyne, words: str) -> tuple[list[float], str]:
 def worker(src: str) -> None:
     """Answer each request line on stdin, tab-separated: ``save <vocab>
     <bigrams> <spec path>`` with ``saved`` once this side's ``ToyModelSpec``
-    wrote that spec, and ``<kind> <count> <spec or words path> [<inputs path>]``
-    with one sample line: the metric values and the sha256 of the outputs,
+    wrote that spec, and ``<kind> <count> <spec or words path> [<inputs path>
+    <workload>]`` with one sample line: the metric values and the sha256 of the outputs,
     separated by spaces."""
     sys.path.insert(0, src)
     import dyne
@@ -204,7 +234,7 @@ def worker(src: str) -> None:
             if spec not in models:
                 models[spec] = dyne.load_model(spec)
             input_sets = json.loads(Path(inputs[0]).read_text())[: int(count)]
-            values, sha = decode_sample(dyne, models[spec], input_sets)
+            values, sha = decode_sample(dyne, models[spec], input_sets, inputs[1])
         print(*map(repr, values), sha, flush=True)
 
 
@@ -263,9 +293,11 @@ def run_pairs(base_sha: str, pairs: int) -> dict:
                         raise RuntimeError(f"the {side} worker could not save {spec}")
                     requests[name][side] = [kind, str(count), spec]
                 if kind == "decode":
-                    write_output(WORK / "inputs.json", json_text(decode_inputs(vocab, count)))
+                    make = decode_inputs if name == "decode" else sweep_inputs
+                    path = WORK / f"inputs_{name}.json"
+                    write_output(path, json_text(make(vocab, count)))
                     for request in requests[name].values():
-                        request.append(str(WORK / "inputs.json"))
+                        request += [str(path), name]
             for pair in range(pairs):
                 for name in WORKLOADS:
                     for side in ("base", "tree") if pair % 2 == 0 else ("tree", "base"):

@@ -17,7 +17,6 @@ from .data import (
 )
 from .decoder import (
     DecodeParams,
-    Hypothesis,
     Reduce,
     ScoredHypothesis,
     beam_search,
@@ -63,7 +62,6 @@ __all__ = [
     "DecodeError",
     "DecodeParams",
     "FormatError",
-    "Hypothesis",
     "LogProbVector",
     "MultiRefStrategy",
     "Reduce",

@@ -118,7 +118,8 @@ def _decode_run(model: SequenceModel, clusters: ClusterSet, args, params: Decode
     """Decode all clusters into ``out_dir``, one after another in input order.
 
     Returns the summary records written and the (id, error) pairs of the
-    clusters that failed; a failed cluster does not stop the run.
+    clusters that failed: a ValueError or DecodeError fails its cluster and
+    not the run, while any other exception is a defect and stops the run.
     """
     records: list[dict] = []
     failures: list[tuple[str, str]] = []
@@ -126,7 +127,7 @@ def _decode_run(model: SequenceModel, clusters: ClusterSet, args, params: Decode
         try:
             record, trace = _decode_cluster(model, cluster, args, params, max_docs)
             trace_text = trace.export(args.trace_format)
-        except Exception as exc:  # noqa: BLE001 - isolate per-cluster failures
+        except (ValueError, DecodeError) as exc:
             failures.append((cluster.id, f"{type(exc).__name__}: {exc}"))
             continue
         records.append(record)

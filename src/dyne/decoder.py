@@ -4,9 +4,10 @@ One conditional model is applied independently to several inputs; at every
 timestep the per-input next-token distributions are combined by a reduce
 function into a single distribution, so all inputs extend the same output
 prefix. The cumulative combined log-score of the chosen tokens is the
-sequence score. The search records each chosen token's combined and
-per-input scores as it goes, so every result carries its provenance trace
-without rescoring. A brute-force enumerator over the same scoring rules
+sequence score. Each step keeps, per surviving prefix, a back-pointer to its
+parent and the combined and per-input scores of the token it took; only the
+results returned get a provenance trace, built by walking back-pointers, so
+nothing is rescored. A brute-force enumerator over the same scoring rules
 serves as an exact search oracle at desk scale.
 
 Two reduce functions are provided: the arithmetic mean of log-probabilities
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DecodeError, is_integer, real_number
+from .errors import DecodeError, is_integer, real_number, tuple_of
 from .provenance import TraceMatrix, TraceRow
 from .seqmodel import (
     BOS_ID,
@@ -96,30 +97,6 @@ class DecodeParams:
             raise ValueError(f"block_repeat_ngram must be a positive integer or None, got {n!r}")
         if not isinstance(self.reduce, Reduce):
             raise ValueError(f"reduce must be a Reduce member, got {self.reduce!r}")
-
-
-@dataclass(frozen=True)
-class Hypothesis:
-    """A live beam entry: shared prefix, running score and provenance rows.
-
-    ``prefix`` starts with BOS and does not end with EOS: a hypothesis that
-    takes EOS becomes a `ScoredHypothesis` result at once.
-    ``ensemble_score`` accumulates the combined log-score of each chosen
-    token. ``rows`` holds one trace row per generated token: the combined
-    and per-input log-scores the search used when it chose that token.
-    """
-
-    prefix: TokenSeq
-    ensemble_score: float
-    rows: tuple[TraceRow, ...] = ()
-
-    def __post_init__(self) -> None:
-        if not self.prefix or self.prefix[0] != BOS_ID:
-            raise ValueError("hypothesis prefix must begin with BOS")
-        if self.prefix[-1] == EOS_ID:
-            raise ValueError("a live hypothesis prefix must not end with EOS")
-        if len(self.rows) != len(self.prefix) - 1:
-            raise ValueError("a hypothesis needs one trace row per generated token")
 
 
 @dataclass(frozen=True)
@@ -296,12 +273,12 @@ def _constraint_summary(prefix: TokenSeq, params: DecodeParams) -> str:
 def _checked_inputs(
     inputs: list[TokenSeq], input_labels: tuple[str, ...] | None
 ) -> tuple[tuple[TokenSeq, ...], tuple[str, ...]]:
-    """The inputs as tuples and one distinct string label per input
-    (``input_<i>`` by default), checked before anything is scored, so each
-    trace column is named apart."""
+    """The inputs, a list or tuple of token lists or tuples (see `tuple_of`), as
+    tuples, and one distinct string label per input (``input_<i>`` by default),
+    checked before anything is scored, so each trace column is named apart."""
+    inputs = tuple(map(tuple, tuple_of(inputs, (list, tuple), "inputs")))
     if not inputs:
         raise ValueError("ensemble needs at least one input")
-    inputs = tuple(tuple(x) for x in inputs)
     if input_labels is None:
         input_labels = tuple(f"input_{i}" for i in range(len(inputs)))
     labels = TraceMatrix(input_labels).input_labels  # the trace states the label rule
@@ -321,13 +298,14 @@ def _scored(
     )
 
 
-def _trace_row(w: int, combined: LogProbVector, per_input: np.ndarray, vocab: Vocab) -> TraceRow:
-    """The trace row of token ``w``: the combined and per-input scores that chose it."""
+def _trace_row(w: int, combined: float, per_input: list[float], vocab: Vocab) -> TraceRow:
+    """The trace row of token ``w``: the combined score and per-input scores
+    that chose it."""
     return TraceRow(
         token_id=int(w),  # numpy integer tokens would not export to JSON
         token=vocab.token(w),
-        combined=float(combined[w]),
-        per_input=tuple(per_input[:, w].tolist()),
+        combined=float(combined),
+        per_input=tuple(per_input),
     )
 
 
@@ -357,15 +335,19 @@ def beam_search(
 
     Returns up to ``beam_size`` finished hypotheses, best ranked first.
     Each step scores every live prefix once and ranks all their selectable
-    continuations together; a hypothesis that takes EOS is a result at
-    once and joins the pool. The search stops once the pool holds
-    ``beam_size`` results or no live hypothesis remains; the mask alone
-    enforces ``max_len`` (see `_allowed_tokens`). A step with nothing
-    selectable and an empty pool is a DecodeError naming the constraints
-    in effect. All tie-breaks (pruning and final ranking) prefer the
-    lexicographically smaller token-id sequence, so output is fully
-    deterministic. Each trace holds exactly the scores the search used for
-    the chosen tokens; nothing is rescored.
+    continuations together; a prefix that takes EOS is a result at once
+    and joins the pool. The search stops once the pool holds ``beam_size``
+    results or no prefix is live; the mask alone enforces ``max_len`` (see
+    `_allowed_tokens`). A step with nothing selectable and an empty pool is
+    a DecodeError naming the constraints in effect. All tie-breaks (pruning
+    and final ranking) prefer the lexicographically smaller token-id
+    sequence, so output is fully deterministic.
+
+    Each step records per survivor a back-pointer to its parent's slot and
+    copies of the combined score and ``[N]`` per-input column of the token
+    it took; a pool entry keeps the same for its EOS. Only the results
+    returned get a trace, built by walking back-pointers: it holds exactly
+    the scores the search used, and nothing is rescored.
 
     Memory: a step holds ``(N + 2) * V`` floats for each live prefix (N
     inputs, V tokens), and at most ``beam_size`` prefixes live. A ``beam_size``
@@ -378,55 +360,62 @@ def beam_search(
     check_beam_memory(params, width, len(inputs))
 
     order = ColumnOrder()
-    live = [Hypothesis((BOS_ID,), 0.0)]
-    pool: list[ScoredHypothesis] = []
+    prefixes: list[TokenSeq] = [(BOS_ID,)]
+    raw = np.zeros(1)  # each live prefix's running raw score
+    history = []  # per step, per survivor: (parent slot, combined score, per-input scores)
+    pool = []  # (-ranked, tokens, raw, step, slot, EOS combined score, EOS per-input scores)
 
     # Live prefixes grow together; at content length max_len - 1 the mask
     # leaves only EOS, so after at most max_len steps nothing is live.
-    while live:
-        steps = [ensemble_step(model, inputs, hyp.prefix, params.reduce, order) for hyp in live]
-        scores = np.empty((len(live), width))
-        allowed = np.empty((len(live), width), dtype=bool)
-        for i, (hyp, (combined, per_input)) in enumerate(zip(live, steps)):
+    while prefixes:
+        steps = [ensemble_step(model, inputs, p, params.reduce, order) for p in prefixes]
+        scores = np.empty((len(prefixes), width))
+        allowed = np.empty((len(prefixes), width), dtype=bool)
+        for i, (prefix, (combined, per_input)) in enumerate(zip(prefixes, steps)):
             # the mask, not a -inf score, marks what is selectable: two finite
             # scores near -1e308 can sum to -inf and must still rank. Masked
             # entries are never read, so they are not summed (-inf + inf is NaN)
-            allowed[i] = _allowed_tokens(combined, hyp.prefix, params)
-            np.add(hyp.ensemble_score, combined, out=scores[i], where=allowed[i])
+            allowed[i] = _allowed_tokens(combined, prefix, params)
+            np.add(raw[i], combined, out=scores[i], where=allowed[i])
             if allowed[i, EOS_ID]:
-                row = _trace_row(EOS_ID, combined, per_input, vocab)
-                trace = TraceMatrix(input_labels, hyp.rows + (row,))
-                pool.append(_scored(hyp.prefix[1:] + (EOS_ID,), float(scores[i, EOS_ID]),
-                                    trace, params))
+                tokens, eos_raw = prefix[1:] + (EOS_ID,), float(scores[i, EOS_ID])
+                pool.append((-ranked_score(eos_raw, len(tokens) - 1, params.length_penalty_alpha),
+                             tokens, eos_raw, len(history), i, combined[EOS_ID],
+                             per_input[:, EOS_ID].tolist()))
         allowed[:, EOS_ID] = False
         flat = np.flatnonzero(allowed)
         if not len(flat) and not pool:
             raise DecodeError(
                 "no viable continuation for any hypothesis "
-                f"({_constraint_summary(live[0].prefix, params)})"
+                f"({_constraint_summary(prefixes[0], params)})"
             )
         if len(pool) >= params.beam_size:
             break
         # Live prefixes share one length and stay in sequence order, so flat
         # index order is (prefix, token) order: the stable sort breaks score
         # ties toward the smaller sequence, and the survivors in ascending
-        # flat index keep ``live`` in sequence order. Only entries scoring at
-        # least the beam_size-th best are sorted; ties at the cut all stay.
+        # flat index keep ``prefixes`` in sequence order. Only entries scoring
+        # at least the beam_size-th best are sorted; ties at the cut all stay.
         picked = scores.ravel()[flat]
         if len(flat) > params.beam_size:
             keep = picked >= np.partition(picked, -params.beam_size)[-params.beam_size]
             flat, picked = flat[keep], picked[keep]
         survivors = np.sort(flat[np.argsort(-picked, kind="stable")[: params.beam_size]])
-        extended = []
-        for i, w in zip(*np.divmod(survivors, width)):
-            hyp, (combined, per_input) = live[i], steps[i]
-            row = _trace_row(w, combined, per_input, vocab)
-            extended.append(Hypothesis(hyp.prefix + (int(w),), float(scores[i, w]),
-                                       hyp.rows + (row,)))
-        live = extended
+        parents, taken = np.divmod(survivors, width)
+        pairs = list(zip(parents.tolist(), taken.tolist()))
+        history.append([(i, steps[i][0][w], steps[i][1][:, w].tolist()) for i, w in pairs])
+        prefixes = [prefixes[i] + (w,) for i, w in pairs]
+        raw = scores[parents, taken]
 
-    pool.sort(key=lambda h: (-h.ranked_score, h.tokens))
-    return pool[: params.beam_size]
+    pool.sort(key=lambda entry: entry[:2])
+    results = []
+    for _, tokens, eos_raw, step, slot, eos_combined, eos_column in pool[: params.beam_size]:
+        rows = [_trace_row(EOS_ID, eos_combined, eos_column, vocab)]
+        for t in range(step - 1, -1, -1):  # back from the EOS step's parent
+            slot, combined, per_input = history[t][slot]
+            rows.append(_trace_row(tokens[t], combined, per_input, vocab))
+        results.append(_scored(tokens, eos_raw, TraceMatrix(input_labels, rows[::-1]), params))
+    return results
 
 
 MAX_BRUTE_FORCE_VOCAB = 8
@@ -518,7 +507,7 @@ def sequence_score(
     prefix: TokenSeq = (BOS_ID,)
     for t in tokens:
         combined, per_input = ensemble_step(model, inputs, prefix, reduce, order)
-        rows.append(_trace_row(t, combined, per_input, vocab))
+        rows.append(_trace_row(t, combined[t], per_input[:, t].tolist(), vocab))
         raw += rows[-1].combined
         prefix = prefix + (t,)
     return raw, TraceMatrix(input_labels, rows)

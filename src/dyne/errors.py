@@ -62,14 +62,16 @@ def is_integer(value) -> bool:
     return type(value) is int or isinstance(value, np.integer)
 
 
-def tuple_of(values, kind: type, what: str) -> tuple:
-    """``values``, a list or tuple whose items are all ``kind``, as a tuple (a str
-    or dict would iterate); anything else is a ValueError naming ``what``."""
+def tuple_of(values, kind: type | tuple[type, ...], what: str) -> tuple:
+    """``values``, a list or tuple whose items are all ``kind`` (a type, or a tuple
+    of types named ``<a> or <b>``), as a tuple (a str, dict, set, iterator or
+    ndarray would iterate); anything else is a ValueError naming ``what``."""
+    name = " or ".join(k.__name__ for k in (kind if isinstance(kind, tuple) else (kind,)))
     if not isinstance(values, (list, tuple)):
-        raise ValueError(f"{what} must be a list or tuple of {kind.__name__}, got {values!r}")
+        raise ValueError(f"{what} must be a list or tuple of {name}, got {values!r}")
     for i, value in enumerate(values):
         if not isinstance(value, kind):
-            raise ValueError(f"{what}[{i}] must be a {kind.__name__}, got {value!r}")
+            raise ValueError(f"{what}[{i}] must be a {name}, got {value!r}")
     return tuple(values)
 
 

@@ -13,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+import dyne.cli
 from dyne import Cluster, ClusterSet, ToyModelSpec, Vocab, rouge, save_clusters
 from dyne.cli import main
 from dyne.synthetic import build_consensus_corpus
@@ -158,6 +159,20 @@ class TestDecode:
         ids = [json.loads(l)["id"] for l in (out / "summaries.jsonl").read_text().splitlines()]
         assert ids == ["good", "also_good"]
         assert "bad" in capsys.readouterr().err
+
+    def test_a_defect_stops_the_run(self, tmp_path, monkeypatch):
+        # only a ValueError or DecodeError is a fault of the cluster; anything else
+        # is a fault of dyne and must not read as "cluster good: AttributeError"
+        ToyModelSpec(1.0, 1.0, {}, Vocab.from_content(["a", "b"])).save(tmp_path / "model.json")
+        (tmp_path / "clusters.jsonl").write_text('{"id": "good", "documents": ["a b a"]}\n')
+
+        def broken(*args, **kwargs):
+            raise AttributeError("a defect")
+
+        monkeypatch.setattr(dyne.cli, "beam_search", broken)
+        with pytest.raises(AttributeError, match="a defect"):
+            main(["decode", "--model", str(tmp_path / "model.json"),
+                  "--clusters", str(tmp_path / "clusters.jsonl"), "--out", str(tmp_path / "run")])
 
 
 class TestEvaluate:

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import enum
+import gc
 import itertools
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,9 +20,9 @@ from dyne import (
     CopyBigramModel,
     DecodeError,
     DecodeParams,
-    Hypothesis,
     Reduce,
     ToyModelSpec,
+    TraceMatrix,
     TraceRow,
     Vocab,
     beam_search,
@@ -28,9 +31,12 @@ from dyne import (
     reduce_mean_logprob,
     reduce_mean_prob,
     sequence_score,
+    tokenize_and_truncate,
 )
+import dyne.decoder
 from dyne.decoder import STEP_BYTES_LIMIT, ColumnOrder, check_beam_memory
 from dyne.seqmodel import BOS_ID, EOS_ID, UNK_ID
+from dyne.synthetic import build_consensus_corpus
 
 from conftest import (UniformModel, exhaustive_beam_size, plain_beam_search, random_inputs,
                       random_toy_model)
@@ -284,6 +290,11 @@ class TestEnsembleStep:
         with pytest.raises(ValueError, match="at least one input"):
             ensemble_step(copy_model(), [], (BOS_ID,))
 
+    def test_mean_logprob_consistency(self):
+        combined, per = ensemble_step(copy_model(), [(A, A, B), (B,)], (BOS_ID,),
+                                      Reduce.MEAN_LOGPROB)
+        assert abs(combined[A] - np.mean(per[:, A])) <= 1e-9
+
 
 class TestBeamSearch:
     def test_skewed_model_min_len_one(self):
@@ -498,6 +509,26 @@ class TestBeamSearch:
             assert bits(hyp.trace.rows) == bits(trace.rows)
             assert hyp.raw_score.hex() == raw.hex()
 
+    def test_traces_built_only_for_returned_results(self, monkeypatch):
+        # min_len 0 puts the bare EOS in the pool at step 0, and at step 1 both
+        # live prefixes take EOS: 3 EOS candidates for a beam of 2
+        built = collections.Counter()
+
+        def counted(cls):
+            def build(*args, **kwargs):
+                built[cls.__name__] += 1
+                return cls(*args, **kwargs)
+            return build
+
+        for cls in (TraceMatrix, TraceRow):
+            monkeypatch.setattr(dyne.decoder, cls.__name__, counted(cls))
+        params = DecodeParams(beam_size=2, max_len=4, min_len=0)
+        results = beam_search(UniformModel(AB), [(A, B), (B,)], params)
+        assert [h.tokens for h in results] == [(EOS_ID,), (UNK_ID, EOS_ID)]
+        # one TraceMatrix checks the labels, one per result; a row per result token
+        assert built == {"TraceMatrix": 1 + len(results),
+                         "TraceRow": sum(len(h.tokens) for h in results)}
+
 
 class TestBruteForce:
     def test_guards(self):
@@ -615,6 +646,21 @@ class TestEntryChecks:
             ENTRY_POINTS[entry](UnscoredModel(), [(A,), (B,)], labels)
 
     @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    @pytest.mark.parametrize("outer", [True, False], ids=["inputs", "one-input"])
+    @pytest.mark.parametrize("make", [dict.fromkeys, set, iter, np.array],
+                             ids=["dict", "set", "iterator", "ndarray"])
+    def test_inputs_must_be_lists_or_tuples(self, make, outer, entry):
+        # a dict decoded from its keys, a set in iteration order, an iterator was
+        # consumed whole, and an ndarray raised numpy's bare "truth value" error
+        if outer:
+            inputs = make([(A, B), (B, A)])
+            message = "inputs must be a list or tuple of list or tuple, got "
+        else:
+            inputs, message = [(A,), make((A, B))], "inputs[1] must be a list or tuple, got "
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+            ENTRY_POINTS[entry](UnscoredModel(), inputs)
+
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
     def test_empty_inputs_rejected_before_scoring(self, entry):
         with pytest.raises(ValueError, match="at least one input"):
             ENTRY_POINTS[entry](UnscoredModel(), [])
@@ -723,38 +769,7 @@ class TestInvariances:
         ]
 
 
-ROW_A = TraceRow(A, "a", -1.0, (-1.0,))
-ROW_EOS = TraceRow(EOS_ID, "</s>", -2.0, (-2.0,))
-
-
 class TestHypothesisType:
-    def test_mean_logprob_consistency(self):
-        model = copy_model()
-        inputs = [(A, A, B), (B,)]
-        combined, per = ensemble_step(model, inputs, (BOS_ID,), Reduce.MEAN_LOGPROB)
-        row = TraceRow(A, "a", float(combined[A]), tuple(float(v[A]) for v in per))
-        hyp = Hypothesis(prefix=(BOS_ID, A), ensemble_score=row.combined, rows=(row,))
-        assert abs(hyp.ensemble_score - np.mean(hyp.rows[0].per_input)) <= 1e-9
-
-    def test_live_hypothesis_rules(self):
-        # BOS first, no EOS at the end (taking EOS makes a result), one row per token
-        with pytest.raises(ValueError, match="BOS"):
-            Hypothesis(prefix=(A,), ensemble_score=0.0)
-        with pytest.raises(ValueError, match="must not end with EOS"):
-            Hypothesis(prefix=(BOS_ID, EOS_ID), ensemble_score=-2.0, rows=(ROW_EOS,))
-        with pytest.raises(ValueError, match="must not end with EOS"):
-            Hypothesis(prefix=(BOS_ID, A, EOS_ID), ensemble_score=-3.0, rows=(ROW_A, ROW_EOS))
-        with pytest.raises(ValueError, match="one trace row"):
-            Hypothesis(prefix=(BOS_ID, A, A), ensemble_score=-1.0, rows=(ROW_A,))
-        assert Hypothesis(prefix=(BOS_ID, A), ensemble_score=-1.0, rows=(ROW_A,)).rows == (ROW_A,)
-
-    def test_one_row_per_generated_token(self):
-        assert Hypothesis(prefix=(BOS_ID,), ensemble_score=0.0).rows == ()
-        with pytest.raises(ValueError, match="one trace row"):
-            Hypothesis(prefix=(BOS_ID, A), ensemble_score=-1.0)
-        with pytest.raises(ValueError, match="one trace row"):
-            Hypothesis(prefix=(BOS_ID,), ensemble_score=-1.0, rows=(ROW_A,))
-
     def test_params_validation(self):
         with pytest.raises(ValueError, match="beam_size"):
             DecodeParams(beam_size=0)
@@ -1079,3 +1094,27 @@ class TestModelOutputFuzz:
         raw, trace = sequence_score(model, inputs, best.tokens, params.reduce)
         assert raw.hex() == best.raw_score.hex()
         assert bits(trace.rows) == bits(best.trace.rows)
+
+
+def test_long_runs_hold_no_memory():
+    # 300 consensus-cluster decodes, each exporting its trace, on one model: what
+    # a run keeps past a decode (cached orders, results, traces) would add up
+    corpus = build_consensus_corpus(n_clusters=301, seed=0)
+    model = CopyBigramModel(corpus.model_spec)
+
+    def decode(cluster):
+        inputs = [tokenize_and_truncate(d, model.vocab, 400) for d in cluster.documents[:5]]
+        beam_search(model, inputs, corpus.decode_params)[0].trace.export("json")
+
+    first, *rest = corpus.clusters
+    decode(first)  # the model's lazily built tables are not a run's growth
+    gc.collect()
+    tracemalloc.start()
+    try:
+        for cluster in rest:
+            decode(cluster)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held < 64 * 1024
