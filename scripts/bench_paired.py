@@ -26,6 +26,8 @@ workload's input sets are one file that both sides read:
   times, shuffled) with its settings (beam 4, ``max_len`` 5, ``min_len`` 4,
   ``block_repeat_ngram`` 1, ``mean_prob``), where many small decodes show
   the search's own per-step costs;
+* ``decode_prob``: ``decode`` under ``mean_prob``, whose output hash covers
+  the pairwise sum numpy makes over the 8 inputs of each column;
 * ``stem``: ``porter_stem`` over the ``STEM_WORDS`` words of `stem_corpus`,
   one file that both sides read.
 
@@ -75,13 +77,15 @@ SWEEP_INPUTS, SWEEP_SHARED, SWEEP_OWN = 5, 4, 5
 #: name -> (kind, vocab size, bigram counts, loads or decodes per sample)
 WORKLOADS = {"wide": ("load", 2000, 20_000, 1), "empty": ("load", 243, 0, 50),
              "decode": ("decode", 2000, 20_000, DECODE_SETS),
-             "decode_sweep": ("decode", 243, 0, SWEEP_SETS), "stem": ("stem", 0, 0, 1)}
+             "decode_sweep": ("decode", 243, 0, SWEEP_SETS),
+             "decode_prob": ("decode", 2000, 20_000, DECODE_SETS), "stem": ("stem", 0, 0, 1)}
 METRICS = {"load": ("load_s", "first_use_s"), "decode": ("decode_s",), "stem": ("stem_s",)}
 #: decode workload -> its ``DecodeParams`` fields, ``reduce`` by value
 DECODE_PARAMS = {
     "decode": {"beam_size": 8, "max_len": 30, "min_len": 10},
     "decode_sweep": {"beam_size": 4, "max_len": 5, "min_len": 4, "block_repeat_ngram": 1,
                      "reduce": "mean_prob"},
+    "decode_prob": {"beam_size": 8, "max_len": 30, "min_len": 10, "reduce": "mean_prob"},
 }
 STEM_WORDS = 30_000
 #: every suffix of Porter's rule tables, with the endings step 1b's tidy-up
@@ -293,7 +297,7 @@ def run_pairs(base_sha: str, pairs: int) -> dict:
                         raise RuntimeError(f"the {side} worker could not save {spec}")
                     requests[name][side] = [kind, str(count), spec]
                 if kind == "decode":
-                    make = decode_inputs if name == "decode" else sweep_inputs
+                    make = sweep_inputs if name == "decode_sweep" else decode_inputs
                     path = WORK / f"inputs_{name}.json"
                     write_output(path, json_text(make(vocab, count)))
                     for request in requests[name].values():

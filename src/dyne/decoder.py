@@ -4,18 +4,20 @@ One conditional model is applied independently to several inputs; at every
 timestep the per-input next-token distributions are combined by a reduce
 function into a single distribution, so all inputs extend the same output
 prefix. The cumulative combined log-score of the chosen tokens is the
-sequence score. Each step keeps, per surviving prefix, a back-pointer to its
-parent and the combined and per-input scores of the token it took; only the
-results returned get a provenance trace, built by walking back-pointers, so
-nothing is rescored. A brute-force enumerator over the same scoring rules
-serves as an exact search oracle at desk scale.
+sequence score. A beam step scores each live prefix with one model call,
+gathers every prefix's ``[N, V]`` scores into one ``[B, N, V]`` stack, and
+checks, reduces and masks that stack in one pass. Each step keeps, per
+surviving prefix, a back-pointer to its parent and the combined and per-input
+scores of the token it took; only the results returned get a provenance
+trace, built by walking back-pointers, so nothing is rescored. A brute-force
+enumerator over the same scoring rules serves as an exact search oracle.
 
 Two reduce functions are provided: the arithmetic mean of log-probabilities
 and the (log of the) arithmetic mean of probabilities. They generally
 disagree; the log-space mean is the default because sequence scores compose
 additively in log space. Both sum each column in sorted order, which makes
-decoding bitwise invariant to permuting or duplicating inputs; a search keeps
-one `ColumnOrder` per call, so a step seldom sorts.
+decoding bitwise invariant to permuting or duplicating inputs; the live
+prefixes share one `ColumnOrder`, so a step seldom sorts.
 """
 
 from __future__ import annotations
@@ -110,28 +112,68 @@ class ScoredHypothesis:
 
 
 class ColumnOrder:
-    """One call's last ``[N, V]`` column sort order, as flat gather indices
-    ``order * V + arange(V)``. A stack gathered through them is kept if every
-    column comes out non-decreasing, else argsorted afresh. A non-decreasing
-    column is the sorted one up to where -0.0 and 0.0 fall, which no reduce
-    bit depends on. Under `CopyBigramModel` a row rises with its input's fixed
-    copy weight, so the order seldom goes stale within a decode."""
+    """A search's ``[N, V]`` column sort order, shared by all live prefixes, as
+    flat gather indices ``order * V + arange(V)``, and the ``[B, N, V]`` stack
+    each step gathers every prefix's scores into. A stack row with a column out
+    of order is argsorted afresh, and its order shared from then on. A
+    non-decreasing column is the sorted one up to where -0.0 and 0.0 fall, which
+    no reduce bit depends on. Under `CopyBigramModel` a row rises with its
+    input's fixed copy weight, so the order seldom goes stale within a decode."""
 
     flat: np.ndarray | None = None
+    stack: np.ndarray = np.empty((0, 0, 0))
 
-    def sorted(self, arr: np.ndarray) -> np.ndarray:
-        if self.flat is not None and self.flat.shape == arr.shape:
-            out = arr.ravel().take(self.flat)
-            if (out[:-1] <= out[1:]).all():
-                return out
-        self.flat = np.argsort(arr, axis=0, kind="stable") * arr.shape[1] + np.arange(arr.shape[1])
-        return arr.ravel().take(self.flat)
+    def gather(self, arr: np.ndarray, out: np.ndarray, fresh: bool = False) -> None:
+        """``arr`` into ``out`` through the shared order, sorted afresh if ``fresh`` or stale."""
+        if fresh or self.flat is None or self.flat.shape != arr.shape:
+            self.flat = np.argsort(arr, axis=0, kind="stable") * arr.shape[1] + np.arange(arr.shape[1])
+        arr.take(self.flat, out=out)
 
 
-def _canonical(per_input: list[LogProbVector] | np.ndarray,
-               order: ColumnOrder | None) -> np.ndarray:
-    """The checked ``[N, V]`` stack with sorted columns, C-contiguous, so a
-    reduce does not depend on input order; one row when every row is equal."""
+def _combine(per_inputs: list[np.ndarray], stack: np.ndarray, reduce: Reduce,
+             order: ColumnOrder) -> np.ndarray:
+    """The ``[B, V]`` reduce of ``stack``, whose row b is ``per_inputs[b]``
+    gathered through ``order``, checked and sorted once for the whole stack;
+    a row of inputs that all hold the same bits reduces to that input."""
+    if not (stack < np.inf).all():  # false for NaN and +inf alike
+        raise ValueError("model returned NaN or +inf; log-probabilities must be finite or -inf")
+    rising = stack[:, :-1] <= stack[:, 1:]
+    if not rising.all():  # re-sort each stale row alone
+        for b in np.flatnonzero(~rising.reshape(len(stack), -1).all(axis=1)).tolist():
+            order.gather(per_inputs[b], stack[b], fresh=True)
+    # after the column sort, equal end rows mean equal values in every row; the
+    # bit test then tells -0.0 from 0.0, which the sort leaves in either order
+    same = (stack[:, 0] == stack[:, -1]).all(axis=1)
+    if not same.any():
+        return _REDUCERS[reduce](stack)
+    bits = stack[same].view(np.int64)
+    same[same] = (bits == bits[:, :1]).all(axis=(1, 2))
+    out = stack[:, 0].copy()  # np.sum and exp/log would turn -0.0 into 0.0
+    if not same.all():
+        out[~same] = _REDUCERS[reduce](stack[~same])
+    return out
+
+
+def _mean_prob(stack: np.ndarray) -> np.ndarray:
+    top = stack[:, -1]
+    shift = np.where(top > -np.inf, top, 0.0)  # a column all -inf shifts by 0
+    # a lone [N, V] stack's columns sum along their contiguous axis: pairwise from
+    # N = 8 on, kept by a C-ordered [B, V, N]; below 8 row by row, alike and faster
+    pairwise = stack.shape[1] >= 8
+    shifted = (np.subtract(stack.transpose(0, 2, 1), shift[:, :, None], order="C") if pairwise
+               else stack - shift[:, None])
+    total = np.sum(np.exp(shifted, out=shifted), axis=2 if pairwise else 1)
+    del shifted  # the step's one temporary of B * N * V floats
+    np.maximum(total, 1.0, out=total)  # a live column sums to >= 1, one all -inf to 0
+    return top + np.log(total / stack.shape[1])
+
+
+_REDUCERS = {Reduce.MEAN_LOGPROB: lambda s: np.sum(s, axis=1) / s.shape[1],  # row by row
+             Reduce.MEAN_PROB: _mean_prob}
+
+
+def _reduce(per_input, order: ColumnOrder | None, reduce: Reduce) -> LogProbVector:
+    """A checked ``[N, V]`` stack, combined as the one-prefix step of a search."""
     if isinstance(per_input, (list, tuple)):  # a list's rows may differ in length
         widths = {len(v) if np.ndim(v) else 0 for v in per_input}  # a scalar row has no len
         if len(widths) > 1:
@@ -141,14 +183,10 @@ def _canonical(per_input: list[LogProbVector] | np.ndarray,
         raise ValueError("reduce needs at least one distribution")
     if arr.ndim != 2:
         raise ValueError(f"reduce needs an [N, V] stack of distributions, got shape {arr.shape}")
-    if not (arr < np.inf).all():  # false for NaN and +inf alike
-        raise ValueError("model returned NaN or +inf; log-probabilities must be finite or -inf")
-    if len(arr) > 1:  # a reducer called on its own sorts afresh
-        arr = (order if order is not None else ColumnOrder()).sorted(arr)
-    # after the column sort, equal end rows mean equal values in every row; the
-    # bit test then tells -0.0 from 0.0, which the sort leaves in either order
-    bits = arr.view(np.int64)
-    return arr[:1] if np.array_equal(arr[0], arr[-1]) and (bits == bits[0]).all() else arr
+    order = order or ColumnOrder()  # a reducer on its own sorts afresh
+    stack = np.empty((1, *arr.shape))
+    order.gather(arr, stack[0])
+    return _combine([arr], stack, reduce, order)[0]
 
 
 def reduce_mean_logprob(per_input: list[LogProbVector] | np.ndarray,
@@ -159,10 +197,7 @@ def reduce_mean_logprob(per_input: list[LogProbVector] | np.ndarray,
     the result does not depend on input order, and a run of identical
     distributions reduces to that distribution exactly.
     """
-    arr = _canonical(per_input, order)
-    if len(arr) == 1:  # np.sum starts from 0.0, which would turn -0.0 into 0.0
-        return arr[0].copy()
-    return np.sum(arr, axis=0) / arr.shape[0]
+    return _reduce(per_input, order, Reduce.MEAN_LOGPROB)
 
 
 def reduce_mean_prob(per_input: list[LogProbVector] | np.ndarray,
@@ -172,21 +207,25 @@ def reduce_mean_prob(per_input: list[LogProbVector] | np.ndarray,
     Computed with a max shift for stability; normalized whenever the inputs
     are. Order-canonical for the same reason as `reduce_mean_logprob`.
     """
-    arr = _canonical(per_input, order)
-    if len(arr) == 1:  # exp/log would turn -0.0 into 0.0
-        return arr[0].copy()
-    top = arr[-1]
-    out = np.full(arr.shape[1], -np.inf)
-    live = top > -np.inf
-    shifted = np.exp(arr[:, live] - top[live])
-    out[live] = top[live] + np.log(np.sum(shifted, axis=0) / arr.shape[0])
-    return out
+    return _reduce(per_input, order, Reduce.MEAN_PROB)
 
 
-_REDUCERS = {
-    Reduce.MEAN_LOGPROB: reduce_mean_logprob,
-    Reduce.MEAN_PROB: reduce_mean_prob,
-}
+def _step(model: SequenceModel, inputs: tuple[TokenSeq, ...], prefixes: list[TokenSeq],
+          reduce: Reduce, order: ColumnOrder) -> tuple[np.ndarray, list[np.ndarray]]:
+    """One model call per prefix, then one combine: the ``[B, V]`` combined rows and
+    each prefix's ``[N, V]`` scores; a result of another type or shape is a ValueError."""
+    expected = (len(inputs), len(model.vocab))
+    if len(order.stack) < len(prefixes) or order.stack.shape[1:] != expected:
+        order.stack = np.empty((len(prefixes), *expected))  # reused while it fits
+    stack, per_inputs = order.stack[: len(prefixes)], []
+    for b, prefix in enumerate(prefixes):
+        scores = model.score_batch(inputs, prefix)
+        if not isinstance(scores, np.ndarray) or scores.shape != expected:
+            got = scores.shape if isinstance(scores, np.ndarray) else type(scores).__name__
+            raise ValueError(f"score_batch returned {got}; expected an ndarray of shape {expected}")
+        per_inputs.append(scores.astype(float, copy=False))  # the floats the reduce and trace see
+        order.gather(per_inputs[b], stack[b])  # while the scores are still in cache
+    return _combine(per_inputs, stack, reduce, order), per_inputs
 
 
 def ensemble_step(
@@ -199,20 +238,13 @@ def ensemble_step(
     """Score the next token for every input in one model call, then combine.
 
     Returns the combined distribution and the ``[N, V]`` per-input
-    distributions in input order. The combination is order-canonical, so
-    results never depend on input order; ``order`` is the caller's
-    `ColumnOrder` for these inputs, if it keeps one. A model result of any
-    other type or shape is a ValueError.
+    distributions in input order: the one-prefix step of a search, on inputs
+    checked as `beam_search` checks them. The combination is order-canonical;
+    ``order`` is the caller's `ColumnOrder` for these inputs, if it keeps one.
     """
-    if not inputs:
-        raise ValueError("ensemble needs at least one input")
-    per_input = model.score_batch(inputs, prefix)
-    expected = (len(inputs), len(model.vocab))
-    if not isinstance(per_input, np.ndarray) or per_input.shape != expected:
-        got = per_input.shape if isinstance(per_input, np.ndarray) else type(per_input).__name__
-        raise ValueError(f"score_batch returned {got}; expected an ndarray of shape {expected}")
-    per_input = per_input.astype(float, copy=False)  # the floats the reduce and trace see
-    return _REDUCERS[reduce](per_input, order), per_input
+    inputs, _ = _checked_inputs(inputs, None)
+    combined, per_input = _step(model, inputs, [prefix], reduce, order or ColumnOrder())
+    return combined[0], per_input[0]
 
 
 def ranked_score(raw: float, content_length: int, alpha: float) -> float:
@@ -231,30 +263,25 @@ def _banned_next_tokens(prefix: TokenSeq, n: int) -> set[int]:
     return {prefix[i + n - 1] for i in range(len(prefix) - n + 1) if prefix[i:i + n - 1] == tail}
 
 
-def _allowed_tokens(
-    combined: LogProbVector,
-    prefix: TokenSeq,
-    params: DecodeParams,
-) -> np.ndarray:
-    """Boolean mask of selectable next tokens for an unfinished prefix.
+def _allowed_tokens(combined: np.ndarray, prefixes: list[TokenSeq],
+                    params: DecodeParams) -> np.ndarray:
+    """``[B, V]`` mask of selectable next tokens for unfinished prefixes of one length.
 
     BOS is never selectable; EOS is masked until min_len content tokens
     exist; once only one content slot remains, everything except EOS is
-    masked; optional n-gram blocking removes repeats. Tokens the model
-    scores at -inf are unselectable (their score could never recover).
+    masked; optional n-gram blocking removes repeats, prefix by prefix. Tokens
+    the model scores at -inf are unselectable (their score could never recover).
     """
-    content_len = len(prefix) - 1
+    content_len = len(prefixes[0]) - 1
     allowed = combined > -np.inf
-    allowed[BOS_ID] = False
+    allowed[:, BOS_ID] = False
     if content_len < params.min_len:
-        allowed[EOS_ID] = False
+        allowed[:, EOS_ID] = False
     if content_len == params.max_len - 1:
-        keep_eos = allowed[EOS_ID]
-        allowed[:] = False
-        allowed[EOS_ID] = keep_eos
+        allowed[:, np.arange(allowed.shape[1]) != EOS_ID] = False
     if params.block_repeat_ngram is not None:
-        for t in _banned_next_tokens(prefix, params.block_repeat_ngram):
-            allowed[t] = False
+        for b, prefix in enumerate(prefixes):
+            allowed[b, list(_banned_next_tokens(prefix, params.block_repeat_ngram))] = False
     return allowed
 
 
@@ -318,7 +345,7 @@ def check_beam_memory(params: DecodeParams, width: int, n_inputs: int) -> None:
     ``(width - 3) ** t`` prefixes of t content tokens exist, and t < max_len."""
     beam = int(params.beam_size)
     live = min(beam, (width - 3) ** min(params.max_len - 1, beam.bit_length()))
-    need = live * width * (n_inputs + 2) * 8
+    need = live * width * (3 * n_inputs + 8) * 8
     if need > STEP_BYTES_LIMIT:
         raise ValueError(f"beam_size {beam} lets {live} prefixes live, whose step arrays need "
                          f"about {need:,} bytes for {n_inputs} input(s) over {width} tokens; "
@@ -349,10 +376,12 @@ def beam_search(
     returned get a trace, built by walking back-pointers: it holds exactly
     the scores the search used, and nothing is rescored.
 
-    Memory: a step holds ``(N + 2) * V`` floats for each live prefix (N
-    inputs, V tokens), and at most ``beam_size`` prefixes live. A ``beam_size``
-    that puts this past `STEP_BYTES_LIMIT` (1 GiB) is a ValueError before
-    anything is scored (see `check_beam_memory`).
+    Memory: a step holds ``(3 * N + 8) * V`` floats per live prefix (N inputs,
+    V tokens): its ``[N, V]`` scores, its rows of the ``[B, N, V]`` stack and of
+    mean_prob's ``[B, V, N]`` temporary, and ``[V]`` rows for the combined
+    scores, mask and selection; at most ``beam_size`` prefixes live. A
+    ``beam_size`` putting this past `STEP_BYTES_LIMIT` (1 GiB) is a ValueError
+    before anything is scored (see `check_beam_memory`).
     """
     inputs, input_labels = _checked_inputs(inputs, input_labels)
     vocab = model.vocab
@@ -368,20 +397,18 @@ def beam_search(
     # Live prefixes grow together; at content length max_len - 1 the mask
     # leaves only EOS, so after at most max_len steps nothing is live.
     while prefixes:
-        steps = [ensemble_step(model, inputs, p, params.reduce, order) for p in prefixes]
-        scores = np.empty((len(prefixes), width))
-        allowed = np.empty((len(prefixes), width), dtype=bool)
-        for i, (prefix, (combined, per_input)) in enumerate(zip(prefixes, steps)):
-            # the mask, not a -inf score, marks what is selectable: two finite
-            # scores near -1e308 can sum to -inf and must still rank. Masked
-            # entries are never read, so they are not summed (-inf + inf is NaN)
-            allowed[i] = _allowed_tokens(combined, prefix, params)
-            np.add(raw[i], combined, out=scores[i], where=allowed[i])
-            if allowed[i, EOS_ID]:
-                tokens, eos_raw = prefix[1:] + (EOS_ID,), float(scores[i, EOS_ID])
-                pool.append((-ranked_score(eos_raw, len(tokens) - 1, params.length_penalty_alpha),
-                             tokens, eos_raw, len(history), i, combined[EOS_ID],
-                             per_input[:, EOS_ID].tolist()))
+        combined, per_inputs = _step(model, inputs, prefixes, params.reduce, order)
+        # the mask, not a -inf score, marks what is selectable: two finite
+        # scores near -1e308 can sum to -inf and must still rank. Masked
+        # entries are never read, so they are not summed (-inf + inf is NaN)
+        allowed = _allowed_tokens(combined, prefixes, params)
+        scores = np.empty_like(combined)
+        np.add(raw[:, None], combined, out=scores, where=allowed)
+        for i in np.flatnonzero(allowed[:, EOS_ID]).tolist():
+            tokens, eos_raw = prefixes[i][1:] + (EOS_ID,), float(scores[i, EOS_ID])
+            pool.append((-ranked_score(eos_raw, len(tokens) - 1, params.length_penalty_alpha),
+                         tokens, eos_raw, len(history), i, combined[i, EOS_ID],
+                         per_inputs[i][:, EOS_ID].tolist()))
         allowed[:, EOS_ID] = False
         flat = np.flatnonzero(allowed)
         if not len(flat) and not pool:
@@ -403,9 +430,10 @@ def beam_search(
         survivors = np.sort(flat[np.argsort(-picked, kind="stable")[: params.beam_size]])
         parents, taken = np.divmod(survivors, width)
         pairs = list(zip(parents.tolist(), taken.tolist()))
-        history.append([(i, steps[i][0][w], steps[i][1][:, w].tolist()) for i, w in pairs])
+        history.append([(i, combined[i, w], per_inputs[i][:, w].tolist()) for i, w in pairs])
         prefixes = [prefixes[i] + (w,) for i, w in pairs]
         raw = scores[parents, taken]
+        del combined, per_inputs, scores  # not held through the next step
 
     pool.sort(key=lambda entry: entry[:2])
     results = []
@@ -449,8 +477,8 @@ def brute_force_search(
 
     def walk(prefix: TokenSeq, score: float) -> None:
         nonlocal best_key, best_raw
-        combined, _ = ensemble_step(model, inputs, prefix, params.reduce, order)
-        allowed = _allowed_tokens(combined, prefix, params)
+        combined = _step(model, inputs, [prefix], params.reduce, order)[0][0]
+        allowed = _allowed_tokens(combined[None], [prefix], params)[0]
         for w in np.flatnonzero(allowed):
             w = int(w)
             new_score = score + float(combined[w])
@@ -506,8 +534,8 @@ def sequence_score(
     order = ColumnOrder()
     prefix: TokenSeq = (BOS_ID,)
     for t in tokens:
-        combined, per_input = ensemble_step(model, inputs, prefix, reduce, order)
-        rows.append(_trace_row(t, combined[t], per_input[:, t].tolist(), vocab))
+        combined, per_input = _step(model, inputs, [prefix], reduce, order)
+        rows.append(_trace_row(t, combined[0, t], per_input[0][:, t].tolist(), vocab))
         raw += rows[-1].combined
         prefix = prefix + (t,)
     return raw, TraceMatrix(input_labels, rows)

@@ -6,6 +6,7 @@ import collections
 import dataclasses
 import enum
 import gc
+import hashlib
 import itertools
 import math
 import re
@@ -289,6 +290,15 @@ class TestEnsembleStep:
     def test_empty_inputs_rejected(self):
         with pytest.raises(ValueError, match="at least one input"):
             ensemble_step(copy_model(), [], (BOS_ID,))
+
+    @pytest.mark.parametrize("make", [dict.fromkeys, set, iter, np.array],
+                             ids=["dict", "set", "iterator", "ndarray"])
+    def test_inputs_must_be_a_list_or_tuple(self, make):
+        # a dict scored its keys and a set its items in iteration order; an
+        # iterator raised a bare TypeError and an ndarray numpy's "truth value" error
+        message = "inputs must be a list or tuple of list or tuple, got "
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+            ensemble_step(UnscoredModel(), make([(A, B), (B, A)]), (BOS_ID,))
 
     def test_mean_logprob_consistency(self):
         combined, per = ensemble_step(copy_model(), [(A, A, B), (B,)], (BOS_ID,),
@@ -853,6 +863,62 @@ def test_reducers_invariant_to_order_of_signed_zeros():
         assert len(outs) == 1
 
 
+def pinned_stacks():
+    """Seeded ``[N, V]`` stacks of log-probabilities with exact ties across
+    rows, -inf entries, a column -inf for every input, -0.0 and 0.0, each
+    followed by a stack of N equal rows."""
+    rng = np.random.default_rng(20)
+    for n in (1, 2, 5, 7, 8, 9, 16, 17):
+        for width in (3, 64):
+            arr = np.log(rng.random((n, width)))
+            arr[:, :2] = np.round(arr[:, :2], 1)
+            arr[:, 2] = -np.inf
+            arr[rng.random((n, width)) < 0.1] = -np.inf
+            zeros = rng.random((n, width)) < 0.1
+            arr[zeros] = np.where(rng.random(int(zeros.sum())) < 0.5, -0.0, 0.0)
+            yield arr
+            yield np.tile(arr[-1], (n, 1))
+
+
+def mean_prob_by_columns(arr):
+    """`reduce_mean_prob` of one ``[N, V]`` stack as a lone-stack formula: sort
+    each column, then sum each column of the shifted probabilities as one
+    contiguous run (a Fortran-ordered array summed over axis 0)."""
+    arr = np.take_along_axis(arr, np.argsort(arr, axis=0, kind="stable"), axis=0)
+    bits = arr.view(np.int64)
+    if (bits == bits[0]).all():  # a run of equal rows reduces to that row
+        return arr[0].copy()
+    top, out = arr[-1], np.full(arr.shape[1], -np.inf)
+    live = top > -np.inf
+    shifted = np.asfortranarray(np.exp(arr[:, live] - top[live]))
+    out[live] = top[live] + np.log(np.sum(shifted, axis=0) / len(arr))
+    return out
+
+
+# numpy sums a contiguous run of 8 or more floats pairwise, eight partial sums
+# at a time, and a shorter run left to right, as it does across rows.
+# mean_logprob adds the sorted rows one after another; mean_prob sums each
+# column as one contiguous run, so from N = 8 on its bits differ from a
+# row-by-row sum. A batched reduce must keep both orders, and only stacks with
+# N >= 8 tell them apart.
+
+
+def test_mean_logprob_keeps_its_summation_order():
+    # additions and one division only, so the digest, taken before beam steps
+    # were batched, holds on any CPU
+    sha = hashlib.sha256()
+    for arr in pinned_stacks():
+        sha.update(reduce_mean_logprob(arr).tobytes())
+    assert sha.hexdigest() == "eb09cd4f64cb0fed48c4f4a5aff0efc54a95ba3549eb59674b2166f986a3b453"
+
+
+def test_mean_prob_keeps_its_summation_order():
+    # numpy's exp and log may differ in the last bit between CPUs, so the
+    # reference is computed here, with the same numpy on the same CPU
+    for arr in pinned_stacks():
+        assert reduce_mean_prob(arr).tobytes() == mean_prob_by_columns(arr).tobytes()
+
+
 # cells an [N, V] stack is drawn from: exact ties, signed zeros and -inf
 STACK_CELLS = st.sampled_from([-0.0, 0.0, -1.0, -1.0, -2.5, -1e-300, -1e308, -math.inf])
 
@@ -925,12 +991,15 @@ class ParityModel:
         width = len(self.vocab)
         # irrational-looking weights, so that a sum's bits depend on its order
         weights = np.sqrt([len(x) + 0.37 * x[0] + 0.11 * x[-1] for x in inputs])[:, None]
-        sign = 1.0 if len(prefix) % 2 == 0 else -1.0
+        sign = self.sign(prefix)
         slope = np.arange(width) % 3 - 1.0  # -1, 0 or +1 per column
         base = -1.0 - ((np.arange(width) * (prefix[-1] + 2)) % 5) / 3.0
         scores = base + sign * (math.pi / 7) * weights * slope
         scores[:, BOS_ID] = -math.inf
         return scores
+
+    def sign(self, prefix):
+        return 1.0 if len(prefix) % 2 == 0 else -1.0
 
 
 def exact(results):
@@ -990,6 +1059,44 @@ class TestColumnOrderInDecodes:
             assert exact(single) == exact(copies)
 
 
+class LastTokenParityModel(ParityModel):
+    """`ParityModel` with the sign flipped by the parity of the prefix's last
+    token, not its length: in one step the shared column order fits the live
+    prefixes that end like the one it was sorted for, and is stale for the rest."""
+
+    def sign(self, prefix):
+        return 1.0 if prefix[-1] % 2 == 0 else -1.0
+
+
+@pytest.mark.parametrize("reduce", list(Reduce))
+def test_steps_with_stale_and_fresh_rows_equal_the_oracle_and_fresh_sorts(reduce, monkeypatch):
+    model, inputs = LastTokenParityModel(), TestColumnOrderInDecodes.INPUTS
+    params = DecodeParams(beam_size=1, max_len=5, min_len=2, reduce=reduce)
+    params = dataclasses.replace(params, beam_size=exhaustive_beam_size(PARITY_VOCAB, params))
+    mixed = []
+    combine = dyne.decoder._combine
+
+    def spy(per_inputs, stack, *rest):
+        fits = (stack[:, :-1] <= stack[:, 1:]).reshape(len(stack), -1).all(axis=1)
+        mixed.append(fits.any() and not fits.all())
+        return combine(per_inputs, stack, *rest)
+
+    monkeypatch.setattr(dyne.decoder, "_combine", spy)
+    results = beam_search(model, inputs, params)
+    assert any(mixed)  # some step re-sorted some rows and kept the others
+    oracle = brute_force_search(model, inputs, params)
+    assert (results[0].tokens, results[0].raw_score.hex()) == (oracle.tokens,
+                                                               oracle.raw_score.hex())
+    assert bits(results[0].trace.rows) == bits(oracle.trace.rows)
+    reduce_fn = {Reduce.MEAN_LOGPROB: reduce_mean_logprob, Reduce.MEAN_PROB: reduce_mean_prob}
+    for h in results:
+        prefix = (BOS_ID,)
+        for row in h.trace.rows:
+            fresh = reduce_fn[reduce](model.score_batch(inputs, prefix))
+            assert row.combined.hex() == float(fresh[row.token_id]).hex()
+            prefix += (row.token_id,)
+
+
 class TestBeamMemoryBound:
     def test_huge_beam_refused_before_scoring(self):
         vocab = Vocab.from_content(f"w{i}" for i in range(1997))
@@ -1016,10 +1123,31 @@ class TestBeamMemoryBound:
         check_beam_memory(dataclasses.replace(sweep, beam_size=4 * 100), 243, 5)
 
     def test_limit_is_the_boundary(self):
-        params = DecodeParams(beam_size=STEP_BYTES_LIMIT // (1000 * 10 * 8), max_len=30)
+        # 8 inputs: (3 * 8 + 8) floats of 8 bytes per token and live prefix
+        params = DecodeParams(beam_size=STEP_BYTES_LIMIT // (1000 * 32 * 8), max_len=30)
         check_beam_memory(params, 1000, 8)  # the widest beam inside the limit
         with pytest.raises(ValueError, match="beam_size"):
             check_beam_memory(dataclasses.replace(params, beam_size=params.beam_size + 1), 1000, 8)
+
+    @pytest.mark.parametrize("reduce", list(Reduce))
+    def test_a_wide_decode_holds_no_more_than_the_estimate(self, reduce):
+        # the wide benchmark's shape: 8 inputs of 400 tokens, V = 2,000, beam 8
+        rng = np.random.default_rng(0)
+        vocab = Vocab.from_content(f"w{i}" for i in range(1997))
+        model = CopyBigramModel(ToyModelSpec(0.5, 1.0, {}, vocab))
+        inputs = [tuple(rng.integers(3, 2000, 400).tolist()) for _ in range(8)]
+        params = DecodeParams(beam_size=8, max_len=12, min_len=10, reduce=reduce)
+        beam_search(model, inputs, params)  # the model's copy table is not a step array
+        gc.collect()
+        tracemalloc.start()
+        try:
+            held = tracemalloc.get_traced_memory()[0]
+            beam_search(model, inputs, params)
+            peak = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+        # check_beam_memory's count: (3 * N + 8) * V floats for each of the 8 live prefixes
+        assert peak < 8 * len(vocab) * (3 * len(inputs) + 8) * 8
 
 
 class TableModel:
