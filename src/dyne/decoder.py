@@ -4,20 +4,21 @@ One conditional model is applied independently to several inputs; at every
 timestep the per-input next-token distributions are combined by a reduce
 function into a single distribution, so all inputs extend the same output
 prefix. The cumulative combined log-score of the chosen tokens is the
-sequence score. A beam step scores each live prefix with one model call,
-gathers every prefix's ``[N, V]`` scores into one ``[B, N, V]`` stack, and
-checks, reduces and masks that stack in one pass. Each step keeps, per
-surviving prefix, a back-pointer to its parent and the combined and per-input
-scores of the token it took; only the results returned get a provenance
-trace, built by walking back-pointers, so nothing is rescored. A brute-force
-enumerator over the same scoring rules serves as an exact search oracle.
+sequence score. A beam step makes one model call per distinct key per step,
+a key being the prefix tokens the model reads (its ``context``): it checks and
+reduces the new keys' ``[N, V]`` scores as one stack, keeps each key's scores
+while a live prefix has it, and masks all live prefixes at once. Each step
+keeps, per survivor, a back-pointer to its parent and the combined and
+per-input scores of the token it took; only the results returned get a
+provenance trace, built by walking back-pointers, so nothing is rescored. A
+brute-force enumerator over the same scoring rules is an exact search oracle.
 
 Two reduce functions are provided: the arithmetic mean of log-probabilities
 and the (log of the) arithmetic mean of probabilities. They generally
 disagree; the log-space mean is the default because sequence scores compose
 additively in log space. Both sum each column in sorted order, which makes
-decoding bitwise invariant to permuting or duplicating inputs; the live
-prefixes share one `ColumnOrder`, so a step seldom sorts.
+decoding bitwise invariant to permuting or duplicating inputs; a search's
+steps share one `ColumnOrder`, so a step seldom sorts.
 """
 
 from __future__ import annotations
@@ -112,12 +113,12 @@ class ScoredHypothesis:
 
 
 class ColumnOrder:
-    """A search's ``[N, V]`` column sort order, shared by all live prefixes, as
-    flat gather indices ``order * V + arange(V)``, and the ``[B, N, V]`` stack
-    each step gathers every prefix's scores into. A stack row with a column out
-    of order is argsorted afresh, and its order shared from then on. A
-    non-decreasing column is the sorted one up to where -0.0 and 0.0 fall, which
-    no reduce bit depends on. Under `CopyBigramModel` a row rises with its
+    """A search's ``[N, V]`` column sort order, shared by all its steps, as flat
+    gather indices ``order * V + arange(V)``, and the ``[B, N, V]`` stack each
+    step gathers its new keys' scores into (see `_step`). A stack row with a
+    column out of order is argsorted afresh, and its order shared from then on.
+    A non-decreasing column is the sorted one up to where -0.0 and 0.0 fall,
+    which no reduce bit depends on. Under `CopyBigramModel` a row rises with its
     input's fixed copy weight, so the order seldom goes stale within a decode."""
 
     flat: np.ndarray | None = None
@@ -211,21 +212,35 @@ def reduce_mean_prob(per_input: list[LogProbVector] | np.ndarray,
 
 
 def _step(model: SequenceModel, inputs: tuple[TokenSeq, ...], prefixes: list[TokenSeq],
-          reduce: Reduce, order: ColumnOrder) -> tuple[np.ndarray, list[np.ndarray]]:
-    """One model call per prefix, then one combine: the ``[B, V]`` combined rows and
-    each prefix's ``[N, V]`` scores; a result of another type or shape is a ValueError."""
+          reduce: Reduce, order: ColumnOrder, memo: dict) -> tuple[np.ndarray, list[np.ndarray]]:
+    """One model call per distinct key (a prefix's last ``model.context`` tokens, see
+    `SequenceModel`) that ``memo`` lacks, and one combine of their scores: the ``[B, V]``
+    combined rows and each prefix's ``[N, V]`` scores. ``memo`` maps a key to its scores
+    and combined row, first dropping each key no prefix here has, so it holds at most B
+    entries. A result of another type or shape is a ValueError."""
+    context = getattr(model, "context", None)
+    if context is not None and not (is_integer(context) and context >= 0):
+        raise ValueError(f"model context must be an integer >= 0 or None, got {context!r}")
+    keys = [p if context is None else p[max(0, len(p) - context):] for p in prefixes]
+    for key in memo.keys() - set(keys):
+        del memo[key]
+    # the new keys in first-occurrence order; their prefixes score alike by contract
+    fresh = {key: prefix for key, prefix in zip(keys, prefixes) if key not in memo}
     expected = (len(inputs), len(model.vocab))
-    if len(order.stack) < len(prefixes) or order.stack.shape[1:] != expected:
-        order.stack = np.empty((len(prefixes), *expected))  # reused while it fits
-    stack, per_inputs = order.stack[: len(prefixes)], []
-    for b, prefix in enumerate(prefixes):
+    if len(order.stack) < len(fresh) or order.stack.shape[1:] != expected:
+        order.stack = np.empty((len(fresh), *expected))  # reused while it fits
+    stack, per_inputs = order.stack[: len(fresh)], []
+    for b, prefix in enumerate(fresh.values()):
         scores = model.score_batch(inputs, prefix)
         if not isinstance(scores, np.ndarray) or scores.shape != expected:
             got = scores.shape if isinstance(scores, np.ndarray) else type(scores).__name__
             raise ValueError(f"score_batch returned {got}; expected an ndarray of shape {expected}")
         per_inputs.append(scores.astype(float, copy=False))  # the floats the reduce and trace see
         order.gather(per_inputs[b], stack[b])  # while the scores are still in cache
-    return _combine(per_inputs, stack, reduce, order), per_inputs
+    if fresh:  # each row is copied, so no entry keeps a whole step's combine alive
+        memo.update((key, (scores, row.copy())) for key, scores, row
+                    in zip(fresh, per_inputs, _combine(per_inputs, stack, reduce, order)))
+    return np.array([memo[key][1] for key in keys]), [memo[key][0] for key in keys]
 
 
 def ensemble_step(
@@ -243,7 +258,7 @@ def ensemble_step(
     ``order`` is the caller's `ColumnOrder` for these inputs, if it keeps one.
     """
     inputs, _ = _checked_inputs(inputs, None)
-    combined, per_input = _step(model, inputs, [prefix], reduce, order or ColumnOrder())
+    combined, per_input = _step(model, inputs, [prefix], reduce, order or ColumnOrder(), {})
     return combined[0], per_input[0]
 
 
@@ -314,20 +329,8 @@ def _checked_inputs(
     return inputs, labels
 
 
-def _scored(
-    tokens: TokenSeq, raw: float, trace: TraceMatrix, params: DecodeParams
-) -> ScoredHypothesis:
-    return ScoredHypothesis(
-        tokens=tokens,
-        raw_score=raw,
-        ranked_score=ranked_score(raw, len(tokens) - 1, params.length_penalty_alpha),
-        trace=trace,
-    )
-
-
 def _trace_row(w: int, combined: float, per_input: list[float], vocab: Vocab) -> TraceRow:
-    """The trace row of token ``w``: the combined score and per-input scores
-    that chose it."""
+    """The trace row of token ``w``: the combined and per-input scores that chose it."""
     return TraceRow(
         token_id=int(w),  # numpy integer tokens would not export to JSON
         token=vocab.token(w),
@@ -345,7 +348,7 @@ def check_beam_memory(params: DecodeParams, width: int, n_inputs: int) -> None:
     ``(width - 3) ** t`` prefixes of t content tokens exist, and t < max_len."""
     beam = int(params.beam_size)
     live = min(beam, (width - 3) ** min(params.max_len - 1, beam.bit_length()))
-    need = live * width * (3 * n_inputs + 8) * 8
+    need = live * width * ((3 * n_inputs + 9) * 8 + n_inputs)
     if need > STEP_BYTES_LIMIT:
         raise ValueError(f"beam_size {beam} lets {live} prefixes live, whose step arrays need "
                          f"about {need:,} bytes for {n_inputs} input(s) over {width} tokens; "
@@ -361,14 +364,14 @@ def beam_search(
     """Ensemble beam search over a shared output prefix.
 
     Returns up to ``beam_size`` finished hypotheses, best ranked first.
-    Each step scores every live prefix once and ranks all their selectable
-    continuations together; a prefix that takes EOS is a result at once
-    and joins the pool. The search stops once the pool holds ``beam_size``
-    results or no prefix is live; the mask alone enforces ``max_len`` (see
-    `_allowed_tokens`). A step with nothing selectable and an empty pool is
-    a DecodeError naming the constraints in effect. All tie-breaks (pruning
-    and final ranking) prefer the lexicographically smaller token-id
-    sequence, so output is fully deterministic.
+    Each step scores each distinct key of the live prefixes at most once (see
+    `_step`) and ranks all their selectable continuations together; a prefix
+    that takes EOS is a result at once and joins the pool. The search stops
+    once the pool holds ``beam_size`` results or no prefix is live; the mask
+    alone enforces ``max_len`` (see `_allowed_tokens`). A step with nothing
+    selectable and an empty pool is a DecodeError naming the constraints in
+    effect. All tie-breaks (pruning and final ranking) prefer the
+    lexicographically smaller token-id sequence, so output is deterministic.
 
     Each step records per survivor a back-pointer to its parent's slot and
     copies of the combined score and ``[N]`` per-input column of the token
@@ -376,19 +379,19 @@ def beam_search(
     returned get a trace, built by walking back-pointers: it holds exactly
     the scores the search used, and nothing is rescored.
 
-    Memory: a step holds ``(3 * N + 8) * V`` floats per live prefix (N inputs,
-    V tokens): its ``[N, V]`` scores, its rows of the ``[B, N, V]`` stack and of
-    mean_prob's ``[B, V, N]`` temporary, and ``[V]`` rows for the combined
-    scores, mask and selection; at most ``beam_size`` prefixes live. A
-    ``beam_size`` putting this past `STEP_BYTES_LIMIT` (1 GiB) is a ValueError
-    before anything is scored (see `check_beam_memory`).
+    Memory: per live prefix (N inputs, V tokens) a step holds ``(3 * N + 9) * V``
+    floats and ``N * V`` bools: a memo entry's ``[N, V]`` scores and ``[V]`` row, a
+    new key's ``[B, N, V]`` stack row, column-order test and mean_prob temporary,
+    and ``[V]`` rows for the reduce, the step's scores, mask and selection; at most
+    ``beam_size`` prefixes live. A ``beam_size`` putting this past `STEP_BYTES_LIMIT`
+    (1 GiB) is a ValueError before anything is scored (see `check_beam_memory`).
     """
     inputs, input_labels = _checked_inputs(inputs, input_labels)
     vocab = model.vocab
     width = len(vocab)
     check_beam_memory(params, width, len(inputs))
 
-    order = ColumnOrder()
+    order, memo = ColumnOrder(), {}
     prefixes: list[TokenSeq] = [(BOS_ID,)]
     raw = np.zeros(1)  # each live prefix's running raw score
     history = []  # per step, per survivor: (parent slot, combined score, per-input scores)
@@ -397,7 +400,7 @@ def beam_search(
     # Live prefixes grow together; at content length max_len - 1 the mask
     # leaves only EOS, so after at most max_len steps nothing is live.
     while prefixes:
-        combined, per_inputs = _step(model, inputs, prefixes, params.reduce, order)
+        combined, per_inputs = _step(model, inputs, prefixes, params.reduce, order, memo)
         # the mask, not a -inf score, marks what is selectable: two finite
         # scores near -1e308 can sum to -inf and must still rank. Masked
         # entries are never read, so they are not summed (-inf + inf is NaN)
@@ -437,12 +440,13 @@ def beam_search(
 
     pool.sort(key=lambda entry: entry[:2])
     results = []
-    for _, tokens, eos_raw, step, slot, eos_combined, eos_column in pool[: params.beam_size]:
+    for neg, tokens, eos_raw, step, slot, eos_combined, eos_column in pool[: params.beam_size]:
         rows = [_trace_row(EOS_ID, eos_combined, eos_column, vocab)]
         for t in range(step - 1, -1, -1):  # back from the EOS step's parent
             slot, combined, per_input = history[t][slot]
             rows.append(_trace_row(tokens[t], combined, per_input, vocab))
-        results.append(_scored(tokens, eos_raw, TraceMatrix(input_labels, rows[::-1]), params))
+        trace = TraceMatrix(input_labels, rows[::-1])
+        results.append(ScoredHypothesis(tokens, eos_raw, -neg, trace))
     return results
 
 
@@ -471,36 +475,29 @@ def brute_force_search(
             f"{MAX_BRUTE_FORCE_VOCAB} tokens and max_len <= {MAX_BRUTE_FORCE_LEN}"
         )
 
-    best_key: tuple[float, TokenSeq] | None = None
-    best_raw = 0.0
+    best = None  # (-ranked, tokens, raw) of the best finished sequence so far
     order = ColumnOrder()
 
     def walk(prefix: TokenSeq, score: float) -> None:
-        nonlocal best_key, best_raw
-        combined = _step(model, inputs, [prefix], params.reduce, order)[0][0]
+        nonlocal best
+        combined = _step(model, inputs, [prefix], params.reduce, order, {})[0][0]
         allowed = _allowed_tokens(combined[None], [prefix], params)[0]
-        for w in np.flatnonzero(allowed):
-            w = int(w)
+        for w in np.flatnonzero(allowed).tolist():
             new_score = score + float(combined[w])
-            if w == EOS_ID:
-                tokens = prefix[1:] + (w,)
-                key = (
-                    -ranked_score(new_score, len(tokens) - 1, params.length_penalty_alpha),
-                    tokens,
-                )
-                if best_key is None or key < best_key:
-                    best_key, best_raw = key, new_score
-            else:
+            if w != EOS_ID:
                 walk(prefix + (w,), new_score)
+                continue
+            tokens = prefix[1:] + (w,)
+            neg = -ranked_score(new_score, len(tokens) - 1, params.length_penalty_alpha)
+            if best is None or (neg, tokens) < best[:2]:
+                best = (neg, tokens, new_score)
 
     walk((BOS_ID,), 0.0)
-    if best_key is None:
-        raise DecodeError(
-            "no admissible finished sequence exists under the given constraints"
-        )
-    tokens = best_key[1]
+    if best is None:
+        raise DecodeError("no admissible finished sequence exists under the given constraints")
+    neg, tokens, raw = best
     _, trace = sequence_score(model, inputs, tokens, params.reduce, input_labels=input_labels)
-    return _scored(tokens, best_raw, trace, params)
+    return ScoredHypothesis(tokens, raw, -neg, trace)
 
 
 def sequence_score(
@@ -529,13 +526,10 @@ def sequence_score(
         if t == BOS_ID:
             raise ValueError(f"BOS appears inside the sequence at position {pos}")
 
-    raw = 0.0
-    rows = []
-    order = ColumnOrder()
-    prefix: TokenSeq = (BOS_ID,)
-    for t in tokens:
-        combined, per_input = _step(model, inputs, [prefix], reduce, order)
-        rows.append(_trace_row(t, combined[0, t], per_input[0][:, t].tolist(), vocab))
+    prefixes = [(BOS_ID, *tokens[:i]) for i in range(len(tokens))]
+    combined, per_inputs = _step(model, inputs, prefixes, reduce, ColumnOrder(), {})
+    rows, raw = [], 0.0
+    for i, t in enumerate(tokens):  # the beam's running sum, left to right from 0.0
+        rows.append(_trace_row(t, combined[i, t], per_inputs[i][:, t].tolist(), vocab))
         raw += rows[-1].combined
-        prefix = prefix + (t,)
     return raw, TraceMatrix(input_labels, rows)

@@ -142,7 +142,10 @@ def check_token_seq(
 
 class SequenceModel(Protocol):
     """Anything that can score the next token for several inputs sharing one
-    prefix; each row of a batch depends only on its own input and the prefix."""
+    prefix; each row of a batch depends only on its own input and the prefix.
+    A model may declare ``context``, an integer >= 0: its scores then depend only
+    on the prefix's last ``context`` tokens, and the decoder makes one model call
+    per distinct such key per step. ``None``, or no attribute, means the whole prefix."""
 
     @property
     def vocab(self) -> Vocab: ...
@@ -349,6 +352,8 @@ class CopyBigramModel:
     count arrays with no pass over the pairs in Python; so its memory is bounded.
     """
 
+    context = 1  # the bigram part reads the prefix's last token, the copy part none
+
     def __init__(self, spec: ToyModelSpec):
         self._spec = spec
         self._on_alphabet = np.ones(len(spec.vocab))
@@ -393,7 +398,8 @@ class CopyBigramModel:
         return row
 
     def score_batch(self, inputs: Sequence[TokenSeq], prefix: TokenSeq) -> np.ndarray:
-        prefix, inputs = tuple(prefix), tuple(map(tuple, inputs))
+        inputs = tuple(map(tuple, tuple_of(inputs, (list, tuple), "inputs")))
+        prefix = tuple(prefix)
         check_token_seq(prefix, self._spec.vocab, "prefix", require_bos=True)
         if not inputs:
             raise ValueError("score_batch needs at least one input")

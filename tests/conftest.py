@@ -43,8 +43,8 @@ class UniformModel:
         return self.score_batch([input_ids], prefix)[0]
 
 
-def random_toy_model(rng: np.random.Generator, max_content: int = 2):
-    """A seeded copy/bigram model over a tiny vocabulary."""
+def random_toy_model(rng: np.random.Generator, max_content: int = 2, cls=CopyBigramModel):
+    """A seeded copy/bigram model over a tiny vocabulary, of class ``cls``."""
     n_content = int(rng.integers(1, max_content + 1))
     vocab = Vocab.from_content([f"w{i}" for i in range(n_content)])
     alphabet = [EOS_ID, *vocab.content_ids]
@@ -59,7 +59,7 @@ def random_toy_model(rng: np.random.Generator, max_content: int = 2):
         bigram_counts=counts,
         vocab=vocab,
     )
-    return CopyBigramModel(spec), vocab
+    return cls(spec), vocab
 
 
 def random_inputs(rng: np.random.Generator, vocab: Vocab, max_inputs: int = 3):

@@ -39,8 +39,8 @@ from dyne.decoder import STEP_BYTES_LIMIT, ColumnOrder, check_beam_memory
 from dyne.seqmodel import BOS_ID, EOS_ID, UNK_ID
 from dyne.synthetic import build_consensus_corpus
 
-from conftest import (UniformModel, exhaustive_beam_size, plain_beam_search, random_inputs,
-                      random_toy_model)
+from conftest import (Level, UniformModel, exhaustive_beam_size, plain_beam_search,
+                      random_inputs, random_toy_model)
 
 AB = Vocab.from_content(["a", "b"])
 A, B = 3, 4
@@ -1123,8 +1123,8 @@ class TestBeamMemoryBound:
         check_beam_memory(dataclasses.replace(sweep, beam_size=4 * 100), 243, 5)
 
     def test_limit_is_the_boundary(self):
-        # 8 inputs: (3 * 8 + 8) floats of 8 bytes per token and live prefix
-        params = DecodeParams(beam_size=STEP_BYTES_LIMIT // (1000 * 32 * 8), max_len=30)
+        # 8 inputs: (3 * 8 + 9) floats of 8 bytes and 8 bools per token and live prefix
+        params = DecodeParams(beam_size=STEP_BYTES_LIMIT // (1000 * (33 * 8 + 8)), max_len=30)
         check_beam_memory(params, 1000, 8)  # the widest beam inside the limit
         with pytest.raises(ValueError, match="beam_size"):
             check_beam_memory(dataclasses.replace(params, beam_size=params.beam_size + 1), 1000, 8)
@@ -1132,22 +1132,153 @@ class TestBeamMemoryBound:
     @pytest.mark.parametrize("reduce", list(Reduce))
     def test_a_wide_decode_holds_no_more_than_the_estimate(self, reduce):
         # the wide benchmark's shape: 8 inputs of 400 tokens, V = 2,000, beam 8
-        rng = np.random.default_rng(0)
-        vocab = Vocab.from_content(f"w{i}" for i in range(1997))
-        model = CopyBigramModel(ToyModelSpec(0.5, 1.0, {}, vocab))
-        inputs = [tuple(rng.integers(3, 2000, 400).tolist()) for _ in range(8)]
-        params = DecodeParams(beam_size=8, max_len=12, min_len=10, reduce=reduce)
-        beam_search(model, inputs, params)  # the model's copy table is not a step array
-        gc.collect()
-        tracemalloc.start()
-        try:
-            held = tracemalloc.get_traced_memory()[0]
-            beam_search(model, inputs, params)
-            peak = tracemalloc.get_traced_memory()[1] - held
-        finally:
-            tracemalloc.stop()
-        # check_beam_memory's count: (3 * N + 8) * V floats for each of the 8 live prefixes
-        assert peak < 8 * len(vocab) * (3 * len(inputs) + 8) * 8
+        model, inputs, params = wide_case(CopyBigramModel, 8, reduce)
+        peak = decode_peak(model, inputs, params)
+        # (3 * N + 8) * V floats for each of the 8 live prefixes, a bound tighter
+        # than check_beam_memory's count, which the memo raised by N bools and a row
+        assert peak < 8 * len(model.vocab) * (3 * len(inputs) + 8) * 8
+
+    @pytest.mark.parametrize("n_inputs", [1, 8, 32])
+    @pytest.mark.parametrize("reduce", list(Reduce))
+    def test_check_beam_memory_counts_at_least_the_peak(self, reduce, n_inputs, monkeypatch):
+        # a whole-prefix model shares no call, so every step stacks all its prefixes;
+        # the count before the memo, (3 * N + 8) * V floats, fell short at 32 inputs
+        model, inputs, params = wide_case(WholePrefixModel, n_inputs, reduce)
+        peak = decode_peak(model, inputs, params)
+        monkeypatch.setattr(dyne.decoder, "STEP_BYTES_LIMIT", peak - 1)
+        with pytest.raises(ValueError, match="^beam_size 8 lets 8 prefixes live"):
+            check_beam_memory(params, len(model.vocab), n_inputs)
+
+
+def wide_case(cls, n_inputs: int, reduce: Reduce):
+    """A model of class ``cls`` with the wide benchmark's V = 2,000 and beam 8,
+    ``n_inputs`` inputs of 400 seeded tokens, and settings for 11 steps."""
+    rng = np.random.default_rng(0)
+    vocab = Vocab.from_content(f"w{i}" for i in range(1997))
+    inputs = [tuple(rng.integers(3, 2000, 400).tolist()) for _ in range(n_inputs)]
+    params = DecodeParams(beam_size=8, max_len=12, min_len=10, reduce=reduce)
+    return cls(ToyModelSpec(0.5, 1.0, {}, vocab)), inputs, params
+
+
+def decode_peak(model, inputs, params) -> int:
+    """The ``tracemalloc`` peak of a decode, past what was held before it."""
+    beam_search(model, inputs, params)  # the model's copy table is not a step array
+    gc.collect()
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        beam_search(model, inputs, params)
+        return tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+
+
+class WholePrefixModel(CopyBigramModel):
+    """`CopyBigramModel` declaring that its scores read the whole prefix, so a
+    search keys each prefix on itself and shares no model call: the search
+    without the memo's sharing, over the same scores."""
+
+    context = None
+
+
+class ContextModel(UniformModel):
+    """`UniformModel`, whose scores read no prefix token, declaring ``context``."""
+
+    def __init__(self, context, vocab=AB):
+        super().__init__(vocab)
+        self.context = context
+
+
+class TestStepMemo:
+    @pytest.mark.parametrize("block", [None, 1, 2])
+    @pytest.mark.parametrize("reduce", list(Reduce))
+    def test_memo_changes_no_bit(self, reduce, block):
+        shared = whole = 0
+        for seed in range(80):
+            results, calls = [], []
+            for cls in (CopyBigramModel, WholePrefixModel):
+                rng = np.random.default_rng(seed)
+                model, vocab = random_toy_model(rng, 4, cls)
+                inputs = random_inputs(rng, vocab)
+                max_len = int(rng.integers(2, 7))
+                params = DecodeParams(beam_size=int(rng.integers(1, 7)), max_len=max_len,
+                                      min_len=int(rng.integers(0, max_len)), reduce=reduce,
+                                      block_repeat_ngram=block)
+                score = model.score_batch
+                model.score_batch = lambda xs, prefix: calls.append(cls) or score(xs, prefix)
+                try:
+                    results.append([(h.tokens, h.raw_score.hex(), h.ranked_score.hex(),
+                                     bits(h.trace.rows)) for h in beam_search(model, inputs, params)])
+                except DecodeError as exc:
+                    results.append(str(exc))
+            assert results[0] == results[1]
+            shared += calls.count(CopyBigramModel)
+            whole += calls.count(WholePrefixModel)
+        assert shared < whole  # the memo shared calls, so the cases test it
+
+    def test_one_model_call_per_key_the_memo_lacks(self, monkeypatch):
+        vocab = Vocab.from_content(["a", "b", "c"])
+        counts = {(3, 4): 5, (4, 3): 4, (4, 5): 4, (5, 3): 6, (3, 1): 1, (5, 5): 2}
+        model = CopyBigramModel(ToyModelSpec(0.4, 0.5, counts, vocab))
+        asked, steps = [], []
+        score, step = model.score_batch, dyne.decoder._step
+        model.score_batch = lambda inputs, prefix: asked.append(prefix) or score(inputs, prefix)
+
+        def spy(m, xs, prefixes, *rest):  # each step's prefixes, and its memo's keys after it
+            out = step(m, xs, prefixes, *rest)
+            steps.append((prefixes, set(rest[-1])))
+            return out
+
+        monkeypatch.setattr(dyne.decoder, "_step", spy)
+        beam_search(model, [(3, 4, 5, 3), (5, 5, 4)], DecodeParams(beam_size=4, max_len=6,
+                                                                    min_len=4))
+        # each step's new last tokens, in order of first occurrence among its prefixes
+        expected, before = [], set()
+        for prefixes, memo_keys in steps:
+            keys = list(dict.fromkeys(p[-1:] for p in prefixes))
+            expected += [k for k in keys if k not in before]
+            before = set(keys)
+            assert memo_keys == before  # what no live prefix uses is dropped
+        assert [p[-1:] for p in asked] == expected
+        assert (len(asked), sum(len(prefixes) for prefixes, _ in steps)) == (4, 16)
+
+    PREFIXES = [(BOS_ID,), (BOS_ID, A), (BOS_ID, A, B), (BOS_ID, B, A, B), (BOS_ID, A, B, B)]
+
+    @pytest.mark.parametrize("context, keys", [
+        (0, {()}),
+        (1, {(BOS_ID,), (A,), (B,)}),
+        (2, {(BOS_ID,), (BOS_ID, A), (A, B), (B, B)}),
+        (5, set(PREFIXES)),  # longer than every prefix: the whole prefix
+        (None, set(PREFIXES)),
+    ])
+    def test_keys_are_the_last_context_tokens(self, context, keys):
+        memo = {}
+        combined, per_inputs = dyne.decoder._step(ContextModel(context), ((A,),), self.PREFIXES,
+                                                  Reduce.MEAN_LOGPROB, ColumnOrder(), memo)
+        assert set(memo) == keys
+        uniform = UniformModel(AB).score_batch([(A,)], (BOS_ID,))
+        assert all(x.tobytes() == uniform.tobytes() for x in per_inputs)
+        assert combined.tobytes() == np.tile(uniform, (len(self.PREFIXES), 1)).tobytes()
+
+    def test_context_zero_scores_once_per_search(self):
+        model, asked = ContextModel(0), []
+        score = model.score_batch
+        model.score_batch = lambda inputs, prefix: asked.append(prefix) or score(inputs, prefix)
+        beam_search(model, [(A,), (B,)], DecodeParams(beam_size=3, max_len=4, min_len=3))
+        assert asked == [(BOS_ID,)]
+
+    @pytest.mark.parametrize("context", [-1, 1.5, True, "1", Level.HIGH, np.float64(1), [1]],
+                             ids=["negative", "float", "bool", "str", "int-enum", "np-float",
+                                  "list"])
+    def test_context_must_be_none_or_an_integer_at_least_0(self, context):
+        model = ContextModel(context)
+        model.score_batch = UnscoredModel().score_batch
+        message = f"model context must be an integer >= 0 or None, got {context!r}"
+        calls = {**ENTRY_POINTS, "ensemble_step": lambda m, xs: ensemble_step(m, xs, (BOS_ID,))}
+        for name, call in calls.items():
+            with pytest.raises(ValueError) as info:
+                call(model, [(A,)])
+            assert str(info.value) == message, name
 
 
 class TableModel:

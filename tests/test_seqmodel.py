@@ -265,6 +265,29 @@ class TestCopyBigramModel:
             with pytest.raises(ValueError, match=r"^score_batch needs at least one input$"):
                 model.score_batch(inputs, (BOS_ID, 3))
 
+    @pytest.mark.parametrize("inputs", [{(3, 4): 1}, {(3, 4)}, iter([(3, 4)])],
+                             ids=["dict", "set", "iterator"])
+    def test_score_batch_takes_a_list_or_tuple_of_inputs(self, ab_vocab, inputs):
+        # a dict scored its keys, a set in set-iteration order, an iterator whole
+        model = CopyBigramModel(ToyModelSpec(0.5, 1.0, {(3, 4): 2}, ab_vocab))
+        with pytest.raises(ValueError, match=r"^inputs must be a list or tuple of list or tuple"):
+            model.score_batch(inputs, (BOS_ID, 3))
+
+    @given(st.integers(0, 10_000))
+    @settings(max_examples=60, deadline=None)
+    def test_rows_depend_only_on_the_last_prefix_token(self, seed):
+        # what CopyBigramModel.context = 1 claims: the decoder shares one call's
+        # rows between all the live prefixes that end in the same token
+        assert CopyBigramModel.context == 1
+        rng = np.random.default_rng(seed)
+        model, vocab = random_toy_model(rng, max_content=4)
+        inputs = random_inputs(rng, vocab, max_inputs=4)
+        last = int(rng.choice([EOS_ID, *vocab.content_ids]))
+        first, second = (
+            model.score_batch(inputs, (BOS_ID, *rng.choice(vocab.content_ids, size).tolist(), last))
+            for size in (0, int(rng.integers(1, 6))))  # two prefixes of different lengths
+        assert first.tobytes() == second.tobytes()
+
     def test_memory_bounded_over_many_input_sets(self, ab_vocab):
         model = CopyBigramModel(ToyModelSpec(0.5, 1.0, {(3, 4): 2}, ab_vocab))
         model.score_batch([(3, 4)], (BOS_ID, 3))
