@@ -327,45 +327,36 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     sub = parser.add_subparsers(dest="command", required=True)
     subparsers: dict[str, argparse.ArgumentParser] = {}
 
-    p = sub.add_parser("decode", help="decode every cluster in a file",
-                       formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+    def command(name: str, func, help: str) -> argparse.ArgumentParser:
+        p = subparsers[name] = sub.add_parser(
+            name, help=help, formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+        p.set_defaults(func=func)
+        p.add_argument("--clusters", default=None, help="JSONL cluster file")
+        return p
+
+    p = command("decode", cmd_decode, "decode every cluster in a file")
     _add_model_flags(p)
-    p.add_argument("--clusters", default=None, help="JSONL cluster file")
     _add_decode_flags(p)
     p.add_argument("--out", default=None, help="output directory")
-    p.set_defaults(func=cmd_decode)
-    subparsers["decode"] = p
 
-    p = sub.add_parser("evaluate", help="score hypotheses against references",
-                       formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+    p = command("evaluate", cmd_evaluate, "score hypotheses against references")
     p.add_argument("--hypotheses", default=None, help="summaries.jsonl from decode")
-    p.add_argument("--clusters", default=None, help="JSONL cluster file")
     _add_rouge_flags(p)
     p.add_argument("--report", default=None, help="write a JSON report here")
-    p.set_defaults(func=cmd_evaluate)
-    subparsers["evaluate"] = p
 
-    p = sub.add_parser("sweep", help="decode + evaluate across ensemble sizes",
-                       formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+    p = command("sweep", cmd_sweep, "decode + evaluate across ensemble sizes")
     _add_model_flags(p)
-    p.add_argument("--clusters", default=None, help="JSONL cluster file")
     _add_decode_flags(p, max_docs=False)
     _add_rouge_flags(p)
     p.add_argument("--sizes", type=int, nargs="+", default=None,
                    help="ensemble sizes to decode with")
     p.add_argument("--out", default=None, help="output directory")
-    p.set_defaults(func=cmd_sweep)
-    subparsers["sweep"] = p
 
-    p = sub.add_parser("trace", help="decode one cluster and emit its trace matrix",
-                       formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+    p = command("trace", cmd_trace, "decode one cluster and emit its trace matrix")
     _add_model_flags(p)
-    p.add_argument("--clusters", default=None, help="JSONL cluster file")
     p.add_argument("--cluster-id", default=None, help="cluster to trace")
     _add_decode_flags(p)
     p.add_argument("--output", default=None, help="trace file (stdout when omitted)")
-    p.set_defaults(func=cmd_trace)
-    subparsers["trace"] = p
 
     for sp in subparsers.values():
         sp.add_argument("--config", default=None,

@@ -295,7 +295,8 @@ class ToyModelSpec:
     @classmethod
     def _from_doc(cls, doc: dict) -> "ToyModelSpec":
         """The checks JSON adds, the columns' shape and types, token names and no
-        repeated pair, as array tests; a fault is named by column and index."""
+        repeated pair, as array tests with one hash per token; a fault is named by
+        column and index. The counts are read into int64 unless one is past it."""
         vocab = Vocab(doc["vocab"])
         cols = doc["bigram_counts"]
         lists = [*cols.values()] if type(cols) is dict and cols.keys() == _COLUMNS.keys() else ()
@@ -304,23 +305,29 @@ class ToyModelSpec:
                               'lists, {"prev": [tokens], "next": [tokens], "count": [ints]}')
         if not cols["count"]:  # array checks need an entry, and would slow the load by a third
             return cls(doc["lambda"], doc["smooth_k"], _NO_COUNTS, vocab)
+        n, ids, lookup = len(cols["count"]), {}, vocab._index.get
+        for col in ("prev", "next"):  # one hash per value; -1 marks a miss
+            try:
+                ids[col] = np.fromiter(map(lookup, cols[col], itertools.repeat(-1)), np.intp, n)
+            except TypeError:  # an unhashable list or dict, which the type scan names
+                ids[col] = np.array([-1])
+        unknown = {col: int(a.argmin()) for col, a in ids.items() if a.min() < 0}  # the first
         for col, typ in _COLUMNS.items():  # json.loads yields exact types, so no bools
-            if not set(map(type, cols[col])) <= {typ}:
+            # a column of hits holds only strs: json.loads makes nothing else equal to one
+            if (col in unknown or col == "count") and not set(map(type, cols[col])) <= {typ}:
                 i, v = next((i, v) for i, v in enumerate(cols[col]) if type(v) is not typ)
                 raise FormatError(f"bigram_counts.{col}[{i}] = {v!r} is not of type {typ.__name__}")
-        prev, nxt = (np.fromiter(map(vocab._index.get, cols[col], itertools.repeat(-1)), np.intp,
-                                 len(cols[col])) for col in ("prev", "next"))
-        for col, ids in (("prev", prev), ("next", nxt)):
-            if ids.min() < 0:  # -1 marks an unknown token; argmin finds the first
-                i = int(ids.argmin())
-                raise FormatError(f"bigram_counts.{col}[{i}] names unknown token {cols[col][i]!r}")
-        i = int(_repeats(prev * len(vocab) + nxt).min(initial=len(prev)))
-        if i < len(prev):
+        for col, i in unknown.items():
+            raise FormatError(f"bigram_counts.{col}[{i}] names unknown token {cols[col][i]!r}")
+        i = int(_repeats(ids["prev"] * len(vocab) + ids["next"]).min(initial=n))
+        if i < n:
             raise FormatError(f"bigram_counts.prev[{i}] and .next[{i}] repeat pair "
                               f"{cols['prev'][i]!r}->{cols['next'][i]!r}")
-        # the counts stay Python ints until the spec checks each below 2**53
-        return cls(doc["lambda"], doc["smooth_k"],
-                   _BigramCounts(prev, nxt, np.array(cols["count"], object)), vocab)
+        try:
+            count = np.fromiter(cols["count"], np.int64, n)
+        except OverflowError:  # past int64: a Python int, which the range rule names
+            count = np.array(cols["count"], object)
+        return cls(doc["lambda"], doc["smooth_k"], _BigramCounts(*ids.values(), count), vocab)
 
     def save(self, path: str | Path) -> None:
         write_output(path, self.to_json_text())

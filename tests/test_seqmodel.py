@@ -720,6 +720,42 @@ class TestSpecLoaderErrors:
                 ToyModelSpec.from_json_text(json.dumps(doc))
             assert str(info.value) == f"model spec: {message}"
 
+    @pytest.mark.parametrize("doc, message", [
+        (entry_doc(2, prev=["a"]), "bigram_counts.prev[2] = ['a'] is not of type str"),
+        (entry_doc(0, prev={"a": 1}), "bigram_counts.prev[0] = {'a': 1} is not of type str"),
+        (entry_doc(1, next=["b"]), "bigram_counts.next[1] = ['b'] is not of type str"),
+        (entry_doc(2, next={}), "bigram_counts.next[2] = {} is not of type str"),
+        (counts_doc(prev=["<s>", 3, ["a"]]), "bigram_counts.prev[1] = 3 is not of type str"),
+        (counts_doc(prev=["zz", "a", "b"], next=["a", "b", []]),
+         "bigram_counts.next[2] = [] is not of type str"),
+    ], ids=["list-prev", "dict-prev", "list-next", "dict-next", "int-before-list",
+            "unknown-before-list"])
+    def test_unhashable_token_is_a_type_fault(self, doc, message):
+        # a list or dict cannot be looked up in the vocab; the type scan names
+        # the column's first value that is not a str, as for any other type
+        with pytest.raises(FormatError) as info:
+            ToyModelSpec.from_json_text(json.dumps(doc))
+        assert str(info.value) == f"model spec: {message}"
+
+    @pytest.mark.parametrize("count", [2**63, -(2**63) - 1, 10**400, -(10**400),
+                                       2**63 - 1, -(2**63), 2**53])
+    def test_count_past_int64_named_by_the_range_rule(self, count):
+        with pytest.raises(FormatError) as info:
+            ToyModelSpec.from_json_text(json.dumps(entry_doc(1, count=count)))
+        assert str(info.value) == ("model spec: bigram count 'a'->'b' must be a nonnegative "
+                                   f"integer below 2**53, got {count!r}")
+
+    def test_count_type_fault_reported_before_unknown_token(self):
+        # the column with an unknown token is typed too, and the count column
+        # after it, before any token name is reported
+        for doc in (entry_doc(1, prev="zz", count=1.5),
+                    counts_doc(prev=["zz", "a", "b"], count=[2, 1, 1.5])):
+            with pytest.raises(FormatError) as info:
+                ToyModelSpec.from_json_text(json.dumps(doc))
+            index = doc["bigram_counts"]["count"].index(1.5)
+            assert str(info.value) == (f"model spec: bigram_counts.count[{index}] = 1.5 is not "
+                                       "of type int")
+
     @pytest.mark.parametrize("field", ["lambda", "smooth_k"])
     def test_number_too_large_for_a_float(self, field):
         text = json.dumps(dict(SPEC_DOC, **{field: 10**400}))
@@ -956,6 +992,28 @@ class TestBigramTableArrays:
         tables.append(table_built_from_the_mapping(in_code))
         for arrays in zip(*tables):
             assert len({(a.dtype, a.shape, a.tobytes()) for a in arrays}) == 1
+
+    def test_wide_spec_file_loads_the_arrays_and_rows_built_in_code(self, tmp_path):
+        # the size of the wide benchmark's spec: V = 2,000 tokens, 20,000 counts
+        rng = np.random.default_rng(0)
+        vocab = Vocab.from_content([f"w{i:04d}" for i in range(1997)])
+        prevs, nexts = [BOS_ID, *vocab.content_ids], [EOS_ID, *vocab.content_ids]
+        flat = rng.choice(len(prevs) * len(nexts), 20_000, replace=False).tolist()
+        counts = {(prevs[f // len(nexts)], nexts[f % len(nexts)]): int(c)
+                  for f, c in zip(flat, rng.integers(1, 10, 20_000))}
+        in_code = ToyModelSpec(0.5, 1.0, counts, vocab)
+        in_code.save(tmp_path / "spec.json")
+        loaded = ToyModelSpec.load(tmp_path / "spec.json")
+        for name in ("prev", "next", "count"):
+            arrays = (getattr(spec.bigram_counts, name) for spec in (loaded, in_code))
+            assert len({(a.dtype, a.shape, a.tobytes()) for a in arrays}) == 1
+        assert loaded.bigram_counts.count.dtype == np.int64
+        inputs = rng.integers(3, len(vocab), (8, 400)).tolist()
+        models = CopyBigramModel(loaded), CopyBigramModel(in_code)
+        for prev in (BOS_ID, *in_code.bigram_counts.prev[::4000].tolist(), 5, len(vocab) - 1):
+            prefix = (BOS_ID,) if prev == BOS_ID else (BOS_ID, prev)
+            rows = {model.score_batch(inputs, prefix).tobytes() for model in models}
+            assert len(rows) == 1
 
     def test_counts_held_as_read_only_key_sorted_arrays(self, ab_vocab):
         spec = ToyModelSpec(0.5, 1.0, {(4, EOS_ID): 5, (3, 4): 2, (BOS_ID, 3): 1}, ab_vocab)
