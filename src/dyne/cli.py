@@ -327,9 +327,9 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     sub = parser.add_subparsers(dest="command", required=True)
     subparsers: dict[str, argparse.ArgumentParser] = {}
 
-    def command(name: str, func, help: str) -> argparse.ArgumentParser:
+    def command(name: str, func, summary: str) -> argparse.ArgumentParser:
         p = subparsers[name] = sub.add_parser(
-            name, help=help, formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+            name, help=summary, formatter_class=argparse.ArgumentDefaultsHelpFormatter)
         p.set_defaults(func=func)
         p.add_argument("--clusters", default=None, help="JSONL cluster file")
         return p

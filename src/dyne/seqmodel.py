@@ -311,7 +311,7 @@ class ToyModelSpec:
                 ids[col] = np.fromiter(map(lookup, cols[col], itertools.repeat(-1)), np.intp, n)
             except TypeError:  # an unhashable list or dict, which the type scan names
                 ids[col] = np.array([-1])
-        unknown = {col: int(a.argmin()) for col, a in ids.items() if a.min() < 0}  # the first
+        unknown = {col: int(a.argmin()) for col, a in ids.items() if a.min() < 0}  # first misses
         for col, typ in _COLUMNS.items():  # json.loads yields exact types, so no bools
             # a column of hits holds only strs: json.loads makes nothing else equal to one
             if (col in unknown or col == "count") and not set(map(type, cols[col])) <= {typ}:

@@ -677,11 +677,25 @@ class TestSpecLoaderErrors:
         (entry_doc(1, prev="yy", next="zz"), "bigram_counts.prev[1] names unknown token 'yy'"),
         (entry_doc(1, prev="<s>", next="a"),
          "bigram_counts.prev[1] and .next[1] repeat pair '<s>'->'a'"),
+        (entry_doc(2, prev=["a"]), "bigram_counts.prev[2] = ['a'] is not of type str"),
+        (entry_doc(0, prev={"a": 1}), "bigram_counts.prev[0] = {'a': 1} is not of type str"),
+        (entry_doc(1, next=["b"]), "bigram_counts.next[1] = ['b'] is not of type str"),
+        (entry_doc(2, next={}), "bigram_counts.next[2] = {} is not of type str"),
+        (counts_doc(prev=["<s>", 3, ["a"]]), "bigram_counts.prev[1] = 3 is not of type str"),
+        (counts_doc(prev=["zz", "a", "b"], next=["a", "b", []]),
+         "bigram_counts.next[2] = [] is not of type str"),
+        (entry_doc(1, prev="zz", count=1.5), "bigram_counts.count[1] = 1.5 is not of type int"),
+        (counts_doc(prev=["zz", "a", "b"], count=[2, 1, 1.5]),
+         "bigram_counts.count[2] = 1.5 is not of type int"),
     ], ids=["not-a-list", "short", "long", "int-token", "null-token", "float-count",
-            "bool-count", "unknown-next", "unknown-prev-first", "repeated-pair"])
+            "bool-count", "unknown-next", "unknown-prev-first", "repeated-pair", "list-prev",
+            "dict-prev", "list-next", "dict-next", "int-before-list", "unknown-before-list",
+            "float-count-before-unknown", "float-count-after-unknown"])
     def test_bad_triple_named_by_index(self, doc, message):
         # entry i of the three columns is the triple; a column that is not a
-        # list, or is of another length, breaks the one shape rule
+        # list, or is of another length, breaks the one shape rule. A list or
+        # dict, which no vocab lookup takes, is a type fault like any other; a
+        # column with an unknown token is typed too, before any name is reported
         with pytest.raises(FormatError) as info:
             ToyModelSpec.from_json_text(json.dumps(doc))
         assert str(info.value) == f"model spec: {message}"
@@ -720,23 +734,6 @@ class TestSpecLoaderErrors:
                 ToyModelSpec.from_json_text(json.dumps(doc))
             assert str(info.value) == f"model spec: {message}"
 
-    @pytest.mark.parametrize("doc, message", [
-        (entry_doc(2, prev=["a"]), "bigram_counts.prev[2] = ['a'] is not of type str"),
-        (entry_doc(0, prev={"a": 1}), "bigram_counts.prev[0] = {'a': 1} is not of type str"),
-        (entry_doc(1, next=["b"]), "bigram_counts.next[1] = ['b'] is not of type str"),
-        (entry_doc(2, next={}), "bigram_counts.next[2] = {} is not of type str"),
-        (counts_doc(prev=["<s>", 3, ["a"]]), "bigram_counts.prev[1] = 3 is not of type str"),
-        (counts_doc(prev=["zz", "a", "b"], next=["a", "b", []]),
-         "bigram_counts.next[2] = [] is not of type str"),
-    ], ids=["list-prev", "dict-prev", "list-next", "dict-next", "int-before-list",
-            "unknown-before-list"])
-    def test_unhashable_token_is_a_type_fault(self, doc, message):
-        # a list or dict cannot be looked up in the vocab; the type scan names
-        # the column's first value that is not a str, as for any other type
-        with pytest.raises(FormatError) as info:
-            ToyModelSpec.from_json_text(json.dumps(doc))
-        assert str(info.value) == f"model spec: {message}"
-
     @pytest.mark.parametrize("count", [2**63, -(2**63) - 1, 10**400, -(10**400),
                                        2**63 - 1, -(2**63), 2**53])
     def test_count_past_int64_named_by_the_range_rule(self, count):
@@ -744,17 +741,6 @@ class TestSpecLoaderErrors:
             ToyModelSpec.from_json_text(json.dumps(entry_doc(1, count=count)))
         assert str(info.value) == ("model spec: bigram count 'a'->'b' must be a nonnegative "
                                    f"integer below 2**53, got {count!r}")
-
-    def test_count_type_fault_reported_before_unknown_token(self):
-        # the column with an unknown token is typed too, and the count column
-        # after it, before any token name is reported
-        for doc in (entry_doc(1, prev="zz", count=1.5),
-                    counts_doc(prev=["zz", "a", "b"], count=[2, 1, 1.5])):
-            with pytest.raises(FormatError) as info:
-                ToyModelSpec.from_json_text(json.dumps(doc))
-            index = doc["bigram_counts"]["count"].index(1.5)
-            assert str(info.value) == (f"model spec: bigram_counts.count[{index}] = 1.5 is not "
-                                       "of type int")
 
     @pytest.mark.parametrize("field", ["lambda", "smooth_k"])
     def test_number_too_large_for_a_float(self, field):
