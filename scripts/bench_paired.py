@@ -6,11 +6,13 @@
 The base commit ``REV`` (say the parent of the change, ``HEAD~1`` once it is
 committed, or ``HEAD`` to measure uncommitted edits) is unpacked with
 ``git archive REV | tar -x`` into ``.bench_work/`` at the root of the
-checkout, which the run removes when it ends. One worker process per side
-imports ``dyne`` from its own ``src/``. Each side builds the same counts, drawn
-with the fixed seed ``SEED``, and saves them through its own
-``ToyModelSpec.save``, so each reads a spec file in its own format; each decode
-workload's input sets are one file that both sides read:
+checkout, which the run removes when it ends. Each pair starts one fresh
+worker process per side, which imports ``dyne`` from that side's ``src/``, so
+no state of one process (its heap layout, say) stays on one side for the
+whole run. Before the pairs, one more worker per side builds the same counts,
+drawn with the fixed seed ``SEED``, and saves them through its own
+``ToyModelSpec.save``, so each side reads a spec file in its own format; each
+decode workload's input sets are one file that both sides read:
 
 * ``wide``: the size of the ``wide`` benchmark's spec, V = 2,000 tokens and
   20,000 bigram counts, about 0.8 MB as columns (1 MB as the older triple list);
@@ -37,15 +39,16 @@ loaded, the first ``score_batch`` call, which builds the bigram table
 (``first_use_s``, load included); an ``empty`` sample is the mean of 50
 loads, since one takes well under a millisecond. A ``decode`` sample is the
 mean seconds of one decode (``decode_s``) over every input set, on a model
-loaded once per worker. A ``stem`` sample is the seconds of one pass over the
-corpus (``stem_s``). The result file holds, per workload, metric and side,
-the median and the quartiles, the pairs each side won, the environment
-(Python, numpy, ``nproc``, CPU), both commits, and a sha256 of each side's
-outputs: the bigram-table arrays of a load, every ranked result of a
-decode (its tokens, the hex of both scores and every trace cell), and the
-stems of a ``stem`` pass, one per line. When the
-two sides' outputs differ, the run still writes the file but exits 1. Uses
-only the stdlib and numpy.
+loaded once per worker, which decodes the first input set once, untimed,
+so its bigram table is built before the timer starts. A ``stem`` sample is
+the seconds of one pass over the corpus (``stem_s``). The result file holds,
+per workload, metric and side, the median and the quartiles, the pairs each
+side won, the environment (Python, numpy, ``nproc``, CPU), both commits, and
+a sha256 of each side's outputs: the bigram-table arrays of a load, every
+ranked result of a decode (its tokens, the hex of both scores and every trace
+cell), and the stems of a ``stem`` pass, one per line. When the two sides'
+outputs differ, the run still writes the file but exits 1. Uses only the
+stdlib and numpy.
 """
 
 from __future__ import annotations
@@ -235,9 +238,10 @@ def worker(src: str) -> None:
         elif kind == "stem":
             values, sha = stem_sample(dyne, spec)
         else:
-            if spec not in models:
-                models[spec] = dyne.load_model(spec)
             input_sets = json.loads(Path(inputs[0]).read_text())[: int(count)]
+            if spec not in models:  # loaded, and its first decode run, before any timing
+                models[spec] = dyne.load_model(spec)
+                decode_sample(dyne, models[spec], input_sets[:1], inputs[1])
             values, sha = decode_sample(dyne, models[spec], input_sets, inputs[1])
         print(*map(repr, values), sha, flush=True)
 
@@ -262,38 +266,53 @@ def cpu_model() -> str:
     return platform.processor()
 
 
+SIDES = ("base", "tree")
+
+
+class Workers:
+    """One worker process per side, each importing ``dyne`` from its own ``src/``;
+    closed on leaving the ``with`` block."""
+
+    def __enter__(self) -> "Workers":
+        self.procs = {side: subprocess.Popen([sys.executable, __file__, "--worker", str(src)],
+                                             stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+                                             text=True)
+                      for side, src in zip(SIDES, (WORK / "base" / "src", ROOT / "src"))}
+        return self
+
+    def ask(self, side: str, request: list[str]) -> str:
+        self.procs[side].stdin.write("\t".join(request) + "\n")
+        self.procs[side].stdin.flush()
+        return self.procs[side].stdout.readline()
+
+    def __exit__(self, *exc) -> None:
+        for proc in self.procs.values():
+            proc.communicate("")
+
+
 def run_pairs(base_sha: str, pairs: int) -> dict:
     """``{(workload, side): [([metric values], outputs sha256), ...]}``."""
     from dyne.errors import json_text, write_output  # the working tree's, from main
 
-    samples = {(name, side): [] for name in WORKLOADS for side in ("base", "tree")}
+    samples = {(name, side): [] for name in WORKLOADS for side in SIDES}
     shutil.rmtree(WORK, ignore_errors=True)
     (WORK / "base").mkdir(parents=True)
     try:
         archive = subprocess.run(["git", "archive", base_sha], cwd=ROOT, check=True,
                                  capture_output=True).stdout
         subprocess.run(["tar", "-x", "-C", str(WORK / "base")], input=archive, check=True)
-        procs = {side: subprocess.Popen([sys.executable, __file__, "--worker", str(src)],
-                                        stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True)
-                 for side, src in (("base", WORK / "base" / "src"), ("tree", ROOT / "src"))}
-
-        def ask(side: str, request: list[str]) -> str:
-            procs[side].stdin.write("\t".join(request) + "\n")
-            procs[side].stdin.flush()
-            return procs[side].stdout.readline()
-
-        try:
-            requests = {}
+        requests = {}
+        with Workers() as workers:  # saves each side's specs, in its own format
             for name, (kind, vocab, bigrams, count) in WORKLOADS.items():
                 if kind == "stem":
                     write_output(WORK / "words.json", json_text(stem_corpus()))
                     requests[name] = {side: [kind, str(count), str(WORK / "words.json")]
-                                      for side in procs}
+                                      for side in SIDES}
                     continue
                 requests[name] = {}
-                for side in procs:
+                for side in SIDES:
                     spec = str(WORK / f"spec_{side}_{vocab}_{bigrams}.json")
-                    if ask(side, ["save", str(vocab), str(bigrams), spec]) != "saved\n":
+                    if workers.ask(side, ["save", str(vocab), str(bigrams), spec]) != "saved\n":
                         raise RuntimeError(f"the {side} worker could not save {spec}")
                     requests[name][side] = [kind, str(count), spec]
                 if kind == "decode":
@@ -302,14 +321,12 @@ def run_pairs(base_sha: str, pairs: int) -> dict:
                     write_output(path, json_text(make(vocab, count)))
                     for request in requests[name].values():
                         request += [str(path), name]
-            for pair in range(pairs):
+        for pair in range(pairs):
+            with Workers() as workers:  # fresh for each pair, so no process state stays on one side
                 for name in WORKLOADS:
-                    for side in ("base", "tree") if pair % 2 == 0 else ("tree", "base"):
-                        *values, sha = ask(side, requests[name][side]).split()
+                    for side in SIDES if pair % 2 == 0 else SIDES[::-1]:
+                        *values, sha = workers.ask(side, requests[name][side]).split()
                         samples[name, side].append((list(map(float, values)), sha))
-        finally:
-            for proc in procs.values():
-                proc.communicate("")
     finally:
         shutil.rmtree(WORK, ignore_errors=True)
     return samples

@@ -12,12 +12,13 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
 
 from .errors import FormatError, input_records, is_integer, jsonl_text, tuple_of, write_output
-from .seqmodel import TokenSeq, Vocab, check_utf8
+from .seqmodel import UNK_ID, TokenSeq, Vocab, check_utf8
 
 
 @dataclass(frozen=True)
@@ -123,10 +124,10 @@ def select_document_indices(cluster: Cluster, max_docs: int, seed: int) -> list[
 
 
 def tokenize_and_truncate(text: str, vocab: Vocab, max_tokens: int) -> TokenSeq:
-    """Whitespace-tokenize, map out-of-vocabulary words to UNK, keep the
-    first ``max_tokens`` tokens."""
+    """Whitespace-tokenize only as far as the first ``max_tokens`` tokens, which
+    it keeps, mapping out-of-vocabulary words to UNK."""
     if not (is_integer(max_tokens) and max_tokens >= 1):
         raise ValueError(f"max_tokens must be an integer >= 1, got {max_tokens!r}")
     if not isinstance(text, str):  # bytes would split into unknown words
         raise ValueError(f"text must be a str, got {text!r}")
-    return tuple(vocab.encode_token(t) for t in text.split()[:max_tokens])
+    return tuple(map(vocab._index.get, text.split(None, max_tokens)[:max_tokens], repeat(UNK_ID)))

@@ -114,12 +114,12 @@ class ScoredHypothesis:
 
 class ColumnOrder:
     """A search's ``[N, V]`` column sort order, shared by all its steps, as flat
-    gather indices ``order * V + arange(V)``, and the ``[B, N, V]`` stack each
-    step gathers its new keys' scores into (see `_step`). A stack row with a
-    column out of order is argsorted afresh, and its order shared from then on.
-    A non-decreasing column is the sorted one up to where -0.0 and 0.0 fall,
-    which no reduce bit depends on. Under `CopyBigramModel` a row rises with its
-    input's fixed copy weight, so the order seldom goes stale within a decode."""
+    gather indices ``order * V + arange(V)``, and the ``[B, N, V]`` stack each step
+    gathers its new keys' scores into (see `_step`). A stack row with a column out
+    of order is argsorted afresh, not stably (a non-decreasing column is the sorted
+    one up to where equal values, -0.0 and 0.0, fall, which no reduce bit depends
+    on), and its order shared from then on. Under `CopyBigramModel` a row rises
+    with its input's fixed copy weight, so the order seldom goes stale in a decode."""
 
     flat: np.ndarray | None = None
     stack: np.ndarray = np.empty((0, 0, 0))
@@ -127,21 +127,22 @@ class ColumnOrder:
     def gather(self, arr: np.ndarray, out: np.ndarray, fresh: bool = False) -> None:
         """``arr`` into ``out`` through the shared order, sorted afresh if ``fresh`` or stale."""
         if fresh or self.flat is None or self.flat.shape != arr.shape:
-            self.flat = np.argsort(arr, axis=0, kind="stable") * arr.shape[1] + np.arange(arr.shape[1])
+            self.flat = np.argsort(arr, axis=0) * arr.shape[1] + np.arange(arr.shape[1])
         arr.take(self.flat, out=out)
 
 
 def _combine(per_inputs: list[np.ndarray], stack: np.ndarray, reduce: Reduce,
              order: ColumnOrder) -> np.ndarray:
-    """The ``[B, V]`` reduce of ``stack``, whose row b is ``per_inputs[b]``
-    gathered through ``order``, checked and sorted once for the whole stack;
-    a row of inputs that all hold the same bits reduces to that input."""
-    if not (stack < np.inf).all():  # false for NaN and +inf alike
-        raise ValueError("model returned NaN or +inf; log-probabilities must be finite or -inf")
+    """The ``[B, V]`` reduce of ``stack``, whose row b is ``per_inputs[b]`` gathered
+    through ``order``, sorted, then checked on its top row: a rising column holds no
+    NaN (NaN compares false) and +inf only on top, and an argsort puts NaN last. A
+    row of inputs that all hold the same bits reduces to that input."""
     rising = stack[:, :-1] <= stack[:, 1:]
     if not rising.all():  # re-sort each stale row alone
         for b in np.flatnonzero(~rising.reshape(len(stack), -1).all(axis=1)).tolist():
             order.gather(per_inputs[b], stack[b], fresh=True)
+    if not (stack[:, -1] < np.inf).all():  # false for NaN and +inf alike
+        raise ValueError("model returned NaN or +inf; log-probabilities must be finite or -inf")
     # after the column sort, equal end rows mean equal values in every row; the
     # bit test then tells -0.0 from 0.0, which the sort leaves in either order
     same = (stack[:, 0] == stack[:, -1]).all(axis=1)
@@ -318,7 +319,8 @@ def _checked_inputs(
     """The inputs, a list or tuple of token lists or tuples (see `tuple_of`), as
     tuples, and one distinct string label per input (``input_<i>`` by default),
     checked before anything is scored, so each trace column is named apart."""
-    inputs = tuple(map(tuple, tuple_of(inputs, (list, tuple), "inputs")))
+    checked = tuple(map(tuple, tuple_of(inputs, (list, tuple), "inputs")))
+    inputs = inputs if checked == inputs else checked  # a tuple of tuples never changes
     if not inputs:
         raise ValueError("ensemble needs at least one input")
     if input_labels is None:
@@ -344,8 +346,9 @@ STEP_BYTES_LIMIT = 2**30  # what a decode's step arrays may take (see `beam_sear
 
 def check_beam_memory(params: DecodeParams, width: int, n_inputs: int) -> None:
     """Refuse a ``beam_size`` whose decode over ``n_inputs`` inputs and ``width``
-    tokens would hold more than `STEP_BYTES_LIMIT` bytes of step arrays. At most
-    ``(width - 3) ** t`` prefixes of t content tokens exist, and t < max_len."""
+    tokens would hold more than `STEP_BYTES_LIMIT` bytes of step arrays, counted
+    per live prefix as in `beam_search`. At most ``(width - 3) ** t`` prefixes of
+    t content tokens exist, and t < max_len."""
     beam = int(params.beam_size)
     live = min(beam, (width - 3) ** min(params.max_len - 1, beam.bit_length()))
     need = live * width * ((3 * n_inputs + 9) * 8 + n_inputs)
@@ -381,10 +384,11 @@ def beam_search(
 
     Memory: per live prefix (N inputs, V tokens) a step holds ``(3 * N + 9) * V``
     floats and ``N * V`` bools: a memo entry's ``[N, V]`` scores and ``[V]`` row, a
-    new key's ``[B, N, V]`` stack row, column-order test and mean_prob temporary,
-    and ``[V]`` rows for the reduce, the step's scores, mask and selection; at most
-    ``beam_size`` prefixes live. A ``beam_size`` putting this past `STEP_BYTES_LIMIT`
-    (1 GiB) is a ValueError before anything is scored (see `check_beam_memory`).
+    new key's ``[B, N, V]`` stack row, column-order test and mean_prob temporary;
+    ``[V]`` rows for the reduce, the combined and running scores, their mask, and
+    the ranking's negated scores, partitioned copy and cut test; at most ``beam_size``
+    prefixes live. A ``beam_size`` putting this past `STEP_BYTES_LIMIT` (1 GiB) is
+    a ValueError before anything is scored (see `check_beam_memory`).
     """
     inputs, input_labels = _checked_inputs(inputs, input_labels)
     vocab = model.vocab
@@ -403,40 +407,36 @@ def beam_search(
         combined, per_inputs = _step(model, inputs, prefixes, params.reduce, order, memo)
         # the mask, not a -inf score, marks what is selectable: two finite
         # scores near -1e308 can sum to -inf and must still rank. Masked
-        # entries are never read, so they are not summed (-inf + inf is NaN)
+        # entries are NaN, never summed (-inf + inf is NaN) and never ranked
         allowed = _allowed_tokens(combined, prefixes, params)
-        scores = np.empty_like(combined)
+        scores = np.full_like(combined, np.nan)
         np.add(raw[:, None], combined, out=scores, where=allowed)
         for i in np.flatnonzero(allowed[:, EOS_ID]).tolist():
             tokens, eos_raw = prefixes[i][1:] + (EOS_ID,), float(scores[i, EOS_ID])
             pool.append((-ranked_score(eos_raw, len(tokens) - 1, params.length_penalty_alpha),
                          tokens, eos_raw, len(history), i, combined[i, EOS_ID],
                          per_inputs[i][:, EOS_ID].tolist()))
-        allowed[:, EOS_ID] = False
-        flat = np.flatnonzero(allowed)
-        if not len(flat) and not pool:
-            raise DecodeError(
-                "no viable continuation for any hypothesis "
-                f"({_constraint_summary(prefixes[0], params)})"
-            )
+        scores[:, EOS_ID] = np.nan
         if len(pool) >= params.beam_size:
             break
-        # Live prefixes share one length and stay in sequence order, so flat
-        # index order is (prefix, token) order: the stable sort breaks score
-        # ties toward the smaller sequence, and the survivors in ascending
-        # flat index keep ``prefixes`` in sequence order. Only entries scoring
-        # at least the beam_size-th best are sorted; ties at the cut all stay.
-        picked = scores.ravel()[flat]
-        if len(flat) > params.beam_size:
-            keep = picked >= np.partition(picked, -params.beam_size)[-params.beam_size]
-            flat, picked = flat[keep], picked[keep]
-        survivors = np.sort(flat[np.argsort(-picked, kind="stable")[: params.beam_size]])
+        # Only entries at or above the beam_size-th best score are sorted, ties
+        # included; a partition puts NaN last, so a NaN cut means every entry ranks.
+        # Live prefixes share one length and stay in sequence order, so flat index
+        # order is (prefix, token) order: the stable sort breaks score ties toward
+        # the smaller sequence, and survivors in flat order keep ``prefixes`` so.
+        neg, k = -scores.ravel(), min(params.beam_size, scores.size) - 1  # sums stay in scores
+        cut = np.partition(neg, k)[k]
+        flat = np.flatnonzero(neg <= (np.inf if np.isnan(cut) else cut))
+        if not len(flat) and not pool:
+            raise DecodeError("no viable continuation for any hypothesis "
+                              f"({_constraint_summary(prefixes[0], params)})")
+        survivors = np.sort(flat[np.argsort(neg[flat], kind="stable")[: params.beam_size]])
         parents, taken = np.divmod(survivors, width)
         pairs = list(zip(parents.tolist(), taken.tolist()))
         history.append([(i, combined[i, w], per_inputs[i][:, w].tolist()) for i, w in pairs])
         prefixes = [prefixes[i] + (w,) for i, w in pairs]
         raw = scores[parents, taken]
-        del combined, per_inputs, scores  # not held through the next step
+        del combined, per_inputs, scores, neg  # not held through the next step
 
     pool.sort(key=lambda entry: entry[:2])
     results = []

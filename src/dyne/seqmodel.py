@@ -13,6 +13,7 @@ scoring.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import itertools
 import math
@@ -354,8 +355,8 @@ class CopyBigramModel:
     Input tokens outside A (the unknown marker) do not contribute to the
     copy counts, keeping the distribution normalized. All the model holds
     derives from its frozen spec: the ``[V]`` mask of A (0 at ``<s>`` and
-    ``<unk>``, so ``|A| = V - 2``), one copy-matrix entry for the last input
-    set and the bigram table, built on first use from the spec's key-sorted
+    ``<unk>``, so ``|A| = V - 2``), the copy matrix of the last input-set object
+    and the bigram table, built on first use from the spec's key-sorted
     count arrays with no pass over the pairs in Python; so its memory is bounded.
     """
 
@@ -372,18 +373,21 @@ class CopyBigramModel:
         return self._spec.vocab
 
     def _copy_part(self, inputs: tuple[TokenSeq, ...]) -> np.ndarray:
-        """``[N, V]`` weighted copy distributions; validates each new input set."""
-        entry = self._copy_entry
-        if entry is not None and entry[0] == inputs:
-            return entry[1]
-        for x in inputs:
-            check_token_seq(x, self._spec.vocab, "input")
-        mask, k = self._on_alphabet, self._spec.smooth_k
-        counts = np.stack([np.bincount(x, minlength=len(mask)) for x in inputs]) * mask
-        totals = counts.sum(axis=-1, keepdims=True) + k * (len(mask) - 2)
-        part = self._spec.copy_weight * ((counts + k * mask) / totals)
-        self._copy_entry = (inputs, part)
-        return part
+        """``[N, V]`` weighted copy distributions of an input set, which it validates
+        by one type scan and range test of plain int ids, else by `check_token_seq`."""
+        mask, k, size = self._on_alphabet, self._spec.smooth_k, len(self._on_alphabet)
+        ids, lengths = None, list(map(len, inputs))
+        if min(lengths) and set(map(type, itertools.chain(*inputs))) <= {int}:
+            with contextlib.suppress(OverflowError):  # an id past int64 is out of range
+                ids = np.fromiter(itertools.chain(*inputs), np.int64, sum(lengths))
+        if ids is None or not (0 <= ids.min() and ids.max() < size):
+            for x in inputs:
+                check_token_seq(x, self._spec.vocab, "input")
+            ids = np.fromiter(itertools.chain(*inputs), np.int64, sum(lengths))  # numpy ints
+        ids += np.repeat(np.arange(0, len(inputs) * size, size), lengths)  # a row per input
+        counts = np.bincount(ids, minlength=len(inputs) * size).reshape(-1, size) * mask
+        totals = counts.sum(axis=-1, keepdims=True) + k * (size - 2)
+        return self._spec.copy_weight * ((counts + k * mask) / totals)
 
     @functools.cached_property
     def _bigram_table(self) -> tuple[np.ndarray, ...]:
@@ -405,12 +409,17 @@ class CopyBigramModel:
         return row
 
     def score_batch(self, inputs: Sequence[TokenSeq], prefix: TokenSeq) -> np.ndarray:
-        inputs = tuple(map(tuple, tuple_of(inputs, (list, tuple), "inputs")))
+        entry = self._copy_entry
+        if entry is None or inputs is not entry[0]:  # else the very object checked last
+            checked = tuple(map(tuple, tuple_of(inputs, (list, tuple), "inputs")))
+            inputs, entry = (inputs if checked == inputs else checked), None  # kept if immutable
         prefix = tuple(prefix)
         check_token_seq(prefix, self._spec.vocab, "prefix", require_bos=True)
         if not inputs:
             raise ValueError("score_batch needs at least one input")
-        probs = self._copy_part(inputs) + self._bigram_part(prefix[-1])
+        if entry is None:  # an equal input set may hold other types, so it is checked anew
+            entry = self._copy_entry = (inputs, self._copy_part(inputs))
+        probs = entry[1] + self._bigram_part(prefix[-1])
         with np.errstate(divide="ignore"):
             return np.log(probs)
 

@@ -221,10 +221,18 @@ class TestParseObject:
         assert parse_object('{"a": 1, "z": 2}', "w", required=("a",)) == {"a": 1, "z": 2}
 
 
+@pytest.fixture(scope="class")
+def fuzz_model(tmp_path_factory) -> Path:
+    """One model spec file, saved once for every example that decodes."""
+    model = tmp_path_factory.mktemp("fuzz") / "model.json"
+    ToyModelSpec(1.0, 1.0, {}, Vocab.from_content(["a"])).save(model)
+    return model
+
+
 class TestLoaderFuzz:
-    @given(st.data())
+    @given(data=st.data())
     @settings(max_examples=300, deadline=None)
-    def test_mutated_cluster_file_fails_cleanly(self, data):
+    def test_mutated_cluster_file_fails_cleanly(self, fuzz_model, data):
         text = mutate_json(data, CLUSTER_DOCS, JSON_VALUES, serialize=lambda doc: "".join(
             json.dumps(line) + "\n" for line in (doc if isinstance(doc, list) else [doc])))
         raw = bytearray(text.encode("utf-8"))
@@ -236,11 +244,9 @@ class TestLoaderFuzz:
             try:
                 clusters = load_clusters(path)
             except ValueError:  # FormatError is a ValueError
-                model = Path(tmp) / "model.json"
-                ToyModelSpec(1.0, 1.0, {}, Vocab.from_content(["a"])).save(model)
                 err = io.StringIO()
                 with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
-                    code = main(["decode", "--model", str(model), "--clusters", str(path),
+                    code = main(["decode", "--model", str(fuzz_model), "--clusters", str(path),
                                  "--out", str(Path(tmp) / "out")])
                 assert code == 2 and err.getvalue().startswith("error:")
                 assert not (Path(tmp) / "out").exists()
@@ -356,6 +362,19 @@ class TestTokenize:
             tokenize_and_truncate("a b a", self.VOCAB, max_tokens)
         assert str(info.value) == f"max_tokens must be an integer >= 1, got {max_tokens!r}"
         assert len(tokenize_and_truncate("a b a", self.VOCAB, np.int64(2))) == 2
+
+    # every character str.split() splits on, plus near misses it keeps inside words
+    WHITESPACE = (" \t\n\r\x0b\x0c\x1c\x1d\x1e\x1f\x85\xa0"
+                  "\u1680\u2000\u200a\u2028\u2029\u202f\u205f\u3000")
+
+    @given(st.lists(st.sampled_from(["a", "b", "ab", "q", "é", "\u200b", "\ufeff", *WHITESPACE]),
+                    max_size=40).map("".join),
+           st.integers(1, 12) | st.just(np.int64(3)))
+    @settings(max_examples=300, deadline=None)
+    def test_ids_equal_the_per_token_reference(self, text, max_tokens):
+        vocab = Vocab.from_content(["a", "b", "ab", "é"])
+        reference = tuple(vocab.encode_token(t) for t in text.split()[:max_tokens])
+        assert tokenize_and_truncate(text, vocab, max_tokens) == reference
 
     @pytest.mark.parametrize("text", [b"a b", None, ["a", "b"], 5],
                              ids=["bytes", "none", "list", "int"])

@@ -382,6 +382,44 @@ class TestBeamSearch:
         assert [(h.tokens, h.raw_score) for h in hyps] == [((B, B, EOS_ID), -2.0),
                                                           ((A, A, EOS_ID), -3.0)]
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_fewer_selectable_than_beam_size_all_rank_with_a_minus_inf_sum(self):
+        # two continuations per step against a beam of 4, so every selectable
+        # one survives; (a, a) sums two finite scores to -inf and still ranks
+        model = LastTokenModel({BOS_ID: [-np.inf, -np.inf, -np.inf, -1e308, 0.0],
+                                A: [-np.inf, 0.0, -np.inf, -1e308, -np.inf],
+                                B: [-np.inf, 0.0, -np.inf, -np.inf, -1.0]})
+        params = DecodeParams(beam_size=4, max_len=3, min_len=2)
+        hyps = beam_search(model, [(A,)], params)
+        assert [(h.tokens, h.raw_score) for h in hyps] == [((B, B, EOS_ID), -1.0),
+                                                          ((A, A, EOS_ID), -np.inf)]
+        assert brute_force_search(model, [(A,)], params).tokens == (B, B, EOS_ID)
+
+    def test_ties_at_the_cut_across_prefixes_go_to_the_smaller_sequence(self):
+        # (a, b) and (b, a) tie at the cut for the second slot; (b, a) ends in
+        # the smaller token, (a, b) is the smaller sequence and survives
+        model = LastTokenModel({BOS_ID: [-np.inf, -np.inf, -np.inf, -1.0, -1.0],
+                                A: [-np.inf, 0.0, -np.inf, -5.0, -3.0],
+                                B: [-np.inf, 0.0, -np.inf, -3.0, -2.0]})
+        hyps = beam_search(model, [(A,)], DecodeParams(beam_size=2, max_len=3, min_len=2))
+        assert [(h.tokens, h.raw_score) for h in hyps] == [((B, B, EOS_ID), -3.0),
+                                                          ((A, B, EOS_ID), -4.0)]
+
+    def test_signed_zero_sums_keep_their_bits(self):
+        # 0.0 + -0.0 is 0.0; ranking on negated scores must not store -0.0
+        model = LastTokenModel({BOS_ID: [-np.inf, -0.0, -np.inf, -0.0, 0.0],
+                                A: [-np.inf, -0.0, -np.inf, -np.inf, -np.inf],
+                                B: [-np.inf, -0.0, -np.inf, -1.0, -np.inf]})
+        params = DecodeParams(beam_size=2, max_len=3, min_len=1)
+        hyps = beam_search(model, [(A,)], params)
+        assert [(h.tokens, h.raw_score.hex()) for h in hyps] == [
+            ((A, EOS_ID), "0x0.0p+0"), ((B, EOS_ID), "0x0.0p+0")]
+        for h in hyps:
+            assert [r.combined.hex() for r in h.trace.rows][-1] == "-0x0.0p+0"
+            raw, trace = sequence_score(model, [(A,)], h.tokens)
+            assert raw.hex() == h.raw_score.hex() and bits(trace.rows) == bits(h.trace.rows)
+        assert brute_force_search(model, [(A,)], params).raw_score.hex() == "0x0.0p+0"
+
     def test_bos_never_generated(self):
         model = UniformModel(AB)  # assigns BOS nonzero probability
         params = DecodeParams(beam_size=8, max_len=4, min_len=0)
@@ -1162,6 +1200,7 @@ def wide_case(cls, n_inputs: int, reduce: Reduce):
 
 def decode_peak(model, inputs, params) -> int:
     """The ``tracemalloc`` peak of a decode, past what was held before it."""
+    inputs = tuple(inputs)  # one tuple of tuples, so both decodes share one copy table
     beam_search(model, inputs, params)  # the model's copy table is not a step array
     gc.collect()
     tracemalloc.start()

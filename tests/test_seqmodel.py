@@ -402,20 +402,85 @@ class TestCopyBigramModel:
             rows = {model.score_batch([x], prefix).tobytes() for model in models}
             assert len(rows) == 1
 
-    def test_inputs_validated_once_per_decode(self, ab_vocab, monkeypatch):
-        checked = []
-        real_check = seqmodel.check_token_seq
+    @pytest.mark.parametrize("inputs, checks", [
+        ([(3, 4, 3), (4,), (3, UNK_ID)], 0),  # plain ints: the one array check
+        ([(3, np.int64(4), 3), (4,), (3, UNK_ID)], 3),  # numpy ids: check_token_seq per input
+    ], ids=["ints", "numpy-ids"])
+    def test_inputs_validated_once_per_decode(self, ab_vocab, monkeypatch, inputs, checks):
+        built, checked, calls = [], [], []
+        real_part, real_check = CopyBigramModel._copy_part, seqmodel.check_token_seq
+
+        def counting_part(self, inputs):
+            built.append(inputs)
+            return real_part(self, inputs)
 
         def counting_check(ids, vocab, name="sequence", **kwargs):
             checked.append(name)
             return real_check(ids, vocab, name, **kwargs)
 
+        monkeypatch.setattr(CopyBigramModel, "_copy_part", counting_part)
         monkeypatch.setattr(seqmodel, "check_token_seq", counting_check)
         model = CopyBigramModel(ToyModelSpec(0.5, 1.0, {(3, 4): 2}, ab_vocab))
-        inputs = [(3, 4, 3), (4,), (3, UNK_ID)]
+        real_score = model.score_batch
+        model.score_batch = lambda *args: calls.append(args) or real_score(*args)
         beam_search(model, inputs, DecodeParams(beam_size=3, max_len=5))
-        assert checked.count("input") == len(inputs)
-        assert checked.count("prefix") > 1  # the prefix is checked on every call
+        assert built == [tuple(inputs)]  # the whole input set, validated once
+        assert checked.count("input") == checks
+        assert len(calls) > 1 and checked.count("prefix") == len(calls)  # a prefix every call
+
+    def test_one_tuple_of_per_input_set_over_a_decode(self, ab_vocab, monkeypatch):
+        # a whole-prefix model shares no call, so a decode calls score_batch once per prefix
+        class WholePrefix(CopyBigramModel):
+            context = None
+
+        names, calls = [], []
+        real = seqmodel.tuple_of
+        monkeypatch.setattr(seqmodel, "tuple_of", lambda *args: names.append(args[2])
+                            or real(*args))
+        model = WholePrefix(ToyModelSpec(0.5, 1.0, {(3, 4): 2}, ab_vocab))
+        real_score = model.score_batch
+        model.score_batch = lambda *args: calls.append(args) or real_score(*args)
+        for inputs in ([(3, 4, 3), (4,)], [[3, 4, 3], [4, 4]]):
+            names.clear()
+            beam_search(model, inputs, DecodeParams(beam_size=3, max_len=5))
+            assert names == ["inputs"] and len(calls) > 3
+
+    @pytest.mark.parametrize("bad", [
+        (3, True), (3, 4.0), (3, np.int64(5)), (3, np.int64(-1)), (3, -1), (3, 5), (4, 2**64),
+        (4, -(2**64)), (), (3, "a"), (3, Level.HIGH), (3, None),
+    ], ids=["bool", "float", "numpy-past-V", "numpy-negative", "negative", "past-V",
+            "past-int64", "below-int64", "empty", "str", "int-subclass", "none"])
+    @pytest.mark.parametrize("before, after", [((), ()), (((3, 4, 3),), ()), ((), ((4, 99),))],
+                             ids=["alone", "second", "first-of-two-bad"])
+    def test_bad_input_reads_check_token_seqs_message(self, ab_vocab, bad, before, after):
+        with pytest.raises(ValueError) as expected:
+            seqmodel.check_token_seq(bad, ab_vocab, "input")
+        inputs = [*before, bad, *after]  # the first bad input is named
+        model = CopyBigramModel(ToyModelSpec(0.5, 1.0, {(3, 4): 2}, ab_vocab))
+        for _ in range(2):  # on a fresh model, then after a good decode
+            with pytest.raises(ValueError) as info:
+                model.score_batch(inputs, (BOS_ID,))
+            assert str(info.value) == str(expected.value)
+            with pytest.raises(ValueError) as info:
+                beam_search(model, inputs, DecodeParams(beam_size=2, max_len=3))
+            assert str(info.value) == str(expected.value)
+            beam_search(model, [(3, 4, 3), (4,)], DecodeParams(beam_size=2, max_len=3))
+
+    def test_numpy_ids_score_as_plain_ints(self, ab_vocab):
+        spec = ToyModelSpec(0.5, 1.0, {(3, 4): 2}, ab_vocab)
+        plain = [(3, 4, 3), (4,), (UNK_ID, 3, EOS_ID)]
+        mixed = [tuple(map(np.int32, plain[0])), plain[1], (UNK_ID, np.uint8(3), EOS_ID)]
+        for prefix in ((BOS_ID,), (BOS_ID, 3), (BOS_ID, 4, 1)):
+            rows = {CopyBigramModel(spec).score_batch(x, prefix).tobytes() for x in (plain, mixed)}
+            assert len(rows) == 1
+
+    def test_an_equal_input_set_of_other_types_is_checked_anew(self, ab_vocab):
+        # 4.0 == 4 and True == 1, so an equality-keyed entry took them unchecked
+        model = CopyBigramModel(ToyModelSpec(0.5, 1.0, {(3, 4): 2}, ab_vocab))
+        model.score_batch([(3, 4), (1,)], (BOS_ID,))
+        for bad in ([(3, 4.0), (1,)], [(3, 4), (True,)]):
+            with pytest.raises(ValueError, match="is not an integer token id"):
+                model.score_batch(bad, (BOS_ID,))
 
     def test_bad_input_rejected_after_good_decode(self, ab_vocab):
         model = CopyBigramModel(ToyModelSpec(0.5, 1.0, {(3, 4): 2}, ab_vocab))
