@@ -9,10 +9,14 @@ committed, or ``HEAD`` to measure uncommitted edits) is unpacked with
 checkout, which the run removes when it ends. Each pair starts one fresh
 worker process per side, which imports ``dyne`` from that side's ``src/``, so
 no state of one process (its heap layout, say) stays on one side for the
-whole run. Before the pairs, one more worker per side builds the same counts,
-drawn with the fixed seed ``SEED``, and saves them through its own
-``ToyModelSpec.save``, so each side reads a spec file in its own format; each
-decode workload's input sets are one file that both sides read:
+whole run. Both workers of a pair are pinned to one CPU, and the pairs take
+the CPUs in turn, two pairs each, so each CPU runs both orders: on a shared
+host one CPU can run a third slower than another for seconds at a time, which
+decided the pairs whose sides landed apart. Before the pairs, one more worker
+per side builds the same counts, drawn with the fixed seed ``SEED``, and saves
+them through its own ``ToyModelSpec.save``, so each side reads a spec file in
+its own format; each decode workload's input sets are one file that both
+sides read:
 
 * ``wide``: the size of the ``wide`` benchmark's spec, V = 2,000 tokens and
   20,000 bigram counts, about 0.8 MB as columns (1 MB as the older triple list);
@@ -270,14 +274,20 @@ SIDES = ("base", "tree")
 
 
 class Workers:
-    """One worker process per side, each importing ``dyne`` from its own ``src/``;
-    closed on leaving the ``with`` block."""
+    """One worker process per side, each importing ``dyne`` from its own ``src/``,
+    both pinned to CPU ``cpu`` when one is given; closed on leaving the ``with``
+    block."""
+
+    def __init__(self, cpu: int | None = None):
+        self.cpu = cpu
 
     def __enter__(self) -> "Workers":
         self.procs = {side: subprocess.Popen([sys.executable, __file__, "--worker", str(src)],
                                              stdin=subprocess.PIPE, stdout=subprocess.PIPE,
                                              text=True)
                       for side, src in zip(SIDES, (WORK / "base" / "src", ROOT / "src"))}
+        for proc in self.procs.values() if self.cpu is not None else ():
+            os.sched_setaffinity(proc.pid, {self.cpu})
         return self
 
     def ask(self, side: str, request: list[str]) -> str:
@@ -321,8 +331,9 @@ def run_pairs(base_sha: str, pairs: int) -> dict:
                     write_output(path, json_text(make(vocab, count)))
                     for request in requests[name].values():
                         request += [str(path), name]
+        cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else [None]
         for pair in range(pairs):
-            with Workers() as workers:  # fresh for each pair, so no process state stays on one side
+            with Workers(cpus[pair // 2 % len(cpus)]) as workers:  # fresh for each pair, so no process state stays on one side
                 for name in WORKLOADS:
                     for side in SIDES if pair % 2 == 0 else SIDES[::-1]:
                         *values, sha = workers.ask(side, requests[name][side]).split()

@@ -402,31 +402,18 @@ class TestCopyBigramModel:
             rows = {model.score_batch([x], prefix).tobytes() for model in models}
             assert len(rows) == 1
 
-    @pytest.mark.parametrize("inputs, checks", [
-        ([(3, 4, 3), (4,), (3, UNK_ID)], 0),  # plain ints: the one array check
-        ([(3, np.int64(4), 3), (4,), (3, UNK_ID)], 3),  # numpy ids: check_token_seq per input
-    ], ids=["ints", "numpy-ids"])
-    def test_inputs_validated_once_per_decode(self, ab_vocab, monkeypatch, inputs, checks):
-        built, checked, calls = [], [], []
-        real_part, real_check = CopyBigramModel._copy_part, seqmodel.check_token_seq
-
-        def counting_part(self, inputs):
-            built.append(inputs)
-            return real_part(self, inputs)
-
-        def counting_check(ids, vocab, name="sequence", **kwargs):
-            checked.append(name)
-            return real_check(ids, vocab, name, **kwargs)
-
-        monkeypatch.setattr(CopyBigramModel, "_copy_part", counting_part)
-        monkeypatch.setattr(seqmodel, "check_token_seq", counting_check)
-        model = CopyBigramModel(ToyModelSpec(0.5, 1.0, {(3, 4): 2}, ab_vocab))
-        real_score = model.score_batch
-        model.score_batch = lambda *args: calls.append(args) or real_score(*args)
-        beam_search(model, inputs, DecodeParams(beam_size=3, max_len=5))
+    def test_inputs_validated_once_per_decode(self, ab_vocab, monkeypatch):
+        inputs = [(3, 4, 3), (4,), (3, UNK_ID)]  # plain ints: the one array check
+        built, checked, calls = count_validations(ab_vocab, monkeypatch, inputs)
         assert built == [tuple(inputs)]  # the whole input set, validated once
-        assert checked.count("input") == checks
+        assert checked.count("input") == 0
         assert len(calls) > 1 and checked.count("prefix") == len(calls)  # a prefix every call
+
+    def test_numpy_id_inputs_validated_once_per_decode(self, ab_vocab, monkeypatch):
+        inputs = [(3, np.int64(4), 3), (4,), (3, UNK_ID)]  # check_token_seq per input
+        built, checked, calls = count_validations(ab_vocab, monkeypatch, inputs)
+        assert built == [tuple(inputs)] and checked.count("input") == len(inputs)
+        assert len(calls) > 1 and checked.count("prefix") == len(calls)
 
     def test_one_tuple_of_per_input_set_over_a_decode(self, ab_vocab, monkeypatch):
         # a whole-prefix model shares no call, so a decode calls score_batch once per prefix
@@ -503,6 +490,29 @@ class TestCopyBigramModel:
             threaded = list(pool.map(lambda c: model.score_next(*c), calls))
         for s, t in zip(serial, threaded):
             assert np.array_equal(s, t)
+
+
+def count_validations(vocab: Vocab, monkeypatch, inputs) -> tuple[list, list, list]:
+    """Over one decode of ``inputs``: the input sets `CopyBigramModel._copy_part`
+    validated, the name of each `check_token_seq` call, and the score calls."""
+    built, checked, calls = [], [], []
+    real_part, real_check = CopyBigramModel._copy_part, seqmodel.check_token_seq
+
+    def counting_part(self, inputs):
+        built.append(inputs)
+        return real_part(self, inputs)
+
+    def counting_check(ids, vocab, name="sequence", **kwargs):
+        checked.append(name)
+        return real_check(ids, vocab, name, **kwargs)
+
+    monkeypatch.setattr(CopyBigramModel, "_copy_part", counting_part)
+    monkeypatch.setattr(seqmodel, "check_token_seq", counting_check)
+    model = CopyBigramModel(ToyModelSpec(0.5, 1.0, {(3, 4): 2}, vocab))
+    real_score = model.score_batch
+    model.score_batch = lambda *args: calls.append(args) or real_score(*args)
+    beam_search(model, inputs, DecodeParams(beam_size=3, max_len=5))
+    return built, checked, calls
 
 
 class TestSpecValidation:
