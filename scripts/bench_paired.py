@@ -333,7 +333,7 @@ def run_pairs(base_sha: str, pairs: int) -> dict:
                         request += [str(path), name]
         cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else [None]
         for pair in range(pairs):
-            with Workers(cpus[pair // 2 % len(cpus)]) as workers:  # fresh for each pair, so no process state stays on one side
+            with Workers(cpus[pair // 2 % len(cpus)]) as workers:  # fresh for each pair
                 for name in WORKLOADS:
                     for side in SIDES if pair % 2 == 0 else SIDES[::-1]:
                         *values, sha = workers.ask(side, requests[name][side]).split()
