@@ -9,8 +9,8 @@ a key being the prefix tokens the model reads (its ``context``): it checks and
 reduces the new keys' ``[N, V]`` scores as one stack, keeps each key's scores
 while a live prefix has it, and masks all live prefixes at once. Each step
 keeps, per survivor, a back-pointer to its parent and the combined and
-per-input scores of the token it took; only the results returned get a
-provenance trace, built by walking back-pointers, so nothing is rescored. A
+per-input scores of the token it took, as small arrays; a result's provenance
+trace is built when read, by walking back-pointers, so nothing is rescored. A
 brute-force enumerator over the same scoring rules is an exact search oracle.
 
 Two reduce functions are provided: the arithmetic mean of log-probabilities
@@ -24,8 +24,10 @@ steps share one `ColumnOrder`, so a step seldom sorts.
 from __future__ import annotations
 
 import enum
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -104,12 +106,16 @@ class DecodeParams:
 
 @dataclass(frozen=True)
 class ScoredHypothesis:
-    """A finished decode: generated tokens (ending in EOS) and its scores."""
+    """A finished decode: tokens (ending in EOS), scores, and a trace built when first read."""
 
     tokens: TokenSeq
     raw_score: float
     ranked_score: float
-    trace: TraceMatrix
+    _build_trace: Callable[[], TraceMatrix] = field(compare=False, repr=False)
+
+    @functools.cached_property
+    def trace(self) -> TraceMatrix:
+        return self._build_trace()
 
 
 class ColumnOrder:
@@ -331,14 +337,12 @@ def _checked_inputs(
     return inputs, labels
 
 
-def _trace_row(w: int, combined: float, per_input: list[float], vocab: Vocab) -> TraceRow:
-    """The trace row of token ``w``: the combined and per-input scores that chose it."""
-    return TraceRow(
-        token_id=int(w),  # numpy integer tokens would not export to JSON
-        token=vocab.token(w),
-        combined=float(combined),
-        per_input=tuple(per_input),
-    )
+def _trace(labels: tuple[str, ...], vocab: Vocab, tokens: TokenSeq, combined: np.ndarray,
+           per_input: np.ndarray) -> TraceMatrix:
+    """The trace of ``tokens``, ids of ``vocab``: row t holds token t's combined
+    score ``combined[t]`` and its ``[N]`` per-input scores ``per_input[t]``."""
+    return TraceMatrix(labels, [TraceRow(int(w), vocab.tokens[w], c, tuple(p)) for w, c, p
+                                in zip(tokens, combined.tolist(), per_input.tolist())])
 
 
 STEP_BYTES_LIMIT = 2**30  # what a decode's step arrays may take (see `beam_search`)
@@ -376,11 +380,11 @@ def beam_search(
     effect. All tie-breaks (pruning and final ranking) prefer the
     lexicographically smaller token-id sequence, so output is deterministic.
 
-    Each step records per survivor a back-pointer to its parent's slot and
-    copies of the combined score and ``[N]`` per-input column of the token
-    it took; a pool entry keeps the same for its EOS. Only the results
-    returned get a trace, built by walking back-pointers: it holds exactly
-    the scores the search used, and nothing is rescored.
+    Each step records three small arrays: per survivor, its parent's slot,
+    and copies of the combined score and ``[N]`` per-input column of the
+    token it took; a pool entry keeps the same for its EOS. A result's trace
+    is built when read, by walking back-pointers: it holds exactly the
+    scores the search used, and nothing is rescored.
 
     Memory: per live prefix (N inputs, V tokens) a step holds ``(3 * N + 9) * V``
     floats and ``N * V`` bools: a memo entry's ``[N, V]`` scores and ``[V]`` row, a
@@ -398,8 +402,8 @@ def beam_search(
     order, memo = ColumnOrder(), {}
     prefixes: list[TokenSeq] = [(BOS_ID,)]
     raw = np.zeros(1)  # each live prefix's running raw score
-    history = []  # per step, per survivor: (parent slot, combined score, per-input scores)
-    pool = []  # (-ranked, tokens, raw, step, slot, EOS combined score, EOS per-input scores)
+    history = []  # per step: [B] parent slots, [B] combined and [B, N] per-input scores
+    pool = []  # (-ranked, tokens, raw, slot, EOS combined score, EOS per-input scores)
 
     # Live prefixes grow together; at content length max_len - 1 the mask
     # leaves only EOS, so after at most max_len steps nothing is live.
@@ -414,8 +418,7 @@ def beam_search(
         for i in np.flatnonzero(allowed[:, EOS_ID]).tolist():
             tokens, eos_raw = prefixes[i][1:] + (EOS_ID,), float(scores[i, EOS_ID])
             pool.append((-ranked_score(eos_raw, len(tokens) - 1, params.length_penalty_alpha),
-                         tokens, eos_raw, len(history), i, combined[i, EOS_ID],
-                         per_inputs[i][:, EOS_ID].tolist()))
+                         tokens, eos_raw, i, combined[i, EOS_ID], per_inputs[i][:, EOS_ID].copy()))
         scores[:, EOS_ID] = np.nan
         if len(pool) >= params.beam_size:
             break
@@ -433,21 +436,24 @@ def beam_search(
         survivors = np.sort(flat[np.argsort(neg[flat], kind="stable")[: params.beam_size]])
         parents, taken = np.divmod(survivors, width)
         pairs = list(zip(parents.tolist(), taken.tolist()))
-        history.append([(i, combined[i, w], per_inputs[i][:, w].tolist()) for i, w in pairs])
+        history.append((parents, combined[parents, taken],
+                        np.array([per_inputs[i][:, w] for i, w in pairs])))
         prefixes = [prefixes[i] + (w,) for i, w in pairs]
         raw = scores[parents, taken]
         del combined, per_inputs, scores, neg  # not held through the next step
 
+    def trace_of(tokens: TokenSeq, slot: int, *eos) -> TraceMatrix:
+        """The trace of a result whose EOS, scored ``eos``, live prefix ``slot``
+        took after ``len(tokens) - 1`` steps, read back along its back-pointers."""
+        rows = [eos]
+        for parents, chosen, columns in reversed(history[: len(tokens) - 1]):
+            rows.append((chosen[slot], columns[slot]))
+            slot = parents[slot]
+        return _trace(input_labels, vocab, tokens, *map(np.array, zip(*rows[::-1])))
+
     pool.sort(key=lambda entry: entry[:2])
-    results = []
-    for neg, tokens, eos_raw, step, slot, eos_combined, eos_column in pool[: params.beam_size]:
-        rows = [_trace_row(EOS_ID, eos_combined, eos_column, vocab)]
-        for t in range(step - 1, -1, -1):  # back from the EOS step's parent
-            slot, combined, per_input = history[t][slot]
-            rows.append(_trace_row(tokens[t], combined, per_input, vocab))
-        trace = TraceMatrix(input_labels, rows[::-1])
-        results.append(ScoredHypothesis(tokens, eos_raw, -neg, trace))
-    return results
+    return [ScoredHypothesis(tokens, eos_raw, -neg, functools.partial(trace_of, tokens, *entry))
+            for neg, tokens, eos_raw, *entry in pool[: params.beam_size]]
 
 
 MAX_BRUTE_FORCE_VOCAB = 8
@@ -497,7 +503,7 @@ def brute_force_search(
         raise DecodeError("no admissible finished sequence exists under the given constraints")
     neg, tokens, raw = best
     _, trace = sequence_score(model, inputs, tokens, params.reduce, input_labels=input_labels)
-    return ScoredHypothesis(tokens, raw, -neg, trace)
+    return ScoredHypothesis(tokens, raw, -neg, lambda: trace)
 
 
 def sequence_score(
@@ -528,8 +534,7 @@ def sequence_score(
 
     prefixes = [(BOS_ID, *tokens[:i]) for i in range(len(tokens))]
     combined, per_inputs = _step(model, inputs, prefixes, reduce, ColumnOrder(), {})
-    rows, raw = [], 0.0
-    for i, t in enumerate(tokens):  # the beam's running sum, left to right from 0.0
-        rows.append(_trace_row(t, combined[i, t], per_inputs[i][:, t].tolist(), vocab))
-        raw += rows[-1].combined
-    return raw, TraceMatrix(input_labels, rows)
+    chosen = combined[np.arange(len(tokens)), tokens]
+    raw = functools.reduce(float.__add__, chosen.tolist(), 0.0)  # the beam's sum, left to right
+    return raw, _trace(input_labels, vocab, tokens, chosen,
+                       np.array([scores[:, t] for scores, t in zip(per_inputs, tokens)]))

@@ -6,8 +6,8 @@ the contribution of every input at every timestep is exact: it can be
 reproduced by an independent single-input scoring call. The trace matrix
 holds those per-input log-scores, one row per timestep and one column per
 input; column sums give the log-likelihood of the whole output under each
-input alone. A trace is an immutable value, built once from its rows by
-the beam search or by ``sequence_score``, and only written out.
+input alone. A trace is an immutable value, built from its rows when read
+(see ``ScoredHypothesis``) or by ``sequence_score``, and only written out.
 
 Exports carry log-scores. The CSV layout is
 ``timestep,token,combined,<label_1>,...,<label_n>``; JSON mirrors those

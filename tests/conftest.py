@@ -1,6 +1,6 @@
-"""Shared test helpers: a uniform test model, random toy models, a reference
-plain decoder, a JSON mutator for loader fuzzing and an ``IntEnum`` for the
-integer rule."""
+"""Shared test helpers: a uniform test model, random toy models, plain
+reference reducers and a plain reference decoder, a JSON mutator for loader
+fuzzing and an ``IntEnum`` for the integer rule."""
 
 from __future__ import annotations
 
@@ -11,7 +11,7 @@ import math
 import numpy as np
 from hypothesis import strategies as st
 
-from dyne import CopyBigramModel, DecodeParams, ToyModelSpec, Vocab
+from dyne import CopyBigramModel, DecodeParams, Reduce, ToyModelSpec, Vocab
 from dyne.seqmodel import BOS_ID, EOS_ID, UNK_ID, check_token_seq
 
 
@@ -77,16 +77,50 @@ def exhaustive_beam_size(vocab: Vocab, params: DecodeParams) -> int:
     return sum(content**length for length in range(params.min_len, params.max_len)) + 1
 
 
-def plain_beam_search(model, input_ids, params: DecodeParams):
-    """Reference single-input beam search, written without the ensemble
-    machinery: scores come straight from ``model.score_next``. Returns
-    (tokens, raw_score, ranked_score) triples, best ranked first.
+def mean_logprob_by_rows(arr):
+    """`reduce_mean_logprob` of one ``[N, V]`` stack, written plainly: sort each
+    column, then add the rows one after another and divide by N."""
+    arr = np.sort(arr, axis=0)
+    bits = arr.view(np.int64)
+    if (bits == bits[0]).all():  # a run of equal rows reduces to that row
+        return arr[0].copy()
+    total = arr[0]
+    for row in arr[1:]:
+        total = total + row
+    return total / len(arr)
+
+
+def mean_prob_by_columns(arr):
+    """`reduce_mean_prob` of one ``[N, V]`` stack as a lone-stack formula: sort
+    each column, then sum each column of the shifted probabilities as one
+    contiguous run (a Fortran-ordered array summed over axis 0)."""
+    arr = np.take_along_axis(arr, np.argsort(arr, axis=0, kind="stable"), axis=0)
+    bits = arr.view(np.int64)
+    if (bits == bits[0]).all():  # a run of equal rows reduces to that row
+        return arr[0].copy()
+    top, out = arr[-1], np.full(arr.shape[1], -np.inf)
+    live = top > -np.inf
+    shifted = np.asfortranarray(np.exp(arr[:, live] - top[live]))
+    out[live] = top[live] + np.log(np.sum(shifted, axis=0) / len(arr))
+    return out
+
+
+def plain_ensemble_beam_search(model, inputs, params: DecodeParams):
+    """Reference ensemble beam search, written without the decoder's machinery:
+    one ``model.score_batch`` call per live prefix, each ``[N, V]`` result
+    reduced on its own (`mean_logprob_by_rows` or `mean_prob_by_columns`), and
+    one sort of all of a step's candidates by (-score, sequence). Returns
+    (tokens, raw_score, ranked_score, trace rows) per result, best ranked
+    first; a trace row is (token id, token, combined score, per-input scores).
 
     Mirrors the documented search semantics: BOS never selectable, EOS
     masked below min_len, EOS forced at the last content slot, -inf tokens
-    unselectable, finished hypotheses pooled, stop once the pool reaches
-    beam_size, all ties to the lexicographically smaller sequence.
+    unselectable, repeated n-grams blocked, finished hypotheses pooled, stop
+    once the pool reaches beam_size, all ties to the lexicographically
+    smaller sequence. An empty list stands for a search with no result.
     """
+    reduce = mean_prob_by_columns if params.reduce is Reduce.MEAN_PROB else mean_logprob_by_rows
+
     def ranked(raw, content_len):
         if params.length_penalty_alpha == 0.0:
             return raw
@@ -103,38 +137,41 @@ def plain_beam_search(model, input_ids, params: DecodeParams):
             if prefix[i:i + n - 1] == tail
         }
 
-    live = [((BOS_ID,), 0.0)]
+    live = [((BOS_ID,), 0.0, ())]
     pool = []
-    for _ in range(params.max_len):
-        if not live:
-            break
-        survivors = []
-        for prefix, score in live:
-            scores = model.score_next(input_ids, prefix)
+    while live:
+        candidates = []
+        for prefix, score, rows in live:
+            per_input = np.asarray(model.score_batch(inputs, prefix), dtype=float)
+            combined = reduce(per_input)
             content_len = len(prefix) - 1
             blocked = banned(prefix)
-            for w in range(len(scores)):
-                if w == BOS_ID or scores[w] == -np.inf or w in blocked:
+            for w in range(len(combined)):
+                if w == BOS_ID or combined[w] == -np.inf or w in blocked:
                     continue
                 if w == EOS_ID and content_len < params.min_len:
                     continue
                 if w != EOS_ID and content_len >= params.max_len - 1:
                     continue
-                cand = (prefix + (w,), score + float(scores[w]))
-                if w == EOS_ID:
-                    pool.append(cand)
-                else:
-                    survivors.append(cand)
+                row = (w, model.vocab.tokens[w], float(combined[w]),
+                       tuple(per_input[:, w].tolist()))
+                cand = (prefix + (w,), score + row[2], rows + (row,))
+                (pool if w == EOS_ID else candidates).append(cand)
         if len(pool) >= params.beam_size:
             break
-        survivors.sort(key=lambda c: (-c[1], c[0]))
-        live = survivors[: params.beam_size]
+        candidates.sort(key=lambda c: (-c[1], c[0]))
+        live = candidates[: params.beam_size]
     pool.sort(key=lambda c: (-ranked(c[1], len(c[0]) - 2), c[0]))
     return [
-        (prefix[1:], score, ranked(score, len(prefix) - 2))
-        for prefix, score in pool[: params.beam_size]
+        (prefix[1:], score, ranked(score, len(prefix) - 2), rows)
+        for prefix, score, rows in pool[: params.beam_size]
     ]
 
+
+def plain_beam_search(model, input_ids, params: DecodeParams):
+    """`plain_ensemble_beam_search` on the one input ``input_ids``, as
+    (tokens, raw_score, ranked_score) triples, best ranked first."""
+    return [result[:3] for result in plain_ensemble_beam_search(model, [input_ids], params)]
 
 
 def _json_paths(node, path=()):

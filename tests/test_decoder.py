@@ -11,6 +11,7 @@ import itertools
 import math
 import re
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -39,8 +40,9 @@ from dyne.decoder import STEP_BYTES_LIMIT, ColumnOrder, check_beam_memory
 from dyne.seqmodel import BOS_ID, EOS_ID, UNK_ID
 from dyne.synthetic import build_consensus_corpus
 
-from conftest import (Level, UniformModel, exhaustive_beam_size, plain_beam_search,
-                      random_inputs, random_toy_model)
+from conftest import (Level, UniformModel, exhaustive_beam_size, mean_prob_by_columns,
+                      plain_beam_search, plain_ensemble_beam_search, random_inputs,
+                      random_toy_model)
 
 AB = Vocab.from_content(["a", "b"])
 A, B = 3, 4
@@ -573,9 +575,15 @@ class TestBeamSearch:
         params = DecodeParams(beam_size=2, max_len=4, min_len=0)
         results = beam_search(UniformModel(AB), [(A, B), (B,)], params)
         assert [h.tokens for h in results] == [(EOS_ID,), (UNK_ID, EOS_ID)]
-        # one TraceMatrix checks the labels, one per result; a row per result token
-        assert built == {"TraceMatrix": 1 + len(results),
-                         "TraceRow": sum(len(h.tokens) for h in results)}
+        assert built == {"TraceMatrix": 1}  # the one that checks the labels
+        for h in results[::-1]:  # each read builds its own result's trace, and no other
+            built.clear()
+            trace = h.trace
+            assert built == {"TraceMatrix": 1, "TraceRow": len(h.tokens)}
+            assert [r.token_id for r in trace.rows] == list(h.tokens)
+            built.clear()
+            assert h.trace is trace
+            assert not built
 
 
 class TestBruteForce:
@@ -918,21 +926,6 @@ def pinned_stacks():
             yield np.tile(arr[-1], (n, 1))
 
 
-def mean_prob_by_columns(arr):
-    """`reduce_mean_prob` of one ``[N, V]`` stack as a lone-stack formula: sort
-    each column, then sum each column of the shifted probabilities as one
-    contiguous run (a Fortran-ordered array summed over axis 0)."""
-    arr = np.take_along_axis(arr, np.argsort(arr, axis=0, kind="stable"), axis=0)
-    bits = arr.view(np.int64)
-    if (bits == bits[0]).all():  # a run of equal rows reduces to that row
-        return arr[0].copy()
-    top, out = arr[-1], np.full(arr.shape[1], -np.inf)
-    live = top > -np.inf
-    shifted = np.asfortranarray(np.exp(arr[:, live] - top[live]))
-    out[live] = top[live] + np.log(np.sum(shifted, axis=0) / len(arr))
-    return out
-
-
 # numpy sums a contiguous run of 8 or more floats pairwise, eight partial sums
 # at a time, and a shorter run left to right, as it does across rows.
 # mean_logprob adds the sorted rows one after another; mean_prob sums each
@@ -1226,6 +1219,109 @@ class ContextModel(UniformModel):
     def __init__(self, context, vocab=AB):
         super().__init__(vocab)
         self.context = context
+
+
+class CoarseModel:
+    """Scores input ``x`` with row ``x[0]`` of log-probabilities from the small
+    integer ``weights``, reading no prefix token (``context = 0``): candidates
+    tie exactly within a prefix and across prefixes that hold the same tokens."""
+
+    context = 0
+
+    def __init__(self, vocab, weights):
+        self.vocab = vocab
+        weights = weights * (np.arange(len(vocab)) != BOS_ID)
+        with np.errstate(divide="ignore"):
+            self.table = np.log(weights / weights.sum(axis=1, keepdims=True))
+
+    def score_batch(self, inputs, prefix):
+        return self.table[[x[0] for x in inputs]]
+
+
+def reference_case(seed: int):
+    """A seeded model, 1-8 inputs (all alike one time in four), a beam size of
+    1-8 and lengths (min_len 0 half the time) for the reference comparison.
+    The model is, by ``seed % 6``: the parity model, a `CoarseModel`, a scaled-down ``wide`` benchmark shape (V = 43, inputs of
+    30 tokens drawn half from a 6-token topic), a ``context = None`` toy model,
+    or a toy model."""
+    rng = np.random.default_rng(seed)
+    kind = seed % 6
+    n_inputs = int(rng.integers(1, 9))
+    if kind == 0:
+        model = ParityModel()
+        inputs = [TestColumnOrderInDecodes.INPUTS[i] for i in rng.integers(0, 6, n_inputs)]
+    elif kind == 1:
+        vocab = Vocab.from_content([f"w{i}" for i in range(int(rng.integers(2, 11)))])
+        model = CoarseModel(vocab, rng.integers(1, 4, (len(vocab), len(vocab))))
+        inputs = random_inputs(rng, vocab, max_inputs=8)
+    elif kind == 2:
+        vocab = Vocab.from_content([f"w{i}" for i in range(40)])
+        pairs = rng.choice(41 * 41, 300, replace=False).tolist()
+        ids = [EOS_ID, *vocab.content_ids]
+        counts = {(0 if p // 41 == 0 else ids[p // 41], ids[p % 41]): int(rng.integers(1, 9))
+                  for p in pairs}
+        model = CopyBigramModel(ToyModelSpec(0.5, 1.0, counts, vocab))
+        topic = rng.choice(vocab.content_ids, 6, replace=False)
+        inputs = [tuple(np.where(rng.random(30) < 0.5, rng.choice(topic, 30),
+                                 rng.choice(vocab.content_ids, 30)).tolist())
+                  for _ in range(n_inputs)]
+    else:
+        model, vocab = random_toy_model(rng, 6, WholePrefixModel if kind == 3 else CopyBigramModel)
+        inputs = random_inputs(rng, vocab, max_inputs=8)
+    if rng.random() < 0.25:
+        inputs = [inputs[0]] * len(inputs)
+    max_len = int(rng.integers(2, 7))
+    min_len = 0 if rng.random() < 0.5 else int(rng.integers(0, max_len))
+    return model, inputs, int(rng.integers(1, 9)), max_len, min_len
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.5, 1.3])
+@pytest.mark.parametrize("block", [None, 1, 2])
+@pytest.mark.parametrize("reduce", list(Reduce))
+def test_beam_search_equals_the_plain_reference_bitwise(reduce, block, alpha):
+    # every result's tokens, both scores and every trace cell, read through .trace
+    for seed in range(36):
+        model, inputs, beam_size, max_len, min_len = reference_case(seed)
+        params = DecodeParams(beam_size=beam_size, max_len=max_len, min_len=min_len,
+                              reduce=reduce, length_penalty_alpha=alpha,
+                              block_repeat_ngram=block)
+        expected = [(tokens, raw.hex(), ranked.hex(), bits([TraceRow(*row) for row in rows]))
+                    for tokens, raw, ranked, rows
+                    in plain_ensemble_beam_search(model, inputs, params)]
+        try:
+            results = beam_search(model, inputs, params)
+        except DecodeError:
+            results = []  # the reference finds nothing either
+        assert [(h.tokens, h.raw_score.hex(), h.ranked_score.hex(), bits(h.trace.rows))
+                for h in results] == expected, f"seed {seed}"
+
+
+@pytest.mark.parametrize("reduce", list(Reduce))
+def test_results_hold_no_score_arrays(reduce):
+    # a result keeps copies of the scores its trace needs, never a model's
+    # [N, V] array, so the step arrays go when the search returns
+    for seed in range(12):
+        model, inputs, beam_size, max_len, min_len = reference_case(seed)
+        params = DecodeParams(beam_size=beam_size, max_len=max_len, min_len=min_len,
+                              reduce=reduce)
+        refs, score = [], model.score_batch
+
+        def kept(xs, prefix):
+            scores = score(xs, prefix)
+            refs.append(weakref.ref(scores))
+            return scores
+
+        model.score_batch = kept
+        try:
+            results = beam_search(model, inputs, params)
+        except DecodeError:
+            continue
+        gc.collect()
+        assert refs and all(ref() is None for ref in refs), f"seed {seed}"
+        for h in results:  # each trace, read only now, is the one rescoring gives
+            raw, trace = sequence_score(model, inputs, h.tokens, reduce)
+            assert bits(h.trace.rows) == bits(trace.rows), f"seed {seed}"
+            assert h.raw_score.hex() == raw.hex()
 
 
 class TestStepMemo:
