@@ -5,8 +5,11 @@
 
 The base commit ``REV`` (say the parent of the change, ``HEAD~1`` once it is
 committed, or ``HEAD`` to measure uncommitted edits) is unpacked with
-``git archive REV | tar -x`` into ``.bench_work/`` at the root of the
-checkout, which the run removes when it ends. Each pair starts one fresh
+``git archive REV | tar -x`` into ``.bench_work/base/`` at the root of the
+checkout, and the working tree's ``src/`` is copied to ``.bench_work/tree/``,
+so both sides import ``dyne`` from paths of one length (where the files sit
+moved an A/A run's ``decode`` by 1-3% on one side); the run removes
+``.bench_work/`` when it ends. Each pair starts one fresh
 worker process per side, which imports ``dyne`` from that side's ``src/``, so
 no state of one process (its heap layout, say) stays on one side for the
 whole run. Both workers of a pair are pinned to one CPU, and the pairs take
@@ -42,12 +45,13 @@ Each pair times one sample on each side, in alternating order. A ``wide`` or
 loaded, the first ``score_batch`` call, which builds the bigram table
 (``first_use_s``, load included); an ``empty`` sample is the mean of 50
 loads, since one takes well under a millisecond. A ``decode`` sample is the
-mean seconds of one decode (``decode_s``) over whole passes through the
-input sets, as many as it takes for the timed decodes to fill
-``DECODE_BUDGET_S`` seconds, so that a sample spans the host's phases; the
-model is loaded once per worker, which decodes the first input set once,
-untimed, so its bigram table is built before the timer starts. Only the
-first pass is hashed, after each decode and outside the timer. A ``stem`` sample is
+mean seconds of one decode (``decode_s``) over ``DECODE_BUDGET_S`` seconds of
+timed decoding, taken in ``DECODE_SLICES`` slices that the two sides run in
+turn, so that both sides' samples span the same phases of the host; a slice
+is as many whole passes through the input sets as fill its share of the
+budget. The model is loaded once per worker, which decodes the first input
+set once, untimed, so its bigram table is built before the timer starts.
+Each slice hashes its first pass, after each decode and outside the timer. A ``stem`` sample is
 the seconds of one pass over the corpus (``stem_s``). The result file holds,
 per workload, metric and side, the median and the quartiles, the pairs each
 side won, the environment (Python, numpy, ``nproc``, CPU), both commits, and
@@ -84,7 +88,7 @@ DECODE_SETS = 10
 DECODE_INPUTS, DECODE_TOKENS, DECODE_TOPIC = 8, 400, 10
 SWEEP_SETS = 50
 SWEEP_INPUTS, SWEEP_SHARED, SWEEP_OWN = 5, 4, 5
-DECODE_BUDGET_S = 0.5
+DECODE_BUDGET_S, DECODE_SLICES = 0.5, 10
 #: name -> (kind, vocab size, bigram counts, loads per sample or input sets per pass)
 WORKLOADS = {"wide": ("load", 2000, 20_000, 1), "empty": ("load", 243, 0, 50),
              "decode": ("decode", 2000, 20_000, DECODE_SETS),
@@ -203,7 +207,9 @@ def load_sample(dyne, loads: int, spec: str) -> tuple[list[float], str]:
 
 
 def decode_sample(dyne, model, input_sets: list, name: str,
-                  budget_s: float = DECODE_BUDGET_S) -> tuple[list[float], str]:
+                  budget_s: float) -> tuple[list[float], str]:
+    """The seconds and the count of the decodes of whole passes through
+    ``input_sets`` that fill ``budget_s``, and a sha256 of the first pass."""
     params = dyne.DecodeParams(**{key: dyne.Reduce(value) if key == "reduce" else value
                                   for key, value in DECODE_PARAMS[name].items()})
     digest, decode_s, passes = hashlib.sha256(), 0.0, 0
@@ -215,7 +221,7 @@ def decode_sample(dyne, model, input_sets: list, name: str,
             if not passes:
                 results_sha256(digest, results)
         passes += 1
-    return [decode_s / (passes * len(input_sets))], digest.hexdigest()
+    return [decode_s, passes * len(input_sets)], digest.hexdigest()
 
 
 def stem_sample(dyne, words: str) -> tuple[list[float], str]:
@@ -229,8 +235,8 @@ def worker(src: str) -> None:
     """Answer each request line on stdin, tab-separated: ``save <vocab>
     <bigrams> <spec path>`` with ``saved`` once this side's ``ToyModelSpec``
     wrote that spec, and ``<kind> <count> <spec or words path> [<inputs path>
-    <workload>]`` with one sample line: the metric values and the sha256 of the outputs,
-    separated by spaces."""
+    <workload>]`` with one sample line: the metric values (a decode slice's seconds
+    and decode count) and the sha256 of the outputs, separated by spaces."""
     sys.path.insert(0, src)
     import dyne
 
@@ -254,7 +260,8 @@ def worker(src: str) -> None:
             if spec not in models:  # loaded, and its first decode run, before any timing
                 models[spec] = dyne.load_model(spec)
                 decode_sample(dyne, models[spec], input_sets[:1], inputs[1], budget_s=0.0)
-            values, sha = decode_sample(dyne, models[spec], input_sets, inputs[1])
+            values, sha = decode_sample(dyne, models[spec], input_sets, inputs[1],
+                                        DECODE_BUDGET_S / DECODE_SLICES)
         print(*map(repr, values), sha, flush=True)
 
 
@@ -293,7 +300,7 @@ class Workers:
         self.procs = {side: subprocess.Popen([sys.executable, __file__, "--worker", str(src)],
                                              stdin=subprocess.PIPE, stdout=subprocess.PIPE,
                                              text=True)
-                      for side, src in zip(SIDES, (WORK / "base" / "src", ROOT / "src"))}
+                      for side, src in ((side, WORK / side / "src") for side in SIDES)}
         for proc in self.procs.values() if self.cpu is not None else ():
             os.sched_setaffinity(proc.pid, {self.cpu})
         return self
@@ -319,6 +326,8 @@ def run_pairs(base_sha: str, pairs: int) -> dict:
         archive = subprocess.run(["git", "archive", base_sha], cwd=ROOT, check=True,
                                  capture_output=True).stdout
         subprocess.run(["tar", "-x", "-C", str(WORK / "base")], input=archive, check=True)
+        shutil.copytree(ROOT / "src", WORK / "tree" / "src",
+                        ignore=shutil.ignore_patterns("__pycache__"))
         requests = {}
         with Workers() as workers:  # saves each side's specs, in its own format
             for name, (kind, vocab, bigrams, count) in WORKLOADS.items():
@@ -342,10 +351,17 @@ def run_pairs(base_sha: str, pairs: int) -> dict:
         cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else [None]
         for pair in range(pairs):
             with Workers(cpus[pair // 2 % len(cpus)]) as workers:  # fresh for each pair
-                for name in WORKLOADS:
-                    for side in SIDES if pair % 2 == 0 else SIDES[::-1]:
-                        *values, sha = workers.ask(side, requests[name][side]).split()
-                        samples[name, side].append((list(map(float, values)), sha))
+                for name, (kind, *_) in WORKLOADS.items():
+                    parts = {side: [] for side in SIDES}
+                    for _ in range(DECODE_SLICES if kind == "decode" else 1):
+                        for side in SIDES if pair % 2 == 0 else SIDES[::-1]:
+                            *values, sha = workers.ask(side, requests[name][side]).split()
+                            parts[side].append((list(map(float, values)), sha))
+                    for side, part in parts.items():  # a decode's slices: seconds / decodes
+                        values = ([sum(p[0][0] for p in part) / sum(p[0][1] for p in part)]
+                                  if kind == "decode" else part[0][0])
+                        sha = "/".join(sorted({p[1] for p in part}))  # one, if slices agree
+                        samples[name, side].append((values, sha))
     finally:
         shutil.rmtree(WORK, ignore_errors=True)
     return samples
@@ -384,7 +400,7 @@ def main() -> int:
         all_equal = all_equal and equal
         entry = result["workloads"][name] = {
             "kind": kind, "per_sample": count, "output_sha256": shas, "outputs_equal": equal,
-            **({"budget_s": DECODE_BUDGET_S} if kind == "decode" else {}),
+            **({"budget_s": DECODE_BUDGET_S, "slices": DECODE_SLICES} if kind == "decode" else {}),
             **({"words": STEM_WORDS} if kind == "stem" else {"vocab": vocab, "bigrams": bigrams}),
         }
         for column, metric in enumerate(METRICS[kind]):
