@@ -40,19 +40,19 @@ sides read:
 * ``stem``: ``porter_stem`` over the ``STEM_WORDS`` words of `stem_corpus`,
   one file that both sides read.
 
-Each pair times one sample on each side, in alternating order. A ``wide`` or
-``empty`` sample times ``load_model`` (``load_s``) and, on the model it
-loaded, the first ``score_batch`` call, which builds the bigram table
-(``first_use_s``, load included); an ``empty`` sample is the mean of 50
-loads, since one takes well under a millisecond. A ``decode`` sample is the
-mean seconds of one decode (``decode_s``) over ``DECODE_BUDGET_S`` seconds of
-timed decoding, taken in ``DECODE_SLICES`` slices that the two sides run in
-turn, so that both sides' samples span the same phases of the host; a slice
-is as many whole passes through the input sets as fill its share of the
-budget. The model is loaded once per worker, which decodes the first input
-set once, untimed, so its bigram table is built before the timer starts.
-Each slice hashes its first pass, after each decode and outside the timer. A ``stem`` sample is
-the seconds of one pass over the corpus (``stem_s``). The result file holds,
+Each pair times one sample of each workload on each side. A sample is the
+mean over ``BUDGET_S`` seconds of timed work, taken in ``SLICES`` slices that
+the two sides run in turn, the side that goes first alternating from pair to
+pair, so that both sides' samples span the same phases of the host; a slice
+repeats its unit of work as many times as fill its share of the budget, and
+at least once. A ``wide`` or ``empty`` unit times ``load_model``
+(``load_s``) and, on the model it loaded, the first ``score_batch`` call,
+which builds the bigram table (``first_use_s``, load included). A ``decode``
+unit is a pass through the input sets, and the metric the seconds of one
+decode (``decode_s``); the model is loaded once per worker, which decodes the
+first input set once, untimed, so its bigram table is built before the timer
+starts, and each slice hashes its first pass, after each decode and outside
+the timer. A ``stem`` unit is one pass over the corpus (``stem_s``). The result file holds,
 per workload, metric and side, the median and the quartiles, the pairs each
 side won, the environment (Python, numpy, ``nproc``, CPU), both commits, and
 a sha256 of each side's outputs: the bigram-table arrays of a load, every
@@ -88,12 +88,12 @@ DECODE_SETS = 10
 DECODE_INPUTS, DECODE_TOKENS, DECODE_TOPIC = 8, 400, 10
 SWEEP_SETS = 50
 SWEEP_INPUTS, SWEEP_SHARED, SWEEP_OWN = 5, 4, 5
-DECODE_BUDGET_S, DECODE_SLICES = 0.5, 10
-#: name -> (kind, vocab size, bigram counts, loads per sample or input sets per pass)
-WORKLOADS = {"wide": ("load", 2000, 20_000, 1), "empty": ("load", 243, 0, 50),
+BUDGET_S, SLICES = 0.5, 10
+#: name -> (kind, vocab size, bigram counts, input sets of a decode)
+WORKLOADS = {"wide": ("load", 2000, 20_000, 0), "empty": ("load", 243, 0, 0),
              "decode": ("decode", 2000, 20_000, DECODE_SETS),
              "decode_sweep": ("decode", 243, 0, SWEEP_SETS),
-             "decode_prob": ("decode", 2000, 20_000, DECODE_SETS), "stem": ("stem", 0, 0, 1)}
+             "decode_prob": ("decode", 2000, 20_000, DECODE_SETS), "stem": ("stem", 0, 0, 0)}
 METRICS = {"load": ("load_s", "first_use_s"), "decode": ("decode_s",), "stem": ("stem_s",)}
 #: decode workload -> its ``DecodeParams`` fields, ``reduce`` by value
 DECODE_PARAMS = {
@@ -194,22 +194,24 @@ def results_sha256(digest, results) -> None:
                                 [x.hex() for x in row.per_input])).encode())
 
 
-def load_sample(dyne, loads: int, spec: str) -> tuple[list[float], str]:
+# Each ``*_slice`` function returns its metrics' total seconds, then the
+# count they are the total of, and a sha256 of its outputs.
+
+def load_slice(dyne, spec: str, budget_s: float) -> tuple[list[float], str]:
     load_s = first_use_s = 0.0
-    for _ in range(loads):
+    loads = 0
+    while not loads or first_use_s < budget_s:
         t0 = time.perf_counter()
         model = dyne.load_model(spec)
         t1 = time.perf_counter()
         model.score_batch([(3,)], (0, 3))
         t2 = time.perf_counter()
-        load_s, first_use_s = load_s + (t1 - t0), first_use_s + (t2 - t0)
-    return [load_s / loads, first_use_s / loads], table_sha256(model)
+        load_s, first_use_s, loads = load_s + (t1 - t0), first_use_s + (t2 - t0), loads + 1
+    return [load_s, first_use_s, loads], table_sha256(model)
 
 
-def decode_sample(dyne, model, input_sets: list, name: str,
-                  budget_s: float) -> tuple[list[float], str]:
-    """The seconds and the count of the decodes of whole passes through
-    ``input_sets`` that fill ``budget_s``, and a sha256 of the first pass."""
+def decode_slice(dyne, model, input_sets: list, name: str,
+                 budget_s: float) -> tuple[list[float], str]:
     params = dyne.DecodeParams(**{key: dyne.Reduce(value) if key == "reduce" else value
                                   for key, value in DECODE_PARAMS[name].items()})
     digest, decode_s, passes = hashlib.sha256(), 0.0, 0
@@ -224,19 +226,22 @@ def decode_sample(dyne, model, input_sets: list, name: str,
     return [decode_s, passes * len(input_sets)], digest.hexdigest()
 
 
-def stem_sample(dyne, words: str) -> tuple[list[float], str]:
+def stem_slice(dyne, words: str, budget_s: float) -> tuple[list[float], str]:
     corpus = json.loads(Path(words).read_text())
-    t0 = time.perf_counter()
-    stems = [dyne.stemmer.porter_stem(w) for w in corpus]
-    return [time.perf_counter() - t0], stems_sha256(stems)
+    stem_s, passes = 0.0, 0
+    while not passes or stem_s < budget_s:
+        t0 = time.perf_counter()
+        stems = [dyne.stemmer.porter_stem(w) for w in corpus]
+        stem_s, passes = stem_s + (time.perf_counter() - t0), passes + 1
+    return [stem_s, passes], stems_sha256(stems)
 
 
 def worker(src: str) -> None:
     """Answer each request line on stdin, tab-separated: ``save <vocab>
     <bigrams> <spec path>`` with ``saved`` once this side's ``ToyModelSpec``
-    wrote that spec, and ``<kind> <count> <spec or words path> [<inputs path>
-    <workload>]`` with one sample line: the metric values (a decode slice's seconds
-    and decode count) and the sha256 of the outputs, separated by spaces."""
+    wrote that spec, and ``<kind> <spec or words path> [<inputs path> <workload>]``
+    with one slice line: what its ``*_slice`` function returns,
+    separated by spaces."""
     sys.path.insert(0, src)
     import dyne
 
@@ -250,18 +255,19 @@ def worker(src: str) -> None:
             dyne.ToyModelSpec(0.5, 1.0, counts, dyne.Vocab(tokens)).save(spec)
             print("saved", flush=True)
             continue
-        count, spec, *inputs = fields
+        spec, *inputs = fields
+        budget_s = BUDGET_S / SLICES
         if kind == "load":
-            values, sha = load_sample(dyne, int(count), spec)
+            values, sha = load_slice(dyne, spec, budget_s)
         elif kind == "stem":
-            values, sha = stem_sample(dyne, spec)
+            values, sha = stem_slice(dyne, spec, budget_s)
         else:
-            input_sets = json.loads(Path(inputs[0]).read_text())[: int(count)]
+            path, name = inputs
+            input_sets = json.loads(Path(path).read_text())
             if spec not in models:  # loaded, and its first decode run, before any timing
                 models[spec] = dyne.load_model(spec)
-                decode_sample(dyne, models[spec], input_sets[:1], inputs[1], budget_s=0.0)
-            values, sha = decode_sample(dyne, models[spec], input_sets, inputs[1],
-                                        DECODE_BUDGET_S / DECODE_SLICES)
+                decode_slice(dyne, models[spec], input_sets[:1], name, budget_s=0.0)
+            values, sha = decode_slice(dyne, models[spec], input_sets, name, budget_s)
         print(*map(repr, values), sha, flush=True)
 
 
@@ -333,15 +339,14 @@ def run_pairs(base_sha: str, pairs: int) -> dict:
             for name, (kind, vocab, bigrams, count) in WORKLOADS.items():
                 if kind == "stem":
                     write_output(WORK / "words.json", json_text(stem_corpus()))
-                    requests[name] = {side: [kind, str(count), str(WORK / "words.json")]
-                                      for side in SIDES}
+                    requests[name] = {side: [kind, str(WORK / "words.json")] for side in SIDES}
                     continue
                 requests[name] = {}
                 for side in SIDES:
                     spec = str(WORK / f"spec_{side}_{vocab}_{bigrams}.json")
                     if workers.ask(side, ["save", str(vocab), str(bigrams), spec]) != "saved\n":
                         raise RuntimeError(f"the {side} worker could not save {spec}")
-                    requests[name][side] = [kind, str(count), spec]
+                    requests[name][side] = [kind, spec]
                 if kind == "decode":
                     make = sweep_inputs if name == "decode_sweep" else decode_inputs
                     path = WORK / f"inputs_{name}.json"
@@ -351,17 +356,16 @@ def run_pairs(base_sha: str, pairs: int) -> dict:
         cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else [None]
         for pair in range(pairs):
             with Workers(cpus[pair // 2 % len(cpus)]) as workers:  # fresh for each pair
-                for name, (kind, *_) in WORKLOADS.items():
+                for name in WORKLOADS:
                     parts = {side: [] for side in SIDES}
-                    for _ in range(DECODE_SLICES if kind == "decode" else 1):
+                    for _ in range(SLICES):
                         for side in SIDES if pair % 2 == 0 else SIDES[::-1]:
                             *values, sha = workers.ask(side, requests[name][side]).split()
                             parts[side].append((list(map(float, values)), sha))
-                    for side, part in parts.items():  # a decode's slices: seconds / decodes
-                        values = ([sum(p[0][0] for p in part) / sum(p[0][1] for p in part)]
-                                  if kind == "decode" else part[0][0])
-                        sha = "/".join(sorted({p[1] for p in part}))  # one, if slices agree
-                        samples[name, side].append((values, sha))
+                    for side, part in parts.items():  # each metric's seconds over the count
+                        *seconds, count = np.sum([values for values, _ in part], axis=0)
+                        sha = "/".join(sorted({sha for _, sha in part}))  # one, if slices agree
+                        samples[name, side].append(((np.array(seconds) / count).tolist(), sha))
     finally:
         shutil.rmtree(WORK, ignore_errors=True)
     return samples
@@ -399,8 +403,8 @@ def main() -> int:
         equal = shas["base"] == shas["tree"] and len(shas["base"]) == 1
         all_equal = all_equal and equal
         entry = result["workloads"][name] = {
-            "kind": kind, "per_sample": count, "output_sha256": shas, "outputs_equal": equal,
-            **({"budget_s": DECODE_BUDGET_S, "slices": DECODE_SLICES} if kind == "decode" else {}),
+            "kind": kind, "budget_s": BUDGET_S, "slices": SLICES, "output_sha256": shas,
+            "outputs_equal": equal, **({"input_sets": count} if kind == "decode" else {}),
             **({"words": STEM_WORDS} if kind == "stem" else {"vocab": vocab, "bigrams": bigrams}),
         }
         for column, metric in enumerate(METRICS[kind]):
