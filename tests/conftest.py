@@ -79,13 +79,14 @@ def exhaustive_beam_size(vocab: Vocab, params: DecodeParams) -> int:
 
 def mean_logprob_by_rows(arr):
     """`reduce_mean_logprob` of one ``[N, V]`` stack, written plainly: sort each
-    column, then add the rows one after another and divide by N."""
+    column, then add the rows one after another to 0.0, as ``np.sum`` does (so a
+    column of -0.0 sums to 0.0), and divide by N."""
     arr = np.sort(arr, axis=0)
     bits = arr.view(np.int64)
     if (bits == bits[0]).all():  # a run of equal rows reduces to that row
         return arr[0].copy()
-    total = arr[0]
-    for row in arr[1:]:
+    total = np.zeros(arr.shape[1])
+    for row in arr:
         total = total + row
     return total / len(arr)
 

@@ -1222,39 +1222,43 @@ class ContextModel(UniformModel):
 
 
 class CoarseModel:
-    """Scores input ``x`` with row ``x[0]`` of log-probabilities from the small
-    integer ``weights``, reading no prefix token (``context = 0``): candidates
-    tie exactly within a prefix and across prefixes that hold the same tokens."""
+    """Scores input ``x`` with row ``x[0]`` of ``table``, reading no prefix token
+    (``context = 0``): with few distinct cells, candidates tie within a prefix
+    and across prefixes that hold the same tokens."""
 
     context = 0
 
-    def __init__(self, vocab, weights):
-        self.vocab = vocab
-        weights = weights * (np.arange(len(vocab)) != BOS_ID)
-        with np.errstate(divide="ignore"):
-            self.table = np.log(weights / weights.sum(axis=1, keepdims=True))
+    def __init__(self, vocab, table):
+        self.vocab, self.table = vocab, table
 
     def score_batch(self, inputs, prefix):
         return self.table[[x[0] for x in inputs]]
 
 
-def reference_case(seed: int):
-    """A seeded model, 1-8 inputs (all alike one time in four), a beam size of
-    1-8 and lengths (min_len 0 half the time) for the reference comparison.
-    The model is, by ``seed % 6``: the parity model, a `CoarseModel`, a scaled-down ``wide`` benchmark shape (V = 43, inputs of
-    30 tokens drawn half from a 6-token topic), a ``context = None`` toy model,
-    or a toy model."""
-    rng = np.random.default_rng(seed)
-    kind = seed % 6
+def reference_case(kind: int, rng: np.random.Generator):
+    """A model drawn with ``rng``, 1-8 inputs (all alike one time in four), a beam
+    size of 1-8 and lengths (min_len 0 half the time) for the reference
+    comparison. The model is, by ``kind``, 0 to 6: the parity model; a
+    `CoarseModel` of log-probabilities from weights 1 and 2 over 8-20 content
+    tokens, where many candidates tie; one whose cells, -inf, +-0.0, +-0.5 and
+    +-1.0, add exactly, so that a running sum can come back to zero; a
+    scaled-down ``wide`` benchmark shape (V = 43, inputs of 30 tokens drawn half
+    from a 6-token topic); a ``context = None`` toy model; or a toy model."""
     n_inputs = int(rng.integers(1, 9))
     if kind == 0:
         model = ParityModel()
         inputs = [TestColumnOrderInDecodes.INPUTS[i] for i in rng.integers(0, 6, n_inputs)]
-    elif kind == 1:
-        vocab = Vocab.from_content([f"w{i}" for i in range(int(rng.integers(2, 11)))])
-        model = CoarseModel(vocab, rng.integers(1, 4, (len(vocab), len(vocab))))
-        inputs = random_inputs(rng, vocab, max_inputs=8)
-    elif kind == 2:
+    elif kind in (1, 2):
+        content = int(rng.integers(8, 21) if kind == 1 else rng.integers(2, 11))
+        vocab = Vocab.from_content([f"w{i}" for i in range(content)])
+        if kind == 1:
+            weights = rng.integers(1, 3, (len(vocab), len(vocab)))
+            table = np.log(weights / weights.sum(axis=1, keepdims=True))
+        else:
+            table = rng.choice([-math.inf, -1.0, -0.5, -0.0, 0.0, 0.5, 1.0], (len(vocab),) * 2)
+        table[:, BOS_ID] = -math.inf
+        model, inputs = CoarseModel(vocab, table), random_inputs(rng, vocab, max_inputs=8)
+    elif kind == 3:
         vocab = Vocab.from_content([f"w{i}" for i in range(40)])
         pairs = rng.choice(41 * 41, 300, replace=False).tolist()
         ids = [EOS_ID, *vocab.content_ids]
@@ -1266,7 +1270,7 @@ def reference_case(seed: int):
                                  rng.choice(vocab.content_ids, 30)).tolist())
                   for _ in range(n_inputs)]
     else:
-        model, vocab = random_toy_model(rng, 6, WholePrefixModel if kind == 3 else CopyBigramModel)
+        model, vocab = random_toy_model(rng, 6, WholePrefixModel if kind == 4 else CopyBigramModel)
         inputs = random_inputs(rng, vocab, max_inputs=8)
     if rng.random() < 0.25:
         inputs = [inputs[0]] * len(inputs)
@@ -1279,9 +1283,12 @@ def reference_case(seed: int):
 @pytest.mark.parametrize("block", [None, 1, 2])
 @pytest.mark.parametrize("reduce", list(Reduce))
 def test_beam_search_equals_the_plain_reference_bitwise(reduce, block, alpha):
-    # every result's tokens, both scores and every trace cell, read through .trace
-    for seed in range(36):
-        model, inputs, beam_size, max_len, min_len = reference_case(seed)
+    # every result's tokens, both scores and every trace cell, read through .trace;
+    # each setting draws its own cases, so that a rare case shows in some setting
+    setting = [list(Reduce).index(reduce), block or 0, int(alpha * 10)]
+    for seed in range(42):
+        model, inputs, beam_size, max_len, min_len = reference_case(
+            seed % 7, np.random.default_rng([seed, *setting]))
         params = DecodeParams(beam_size=beam_size, max_len=max_len, min_len=min_len,
                               reduce=reduce, length_penalty_alpha=alpha,
                               block_repeat_ngram=block)
@@ -1300,8 +1307,9 @@ def test_beam_search_equals_the_plain_reference_bitwise(reduce, block, alpha):
 def test_results_hold_no_score_arrays(reduce):
     # a result keeps copies of the scores its trace needs, never a model's
     # [N, V] array, so the step arrays go when the search returns
-    for seed in range(12):
-        model, inputs, beam_size, max_len, min_len = reference_case(seed)
+    for seed in range(14):
+        model, inputs, beam_size, max_len, min_len = reference_case(
+            seed % 7, np.random.default_rng(seed))
         params = DecodeParams(beam_size=beam_size, max_len=max_len, min_len=min_len,
                               reduce=reduce)
         refs, score = [], model.score_batch
