@@ -52,14 +52,14 @@ unit is a pass through the input sets, and the metric the seconds of one
 decode (``decode_s``); the model is loaded once per worker, which decodes the
 first input set once, untimed, so its bigram table is built before the timer
 starts, and each slice hashes its first pass, after each decode and outside
-the timer. A ``stem`` unit is one pass over the corpus (``stem_s``). The result file holds,
-per workload, metric and side, the median and the quartiles, the pairs each
-side won, the environment (Python, numpy, ``nproc``, CPU), both commits, and
-a sha256 of each side's outputs: the bigram-table arrays of a load, every
-ranked result of a decode (its tokens, the hex of both scores and every trace
-cell), and the stems of a ``stem`` pass, one per line. When the two sides'
-outputs differ, the run still writes the file but exits 1. Uses only the
-stdlib and numpy.
+the timer. A ``stem`` unit is one pass over the corpus (``stem_s``). The
+result file holds, per workload, metric and side, the median and the
+quartiles, the pairs each side won, the environment (Python, numpy,
+``nproc``, CPU), both commits, and a sha256 of each side's outputs: the
+bigram-table arrays of a load, every ranked result of a decode (its tokens,
+the hex of both scores and every trace cell), and the stems of a ``stem``
+pass, one per line. When the two sides' outputs differ, the run still writes
+the file but exits 1. Uses only the stdlib and numpy.
 """
 
 from __future__ import annotations

@@ -339,8 +339,8 @@ def _checked_inputs(
 
 def _trace(labels: tuple[str, ...], vocab: Vocab, tokens: TokenSeq, combined: np.ndarray,
            per_input: np.ndarray) -> TraceMatrix:
-    """The trace of ``tokens``, ids of ``vocab``: row t holds token t's combined
-    score ``combined[t]`` and its ``[N]`` per-input scores ``per_input[t]``."""
+    """Row t of the trace of ``tokens`` holds ``int(tokens[t])`` (JSON takes no numpy
+    integer), its name in ``vocab``, ``combined[t]`` and the ``[N]`` ``per_input[t]``."""
     return TraceMatrix(labels, [TraceRow(int(w), vocab.tokens[w], c, tuple(p)) for w, c, p
                                 in zip(tokens, combined.tolist(), per_input.tolist())])
 
@@ -443,8 +443,8 @@ def beam_search(
         del combined, per_inputs, scores, neg  # not held through the next step
 
     def trace_of(tokens: TokenSeq, slot: int, *eos) -> TraceMatrix:
-        """The trace of a result whose EOS, scored ``eos``, live prefix ``slot``
-        took after ``len(tokens) - 1`` steps, read back along its back-pointers."""
+        """The trace of the result that live prefix ``slot`` ended with EOS, scored
+        ``eos``, after ``len(tokens) - 1`` steps, read back along its back-pointers."""
         rows = [eos]
         for parents, chosen, columns in reversed(history[: len(tokens) - 1]):
             rows.append((chosen[slot], columns[slot]))
