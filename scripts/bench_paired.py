@@ -54,8 +54,9 @@ first input set once, untimed, so its bigram table is built before the timer
 starts, and each slice hashes its first pass, after each decode and outside
 the timer. A ``stem`` unit is one pass over the corpus (``stem_s``). The
 result file holds, per workload, metric and side, the median and the
-quartiles, the pairs each side won, the environment (Python, numpy,
-``nproc``, CPU), both commits, and a sha256 of each side's outputs: the
+quartiles, the pairs each side won (a tie counts for neither), the environment
+(Python, numpy, ``nproc``, CPU), both commits, each side's ``src_lines`` (the
+lines of its ``src/dyne/*.py``), and a sha256 of each side's outputs: the
 bigram-table arrays of a load, every ranked result of a decode (its tokens,
 the hex of both scores and every trace cell), and the stems of a ``stem``
 pass, one per line. When the two sides' outputs differ, the run still writes
@@ -321,8 +322,9 @@ class Workers:
             proc.communicate("")
 
 
-def run_pairs(base_sha: str, pairs: int) -> dict:
-    """``{(workload, side): [([metric values], outputs sha256), ...]}``."""
+def run_pairs(base_sha: str, pairs: int) -> tuple[dict, dict]:
+    """``{(workload, side): [([metric values], outputs sha256), ...]}``, and
+    ``{side: lines of its src/dyne/*.py}``."""
     from dyne.errors import json_text, write_output  # the working tree's, from main
 
     samples = {(name, side): [] for name in WORKLOADS for side in SIDES}
@@ -334,6 +336,9 @@ def run_pairs(base_sha: str, pairs: int) -> dict:
         subprocess.run(["tar", "-x", "-C", str(WORK / "base")], input=archive, check=True)
         shutil.copytree(ROOT / "src", WORK / "tree" / "src",
                         ignore=shutil.ignore_patterns("__pycache__"))
+        src_lines = {side: sum(len(path.read_bytes().splitlines())
+                               for path in (WORK / side / "src" / "dyne").glob("*.py"))
+                     for side in SIDES}
         requests = {}
         with Workers() as workers:  # saves each side's specs, in its own format
             for name, (kind, vocab, bigrams, count) in WORKLOADS.items():
@@ -368,7 +373,7 @@ def run_pairs(base_sha: str, pairs: int) -> dict:
                         samples[name, side].append(((np.array(seconds) / count).tolist(), sha))
     finally:
         shutil.rmtree(WORK, ignore_errors=True)
-    return samples
+    return samples, src_lines
 
 
 def main() -> int:
@@ -384,7 +389,7 @@ def main() -> int:
     from dyne.errors import json_text, write_output
 
     base_sha = git("rev-parse", f"{args.base}^{{commit}}")
-    samples = run_pairs(base_sha, args.pairs)
+    samples, src_lines = run_pairs(base_sha, args.pairs)
     result = {
         "command": " ".join(["scripts/bench_paired.py", *sys.argv[1:]]),
         "pairs": args.pairs,
@@ -394,6 +399,7 @@ def main() -> int:
                  "dirty": bool(git("status", "--porcelain", "--untracked-files=no"))},
         "env": {"python": platform.python_version(), "numpy": np.__version__,
                 "nproc": os.cpu_count(), "cpu": cpu_model(), "machine": platform.machine()},
+        "src_lines": src_lines,
         "workloads": {},
     }
     all_equal = True
@@ -412,7 +418,8 @@ def main() -> int:
                           for side in ("base", "tree"))
             won = sum(t < b for t, b in zip(tree, base))
             entry[metric] = {"unit": "s", "base": summary(base), "tree": summary(tree),
-                             "pairs_won": {"tree": won, "base": args.pairs - won}}
+                             "pairs_won": {"tree": won,
+                                           "base": sum(b < t for t, b in zip(tree, base))}}
             b, t = statistics.median(base), statistics.median(tree)
             print(f"{name} {metric}: base {1e3 * b:.4g} ms, tree {1e3 * t:.4g} ms "
                   f"({100 * (t / b - 1):+.1f}%), tree won {won}/{args.pairs} pairs")

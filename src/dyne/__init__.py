@@ -21,7 +21,6 @@ from .decoder import (
     ScoredHypothesis,
     beam_search,
     brute_force_search,
-    ensemble_step,
     reduce_mean_logprob,
     reduce_mean_prob,
     sequence_score,
@@ -77,7 +76,6 @@ __all__ = [
     "beam_search",
     "brute_force_search",
     "build_consensus_corpus",
-    "ensemble_step",
     "load_clusters",
     "load_model",
     "reduce_mean_logprob",

@@ -119,20 +119,20 @@ class ScoredHypothesis:
 
 
 class ColumnOrder:
-    """A search's ``[N, V]`` column sort order, shared by all its steps, as flat
-    gather indices ``order * V + arange(V)``, and the ``[B, N, V]`` stack each step
-    gathers its new keys' scores into (see `_step`). A stack row with a column out
-    of order is argsorted afresh, not stably (a non-decreasing column is the sorted
-    one up to where equal values, -0.0 and 0.0, fall, which no reduce bit depends
-    on), and its order shared from then on. Under `CopyBigramModel` a row rises
-    with its input's fixed copy weight, so the order seldom goes stale in a decode."""
+    """One search's ``[N, V]`` column sort order, shared by all its steps, as flat
+    gather indices ``order * V + arange(V)``. Each search makes its own, so every
+    array it gathers has the one shape the search's `_step` checked. A stack row
+    with a column out of order is argsorted afresh, not stably (a non-decreasing
+    column is the sorted one up to where equal values, -0.0 and 0.0, fall, which
+    no reduce bit depends on), and its order shared from then on. Under
+    `CopyBigramModel` a row rises with its input's fixed copy weight, so the order
+    seldom goes stale in a decode."""
 
     flat: np.ndarray | None = None
-    stack: np.ndarray = np.empty((0, 0, 0))
 
     def gather(self, arr: np.ndarray, out: np.ndarray, fresh: bool = False) -> None:
-        """``arr`` into ``out`` through the shared order, sorted afresh if ``fresh`` or stale."""
-        if fresh or self.flat is None or self.flat.shape != arr.shape:
+        """``arr`` into ``out`` through the shared order, sorted first if ``fresh`` or unset."""
+        if fresh or self.flat is None:
             self.flat = np.argsort(arr, axis=0) * arr.shape[1] + np.arange(arr.shape[1])
         arr.take(self.flat, out=out)
 
@@ -142,7 +142,8 @@ def _combine(per_inputs: list[np.ndarray], stack: np.ndarray, reduce: Reduce,
     """The ``[B, V]`` reduce of ``stack``, whose row b is ``per_inputs[b]`` gathered
     through ``order``, sorted, then checked on its top row: a rising column holds no
     NaN (NaN compares false) and +inf only on top, and an argsort puts NaN last. A
-    row of inputs that all hold the same bits reduces to that input."""
+    row of inputs that all hold the same bits reduces to that input; any other row
+    sums each column from +0.0, so a column of -0.0 alone reduces to 0.0."""
     rising = stack[:, :-1] <= stack[:, 1:]
     if not rising.all():  # re-sort each stale row alone
         for b in np.flatnonzero(~rising.reshape(len(stack), -1).all(axis=1)).tolist():
@@ -180,7 +181,7 @@ _REDUCERS = {Reduce.MEAN_LOGPROB: lambda s: np.sum(s, axis=1) / s.shape[1],  # r
              Reduce.MEAN_PROB: _mean_prob}
 
 
-def _reduce(per_input, order: ColumnOrder | None, reduce: Reduce) -> LogProbVector:
+def _reduce(per_input, reduce: Reduce) -> LogProbVector:
     """A checked ``[N, V]`` stack, combined as the one-prefix step of a search."""
     if isinstance(per_input, (list, tuple)):  # a list's rows may differ in length
         widths = {len(v) if np.ndim(v) else 0 for v in per_input}  # a scalar row has no len
@@ -191,31 +192,28 @@ def _reduce(per_input, order: ColumnOrder | None, reduce: Reduce) -> LogProbVect
         raise ValueError("reduce needs at least one distribution")
     if arr.ndim != 2:
         raise ValueError(f"reduce needs an [N, V] stack of distributions, got shape {arr.shape}")
-    order = order or ColumnOrder()  # a reducer on its own sorts afresh
-    stack = np.empty((1, *arr.shape))
+    order, stack = ColumnOrder(), np.empty((1, *arr.shape))
     order.gather(arr, stack[0])
     return _combine([arr], stack, reduce, order)[0]
 
 
-def reduce_mean_logprob(per_input: list[LogProbVector] | np.ndarray,
-                        order: ColumnOrder | None = None) -> LogProbVector:
+def reduce_mean_logprob(per_input: list[LogProbVector] | np.ndarray) -> LogProbVector:
     """Elementwise arithmetic mean in log space; not renormalized.
 
     Masked (-inf) entries propagate. Columns are sorted before summation so
     the result does not depend on input order, and a run of identical
     distributions reduces to that distribution exactly.
     """
-    return _reduce(per_input, order, Reduce.MEAN_LOGPROB)
+    return _reduce(per_input, Reduce.MEAN_LOGPROB)
 
 
-def reduce_mean_prob(per_input: list[LogProbVector] | np.ndarray,
-                     order: ColumnOrder | None = None) -> LogProbVector:
+def reduce_mean_prob(per_input: list[LogProbVector] | np.ndarray) -> LogProbVector:
     """Log of the elementwise arithmetic mean of probabilities.
 
     Computed with a max shift for stability; normalized whenever the inputs
     are. Order-canonical for the same reason as `reduce_mean_logprob`.
     """
-    return _reduce(per_input, order, Reduce.MEAN_PROB)
+    return _reduce(per_input, Reduce.MEAN_PROB)
 
 
 def _step(model: SequenceModel, inputs: tuple[TokenSeq, ...], prefixes: list[TokenSeq],
@@ -234,9 +232,7 @@ def _step(model: SequenceModel, inputs: tuple[TokenSeq, ...], prefixes: list[Tok
     # the new keys in first-occurrence order; their prefixes score alike by contract
     fresh = {key: prefix for key, prefix in zip(keys, prefixes) if key not in memo}
     expected = (len(inputs), len(model.vocab))
-    if len(order.stack) < len(fresh) or order.stack.shape[1:] != expected:
-        order.stack = np.empty((len(fresh), *expected))  # reused while it fits
-    stack, per_inputs = order.stack[: len(fresh)], []
+    stack, per_inputs = np.empty((len(fresh), *expected)), []
     for b, prefix in enumerate(fresh.values()):
         scores = model.score_batch(inputs, prefix)
         if not isinstance(scores, np.ndarray) or scores.shape != expected:
@@ -248,25 +244,6 @@ def _step(model: SequenceModel, inputs: tuple[TokenSeq, ...], prefixes: list[Tok
         memo.update((key, (scores, row.copy())) for key, scores, row
                     in zip(fresh, per_inputs, _combine(per_inputs, stack, reduce, order)))
     return np.array([memo[key][1] for key in keys]), [memo[key][0] for key in keys]
-
-
-def ensemble_step(
-    model: SequenceModel,
-    inputs: list[TokenSeq],
-    prefix: TokenSeq,
-    reduce: Reduce = Reduce.MEAN_LOGPROB,
-    order: ColumnOrder | None = None,
-) -> tuple[LogProbVector, np.ndarray]:
-    """Score the next token for every input in one model call, then combine.
-
-    Returns the combined distribution and the ``[N, V]`` per-input
-    distributions in input order: the one-prefix step of a search, on inputs
-    checked as `beam_search` checks them. The combination is order-canonical;
-    ``order`` is the caller's `ColumnOrder` for these inputs, if it keeps one.
-    """
-    inputs, _ = _checked_inputs(inputs, None)
-    combined, per_input = _step(model, inputs, [prefix], reduce, order or ColumnOrder(), {})
-    return combined[0], per_input[0]
 
 
 def ranked_score(raw: float, content_length: int, alpha: float) -> float:

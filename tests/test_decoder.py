@@ -29,7 +29,6 @@ from dyne import (
     Vocab,
     beam_search,
     brute_force_search,
-    ensemble_step,
     reduce_mean_logprob,
     reduce_mean_prob,
     sequence_score,
@@ -268,43 +267,37 @@ def test_array_reducers_invariant_to_row_permutation_and_duplication(seed):
         assert reduce_fn(copies).tobytes() == arr[0].tobytes()
 
 
-class TestEnsembleStep:
+def one_step(model, inputs, prefix, reduce=Reduce.MEAN_LOGPROB):
+    """The combined ``[V]`` row and the ``[N, V]`` per-input scores of a search
+    step over the one live prefix ``prefix``."""
+    combined, per_inputs = dyne.decoder._step(model, tuple(map(tuple, inputs)), [prefix],
+                                              reduce, ColumnOrder(), {})
+    return combined[0], per_inputs[0]
+
+
+class TestOneStep:
     def test_duplicate_inputs_idempotent(self):
         model = copy_model()
         x = (A, A, B)
         for reduce in Reduce:
             alone = model.score_next(x, (BOS_ID,))
-            combined, per = ensemble_step(model, [x, x], (BOS_ID,), reduce)
+            combined, per = one_step(model, [x, x], (BOS_ID,), reduce)
             assert np.array_equal(combined, alone)
             assert len(per) == 2
 
     def test_single_input_passthrough(self):
         model = copy_model()
-        combined, per = ensemble_step(model, [(A,)], (BOS_ID,), Reduce.MEAN_PROB)
+        combined, per = one_step(model, [(A,)], (BOS_ID,), Reduce.MEAN_PROB)
         assert np.array_equal(combined, per[0])
 
     def test_two_input_hand_arithmetic(self):
         # copy-only: p(a | "a a b") = 1/2 and p(a | "b") = 1/4
         model = copy_model()
-        combined, _ = ensemble_step(model, [(A, A, B), (B,)], (BOS_ID,), Reduce.MEAN_LOGPROB)
+        combined, _ = one_step(model, [(A, A, B), (B,)], (BOS_ID,), Reduce.MEAN_LOGPROB)
         assert combined[A] == pytest.approx(-1.0397207708399179, abs=1e-12)
 
-    def test_empty_inputs_rejected(self):
-        with pytest.raises(ValueError, match="at least one input"):
-            ensemble_step(copy_model(), [], (BOS_ID,))
-
-    @pytest.mark.parametrize("make", [dict.fromkeys, set, iter, np.array],
-                             ids=["dict", "set", "iterator", "ndarray"])
-    def test_inputs_must_be_a_list_or_tuple(self, make):
-        # a dict scored its keys and a set its items in iteration order; an
-        # iterator raised a bare TypeError and an ndarray numpy's "truth value" error
-        message = "inputs must be a list or tuple of list or tuple, got "
-        with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
-            ensemble_step(UnscoredModel(), make([(A, B), (B, A)]), (BOS_ID,))
-
     def test_mean_logprob_consistency(self):
-        combined, per = ensemble_step(copy_model(), [(A, A, B), (B,)], (BOS_ID,),
-                                      Reduce.MEAN_LOGPROB)
+        combined, per = one_step(copy_model(), [(A, A, B), (B,)], (BOS_ID,), Reduce.MEAN_LOGPROB)
         assert abs(combined[A] - np.mean(per[:, A])) <= 1e-9
 
 
@@ -958,7 +951,7 @@ STACK_CELLS = st.sampled_from([-0.0, 0.0, -1.0, -1.0, -2.5, -1e-300, -1e308, -ma
 def stack_runs(draw):
     """A run of ``[N, V]`` stacks as one decode's steps might give them: fresh
     stacks, row permutations and small edits of the last one, all-equal stacks
-    and (rarely, as the cache allows) a change of shape."""
+    and (rarely) a change of shape, where a new search would begin."""
     n, width = draw(st.integers(2, 6)), draw(st.integers(1, 7))
     stacks = []
     for _ in range(draw(st.integers(1, 8))):
@@ -986,25 +979,34 @@ def stack_runs(draw):
 @given(stack_runs())
 @settings(max_examples=300, deadline=None)
 def test_reduce_with_a_shared_column_order_equals_a_fresh_sort_bitwise(stacks):
-    for reduce_fn in (reduce_mean_logprob, reduce_mean_prob):
-        order = ColumnOrder()
+    for reduce, reduce_fn in zip(Reduce, (reduce_mean_logprob, reduce_mean_prob)):
+        order, shape = ColumnOrder(), None
         for arr in stacks:
-            assert reduce_fn(arr, order).tobytes() == reduce_fn(arr).tobytes()
+            if arr.shape != shape:  # a search's order serves one [N, V] shape
+                order, shape = ColumnOrder(), arr.shape
+            assert combine_through(order, arr, reduce).tobytes() == reduce_fn(arr).tobytes()
             if len(arr) > 1:
                 gathered = arr.ravel().take(order.flat)  # what the next step tries first
                 assert (gathered[:-1] <= gathered[1:]).all()
 
 
+def combine_through(order, arr, reduce=Reduce.MEAN_LOGPROB):
+    """``arr`` reduced as a search step's one new key, gathered through ``order``."""
+    stack = np.empty((1, *arr.shape))
+    order.gather(arr, stack[0])
+    return dyne.decoder._combine([arr], stack, reduce, order)[0]
+
+
 def test_column_order_is_reused_until_a_column_falls_out_of_order():
     arr = np.array([[-1.0, -3.0, -0.0], [-2.0, -1.0, 0.0]])
     order = ColumnOrder()
-    reduce_mean_logprob(arr, order)
+    combine_through(order, arr)
     first = order.flat
-    reduce_mean_logprob(arr - 0.5, order)  # every column keeps its order
+    combine_through(order, arr - 0.5)  # every column keeps its order
     assert order.flat is first
     flipped = arr[::-1].copy()
     flipped[:, 0] = arr[:, 0]  # column 0 keeps its order, column 1 flips
-    assert reduce_mean_logprob(flipped, order).tobytes() == reduce_mean_logprob(flipped).tobytes()
+    assert combine_through(order, flipped).tobytes() == reduce_mean_logprob(flipped).tobytes()
     assert order.flat is not first
 
 
@@ -1044,10 +1046,10 @@ class TestColumnOrderInDecodes:
     INPUTS = [(3, 4), (5, 3, 3), (4,), (5, 5, 4, 3), (3, 3, 5), (4, 5)]
 
     def test_parity_model_makes_the_cache_sort_again(self):
-        order = ColumnOrder()
-        flats = []
+        order, memo, flats = ColumnOrder(), {}, []
         for prefix in [(BOS_ID,), (BOS_ID, 3), (BOS_ID, 3, 4), (BOS_ID, 3, 4, 5)]:
-            ensemble_step(ParityModel(), self.INPUTS, prefix, Reduce.MEAN_LOGPROB, order)
+            dyne.decoder._step(ParityModel(), tuple(self.INPUTS), [prefix], Reduce.MEAN_LOGPROB,
+                               order, memo)
             flats.append(order.flat)
         assert len({id(f) for f in flats}) == len(flats)  # a new order at every step
 
@@ -1235,15 +1237,34 @@ class CoarseModel:
         return self.table[[x[0] for x in inputs]]
 
 
+class ShiftModel(CopyBigramModel):
+    """`CopyBigramModel` reading the whole prefix (``context = None``), each input's
+    scores lowered by an offset in [0, 1) drawn from the prefix and that input: the
+    inputs' order within a column changes from prefix to prefix, so a search's
+    column order goes stale at most steps."""
+
+    context = None
+
+    def score_batch(self, inputs, prefix):
+        offsets = [np.random.default_rng([*prefix, *x]).random() for x in inputs]
+        return super().score_batch(inputs, prefix) - np.array(offsets)[:, None]
+
+
+REFERENCE_KINDS = 9
+
+
 def reference_case(kind: int, rng: np.random.Generator):
     """A model drawn with ``rng``, 1-8 inputs (all alike one time in four), a beam
     size of 1-8 and lengths (min_len 0 half the time) for the reference
-    comparison. The model is, by ``kind``, 0 to 6: the parity model; a
+    comparison. The model is, by ``kind``, 0 to 8: the parity model; a
     `CoarseModel` of log-probabilities from weights 1 and 2 over 8-20 content
     tokens, where many candidates tie; one whose cells, -inf, +-0.0, +-0.5 and
     +-1.0, add exactly, so that a running sum can come back to zero; a
     scaled-down ``wide`` benchmark shape (V = 43, inputs of 30 tokens drawn half
-    from a 6-token topic); a ``context = None`` toy model; or a toy model."""
+    from a 6-token topic); a ``context = None`` toy model; a toy model (kinds 5
+    and 6); a `ShiftModel` toy model; or the ``sweep`` benchmark's pool decode scaled down: V = 43
+    with no bigram counts, 5 inputs that each hold 4 shared words twice and 5
+    words of their own three times, shuffled, beam 4, max_len 5 and min_len 4."""
     n_inputs = int(rng.integers(1, 9))
     if kind == 0:
         model = ParityModel()
@@ -1269,11 +1290,21 @@ def reference_case(kind: int, rng: np.random.Generator):
         inputs = [tuple(np.where(rng.random(30) < 0.5, rng.choice(topic, 30),
                                  rng.choice(vocab.content_ids, 30)).tolist())
                   for _ in range(n_inputs)]
+    elif kind == 8:
+        vocab = Vocab.from_content([f"w{i}" for i in range(40)])
+        model = CopyBigramModel(ToyModelSpec(1.0, 1.0, {}, vocab))
+        words = rng.choice(vocab.content_ids, 4 + 5 * 5, replace=False)
+        inputs = [tuple(rng.permutation(np.concatenate([np.repeat(words[:4], 2),
+                                                        np.repeat(own, 3)])).tolist())
+                  for own in words[4:].reshape(5, 5)]
     else:
-        model, vocab = random_toy_model(rng, 6, WholePrefixModel if kind == 4 else CopyBigramModel)
+        cls = {4: WholePrefixModel, 7: ShiftModel}.get(kind, CopyBigramModel)
+        model, vocab = random_toy_model(rng, 6, cls)
         inputs = random_inputs(rng, vocab, max_inputs=8)
     if rng.random() < 0.25:
         inputs = [inputs[0]] * len(inputs)
+    if kind == 8:
+        return model, inputs, 4, 5, 4
     max_len = int(rng.integers(2, 7))
     min_len = 0 if rng.random() < 0.5 else int(rng.integers(0, max_len))
     return model, inputs, int(rng.integers(1, 9)), max_len, min_len
@@ -1286,9 +1317,9 @@ def test_beam_search_equals_the_plain_reference_bitwise(reduce, block, alpha):
     # every result's tokens, both scores and every trace cell, read through .trace;
     # each setting draws its own cases, so that a rare case shows in some setting
     setting = [list(Reduce).index(reduce), block or 0, int(alpha * 10)]
-    for seed in range(42):
+    for seed in range(6 * REFERENCE_KINDS):
         model, inputs, beam_size, max_len, min_len = reference_case(
-            seed % 7, np.random.default_rng([seed, *setting]))
+            seed % REFERENCE_KINDS, np.random.default_rng([seed, *setting]))
         params = DecodeParams(beam_size=beam_size, max_len=max_len, min_len=min_len,
                               reduce=reduce, length_penalty_alpha=alpha,
                               block_repeat_ngram=block)
@@ -1307,9 +1338,9 @@ def test_beam_search_equals_the_plain_reference_bitwise(reduce, block, alpha):
 def test_results_hold_no_score_arrays(reduce):
     # a result keeps copies of the scores its trace needs, never a model's
     # [N, V] array, so the step arrays go when the search returns
-    for seed in range(14):
+    for seed in range(2 * REFERENCE_KINDS):
         model, inputs, beam_size, max_len, min_len = reference_case(
-            seed % 7, np.random.default_rng(seed))
+            seed % REFERENCE_KINDS, np.random.default_rng(seed))
         params = DecodeParams(beam_size=beam_size, max_len=max_len, min_len=min_len,
                               reduce=reduce)
         refs, score = [], model.score_batch
@@ -1417,8 +1448,7 @@ class TestStepMemo:
         model = ContextModel(context)
         model.score_batch = UnscoredModel().score_batch
         message = f"model context must be an integer >= 0 or None, got {context!r}"
-        calls = {**ENTRY_POINTS, "ensemble_step": lambda m, xs: ensemble_step(m, xs, (BOS_ID,))}
-        for name, call in calls.items():
+        for name, call in ENTRY_POINTS.items():
             with pytest.raises(ValueError) as info:
                 call(model, [(A,)])
             assert str(info.value) == message, name

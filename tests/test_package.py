@@ -1,4 +1,5 @@
-"""Package-level checks: the public export list and the bundled scripts."""
+"""Package-level checks: the public export list, the README's examples and the
+bundled scripts."""
 
 from __future__ import annotations
 
@@ -6,6 +7,7 @@ import ast
 import csv
 import io
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -20,6 +22,15 @@ def test_every_exported_name_resolves():
     missing = [name for name in dyne.__all__ if not hasattr(dyne, name)]
     assert missing == []
     assert len(set(dyne.__all__)) == len(dyne.__all__)
+
+
+def test_readme_python_examples_run():
+    # each ```python block runs alone, so an example the API has left fails here
+    blocks = re.findall(r"^```python\n(.*?)^```$", (ROOT / "README.md").read_text("utf-8"),
+                        flags=re.M | re.S)
+    assert blocks
+    for i, block in enumerate(blocks):
+        exec(compile(block, f"README.md python block {i}", "exec"), {"__name__": "readme"})
 
 
 def unused_imports(source: str, filename: str) -> list[str]:
