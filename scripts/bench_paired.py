@@ -416,13 +416,13 @@ def main() -> int:
         for column, metric in enumerate(METRICS[kind]):
             base, tree = ([s[0][column] for s in samples[name, side]]
                           for side in ("base", "tree"))
-            won = sum(t < b for t, b in zip(tree, base))
+            won = {"tree": sum(t < b for t, b in zip(tree, base)),
+                   "base": sum(b < t for t, b in zip(tree, base))}  # a tie counts for neither
             entry[metric] = {"unit": "s", "base": summary(base), "tree": summary(tree),
-                             "pairs_won": {"tree": won,
-                                           "base": sum(b < t for t, b in zip(tree, base))}}
+                             "pairs_won": won}
             b, t = statistics.median(base), statistics.median(tree)
             print(f"{name} {metric}: base {1e3 * b:.4g} ms, tree {1e3 * t:.4g} ms "
-                  f"({100 * (t / b - 1):+.1f}%), tree won {won}/{args.pairs} pairs")
+                  f"({100 * (t / b - 1):+.1f}%), tree won {won['tree']}/{args.pairs} pairs")
         print(f"{name} outputs equal: {equal}")
     write_output(args.out, json_text(result))
     print(f"wrote {args.out}")

@@ -975,6 +975,13 @@ def stack_runs(draw):
     return stacks
 
 
+def combine_through(order, arr, reduce=Reduce.MEAN_LOGPROB):
+    """``arr`` reduced as a search step's one new key, gathered through ``order``."""
+    stack = np.empty((1, *arr.shape))
+    order.gather(arr, stack[0])
+    return dyne.decoder._combine([arr], stack, reduce, order)[0]
+
+
 @pytest.mark.filterwarnings("ignore:overflow encountered")  # sums near -1e308 reach -inf
 @given(stack_runs())
 @settings(max_examples=300, deadline=None)
@@ -988,13 +995,6 @@ def test_reduce_with_a_shared_column_order_equals_a_fresh_sort_bitwise(stacks):
             if len(arr) > 1:
                 gathered = arr.ravel().take(order.flat)  # what the next step tries first
                 assert (gathered[:-1] <= gathered[1:]).all()
-
-
-def combine_through(order, arr, reduce=Reduce.MEAN_LOGPROB):
-    """``arr`` reduced as a search step's one new key, gathered through ``order``."""
-    stack = np.empty((1, *arr.shape))
-    order.gather(arr, stack[0])
-    return dyne.decoder._combine([arr], stack, reduce, order)[0]
 
 
 def test_column_order_is_reused_until_a_column_falls_out_of_order():
@@ -1262,9 +1262,10 @@ def reference_case(kind: int, rng: np.random.Generator):
     +-1.0, add exactly, so that a running sum can come back to zero; a
     scaled-down ``wide`` benchmark shape (V = 43, inputs of 30 tokens drawn half
     from a 6-token topic); a ``context = None`` toy model; a toy model (kinds 5
-    and 6); a `ShiftModel` toy model; or the ``sweep`` benchmark's pool decode scaled down: V = 43
-    with no bigram counts, 5 inputs that each hold 4 shared words twice and 5
-    words of their own three times, shuffled, beam 4, max_len 5 and min_len 4."""
+    and 6); a `ShiftModel` toy model; or the ``sweep`` benchmark's pool decode
+    scaled down: V = 43 with no bigram counts, 5 inputs that each hold 4 shared
+    words twice and 5 words of their own three times, shuffled, beam 4, max_len
+    5 and min_len 4."""
     n_inputs = int(rng.integers(1, 9))
     if kind == 0:
         model = ParityModel()
