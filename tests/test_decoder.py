@@ -275,7 +275,7 @@ def one_step(model, inputs, prefix, reduce=Reduce.MEAN_LOGPROB):
     return combined[0], per_inputs[0]
 
 
-class TestOneStep:
+class TestEnsembleStep:
     def test_duplicate_inputs_idempotent(self):
         model = copy_model()
         x = (A, A, B)
@@ -295,6 +295,20 @@ class TestOneStep:
         model = copy_model()
         combined, _ = one_step(model, [(A, A, B), (B,)], (BOS_ID,), Reduce.MEAN_LOGPROB)
         assert combined[A] == pytest.approx(-1.0397207708399179, abs=1e-12)
+
+    # the public one-step path: sequence_score of a one-token target
+    def test_empty_inputs_rejected(self):
+        with pytest.raises(ValueError, match="at least one input"):
+            sequence_score(copy_model(), [], (EOS_ID,))
+
+    @pytest.mark.parametrize("make", [dict.fromkeys, set, iter, np.array],
+                             ids=["dict", "set", "iterator", "ndarray"])
+    def test_inputs_must_be_a_list_or_tuple(self, make):
+        # a dict scored its keys and a set its items in iteration order; an
+        # iterator raised a bare TypeError and an ndarray numpy's "truth value" error
+        message = "inputs must be a list or tuple of list or tuple, got "
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+            sequence_score(UnscoredModel(), make([(A, B), (B, A)]), (EOS_ID,))
 
     def test_mean_logprob_consistency(self):
         combined, per = one_step(copy_model(), [(A, A, B), (B,)], (BOS_ID,), Reduce.MEAN_LOGPROB)
