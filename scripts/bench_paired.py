@@ -15,30 +15,30 @@ no state of one process (its heap layout, say) stays on one side for the
 whole run. Both workers of a pair are pinned to one CPU, and the pairs take
 the CPUs in turn, two pairs each, so each CPU runs both orders: on a shared
 host one CPU can run a third slower than another for seconds at a time, which
-decided the pairs whose sides landed apart. Before the pairs, one more worker
-per side builds the same counts, drawn with the fixed seed ``SEED``, and saves
-them through its own ``ToyModelSpec.save``, so each side reads a spec file in
-its own format; each decode workload's input sets are one file that both
-sides read:
+decided the pairs whose sides landed apart.
 
-* ``wide``: the size of the ``wide`` benchmark's spec, V = 2,000 tokens and
-  20,000 bigram counts, about 0.8 MB as columns (1 MB as the older triple list);
-* ``empty``: the shape of the ``sweep`` benchmark's spec, V = 243 tokens
-  and no bigram counts, where fixed costs show;
-* ``decode``: ``beam_search`` on the ``wide`` spec, over ``DECODE_SETS`` input
-  sets shaped like the ``wide`` benchmark's clusters (8 inputs of 400 token
-  ids, half of them from a 10-token topic) with its settings (beam 8,
-  ``max_len`` 30, ``min_len`` 10);
-* ``decode_sweep``: ``beam_search`` on the ``empty`` spec, over ``SWEEP_SETS``
-  input sets shaped like the ``sweep`` benchmark's pool decodes (5 inputs of
-  23 token ids: 4 shared words twice and 5 words of each input's own three
-  times, shuffled) with its settings (beam 4, ``max_len`` 5, ``min_len`` 4,
-  ``block_repeat_ngram`` 1, ``mean_prob``), where many small decodes show
-  the search's own per-step costs;
+Each worker builds the benchmark's own ``wide`` and ``sweep`` workloads with
+``BUILDERS`` of ``perfbench/workloads.py`` at the fixed seed ``SEED``, in its
+side's directory under ``.bench_work/``, so each side's ``ToyModelSpec.save``
+writes the spec in its own format. Both sides run the working tree's
+``workloads.py`` (so a base must have the ``dyne`` names it imports), read
+with bytecode writing off, so a run writes nothing under ``perfbench/``:
+
+* ``wide``: the ``wide`` benchmark's spec, V = 2,000 tokens and 20,000
+  bigram counts;
+* ``empty``: the ``sweep`` benchmark's spec, V = 243 tokens and no bigram
+  counts, where fixed costs show;
+* ``decode``: ``beam_search`` with the ``wide`` benchmark's parameters on its
+  first 10 pool clusters;
+* ``decode_sweep``: the same on the ``sweep`` benchmark's first 50 pool
+  clusters, where many small decodes show the search's own per-step costs;
 * ``decode_prob``: ``decode`` under ``mean_prob``, whose output hash covers
   the pairwise sum numpy makes over the 8 inputs of each column;
-* ``stem``: ``porter_stem`` over the ``STEM_WORDS`` words of `stem_corpus`,
-  one file that both sides read.
+* ``stem``: ``porter_stem`` over the ``STEM_WORDS`` words of `stem_corpus`.
+
+A decode's input sets are built as perfbench's ``decode_round`` builds them:
+``select_document_indices`` at the workload's largest size and its seed,
+then ``tokenize_and_truncate`` at ``MAX_INPUT_TOKENS``.
 
 Each pair times one sample of each workload on each side. A sample is the
 mean over ``BUDGET_S`` seconds of timed work, taken in ``SLICES`` slices that
@@ -49,10 +49,10 @@ at least once. A ``wide`` or ``empty`` unit times ``load_model``
 (``load_s``) and, on the model it loaded, the first ``score_batch`` call,
 which builds the bigram table (``first_use_s``, load included). A ``decode``
 unit is a pass through the input sets, and the metric the seconds of one
-decode (``decode_s``); the model is loaded once per worker, which decodes the
-first input set once, untimed, so its bigram table is built before the timer
-starts, and each slice hashes its first pass, after each decode and outside
-the timer. A ``stem`` unit is one pass over the corpus (``stem_s``). The
+decode (``decode_s``); as in the gated ``decode_p50_ms``, each decode runs on
+a model loaded fresh outside the timer, so the bigram table is built inside
+it. Each slice hashes its first pass, after each decode and outside the
+timer. A ``stem`` unit is one pass over the corpus (``stem_s``). The
 result file holds, per workload, metric and side, the median and the
 quartiles, the pairs each side won (a tie counts for neither), the environment
 (Python, numpy, ``nproc``, CPU), both commits, each side's ``src_lines`` (the
@@ -66,9 +66,9 @@ the file but exits 1. Uses only the stdlib and numpy.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import gc
 import hashlib
-import json
 import os
 import platform
 import random
@@ -85,24 +85,12 @@ import numpy as np
 ROOT = Path(__file__).resolve().parents[1]
 WORK = ROOT / ".bench_work"
 SEED = 0
-DECODE_SETS = 10
-DECODE_INPUTS, DECODE_TOKENS, DECODE_TOPIC = 8, 400, 10
-SWEEP_SETS = 50
-SWEEP_INPUTS, SWEEP_SHARED, SWEEP_OWN = 5, 4, 5
 BUDGET_S, SLICES = 0.5, 10
-#: name -> (kind, vocab size, bigram counts, input sets of a decode)
-WORKLOADS = {"wide": ("load", 2000, 20_000, 0), "empty": ("load", 243, 0, 0),
-             "decode": ("decode", 2000, 20_000, DECODE_SETS),
-             "decode_sweep": ("decode", 243, 0, SWEEP_SETS),
-             "decode_prob": ("decode", 2000, 20_000, DECODE_SETS), "stem": ("stem", 0, 0, 0)}
+#: name -> (kind, benchmark workload, pool clusters in a decode's pass)
+WORKLOADS = {"wide": ("load", "wide", 0), "empty": ("load", "sweep", 0),
+             "decode": ("decode", "wide", 10), "decode_sweep": ("decode", "sweep", 50),
+             "decode_prob": ("decode", "wide", 10), "stem": ("stem", None, 0)}
 METRICS = {"load": ("load_s", "first_use_s"), "decode": ("decode_s",), "stem": ("stem_s",)}
-#: decode workload -> its ``DecodeParams`` fields, ``reduce`` by value
-DECODE_PARAMS = {
-    "decode": {"beam_size": 8, "max_len": 30, "min_len": 10},
-    "decode_sweep": {"beam_size": 4, "max_len": 5, "min_len": 4, "block_repeat_ngram": 1,
-                     "reduce": "mean_prob"},
-    "decode_prob": {"beam_size": 8, "max_len": 30, "min_len": 10, "reduce": "mean_prob"},
-}
 STEM_WORDS = 30_000
 #: every suffix of Porter's rule tables, with the endings step 1b's tidy-up
 #: rules and step 5 test
@@ -114,47 +102,6 @@ STEM_SUFFIXES = (
     "ence", "er", "ic", "able", "ible", "ant", "ement", "ment", "ent", "ion", "ou", "ism",
     "ate", "iti", "ous", "ive", "ize", "e", "ll",
 )
-
-
-def spec_counts(vocab: int, bigrams: int) -> tuple[list[str], dict]:
-    """The tokens of a ``vocab``-token spec and ``bigrams`` distinct random
-    ``(prev id, next id) -> count`` pairs, drawn alike on both sides."""
-    rng = np.random.default_rng(SEED)
-    tokens = ["<s>", "</s>", "<unk>", *(f"w{i:04d}" for i in range(vocab - 3))]
-    prevs = [0, *range(3, vocab)]  # <s> and the content tokens
-    nexts = [1, *range(3, vocab)]  # </s> and the content tokens
-    flat = rng.choice(len(prevs) * len(nexts), bigrams, replace=False)
-    counts = rng.integers(1, 10, bigrams)
-    return tokens, {(prevs[f // len(nexts)], nexts[f % len(nexts)]): int(c)
-                    for f, c in zip(flat.tolist(), counts)}
-
-
-def decode_inputs(vocab: int, sets: int) -> list[list[list[int]]]:
-    """``sets`` input sets of token ids, each topic-heavy like a ``wide`` cluster."""
-    rng = np.random.default_rng(SEED)
-    content = np.arange(3, vocab)
-    out = []
-    for _ in range(sets):
-        topic = rng.choice(content, DECODE_TOPIC, replace=False)
-        out.append([np.where(rng.random(DECODE_TOKENS) < 0.5, rng.choice(topic, DECODE_TOKENS),
-                             rng.choice(content, DECODE_TOKENS)).tolist()
-                    for _ in range(DECODE_INPUTS)])
-    return out
-
-
-def sweep_inputs(vocab: int, sets: int) -> list[list[list[int]]]:
-    """``sets`` input sets of token ids, each shaped like a ``sweep`` pool
-    cluster: every input holds the set's shared words twice and its own
-    words three times, shuffled."""
-    rng = np.random.default_rng(SEED)
-    out = []
-    for _ in range(sets):
-        words = rng.choice(np.arange(3, vocab), SWEEP_SHARED + SWEEP_INPUTS * SWEEP_OWN,
-                           replace=False)
-        shared, own = words[:SWEEP_SHARED], words[SWEEP_SHARED:].reshape(SWEEP_INPUTS, -1)
-        out.append([rng.permutation(np.concatenate([np.repeat(shared, 2), np.repeat(mine, 3)]))
-                    .tolist() for mine in own])
-    return out
 
 
 def stem_corpus() -> list[str]:
@@ -171,6 +118,39 @@ def stem_corpus() -> list[str]:
             root += root[-1]
         words.append(root + "".join(rng.choices(STEM_SUFFIXES, k=rng.randint(0, 3))))
     return words
+
+
+def benchmark_workloads():
+    """perfbench's ``workloads`` module, imported without writing its bytecode."""
+    sys.dont_write_bytecode = True
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    import workloads
+
+    return workloads
+
+
+def workload_cases(dyne, work: Path) -> dict:
+    """Each workload's input to its ``*_slice`` function, taken from the
+    benchmark's workloads, which are written under ``work``."""
+    workloads = benchmark_workloads()
+    built = {name: workloads.BUILDERS[name](SEED, work / name) for name in ("wide", "sweep")}
+    cases = {}
+    for name, (kind, bench, clusters) in WORKLOADS.items():
+        if kind == "stem":
+            cases[name] = stem_corpus()
+        elif kind == "load":
+            cases[name] = built[bench].model_path
+        else:
+            wl = built[bench]
+            params = wl.params
+            if name == "decode_prob":
+                params = dataclasses.replace(params, reduce=dyne.Reduce.MEAN_PROB)
+            vocab = dyne.load_model(wl.model_path).vocab
+            cases[name] = wl.model_path, params, [
+                [dyne.tokenize_and_truncate(cluster.documents[j], vocab, workloads.MAX_INPUT_TOKENS)
+                 for j in dyne.select_document_indices(cluster, wl.sizes[-1], wl.params.seed)]
+                for cluster in wl.pool[:clusters]]
+    return cases
 
 
 def stems_sha256(stems: list[str]) -> str:
@@ -211,13 +191,12 @@ def load_slice(dyne, spec: str, budget_s: float) -> tuple[list[float], str]:
     return [load_s, first_use_s, loads], table_sha256(model)
 
 
-def decode_slice(dyne, model, input_sets: list, name: str,
-                 budget_s: float) -> tuple[list[float], str]:
-    params = dyne.DecodeParams(**{key: dyne.Reduce(value) if key == "reduce" else value
-                                  for key, value in DECODE_PARAMS[name].items()})
+def decode_slice(dyne, case: tuple, budget_s: float) -> tuple[list[float], str]:
+    spec, params, input_sets = case
     digest, decode_s, passes = hashlib.sha256(), 0.0, 0
     while not passes or decode_s < budget_s:
         for inputs in input_sets:
+            model = dyne.load_model(spec)
             t0 = time.perf_counter()
             results = dyne.beam_search(model, inputs, params)
             decode_s += time.perf_counter() - t0
@@ -227,8 +206,7 @@ def decode_slice(dyne, model, input_sets: list, name: str,
     return [decode_s, passes * len(input_sets)], digest.hexdigest()
 
 
-def stem_slice(dyne, words: str, budget_s: float) -> tuple[list[float], str]:
-    corpus = json.loads(Path(words).read_text())
+def stem_slice(dyne, corpus: list[str], budget_s: float) -> tuple[list[float], str]:
     stem_s, passes = 0.0, 0
     while not passes or stem_s < budget_s:
         t0 = time.perf_counter()
@@ -237,38 +215,21 @@ def stem_slice(dyne, words: str, budget_s: float) -> tuple[list[float], str]:
     return [stem_s, passes], stems_sha256(stems)
 
 
-def worker(src: str) -> None:
-    """Answer each request line on stdin, tab-separated: ``save <vocab>
-    <bigrams> <spec path>`` with ``saved`` once this side's ``ToyModelSpec``
-    wrote that spec, and ``<kind> <spec or words path> [<inputs path> <workload>]``
-    with one slice line: what its ``*_slice`` function returns,
-    separated by spaces."""
-    sys.path.insert(0, src)
+def worker(side_dir: str) -> None:
+    """Build the workloads in ``side_dir``, with the ``dyne`` of its ``src/``,
+    then answer each workload name on stdin with one slice line: what its
+    ``*_slice`` function returns, separated by spaces."""
+    sys.path.insert(0, str(Path(side_dir) / "src"))
     import dyne
 
-    models: dict[str, object] = {}  # a decode's model, loaded once per spec
+    cases = workload_cases(dyne, Path(side_dir) / "bench")
+    gc.collect()
+    gc.freeze()  # as perfbench does, so no timed call scans what lives all run
+    slices = {"load": load_slice, "decode": decode_slice, "stem": stem_slice}
     for line in sys.stdin:
-        kind, *fields = line.rstrip("\n").split("\t")
+        name = line.rstrip("\n")
         gc.collect()
-        if kind == "save":
-            vocab, bigrams, spec = fields
-            tokens, counts = spec_counts(int(vocab), int(bigrams))
-            dyne.ToyModelSpec(0.5, 1.0, counts, dyne.Vocab(tokens)).save(spec)
-            print("saved", flush=True)
-            continue
-        spec, *inputs = fields
-        budget_s = BUDGET_S / SLICES
-        if kind == "load":
-            values, sha = load_slice(dyne, spec, budget_s)
-        elif kind == "stem":
-            values, sha = stem_slice(dyne, spec, budget_s)
-        else:
-            path, name = inputs
-            input_sets = json.loads(Path(path).read_text())
-            if spec not in models:  # loaded, and its first decode run, before any timing
-                models[spec] = dyne.load_model(spec)
-                decode_slice(dyne, models[spec], input_sets[:1], name, budget_s=0.0)
-            values, sha = decode_slice(dyne, models[spec], input_sets, name, budget_s)
+        values, sha = slices[WORKLOADS[name][0]](dyne, cases[name], BUDGET_S / SLICES)
         print(*map(repr, values), sha, flush=True)
 
 
@@ -304,18 +265,26 @@ class Workers:
         self.cpu = cpu
 
     def __enter__(self) -> "Workers":
-        self.procs = {side: subprocess.Popen([sys.executable, __file__, "--worker", str(src)],
+        self.procs = {side: subprocess.Popen([sys.executable, __file__, "--worker",
+                                              str(WORK / side)],
                                              stdin=subprocess.PIPE, stdout=subprocess.PIPE,
                                              text=True)
-                      for side, src in ((side, WORK / side / "src") for side in SIDES)}
+                      for side in SIDES}
         for proc in self.procs.values() if self.cpu is not None else ():
             os.sched_setaffinity(proc.pid, {self.cpu})
         return self
 
-    def ask(self, side: str, request: list[str]) -> str:
-        self.procs[side].stdin.write("\t".join(request) + "\n")
-        self.procs[side].stdin.flush()
-        return self.procs[side].stdout.readline()
+    def ask(self, side: str, name: str) -> str:
+        proc = self.procs[side]
+        try:
+            proc.stdin.write(name + "\n")
+            proc.stdin.flush()
+            line = proc.stdout.readline()
+        except BrokenPipeError:
+            line = ""
+        if not line:
+            raise RuntimeError(f"the {side} worker died on the request {name!r}")
+        return line
 
     def __exit__(self, *exc) -> None:
         for proc in self.procs.values():
@@ -325,8 +294,6 @@ class Workers:
 def run_pairs(base_sha: str, pairs: int) -> tuple[dict, dict]:
     """``{(workload, side): [([metric values], outputs sha256), ...]}``, and
     ``{side: lines of its src/dyne/*.py}``."""
-    from dyne.errors import json_text, write_output  # the working tree's, from main
-
     samples = {(name, side): [] for name in WORKLOADS for side in SIDES}
     shutil.rmtree(WORK, ignore_errors=True)
     (WORK / "base").mkdir(parents=True)
@@ -339,25 +306,6 @@ def run_pairs(base_sha: str, pairs: int) -> tuple[dict, dict]:
         src_lines = {side: sum(len(path.read_bytes().splitlines())
                                for path in (WORK / side / "src" / "dyne").glob("*.py"))
                      for side in SIDES}
-        requests = {}
-        with Workers() as workers:  # saves each side's specs, in its own format
-            for name, (kind, vocab, bigrams, count) in WORKLOADS.items():
-                if kind == "stem":
-                    write_output(WORK / "words.json", json_text(stem_corpus()))
-                    requests[name] = {side: [kind, str(WORK / "words.json")] for side in SIDES}
-                    continue
-                requests[name] = {}
-                for side in SIDES:
-                    spec = str(WORK / f"spec_{side}_{vocab}_{bigrams}.json")
-                    if workers.ask(side, ["save", str(vocab), str(bigrams), spec]) != "saved\n":
-                        raise RuntimeError(f"the {side} worker could not save {spec}")
-                    requests[name][side] = [kind, spec]
-                if kind == "decode":
-                    make = sweep_inputs if name == "decode_sweep" else decode_inputs
-                    path = WORK / f"inputs_{name}.json"
-                    write_output(path, json_text(make(vocab, count)))
-                    for request in requests[name].values():
-                        request += [str(path), name]
         cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else [None]
         for pair in range(pairs):
             with Workers(cpus[pair // 2 % len(cpus)]) as workers:  # fresh for each pair
@@ -365,7 +313,7 @@ def run_pairs(base_sha: str, pairs: int) -> tuple[dict, dict]:
                     parts = {side: [] for side in SIDES}
                     for _ in range(SLICES):
                         for side in SIDES if pair % 2 == 0 else SIDES[::-1]:
-                            *values, sha = workers.ask(side, requests[name][side]).split()
+                            *values, sha = workers.ask(side, name).split()
                             parts[side].append((list(map(float, values)), sha))
                     for side, part in parts.items():  # each metric's seconds over the count
                         *seconds, count = np.sum([values for values, _ in part], axis=0)
@@ -403,15 +351,14 @@ def main() -> int:
         "workloads": {},
     }
     all_equal = True
-    for name in WORKLOADS:
-        kind, vocab, bigrams, count = WORKLOADS[name]
+    for name, (kind, bench, clusters) in WORKLOADS.items():
         shas = {side: sorted({s[1] for s in samples[name, side]}) for side in ("base", "tree")}
         equal = shas["base"] == shas["tree"] and len(shas["base"]) == 1
         all_equal = all_equal and equal
         entry = result["workloads"][name] = {
             "kind": kind, "budget_s": BUDGET_S, "slices": SLICES, "output_sha256": shas,
-            "outputs_equal": equal, **({"input_sets": count} if kind == "decode" else {}),
-            **({"words": STEM_WORDS} if kind == "stem" else {"vocab": vocab, "bigrams": bigrams}),
+            "outputs_equal": equal, **({"benchmark": bench} if bench else {"words": STEM_WORDS}),
+            **({"input_sets": clusters} if kind == "decode" else {}),
         }
         for column, metric in enumerate(METRICS[kind]):
             base, tree = ([s[0][column] for s in samples[name, side]]

@@ -130,4 +130,5 @@ def tokenize_and_truncate(text: str, vocab: Vocab, max_tokens: int) -> TokenSeq:
         raise ValueError(f"max_tokens must be an integer >= 1, got {max_tokens!r}")
     if not isinstance(text, str):  # bytes would split into unknown words
         raise ValueError(f"text must be a str, got {text!r}")
-    return tuple(map(vocab._index.get, text.split(None, max_tokens)[:max_tokens], repeat(UNK_ID)))
+    words = text.split(None, min(max_tokens, len(text)))  # a maxsplit past 2**63 - 1 overflows
+    return tuple(map(vocab._index.get, words[:max_tokens], repeat(UNK_ID)))

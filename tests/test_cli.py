@@ -754,6 +754,22 @@ class TestConfigFile:
             f"error: missing required argument(s) for {command}: {missing} ")
         assert list(tmp_path.iterdir()) == []
 
+    def test_max_input_tokens_past_the_int64_range_decodes(self, workspace):
+        # 2**63, as a flag or in --config, raised OverflowError from str.split
+        tmp, flags, _ = workspace
+        runs = {}
+        for n in (2**63 - 1, 2**63):
+            config = tmp / f"config_{n}.json"
+            config.write_text(json.dumps({"max_input_tokens": n}))
+            for via, extra in (("flag", ["--max-input-tokens", str(n)]),
+                               ("config", ["--config", str(config)])):
+                out = tmp / f"{via}_{n}"
+                assert main(["decode", *flags, *extra, "--out", str(out)]) == 0
+                runs[via, n] = read_tree(out)
+                recorded = json.loads(runs[via, n].pop("run_config.json"))
+                assert recorded["max_input_tokens"] == n
+        assert all(tree == runs["flag", 2**63 - 1] for tree in runs.values())
+
     def test_config_accepts_what_flags_accept(self, workspace):
         tmp, flags, _ = workspace
         config = {"length_penalty": 1, "block_repeat_ngram": None, "reduce": "mean_prob",

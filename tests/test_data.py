@@ -363,6 +363,14 @@ class TestTokenize:
         assert str(info.value) == f"max_tokens must be an integer >= 1, got {max_tokens!r}"
         assert len(tokenize_and_truncate("a b a", self.VOCAB, np.int64(2))) == 2
 
+    def test_max_tokens_past_the_int64_range_keeps_every_token(self):
+        # 2**63 raised OverflowError as str.split's maxsplit
+        text = " a b\tq  a "
+        kept = tokenize_and_truncate(text, self.VOCAB, 4)
+        assert tokenize_and_truncate(text, self.VOCAB, 2**63 - 1) == kept
+        assert tokenize_and_truncate(text, self.VOCAB, 2**63) == kept
+        assert tokenize_and_truncate(text, self.VOCAB, 10**400) == kept
+
     # every character str.split() splits on, plus near misses it keeps inside words
     WHITESPACE = (" \t\n\r\x0b\x0c\x1c\x1d\x1e\x1f\x85\xa0"
                   "\u1680\u2000\u200a\u2028\u2029\u202f\u205f\u3000")

@@ -5,12 +5,16 @@ from __future__ import annotations
 
 import ast
 import csv
+import dataclasses
+import importlib.util
 import io
 import os
 import re
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import dyne
 from dyne.cli import main
@@ -316,3 +320,76 @@ def test_consensus_scripts_run_end_to_end(tmp_path):
     assert [row[0] for row in rows] == ["1", "2", "5"]
     # the same corpus and decode config: both sweeps agree on their shared sizes
     assert rows[:2] == sweep_rows(tmp_path / "via_config" / "sweep.csv")
+
+
+def load_script(name: str):
+    spec = importlib.util.spec_from_file_location(Path(name).stem, ROOT / "scripts" / name)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def files_under(root: Path) -> dict[str, tuple[int, int]]:
+    return {str(p.relative_to(root)): (p.stat().st_size, p.stat().st_mtime_ns)
+            for p in root.rglob("*")}
+
+
+def test_paired_timing_decodes_the_benchmarks_pool_clusters(tmp_path, monkeypatch):
+    bench = load_script("bench_paired.py")
+    for name, value in (("path", [*sys.path]), ("dont_write_bytecode", False)):
+        monkeypatch.setattr(sys, name, value)  # restored when the test ends
+    monkeypatch.delitem(sys.modules, "workloads", raising=False)
+    before = files_under(ROOT / "perfbench")
+    cases = bench.workload_cases(dyne, tmp_path / "script")
+    assert files_under(ROOT / "perfbench") == before  # no bytecode, no work files
+    workloads = sys.modules["workloads"]
+    calls = []
+
+    def beam_search(model, inputs, params):
+        calls.append((model, "_bigram_table" in vars(model), inputs, params))
+        return []
+
+    monkeypatch.setattr(dyne, "beam_search", beam_search)
+    built = {name: workloads.BUILDERS[name](0, tmp_path / name) for name in ("wide", "sweep")}
+    wide, sweep = built["wide"], built["sweep"]
+    expected_params = {"decode": wide.params, "decode_sweep": sweep.params,
+                       "decode_prob": dataclasses.replace(wide.params,
+                                                          reduce=dyne.Reduce.MEAN_PROB)}
+    decodes = [name for name, (kind, *_) in bench.WORKLOADS.items() if kind == "decode"]
+    assert decodes == list(expected_params)
+    for name in decodes:
+        _, benchmark, clusters = bench.WORKLOADS[name]
+        wl = built[benchmark]
+        calls.clear()
+        bench.decode_slice(dyne, cases[name], budget_s=0.0)
+        # perfbench/run.py's decode_round, written out: the first pool clusters
+        # in order, each on a freshly loaded model
+        model = dyne.load_model(wl.model_path)
+        input_sets = [
+            [dyne.tokenize_and_truncate(cluster.documents[j], model.vocab,
+                                        workloads.MAX_INPUT_TOKENS)
+             for j in dyne.select_document_indices(cluster, wl.sizes[-1], wl.params.seed)]
+            for cluster in wl.pool[:clusters]
+        ]
+        assert 0 < clusters < len(wl.pool)
+        assert [inputs for _, _, inputs, _ in calls] == input_sets
+        assert all(params == expected_params[name] for *_, params in calls)
+        assert len({id(model) for model, *_ in calls}) == len(calls)
+        assert not any(used for _, used, _, _ in calls)
+        assert all(m.vocab == model.vocab for m, *_ in calls)
+    assert files_under(ROOT / "perfbench") == before
+
+
+def test_paired_timing_names_a_worker_that_died(tmp_path, monkeypatch):
+    bench = load_script("bench_paired.py")
+    monkeypatch.setattr(bench, "WORK", tmp_path)
+    for side in bench.SIDES:
+        (tmp_path / side).mkdir()
+        (tmp_path / side / "src").symlink_to(ROOT / "src")
+    with bench.Workers() as workers:
+        # an unknown name kills the worker; the run once failed with
+        # "ValueError: not enough values to unpack" on the empty reply
+        with pytest.raises(RuntimeError, match="the base worker died on the request 'nope'"):
+            workers.ask("base", "nope")
+        with pytest.raises(RuntimeError, match="the base worker died on the request 'wide'"):
+            workers.ask("base", "wide")
