@@ -120,19 +120,13 @@ def stem_corpus() -> list[str]:
     return words
 
 
-def benchmark_workloads():
-    """perfbench's ``workloads`` module, imported without writing its bytecode."""
-    sys.dont_write_bytecode = True
-    sys.path.insert(0, str(ROOT / "perfbench"))
-    import workloads
-
-    return workloads
-
-
 def workload_cases(dyne, work: Path) -> dict:
     """Each workload's input to its ``*_slice`` function, taken from the
     benchmark's workloads, which are written under ``work``."""
-    workloads = benchmark_workloads()
+    sys.dont_write_bytecode = True  # so the import writes nothing under perfbench/
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    import workloads
+
     built = {name: workloads.BUILDERS[name](SEED, work / name) for name in ("wide", "sweep")}
     cases = {}
     for name, (kind, bench, clusters) in WORKLOADS.items():
