@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Paired timing of model loading, decoding and stemming: a base commit against the working tree.
+"""Paired timing of model loading, decoding and stemming, and the peak memory of
+the benchmark's CLI commands: a base commit against the working tree.
 
     python3 scripts/bench_paired.py --base REV [--pairs N] [--out FILE]
 
@@ -34,7 +35,10 @@ with bytecode writing off, so a run writes nothing under ``perfbench/``:
   clusters, where many small decodes show the search's own per-step costs;
 * ``decode_prob``: ``decode`` under ``mean_prob``, whose output hash covers
   the pairwise sum numpy makes over the 8 inputs of each column;
-* ``stem``: ``porter_stem`` over the ``STEM_WORDS`` words of `stem_corpus`.
+* ``stem``: ``porter_stem`` over the ``STEM_WORDS`` words of `stem_corpus`;
+* ``peak_wide`` and ``peak_sweep``: the ``wide`` and ``sweep`` benchmarks'
+  CLI commands, each run by a fresh child process, since a worker has
+  imported ``hashlib`` and numpy's kernels for itself.
 
 A decode's input sets are built as perfbench's ``decode_round`` builds them:
 ``select_document_indices`` at the workload's largest size and its seed,
@@ -52,15 +56,24 @@ unit is a pass through the input sets, and the metric the seconds of one
 decode (``decode_s``); as in the gated ``decode_p50_ms``, each decode runs on
 a model loaded fresh outside the timer, so the bigram table is built inside
 it. Each slice hashes its first pass, after each decode and outside the
-timer. A ``stem`` unit is one pass over the corpus (``stem_s``). The
-result file holds, per workload, metric and side, the median and the
-quartiles, the pairs each side won (a tie counts for neither), the environment
-(Python, numpy, ``nproc``, CPU), both commits, each side's ``src_lines`` (the
-lines of its ``src/dyne/*.py``), and a sha256 of each side's outputs: the
-bigram-table arrays of a load, every ranked result of a decode (its tokens,
-the hex of both scores and every trace cell), and the stems of a ``stem``
-pass, one per line. When the two sides' outputs differ, the run still writes
-the file but exits 1. Uses only the stdlib and numpy.
+timer. A ``stem`` unit is one pass over the corpus (``stem_s``). A ``peak``
+slice is one child, which imports ``dyne`` from the side's ``src/``, runs the
+command as perfbench's ``reference_run`` does, and reports its own ``VmHWM``
+(``peak_mb``) and whether it loaded OpenSSL's ``_hashlib``
+(``hashlib_loaded``); its sample is the mean over ``SLICES`` children.
+
+The result file holds, per workload and metric, each side's median and
+quartiles, the median and quartiles of the per-pair ``tree/base`` ratios
+(none when a base value is 0; the host's drift between pairs moves them less
+than either side's median), the pairs each side won with the lower value (a
+tie counts for neither), the environment (Python, numpy, ``nproc``, CPU),
+both commits, each side's ``src_lines`` (the lines of its
+``src/dyne/*.py``), and a sha256 of each side's outputs: the bigram-table
+arrays of a load, every ranked result of a decode (its tokens, the hex of
+both scores and every trace cell), the stems of a ``stem`` pass, one per
+line, and every artifact of a ``peak`` child but ``run_config.json``, which
+records the side's paths. When the two sides' outputs differ, the run still
+writes the file but exits 1. Uses only the stdlib and numpy.
 """
 
 from __future__ import annotations
@@ -89,8 +102,21 @@ BUDGET_S, SLICES = 0.5, 10
 #: name -> (kind, benchmark workload, pool clusters in a decode's pass)
 WORKLOADS = {"wide": ("load", "wide", 0), "empty": ("load", "sweep", 0),
              "decode": ("decode", "wide", 10), "decode_sweep": ("decode", "sweep", 50),
-             "decode_prob": ("decode", "wide", 10), "stem": ("stem", None, 0)}
-METRICS = {"load": ("load_s", "first_use_s"), "decode": ("decode_s",), "stem": ("stem_s",)}
+             "decode_prob": ("decode", "wide", 10), "stem": ("stem", None, 0),
+             "peak_wide": ("peak", "wide", 0), "peak_sweep": ("peak", "sweep", 0)}
+#: kind -> {metric: unit}, in the order a slice returns them
+METRICS = {"load": {"load_s": "s", "first_use_s": "s"}, "decode": {"decode_s": "s"},
+           "stem": {"stem_s": "s"}, "peak": {"peak_mb": "MB", "hashlib_loaded": "share"}}
+#: a peak child's code: it imports ``dyne`` from the ``src/`` named first on its
+#: command line, runs the CLI on the rest, then prints its peak resident memory
+#: (the child's own ``VmHWM``, as perfbench's ``reference_run`` reads it) in kB
+#: and whether OpenSSL's ``_hashlib`` was loaded
+PEAK_CHILD = (
+    "import sys; sys.path.insert(0, sys.argv.pop(1)); from dyne.cli import main; "
+    "status = main(sys.argv[1:]); "
+    "hwm = [l for l in open('/proc/self/status') if l.startswith('VmHWM:')]; "
+    "print('peak', hwm[0].split()[1], int('_hashlib' in sys.modules)); sys.exit(status)"
+)
 STEM_WORDS = 30_000
 #: every suffix of Porter's rule tables, with the endings step 1b's tidy-up
 #: rules and step 5 test
@@ -134,6 +160,8 @@ def workload_cases(dyne, work: Path) -> dict:
             cases[name] = stem_corpus()
         elif kind == "load":
             cases[name] = built[bench].model_path
+        elif kind == "peak":
+            cases[name] = built[bench]
         else:
             wl = built[bench]
             params = wl.params
@@ -169,8 +197,8 @@ def results_sha256(digest, results) -> None:
                                 [x.hex() for x in row.per_input])).encode())
 
 
-# Each ``*_slice`` function returns its metrics' total seconds, then the
-# count they are the total of, and a sha256 of its outputs.
+# Each ``*_slice`` function returns its metrics' totals, then the count they
+# are the totals of, and a sha256 of its outputs.
 
 def load_slice(dyne, spec: str, budget_s: float) -> tuple[list[float], str]:
     load_s = first_use_s = 0.0
@@ -200,6 +228,29 @@ def decode_slice(dyne, case: tuple, budget_s: float) -> tuple[list[float], str]:
     return [decode_s, passes * len(input_sets)], digest.hexdigest()
 
 
+def peak_slice(dyne, wl, budget_s: float) -> tuple[list[float], str]:
+    """One fresh child runs ``wl``'s CLI command with this side's ``dyne``; the
+    sha256 covers every artifact but ``run_config.json``, which records the
+    side's paths."""
+    out = Path(wl.config_path).with_name("out_peak")
+    shutil.rmtree(out, ignore_errors=True)
+    src = Path(dyne.__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "-c", PEAK_CHILD, str(src), *wl.cli_argv(str(out))],
+                          capture_output=True, text=True, check=False)
+    peak = [line.split()[1:] for line in proc.stdout.splitlines() if line.startswith("peak ")]
+    if proc.returncode != 0 or not peak:
+        raise RuntimeError(f"the {wl.name} child exited {proc.returncode}: "
+                           f"{proc.stderr.strip()[-2000:]}")
+    kb, loaded = map(int, peak[-1])
+    digest = hashlib.sha256()
+    for path in sorted(out.rglob("*")):
+        if path.is_file() and path.name != "run_config.json":
+            digest.update(f"{path.relative_to(out).as_posix()}\n".encode())
+            digest.update(path.read_bytes())
+    shutil.rmtree(out)
+    return [kb / 1024, loaded, 1], digest.hexdigest()
+
+
 def stem_slice(dyne, corpus: list[str], budget_s: float) -> tuple[list[float], str]:
     stem_s, passes = 0.0, 0
     while not passes or stem_s < budget_s:
@@ -219,7 +270,8 @@ def worker(side_dir: str) -> None:
     cases = workload_cases(dyne, Path(side_dir) / "bench")
     gc.collect()
     gc.freeze()  # as perfbench does, so no timed call scans what lives all run
-    slices = {"load": load_slice, "decode": decode_slice, "stem": stem_slice}
+    slices = {"load": load_slice, "decode": decode_slice, "stem": stem_slice,
+              "peak": peak_slice}
     for line in sys.stdin:
         name = line.rstrip("\n")
         gc.collect()
@@ -235,6 +287,31 @@ def git(*args: str) -> str:
 def summary(values: list[float]) -> dict:
     q1, _, q3 = statistics.quantiles(values, n=4)
     return {"median": statistics.median(values), "q1": q1, "q3": q3, "values": values}
+
+
+def compare(base: list[float], tree: list[float], unit: str) -> dict:
+    """One metric's per-pair values: each side's summary, the summary of the
+    per-pair ``tree/base`` ratios (``None`` when a base value is 0), and the
+    pairs each side won with the lower value (a tie counts for neither)."""
+    ratios = [t / b for t, b in zip(tree, base)] if all(base) else None
+    return {"unit": unit, "base": summary(base), "tree": summary(tree),
+            "ratio": summary(ratios) if ratios else None,
+            "pairs_won": {"tree": sum(t < b for t, b in zip(tree, base)),
+                          "base": sum(b < t for t, b in zip(tree, base))}}
+
+
+def report_line(name: str, metric: str, entry: dict) -> str:
+    """``entry`` (see `compare`) as one line: both sides' medians, the per-pair
+    ratios' median and q1-q3, and the pairs the tree won."""
+    scale, shown = {"s": (1e3, " ms"), "MB": (1.0, " MB")}.get(entry["unit"], (1.0, ""))
+    line = (f"{name} {metric}: base {scale * entry['base']['median']:.4g}{shown}, "
+            f"tree {scale * entry['tree']['median']:.4g}{shown}")
+    ratio = entry["ratio"]
+    if ratio:
+        line += (f", tree/base per pair {ratio['median']:.4f} "
+                 f"(q1-q3 {ratio['q1']:.4f}-{ratio['q3']:.4f})")
+    pairs = len(entry["base"]["values"])
+    return line + f", tree won {entry['pairs_won']['tree']}/{pairs} pairs"
 
 
 def cpu_model() -> str:
@@ -309,7 +386,7 @@ def run_pairs(base_sha: str, pairs: int) -> tuple[dict, dict]:
                         for side in SIDES if pair % 2 == 0 else SIDES[::-1]:
                             *values, sha = workers.ask(side, name).split()
                             parts[side].append((list(map(float, values)), sha))
-                    for side, part in parts.items():  # each metric's seconds over the count
+                    for side, part in parts.items():  # each metric's total over the count
                         *seconds, count = np.sum([values for values, _ in part], axis=0)
                         sha = "/".join(sorted({sha for _, sha in part}))  # one, if slices agree
                         samples[name, side].append(((np.array(seconds) / count).tolist(), sha))
@@ -354,16 +431,11 @@ def main() -> int:
             "outputs_equal": equal, **({"benchmark": bench} if bench else {"words": STEM_WORDS}),
             **({"input_sets": clusters} if kind == "decode" else {}),
         }
-        for column, metric in enumerate(METRICS[kind]):
+        for column, (metric, unit) in enumerate(METRICS[kind].items()):
             base, tree = ([s[0][column] for s in samples[name, side]]
                           for side in ("base", "tree"))
-            won = {"tree": sum(t < b for t, b in zip(tree, base)),
-                   "base": sum(b < t for t, b in zip(tree, base))}  # a tie counts for neither
-            entry[metric] = {"unit": "s", "base": summary(base), "tree": summary(tree),
-                             "pairs_won": won}
-            b, t = statistics.median(base), statistics.median(tree)
-            print(f"{name} {metric}: base {1e3 * b:.4g} ms, tree {1e3 * t:.4g} ms "
-                  f"({100 * (t / b - 1):+.1f}%), tree won {won['tree']}/{args.pairs} pairs")
+            entry[metric] = compare(base, tree, unit)
+            print(report_line(name, metric, entry[metric]))
         print(f"{name} outputs equal: {equal}")
     write_output(args.out, json_text(result))
     print(f"wrote {args.out}")

@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import re
+import shutil
 import sys
 from pathlib import Path
 
@@ -223,6 +224,7 @@ def cmd_evaluate(args, settings: dict) -> int:
 
 def cmd_sweep(args, settings: dict) -> int:
     out_dir = _fresh_out(args.out)
+    existed = out_dir.exists()
     rouge_cfg, metrics = _rouge_setup(args)
     params, model, clusters = _load_run(args, max(args.sizes))
     ref_tokens = _reference_tokens(clusters, [c.id for c in clusters], rouge_cfg)
@@ -234,6 +236,9 @@ def cmd_sweep(args, settings: dict) -> int:
         records, failures = _decode_run(model, clusters, args, params, size, size_dir)
         _report_failures(failures)
         if not records:
+            # _fresh_out found --out new or empty, so all it holds is this run's
+            for path in (out_dir.iterdir() if existed else [out_dir]):
+                shutil.rmtree(path)
             raise ValueError(f"no cluster decoded at size {size} ({len(failures)} failed)")
         failed = failed or bool(failures)
         report = _evaluate_records(records, rouge_cfg, metrics, ref_tokens)

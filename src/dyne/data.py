@@ -10,7 +10,6 @@ dataset never change a cluster's selection.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 from itertools import repeat
 from pathlib import Path
@@ -98,6 +97,8 @@ def save_clusters(clusters: ClusterSet, path: str | Path) -> None:
 def _selection_rng(seed: int, cluster_id: str) -> np.random.Generator:
     # PCG64 seeded from the SHA-256 digest of "<seed>|<cluster id>": the
     # same (seed, id) pair always selects the same subset, on any platform.
+    # Imported here: hashlib maps OpenSSL (about 3.6 MB of peak memory).
+    import hashlib
     digest = hashlib.sha256(f"{seed}|{cluster_id}".encode("utf-8")).digest()
     return np.random.default_rng(int.from_bytes(digest, "big"))
 

@@ -447,6 +447,31 @@ class TestSweep:
         errors = [line for line in err if line.startswith("error:")]
         assert errors == ["error: no cluster decoded at size 1 (2 failed)"]
 
+    # seed 2 picks the blank document at size 1; seed 0 picks "a b" at size 1,
+    # so size 1 writes its artifacts before size 2 fails
+    @pytest.mark.parametrize("seed, size", [(2, 1), (0, 2)])
+    @pytest.mark.parametrize("made", [False, True])
+    def test_size_where_no_cluster_decodes_leaves_out_as_it_was(self, tmp_path, capsys,
+                                                                 seed, size, made):
+        vocab = Vocab.from_content(["a", "b"])
+        ToyModelSpec(1.0, 1.0, {}, vocab).save(tmp_path / "model.json")
+        (tmp_path / "clusters.jsonl").write_text(
+            '{"id": "c", "documents": ["a b", "  "], "references": ["a b"]}\n'
+        )
+        out = tmp_path / "sweep"
+        if made:
+            out.mkdir()
+        code = main([
+            "sweep", "--model", str(tmp_path / "model.json"),
+            "--clusters", str(tmp_path / "clusters.jsonl"), "--seed", str(seed),
+            "--sizes", "1", "2", "--max-len", "3", "--out", str(out),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1] == f"error: no cluster decoded at size {size} (1 failed)"
+        assert "document 1 tokenizes to nothing" in err
+        assert (list(out.iterdir()) == [] if made else not out.exists())
+
 
     @pytest.mark.parametrize("sizes", ["1 1", "2 1 2"])
     def test_repeated_size_rejected_before_decoding(self, workspace, capsys, sizes):

@@ -8,6 +8,7 @@ import csv
 import dataclasses
 import importlib.util
 import io
+import json
 import os
 import re
 import subprocess
@@ -286,13 +287,115 @@ def test_frozen_dataclass_guard_names_file_line_and_class():
     assert unfrozen_dataclasses(source, "m.py") == ["m.py:4: A", "m.py:10: C", "m.py:16: E"]
 
 
+def src_env() -> dict[str, str]:
+    """The environment with this checkout's ``src/`` first on ``PYTHONPATH``."""
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p))
+
+
+# modules that cost memory when imported and that only some runs use
+LAZY_MODULES = ("hashlib",)
+
+
+def eager_imports(source: str, filename: str) -> list[str]:
+    """``<filename>:<line>: <module>`` for each import of one of `LAZY_MODULES`
+    that runs when the module loads: any outside a function body."""
+    hits: list[tuple[int, str]] = []
+
+    def visit(node: ast.AST) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            if isinstance(child, ast.Import):
+                names = [a.name for a in child.names]
+            elif isinstance(child, ast.ImportFrom) and not child.level:
+                names = [child.module]
+            else:
+                names = []
+            hits.extend((child.lineno, name.split(".")[0]) for name in names
+                        if name.split(".")[0] in LAZY_MODULES)
+            visit(child)
+
+    visit(ast.parse(source))
+    return [f"{filename}:{line}: {name}" for line, name in sorted(hits)]
+
+
+def test_no_module_level_import_of_a_lazy_module():
+    # importing hashlib maps OpenSSL, about 3.6 MB of a run's peak memory
+    modules = sorted((ROOT / "src" / "dyne").glob("*.py"))
+    assert len(modules) > 2
+    hits = [hit for path in modules
+            for hit in eager_imports(path.read_text("utf-8"), str(path.relative_to(ROOT)))]
+    assert hits == []
+
+
+def test_lazy_import_guard_names_file_line_and_module():
+    source = ("import os, hashlib\n"
+              "from hashlib import sha256\n"
+              "def f():\n"
+              "    import hashlib\n"
+              "    return hashlib\n"
+              "if os.name:\n"
+              "    import hashlib.x as h\n"
+              "class C:\n"
+              "    from hashlib import md5\n"
+              "    def g(self):\n"
+              "        from hashlib import md5\n"
+              "import hashlibs\n"
+              "from . import hashlib\n"
+              "g = lambda: __import__('hashlib')\n")
+    assert eager_imports(source, "m.py") == [
+        "m.py:1: hashlib", "m.py:2: hashlib", "m.py:7: hashlib", "m.py:9: hashlib",
+    ]
+
+
+# (seed, cluster id, documents, max_docs) -> the indices the selection returned
+# when hashlib was imported with dyne.data
+SELECTIONS = {(0, "c", 8, 3): [0, 1, 5], (7, "cluster-42", 20, 5): [4, 12, 13, 16, 18],
+              (-3, "k\u00e9", 6, 2): [1, 3], (2**70, "x", 10, 9): [0, 1, 2, 3, 5, 6, 7, 8, 9]}
+
+HASHLIB_CHILD = """
+import json, sys
+loaded = ['_hashlib' in sys.modules]
+from dyne.cli import main
+from dyne.data import Cluster, select_document_indices
+work, selections = sys.argv[1], json.loads(sys.argv[2])
+flags = ['--model', work + '/model.json', '--max-len', '3']
+assert main(['decode', *flags, '--clusters', work + '/fits.jsonl', '--max-docs', '2',
+             '--out', work + '/fits']) == 0
+assert main(['evaluate', '--clusters', work + '/fits.jsonl',
+             '--hypotheses', work + '/fits/summaries.jsonl']) == 0
+loaded.append('_hashlib' in sys.modules)
+assert main(['decode', *flags, '--clusters', work + '/subsampled.jsonl', '--max-docs', '2',
+             '--out', work + '/subsampled']) == 0
+loaded.append('_hashlib' in sys.modules)
+chosen = [select_document_indices(Cluster(cid, ('w',) * n), k, seed)
+          for seed, cid, n, k in selections]
+print(repr((loaded, chosen)))
+"""
+
+
+def test_only_a_subsampling_run_loads_hashlib(tmp_path):
+    dyne.ToyModelSpec(1.0, 1.0, {}, dyne.Vocab.from_content(["a", "b"])).save(
+        tmp_path / "model.json")
+    for name, docs in (("fits", ["a b", "b a"]), ("subsampled", ["a", "b", "a b"])):
+        (tmp_path / f"{name}.jsonl").write_text(
+            json.dumps({"id": "c", "documents": docs, "references": ["a b"]}) + "\n")
+    child = subprocess.run(
+        [sys.executable, "-c", HASHLIB_CHILD, str(tmp_path), json.dumps(list(SELECTIONS))],
+        env=src_env(), capture_output=True, text=True, timeout=60)
+    assert child.returncode == 0, child.stderr
+    loaded, chosen = ast.literal_eval(child.stdout.splitlines()[-1])
+    if loaded[0]:
+        pytest.skip("the interpreter loaded _hashlib before dyne was imported")
+    assert loaded == [False, False, True]  # only the decode that subsamples
+    assert chosen == list(SELECTIONS.values())
+
+
 def run_script(name: str, *args: str) -> subprocess.CompletedProcess:
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p
-    ))
     return subprocess.run(
         [sys.executable, str(ROOT / "scripts" / name), *args],
-        env=env, capture_output=True, text=True, timeout=300,
+        env=src_env(), capture_output=True, text=True, timeout=300,
     )
 
 
@@ -393,3 +496,36 @@ def test_paired_timing_names_a_worker_that_died(tmp_path, monkeypatch):
             workers.ask("base", "nope")
         with pytest.raises(RuntimeError, match="the base worker died on the request 'wide'"):
             workers.ask("base", "wide")
+
+
+def test_paired_timing_reports_the_per_pair_ratios():
+    bench = load_script("bench_paired.py")
+    entry = bench.compare([2.0, 4.0, 4.0, 8.0], [1.0, 4.0, 5.0, 4.0], "s")
+    assert (entry["base"]["median"], entry["tree"]["median"]) == (4.0, 4.0)
+    assert entry["ratio"] == {"median": 0.75, "q1": 0.5, "q3": 1.1875,
+                              "values": [0.5, 1.0, 1.25, 0.5]}
+    assert entry["pairs_won"] == {"tree": 2, "base": 1}  # the tie counts for neither
+    assert bench.report_line("decode", "decode_s", entry) == (
+        "decode decode_s: base 4000 ms, tree 4000 ms, tree/base per pair 0.7500 "
+        "(q1-q3 0.5000-1.1875), tree won 2/4 pairs")
+    # no ratio when a base value is 0, as in an A/A run that never loads a module
+    entry = bench.compare([0.0, 1.0], [0.0, 0.0], "share")
+    assert entry["ratio"] is None
+    assert bench.report_line("peak_wide", "hashlib_loaded", entry) == (
+        "peak_wide hashlib_loaded: base 0.5, tree 0, tree won 1/2 pairs")
+
+
+def test_paired_peak_child_loads_hashlib_only_where_the_benchmark_subsamples(
+        tmp_path, monkeypatch):
+    bench = load_script("bench_paired.py")
+    for name, value in (("path", [*sys.path]), ("dont_write_bytecode", False)):
+        monkeypatch.setattr(sys, name, value)  # restored when the test ends
+    monkeypatch.delitem(sys.modules, "workloads", raising=False)
+    cases = bench.workload_cases(dyne, tmp_path)
+    loaded = {}
+    for name in ("peak_wide", "peak_sweep"):
+        (peak_mb, loaded[name], count), sha = bench.peak_slice(dyne, cases[name], 0.0)
+        assert peak_mb > 10 and count == 1 and re.fullmatch("[0-9a-f]{64}", sha)
+        assert not (tmp_path / bench.WORKLOADS[name][1] / "out_peak").exists()
+    # a wide cluster holds max_docs documents; sweep's sizes 1 and 2 subsample
+    assert loaded == {"peak_wide": 0, "peak_sweep": 1}
