@@ -35,6 +35,10 @@ with bytecode writing off, so a run writes nothing under ``perfbench/``:
   clusters, where many small decodes show the search's own per-step costs;
 * ``decode_prob``: ``decode`` under ``mean_prob``, whose output hash covers
   the pairwise sum numpy makes over the 8 inputs of each column;
+* ``decode_shift``: ``decode`` on the first 5 pool clusters, on a model of
+  `shift_model_type`, which reads the whole prefix and re-ranks the inputs
+  within a column from prefix to prefix, as a seq2seq model does, so a
+  search's column order goes stale at most steps;
 * ``stem``: ``porter_stem`` over the ``STEM_WORDS`` words of `stem_corpus`;
 * ``peak_wide`` and ``peak_sweep``: the ``wide`` and ``sweep`` benchmarks'
   CLI commands, each run by a fresh child process, since a worker has
@@ -67,19 +71,20 @@ quartiles, the median and quartiles of the per-pair ``tree/base`` ratios
 (none when a base value is 0; the host's drift between pairs moves them less
 than either side's median), the pairs each side won with the lower value (a
 tie counts for neither), the environment (Python, numpy, ``nproc``, CPU),
-both commits, each side's ``src_lines`` (the lines of its
-``src/dyne/*.py``), and a sha256 of each side's outputs: the bigram-table
-arrays of a load, every ranked result of a decode (its tokens, the hex of
-both scores and every trace cell), the stems of a ``stem`` pass, one per
-line, and every artifact of a ``peak`` child but ``run_config.json``, which
-records the side's paths. When the two sides' outputs differ, the run still
-writes the file but exits 1. Uses only the stdlib and numpy.
+both commits, each side's ``src_lines`` (the lines of its ``src/dyne/*.py``,
+also printed), and a sha256 of each side's outputs: the bigram-table arrays of
+a load, every ranked result of a decode (its tokens, the hex of both scores
+and every trace cell), the stems of a ``stem`` pass, one per line, and every
+artifact of a ``peak`` child but ``run_config.json``, which records the side's
+paths. When the two sides' outputs differ, the run still writes the file but
+exits 1. Uses only the stdlib and numpy.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import gc
 import hashlib
 import os
@@ -102,7 +107,8 @@ BUDGET_S, SLICES = 0.5, 10
 #: name -> (kind, benchmark workload, pool clusters in a decode's pass)
 WORKLOADS = {"wide": ("load", "wide", 0), "empty": ("load", "sweep", 0),
              "decode": ("decode", "wide", 10), "decode_sweep": ("decode", "sweep", 50),
-             "decode_prob": ("decode", "wide", 10), "stem": ("stem", None, 0),
+             "decode_prob": ("decode", "wide", 10), "decode_shift": ("decode", "wide", 5),
+             "stem": ("stem", None, 0),
              "peak_wide": ("peak", "wide", 0), "peak_sweep": ("peak", "sweep", 0)}
 #: kind -> {metric: unit}, in the order a slice returns them
 METRICS = {"load": {"load_s": "s", "first_use_s": "s"}, "decode": {"decode_s": "s"},
@@ -146,6 +152,26 @@ def stem_corpus() -> list[str]:
     return words
 
 
+def shift_model_type(dyne) -> type:
+    """`CopyBigramModel` made to read the whole prefix (``context = None``), input
+    ``x``'s row lowered by ``hash((prefix, x)) % 1024 / 1024``: each row still
+    depends only on its input and the prefix, as `SequenceModel` requires, and a
+    tuple of ints hashes alike in every process."""
+
+    class ShiftModel(dyne.CopyBigramModel):
+        context = None
+
+        @classmethod
+        def load(cls, spec: str) -> "ShiftModel":
+            return cls(dyne.ToyModelSpec.load(spec))
+
+        def score_batch(self, inputs, prefix):
+            offsets = [hash((tuple(prefix), tuple(x))) % 1024 / 1024 for x in inputs]
+            return super().score_batch(inputs, prefix) - np.array(offsets)[:, None]
+
+    return ShiftModel
+
+
 def workload_cases(dyne, work: Path) -> dict:
     """Each workload's input to its ``*_slice`` function, taken from the
     benchmark's workloads, which are written under ``work``."""
@@ -154,7 +180,7 @@ def workload_cases(dyne, work: Path) -> dict:
     import workloads
 
     built = {name: workloads.BUILDERS[name](SEED, work / name) for name in ("wide", "sweep")}
-    cases = {}
+    shift_model, cases = shift_model_type(dyne), {}
     for name, (kind, bench, clusters) in WORKLOADS.items():
         if kind == "stem":
             cases[name] = stem_corpus()
@@ -167,8 +193,10 @@ def workload_cases(dyne, work: Path) -> dict:
             params = wl.params
             if name == "decode_prob":
                 params = dataclasses.replace(params, reduce=dyne.Reduce.MEAN_PROB)
-            vocab = dyne.load_model(wl.model_path).vocab
-            cases[name] = wl.model_path, params, [
+            load = functools.partial(shift_model.load if name == "decode_shift" else
+                                     dyne.load_model, wl.model_path)
+            vocab = load().vocab
+            cases[name] = load, params, [
                 [dyne.tokenize_and_truncate(cluster.documents[j], vocab, workloads.MAX_INPUT_TOKENS)
                  for j in dyne.select_document_indices(cluster, wl.sizes[-1], wl.params.seed)]
                 for cluster in wl.pool[:clusters]]
@@ -214,11 +242,11 @@ def load_slice(dyne, spec: str, budget_s: float) -> tuple[list[float], str]:
 
 
 def decode_slice(dyne, case: tuple, budget_s: float) -> tuple[list[float], str]:
-    spec, params, input_sets = case
+    load, params, input_sets = case
     digest, decode_s, passes = hashlib.sha256(), 0.0, 0
     while not passes or decode_s < budget_s:
         for inputs in input_sets:
-            model = dyne.load_model(spec)
+            model = load()
             t0 = time.perf_counter()
             results = dyne.beam_search(model, inputs, params)
             decode_s += time.perf_counter() - t0
@@ -409,6 +437,7 @@ def main() -> int:
 
     base_sha = git("rev-parse", f"{args.base}^{{commit}}")
     samples, src_lines = run_pairs(base_sha, args.pairs)
+    print(f"src/dyne lines: base {src_lines['base']}, tree {src_lines['tree']}")
     result = {
         "command": " ".join(["scripts/bench_paired.py", *sys.argv[1:]]),
         "pairs": args.pairs,

@@ -993,7 +993,13 @@ def combine_through(order, arr, reduce=Reduce.MEAN_LOGPROB):
     """``arr`` reduced as a search step's one new key, gathered through ``order``."""
     stack = np.empty((1, *arr.shape))
     order.gather(arr, stack[0])
-    return dyne.decoder._combine([arr], stack, reduce, order)[0]
+    return dyne.decoder._combine(stack, reduce)[0]
+
+
+def rises(arr, order):
+    """Whether every column of ``arr`` gathered through ``order`` is non-decreasing."""
+    gathered = arr.ravel().take(order.flat)
+    return bool((gathered[:-1] <= gathered[1:]).all())
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")  # sums near -1e308 reach -inf
@@ -1004,14 +1010,14 @@ def test_reduce_with_a_shared_column_order_equals_a_fresh_sort_bitwise(stacks):
         order, shape = ColumnOrder(), None
         for arr in stacks:
             if arr.shape != shape:  # a search's order serves one [N, V] shape
-                order, shape = ColumnOrder(), arr.shape
+                order, shape, first = ColumnOrder(), arr.shape, arr
             assert combine_through(order, arr, reduce).tobytes() == reduce_fn(arr).tobytes()
-            if len(arr) > 1:
-                gathered = arr.ravel().take(order.flat)  # what the next step tries first
-                assert (gathered[:-1] <= gathered[1:]).all()
+            if arr is first:
+                flat = order.flat
+            assert order.flat is flat and rises(first, order)  # the first key's, kept
 
 
-def test_column_order_is_reused_until_a_column_falls_out_of_order():
+def test_column_order_is_set_once_and_a_stale_row_sorts_in_place():
     arr = np.array([[-1.0, -3.0, -0.0], [-2.0, -1.0, 0.0]])
     order = ColumnOrder()
     combine_through(order, arr)
@@ -1020,8 +1026,9 @@ def test_column_order_is_reused_until_a_column_falls_out_of_order():
     assert order.flat is first
     flipped = arr[::-1].copy()
     flipped[:, 0] = arr[:, 0]  # column 0 keeps its order, column 1 flips
+    assert not rises(flipped, order)
     assert combine_through(order, flipped).tobytes() == reduce_mean_logprob(flipped).tobytes()
-    assert order.flat is not first
+    assert order.flat is first and rises(arr, order)
 
 
 PARITY_VOCAB = Vocab.from_content(["a", "b", "c"])
@@ -1060,12 +1067,16 @@ class TestColumnOrderInDecodes:
     INPUTS = [(3, 4), (5, 3, 3), (4,), (5, 5, 4, 3), (3, 3, 5), (4, 5)]
 
     def test_parity_model_makes_the_cache_sort_again(self):
-        order, memo, flats = ColumnOrder(), {}, []
+        order, memo, inputs = ColumnOrder(), {}, tuple(self.INPUTS)
         for prefix in [(BOS_ID,), (BOS_ID, 3), (BOS_ID, 3, 4), (BOS_ID, 3, 4, 5)]:
-            dyne.decoder._step(ParityModel(), tuple(self.INPUTS), [prefix], Reduce.MEAN_LOGPROB,
-                               order, memo)
-            flats.append(order.flat)
-        assert len({id(f) for f in flats}) == len(flats)  # a new order at every step
+            dyne.decoder._step(ParityModel(), inputs, [prefix], Reduce.MEAN_LOGPROB, order, memo)
+            scores, row = memo[prefix]
+            flat = order.flat if len(prefix) == 1 else flat
+            assert order.flat is flat  # set from the first key, never replaced
+            # the order fits only the odd-length prefixes' scores, as it fits the
+            # first's; every row reduces as a fresh sort would
+            assert rises(scores, order) == (len(prefix) % 2 == 1)
+            assert row.tobytes() == reduce_mean_logprob(scores).tobytes()
 
     @pytest.mark.parametrize("reduce", list(Reduce))
     @pytest.mark.parametrize("min_len", [0, 2])
@@ -1123,10 +1134,10 @@ def test_steps_with_stale_and_fresh_rows_equal_the_oracle_and_fresh_sorts(reduce
     mixed = []
     combine = dyne.decoder._combine
 
-    def spy(per_inputs, stack, *rest):
+    def spy(stack, reduce):
         fits = (stack[:, :-1] <= stack[:, 1:]).reshape(len(stack), -1).all(axis=1)
         mixed.append(fits.any() and not fits.all())
-        return combine(per_inputs, stack, *rest)
+        return combine(stack, reduce)
 
     monkeypatch.setattr(dyne.decoder, "_combine", spy)
     results = beam_search(model, inputs, params)

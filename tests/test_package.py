@@ -15,6 +15,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import dyne
@@ -457,7 +458,8 @@ def test_paired_timing_decodes_the_benchmarks_pool_clusters(tmp_path, monkeypatc
     wide, sweep = built["wide"], built["sweep"]
     expected_params = {"decode": wide.params, "decode_sweep": sweep.params,
                        "decode_prob": dataclasses.replace(wide.params,
-                                                          reduce=dyne.Reduce.MEAN_PROB)}
+                                                          reduce=dyne.Reduce.MEAN_PROB),
+                       "decode_shift": wide.params}
     decodes = [name for name, (kind, *_) in bench.WORKLOADS.items() if kind == "decode"]
     assert decodes == list(expected_params)
     for name in decodes:
@@ -480,7 +482,25 @@ def test_paired_timing_decodes_the_benchmarks_pool_clusters(tmp_path, monkeypatc
         assert len({id(model) for model, *_ in calls}) == len(calls)
         assert not any(used for _, used, _, _ in calls)
         assert all(m.vocab == model.vocab for m, *_ in calls)
+        assert all(isinstance(m, dyne.CopyBigramModel) for m, *_ in calls)
+        assert {m.context for m, *_ in calls} == {None if name == "decode_shift" else 1}
     assert files_under(ROOT / "perfbench") == before
+    # decode_shift lowers input x's row by hash((prefix, x)) % 1024 / 1024, so the
+    # inputs' order within a column changes and a search's stack rows go stale
+    load, _, input_sets = cases["decode_shift"]
+    plain, shift, prefix = dyne.load_model(wide.model_path), load(), (dyne.BOS_ID, 7, 9)
+    offsets = [hash((prefix, tuple(x))) % 1024 / 1024 for x in input_sets[0]]
+    assert shift.score_batch(input_sets[0], prefix).tobytes() == (
+        plain.score_batch(input_sets[0], prefix) - np.array(offsets)[:, None]).tobytes()
+    rows, combine = [], dyne.decoder._combine
+
+    def spy(stack, reduce):
+        rows.extend((stack[:, :-1] <= stack[:, 1:]).reshape(len(stack), -1).all(axis=1))
+        return combine(stack, reduce)
+
+    monkeypatch.setattr(dyne.decoder, "_combine", spy)
+    dyne.decoder.beam_search(load(), input_sets[0], wide.params)
+    assert sum(not fits for fits in rows) > len(rows) / 2
 
 
 def test_paired_timing_names_a_worker_that_died(tmp_path, monkeypatch):
