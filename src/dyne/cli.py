@@ -21,10 +21,12 @@ run. A sweep has no ``--max-docs``: each size decodes with max_docs = size.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import re
 import shutil
 import sys
+from collections.abc import Iterator
 from pathlib import Path
 
 from .data import Cluster, ClusterSet, load_clusters, select_document_indices, tokenize_and_truncate
@@ -46,13 +48,22 @@ def _trace_filename(index: int, cluster_id: str, fmt: str) -> str:
     return f"{index:04d}_{safe}.{fmt}"
 
 
-def _fresh_out(path: str) -> Path:
-    """``--out`` as a path that is new or an empty directory, so no file of an
-    earlier run can sit beside this run's artifacts."""
+@contextlib.contextmanager
+def _out_dir(path: str, settings: dict) -> Iterator[Path]:
+    """``--out``, new or an empty directory; a run that succeeds ends by writing
+    ``settings`` to ``run_config.json``, and any exception removes what it wrote."""
     out = Path(path)
-    if out.exists() and not (out.is_dir() and not any(out.iterdir())):
+    existed = out.exists()
+    if existed and not (out.is_dir() and not any(out.iterdir())):
         raise ValueError(f"--out {path} already exists and is not an empty directory")
-    return out
+    try:
+        yield out
+        write_output(out / "run_config.json", json_text(settings))
+    except BaseException:
+        with contextlib.suppress(OSError):  # the run's own exception is the one to see
+            for made in (out.iterdir() if existed else [out]):
+                shutil.rmtree(made) if made.is_dir() else made.unlink(missing_ok=True)
+        raise
 
 
 def _rouge_setup(args) -> tuple[RougeConfig, tuple[str, ...]]:
@@ -146,12 +157,10 @@ def _report_failures(failures: list[tuple[str, str]]) -> None:
 
 
 def cmd_decode(args, settings: dict) -> int:
-    out_dir = _fresh_out(args.out)
-    params, model, clusters = _load_run(args, args.max_docs)
-    _, failures = _decode_run(model, clusters, args, params, args.max_docs, out_dir)
-    write_output(out_dir / "run_config.json", json_text(settings))
-    done = len(clusters) - len(failures)
-    print(f"decoded {done}/{len(clusters)} clusters -> {args.out}")
+    with _out_dir(args.out, settings) as out_dir:
+        params, model, clusters = _load_run(args, args.max_docs)
+        _, failures = _decode_run(model, clusters, args, params, args.max_docs, out_dir)
+    print(f"decoded {len(clusters) - len(failures)}/{len(clusters)} clusters -> {args.out}")
     _report_failures(failures)
     return 1 if failures else 0
 
@@ -223,34 +232,29 @@ def cmd_evaluate(args, settings: dict) -> int:
 
 
 def cmd_sweep(args, settings: dict) -> int:
-    out_dir = _fresh_out(args.out)
-    existed = out_dir.exists()
-    rouge_cfg, metrics = _rouge_setup(args)
-    params, model, clusters = _load_run(args, max(args.sizes))
-    ref_tokens = _reference_tokens(clusters, [c.id for c in clusters], rouge_cfg)
+    with _out_dir(args.out, settings) as out_dir:
+        rouge_cfg, metrics = _rouge_setup(args)
+        params, model, clusters = _load_run(args, max(args.sizes))
+        ref_tokens = _reference_tokens(clusters, [c.id for c in clusters], rouge_cfg)
 
-    failed = False
-    rows = []
-    for size in args.sizes:
-        size_dir = out_dir / f"size_{size}"
-        records, failures = _decode_run(model, clusters, args, params, size, size_dir)
-        _report_failures(failures)
-        if not records:
-            # _fresh_out found --out new or empty, so all it holds is this run's
-            for path in (out_dir.iterdir() if existed else [out_dir]):
-                shutil.rmtree(path)
-            raise ValueError(f"no cluster decoded at size {size} ({len(failures)} failed)")
-        failed = failed or bool(failures)
-        report = _evaluate_records(records, rouge_cfg, metrics, ref_tokens)
-        write_output(size_dir / "report.json", json_text(report))
-        rows.append((size, report["mean"]))
+        failed = False
+        rows = []
+        for size in args.sizes:
+            size_dir = out_dir / f"size_{size}"
+            records, failures = _decode_run(model, clusters, args, params, size, size_dir)
+            _report_failures(failures)
+            if not records:
+                raise ValueError(f"no cluster decoded at size {size} ({len(failures)} failed)")
+            failed = failed or bool(failures)
+            report = _evaluate_records(records, rouge_cfg, metrics, ref_tokens)
+            write_output(size_dir / "report.json", json_text(report))
+            rows.append((size, report["mean"]))
 
-    comps = ("precision", "recall", "f")
-    write_output(out_dir / "sweep.csv", csv_text([
-        ["size", *(f"{m}_{c}" for m in metrics for c in comps)],
-        *([size, *(means[m][c] for m in metrics for c in comps)] for size, means in rows),
-    ]))
-    write_output(out_dir / "run_config.json", json_text(settings))
+        comps = ("precision", "recall", "f")
+        write_output(out_dir / "sweep.csv", csv_text([
+            ["size", *(f"{m}_{c}" for m in metrics for c in comps)],
+            *([size, *(means[m][c] for m in metrics for c in comps)] for size, means in rows),
+        ]))
 
     print(f"{'size':<6}" + "".join(f"{m + ' f':>14}" for m in metrics))
     for size, means in rows:

@@ -7,6 +7,7 @@ import io
 import json
 import math
 import os
+import shutil
 import stat
 import sys
 from pathlib import Path
@@ -603,6 +604,126 @@ class TestOutputFiles:
         assert len(written) == (n + 2) + (2 * (n + 2) + 2) + 2
         modes = {str(p.relative_to(tmp)): oct(stat.S_IMODE(p.stat().st_mode)) for p in written}
         assert modes == dict.fromkeys(modes, oct(mode))
+
+
+class FailingWrites:
+    """``dyne.cli.write_output`` that records each path written and raises
+    ``fault`` on call number ``fail_at`` (never, when it is None)."""
+
+    def __init__(self, monkeypatch, fault=OSError):
+        self.paths, self.fail_at, self.fault = [], None, fault
+        self.write = dyne.cli.write_output
+        monkeypatch.setattr(dyne.cli, "write_output", self)
+
+    def __call__(self, path, text):
+        self.paths.append(Path(path))
+        if len(self.paths) == self.fail_at:
+            raise self.fault(f"write {self.fail_at} refused")
+        self.write(path, text)
+
+
+class TestFailedRun:
+    """Exit 2, an interrupt or a defect after the first write leaves ``--out``
+    as it was: absent, or an empty directory. Exit 1 keeps every artifact."""
+
+    SIZES = {"decode": [], "sweep": ["--sizes", "1", "2"]}
+
+    def three_cluster_argv(self, workspace, command) -> list[str]:
+        tmp, flags, corpus = workspace
+        save_clusters(ClusterSet(corpus.clusters.clusters[:3]), tmp / "three.jsonl")
+        flags = list(flags)
+        flags[flags.index("--clusters") + 1] = str(tmp / "three.jsonl")
+        return [command, *flags, *self.SIZES[command]]
+
+    @staticmethod
+    def fresh_out(tmp: Path, name: str, made: bool) -> Path:
+        out = tmp / name
+        if made:
+            out.mkdir()
+        return out
+
+    @staticmethod
+    def as_it_was(out: Path, made: bool) -> bool:
+        return list(out.iterdir()) == [] if made else not out.exists()
+
+    @pytest.mark.parametrize("made", [False, True], ids=["absent", "empty"])
+    @pytest.mark.parametrize("command", ["decode", "sweep"])
+    def test_every_failed_write_leaves_out_as_it_was(self, workspace, monkeypatch, capsys,
+                                                     command, made):
+        tmp = workspace[0]
+        argv = self.three_cluster_argv(workspace, command)
+        writes = FailingWrites(monkeypatch)
+        assert main([*argv, "--out", str(tmp / "whole")]) == 0
+        # decode: 3 traces, summaries; sweep, per size: 3 traces, summaries, a report,
+        # then sweep.csv; and last, run_config.json
+        assert len(writes.paths) == {"decode": 5, "sweep": 12}[command]
+        assert writes.paths[-1] == tmp / "whole" / "run_config.json"
+        for k in range(1, len(writes.paths) + 1):
+            out = self.fresh_out(tmp, f"out_{k}", made)
+            writes.paths, writes.fail_at = [], k
+            capsys.readouterr()
+            assert main([*argv, "--out", str(out)]) == 2
+            assert capsys.readouterr().err == f"error: write {k} refused\n"
+            assert self.as_it_was(out, made), k
+            assert list(tmp.glob(".*.tmp")) == []
+
+    @pytest.mark.parametrize("made", [False, True], ids=["absent", "empty"])
+    @pytest.mark.parametrize("command", ["decode", "sweep"])
+    def test_an_interrupt_leaves_out_as_it_was(self, workspace, monkeypatch, command, made):
+        tmp = workspace[0]
+        out = self.fresh_out(tmp, "out", made)
+        search, calls = dyne.cli.beam_search, []
+
+        def interrupted(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 2:
+                assert read_tree(out)  # the first cluster's trace is written
+                raise KeyboardInterrupt
+            return search(*args, **kwargs)
+
+        monkeypatch.setattr(dyne.cli, "beam_search", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            main([*self.three_cluster_argv(workspace, command), "--out", str(out)])
+        assert self.as_it_was(out, made)
+
+    @pytest.mark.parametrize("fault", [OSError, KeyboardInterrupt])
+    def test_a_clean_up_fault_never_hides_the_run_s_exception(self, workspace, monkeypatch,
+                                                              capsys, fault):
+        refused = []
+
+        def refuse(path, *args, **kwargs):
+            refused.append(path)
+            raise OSError("rmtree refused")
+
+        FailingWrites(monkeypatch, fault).fail_at = 2
+        monkeypatch.setattr(shutil, "rmtree", refuse)
+        out = workspace[0] / "out"
+        argv = [*self.three_cluster_argv(workspace, "decode"), "--out", str(out)]
+        if fault is OSError:
+            assert main(argv) == 2
+            assert capsys.readouterr().err == "error: write 2 refused\n"
+        else:
+            with pytest.raises(KeyboardInterrupt, match="write 2 refused"):
+                main(argv)
+        assert refused == [out]
+
+    @pytest.mark.parametrize("command", ["decode", "sweep"])
+    def test_some_failed_clusters_keep_every_artifact(self, tmp_path, capsys, command):
+        ToyModelSpec(1.0, 1.0, {}, Vocab.from_content(["a", "b"])).save(tmp_path / "model.json")
+        (tmp_path / "clusters.jsonl").write_text(
+            '{"id": "good", "documents": ["a b a"], "references": ["a b"]}\n'
+            '{"id": "bad", "documents": ["   "], "references": ["a"]}\n'
+            '{"id": "also_good", "documents": ["b b"], "references": ["b"]}\n'
+        )
+        out = tmp_path / "run"
+        assert main([command, "--model", str(tmp_path / "model.json"),
+                     "--clusters", str(tmp_path / "clusters.jsonl"), "--max-len", "3",
+                     *self.SIZES[command], "--out", str(out)]) == 1
+        run = ["summaries.jsonl", "traces/0000_good.csv", "traces/0002_also_good.csv"]
+        if command == "sweep":
+            run = ["sweep.csv", *(f"size_{k}/{name}" for k in (1, 2)
+                                  for name in ["report.json", *run])]
+        assert sorted(read_tree(out)) == sorted(["run_config.json", *run])
 
 
 class TestRunConfig:

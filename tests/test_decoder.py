@@ -465,6 +465,16 @@ class TestBeamSearch:
                            r"\(content length 2, max_len=3 forces EOS\)$"):
             beam_search(model, [(A,)], DecodeParams(beam_size=2, max_len=3, min_len=0))
 
+    def test_nothing_left_at_min_len_names_no_eos_mask(self):
+        # at content length 2 == min_len the mask allows EOS, but the model scores
+        # it -inf and block_repeat_ngram=1 has blocked both content tokens
+        row = [-math.inf, -math.inf, -math.inf, -0.5, -1.0]
+        model = LastTokenModel({BOS_ID: row, A: row, B: row})
+        params = DecodeParams(beam_size=2, max_len=6, min_len=2, block_repeat_ngram=1)
+        with pytest.raises(DecodeError, match=r"^no viable continuation for any hypothesis "
+                           r"\(content length 2, block_repeat_ngram=1\)$"):
+            beam_search(model, [(A,)], params)
+
     def test_nan_from_model_is_an_error(self):
         with pytest.raises(ValueError, match="NaN"):
             beam_search(NaNModel(), [(A,)], DecodeParams(beam_size=2, max_len=3))
@@ -1186,6 +1196,24 @@ class TestBeamMemoryBound:
         check_beam_memory(params, 1000, 8)  # the widest beam inside the limit
         with pytest.raises(ValueError, match="beam_size"):
             check_beam_memory(dataclasses.replace(params, beam_size=params.beam_size + 1), 1000, 8)
+
+    def test_a_beam_needing_exactly_the_limit_is_accepted(self):
+        # 4 * 2,048 * ((3 * 5,240 + 9) * 8 + 5,240) = 2**13 * 2**17 bytes
+        assert STEP_BYTES_LIMIT == 2**30
+        params = DecodeParams(beam_size=4, max_len=30)
+        check_beam_memory(params, 2048, 5240)
+        with pytest.raises(ValueError, match="^beam_size 5 lets 5 prefixes live"):
+            check_beam_memory(dataclasses.replace(params, beam_size=5), 2048, 5240)
+
+    # width 4 leaves 1 content token, so 1 prefix lives at any length; width 5
+    # leaves 2, and max_len 2 allows 1 content token before EOS, so 2 live
+    @pytest.mark.parametrize("width, max_len, live", [(4, 30, 1), (5, 2, 2)])
+    def test_only_prefixes_that_can_exist_are_counted(self, width, max_len, live):
+        params = DecodeParams(beam_size=8, max_len=max_len, min_len=0)
+        # 2,000,000 inputs: `live` prefixes fit in the limit, and all 8 of the beam would not
+        check_beam_memory(params, width, 2_000_000)
+        with pytest.raises(ValueError, match=f"^beam_size 8 lets {live} prefixes live"):
+            check_beam_memory(params, width, 20_000_000)
 
     @pytest.mark.parametrize("reduce", list(Reduce))
     def test_a_wide_decode_holds_no_more_than_the_estimate(self, reduce):
