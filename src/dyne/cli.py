@@ -50,12 +50,13 @@ def _trace_filename(index: int, cluster_id: str, fmt: str) -> str:
 
 @contextlib.contextmanager
 def _out_dir(path: str, settings: dict) -> Iterator[Path]:
-    """``--out``, new or an empty directory; a run that succeeds ends by writing
-    ``settings`` to ``run_config.json``, and any exception removes what it wrote."""
+    """``--out``, new or an empty directory. A run that succeeds ends by writing ``settings``
+    to ``run_config.json``; any exception removes what it wrote, new parents included."""
     out = Path(path)
     existed = out.exists()
     if existed and not (out.is_dir() and not any(out.iterdir())):
         raise ValueError(f"--out {path} already exists and is not an empty directory")
+    new_parents = [p for p in out.parents if not p.exists()]  # nearest first
     try:
         yield out
         write_output(out / "run_config.json", json_text(settings))
@@ -63,6 +64,8 @@ def _out_dir(path: str, settings: dict) -> Iterator[Path]:
         with contextlib.suppress(OSError):  # the run's own exception is the one to see
             for made in (out.iterdir() if existed else [out]):
                 shutil.rmtree(made) if made.is_dir() else made.unlink(missing_ok=True)
+            for parent in new_parents:  # rmdir keeps one that another run has written in
+                parent.rmdir()
         raise
 
 

@@ -5,16 +5,18 @@ Clusters live in a JSONL file: one object per line with fields ``id``,
 strings, optional and possibly empty). When a cluster holds more
 documents than a run wants, a uniformly random subset is drawn without
 replacement from a generator seeded per cluster, so edits elsewhere in a
-dataset never change a cluster's selection.
+dataset never change a cluster's selection. The draw ports numpy's ``SeedSequence``,
+``PCG64`` and ``Generator.choice`` bit for bit, for under ``2**32`` documents, so no
+numpy release changes a selection and no run loads ``numpy.random`` or OpenSSL.
 """
 
 from __future__ import annotations
 
+import contextlib
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from itertools import repeat
 from pathlib import Path
-
-import numpy as np
 
 from .errors import FormatError, input_records, is_integer, jsonl_text, tuple_of, write_output
 from .seqmodel import UNK_ID, TokenSeq, Vocab, check_utf8
@@ -94,21 +96,62 @@ def save_clusters(clusters: ClusterSet, path: str | Path) -> None:
     write_output(path, clusters_to_jsonl(clusters))
 
 
-def _selection_rng(seed: int, cluster_id: str) -> np.random.Generator:
-    # PCG64 seeded from the SHA-256 digest of "<seed>|<cluster id>": the
-    # same (seed, id) pair always selects the same subset, on any platform.
-    # Imported here: hashlib maps OpenSSL (about 3.6 MB of peak memory).
-    import hashlib
-    digest = hashlib.sha256(f"{seed}|{cluster_id}".encode("utf-8")).digest()
-    return np.random.default_rng(int.from_bytes(digest, "big"))
+def _builtin_sha256():
+    """CPython's own SHA-256 (``_sha2`` from 3.12, ``_sha256`` before): hashlib maps OpenSSL."""
+    for name in ("_sha2", "_sha256", "hashlib"):  # hashlib serves a build without them
+        with contextlib.suppress(ImportError):
+            return __import__(name).sha256
+
+
+_SHA256 = _builtin_sha256()
+_M32, _M64, _M128 = 2**32 - 1, 2**64 - 1, 2**128 - 1
+# SeedSequence's hash i xors with constant i and multiplies by constant i + 1; after
+# hashing 4 words, every lane mixes into every other, then each further word into each
+_HASH = [0x43B0D7E5 * pow(0x931E8875, i, 2**32) & _M32 for i in range(33)]
+_MIX_STEPS = [(s, d, a, b) for (s, d), a, b in zip(
+    [(s, d) for s in range(8) for d in range(4) if s != d], _HASH[4:], _HASH[5:])]
+_STATE_HASH = [0x8B51F9DD * pow(0x58F38DED, i, 2**32) & _M32 for i in range(9)]
+
+
+def _pcg64_halves(entropy: int) -> Iterator[int]:
+    """The 32-bit values ``Generator`` takes from ``PCG64(SeedSequence(entropy))``,
+    ``0 <= entropy < 2**256``: each 64-bit XSL-RR output's low half, then its high."""
+    words = [entropy >> s & _M32 for s in range(0, max(entropy.bit_length(), 128), 32)]
+    lanes = [(w ^ a) * b & _M32 for w, a, b in zip(words[:4], _HASH, _HASH[1:])]
+    lanes = [v ^ v >> 16 for v in lanes] + words[4:]
+    for src, dst, a, b in _MIX_STEPS[:4 * len(lanes) - 4]:
+        h = (lanes[src] ^ a) * b & _M32
+        v = 0xCA01F9DD * lanes[dst] - 0x4973F715 * (h ^ h >> 16) & _M32
+        lanes[dst] = v ^ v >> 16
+    w = [v ^ v >> 16 for v in ((lanes[i % 4] ^ a) * b & _M32
+                               for i, (a, b) in enumerate(zip(_STATE_HASH, _STATE_HASH[1:])))]
+    # words 0-3 seed the state: its high 64 bits, then its low, each low half first
+    seed, inc = (w[i + 1] << 96 | w[i] << 64 | w[i + 3] << 32 | w[i + 2] for i in (0, 4))
+    mult, inc = 0x2360ED051FC65DA44385DF649FCCF645, inc << 1 & _M128 | 1
+    state = ((inc + seed) * mult + inc) & _M128
+    while True:
+        state = (state * mult + inc) & _M128
+        x, turn = (state >> 64 ^ state) & _M64, state >> 122
+        x = (x >> turn | x << (64 - turn)) & _M64
+        yield x & _M32
+        yield x >> 32
+
+
+def _below(halves: Iterator[int], bound: int) -> int:
+    """numpy's Lemire draw of a uniform integer in ``[0, bound)``, ``1 < bound < 2**32``."""
+    m = next(halves) * bound
+    while m & _M32 < (2**32 - bound) % bound:
+        m = next(halves) * bound
+    return m >> 32
 
 
 def select_document_indices(cluster: Cluster, max_docs: int, seed: int) -> list[int]:
     """Indices of up to ``max_docs`` documents, drawn uniformly without replacement.
 
-    Clusters at or under the limit are returned whole; larger clusters are
-    subsampled deterministically in (seed, cluster id). Indices ascend, so
-    the chosen documents keep their original relative order.
+    Clusters at or under the limit are returned whole; from larger ones, of ``n < 2**32``
+    documents, ``np.random.default_rng(e).choice(n, max_docs, replace=False)`` picks,
+    ``e`` the big-endian SHA-256 of ``"<seed>|<cluster id>"``. Indices ascend, so the
+    chosen documents keep their original relative order.
     """
     if not isinstance(cluster, Cluster):
         raise ValueError(f"cluster must be a Cluster, got {cluster!r}")
@@ -116,12 +159,21 @@ def select_document_indices(cluster: Cluster, max_docs: int, seed: int) -> list[
         raise ValueError(f"max_docs must be an integer >= 1, got {max_docs!r}")
     if not is_integer(seed):
         raise ValueError(f"seed must be an integer, got {seed!r}")
-    n = len(cluster.documents)
-    if n <= max_docs:
+    n, k = len(cluster.documents), max_docs
+    if n <= k:
         return list(range(n))
-    rng = _selection_rng(seed, cluster.id)
-    chosen = rng.choice(n, size=max_docs, replace=False)
-    return sorted(int(i) for i in chosen)
+    digest = _SHA256(f"{seed}|{cluster.id}".encode("utf-8")).digest()
+    halves = _pcg64_halves(int.from_bytes(digest, "big"))
+    if n > 10000 and k > n // 50:  # numpy shuffles the last k places
+        idx = list(range(n))
+        for i in range(n - 1, n - k - 1, -1):
+            j = _below(halves, i + 1)
+            idx[i], idx[j] = idx[j], idx[i]
+        return sorted(idx[n - k:])
+    chosen: set[int] = set()  # otherwise numpy runs Floyd's algorithm
+    for j in range(n - k, n):
+        chosen.add(j if (val := _below(halves, j + 1)) in chosen else val)
+    return sorted(chosen)
 
 
 def tokenize_and_truncate(text: str, vocab: Vocab, max_tokens: int) -> TokenSeq:

@@ -667,6 +667,28 @@ class TestFailedRun:
             assert self.as_it_was(out, made), k
             assert list(tmp.glob(".*.tmp")) == []
 
+    @pytest.mark.parametrize("shared", [False, True], ids=["alone", "shared"])
+    @pytest.mark.parametrize("command", ["decode", "sweep"])
+    def test_a_failed_run_removes_the_empty_parents_it_made(self, workspace, monkeypatch,
+                                                            capsys, command, shared):
+        parent = workspace[0] / "pd"
+        parent.mkdir()
+        writes = FailingWrites(monkeypatch)
+        writes.fail_at = 2
+
+        def share_then_fail(path, text):
+            # another run, or the user, writes in a parent this run made
+            if shared and len(writes.paths) == 1:
+                (parent / "a" / "keep").write_text("not this run's")
+            writes(path, text)
+
+        monkeypatch.setattr(dyne.cli, "write_output", share_then_fail)
+        argv = [*self.three_cluster_argv(workspace, command), "--out", str(parent / "a/b/run")]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: write 2 refused\n"
+        assert sorted(parent.rglob("*")) == ([parent / "a", parent / "a" / "keep"]
+                                             if shared else [])
+
     @pytest.mark.parametrize("made", [False, True], ids=["absent", "empty"])
     @pytest.mark.parametrize("command", ["decode", "sweep"])
     def test_an_interrupt_leaves_out_as_it_was(self, workspace, monkeypatch, command, made):

@@ -7,6 +7,7 @@ import hashlib
 import io
 import json
 import re
+import sys
 import tempfile
 from collections import Counter
 from pathlib import Path
@@ -16,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dyne.data
 from dyne import (
     Cluster,
     ClusterSet,
@@ -259,7 +261,65 @@ def make_cluster(n_docs: int, cluster_id: str = "c") -> Cluster:
     return Cluster(cluster_id, tuple(f"doc {i}" for i in range(n_docs)))
 
 
+def numpy_selection(cluster: Cluster, max_docs: int, seed: int) -> list[int]:
+    """The draw that `select_document_indices` ports, made by numpy itself."""
+    digest = hashlib.sha256(f"{seed}|{cluster.id}".encode()).digest()
+    rng = np.random.default_rng(int.from_bytes(digest, "big"))
+    return sorted(int(i) for i in rng.choice(len(cluster.documents), max_docs, replace=False))
+
+
 class TestSelection:
+    @given(seed=st.one_of(st.sampled_from([-1, 0, 2**70]), st.integers(-2**80, 2**80)),
+           cluster_id=st.one_of(st.sampled_from(["c", "k\u00e9", "\u65b0\u95fb-7", "\U0001f4f0"]),
+                                st.text(st.characters(exclude_categories=["Cs"]), min_size=1)),
+           n_docs=st.integers(2, 60), data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_draw_is_numpy_s_bit_for_bit(self, seed, cluster_id, n_docs, data):
+        # Floyd's algorithm: numpy's draw for k <= n // 50 or n <= 10000
+        max_docs = data.draw(st.integers(1, n_docs - 1))
+        cluster = Cluster(cluster_id, ("w",) * n_docs)
+        assert select_document_indices(cluster, max_docs, seed) == numpy_selection(
+            cluster, max_docs, seed)
+
+    @pytest.mark.parametrize("n_docs, max_docs", [
+        (10001, 10001 // 50 + 1), (10001, 10001 // 2), (20000, 20000 // 50 + 1),
+        (20000, 20000 // 2),
+        (10001, 10001 // 50), (10000, 5000),  # Floyd's, at the edge of the shuffle
+    ])
+    def test_a_large_share_of_a_large_cluster_is_numpy_s_tail_shuffle(self, n_docs, max_docs):
+        cluster = Cluster("big", ("w",) * n_docs)
+        for seed in (0, -5):
+            assert select_document_indices(cluster, max_docs, seed) == numpy_selection(
+                cluster, max_docs, seed)
+
+    @pytest.mark.parametrize("entropy", [0, 1, 2**32, 2**100, 2**128 - 1, 2**128, 2**200,
+                                         2**224, 2**256 - 1])
+    def test_generator_is_numpy_s_pcg64(self, entropy):
+        # a digest under 2**224 is fewer than 8 words, as numpy's SeedSequence reads it
+        halves = dyne.data._pcg64_halves(entropy)
+        raw = np.random.PCG64(entropy).random_raw(6).tolist()
+        assert [next(halves) for _ in range(12)] == [
+            half for x in raw for half in (x & 0xFFFFFFFF, x >> 32)]
+
+    @pytest.mark.parametrize("bound", [2, 3, 2**16, 10**9 + 7, 2**31, 2**31 + 1, 2**32 - 2])
+    def test_bounded_draws_are_numpy_s(self, bound):
+        # just over 2**31 Lemire's method rejects about half its draws, and at a power
+        # of 2 none
+        halves = dyne.data._pcg64_halves(2**255 + bound)
+        drawn = np.random.default_rng(2**255 + bound).integers(0, bound, 200)
+        assert [dyne.data._below(halves, bound) for _ in range(200)] == drawn.tolist()
+
+    def test_hashlib_fallback_draws_the_same(self, monkeypatch):
+        # the built-in SHA-256 maps no OpenSSL; hashlib's serves a build without it
+        cluster = make_cluster(30, "k\u00e9")
+        chosen = [select_document_indices(cluster, k, 3) for k in (1, 7, 29)]
+        for name in ("_sha2", "_sha256"):
+            monkeypatch.setitem(sys.modules, name, None)
+        monkeypatch.setattr(dyne.data, "_SHA256", dyne.data._builtin_sha256())
+        assert dyne.data._SHA256 is hashlib.sha256
+        assert [select_document_indices(cluster, k, 3) for k in (1, 7, 29)] == chosen
+        assert chosen == [numpy_selection(cluster, k, 3) for k in (1, 7, 29)]
+
     def test_small_cluster_returned_whole(self):
         cluster = make_cluster(3)
         assert select_document_indices(cluster, 5, seed=1) == [0, 1, 2]

@@ -355,9 +355,11 @@ def test_lazy_import_guard_names_file_line_and_module():
 SELECTIONS = {(0, "c", 8, 3): [0, 1, 5], (7, "cluster-42", 20, 5): [4, 12, 13, 16, 18],
               (-3, "k\u00e9", 6, 2): [1, 3], (2**70, "x", 10, 9): [0, 1, 2, 3, 5, 6, 7, 8, 9]}
 
-HASHLIB_CHILD = """
+OPENSSL_CHILD = """
 import json, sys
-loaded = ['_hashlib' in sys.modules]
+openssl = ['_hashlib' in sys.modules]
+import numpy
+eager = 'numpy.random' in sys.modules
 from dyne.cli import main
 from dyne.data import Cluster, select_document_indices
 work, selections = sys.argv[1], json.loads(sys.argv[2])
@@ -366,30 +368,40 @@ assert main(['decode', *flags, '--clusters', work + '/fits.jsonl', '--max-docs',
              '--out', work + '/fits']) == 0
 assert main(['evaluate', '--clusters', work + '/fits.jsonl',
              '--hypotheses', work + '/fits/summaries.jsonl']) == 0
-loaded.append('_hashlib' in sys.modules)
+openssl.append('_hashlib' in sys.modules)
 assert main(['decode', *flags, '--clusters', work + '/subsampled.jsonl', '--max-docs', '2',
              '--out', work + '/subsampled']) == 0
-loaded.append('_hashlib' in sys.modules)
+openssl.append('_hashlib' in sys.modules)
+drawn = [[name for name in ('_hashlib', 'numpy.random') if name in sys.modules]]
+assert main(['sweep', *flags, '--clusters', work + '/subsampled.jsonl', '--sizes', '1', '2',
+             '--out', work + '/sweep']) == 0
+drawn.append([name for name in ('_hashlib', 'numpy.random') if name in sys.modules])
+assert main(['trace', *flags, '--clusters', work + '/subsampled.jsonl', '--max-docs', '2',
+             '--cluster-id', 'c', '--output', work + '/trace.csv']) == 0
+drawn.append([name for name in ('_hashlib', 'numpy.random') if name in sys.modules])
 chosen = [select_document_indices(Cluster(cid, ('w',) * n), k, seed)
           for seed, cid, n, k in selections]
-print(repr((loaded, chosen)))
+print(repr((openssl, eager, drawn, chosen)))
 """
 
 
-def test_only_a_subsampling_run_loads_hashlib(tmp_path):
+def test_no_run_loads_hashlib_or_numpy_random(tmp_path):
     dyne.ToyModelSpec(1.0, 1.0, {}, dyne.Vocab.from_content(["a", "b"])).save(
         tmp_path / "model.json")
     for name, docs in (("fits", ["a b", "b a"]), ("subsampled", ["a", "b", "a b"])):
         (tmp_path / f"{name}.jsonl").write_text(
             json.dumps({"id": "c", "documents": docs, "references": ["a b"]}) + "\n")
     child = subprocess.run(
-        [sys.executable, "-c", HASHLIB_CHILD, str(tmp_path), json.dumps(list(SELECTIONS))],
+        [sys.executable, "-c", OPENSSL_CHILD, str(tmp_path), json.dumps(list(SELECTIONS))],
         env=src_env(), capture_output=True, text=True, timeout=60)
     assert child.returncode == 0, child.stderr
-    loaded, chosen = ast.literal_eval(child.stdout.splitlines()[-1])
-    if loaded[0]:
-        pytest.skip("the interpreter loaded _hashlib before dyne was imported")
-    assert loaded == [False, False, True]  # only the decode that subsamples
+    openssl, eager, drawn, chosen = ast.literal_eval(child.stdout.splitlines()[-1])
+    if openssl[0] or eager:
+        pytest.skip("the interpreter or numpy loaded _hashlib or numpy.random itself")
+    # dyne draws a cluster's documents with its own PCG64 and hashes with CPython's
+    # built-in SHA-256, so not even a run that subsamples loads either module
+    assert openssl == [False, False, False]
+    assert drawn == [[], [], []]  # after the subsampling decode, a sweep, then a trace
     assert chosen == list(SELECTIONS.values())
 
 
@@ -535,8 +547,7 @@ def test_paired_timing_reports_the_per_pair_ratios():
         "peak_wide hashlib_loaded: base 0.5, tree 0, tree won 1/2 pairs")
 
 
-def test_paired_peak_child_loads_hashlib_only_where_the_benchmark_subsamples(
-        tmp_path, monkeypatch):
+def test_no_paired_peak_child_loads_hashlib(tmp_path, monkeypatch):
     bench = load_script("bench_paired.py")
     for name, value in (("path", [*sys.path]), ("dont_write_bytecode", False)):
         monkeypatch.setattr(sys, name, value)  # restored when the test ends
@@ -547,5 +558,5 @@ def test_paired_peak_child_loads_hashlib_only_where_the_benchmark_subsamples(
         (peak_mb, loaded[name], count), sha = bench.peak_slice(dyne, cases[name], 0.0)
         assert peak_mb > 10 and count == 1 and re.fullmatch("[0-9a-f]{64}", sha)
         assert not (tmp_path / bench.WORKLOADS[name][1] / "out_peak").exists()
-    # a wide cluster holds max_docs documents; sweep's sizes 1 and 2 subsample
-    assert loaded == {"peak_wide": 0, "peak_sweep": 1}
+    # sweep's sizes 1 and 2 subsample, and even that draw maps no OpenSSL
+    assert loaded == {"peak_wide": 0, "peak_sweep": 0}
