@@ -63,21 +63,21 @@ it. Each slice hashes its first pass, after each decode and outside the
 timer. A ``stem`` unit is one pass over the corpus (``stem_s``). A ``peak``
 slice is one child, which imports ``dyne`` from the side's ``src/``, runs the
 command as perfbench's ``reference_run`` does, and reports its own ``VmHWM``
-(``peak_mb``) and whether it loaded OpenSSL's ``_hashlib``
-(``hashlib_loaded``); its sample is the mean over ``SLICES`` children.
+(``peak_mb``); its sample is the mean over ``SLICES`` children.
 
 The result file holds, per workload and metric, each side's median and
 quartiles, the median and quartiles of the per-pair ``tree/base`` ratios
 (none when a base value is 0; the host's drift between pairs moves them less
 than either side's median), the pairs each side won with the lower value (a
 tie counts for neither), the environment (Python, numpy, ``nproc``, CPU),
-both commits, each side's ``src_lines`` (the lines of its ``src/dyne/*.py``,
-also printed), and a sha256 of each side's outputs: the bigram-table arrays of
-a load, every ranked result of a decode (its tokens, the hex of both scores
-and every trace cell), the stems of a ``stem`` pass, one per line, and every
-artifact of a ``peak`` child but ``run_config.json``, which records the side's
-paths. When the two sides' outputs differ, the run still writes the file but
-exits 1. Uses only the stdlib and numpy.
+both commits, each side's ``src_lines`` (the lines of its ``src/dyne/*.py``)
+and ``src_file_lines`` (the same per file, by name), both also printed with
+the tree's change, and a sha256 of each side's outputs: the bigram-table
+arrays of a load, every ranked result of a decode (its tokens, the hex of
+both scores and every trace cell), the stems of a ``stem`` pass, one per
+line, and every artifact of a ``peak`` child but ``run_config.json``, which
+records the side's paths. When the two sides' outputs differ, the run still
+writes the file but exits 1. Uses only the stdlib and numpy.
 """
 
 from __future__ import annotations
@@ -112,16 +112,15 @@ WORKLOADS = {"wide": ("load", "wide", 0), "empty": ("load", "sweep", 0),
              "peak_wide": ("peak", "wide", 0), "peak_sweep": ("peak", "sweep", 0)}
 #: kind -> {metric: unit}, in the order a slice returns them
 METRICS = {"load": {"load_s": "s", "first_use_s": "s"}, "decode": {"decode_s": "s"},
-           "stem": {"stem_s": "s"}, "peak": {"peak_mb": "MB", "hashlib_loaded": "share"}}
+           "stem": {"stem_s": "s"}, "peak": {"peak_mb": "MB"}}
 #: a peak child's code: it imports ``dyne`` from the ``src/`` named first on its
 #: command line, runs the CLI on the rest, then prints its peak resident memory
 #: (the child's own ``VmHWM``, as perfbench's ``reference_run`` reads it) in kB
-#: and whether OpenSSL's ``_hashlib`` was loaded
 PEAK_CHILD = (
     "import sys; sys.path.insert(0, sys.argv.pop(1)); from dyne.cli import main; "
     "status = main(sys.argv[1:]); "
     "hwm = [l for l in open('/proc/self/status') if l.startswith('VmHWM:')]; "
-    "print('peak', hwm[0].split()[1], int('_hashlib' in sys.modules)); sys.exit(status)"
+    "print('peak', hwm[0].split()[1]); sys.exit(status)"
 )
 STEM_WORDS = 30_000
 #: every suffix of Porter's rule tables, with the endings step 1b's tidy-up
@@ -265,18 +264,17 @@ def peak_slice(dyne, wl, budget_s: float) -> tuple[list[float], str]:
     src = Path(dyne.__file__).resolve().parents[1]
     proc = subprocess.run([sys.executable, "-c", PEAK_CHILD, str(src), *wl.cli_argv(str(out))],
                           capture_output=True, text=True, check=False)
-    peak = [line.split()[1:] for line in proc.stdout.splitlines() if line.startswith("peak ")]
+    peak = [line.split()[1] for line in proc.stdout.splitlines() if line.startswith("peak ")]
     if proc.returncode != 0 or not peak:
         raise RuntimeError(f"the {wl.name} child exited {proc.returncode}: "
                            f"{proc.stderr.strip()[-2000:]}")
-    kb, loaded = map(int, peak[-1])
     digest = hashlib.sha256()
     for path in sorted(out.rglob("*")):
         if path.is_file() and path.name != "run_config.json":
             digest.update(f"{path.relative_to(out).as_posix()}\n".encode())
             digest.update(path.read_bytes())
     shutil.rmtree(out)
-    return [kb / 1024, loaded, 1], digest.hexdigest()
+    return [int(peak[-1]) / 1024, 1], digest.hexdigest()
 
 
 def stem_slice(dyne, corpus: list[str], budget_s: float) -> tuple[list[float], str]:
@@ -310,6 +308,22 @@ def worker(side_dir: str) -> None:
 def git(*args: str) -> str:
     return subprocess.run(["git", *args], cwd=ROOT, check=True, capture_output=True,
                           text=True).stdout.strip()
+
+
+def src_file_lines(src: Path) -> dict[str, int]:
+    """The lines of each ``dyne/*.py`` file under ``src``, by file name."""
+    return {path.name: len(path.read_bytes().splitlines())
+            for path in sorted((src / "dyne").glob("*.py"))}
+
+
+def lines_report(file_lines: dict) -> list[str]:
+    """Both sides' ``src/dyne`` lines (see `src_file_lines`), in total and then per
+    file, each with the tree's change; a file one side lacks counts 0 there."""
+    rows = [("src/dyne", *(sum(file_lines[side].values()) for side in SIDES))]
+    rows += [(f"  {name}", *(file_lines[side].get(name, 0) for side in SIDES))
+             for name in sorted(set().union(*file_lines.values()))]
+    return [f"{label} lines: base {base}, tree {tree} ({tree - base:+d})"
+            for label, base, tree in rows]
 
 
 def summary(values: list[float]) -> dict:
@@ -392,7 +406,7 @@ class Workers:
 
 def run_pairs(base_sha: str, pairs: int) -> tuple[dict, dict]:
     """``{(workload, side): [([metric values], outputs sha256), ...]}``, and
-    ``{side: lines of its src/dyne/*.py}``."""
+    ``{side: {file name: lines}}`` of each side's ``src/dyne/*.py``."""
     samples = {(name, side): [] for name in WORKLOADS for side in SIDES}
     shutil.rmtree(WORK, ignore_errors=True)
     (WORK / "base").mkdir(parents=True)
@@ -402,9 +416,7 @@ def run_pairs(base_sha: str, pairs: int) -> tuple[dict, dict]:
         subprocess.run(["tar", "-x", "-C", str(WORK / "base")], input=archive, check=True)
         shutil.copytree(ROOT / "src", WORK / "tree" / "src",
                         ignore=shutil.ignore_patterns("__pycache__"))
-        src_lines = {side: sum(len(path.read_bytes().splitlines())
-                               for path in (WORK / side / "src" / "dyne").glob("*.py"))
-                     for side in SIDES}
+        file_lines = {side: src_file_lines(WORK / side / "src") for side in SIDES}
         cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else [None]
         for pair in range(pairs):
             with Workers(cpus[pair // 2 % len(cpus)]) as workers:  # fresh for each pair
@@ -420,7 +432,7 @@ def run_pairs(base_sha: str, pairs: int) -> tuple[dict, dict]:
                         samples[name, side].append(((np.array(seconds) / count).tolist(), sha))
     finally:
         shutil.rmtree(WORK, ignore_errors=True)
-    return samples, src_lines
+    return samples, file_lines
 
 
 def main() -> int:
@@ -436,8 +448,8 @@ def main() -> int:
     from dyne.errors import json_text, write_output
 
     base_sha = git("rev-parse", f"{args.base}^{{commit}}")
-    samples, src_lines = run_pairs(base_sha, args.pairs)
-    print(f"src/dyne lines: base {src_lines['base']}, tree {src_lines['tree']}")
+    samples, file_lines = run_pairs(base_sha, args.pairs)
+    print(*lines_report(file_lines), sep="\n")
     result = {
         "command": " ".join(["scripts/bench_paired.py", *sys.argv[1:]]),
         "pairs": args.pairs,
@@ -447,7 +459,8 @@ def main() -> int:
                  "dirty": bool(git("status", "--porcelain", "--untracked-files=no"))},
         "env": {"python": platform.python_version(), "numpy": np.__version__,
                 "nproc": os.cpu_count(), "cpu": cpu_model(), "machine": platform.machine()},
-        "src_lines": src_lines,
+        "src_lines": {side: sum(lines.values()) for side, lines in file_lines.items()},
+        "src_file_lines": file_lines,
         "workloads": {},
     }
     all_equal = True

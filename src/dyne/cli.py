@@ -84,9 +84,9 @@ def _rouge_setup(args) -> tuple[RougeConfig, tuple[str, ...]]:
 
 
 def _load_run(args, max_docs: int) -> tuple[DecodeParams, SequenceModel, ClusterSet]:
-    """The decode settings, checked with the run sizes before anything is loaded,
-    then the model and the clusters. A beam too wide for the largest ensemble of
-    up to ``max_docs`` documents is refused before any cluster decodes."""
+    """The decode settings, checked with the run sizes before anything is loaded, then
+    the model and the clusters (only the one ``--cluster-id`` names, if given). A beam too
+    wide for the largest ensemble of up to ``max_docs`` documents is refused at once."""
     for name in ("max_docs", "max_input_tokens", "sizes"):
         value = getattr(args, name, None)
         if value is not None and min(value if isinstance(value, list) else [value]) < 1:
@@ -98,6 +98,10 @@ def _load_run(args, max_docs: int) -> tuple[DecodeParams, SequenceModel, Cluster
     )
     model = load_model(args.model)
     clusters = load_clusters(args.clusters)
+    if getattr(args, "cluster_id", None) is not None:
+        clusters = ClusterSet([c for c in clusters if c.id == args.cluster_id])
+        if not clusters:
+            raise ValueError(f"no cluster with id {args.cluster_id!r}")
     largest = min(max_docs, max((len(c.documents) for c in clusters), default=0))
     check_beam_memory(params, len(model.vocab), largest)
     return params, model, clusters
@@ -267,10 +271,7 @@ def cmd_sweep(args, settings: dict) -> int:
 
 
 def cmd_trace(args, settings: dict) -> int:
-    params, model, clusters = _load_run(args, args.max_docs)
-    cluster = clusters.get(args.cluster_id)
-    if cluster is None:
-        raise ValueError(f"no cluster with id {args.cluster_id!r}")
+    params, model, (cluster,) = _load_run(args, args.max_docs)
     record, trace = _decode_cluster(model, cluster, args, params, args.max_docs)
     text = trace.export(args.trace_format)
     if args.output:

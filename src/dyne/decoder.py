@@ -18,7 +18,7 @@ and the (log of the) arithmetic mean of probabilities. They generally
 disagree; the log-space mean is the default because sequence scores compose
 additively in log space. Both sum each column in sorted order, which makes
 decoding bitwise invariant to permuting or duplicating inputs; a search's
-steps gather through one `ColumnOrder`, set from its first key.
+steps gather through one column order, set from its first key (see `_Search`).
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ from .seqmodel import (
     LogProbVector,
     SequenceModel,
     TokenSeq,
-    Vocab,
     check_token_seq,
 )
 
@@ -116,22 +115,6 @@ class ScoredHypothesis:
     @functools.cached_property
     def trace(self) -> TraceMatrix:
         return self._build_trace()
-
-
-class ColumnOrder:
-    """One search's ``[N, V]`` column sort order, as flat gather indices ``order * V +
-    arange(V)``, set once from its first key. Each search makes its own, so every array
-    it gathers has the one shape its `_step` checked; `_combine` sorts a row left out of
-    order. Under `CopyBigramModel` a row rises with its input's fixed copy weight: 0 of
-    629 and 0 of 2,500 rows went stale in 60 ``wide`` and 500 ``sweep`` pool decodes."""
-
-    flat: np.ndarray | None = None
-
-    def gather(self, arr: np.ndarray, out: np.ndarray) -> None:
-        """``arr`` into ``out`` through the shared order, set from ``arr`` if unset."""
-        if self.flat is None:
-            self.flat = np.argsort(arr, axis=0) * arr.shape[1] + np.arange(arr.shape[1])
-        arr.take(self.flat, out=out)
 
 
 def _combine(stack: np.ndarray, reduce: Reduce) -> np.ndarray:
@@ -211,34 +194,86 @@ def reduce_mean_prob(per_input: list[LogProbVector] | np.ndarray) -> LogProbVect
     return _reduce(per_input, Reduce.MEAN_PROB)
 
 
-def _step(model: SequenceModel, inputs: tuple[TokenSeq, ...], prefixes: list[TokenSeq],
-          reduce: Reduce, order: ColumnOrder, memo: dict) -> tuple[np.ndarray, list[np.ndarray]]:
-    """One model call per distinct key (a prefix's last ``model.context`` tokens, see
-    `SequenceModel`) that ``memo`` lacks, and one combine of their scores: the ``[B, V]``
-    combined rows and each prefix's ``[N, V]`` scores. ``memo`` maps a key to its scores
-    and combined row, first dropping each key no prefix here has, so it holds at most B
-    entries. A result of another type or shape is a ValueError."""
-    context = getattr(model, "context", None)
-    if context is not None and not (is_integer(context) and context >= 0):
-        raise ValueError(f"model context must be an integer >= 0 or None, got {context!r}")
-    keys = [p if context is None else p[max(0, len(p) - context):] for p in prefixes]
-    for key in memo.keys() - set(keys):
-        del memo[key]
-    # the new keys in first-occurrence order; their prefixes score alike by contract
-    fresh = {key: prefix for key, prefix in zip(keys, prefixes) if key not in memo}
-    expected = (len(inputs), len(model.vocab))
-    stack, per_inputs = np.empty((len(fresh), *expected)), []
-    for b, prefix in enumerate(fresh.values()):
-        scores = model.score_batch(inputs, prefix)
-        if not isinstance(scores, np.ndarray) or scores.shape != expected:
-            got = scores.shape if isinstance(scores, np.ndarray) else type(scores).__name__
-            raise ValueError(f"score_batch returned {got}; expected an ndarray of shape {expected}")
-        per_inputs.append(scores.astype(float, copy=False))  # the floats the reduce and trace see
-        order.gather(per_inputs[b], stack[b])  # while the scores are still in cache
-    if fresh:  # each row is copied, so no entry keeps a whole step's combine alive
-        memo.update((key, (scores, row.copy())) for key, scores, row
-                    in zip(fresh, per_inputs, _combine(stack, reduce)))
-    return np.array([memo[key][1] for key in keys]), [memo[key][0] for key in keys]
+class _Search:
+    """One search's inputs, a list or tuple of token lists or tuples (see `tuple_of`) made
+    tuples, one distinct string label per input (``input_<i>`` by default, so each trace
+    column is named apart) and its model's ``context``, all checked before anything is
+    scored; its memo; and its column order, the ``[N, V]`` sort order as flat gather
+    indices ``order * V + arange(V)``, set once from the first key scored, in the shape
+    `step` checks. `_combine` sorts a row left out of order. Under `CopyBigramModel` a
+    row rises with its input's fixed copy weight: 0 of 629 and 0 of 2,500 rows went
+    stale in 60 ``wide`` and 500 ``sweep`` pool decodes."""
+
+    def __init__(self, model: SequenceModel, inputs: list[TokenSeq],
+                 input_labels: tuple[str, ...] | None, reduce: Reduce):
+        checked = tuple(map(tuple, tuple_of(inputs, (list, tuple), "inputs")))
+        self.inputs = inputs if checked == inputs else checked  # a tuple of tuples never changes
+        if not self.inputs:
+            raise ValueError("ensemble needs at least one input")
+        if input_labels is None:
+            input_labels = tuple(f"input_{i}" for i in range(len(self.inputs)))
+        self.labels = TraceMatrix(input_labels).input_labels  # the trace states the label rule
+        if len(self.labels) != len(self.inputs):
+            raise ValueError(f"got {len(self.labels)} input labels for {len(self.inputs)} inputs")
+        context = getattr(model, "context", None)
+        if context is not None and not (is_integer(context) and context >= 0):
+            raise ValueError(f"model context must be an integer >= 0 or None, got {context!r}")
+        self.model, self.vocab, self.reduce, self.context = model, model.vocab, reduce, context
+        self.shape = (len(self.inputs), len(self.vocab))
+        self.flat, self.memo = None, {}
+
+    def step(self, prefixes: list[TokenSeq]) -> tuple[np.ndarray, list[np.ndarray]]:
+        """One model call per distinct key (a prefix's last ``context`` tokens, see
+        `SequenceModel`) that the memo lacks, and one combine of their scores: the ``[B,
+        V]`` combined rows and each prefix's ``[N, V]`` scores. The memo maps a key to its
+        scores and combined row, first dropping each key no prefix here has, so it holds
+        at most B entries. A result of another type or shape is a ValueError."""
+        context, memo, shape = self.context, self.memo, self.shape
+        keys = [p if context is None else p[max(0, len(p) - context):] for p in prefixes]
+        for key in memo.keys() - set(keys):
+            del memo[key]
+        # the new keys in first-occurrence order; their prefixes score alike by contract
+        fresh = {key: prefix for key, prefix in zip(keys, prefixes) if key not in memo}
+        stack, per_inputs = np.empty((len(fresh), *shape)), []
+        for b, prefix in enumerate(fresh.values()):
+            scores = self.model.score_batch(self.inputs, prefix)
+            if not isinstance(scores, np.ndarray) or scores.shape != shape:
+                got = scores.shape if isinstance(scores, np.ndarray) else type(scores).__name__
+                raise ValueError(f"score_batch returned {got}; expected an ndarray of shape "
+                                 f"{shape}")
+            per_inputs.append(scores.astype(float, copy=False))  # what the reduce and trace see
+            if self.flat is None:
+                self.flat = np.argsort(per_inputs[b], axis=0) * shape[1] + np.arange(shape[1])
+            per_inputs[b].take(self.flat, out=stack[b])  # while the scores are still in cache
+        if fresh:  # each row is copied, so no entry keeps a whole step's combine alive
+            memo.update((key, (scores, row.copy())) for key, scores, row
+                        in zip(fresh, per_inputs, _combine(stack, self.reduce)))
+        return np.array([memo[key][1] for key in keys]), [memo[key][0] for key in keys]
+
+    def rescore(self, tokens: TokenSeq) -> tuple[float, TraceMatrix]:
+        """`sequence_score` of ``tokens``: their prefixes, scored anew in one step."""
+        tokens = tuple(tokens)
+        check_token_seq(tokens, self.vocab, "tokens")
+        if tokens[-1] != EOS_ID:
+            raise ValueError("sequence must end with the EOS id")
+        for pos, t in enumerate(tokens[:-1]):
+            if t == EOS_ID:
+                raise ValueError(f"EOS appears mid-sequence at position {pos}")
+            if t == BOS_ID:
+                raise ValueError(f"BOS appears inside the sequence at position {pos}")
+        self.memo.clear()
+        combined, per_inputs = self.step([(BOS_ID, *tokens[:i]) for i in range(len(tokens))])
+        chosen = combined[np.arange(len(tokens)), tokens]
+        raw = functools.reduce(float.__add__, chosen.tolist(), 0.0)  # the beam's sum, left to right
+        return raw, self.trace(tokens, chosen,
+                               np.array([s[:, t] for s, t in zip(per_inputs, tokens)]))
+
+    def trace(self, tokens: TokenSeq, combined: np.ndarray, per_input: np.ndarray) -> TraceMatrix:
+        """Row t of the trace of ``tokens`` holds ``int(tokens[t])`` (JSON takes no numpy
+        integer), its name in the vocabulary, ``combined[t]`` and the ``[N]`` ``per_input[t]``."""
+        return TraceMatrix(self.labels, [TraceRow(int(w), self.vocab.tokens[w], c, tuple(p))
+                                         for w, c, p in zip(tokens, combined.tolist(),
+                                                            per_input.tolist())])
 
 
 def ranked_score(raw: float, content_length: int, alpha: float) -> float:
@@ -291,32 +326,6 @@ def _constraint_summary(prefix: TokenSeq, params: DecodeParams) -> str:
     return ", ".join(parts)
 
 
-def _checked_inputs(
-    inputs: list[TokenSeq], input_labels: tuple[str, ...] | None
-) -> tuple[tuple[TokenSeq, ...], tuple[str, ...]]:
-    """The inputs, a list or tuple of token lists or tuples (see `tuple_of`), as
-    tuples, and one distinct string label per input (``input_<i>`` by default),
-    checked before anything is scored, so each trace column is named apart."""
-    checked = tuple(map(tuple, tuple_of(inputs, (list, tuple), "inputs")))
-    inputs = inputs if checked == inputs else checked  # a tuple of tuples never changes
-    if not inputs:
-        raise ValueError("ensemble needs at least one input")
-    if input_labels is None:
-        input_labels = tuple(f"input_{i}" for i in range(len(inputs)))
-    labels = TraceMatrix(input_labels).input_labels  # the trace states the label rule
-    if len(labels) != len(inputs):
-        raise ValueError(f"got {len(labels)} input labels for {len(inputs)} inputs")
-    return inputs, labels
-
-
-def _trace(labels: tuple[str, ...], vocab: Vocab, tokens: TokenSeq, combined: np.ndarray,
-           per_input: np.ndarray) -> TraceMatrix:
-    """Row t of the trace of ``tokens`` holds ``int(tokens[t])`` (JSON takes no numpy
-    integer), its name in ``vocab``, ``combined[t]`` and the ``[N]`` ``per_input[t]``."""
-    return TraceMatrix(labels, [TraceRow(int(w), vocab.tokens[w], c, tuple(p)) for w, c, p
-                                in zip(tokens, combined.tolist(), per_input.tolist())])
-
-
 STEP_BYTES_LIMIT = 2**30  # what a decode's step arrays may take (see `beam_search`)
 
 
@@ -344,7 +353,7 @@ def beam_search(
 
     Returns up to ``beam_size`` finished hypotheses, best ranked first.
     Each step scores each distinct key of the live prefixes at most once (see
-    `_step`) and ranks all their selectable continuations together; a prefix
+    `_Search.step`) and ranks all their selectable continuations together; a prefix
     that takes EOS is a result at once and joins the pool. The search stops
     once the pool holds ``beam_size`` results or no prefix is live; the mask
     alone enforces ``max_len`` (see `_allowed_tokens`). A step with nothing
@@ -366,12 +375,10 @@ def beam_search(
     prefixes live. A ``beam_size`` putting this past `STEP_BYTES_LIMIT` (1 GiB) is
     a ValueError before anything is scored (see `check_beam_memory`).
     """
-    inputs, input_labels = _checked_inputs(inputs, input_labels)
-    vocab = model.vocab
-    width = len(vocab)
-    check_beam_memory(params, width, len(inputs))
+    search = _Search(model, inputs, input_labels, params.reduce)
+    width = len(search.vocab)
+    check_beam_memory(params, width, len(search.inputs))
 
-    order, memo = ColumnOrder(), {}
     prefixes: list[TokenSeq] = [(BOS_ID,)]
     raw = np.zeros(1)  # each live prefix's running raw score
     history = []  # per step: [B] parent slots, [B] combined and [B, N] per-input scores
@@ -380,7 +387,7 @@ def beam_search(
     # Live prefixes grow together; at content length max_len - 1 the mask
     # leaves only EOS, so after at most max_len steps nothing is live.
     while prefixes:
-        combined, per_inputs = _step(model, inputs, prefixes, params.reduce, order, memo)
+        combined, per_inputs = search.step(prefixes)
         # the mask, not a -inf score, marks what is selectable: two finite
         # scores near -1e308 can sum to -inf and must still rank. Masked
         # entries are NaN, never summed (-inf + inf is NaN) and never ranked
@@ -413,6 +420,7 @@ def beam_search(
         prefixes = [prefixes[i] + (w,) for i, w in pairs]
         raw = scores[parents, taken]
         del combined, per_inputs, scores, neg  # not held through the next step
+    search.memo = search.flat = None  # a result's trace keeps the search, not its scores
 
     def trace_of(tokens: TokenSeq, slot: int, *eos) -> TraceMatrix:
         """The trace of the result that live prefix ``slot`` ended with EOS, scored
@@ -421,7 +429,7 @@ def beam_search(
         for parents, chosen, columns in reversed(history[: len(tokens) - 1]):
             rows.append((chosen[slot], columns[slot]))
             slot = parents[slot]
-        return _trace(input_labels, vocab, tokens, *map(np.array, zip(*rows[::-1])))
+        return search.trace(tokens, *map(np.array, zip(*rows[::-1])))
 
     pool.sort(key=lambda entry: entry[:2])
     return [ScoredHypothesis(tokens, eos_raw, -neg, functools.partial(trace_of, tokens, *entry))
@@ -443,22 +451,22 @@ def brute_force_search(
     Walks the full tree of content-token prefixes under the same masking
     rules as the beam, scores every EOS-terminated leaf, and returns the
     best ranked one (ties to the lexicographically smallest token
-    sequence). Its trace comes from `sequence_score`, independently of the
-    beam. Guarded to desk scale.
+    sequence). Its trace is rescored as `sequence_score` scores one,
+    independently of the beam. Guarded to desk scale.
     """
-    inputs, input_labels = _checked_inputs(inputs, input_labels)
-    if len(model.vocab) > MAX_BRUTE_FORCE_VOCAB or params.max_len > MAX_BRUTE_FORCE_LEN:
+    search = _Search(model, inputs, input_labels, params.reduce)
+    if len(search.vocab) > MAX_BRUTE_FORCE_VOCAB or params.max_len > MAX_BRUTE_FORCE_LEN:
         raise ValueError(
             "brute-force search is limited to vocabularies of at most "
             f"{MAX_BRUTE_FORCE_VOCAB} tokens and max_len <= {MAX_BRUTE_FORCE_LEN}"
         )
 
     best = None  # (-ranked, tokens, raw) of the best finished sequence so far
-    order = ColumnOrder()
 
     def walk(prefix: TokenSeq, score: float) -> None:
         nonlocal best
-        combined = _step(model, inputs, [prefix], params.reduce, order, {})[0][0]
+        search.memo.clear()  # the oracle scores every prefix itself
+        combined = search.step([prefix])[0][0]
         allowed = _allowed_tokens(combined[None], [prefix], params)[0]
         for w in np.flatnonzero(allowed).tolist():
             new_score = score + float(combined[w])
@@ -474,7 +482,7 @@ def brute_force_search(
     if best is None:
         raise DecodeError("no admissible finished sequence exists under the given constraints")
     neg, tokens, raw = best
-    _, trace = sequence_score(model, inputs, tokens, params.reduce, input_labels=input_labels)
+    _, trace = search.rescore(tokens)
     return ScoredHypothesis(tokens, raw, -neg, lambda: trace)
 
 
@@ -492,21 +500,4 @@ def sequence_score(
     length masks apply here: any well-formed sequence can be scored, and
     rescoring a beam search result reproduces its raw score.
     """
-    inputs, input_labels = _checked_inputs(inputs, input_labels)
-    tokens = tuple(tokens)
-    vocab = model.vocab
-    check_token_seq(tokens, vocab, "tokens")
-    if tokens[-1] != EOS_ID:
-        raise ValueError("sequence must end with the EOS id")
-    for pos, t in enumerate(tokens[:-1]):
-        if t == EOS_ID:
-            raise ValueError(f"EOS appears mid-sequence at position {pos}")
-        if t == BOS_ID:
-            raise ValueError(f"BOS appears inside the sequence at position {pos}")
-
-    prefixes = [(BOS_ID, *tokens[:i]) for i in range(len(tokens))]
-    combined, per_inputs = _step(model, inputs, prefixes, reduce, ColumnOrder(), {})
-    chosen = combined[np.arange(len(tokens)), tokens]
-    raw = functools.reduce(float.__add__, chosen.tolist(), 0.0)  # the beam's sum, left to right
-    return raw, _trace(input_labels, vocab, tokens, chosen,
-                       np.array([scores[:, t] for scores, t in zip(per_inputs, tokens)]))
+    return _Search(model, inputs, input_labels, reduce).rescore(tokens)

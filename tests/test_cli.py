@@ -7,6 +7,7 @@ import io
 import json
 import math
 import os
+import re
 import shutil
 import stat
 import sys
@@ -15,7 +16,8 @@ from pathlib import Path
 import pytest
 
 import dyne.cli
-from dyne import Cluster, ClusterSet, ToyModelSpec, Vocab, rouge, save_clusters
+import dyne.decoder
+from dyne import Cluster, ClusterSet, DecodeParams, ToyModelSpec, Vocab, rouge, save_clusters
 from dyne.cli import main
 from dyne.synthetic import build_consensus_corpus
 
@@ -548,6 +550,27 @@ class TestBeamMemoryBound:
         err = capsys.readouterr().err
         assert err.count("error:") == 1 and err.startswith("error: beam_size ")
         assert not out.exists()
+
+    def test_trace_bounds_the_beam_by_the_cluster_it_traces(self, tmp_path, capsys,
+                                                             monkeypatch):
+        vocab = Vocab.from_content(["a"])
+        ToyModelSpec(1.0, 1.0, {}, vocab).save(tmp_path / "model.json")
+        (tmp_path / "clusters.jsonl").write_text('{"id": "one", "documents": ["a"]}\n'
+                                                  '{"id": "two", "documents": ["a", "a a"]}\n')
+        # the limit is what the step arrays of one input need, as the check counts them
+        monkeypatch.setattr(dyne.decoder, "STEP_BYTES_LIMIT", 0)
+        with pytest.raises(ValueError) as info:
+            dyne.decoder.check_beam_memory(DecodeParams(beam_size=2, max_len=4), len(vocab), 1)
+        need = int(re.search(r"about ([\d,]+) bytes", str(info.value))[1].replace(",", ""))
+        monkeypatch.setattr(dyne.decoder, "STEP_BYTES_LIMIT", need)
+        flags = ["--model", str(tmp_path / "model.json"), "--clusters",
+                 str(tmp_path / "clusters.jsonl"), "--beam-size", "2", "--max-len", "4",
+                 "--max-docs", "2"]
+        # "two" holds the file's largest ensemble, but "one" is the cluster traced
+        assert main(["trace", *flags, "--cluster-id", "one"]) == 0
+        assert main(["trace", *flags, "--cluster-id", "two"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: beam_size 2 ") and "for 2 input(s)" in err
 
     def test_benchmark_sized_beam_decodes(self, workspace):
         tmp, flags, _ = workspace

@@ -35,7 +35,7 @@ from dyne import (
     tokenize_and_truncate,
 )
 import dyne.decoder
-from dyne.decoder import STEP_BYTES_LIMIT, ColumnOrder, check_beam_memory
+from dyne.decoder import STEP_BYTES_LIMIT, _Search, check_beam_memory
 from dyne.seqmodel import BOS_ID, EOS_ID, UNK_ID
 from dyne.synthetic import build_consensus_corpus
 
@@ -270,8 +270,7 @@ def test_array_reducers_invariant_to_row_permutation_and_duplication(seed):
 def one_step(model, inputs, prefix, reduce=Reduce.MEAN_LOGPROB):
     """The combined ``[V]`` row and the ``[N, V]`` per-input scores of a search
     step over the one live prefix ``prefix``."""
-    combined, per_inputs = dyne.decoder._step(model, tuple(map(tuple, inputs)), [prefix],
-                                              reduce, ColumnOrder(), {})
+    combined, per_inputs = _Search(model, inputs, None, reduce).step([prefix])
     return combined[0], per_inputs[0]
 
 
@@ -999,16 +998,31 @@ def stack_runs(draw):
     return stacks
 
 
-def combine_through(order, arr, reduce=Reduce.MEAN_LOGPROB):
-    """``arr`` reduced as a search step's one new key, gathered through ``order``."""
-    stack = np.empty((1, *arr.shape))
-    order.gather(arr, stack[0])
-    return dyne.decoder._combine(stack, reduce)[0]
+class StackModel:
+    """Scores a prefix of t + 1 tokens with ``stacks[t]``, whatever the inputs, so
+    that a search's steps over ever longer prefixes take one new key each, in turn."""
+
+    def __init__(self, stacks):
+        self.stacks, self.vocab = stacks, range(stacks[0].shape[1])  # a step reads len(vocab)
+
+    def score_batch(self, inputs, prefix):
+        return self.stacks[len(prefix) - 1]
 
 
-def rises(arr, order):
-    """Whether every column of ``arr`` gathered through ``order`` is non-decreasing."""
-    gathered = arr.ravel().take(order.flat)
+def stack_search(stacks, reduce=Reduce.MEAN_LOGPROB):
+    """A search whose step ``t`` (see `step_to`) scores its one new key with ``stacks[t]``."""
+    return _Search(StackModel(stacks), [(A,)] * len(stacks[0]), None, reduce)
+
+
+def step_to(search, t):
+    """The combined ``[V]`` row of ``search``'s step over the one prefix of t + 1 tokens."""
+    return search.step([(BOS_ID,) * (t + 1)])[0][0]
+
+
+def rises(arr, search):
+    """Whether every column of ``arr`` gathered through ``search``'s column order is
+    non-decreasing."""
+    gathered = arr.ravel().take(search.flat)
     return bool((gathered[:-1] <= gathered[1:]).all())
 
 
@@ -1016,29 +1030,30 @@ def rises(arr, order):
 @given(stack_runs())
 @settings(max_examples=300, deadline=None)
 def test_reduce_with_a_shared_column_order_equals_a_fresh_sort_bitwise(stacks):
+    # a search's order serves one [N, V] shape, so each run of one shape is one search
+    runs = [list(run) for _, run in itertools.groupby(stacks, key=np.shape)]
     for reduce, reduce_fn in zip(Reduce, (reduce_mean_logprob, reduce_mean_prob)):
-        order, shape = ColumnOrder(), None
-        for arr in stacks:
-            if arr.shape != shape:  # a search's order serves one [N, V] shape
-                order, shape, first = ColumnOrder(), arr.shape, arr
-            assert combine_through(order, arr, reduce).tobytes() == reduce_fn(arr).tobytes()
-            if arr is first:
-                flat = order.flat
-            assert order.flat is flat and rises(first, order)  # the first key's, kept
+        for run in runs:
+            search = stack_search(run, reduce)
+            for t, arr in enumerate(run):
+                assert step_to(search, t).tobytes() == reduce_fn(arr).tobytes()
+                if t == 0:
+                    flat = search.flat
+                assert search.flat is flat and rises(run[0], search)  # the first key's, kept
 
 
 def test_column_order_is_set_once_and_a_stale_row_sorts_in_place():
     arr = np.array([[-1.0, -3.0, -0.0], [-2.0, -1.0, 0.0]])
-    order = ColumnOrder()
-    combine_through(order, arr)
-    first = order.flat
-    combine_through(order, arr - 0.5)  # every column keeps its order
-    assert order.flat is first
     flipped = arr[::-1].copy()
     flipped[:, 0] = arr[:, 0]  # column 0 keeps its order, column 1 flips
-    assert not rises(flipped, order)
-    assert combine_through(order, flipped).tobytes() == reduce_mean_logprob(flipped).tobytes()
-    assert order.flat is first and rises(arr, order)
+    search = stack_search([arr, arr - 0.5, flipped])
+    step_to(search, 0)
+    first = search.flat
+    step_to(search, 1)  # every column keeps its order
+    assert search.flat is first
+    assert not rises(flipped, search)
+    assert step_to(search, 2).tobytes() == reduce_mean_logprob(flipped).tobytes()
+    assert search.flat is first and rises(arr, search)
 
 
 PARITY_VOCAB = Vocab.from_content(["a", "b", "c"])
@@ -1077,15 +1092,15 @@ class TestColumnOrderInDecodes:
     INPUTS = [(3, 4), (5, 3, 3), (4,), (5, 5, 4, 3), (3, 3, 5), (4, 5)]
 
     def test_parity_model_makes_the_cache_sort_again(self):
-        order, memo, inputs = ColumnOrder(), {}, tuple(self.INPUTS)
+        search = _Search(ParityModel(), self.INPUTS, None, Reduce.MEAN_LOGPROB)
         for prefix in [(BOS_ID,), (BOS_ID, 3), (BOS_ID, 3, 4), (BOS_ID, 3, 4, 5)]:
-            dyne.decoder._step(ParityModel(), inputs, [prefix], Reduce.MEAN_LOGPROB, order, memo)
-            scores, row = memo[prefix]
-            flat = order.flat if len(prefix) == 1 else flat
-            assert order.flat is flat  # set from the first key, never replaced
+            search.step([prefix])
+            scores, row = search.memo[prefix]
+            flat = search.flat if len(prefix) == 1 else flat
+            assert search.flat is flat  # set from the first key, never replaced
             # the order fits only the odd-length prefixes' scores, as it fits the
             # first's; every row reduces as a fresh sort would
-            assert rises(scores, order) == (len(prefix) % 2 == 1)
+            assert rises(scores, search) == (len(prefix) % 2 == 1)
             assert row.tobytes() == reduce_mean_logprob(scores).tobytes()
 
     @pytest.mark.parametrize("reduce", list(Reduce))
@@ -1276,6 +1291,17 @@ class ContextModel(UniformModel):
         self.context = context
 
 
+class CountedContextModel(CopyBigramModel):
+    """`CopyBigramModel`, counting the reads of its ``context``."""
+
+    reads = 0
+
+    @property
+    def context(self):
+        self.reads += 1
+        return 1
+
+
 class CoarseModel:
     """Scores input ``x`` with row ``x[0]`` of ``table``, reading no prefix token
     (``context = 0``): with few distinct cells, candidates tie within a prefix
@@ -1449,15 +1475,15 @@ class TestStepMemo:
         counts = {(3, 4): 5, (4, 3): 4, (4, 5): 4, (5, 3): 6, (3, 1): 1, (5, 5): 2}
         model = CopyBigramModel(ToyModelSpec(0.4, 0.5, counts, vocab))
         asked, steps = [], []
-        score, step = model.score_batch, dyne.decoder._step
+        score, step = model.score_batch, _Search.step
         model.score_batch = lambda inputs, prefix: asked.append(prefix) or score(inputs, prefix)
 
-        def spy(m, xs, prefixes, *rest):  # each step's prefixes, and its memo's keys after it
-            out = step(m, xs, prefixes, *rest)
-            steps.append((prefixes, set(rest[-1])))
+        def spy(search, prefixes):  # each step's prefixes, and its memo's keys after it
+            out = step(search, prefixes)
+            steps.append((prefixes, set(search.memo)))
             return out
 
-        monkeypatch.setattr(dyne.decoder, "_step", spy)
+        monkeypatch.setattr(_Search, "step", spy)
         beam_search(model, [(3, 4, 5, 3), (5, 5, 4)], DecodeParams(beam_size=4, max_len=6,
                                                                     min_len=4))
         # each step's new last tokens, in order of first occurrence among its prefixes
@@ -1480,13 +1506,33 @@ class TestStepMemo:
         (None, set(PREFIXES)),
     ])
     def test_keys_are_the_last_context_tokens(self, context, keys):
-        memo = {}
-        combined, per_inputs = dyne.decoder._step(ContextModel(context), ((A,),), self.PREFIXES,
-                                                  Reduce.MEAN_LOGPROB, ColumnOrder(), memo)
-        assert set(memo) == keys
+        search = _Search(ContextModel(context), [(A,)], None, Reduce.MEAN_LOGPROB)
+        combined, per_inputs = search.step(self.PREFIXES)
+        assert set(search.memo) == keys
         uniform = UniformModel(AB).score_batch([(A,)], (BOS_ID,))
         assert all(x.tobytes() == uniform.tobytes() for x in per_inputs)
         assert combined.tobytes() == np.tile(uniform, (len(self.PREFIXES), 1)).tobytes()
+
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    def test_context_is_read_once_per_search(self, entry):
+        model = CountedContextModel(ToyModelSpec(1.0, 1.0, {}, AB))
+        ENTRY_POINTS[entry](model, [(A, A, B), (B,)])
+        assert model.reads == 1
+
+    def test_oracle_asks_the_model_once_per_prefix_it_visits(self):
+        # every prefix is one key under context 0, so a memo would ask the model once
+        model, asked = ContextModel(0), []
+        score = model.score_batch
+        model.score_batch = lambda inputs, prefix: asked.append(prefix) or score(inputs, prefix)
+        params = DecodeParams(beam_size=1, max_len=4, min_len=1)
+        best = brute_force_search(model, [(A,), (B,)], params)
+        # every content token scores alike, so the walk visits every prefix
+        # shorter than max_len content tokens, once each; then the trace's one
+        # rescoring step asks for the one key its prefixes share
+        content = [t for t in range(len(AB)) if t not in (BOS_ID, EOS_ID)]
+        assert sorted(asked[:-1]) == sorted((BOS_ID, *seq) for n in range(params.max_len)
+                                            for seq in itertools.product(content, repeat=n))
+        assert asked[-1] in [(BOS_ID, *best.tokens[:i]) for i in range(len(best.tokens))]
 
     def test_context_zero_scores_once_per_search(self):
         model, asked = ContextModel(0), []

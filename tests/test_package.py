@@ -540,23 +540,40 @@ def test_paired_timing_reports_the_per_pair_ratios():
     assert bench.report_line("decode", "decode_s", entry) == (
         "decode decode_s: base 4000 ms, tree 4000 ms, tree/base per pair 0.7500 "
         "(q1-q3 0.5000-1.1875), tree won 2/4 pairs")
-    # no ratio when a base value is 0, as in an A/A run that never loads a module
-    entry = bench.compare([0.0, 1.0], [0.0, 0.0], "share")
+    # no ratio when a base value is 0
+    entry = bench.compare([0.0, 1.0], [0.0, 0.0], "MB")
     assert entry["ratio"] is None
-    assert bench.report_line("peak_wide", "hashlib_loaded", entry) == (
-        "peak_wide hashlib_loaded: base 0.5, tree 0, tree won 1/2 pairs")
+    assert bench.report_line("peak_wide", "peak_mb", entry) == (
+        "peak_wide peak_mb: base 0.5 MB, tree 0 MB, tree won 1/2 pairs")
 
 
-def test_no_paired_peak_child_loads_hashlib(tmp_path, monkeypatch):
+def test_paired_timing_counts_each_sides_lines_per_file(tmp_path):
+    bench = load_script("bench_paired.py")
+    (tmp_path / "dyne").mkdir()
+    (tmp_path / "dyne" / "a.py").write_text("x = 1\n\ny = 2\n")
+    (tmp_path / "dyne" / "b.py").write_text("z = 3")  # no final newline
+    (tmp_path / "dyne" / "notes.txt").write_text("not code\n")
+    assert bench.src_file_lines(tmp_path) == {"a.py": 3, "b.py": 1}
+    file_lines = {"base": {"a.py": 3, "b.py": 5}, "tree": {"a.py": 4, "c.py": 2}}
+    assert bench.lines_report(file_lines) == [
+        "src/dyne lines: base 8, tree 6 (-2)",
+        "  a.py lines: base 3, tree 4 (+1)",
+        "  b.py lines: base 5, tree 0 (-5)",
+        "  c.py lines: base 0, tree 2 (+2)",
+    ]
+    counts = bench.src_file_lines(ROOT / "src")
+    assert set(counts) == {path.name for path in (ROOT / "src" / "dyne").glob("*.py")}
+    assert bench.lines_report({"base": counts, "tree": counts})[0] == (
+        f"src/dyne lines: base {sum(counts.values())}, tree {sum(counts.values())} (+0)")
+
+
+def test_paired_peak_child_reports_its_peak_and_removes_its_output(tmp_path, monkeypatch):
     bench = load_script("bench_paired.py")
     for name, value in (("path", [*sys.path]), ("dont_write_bytecode", False)):
         monkeypatch.setattr(sys, name, value)  # restored when the test ends
     monkeypatch.delitem(sys.modules, "workloads", raising=False)
     cases = bench.workload_cases(dyne, tmp_path)
-    loaded = {}
     for name in ("peak_wide", "peak_sweep"):
-        (peak_mb, loaded[name], count), sha = bench.peak_slice(dyne, cases[name], 0.0)
+        (peak_mb, count), sha = bench.peak_slice(dyne, cases[name], 0.0)
         assert peak_mb > 10 and count == 1 and re.fullmatch("[0-9a-f]{64}", sha)
         assert not (tmp_path / bench.WORKLOADS[name][1] / "out_peak").exists()
-    # sweep's sizes 1 and 2 subsample, and even that draw maps no OpenSSL
-    assert loaded == {"peak_wide": 0, "peak_sweep": 0}
