@@ -1,0 +1,189 @@
+#!/usr/bin/env python3
+"""Mutation testing of one module against chosen test files.
+
+    python3 scripts/mutate.py MODULE TEST [TEST ...]
+
+    e.g. python3 scripts/mutate.py src/dyne/decoder.py tests/test_decoder.py \\
+             tests/test_acceptance.py
+
+Each mutant changes one operator of ``MODULE``, found with ``ast``:
+
+* each comparison flips between its strict and non-strict form (``<`` and
+  ``<=``, ``>`` and ``>=``) or between ``==`` and ``!=``;
+* each binary ``+`` and ``-`` swap, as do ``*`` and ``/``.
+
+The project that holds ``MODULE`` (the nearest directory up from it with a
+``pyproject.toml``) is copied whole into ``.mutate_work/`` at its root, which
+the run removes when it ends: the tests run in the copy, never in the working
+tree, since ``pytest``'s ``pythonpath`` setting would import the unmutated
+``src/`` ahead of any ``PYTHONPATH``. The tests first run on the unmutated
+copy, and must pass. Then, one mutant at a time, the copy's module is
+rewritten with the mutant and the tests run with ``-x`` and no bytecode (a
+mutant can keep its file's size and mtime second, which a ``.pyc`` check
+would miss); a mutant is killed by the first test that fails, by an error
+that stops the run, or by running ten times as long as the unmutated tests
+(at least 60 s), and survives when every test passes.
+
+The result, ``MUTATION_<module>.json`` at the project's root, holds each
+mutant's line, column, operator and source line, what killed it (a test id,
+``error`` or ``timeout``) or ``survived``, and its time; with the command,
+the commit and the SHA-256 of the module it mutated. A survivor must be
+killed by a new test or shown equivalent; the file records the run alone, so
+an equivalent survivor's reason goes where the run is quoted.
+"""
+
+from __future__ import annotations
+
+import argparse
+import ast
+import hashlib
+import io
+import os
+import platform
+import shutil
+import subprocess
+import sys
+import time
+import tokenize
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]  # this checkout, whose ``dyne`` writes the result
+FLIPS = {"<": "<=", "<=": "<", ">": ">=", ">=": ">", "==": "!=", "!=": "==",
+         "+": "-", "-": "+", "*": "/", "/": "*"}
+SYMBOLS = {ast.Lt: "<", ast.LtE: "<=", ast.Gt: ">", ast.GtE: ">=", ast.Eq: "==",
+           ast.NotEq: "!=", ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.Div: "/"}
+WORK = ".mutate_work"
+COPY_IGNORE = shutil.ignore_patterns(".git", WORK, ".bench_work", ".perfbench_work",
+                                     "__pycache__", ".hypothesis", ".pytest_cache", "*.pyc")
+
+
+def mutants(source: str) -> list[tuple[int, int, str, str]]:
+    """``(line, column, operator, flipped)`` for each operator `FLIPS` maps, in
+    source order; line counts from 1 and column from 0, in characters."""
+    spans = []  # (left operand, right operand, operator symbol)
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.BinOp) and type(node.op) in SYMBOLS:
+            spans.append((node.left, node.right, SYMBOLS[type(node.op)]))
+        elif isinstance(node, ast.Compare):
+            operands = [node.left, *node.comparators]
+            spans += [(a, b, SYMBOLS[type(op)]) for a, b, op
+                      in zip(operands, operands[1:], node.ops) if type(op) in SYMBOLS]
+    lines = source.splitlines(keepends=True)
+
+    def chars(line: int, byte_col: int) -> tuple[int, int]:  # ast counts UTF-8 bytes
+        return line, len(lines[line - 1].encode("utf-8")[:byte_col].decode("utf-8"))
+
+    ops = [tok for tok in tokenize.generate_tokens(io.StringIO(source).readline)
+           if tok.type == tokenize.OP and tok.string in FLIPS]
+    found = set()
+    for left, right, symbol in spans:
+        after = chars(left.end_lineno, left.end_col_offset)
+        before = chars(right.lineno, right.col_offset)
+        tok = next(t for t in ops if t.string == symbol and after <= t.start and t.end <= before)
+        found.add((*tok.start, symbol, FLIPS[symbol]))
+    return sorted(found)
+
+
+def apply(source: str, line: int, col: int, symbol: str, flipped: str) -> str:
+    lines = source.splitlines(keepends=True)
+    text = lines[line - 1]
+    assert text[col:col + len(symbol)] == symbol, (line, col, symbol)
+    lines[line - 1] = text[:col] + flipped + text[col + len(symbol):]
+    return "".join(lines)
+
+
+def project_root(module: Path) -> Path:
+    for parent in module.parents:
+        if (parent / "pyproject.toml").exists():
+            return parent
+    raise SystemExit(f"error: no pyproject.toml above {module}")
+
+
+def run_tests(copy: Path, tests: list[str], timeout: float | None) -> tuple[str, float]:
+    """``passed``, the id of the first failing test, ``error`` or ``timeout``, and
+    the seconds the run took."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    env["PYTHONDONTWRITEBYTECODE"] = "1"
+    command = [sys.executable, "-m", "pytest", "-x", "-q", "-rfE", "-p", "no:cacheprovider",
+               *tests]
+    start = time.perf_counter()
+    try:
+        done = subprocess.run(command, cwd=copy, env=env, capture_output=True, text=True,
+                              timeout=timeout)
+    except subprocess.TimeoutExpired:
+        return "timeout", time.perf_counter() - start
+    seconds = time.perf_counter() - start
+    if done.returncode == 0:
+        return "passed", seconds
+    failed = [line.split(" ", 1)[1].split(" - ", 1)[0] for line in done.stdout.splitlines()
+              if line.startswith(("FAILED ", "ERROR "))]
+    return (failed[0] if done.returncode == 1 and failed else "error"), seconds
+
+
+def git(root: Path, *args: str) -> str | None:
+    done = subprocess.run(["git", *args], cwd=root, capture_output=True, text=True)
+    return done.stdout.strip() if done.returncode == 0 else None
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("module", type=Path, help="the Python file to mutate")
+    parser.add_argument("tests", nargs="+", help="test files, relative to the project root")
+    args = parser.parse_args(argv)
+    sys.path.insert(0, str(ROOT / "src"))
+    from dyne.errors import json_text, write_output
+
+    module = args.module.resolve()
+    root = project_root(module)
+    source = module.read_text(encoding="utf-8")
+    found = mutants(source)
+    work = root / WORK
+    if work.exists():
+        raise SystemExit(f"error: {work} exists; remove it or wait for the run that made it")
+    copy = work / root.name
+    started = time.time()
+    try:
+        shutil.copytree(root, copy, ignore=COPY_IGNORE)
+        target = copy / module.relative_to(root)
+        outcome, base_s = run_tests(copy, args.tests, None)
+        if outcome != "passed":
+            raise SystemExit(f"error: the unmutated tests do not pass ({outcome})")
+        print(f"unmutated tests pass in {base_s:.1f} s; {len(found)} mutants", flush=True)
+        results = []
+        for i, (line, col, symbol, flipped) in enumerate(found, 1):
+            write_output(target, apply(source, line, col, symbol, flipped))
+            outcome, seconds = run_tests(copy, args.tests, max(60.0, 10 * base_s))
+            killed_by = "survived" if outcome == "passed" else outcome
+            results.append({"line": line, "col": col, "operator": f"{symbol} -> {flipped}",
+                            "source": source.splitlines()[line - 1].strip(),
+                            "killed_by": killed_by, "seconds": round(seconds, 2)})
+            print(f"[{i}/{len(found)}] {module.name}:{line}:{col} {symbol} -> {flipped}: "
+                  f"{killed_by} ({seconds:.1f} s)", flush=True)
+    finally:
+        shutil.rmtree(work, ignore_errors=True)
+    survivors = [r for r in results if r["killed_by"] == "survived"]
+    command = ["python3", "scripts/mutate.py", *(sys.argv[1:] if argv is None else argv)]
+    result = {
+        "command": " ".join(command),
+        "module": str(module.relative_to(root)),
+        "module_sha256": hashlib.sha256(source.encode("utf-8")).hexdigest(),
+        "head": git(root, "rev-parse", "HEAD"),
+        "tests": args.tests,
+        "env": {"python": platform.python_version(), "nproc": os.cpu_count(),
+                "machine": platform.machine()},
+        "started": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime(started)),
+        "seconds": round(time.time() - started, 1),
+        "unmutated_seconds": round(base_s, 2),
+        "mutants": len(results),
+        "killed": len(results) - len(survivors),
+        "survived": len(survivors),
+        "results": results,
+    }
+    out = root / f"MUTATION_{module.stem}.json"
+    write_output(out, json_text(result))
+    print(f"{result['killed']}/{len(results)} killed; wrote {out}")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -120,7 +120,7 @@ def _decode_cluster(model: SequenceModel, cluster: Cluster, args, params: Decode
         inputs.append(ids)
     labels = tuple(f"doc{i}" for i in indices)
     best = beam_search(model, inputs, params, input_labels=labels)[0]
-    content = [vocab.token(t) for t in best.tokens[:-1]]
+    content = [row.token for row in best.trace.rows[:-1]]
     record = {
         "id": cluster.id,
         "tokens": content,

@@ -11,7 +11,7 @@ while a live prefix has it, and masks all live prefixes at once. Each step
 keeps, per survivor, a back-pointer to its parent and the combined and
 per-input scores of the token it took, as small arrays; a result's provenance
 trace is built when read, by walking back-pointers, so nothing is rescored. A
-brute-force enumerator over the same scoring rules is an exact search oracle.
+brute-force enumerator, carrying those scores down its walk, is an exact oracle.
 
 Two reduce functions are provided: the arithmetic mean of log-probabilities
 and the (log of the) arithmetic mean of probabilities. They generally
@@ -250,30 +250,13 @@ class _Search:
                         in zip(fresh, per_inputs, _combine(stack, self.reduce)))
         return np.array([memo[key][1] for key in keys]), [memo[key][0] for key in keys]
 
-    def rescore(self, tokens: TokenSeq) -> tuple[float, TraceMatrix]:
-        """`sequence_score` of ``tokens``: their prefixes, scored anew in one step."""
-        tokens = tuple(tokens)
-        check_token_seq(tokens, self.vocab, "tokens")
-        if tokens[-1] != EOS_ID:
-            raise ValueError("sequence must end with the EOS id")
-        for pos, t in enumerate(tokens[:-1]):
-            if t == EOS_ID:
-                raise ValueError(f"EOS appears mid-sequence at position {pos}")
-            if t == BOS_ID:
-                raise ValueError(f"BOS appears inside the sequence at position {pos}")
-        self.memo.clear()
-        combined, per_inputs = self.step([(BOS_ID, *tokens[:i]) for i in range(len(tokens))])
-        chosen = combined[np.arange(len(tokens)), tokens]
-        raw = functools.reduce(float.__add__, chosen.tolist(), 0.0)  # the beam's sum, left to right
-        return raw, self.trace(tokens, chosen,
-                               np.array([s[:, t] for s, t in zip(per_inputs, tokens)]))
 
-    def trace(self, tokens: TokenSeq, combined: np.ndarray, per_input: np.ndarray) -> TraceMatrix:
-        """Row t of the trace of ``tokens`` holds ``int(tokens[t])`` (JSON takes no numpy
-        integer), its name in the vocabulary, ``combined[t]`` and the ``[N]`` ``per_input[t]``."""
-        return TraceMatrix(self.labels, [TraceRow(int(w), self.vocab.tokens[w], c, tuple(p))
-                                         for w, c, p in zip(tokens, combined.tolist(),
-                                                            per_input.tolist())])
+def _trace(labels: tuple[str, ...], names: tuple[str, ...], tokens: TokenSeq,
+           combined: np.ndarray, per_input: np.ndarray) -> TraceMatrix:
+    """Row t of the trace of ``tokens`` holds ``int(tokens[t])`` (JSON takes no numpy
+    integer), its name in ``names``, ``combined[t]`` and the ``[N]`` ``per_input[t]``."""
+    return TraceMatrix(labels, [TraceRow(int(w), names[w], c, tuple(p)) for w, c, p
+                                in zip(tokens, combined.tolist(), per_input.tolist())])
 
 
 def ranked_score(raw: float, content_length: int, alpha: float) -> float:
@@ -293,8 +276,9 @@ def _banned_next_tokens(prefix: TokenSeq, n: int) -> set[int]:
 
 
 def _allowed_tokens(combined: np.ndarray, prefixes: list[TokenSeq],
-                    params: DecodeParams) -> np.ndarray:
-    """``[B, V]`` mask of selectable next tokens for unfinished prefixes of one length.
+                    params: DecodeParams) -> tuple[np.ndarray, list[str]]:
+    """``[B, V]`` mask of selectable next tokens for unfinished prefixes of one length,
+    and the content length and rules it applied, named as a DecodeError names them.
 
     BOS is never selectable; EOS is masked until min_len content tokens
     exist; once only one content slot remains, everything except EOS is
@@ -302,28 +286,19 @@ def _allowed_tokens(combined: np.ndarray, prefixes: list[TokenSeq],
     the model scores at -inf are unselectable (their score could never recover).
     """
     content_len = len(prefixes[0]) - 1
-    allowed = combined > -np.inf
+    allowed, rules = combined > -np.inf, [f"content length {content_len}"]
     allowed[:, BOS_ID] = False
     if content_len < params.min_len:
         allowed[:, EOS_ID] = False
+        rules.append(f"min_len={params.min_len} masks EOS")
     if content_len == params.max_len - 1:
         allowed[:, np.arange(allowed.shape[1]) != EOS_ID] = False
+        rules.append(f"max_len={params.max_len} forces EOS")
     if params.block_repeat_ngram is not None:
         for b, prefix in enumerate(prefixes):
             allowed[b, list(_banned_next_tokens(prefix, params.block_repeat_ngram))] = False
-    return allowed
-
-
-def _constraint_summary(prefix: TokenSeq, params: DecodeParams) -> str:
-    content_len = len(prefix) - 1
-    parts = [f"content length {content_len}"]
-    if content_len < params.min_len:
-        parts.append(f"min_len={params.min_len} masks EOS")
-    if content_len == params.max_len - 1:
-        parts.append(f"max_len={params.max_len} forces EOS")
-    if params.block_repeat_ngram is not None:
-        parts.append(f"block_repeat_ngram={params.block_repeat_ngram}")
-    return ", ".join(parts)
+        rules.append(f"block_repeat_ngram={params.block_repeat_ngram}")
+    return allowed, rules
 
 
 STEP_BYTES_LIMIT = 2**30  # what a decode's step arrays may take (see `beam_search`)
@@ -365,7 +340,8 @@ def beam_search(
     and copies of the combined score and ``[N]`` per-input column of the
     token it took; a pool entry keeps the same for its EOS. A result's trace
     is built when read, by walking back-pointers: it holds exactly the
-    scores the search used, and nothing is rescored.
+    scores the search used, and nothing is rescored. A result keeps those arrays,
+    labels and token names, never the model, the inputs or an ``[N, V]`` array.
 
     Memory: per live prefix (N inputs, V tokens) a step holds ``(3 * N + 9) * V``
     floats and ``N * V`` bools: a memo entry's ``[N, V]`` scores and ``[V]`` row, a
@@ -391,7 +367,7 @@ def beam_search(
         # the mask, not a -inf score, marks what is selectable: two finite
         # scores near -1e308 can sum to -inf and must still rank. Masked
         # entries are NaN, never summed (-inf + inf is NaN) and never ranked
-        allowed = _allowed_tokens(combined, prefixes, params)
+        allowed, rules = _allowed_tokens(combined, prefixes, params)
         scores = np.full_like(combined, np.nan)
         np.add(raw[:, None], combined, out=scores, where=allowed)
         for i in np.flatnonzero(allowed[:, EOS_ID]).tolist():
@@ -410,8 +386,7 @@ def beam_search(
         cut = np.partition(neg, k)[k]
         flat = np.flatnonzero(neg <= (np.inf if np.isnan(cut) else cut))
         if not len(flat) and not pool:
-            raise DecodeError("no viable continuation for any hypothesis "
-                              f"({_constraint_summary(prefixes[0], params)})")
+            raise DecodeError(f"no viable continuation for any hypothesis ({', '.join(rules)})")
         survivors = np.sort(flat[np.argsort(neg[flat], kind="stable")[: params.beam_size]])
         parents, taken = np.divmod(survivors, width)
         pairs = list(zip(parents.tolist(), taken.tolist()))
@@ -420,7 +395,7 @@ def beam_search(
         prefixes = [prefixes[i] + (w,) for i, w in pairs]
         raw = scores[parents, taken]
         del combined, per_inputs, scores, neg  # not held through the next step
-    search.memo = search.flat = None  # a result's trace keeps the search, not its scores
+    labels, names = search.labels, search.vocab.tokens  # what a trace needs of the search
 
     def trace_of(tokens: TokenSeq, slot: int, *eos) -> TraceMatrix:
         """The trace of the result that live prefix ``slot`` ended with EOS, scored
@@ -429,7 +404,7 @@ def beam_search(
         for parents, chosen, columns in reversed(history[: len(tokens) - 1]):
             rows.append((chosen[slot], columns[slot]))
             slot = parents[slot]
-        return search.trace(tokens, *map(np.array, zip(*rows[::-1])))
+        return _trace(labels, names, tokens, *map(np.array, zip(*rows[::-1])))
 
     pool.sort(key=lambda entry: entry[:2])
     return [ScoredHypothesis(tokens, eos_raw, -neg, functools.partial(trace_of, tokens, *entry))
@@ -451,8 +426,9 @@ def brute_force_search(
     Walks the full tree of content-token prefixes under the same masking
     rules as the beam, scores every EOS-terminated leaf, and returns the
     best ranked one (ties to the lexicographically smallest token
-    sequence). Its trace is rescored as `sequence_score` scores one,
-    independently of the beam. Guarded to desk scale.
+    sequence). It asks the model once per prefix it visits, independently of
+    the beam and of any memo, and its trace holds the scores its walk chose,
+    which are the ones `sequence_score` gives. Guarded to desk scale.
     """
     search = _Search(model, inputs, input_labels, params.reduce)
     if len(search.vocab) > MAX_BRUTE_FORCE_VOCAB or params.max_len > MAX_BRUTE_FORCE_LEN:
@@ -461,29 +437,29 @@ def brute_force_search(
             f"{MAX_BRUTE_FORCE_VOCAB} tokens and max_len <= {MAX_BRUTE_FORCE_LEN}"
         )
 
-    best = None  # (-ranked, tokens, raw) of the best finished sequence so far
+    best = None  # (-ranked, tokens, raw, rows) of the best finished sequence so far
 
-    def walk(prefix: TokenSeq, score: float) -> None:
+    def walk(prefix: TokenSeq, score: float, rows: tuple) -> None:
+        """Rank each finish of ``prefix``, whose tokens took (combined, [N]) ``rows``."""
         nonlocal best
         search.memo.clear()  # the oracle scores every prefix itself
-        combined = search.step([prefix])[0][0]
-        allowed = _allowed_tokens(combined[None], [prefix], params)[0]
-        for w in np.flatnonzero(allowed).tolist():
-            new_score = score + float(combined[w])
+        (combined,), (scores,) = search.step([prefix])  # [V] and [N, V]
+        for w in np.flatnonzero(_allowed_tokens(combined[None], [prefix], params)[0][0]).tolist():
+            new_score, new_rows = score + float(combined[w]), (*rows, (combined[w], scores[:, w]))
             if w != EOS_ID:
-                walk(prefix + (w,), new_score)
+                walk(prefix + (w,), new_score, new_rows)
                 continue
             tokens = prefix[1:] + (w,)
             neg = -ranked_score(new_score, len(tokens) - 1, params.length_penalty_alpha)
             if best is None or (neg, tokens) < best[:2]:
-                best = (neg, tokens, new_score)
+                best = (neg, tokens, new_score, new_rows)
 
-    walk((BOS_ID,), 0.0)
+    walk((BOS_ID,), 0.0, ())
     if best is None:
         raise DecodeError("no admissible finished sequence exists under the given constraints")
-    neg, tokens, raw = best
-    _, trace = search.rescore(tokens)
-    return ScoredHypothesis(tokens, raw, -neg, lambda: trace)
+    neg, tokens, raw, rows = best
+    return ScoredHypothesis(tokens, raw, -neg, functools.partial(
+        _trace, search.labels, search.vocab.tokens, tokens, *map(np.array, zip(*rows))))
 
 
 def sequence_score(
@@ -500,4 +476,17 @@ def sequence_score(
     length masks apply here: any well-formed sequence can be scored, and
     rescoring a beam search result reproduces its raw score.
     """
-    return _Search(model, inputs, input_labels, reduce).rescore(tokens)
+    search, tokens = _Search(model, inputs, input_labels, reduce), tuple(tokens)
+    check_token_seq(tokens, search.vocab, "tokens")
+    if tokens[-1] != EOS_ID:
+        raise ValueError("sequence must end with the EOS id")
+    for pos, t in enumerate(tokens[:-1]):
+        if t == EOS_ID:
+            raise ValueError(f"EOS appears mid-sequence at position {pos}")
+        if t == BOS_ID:
+            raise ValueError(f"BOS appears inside the sequence at position {pos}")
+    combined, per_inputs = search.step([(BOS_ID, *tokens[:i]) for i in range(len(tokens))])
+    chosen = combined[np.arange(len(tokens)), tokens]
+    raw = functools.reduce(float.__add__, chosen.tolist(), 0.0)  # the beam's sum, left to right
+    return raw, _trace(search.labels, search.vocab.tokens, tokens, chosen,
+                       np.array([s[:, t] for s, t in zip(per_inputs, tokens)]))

@@ -113,7 +113,7 @@ def parse_object(text: str, where: str, required: Collection[str] = (),
     that order. Each fault is a FormatError that starts with ``where``."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # malformed, too many digits or too deep
         raise FormatError(f"{where}: invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise FormatError(f"{where}: must hold a JSON object")

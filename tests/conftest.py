@@ -184,9 +184,16 @@ def _json_paths(node, path=()):
         yield from _json_paths(child, path + (key,))
 
 
+# JSON that a file can hold but json.dumps cannot write, each drawn as the string
+# that names it: arrays nested past the parser's recursion limit, and an integer
+# past the 4300 digits that int's str conversion takes
+UNWRITABLE_JSON = {"<too deep>": "[" * 100_000 + "]" * 100_000, "<too long>": "9" * 5000}
+
+
 def mutate_json(data, doc, values, serialize=json.dumps) -> str:
-    """``doc`` after 1-3 random deletions or replacements drawn from
-    ``values``, serialized, then maybe with a character-level edit on top."""
+    """``doc`` after 1-3 random deletions or replacements drawn from ``values``,
+    serialized with each `UNWRITABLE_JSON` name in place of its JSON, then maybe
+    with a character-level edit on top."""
     doc = json.loads(json.dumps(doc))
     for _ in range(data.draw(st.integers(1, 3))):
         path = data.draw(st.sampled_from(list(_json_paths(doc))))
@@ -202,6 +209,8 @@ def mutate_json(data, doc, values, serialize=json.dumps) -> str:
         else:
             parent[path[-1]] = value
     text = serialize(doc)
+    for name, raw in UNWRITABLE_JSON.items():
+        text = text.replace(json.dumps(name), raw)
     if data.draw(st.booleans()):
         start = data.draw(st.integers(0, len(text)))
         end = data.draw(st.integers(start, min(len(text), start + 3)))

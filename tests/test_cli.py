@@ -21,6 +21,8 @@ from dyne import Cluster, ClusterSet, DecodeParams, ToyModelSpec, Vocab, rouge, 
 from dyne.cli import main
 from dyne.synthetic import build_consensus_corpus
 
+from conftest import UNWRITABLE_JSON
+
 NO_COUNTS = {"prev": [], "next": [], "count": []}
 
 
@@ -994,6 +996,24 @@ _FAULTY_INPUTS = {
 }
 
 
+def _reading(kind: str, path: Path, flags: list[str], out: Path) -> list[str]:
+    """The command that reads ``path`` as its ``kind`` of input file, writing ``out``."""
+    if kind == "hypotheses":
+        clusters = flags[flags.index("--clusters") + 1]
+        return ["evaluate", "--hypotheses", str(path), "--clusters", clusters,
+                "--report", str(out)]
+    if kind == "config":
+        return ["decode", "--config", str(path), *flags, "--out", str(out)]
+    flags = list(flags)
+    flags[flags.index(f"--{kind}") + 1] = str(path)
+    return ["decode", *flags, "--out", str(out)]
+
+
+# where each reader's file puts a value: a record's field, or a document's
+_VALUE_SLOTS = {"clusters": '{"id": "c", "documents": %s}\n', "model": '{"lambda": %s}',
+                "config": '{"beam_size": %s}', "hypotheses": '{"id": "c", "text": %s}\n'}
+
+
 class TestInputFaults:
     @pytest.mark.parametrize("kind, fault", list(_FAULTY_INPUTS),
                              ids=[f"{k}-{f}" for k, f in _FAULTY_INPUTS])
@@ -1002,19 +1022,25 @@ class TestInputFaults:
         path = tmp / f"bad_{kind}"
         path.write_text(_FAULTY_INPUTS[kind, fault])
         out = tmp / "out"
-        if kind == "hypotheses":
-            clusters = flags[flags.index("--clusters") + 1]
-            argv = ["evaluate", "--hypotheses", str(path), "--clusters", clusters,
-                    "--report", str(out)]
-        elif kind == "config":
-            argv = ["decode", "--config", str(path), *flags, "--out", str(out)]
-        else:
-            flags = list(flags)
-            flags[flags.index(f"--{kind}") + 1] = str(path)
-            argv = ["decode", *flags, "--out", str(out)]
-        assert main(argv) == 2
+        assert main(_reading(kind, path, flags, out)) == 2
         first_line = capsys.readouterr().err.splitlines()[0]
         assert first_line.startswith(f"error: {path}:")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kind", list(_VALUE_SLOTS))
+    @pytest.mark.parametrize("value", list(UNWRITABLE_JSON.values()),
+                             ids=["nested-100000-deep", "5000-digits"])
+    def test_json_past_the_parser_s_limits_is_invalid_json(self, workspace, capsys, kind,
+                                                           value):
+        # json.loads raises RecursionError and a plain ValueError for these,
+        # not JSONDecodeError: still one line naming the file, and no traceback
+        tmp, flags, _ = workspace
+        path, out = tmp / f"bad_{kind}", tmp / "out"
+        path.write_text(_VALUE_SLOTS[kind] % value)
+        assert main(_reading(kind, path, flags, out)) == 2
+        err = capsys.readouterr().err
+        where = {"model": f"{path}: model spec", "config": str(path)}.get(kind, f"{path}: line 1")
+        assert err.startswith(f"error: {where}: invalid JSON: ") and err.count("\n") == 1
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["decode", "sweep"])

@@ -35,7 +35,7 @@ from dyne.errors import parse_object
 from dyne.seqmodel import UNK_ID
 from dyne.synthetic import build_consensus_corpus
 
-from conftest import Level, mutate_json
+from conftest import UNWRITABLE_JSON, Level, mutate_json
 
 TWO_LINES = (
     '{"id": "c1", "documents": ["a b", "b c"], "references": ["a"]}\n'
@@ -197,7 +197,7 @@ CLUSTER_DOCS = [
 
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3)
-    | st.sampled_from(["id", "documents", "references", "c1", "c2", "a b"]),
+    | st.sampled_from(["id", "documents", "references", "c1", "c2", "a b", *UNWRITABLE_JSON]),
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(
         st.sampled_from(["id", "documents", "references"]) | st.text(max_size=3), inner,
         max_size=3),
@@ -251,6 +251,7 @@ class TestLoaderFuzz:
                     code = main(["decode", "--model", str(fuzz_model), "--clusters", str(path),
                                  "--out", str(Path(tmp) / "out")])
                 assert code == 2 and err.getvalue().startswith("error:")
+                assert str(path) in err.getvalue()  # the fault names the file
                 assert not (Path(tmp) / "out").exists()
                 return
             save_clusters(clusters, path)

@@ -610,6 +610,14 @@ class TestBruteForce:
         with pytest.raises(ValueError, match="brute-force"):
             brute_force_search(UniformModel(AB), [(3,)], DecodeParams(max_len=9, min_len=0))
 
+    def test_guards_accept_their_limits(self):
+        # the copy model gives UNK no mass, so the walks stay small
+        longest = DecodeParams(max_len=dyne.decoder.MAX_BRUTE_FORCE_LEN, min_len=0)
+        assert brute_force_search(copy_model(Vocab.from_content(["a"])), [(3,)], longest).tokens
+        width = dyne.decoder.MAX_BRUTE_FORCE_VOCAB
+        widest = Vocab.from_content([f"w{i}" for i in range(width - 3)])  # and BOS, EOS, UNK
+        assert brute_force_search(copy_model(widest), [(3,)], DecodeParams(max_len=2)).tokens
+
     def test_single_content_token_copy_model(self):
         # {BOS, EOS, UNK, a} under the copy model: UNK carries zero
         # probability, so [a, EOS] is the only scoreable candidate.
@@ -1443,6 +1451,56 @@ def test_results_hold_no_score_arrays(reduce):
             assert h.raw_score.hex() == raw.hex()
 
 
+@pytest.mark.parametrize("reduce", list(Reduce))
+def test_results_keep_no_model_or_search(reduce, monkeypatch):
+    # a result's trace needs only its own score copies, the labels and the token
+    # names, so the model and the search go while the results live
+    searches, step = [], _Search.step
+
+    def spy(search, prefixes):
+        searches.append(weakref.ref(search))
+        return step(search, prefixes)
+
+    monkeypatch.setattr(_Search, "step", spy)
+    for seed in range(2 * REFERENCE_KINDS):
+        model, inputs, beam_size, max_len, min_len = reference_case(
+            seed % REFERENCE_KINDS, np.random.default_rng(seed))
+        params = DecodeParams(beam_size=beam_size, max_len=max_len, min_len=min_len,
+                              reduce=reduce)
+        try:
+            results = beam_search(model, inputs, params)
+        except DecodeError:
+            continue
+        expected = [bits(sequence_score(model, inputs, h.tokens, reduce)[1].rows)
+                    for h in results]
+        model_ref = weakref.ref(model)
+        del model
+        gc.collect()
+        assert model_ref() is None and all(ref() is None for ref in searches), f"seed {seed}"
+        assert [bits(h.trace.rows) for h in results] == expected, f"seed {seed}"
+
+
+@pytest.mark.parametrize("reduce", list(Reduce))
+def test_oracle_trace_is_the_one_sequence_score_gives(reduce):
+    # the oracle builds its trace from the scores its walk chose, rescoring nothing
+    checked = 0
+    for seed in range(4 * REFERENCE_KINDS):
+        model, inputs, _, max_len, min_len = reference_case(
+            seed % REFERENCE_KINDS, np.random.default_rng(seed))
+        if len(model.vocab) > dyne.decoder.MAX_BRUTE_FORCE_VOCAB:
+            continue
+        params = DecodeParams(max_len=max_len, min_len=min_len, reduce=reduce)
+        try:
+            oracle = brute_force_search(model, inputs, params)
+        except DecodeError:
+            continue
+        raw, trace = sequence_score(model, inputs, oracle.tokens, reduce)
+        assert oracle.raw_score.hex() == raw.hex(), f"seed {seed}"
+        assert bits(oracle.trace.rows) == bits(trace.rows), f"seed {seed}"
+        checked += 1
+    assert checked >= REFERENCE_KINDS  # most kinds fit the oracle's guard
+
+
 class TestStepMemo:
     @pytest.mark.parametrize("block", [None, 1, 2])
     @pytest.mark.parametrize("reduce", list(Reduce))
@@ -1526,13 +1584,12 @@ class TestStepMemo:
         model.score_batch = lambda inputs, prefix: asked.append(prefix) or score(inputs, prefix)
         params = DecodeParams(beam_size=1, max_len=4, min_len=1)
         best = brute_force_search(model, [(A,), (B,)], params)
+        assert len(best.trace) == len(best.tokens)  # built from the walk's own scores
         # every content token scores alike, so the walk visits every prefix
-        # shorter than max_len content tokens, once each; then the trace's one
-        # rescoring step asks for the one key its prefixes share
+        # shorter than max_len content tokens, once each
         content = [t for t in range(len(AB)) if t not in (BOS_ID, EOS_ID)]
-        assert sorted(asked[:-1]) == sorted((BOS_ID, *seq) for n in range(params.max_len)
-                                            for seq in itertools.product(content, repeat=n))
-        assert asked[-1] in [(BOS_ID, *best.tokens[:i]) for i in range(len(best.tokens))]
+        assert sorted(asked) == sorted((BOS_ID, *seq) for n in range(params.max_len)
+                                       for seq in itertools.product(content, repeat=n))
 
     def test_context_zero_scores_once_per_search(self):
         model, asked = ContextModel(0), []

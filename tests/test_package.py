@@ -6,6 +6,7 @@ from __future__ import annotations
 import ast
 import csv
 import dataclasses
+import hashlib
 import importlib.util
 import io
 import json
@@ -577,3 +578,30 @@ def test_paired_peak_child_reports_its_peak_and_removes_its_output(tmp_path, mon
         (peak_mb, count), sha = bench.peak_slice(dyne, cases[name], 0.0)
         assert peak_mb > 10 and count == 1 and re.fullmatch("[0-9a-f]{64}", sha)
         assert not (tmp_path / bench.WORKLOADS[name][1] / "out_peak").exists()
+
+
+def test_mutation_run_on_a_tiny_module(tmp_path, monkeypatch, capsys):
+    mutate = load_script("mutate.py")
+    monkeypatch.setattr(sys, "path", [*sys.path])  # restored when the test ends
+    (tmp_path / "pyproject.toml").write_text('[tool.pytest.ini_options]\npythonpath = ["src"]\n')
+    source = "def below(a, b):\n    return a < b\n\n\ndef total(a, b):\n    return a + b * 1\n"
+    (tmp_path / "src").mkdir()
+    (tmp_path / "src" / "tiny.py").write_text(source)
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "tests" / "test_tiny.py").write_text(
+        "from tiny import below, total\n\n\n"
+        "def test_below():\n    assert below(1, 2)\n\n\n"  # 1 <= 2 too: `<=` survives
+        "def test_total():\n    assert total(2, 1) == 3\n")
+    assert mutate.mutants(source) == [(2, 13, "<", "<="), (6, 13, "+", "-"), (6, 17, "*", "/")]
+    assert mutate.main([str(tmp_path / "src" / "tiny.py"), "tests/test_tiny.py"]) == 0
+    result = json.loads((tmp_path / "MUTATION_tiny.json").read_text())
+    assert [(r["line"], r["operator"], r["killed_by"]) for r in result["results"]] == [
+        (2, "< -> <=", "survived"), (6, "+ -> -", "tests/test_tiny.py::test_total"),
+        (6, "* -> /", "survived")]  # b / 1 == b * 1
+    assert (result["mutants"], result["killed"], result["survived"]) == (3, 1, 2)
+    assert result["module_sha256"] == hashlib.sha256(source.encode()).hexdigest()
+    # the run mutated only its copy, which it removed
+    assert (tmp_path / "src" / "tiny.py").read_text() == source
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "MUTATION_tiny.json", "pyproject.toml", "src", "tests"]
+    assert "1/3 killed" in capsys.readouterr().out

@@ -25,7 +25,8 @@ from dyne import (
 from dyne import seqmodel
 from dyne.seqmodel import BOS_ID, EOS_ID, UNK_ID
 
-from conftest import Level, UniformModel, mutate_json, random_inputs, random_toy_model
+from conftest import (UNWRITABLE_JSON, Level, UniformModel, mutate_json, random_inputs,
+                      random_toy_model)
 
 
 def logsumexp(v: np.ndarray) -> float:
@@ -732,7 +733,7 @@ def entry_doc(i: int, **values) -> dict:
 
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3)
-    | st.sampled_from(["<s>", "</s>", "<unk>", "a", "b"]),
+    | st.sampled_from(["<s>", "</s>", "<unk>", "a", "b", *UNWRITABLE_JSON]),
     lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner,
                                                                 max_size=3),
     max_leaves=6,
@@ -858,7 +859,7 @@ class TestSpecLoaderErrors:
         text = mutate_json(data, SPEC_DOC, JSON_VALUES)
         try:
             spec = ToyModelSpec.from_json_text(text)
-        except ValueError:  # FormatError is a ValueError
+        except FormatError:  # every fault, the ones json.loads raises included
             return
         assert ToyModelSpec.from_json_text(spec.to_json_text()) == spec
 
