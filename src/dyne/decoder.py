@@ -122,8 +122,9 @@ def _combine(stack: np.ndarray, reduce: Reduce) -> np.ndarray:
     order sorted in place first (a non-decreasing column is the sorted one up to where
     -0.0 and 0.0 fall, which no reduce bit depends on), then checked on its top row: a
     sorted column holds no NaN (NaN compares false and sorts last) and +inf only on
-    top. A row of inputs that all hold the same bits reduces to that input; any other
-    row sums each column from +0.0, so a column of -0.0 alone reduces to 0.0."""
+    top. A row of inputs that all hold the same bits reduces to that input. Any other
+    row under mean_logprob sums each column row by row from -0.0, so a column of -0.0
+    alone reduces to -0.0; mean_prob adds log(1.0) = 0.0 to such a column's top, 0.0."""
     rising = stack[:, :-1] <= stack[:, 1:]
     if not rising.all():  # re-sort each stale row alone
         for b in np.flatnonzero(~rising.reshape(len(stack), -1).all(axis=1)).tolist():
@@ -157,7 +158,7 @@ def _mean_prob(stack: np.ndarray) -> np.ndarray:
     return top + np.log(total / stack.shape[1])
 
 
-_REDUCERS = {Reduce.MEAN_LOGPROB: lambda s: np.sum(s, axis=1) / s.shape[1],  # row by row
+_REDUCERS = {Reduce.MEAN_LOGPROB: lambda s: np.sum(s, axis=1, initial=-0.0) / s.shape[1],
              Reduce.MEAN_PROB: _mean_prob}
 
 
@@ -244,7 +245,7 @@ class _Search:
             per_inputs.append(scores.astype(float, copy=False))  # what the reduce and trace see
             if self.flat is None:
                 self.flat = np.argsort(per_inputs[b], axis=0) * shape[1] + np.arange(shape[1])
-            per_inputs[b].take(self.flat, out=stack[b])  # while the scores are still in cache
+            per_inputs[b].take(self.flat, out=stack[b], mode="clip")  # unbuffered; never clips
         if fresh:  # each row is copied, so no entry keeps a whole step's combine alive
             memo.update((key, (scores, row.copy())) for key, scores, row
                         in zip(fresh, per_inputs, _combine(stack, self.reduce)))
@@ -268,36 +269,35 @@ def ranked_score(raw: float, content_length: int, alpha: float) -> float:
     return raw / max(1, content_length) ** alpha
 
 
-def _banned_next_tokens(prefix: TokenSeq, n: int) -> set[int]:
-    """Tokens that would complete an n-gram already present in the prefix:
-    each token that follows an occurrence of the prefix's last n - 1 tokens."""
-    tail = prefix[len(prefix) - n + 1:]
-    return {prefix[i + n - 1] for i in range(len(prefix) - n + 1) if prefix[i:i + n - 1] == tail}
-
-
 def _allowed_tokens(combined: np.ndarray, prefixes: list[TokenSeq],
                     params: DecodeParams) -> tuple[np.ndarray, list[str]]:
     """``[B, V]`` mask of selectable next tokens for unfinished prefixes of one length,
     and the content length and rules it applied, named as a DecodeError names them.
 
-    BOS is never selectable; EOS is masked until min_len content tokens
-    exist; once only one content slot remains, everything except EOS is
-    masked; optional n-gram blocking removes repeats, prefix by prefix. Tokens
+    BOS is never selectable; EOS is masked until min_len content tokens exist; once
+    only one content slot remains, every column but EOS's is masked; n-gram blocking
+    bans each token that follows an occurrence of a prefix's last n - 1 tokens, found
+    by n - 1 comparisons over the ``[B, L]`` prefix matrix and cleared at once (a miss
+    clears BOS), so a mask takes the same few array operations for any B and L. Tokens
     the model scores at -inf are unselectable (their score could never recover).
     """
-    content_len = len(prefixes[0]) - 1
+    content_len, n = len(prefixes[0]) - 1, params.block_repeat_ngram
     allowed, rules = combined > -np.inf, [f"content length {content_len}"]
     allowed[:, BOS_ID] = False
     if content_len < params.min_len:
         allowed[:, EOS_ID] = False
         rules.append(f"min_len={params.min_len} masks EOS")
     if content_len == params.max_len - 1:
-        allowed[:, np.arange(allowed.shape[1]) != EOS_ID] = False
+        allowed[:, :EOS_ID] = allowed[:, EOS_ID + 1:] = False
         rules.append(f"max_len={params.max_len} forces EOS")
-    if params.block_repeat_ngram is not None:
-        for b, prefix in enumerate(prefixes):
-            allowed[b, list(_banned_next_tokens(prefix, params.block_repeat_ngram))] = False
-        rules.append(f"block_repeat_ngram={params.block_repeat_ngram}")
+    if n is not None:
+        starts = len(prefixes[0]) - n + 1  # the n-grams in a prefix
+        if starts > 0:  # hit[b, i]: prefix b's n-gram at i begins with its last n - 1 tokens
+            live, hit = np.array(prefixes), np.ones((len(prefixes), starts), bool)  # [B, L]
+            for j in range(n - 1):
+                hit &= live[:, j:j + starts] == live[:, starts + j, None]
+            allowed[np.arange(len(live))[:, None], np.where(hit, live[:, n - 1:], BOS_ID)] = False
+        rules.append(f"block_repeat_ngram={n}")
     return allowed, rules
 
 
@@ -328,10 +328,10 @@ def beam_search(
 
     Returns up to ``beam_size`` finished hypotheses, best ranked first.
     Each step scores each distinct key of the live prefixes at most once (see
-    `_Search.step`) and ranks all their selectable continuations together; a prefix
-    that takes EOS is a result at once and joins the pool. The search stops
-    once the pool holds ``beam_size`` results or no prefix is live; the mask
-    alone enforces ``max_len`` (see `_allowed_tokens`). A step with nothing
+    `_Search.step`), masks them all with one `_allowed_tokens` call and ranks all
+    their selectable continuations together; a prefix that takes EOS is a result at
+    once and joins the pool. The search stops once the pool holds ``beam_size``
+    results or no prefix is live; the mask alone enforces ``max_len``. A step with nothing
     selectable and an empty pool is a DecodeError naming the constraints in
     effect. All tie-breaks (pruning and final ranking) prefer the
     lexicographically smaller token-id sequence, so output is deterministic.

@@ -79,13 +79,13 @@ def exhaustive_beam_size(vocab: Vocab, params: DecodeParams) -> int:
 
 def mean_logprob_by_rows(arr):
     """`reduce_mean_logprob` of one ``[N, V]`` stack, written plainly: sort each
-    column, then add the rows one after another to 0.0, as ``np.sum`` does (so a
-    column of -0.0 sums to 0.0), and divide by N."""
+    column, then add the rows one after another to -0.0 (so a column of -0.0 sums
+    to -0.0, and any other column to its plain sum), and divide by N."""
     arr = np.sort(arr, axis=0)
     bits = arr.view(np.int64)
     if (bits == bits[0]).all():  # a run of equal rows reduces to that row
         return arr[0].copy()
-    total = np.zeros(arr.shape[1])
+    total = np.full(arr.shape[1], -0.0)
     for row in arr:
         total = total + row
     return total / len(arr)
@@ -104,6 +104,20 @@ def mean_prob_by_columns(arr):
     shifted = np.asfortranarray(np.exp(arr[:, live] - top[live]))
     out[live] = top[live] + np.log(np.sum(shifted, axis=0) / len(arr))
     return out
+
+
+def banned_next_tokens(prefix, n):
+    """The tokens that ``block_repeat_ngram=n`` bans after ``prefix``, one n-gram at
+    a time: each token that follows an occurrence of the prefix's last n - 1 tokens
+    (for n = 1, every token of the prefix); none for n None or a prefix shorter than n."""
+    if n is None or len(prefix) < n:
+        return set()
+    tail = prefix[len(prefix) - (n - 1):] if n > 1 else ()
+    return {
+        prefix[i + n - 1]
+        for i in range(len(prefix) - n + 1)
+        if prefix[i:i + n - 1] == tail
+    }
 
 
 def plain_ensemble_beam_search(model, inputs, params: DecodeParams):
@@ -127,17 +141,6 @@ def plain_ensemble_beam_search(model, inputs, params: DecodeParams):
             return raw
         return raw / max(1, content_len) ** params.length_penalty_alpha
 
-    def banned(prefix):
-        n = params.block_repeat_ngram
-        if n is None or len(prefix) < n:
-            return set()
-        tail = prefix[len(prefix) - (n - 1):] if n > 1 else ()
-        return {
-            prefix[i + n - 1]
-            for i in range(len(prefix) - n + 1)
-            if prefix[i:i + n - 1] == tail
-        }
-
     live = [((BOS_ID,), 0.0, ())]
     pool = []
     while live:
@@ -146,7 +149,7 @@ def plain_ensemble_beam_search(model, inputs, params: DecodeParams):
             per_input = np.asarray(model.score_batch(inputs, prefix), dtype=float)
             combined = reduce(per_input)
             content_len = len(prefix) - 1
-            blocked = banned(prefix)
+            blocked = banned_next_tokens(prefix, params.block_repeat_ngram)
             for w in range(len(combined)):
                 if w == BOS_ID or combined[w] == -np.inf or w in blocked:
                     continue

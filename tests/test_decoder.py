@@ -39,9 +39,9 @@ from dyne.decoder import STEP_BYTES_LIMIT, _Search, check_beam_memory
 from dyne.seqmodel import BOS_ID, EOS_ID, UNK_ID
 from dyne.synthetic import build_consensus_corpus
 
-from conftest import (Level, UniformModel, exhaustive_beam_size, mean_prob_by_columns,
-                      plain_beam_search, plain_ensemble_beam_search, random_inputs,
-                      random_toy_model)
+from conftest import (Level, UniformModel, banned_next_tokens, exhaustive_beam_size,
+                      mean_prob_by_columns, plain_beam_search, plain_ensemble_beam_search,
+                      random_inputs, random_toy_model)
 
 AB = Vocab.from_content(["a", "b"])
 A, B = 3, 4
@@ -1420,6 +1420,65 @@ def test_beam_search_equals_the_plain_reference_bitwise(reduce, block, alpha):
             results = []  # the reference finds nothing either
         assert [(h.tokens, h.raw_score.hex(), h.ranked_score.hex(), bits(h.trace.rows))
                 for h in results] == expected, f"seed {seed}"
+
+
+@pytest.mark.parametrize("reduce, reduce_fn, sign", [
+    (Reduce.MEAN_LOGPROB, reduce_mean_logprob, -1.0), (Reduce.MEAN_PROB, reduce_mean_prob, 1.0)])
+def test_a_column_of_negative_zeros_in_unequal_rows(reduce, reduce_fn, sign):
+    # both inputs score b at -0.0 but EOS apart: mean_logprob sums b's column from
+    # -0.0, so it stays -0.0; mean_prob adds log(1.0) = 0.0 to the column's top
+    table = np.full((len(AB), len(AB)), -math.inf)
+    table[[A, B], EOS_ID], table[[A, B], B] = (-1.0, -2.0), -0.0
+    params = DecodeParams(beam_size=1, max_len=2, min_len=1, reduce=reduce)
+    (hyp,) = beam_search(CoarseModel(AB, table), [(A,), (B,)], params)
+    assert hyp.tokens == (B, EOS_ID)
+    assert math.copysign(1.0, hyp.trace.rows[0].combined) == sign
+    assert math.copysign(1.0, reduce_fn(table[[A, B]])[B]) == sign
+
+
+def plain_mask_row(combined, prefix, params):
+    """The ``[V]`` mask of what may follow ``prefix``, whose reduce is ``combined``,
+    rule by rule, with the reference search's n-gram ban."""
+    content_len, row = len(prefix) - 1, combined > -np.inf
+    row[[BOS_ID, *banned_next_tokens(prefix, params.block_repeat_ngram)]] = False
+    if content_len < params.min_len:
+        row[EOS_ID] = False
+    if content_len >= params.max_len - 1:
+        row[np.arange(len(row)) != EOS_ID] = False
+    return row
+
+
+@st.composite
+def mask_cases(draw):
+    """1-8 live prefixes of one length L over a few tokens, so that n-grams repeat; a
+    ``[B, V]`` combined array with -inf cells and columns; and params whose min_len
+    falls past, at or below the content length, which is max_len - 1 one time in
+    three, and whose n-gram blocking is off or n in {1, 2, 3, L, L + 1}."""
+    width, content_len = draw(st.integers(4, 9)), draw(st.integers(0, 6))
+    batch = draw(st.integers(1, 8))
+    tokens = st.integers(UNK_ID, min(width - 1, UNK_ID + draw(st.integers(1, 3))))
+    prefixes = [(BOS_ID, *draw(st.lists(tokens, min_size=content_len, max_size=content_len)))
+                for _ in range(batch)]
+    max_len = content_len + 1 + draw(st.integers(0, 2))
+    min_len = draw(st.integers(0, min(content_len + 1, max_len - 1)))
+    n = draw(st.sampled_from([None, 1, 2, 3, content_len + 1, content_len + 2]))
+    cells = st.sampled_from([-math.inf, -1.0, -0.0, 0.0, -2.5])
+    combined = np.array(draw(st.lists(cells, min_size=batch * width, max_size=batch * width)))
+    combined = combined.reshape(batch, width)
+    combined[:, draw(st.lists(st.integers(0, width - 1), max_size=2))] = -math.inf
+    return combined, prefixes, DecodeParams(beam_size=batch, max_len=max_len, min_len=min_len,
+                                            block_repeat_ngram=n)
+
+
+@given(mask_cases())
+@settings(max_examples=300, deadline=None)
+def test_the_step_mask_equals_a_per_prefix_reference_bitwise(case):
+    combined, prefixes, params = case
+    before = combined.tobytes()
+    allowed, _ = dyne.decoder._allowed_tokens(combined, prefixes, params)
+    expected = np.array([plain_mask_row(c, p, params) for c, p in zip(combined, prefixes)])
+    assert allowed.dtype == bool and allowed.tobytes() == expected.tobytes()
+    assert combined.tobytes() == before
 
 
 @pytest.mark.parametrize("reduce", list(Reduce))
