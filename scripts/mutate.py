@@ -12,15 +12,19 @@ Each mutant changes one operator of ``MODULE``, found with ``ast``:
   ``<=``, ``>`` and ``>=``) or between ``==`` and ``!=``;
 * each binary ``+`` and ``-`` swap, as do ``*`` and ``/``.
 
+An operator inside an f-string's replacement field is left alone: it only
+formats a message, and Python 3.11's tokenizer gives it no token of its own.
+
 The project that holds ``MODULE`` (the nearest directory up from it with a
 ``pyproject.toml``) is copied whole into ``.mutate_work/`` at its root, which
 the run removes when it ends: the tests run in the copy, never in the working
 tree, since ``pytest``'s ``pythonpath`` setting would import the unmutated
 ``src/`` ahead of any ``PYTHONPATH``. The tests first run on the unmutated
 copy, and must pass. Then, one mutant at a time, the copy's module is
-rewritten with the mutant and the tests run with ``-x`` and no bytecode (a
+rewritten with the mutant and the tests run with ``-x``, no bytecode (a
 mutant can keep its file's size and mtime second, which a ``.pyc`` check
-would miss); a mutant is killed by the first test that fails, by an error
+would miss) and no plugin autoloading, which would take most of a small
+run's time; a mutant is killed by the first test that fails, by an error
 that stops the run, or by running ten times as long as the unmutated tests
 (at least 60 s), and survives when every test passes.
 
@@ -61,7 +65,12 @@ def mutants(source: str) -> list[tuple[int, int, str, str]]:
     """``(line, column, operator, flipped)`` for each operator `FLIPS` maps, in
     source order; line counts from 1 and column from 0, in characters."""
     spans = []  # (left operand, right operand, operator symbol)
-    for node in ast.walk(ast.parse(source)):
+    tree = ast.parse(source)
+    formatted = {id(inner) for node in ast.walk(tree) if isinstance(node, ast.JoinedStr)
+                 for inner in ast.walk(node)}  # what f-strings hold
+    for node in ast.walk(tree):
+        if id(node) in formatted:
+            continue
         if isinstance(node, ast.BinOp) and type(node.op) in SYMBOLS:
             spans.append((node.left, node.right, SYMBOLS[type(node.op)]))
         elif isinstance(node, ast.Compare):
@@ -103,7 +112,7 @@ def run_tests(copy: Path, tests: list[str], timeout: float | None) -> tuple[str,
     """``passed``, the id of the first failing test, ``error`` or ``timeout``, and
     the seconds the run took."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
-    env["PYTHONDONTWRITEBYTECODE"] = "1"
+    env.update(PYTHONDONTWRITEBYTECODE="1", PYTEST_DISABLE_PLUGIN_AUTOLOAD="1")
     command = [sys.executable, "-m", "pytest", "-x", "-q", "-rfE", "-p", "no:cacheprovider",
                *tests]
     start = time.perf_counter()

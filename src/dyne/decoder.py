@@ -32,7 +32,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DecodeError, is_integer, real_number, tuple_of
-from .provenance import TraceMatrix, TraceRow
+from .provenance import TraceMatrix, TraceRow, left_sum
 from .seqmodel import (
     BOS_ID,
     EOS_ID,
@@ -202,7 +202,7 @@ class _Search:
     scored; its memo; and its column order, the ``[N, V]`` sort order as flat gather
     indices ``order * V + arange(V)``, set once from the first key scored, in the shape
     `step` checks. `_combine` sorts a row left out of order. Under `CopyBigramModel` a
-    row rises with its input's fixed copy weight: 0 of 629 and 0 of 2,500 rows went
+    row rises with its input's fixed copy weight: 0 of 629 and 0 of 500 rows went
     stale in 60 ``wide`` and 500 ``sweep`` pool decodes."""
 
     def __init__(self, model: SequenceModel, inputs: list[TokenSeq],
@@ -487,6 +487,6 @@ def sequence_score(
             raise ValueError(f"BOS appears inside the sequence at position {pos}")
     combined, per_inputs = search.step([(BOS_ID, *tokens[:i]) for i in range(len(tokens))])
     chosen = combined[np.arange(len(tokens)), tokens]
-    raw = functools.reduce(float.__add__, chosen.tolist(), 0.0)  # the beam's sum, left to right
+    raw = left_sum(chosen.tolist())  # the beam's sum
     return raw, _trace(search.labels, search.vocab.tokens, tokens, chosen,
                        np.array([s[:, t] for s, t in zip(per_inputs, tokens)]))

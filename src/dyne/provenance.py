@@ -18,9 +18,17 @@ and ``-Infinity`` in JSON).
 
 from __future__ import annotations
 
+import functools
+import operator
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .errors import csv_text, json_text, tuple_of
+
+
+def left_sum(values: Iterable[float]) -> float:
+    """Added left to right from 0.0, as a beam adds; Python 3.12's ``sum`` compensates."""
+    return functools.reduce(operator.add, values, 0.0)
 
 
 @dataclass(frozen=True)
@@ -67,16 +75,13 @@ class TraceMatrix:
         """Column sums: the full sequence's log-likelihood under each input."""
         if not self.rows:
             raise ValueError("trace is empty")
-        return [
-            sum(row.per_input[i] for row in self.rows)
-            for i in range(len(self.input_labels))
-        ]
+        return [left_sum(column) for column in zip(*(row.per_input for row in self.rows))]
 
     def combined_total(self) -> float:
         """Sum of the combined column; equals the decode's raw score."""
         if not self.rows:
             raise ValueError("trace is empty")
-        return sum(row.combined for row in self.rows)
+        return left_sum(row.combined for row in self.rows)
 
     def to_csv(self) -> str:
         return csv_text([

@@ -25,8 +25,8 @@ from typing import Protocol
 
 import numpy as np
 
-from .errors import (FormatError, is_integer, json_text, parse_object, read_input, real_number,
-                     tuple_of, write_output)
+from .errors import (FormatError, json_text, parse_object, read_input, real_number, tuple_of,
+                     write_output)
 
 BOS_ID = 0
 EOS_ID = 1
@@ -107,15 +107,6 @@ class Vocab:
         """Exact lookup; raises KeyError for unknown tokens."""
         return self._index[token]
 
-    def encode_token(self, token: str) -> int:
-        """Lookup with out-of-vocabulary tokens mapped to the unknown id."""
-        return self._index.get(token, UNK_ID)
-
-    def token(self, idx: int) -> str:
-        if not (is_integer(idx) and 0 <= idx < len(self.tokens)):
-            raise ValueError(f"token id {idx!r} out of range for vocab of size {len(self)}")
-        return self.tokens[idx]
-
     @property
     def content_ids(self) -> tuple[int, ...]:
         """Ids of the non-reserved tokens."""
@@ -144,9 +135,9 @@ def check_token_seq(
 class SequenceModel(Protocol):
     """Anything that can score the next token for several inputs sharing one
     prefix; each row of a batch depends only on its own input and the prefix.
-    A model may declare ``context``, an integer >= 0: its scores then depend only
-    on the prefix's last ``context`` tokens, and the decoder makes one model call
-    per distinct such key per step. ``None``, or no attribute, means the whole prefix."""
+    A model may declare ``context``, an integer >= 0 read once per search: its scores then
+    depend only on the prefix's last ``context`` tokens, and the decoder makes one model
+    call per new such key, at 0 one per search. ``None``, or none, means the whole prefix."""
 
     @property
     def vocab(self) -> Vocab: ...
@@ -360,8 +351,6 @@ class CopyBigramModel:
     count arrays with no pass over the pairs in Python; so its memory is bounded.
     """
 
-    context = 1  # the bigram part reads the prefix's last token, the copy part none
-
     def __init__(self, spec: ToyModelSpec):
         self._spec = spec
         self._on_alphabet = np.ones(len(spec.vocab))
@@ -371,6 +360,12 @@ class CopyBigramModel:
     @property
     def vocab(self) -> Vocab:
         return self._spec.vocab
+
+    @property
+    def context(self) -> int:
+        """1, the bigram part's last prefix token, unless that part is one row for every
+        prefix (0.0 at copy weight 1.0, the smoothing row with no counts): then 0."""
+        return int(self._spec.copy_weight != 1.0 and len(self._spec.bigram_counts) > 0)
 
     def _copy_part(self, inputs: tuple[TokenSeq, ...]) -> np.ndarray:
         """``[N, V]`` weighted copy distributions of an input set, which it validates

@@ -1291,6 +1291,13 @@ class WholePrefixModel(CopyBigramModel):
     context = None
 
 
+class LastTokenContextModel(CopyBigramModel):
+    """`CopyBigramModel` declaring ``context = 1`` whatever its spec, so a search
+    scores each last token apart even where the spec makes the rows one row."""
+
+    context = 1
+
+
 class ContextModel(UniformModel):
     """`UniformModel`, whose scores read no prefix token, declaring ``context``."""
 
@@ -1655,6 +1662,38 @@ class TestStepMemo:
         score = model.score_batch
         model.score_batch = lambda inputs, prefix: asked.append(prefix) or score(inputs, prefix)
         beam_search(model, [(A,), (B,)], DecodeParams(beam_size=3, max_len=4, min_len=3))
+        assert asked == [(BOS_ID,)]
+
+    # a copy-only spec with counts, and a mixture with none: context 0 by the spec
+    ONE_ROW_SPECS = {"copy-only": ToyModelSpec(1.0, 0.5, {(0, 3): 3, (3, 4): 2, (4, 1): 4}, AB),
+                     "no-counts": ToyModelSpec(0.6, 0.5, {}, AB)}
+
+    @pytest.mark.parametrize("spec", ONE_ROW_SPECS.values(), ids=ONE_ROW_SPECS)
+    @pytest.mark.parametrize("reduce", list(Reduce))
+    def test_context_zero_spec_decodes_as_context_one(self, spec, reduce):
+        inputs = [(A, A, B), (B, UNK_ID), (A, B, B, A), (B, UNK_ID)]
+        model, keyed = CopyBigramModel(spec), LastTokenContextModel(spec)
+        assert (model.context, keyed.context) == (0, 1)
+        for block, alpha in itertools.product([None, 1, 2], [0.0, 0.5]):
+            params = DecodeParams(beam_size=3, max_len=5, min_len=1, reduce=reduce,
+                                  length_penalty_alpha=alpha, block_repeat_ngram=block)
+            results = []
+            for m in (model, keyed):
+                found = [*beam_search(m, inputs, params), brute_force_search(m, inputs, params)]
+                rescored = [sequence_score(m, inputs, h.tokens, reduce) for h in found]
+                results.append([(h.tokens, h.raw_score.hex(), h.ranked_score.hex(),
+                                 bits(h.trace.rows)) for h in found]
+                               + [(raw.hex(), bits(trace.rows)) for raw, trace in rescored])
+            assert results[0] == results[1], (block, alpha)
+
+    def test_consensus_decode_scores_once(self):
+        corpus = build_consensus_corpus(n_clusters=2, seed=0)
+        model, asked = CopyBigramModel(corpus.model_spec), []
+        score = model.score_batch
+        model.score_batch = lambda inputs, prefix: asked.append(prefix) or score(inputs, prefix)
+        documents = corpus.clusters.clusters[0].documents
+        inputs = [tokenize_and_truncate(d, model.vocab, 400) for d in documents]
+        assert len(beam_search(model, inputs, corpus.decode_params)[0].tokens) > 2
         assert asked == [(BOS_ID,)]
 
     @pytest.mark.parametrize("context", [-1, 1.5, True, "1", Level.HIGH, np.float64(1), [1]],

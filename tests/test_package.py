@@ -496,7 +496,9 @@ def test_paired_timing_decodes_the_benchmarks_pool_clusters(tmp_path, monkeypatc
         assert not any(used for _, used, _, _ in calls)
         assert all(m.vocab == model.vocab for m, *_ in calls)
         assert all(isinstance(m, dyne.CopyBigramModel) for m, *_ in calls)
-        assert {m.context for m, *_ in calls} == {None if name == "decode_shift" else 1}
+        # the sweep spec is copy-only, so its rows read no prefix token
+        assert {m.context for m, *_ in calls} == {
+            {"decode_shift": None, "decode_sweep": 0}.get(name, 1)}
     assert files_under(ROOT / "perfbench") == before
     # decode_shift lowers input x's row by hash((prefix, x)) % 1024 / 1024, so the
     # inputs' order within a column changes and a search's stack rows go stale
@@ -589,10 +591,18 @@ def test_mutation_run_on_a_tiny_module(tmp_path, monkeypatch, capsys):
     (tmp_path / "src" / "tiny.py").write_text(source)
     (tmp_path / "tests").mkdir()
     (tmp_path / "tests" / "test_tiny.py").write_text(
-        "from tiny import below, total\n\n\n"
+        "import os\n\nfrom tiny import below, total\n\n\n"
         "def test_below():\n    assert below(1, 2)\n\n\n"  # 1 <= 2 too: `<=` survives
-        "def test_total():\n    assert total(2, 1) == 3\n")
+        "def test_total():\n    assert total(2, 1) == 3\n\n\n"
+        "def test_no_plugins_autoloaded():\n"  # in the children's environment alone
+        "    assert os.environ['PYTEST_DISABLE_PLUGIN_AUTOLOAD'] == '1'\n")
+    autoload = os.environ.get("PYTEST_DISABLE_PLUGIN_AUTOLOAD")
     assert mutate.mutants(source) == [(2, 13, "<", "<="), (6, 13, "+", "-"), (6, 17, "*", "/")]
+    # an f-string's operator formats a message, and 3.11 gives it no token
+    assert mutate.mutants('m = f"{a + b:>{w - 1}}"\nok = a < b\n') == [(2, 7, "<", "<=")]
+    for module in (ROOT / "src" / "dyne").glob("*.py"):  # each mutant flips its own operator
+        text = module.read_text(encoding="utf-8")
+        assert all(mutate.apply(text, *m) != text for m in mutate.mutants(text)), module.name
     assert mutate.main([str(tmp_path / "src" / "tiny.py"), "tests/test_tiny.py"]) == 0
     result = json.loads((tmp_path / "MUTATION_tiny.json").read_text())
     assert [(r["line"], r["operator"], r["killed_by"]) for r in result["results"]] == [
@@ -605,3 +615,4 @@ def test_mutation_run_on_a_tiny_module(tmp_path, monkeypatch, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == [
         "MUTATION_tiny.json", "pyproject.toml", "src", "tests"]
     assert "1/3 killed" in capsys.readouterr().out
+    assert os.environ.get("PYTEST_DISABLE_PLUGIN_AUTOLOAD") == autoload
