@@ -1,24 +1,19 @@
 """Shared-prefix ensemble beam search.
 
-One conditional model is applied independently to several inputs; at every
-timestep the per-input next-token distributions are combined by a reduce
-function into a single distribution, so all inputs extend the same output
-prefix. The cumulative combined log-score of the chosen tokens is the
-sequence score. A beam step makes one model call per distinct key per step,
-a key being the prefix tokens the model reads (its ``context``): it checks and
-reduces the new keys' ``[N, V]`` scores as one stack, keeps each key's scores
-while a live prefix has it, and masks all live prefixes at once. Each step
-keeps, per survivor, a back-pointer to its parent and the combined and
-per-input scores of the token it took, as small arrays; a result's provenance
-trace is built when read, by walking back-pointers, so nothing is rescored. A
-brute-force enumerator, carrying those scores down its walk, is an exact oracle.
+One model scores several inputs; at every timestep a reduce function combines
+the per-input next-token distributions into one, so all inputs extend the same
+output prefix, and the sum of the chosen tokens' combined log-scores is the
+sequence score. A beam step makes one model call per distinct key (the prefix
+tokens the model reads, its ``context``), reduces the new keys' ``[N, V]`` scores
+as one stack, and ranks the live prefixes' candidates from each key's ranked head,
+never a ``[B, V]`` array. A result's provenance trace is built when read, by
+walking the steps' back-pointers, so nothing is rescored; a brute-force
+enumerator is an exact oracle.
 
-Two reduce functions are provided: the arithmetic mean of log-probabilities
-and the (log of the) arithmetic mean of probabilities. They generally
-disagree; the log-space mean is the default because sequence scores compose
-additively in log space. Both sum each column in sorted order, which makes
-decoding bitwise invariant to permuting or duplicating inputs; a search's
-steps gather through one column order, set from its first key (see `_Search`).
+The reducers are the arithmetic mean of log-probabilities (the default, since
+sequence scores add in log space) and the log of the mean of probabilities.
+Both sum each column in sorted order, so decoding is bitwise invariant to
+permuting or duplicating inputs; a search gathers through one column order.
 """
 
 from __future__ import annotations
@@ -54,16 +49,13 @@ class Reduce(enum.Enum):
 class DecodeParams:
     """Knobs for one decoding run.
 
-    ``max_len`` bounds the generated tokens including the end marker;
-    ``min_len`` is the minimum number of content tokens before the end
-    marker may be produced. ``length_penalty_alpha`` divides the raw score
-    by ``content_length ** alpha`` at ranking time (0 disables it, the
-    default, since raw scores are plain sums); it is a real number, stored
-    as a float, such that ``(max_len - 1) ** alpha`` is a finite float, so
-    no ranking overflows. ``seed``, any integer, feeds any seeded
-    preprocessing (e.g. document selection); the search itself is
-    deterministic and ignores it. Every integer field takes an ``int`` or a
-    numpy integer, never a bool or another ``int`` subclass such as an enum.
+    ``max_len`` bounds the generated tokens including the end marker; ``min_len``
+    is the content tokens needed before it. ``length_penalty_alpha``, a real number
+    stored as a float (0, the default, disables it), divides the raw score by
+    ``content_length ** alpha`` at ranking time; ``(max_len - 1) ** alpha`` must be
+    a finite float. ``seed`` feeds seeded preprocessing (document selection); the
+    search ignores it. An integer field takes an ``int`` or a numpy integer, never
+    a bool or another ``int`` subclass such as an enum.
     """
 
     beam_size: int = 4
@@ -118,13 +110,11 @@ class ScoredHypothesis:
 
 
 def _combine(stack: np.ndarray, reduce: Reduce) -> np.ndarray:
-    """The ``[B, V]`` reduce of the ``[B, N, V]`` ``stack``, a row with a column out of
-    order sorted in place first (a non-decreasing column is the sorted one up to where
-    -0.0 and 0.0 fall, which no reduce bit depends on), then checked on its top row: a
-    sorted column holds no NaN (NaN compares false and sorts last) and +inf only on
-    top. A row of inputs that all hold the same bits reduces to that input. Any other
-    row under mean_logprob sums each column row by row from -0.0, so a column of -0.0
-    alone reduces to -0.0; mean_prob adds log(1.0) = 0.0 to such a column's top, 0.0."""
+    """The ``[B, V]`` reduce of the ``[B, N, V]`` ``stack``: a row with a column out of
+    order is sorted in place (no reduce bit depends on where -0.0 and 0.0 fall), then
+    the top row is checked, since a sorted column holds NaN and +inf only on top. A row
+    of inputs that all hold the same bits reduces to that input; mean_logprob sums any
+    other from -0.0 (a column of -0.0 stays -0.0), and mean_prob gives such a column 0.0."""
     rising = stack[:, :-1] <= stack[:, 1:]
     if not rising.all():  # re-sort each stale row alone
         for b in np.flatnonzero(~rising.reshape(len(stack), -1).all(axis=1)).tolist():
@@ -177,33 +167,24 @@ def _reduce(per_input, reduce: Reduce) -> LogProbVector:
 
 
 def reduce_mean_logprob(per_input: list[LogProbVector] | np.ndarray) -> LogProbVector:
-    """Elementwise arithmetic mean in log space; not renormalized.
-
-    Masked (-inf) entries propagate. Columns are sorted before summation so
-    the result does not depend on input order, and a run of identical
-    distributions reduces to that distribution exactly.
-    """
+    """Elementwise arithmetic mean in log space, not renormalized; -inf propagates.
+    Columns are summed sorted, so input order does not matter, and a run of
+    identical distributions reduces to that distribution exactly."""
     return _reduce(per_input, Reduce.MEAN_LOGPROB)
 
 
 def reduce_mean_prob(per_input: list[LogProbVector] | np.ndarray) -> LogProbVector:
-    """Log of the elementwise arithmetic mean of probabilities.
-
-    Computed with a max shift for stability; normalized whenever the inputs
-    are. Order-canonical for the same reason as `reduce_mean_logprob`.
-    """
+    """Log of the elementwise arithmetic mean of probabilities, with a max shift for
+    stability; normalized whenever the inputs are, and order-canonical."""
     return _reduce(per_input, Reduce.MEAN_PROB)
 
 
 class _Search:
-    """One search's inputs, a list or tuple of token lists or tuples (see `tuple_of`) made
-    tuples, one distinct string label per input (``input_<i>`` by default, so each trace
-    column is named apart) and its model's ``context``, all checked before anything is
-    scored; its memo; and its column order, the ``[N, V]`` sort order as flat gather
-    indices ``order * V + arange(V)``, set once from the first key scored, in the shape
-    `step` checks. `_combine` sorts a row left out of order. Under `CopyBigramModel` a
-    row rises with its input's fixed copy weight: 0 of 629 and 0 of 500 rows went
-    stale in 60 ``wide`` and 500 ``sweep`` pool decodes."""
+    """One search's inputs (a list or tuple of token lists or tuples, made tuples), one
+    distinct string label per input (``input_<i>`` by default) and its model's
+    ``context``, all checked before anything is scored; its memo; and its column order,
+    the first key's ``[N, V]`` sort order as flat gather indices ``order * V + arange(V)``
+    (`_combine` sorts a row it leaves out of order)."""
 
     def __init__(self, model: SequenceModel, inputs: list[TokenSeq],
                  input_labels: tuple[str, ...] | None, reduce: Reduce):
@@ -223,12 +204,11 @@ class _Search:
         self.shape = (len(self.inputs), len(self.vocab))
         self.flat, self.memo = None, {}
 
-    def step(self, prefixes: list[TokenSeq]) -> tuple[np.ndarray, list[np.ndarray]]:
-        """One model call per distinct key (a prefix's last ``context`` tokens, see
-        `SequenceModel`) that the memo lacks, and one combine of their scores: the ``[B,
-        V]`` combined rows and each prefix's ``[N, V]`` scores. The memo maps a key to its
-        scores and combined row, first dropping each key no prefix here has, so it holds
-        at most B entries. A result of another type or shape is a ValueError."""
+    def step(self, prefixes: list[TokenSeq]) -> list[list]:
+        """Each prefix's memo entry ``[scores, row, head]``: its key's (its last ``context``
+        tokens') ``[N, V]`` scores, ``[V]`` combined row and `_head` (None until built), by
+        one model call per key the memo lacks, all combined at once. The memo first drops
+        the keys no prefix has. A result of another type or shape is a ValueError."""
         context, memo, shape = self.context, self.memo, self.shape
         keys = [p if context is None else p[max(0, len(p) - context):] for p in prefixes]
         for key in memo.keys() - set(keys):
@@ -247,9 +227,28 @@ class _Search:
                 self.flat = np.argsort(per_inputs[b], axis=0) * shape[1] + np.arange(shape[1])
             per_inputs[b].take(self.flat, out=stack[b], mode="clip")  # unbuffered; never clips
         if fresh:  # each row is copied, so no entry keeps a whole step's combine alive
-            memo.update((key, (scores, row.copy())) for key, scores, row
+            memo.update((key, [scores, row.copy(), None]) for key, scores, row
                         in zip(fresh, per_inputs, _combine(stack, self.reduce)))
-        return np.array([memo[key][1] for key in keys]), [memo[key][0] for key in keys]
+        return [memo[key] for key in keys]
+
+
+def _head(entry: list, m: int) -> np.ndarray:
+    """A memo entry's new ``[2, m + 1]`` head, by one `np.partition` of its row over the
+    tokens after EOS's id (BOS and EOS come first in every vocabulary): the (m + 1)-th
+    largest value, then the values and ids (as floats) of the at most m tokens above
+    it, in id order; -inf and an empty slot are NaN."""
+    content, entry[2] = entry[1][EOS_ID + 1:], None  # a narrower head goes first
+    head, cut = np.full((2, m + 1), np.nan), len(content) - m - 1
+    if cut < 0:  # every token
+        head[0, 1:], head[1, 1:] = content, np.arange(EOS_ID + 1, EOS_ID + 1 + m)
+        head[0, head[0] == -np.inf] = np.nan
+    else:
+        below = np.partition(content, cut)[cut]
+        ids = (content > below).nonzero()[0]
+        head[0, 1:len(ids) + 1], head[1, 1:len(ids) + 1] = content[ids], ids + EOS_ID + 1
+        head[0, 0] = below if below > -np.inf else np.nan
+    entry[2] = head
+    return head
 
 
 def _trace(labels: tuple[str, ...], names: tuple[str, ...], tokens: TokenSeq,
@@ -261,57 +260,76 @@ def _trace(labels: tuple[str, ...], names: tuple[str, ...], tokens: TokenSeq,
 
 
 def ranked_score(raw: float, content_length: int, alpha: float) -> float:
-    """Length-penalized ranking score: raw / max(1, content_length)**alpha.
-
-    The bare end marker (content length 0) uses divisor 1. With alpha = 0
-    the divisor is 1.0, so the result is the raw score bit for bit.
-    """
+    """raw / max(1, content_length) ** alpha; alpha 0 gives the raw score bit for bit."""
     return raw / max(1, content_length) ** alpha
 
 
-def _allowed_tokens(combined: np.ndarray, prefixes: list[TokenSeq],
-                    params: DecodeParams) -> tuple[np.ndarray, list[str]]:
-    """``[B, V]`` mask of selectable next tokens for unfinished prefixes of one length,
-    and the content length and rules it applied, named as a DecodeError names them.
-
-    BOS is never selectable; EOS is masked until min_len content tokens exist; once
-    only one content slot remains, every column but EOS's is masked; n-gram blocking
-    bans each token that follows an occurrence of a prefix's last n - 1 tokens, found
-    by n - 1 comparisons over the ``[B, L]`` prefix matrix and cleared at once (a miss
-    clears BOS), so a mask takes the same few array operations for any B and L. Tokens
-    the model scores at -inf are unselectable (their score could never recover).
-    """
+def _rules(prefixes: list[TokenSeq], params: DecodeParams) -> tuple:
+    """For unfinished prefixes of one length: whether EOS may follow (min_len content
+    tokens exist) and whether it must (one content slot is left); the ``[B, S]`` ids that
+    n-gram blocking bans, or None: each token after an occurrence of a prefix's last
+    n - 1 tokens, by n - 1 comparisons over the ``[B, L]`` prefixes (a miss bans BOS,
+    never a candidate); and the content length and rules, named as a DecodeError does."""
     content_len, n = len(prefixes[0]) - 1, params.block_repeat_ngram
-    allowed, rules = combined > -np.inf, [f"content length {content_len}"]
-    allowed[:, BOS_ID] = False
-    if content_len < params.min_len:
-        allowed[:, EOS_ID] = False
-        rules.append(f"min_len={params.min_len} masks EOS")
-    if content_len == params.max_len - 1:
-        allowed[:, :EOS_ID] = allowed[:, EOS_ID + 1:] = False
-        rules.append(f"max_len={params.max_len} forces EOS")
+    eos, forced, banned = content_len >= params.min_len, content_len == params.max_len - 1, None
+    rules = [f"content length {content_len}", *[f"min_len={params.min_len} masks EOS"] * (not eos),
+             *[f"max_len={params.max_len} forces EOS"] * forced]
     if n is not None:
         starts = len(prefixes[0]) - n + 1  # the n-grams in a prefix
         if starts > 0:  # hit[b, i]: prefix b's n-gram at i begins with its last n - 1 tokens
             live, hit = np.array(prefixes), np.ones((len(prefixes), starts), bool)  # [B, L]
             for j in range(n - 1):
                 hit &= live[:, j:j + starts] == live[:, starts + j, None]
-            allowed[np.arange(len(live))[:, None], np.where(hit, live[:, n - 1:], BOS_ID)] = False
+            banned = np.where(hit, live[:, n - 1:], BOS_ID)
         rules.append(f"block_repeat_ngram={n}")
+    return eos, forced, banned, rules
+
+
+def _allowed_tokens(combined: np.ndarray, prefixes: list[TokenSeq],
+                    params: DecodeParams) -> tuple[np.ndarray, list[str]]:
+    """The ``[B, V]`` mask of what `_rules` lets follow, and their names: EOS as they allow,
+    never BOS, a ban or a token scored -inf (its score could never recover)."""
+    eos, forced, banned, rules = _rules(prefixes, params)
+    allowed = combined > -np.inf
+    allowed[:, [BOS_ID] if eos else [BOS_ID, EOS_ID]] = False
+    if forced:
+        allowed[:, :EOS_ID] = allowed[:, EOS_ID + 1:] = False
+    if banned is not None:
+        allowed[np.arange(len(banned))[:, None], banned] = False
     return allowed, rules
+
+
+def _rank(entries: list, m: int, raw: np.ndarray, banned, beam_size: int) -> tuple:
+    """For live prefixes with memo ``entries``, running scores ``raw`` and `_rules` bans:
+    their ``[B, 2, m + 1]`` heads; each head token's ``-(raw[b] + value)`` flat in (prefix,
+    token) order, NaN if masked (never summed, as -inf + inf is NaN; sorted last); the
+    best beam_size, ties to the smaller (prefix, token) by a stable sort; and whether a
+    head must widen: a token row b leaves out sums to at most ``raw[b] + below[b]``, and
+    might rank unless that is short of the beam_size-th best sum (a tie is not)."""
+    heads = np.array([e[2] if e[2] is not None and e[2].shape[1] == m + 1 else _head(e, m)
+                      for e in entries])
+    neg = raw[:, None] + heads[:, 0, 1:]  # two finite scores near -1e308 can sum to -inf
+    if banned is not None:  # a [B, m, S] test of each head token against its row's bans
+        neg[(heads[:, 1, 1:, None] == banned[:, None]).any(axis=2)] = np.nan
+    neg = np.negative(neg, out=neg).ravel()  # -(raw + c), not (-raw) - c, at signed zeros
+    order, k = neg.argsort(kind="stable"), min(beam_size, len(neg))
+    cut = neg[order[k - 1]]
+    if math.isnan(cut):  # fewer candidates than beam_size: each ranks
+        k, cut = len(neg) - np.isnan(neg).sum(), np.inf
+    return heads, neg, order[:k], (raw + heads[:, 0, 0] >= -cut).any()
 
 
 STEP_BYTES_LIMIT = 2**30  # what a decode's step arrays may take (see `beam_search`)
 
 
 def check_beam_memory(params: DecodeParams, width: int, n_inputs: int) -> None:
-    """Refuse a ``beam_size`` whose decode over ``n_inputs`` inputs and ``width``
-    tokens would hold more than `STEP_BYTES_LIMIT` bytes of step arrays, counted
-    per live prefix as in `beam_search`. At most ``(width - 3) ** t`` prefixes of
-    t content tokens exist, and t < max_len."""
-    beam = int(params.beam_size)
+    """Refuse a ``beam_size`` whose decode over ``n_inputs`` inputs and ``width`` tokens
+    would hold more than `STEP_BYTES_LIMIT` bytes of step arrays, counted as in
+    `beam_search`: at most ``(width - 3) ** t`` prefixes of t < max_len tokens live."""
+    beam, n = int(params.beam_size), params.block_repeat_ngram
     live = min(beam, (width - 3) ** min(params.max_len - 1, beam.bit_length()))
-    need = live * width * ((3 * n_inputs + 9) * 8 + n_inputs)
+    bans = 0 if n is None else max(0, params.max_len - n)
+    need = live * width * ((3 * n_inputs + 9) * 8 + n_inputs + bans)
     if need > STEP_BYTES_LIMIT:
         raise ValueError(f"beam_size {beam} lets {live} prefixes live, whose step arrays need "
                          f"about {need:,} bytes for {n_inputs} input(s) over {width} tokens; "
@@ -324,32 +342,29 @@ def beam_search(
     params: DecodeParams,
     input_labels: tuple[str, ...] | None = None,
 ) -> list[ScoredHypothesis]:
-    """Ensemble beam search over a shared output prefix.
+    """Ensemble beam search over a shared output prefix: up to ``beam_size`` finished
+    hypotheses, best ranked first. Each step scores each distinct key of the live
+    prefixes at most once (see `_Search.step`); a prefix whose row scores EOS above
+    -inf, where `_rules` allow it, joins the pool of results at once; and `_rank`
+    ranks the other candidates from each key's head of m tokens (m starts at
+    ``2 * beam_size`` and doubles while a token left out might rank). The search stops
+    once the pool holds ``beam_size`` results or nothing is live; a step with nothing
+    to extend and an empty pool is a DecodeError naming the rules in effect. Every
+    tie goes to the lexicographically smaller token-id sequence.
 
-    Returns up to ``beam_size`` finished hypotheses, best ranked first.
-    Each step scores each distinct key of the live prefixes at most once (see
-    `_Search.step`), masks them all with one `_allowed_tokens` call and ranks all
-    their selectable continuations together; a prefix that takes EOS is a result at
-    once and joins the pool. The search stops once the pool holds ``beam_size``
-    results or no prefix is live; the mask alone enforces ``max_len``. A step with nothing
-    selectable and an empty pool is a DecodeError naming the constraints in
-    effect. All tie-breaks (pruning and final ranking) prefer the
-    lexicographically smaller token-id sequence, so output is deterministic.
-
-    Each step records three small arrays: per survivor, its parent's slot,
-    and copies of the combined score and ``[N]`` per-input column of the
-    token it took; a pool entry keeps the same for its EOS. A result's trace
-    is built when read, by walking back-pointers: it holds exactly the
-    scores the search used, and nothing is rescored. A result keeps those arrays,
-    labels and token names, never the model, the inputs or an ``[N, V]`` array.
+    Each step records, per survivor, its parent's slot and copies of the combined
+    score and ``[N]`` per-input column of the token it took; a pool entry, those of
+    its EOS. A result's trace is built when read, by walking back-pointers; a result
+    keeps those arrays, labels and token names, never the model or the inputs.
 
     Memory: per live prefix (N inputs, V tokens) a step holds ``(3 * N + 9) * V``
-    floats and ``N * V`` bools: a memo entry's ``[N, V]`` scores and ``[V]`` row, a
-    new key's ``[B, N, V]`` stack row, column-order test and mean_prob temporary;
-    ``[V]`` rows for the reduce, the combined and running scores, their mask, and
-    the ranking's negated scores, partitioned copy and cut test; at most ``beam_size``
-    prefixes live. A ``beam_size`` putting this past `STEP_BYTES_LIMIT` (1 GiB) is
-    a ValueError before anything is scored (see `check_beam_memory`).
+    floats and ``N * V`` bools: a memo entry's ``[N, V]`` scores, ``[V]`` row and head
+    (at most 2 V + 2 floats); a new key's ``[B, N, V]`` stack row, column-order test
+    and mean_prob temporary; and ``[V]`` rows for the reduce's shift, column sums,
+    their quotient and log, the result and its copy in the memo. A ranking holds less,
+    even at m = V, but for its n-gram ban test's bool per head token and ban (at most
+    ``max_len - n`` bans). A ``beam_size`` putting this past `STEP_BYTES_LIMIT` (1 GiB)
+    is a ValueError before anything is scored (see `check_beam_memory`).
     """
     search = _Search(model, inputs, input_labels, params.reduce)
     width = len(search.vocab)
@@ -359,42 +374,38 @@ def beam_search(
     raw = np.zeros(1)  # each live prefix's running raw score
     history = []  # per step: [B] parent slots, [B] combined and [B, N] per-input scores
     pool = []  # (-ranked, tokens, raw, slot, EOS combined score, EOS per-input scores)
+    m = min(width - EOS_ID - 1, 2 * params.beam_size)  # the heads' width; it only grows
 
-    # Live prefixes grow together; at content length max_len - 1 the mask
-    # leaves only EOS, so after at most max_len steps nothing is live.
+    # Live prefixes grow together; at content length max_len - 1 the rules
+    # leave only EOS, so after at most max_len steps nothing is live.
     while prefixes:
-        combined, per_inputs = search.step(prefixes)
-        # the mask, not a -inf score, marks what is selectable: two finite
-        # scores near -1e308 can sum to -inf and must still rank. Masked
-        # entries are NaN, never summed (-inf + inf is NaN) and never ranked
-        allowed, rules = _allowed_tokens(combined, prefixes, params)
-        scores = np.full_like(combined, np.nan)
-        np.add(raw[:, None], combined, out=scores, where=allowed)
-        for i in np.flatnonzero(allowed[:, EOS_ID]).tolist():
-            tokens, eos_raw = prefixes[i][1:] + (EOS_ID,), float(scores[i, EOS_ID])
-            pool.append((-ranked_score(eos_raw, len(tokens) - 1, params.length_penalty_alpha),
-                         tokens, eos_raw, i, combined[i, EOS_ID], per_inputs[i][:, EOS_ID].copy()))
-        scores[:, EOS_ID] = np.nan
+        entries = search.step(prefixes)
+        eos, forced, banned, rules = _rules(prefixes, params)
+        for i, end in enumerate(entry[1][EOS_ID] for entry in entries if eos):
+            if end > -np.inf:  # a prefix that takes EOS is a result at once
+                tokens, eos_raw = prefixes[i][1:] + (EOS_ID,), float(raw[i] + end)
+                pool.append((-ranked_score(eos_raw, len(tokens) - 1, params.length_penalty_alpha),
+                             tokens, eos_raw, i, end, entries[i][0][:, EOS_ID].copy()))
         if len(pool) >= params.beam_size:
             break
-        # Only entries at or above the beam_size-th best score are sorted, ties
-        # included; a partition puts NaN last, so a NaN cut means every entry ranks.
-        # Live prefixes share one length and stay in sequence order, so flat index
-        # order is (prefix, token) order: the stable sort breaks score ties toward
-        # the smaller sequence, and survivors in flat order keep ``prefixes`` so.
-        neg, k = -scores.ravel(), min(params.beam_size, scores.size) - 1  # sums stay in scores
-        cut = np.partition(neg, k)[k]
-        flat = np.flatnonzero(neg <= (np.inf if np.isnan(cut) else cut))
-        if not len(flat) and not pool:
+        while not forced:  # widen the heads until no token left out might rank
+            heads, neg, top, grow = _rank(entries, m, raw, banned, params.beam_size)
+            if not grow:
+                break
+            m = min(2 * m, width - EOS_ID - 1)
+        if forced or not len(top):  # nothing to extend
+            if pool:
+                break
             raise DecodeError(f"no viable continuation for any hypothesis ({', '.join(rules)})")
-        survivors = np.sort(flat[np.argsort(neg[flat], kind="stable")[: params.beam_size]])
-        parents, taken = np.divmod(survivors, width)
-        pairs = list(zip(parents.tolist(), taken.tolist()))
-        history.append((parents, combined[parents, taken],
-                        np.array([per_inputs[i][:, w] for i, w in pairs])))
+        top.sort()  # (prefix, token) order, so that ``prefixes`` stay in sequence order
+        parents, column = np.divmod(top, m)
+        chosen = heads[parents, :, column + 1]  # past the column of what a head leaves out
+        pairs = list(zip(parents.tolist(), chosen[:, 1].astype(int).tolist()))
+        history.append((parents, chosen[:, 0],
+                        np.array([entries[i][0][:, w] for i, w in pairs])))
         prefixes = [prefixes[i] + (w,) for i, w in pairs]
-        raw = scores[parents, taken]
-        del combined, per_inputs, scores, neg  # not held through the next step
+        raw = -neg[top]  # negation is exact: these are the sums
+        del entries, heads, neg  # not held through the next step
     labels, names = search.labels, search.vocab.tokens  # what a trace needs of the search
 
     def trace_of(tokens: TokenSeq, slot: int, *eos) -> TraceMatrix:
@@ -421,21 +432,14 @@ def brute_force_search(
     params: DecodeParams,
     input_labels: tuple[str, ...] | None = None,
 ) -> ScoredHypothesis:
-    """Exact search oracle: enumerate every admissible finished sequence.
-
-    Walks the full tree of content-token prefixes under the same masking
-    rules as the beam, scores every EOS-terminated leaf, and returns the
-    best ranked one (ties to the lexicographically smallest token
-    sequence). It asks the model once per prefix it visits, independently of
-    the beam and of any memo, and its trace holds the scores its walk chose,
-    which are the ones `sequence_score` gives. Guarded to desk scale.
-    """
+    """Exact search oracle: walk every content-token prefix under the beam's rules
+    (`_rules`) and return the best ranked finished sequence, ties to the smaller
+    token sequence. It asks the model once per prefix it visits, with no memo, and
+    its trace holds the scores its walk chose. Guarded to desk scale."""
     search = _Search(model, inputs, input_labels, params.reduce)
     if len(search.vocab) > MAX_BRUTE_FORCE_VOCAB or params.max_len > MAX_BRUTE_FORCE_LEN:
-        raise ValueError(
-            "brute-force search is limited to vocabularies of at most "
-            f"{MAX_BRUTE_FORCE_VOCAB} tokens and max_len <= {MAX_BRUTE_FORCE_LEN}"
-        )
+        raise ValueError("brute-force search is limited to vocabularies of at most "
+                         f"{MAX_BRUTE_FORCE_VOCAB} tokens and max_len <= {MAX_BRUTE_FORCE_LEN}")
 
     best = None  # (-ranked, tokens, raw, rows) of the best finished sequence so far
 
@@ -443,7 +447,7 @@ def brute_force_search(
         """Rank each finish of ``prefix``, whose tokens took (combined, [N]) ``rows``."""
         nonlocal best
         search.memo.clear()  # the oracle scores every prefix itself
-        (combined,), (scores,) = search.step([prefix])  # [V] and [N, V]
+        ((scores, combined, _),) = search.step([prefix])  # [N, V] and [V]
         for w in np.flatnonzero(_allowed_tokens(combined[None], [prefix], params)[0][0]).tolist():
             new_score, new_rows = score + float(combined[w]), (*rows, (combined[w], scores[:, w]))
             if w != EOS_ID:
@@ -469,13 +473,9 @@ def sequence_score(
     reduce: Reduce = Reduce.MEAN_LOGPROB,
     input_labels: tuple[str, ...] | None = None,
 ) -> tuple[float, TraceMatrix]:
-    """Score an EOS-terminated sequence and record its provenance trace.
-
-    The raw score is the sum over timesteps of the combined log-score of
-    each token; the trace keeps the matching per-input log-scores. No
-    length masks apply here: any well-formed sequence can be scored, and
-    rescoring a beam search result reproduces its raw score.
-    """
+    """The raw score of an EOS-terminated sequence, the left-to-right sum of its
+    tokens' combined log-scores, and its provenance trace. No length rule applies,
+    and rescoring a beam search result reproduces its raw score and trace."""
     search, tokens = _Search(model, inputs, input_labels, reduce), tuple(tokens)
     check_token_seq(tokens, search.vocab, "tokens")
     if tokens[-1] != EOS_ID:
@@ -485,8 +485,8 @@ def sequence_score(
             raise ValueError(f"EOS appears mid-sequence at position {pos}")
         if t == BOS_ID:
             raise ValueError(f"BOS appears inside the sequence at position {pos}")
-    combined, per_inputs = search.step([(BOS_ID, *tokens[:i]) for i in range(len(tokens))])
-    chosen = combined[np.arange(len(tokens)), tokens]
+    entries = search.step([(BOS_ID, *tokens[:i]) for i in range(len(tokens))])
+    chosen = np.array([row[t] for (_, row, _), t in zip(entries, tokens)])
     raw = left_sum(chosen.tolist())  # the beam's sum
     return raw, _trace(search.labels, search.vocab.tokens, tokens, chosen,
-                       np.array([s[:, t] for s, t in zip(per_inputs, tokens)]))
+                       np.array([s[:, t] for (s, _, _), t in zip(entries, tokens)]))

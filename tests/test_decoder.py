@@ -270,8 +270,8 @@ def test_array_reducers_invariant_to_row_permutation_and_duplication(seed):
 def one_step(model, inputs, prefix, reduce=Reduce.MEAN_LOGPROB):
     """The combined ``[V]`` row and the ``[N, V]`` per-input scores of a search
     step over the one live prefix ``prefix``."""
-    combined, per_inputs = _Search(model, inputs, None, reduce).step([prefix])
-    return combined[0], per_inputs[0]
+    ((scores, combined, _),) = _Search(model, inputs, None, reduce).step([prefix])
+    return combined, scores
 
 
 class TestEnsembleStep:
@@ -1024,7 +1024,7 @@ def stack_search(stacks, reduce=Reduce.MEAN_LOGPROB):
 
 def step_to(search, t):
     """The combined ``[V]`` row of ``search``'s step over the one prefix of t + 1 tokens."""
-    return search.step([(BOS_ID,) * (t + 1)])[0][0]
+    return search.step([(BOS_ID,) * (t + 1)])[0][1]
 
 
 def rises(arr, search):
@@ -1103,7 +1103,7 @@ class TestColumnOrderInDecodes:
         search = _Search(ParityModel(), self.INPUTS, None, Reduce.MEAN_LOGPROB)
         for prefix in [(BOS_ID,), (BOS_ID, 3), (BOS_ID, 3, 4), (BOS_ID, 3, 4, 5)]:
             search.step([prefix])
-            scores, row = search.memo[prefix]
+            scores, row, _ = search.memo[prefix]
             flat = search.flat if len(prefix) == 1 else flat
             assert search.flat is flat  # set from the first key, never replaced
             # the order fits only the odd-length prefixes' scores, as it fits the
@@ -1257,6 +1257,25 @@ class TestBeamMemoryBound:
         monkeypatch.setattr(dyne.decoder, "STEP_BYTES_LIMIT", peak - 1)
         with pytest.raises(ValueError, match="^beam_size 8 lets 8 prefixes live"):
             check_beam_memory(params, len(model.vocab), n_inputs)
+
+    def test_check_beam_memory_counts_the_ban_test_of_full_heads(self, monkeypatch):
+        # every token ties, so the heads widen to the whole vocabulary at the first step,
+        # and each later step tests every head token against up to max_len - 1 bans
+        vocab = Vocab.from_content(f"w{i}" for i in range(1997))
+        params = DecodeParams(beam_size=8, max_len=40, min_len=38, block_repeat_ngram=1)
+        peak = decode_peak(UniformModel(vocab), [(3, 4)], params)
+        monkeypatch.setattr(dyne.decoder, "STEP_BYTES_LIMIT", peak - 1)
+        with pytest.raises(ValueError, match="^beam_size 8 lets 8 prefixes live"):
+            check_beam_memory(params, len(vocab), 1)
+
+    def test_the_ban_count_is_the_boundary(self):
+        # with blocking, max_len - n bans add a byte per token and prefix: 8 inputs,
+        # max_len 30 and n = 2 make 33 * 8 + 8 + 28 = 300 bytes
+        params = DecodeParams(beam_size=STEP_BYTES_LIMIT // (1000 * 300), max_len=30,
+                              block_repeat_ngram=2)
+        check_beam_memory(params, 1000, 8)
+        with pytest.raises(ValueError, match="beam_size"):
+            check_beam_memory(dataclasses.replace(params, beam_size=params.beam_size + 1), 1000, 8)
 
 
 def wide_case(cls, n_inputs: int, reduce: Reduce):
@@ -1427,6 +1446,113 @@ def test_beam_search_equals_the_plain_reference_bitwise(reduce, block, alpha):
             results = []  # the reference finds nothing either
         assert [(h.tokens, h.raw_score.hex(), h.ranked_score.hex(), bits(h.trace.rows))
                 for h in results] == expected, f"seed {seed}"
+
+
+class FirstStepModel:
+    """Scores the first step (prefix ``(BOS,)``) with ``first`` and any later step
+    with row ``prefix[-1]`` of ``table``, each input's row lowered by its first token
+    over 8 (``context = 1``)."""
+
+    context = 1
+
+    def __init__(self, vocab, first, table):
+        self.vocab, self.first, self.table = vocab, first, table
+
+    def score_batch(self, inputs, prefix):
+        row = self.first if len(prefix) == 1 else self.table[prefix[-1]]
+        return row - np.array([[x[0] / 8] for x in inputs])
+
+
+@st.composite
+def growth_cases(draw, kind):
+    """A model, inputs and params whose search must widen the heads (see `_rank`):
+    ``ties``, a copy model with no counts over 60-200 tokens whose inputs hold fewer
+    distinct tokens than the beam, so the beam_size-th candidate ties with every
+    token no input holds; ``rounding``, a first step scored near -1e300, after which
+    adding any later score leaves a running sum as it was; ``bans``, n-gram blocking
+    with n = 1 over a model whose one row prefers the same few tokens at every step,
+    until the bans take every token of the heads; ``few``, the same with only
+    2 * beam_size + 1 to 2 * beam_size + 3 finite tokens, so fewer than beam_size
+    stay selectable."""
+    beam = draw(st.integers(2 if kind == "ties" else 1, 6 if kind == "ties" else 4))
+    reduce = draw(st.sampled_from(list(Reduce)))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    content = draw(st.integers(60, 200) if kind == "ties" else st.integers(2 * beam + 3, 24))
+    vocab = Vocab.from_content([f"w{i}" for i in range(content)])
+    ids = vocab.content_ids
+    n_inputs = draw(st.integers(1, 4))
+    if kind == "ties":
+        words = rng.choice(ids, beam - 1, replace=False).tolist()
+        model = copy_model(vocab, k=draw(st.sampled_from([0.5, 1.0])))
+        inputs = [tuple(rng.choice(words + [UNK_ID], int(rng.integers(1, 5))).tolist())
+                  for _ in range(n_inputs)]
+        params = DecodeParams(beam_size=beam, max_len=draw(st.integers(2, 4)), min_len=1,
+                              reduce=reduce)
+    else:
+        table = np.log(rng.dirichlet(np.ones(len(vocab)), len(vocab)))
+        first = -1e300 * (1 + rng.random(len(vocab)) / 64) if kind == "rounding" else table[0]
+        if kind != "rounding":  # one row for every step, as a context-0 model gives
+            table[:] = first
+        if kind == "few":
+            finite = rng.choice(ids, draw(st.integers(2 * beam + 1, 2 * beam + 3)), replace=False)
+            table[:, np.setdiff1d(np.arange(len(vocab)), finite)] = -np.inf
+        model = FirstStepModel(vocab, first, table)
+        inputs = [(int(rng.choice(ids)),) for _ in range(n_inputs)]
+        max_len = draw(st.integers(3, 5)) if kind == "rounding" else content + 1
+        params = DecodeParams(beam_size=beam, max_len=max_len, min_len=max_len - 1,
+                              reduce=reduce, block_repeat_ngram=None if kind == "rounding" else 1)
+    return model, inputs, params
+
+
+@pytest.mark.parametrize("kind", ["ties", "rounding", "bans", "few"])
+def test_widened_heads_equal_the_plain_reference_bitwise(kind):
+    # each case makes `_rank` ask for wider heads at least once, and the search still
+    # returns what the plain reference does, bit for bit
+    rank = dyne.decoder._rank
+
+    @given(growth_cases(kind))
+    @settings(max_examples=25, deadline=None)
+    def check(case):
+        model, inputs, params = case
+        grew = []
+
+        def spy(entries, m, *args):
+            out = rank(entries, m, *args)
+            grew.append(bool(out[3]))
+            return out
+
+        dyne.decoder._rank = spy
+        try:
+            results = beam_search(model, inputs, params)
+        except DecodeError:
+            results = []  # the reference finds nothing either
+        finally:
+            dyne.decoder._rank = rank
+        expected = [(tokens, raw.hex(), ranked.hex(), bits([TraceRow(*row) for row in rows]))
+                    for tokens, raw, ranked, rows
+                    in plain_ensemble_beam_search(model, inputs, params)]
+        assert [(h.tokens, h.raw_score.hex(), h.ranked_score.hex(), bits(h.trace.rows))
+                for h in results] == expected
+        assert any(grew)
+
+    check()
+
+
+def test_a_rounding_tie_past_a_positive_edge_widens_the_heads():
+    # step 1 leaves a running score of 2**54, whose float spacing is 2 below it and 4
+    # above, so a + 1.25 (id 3), b + 1.5 (id 4) and c + 1.55 (id 5) all sum to it: a,
+    # left out of the width-2 head, ties the best in it, b, and is the smaller sequence
+    vocab = Vocab.from_content([f"w{i}" for i in range(6)])
+    first, table = np.full(len(vocab), -np.inf), np.full((len(vocab), len(vocab)), -np.inf)
+    first[8] = 2.0**54
+    table[8, [3, 4, 5, 6, 7, 8]] = [1.5, 1.75, 1.8, -1.0, -1.0, 0.0]
+    table[[3, 4, 5], EOS_ID] = 0.0
+    model, inputs = FirstStepModel(vocab, first, table), [(UNK_ID,)]  # each row lowered by 1/4
+    params = DecodeParams(beam_size=1, max_len=3, min_len=2)
+    (result,) = beam_search(model, inputs, params)
+    assert result.tokens == (8, 3, EOS_ID)
+    assert result.tokens == plain_ensemble_beam_search(model, inputs, params)[0][0]
 
 
 @pytest.mark.parametrize("reduce, reduce_fn, sign", [
@@ -1631,7 +1757,8 @@ class TestStepMemo:
     ])
     def test_keys_are_the_last_context_tokens(self, context, keys):
         search = _Search(ContextModel(context), [(A,)], None, Reduce.MEAN_LOGPROB)
-        combined, per_inputs = search.step(self.PREFIXES)
+        entries = search.step(self.PREFIXES)
+        combined, per_inputs = np.array([e[1] for e in entries]), [e[0] for e in entries]
         assert set(search.memo) == keys
         uniform = UniformModel(AB).score_batch([(A,)], (BOS_ID,))
         assert all(x.tobytes() == uniform.tobytes() for x in per_inputs)

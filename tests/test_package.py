@@ -406,6 +406,69 @@ def test_no_run_loads_hashlib_or_numpy_random(tmp_path):
     assert chosen == list(SELECTIONS.values())
 
 
+def numeric_digests(work: Path) -> dict[str, str]:
+    """sha256 digests of fixed numeric work: a decode under each reduce (8 inputs,
+    V = 303 and 3,000 bigram counts, so the model's log and mean_prob's exp and log
+    run over many values; every trace cell's hex) and every artifact but
+    ``run_config.json`` of a mean_prob ``sweep`` with JSON traces, run in ``work``."""
+    rng, digests = np.random.default_rng(0), {}
+    pairs = rng.integers(3, 304, (3000, 2)) % 303  # 303 -> 0 as a prev, 1 as a next
+    counts = {(a, b or 1): c for (a, b), c in zip(pairs.tolist(), rng.integers(1, 9, 3000).tolist())}
+    vocab = dyne.Vocab.from_content(f"w{i}" for i in range(300))
+    model = dyne.CopyBigramModel(dyne.ToyModelSpec(0.5, 1.0, counts, vocab))
+    inputs = [tuple(rng.integers(3, 303, 100).tolist()) for _ in range(8)]
+    for reduce in dyne.Reduce:
+        params = dyne.DecodeParams(beam_size=8, max_len=12, min_len=6, reduce=reduce)
+        digests[reduce.value] = hashlib.sha256(repr([
+            (h.tokens, h.raw_score.hex(), [(r.combined.hex(), [x.hex() for x in r.per_input])
+                                            for r in h.trace.rows])
+            for h in dyne.beam_search(model, inputs, params)]).encode()).hexdigest()
+    corpus = dyne.build_consensus_corpus(n_clusters=12, seed=1)
+    dyne.save_clusters(corpus.clusters, work / "clusters.jsonl")
+    corpus.model_spec.save(work / "model.json")
+    p = corpus.decode_params
+    assert main(["sweep", "--model", str(work / "model.json"), "--clusters",
+                 str(work / "clusters.jsonl"), "--beam-size", str(p.beam_size), "--max-len",
+                 str(p.max_len), "--min-len", str(p.min_len), "--block-repeat-ngram",
+                 str(p.block_repeat_ngram), "--reduce", "mean_prob", "--trace-format", "json",
+                 "--sizes", "1", "2", "5", "--out", str(work / "sweep")]) == 0
+    digest = hashlib.sha256()
+    for path in sorted((work / "sweep").rglob("*")):
+        if path.is_file() and path.name != "run_config.json":
+            digest.update(path.relative_to(work).as_posix().encode() + path.read_bytes())
+    digests["sweep"] = digest.hexdigest()
+    return digests
+
+
+# a child that imports this module from the directory named first on its command
+# line, then prints `numeric_digests` of the work directory named second
+DISPATCH_CHILD = """
+import sys; sys.path.insert(0, sys.argv[1])
+from pathlib import Path
+from test_package import numeric_digests
+print(repr(numeric_digests(Path(sys.argv[2]))))
+"""
+
+
+def test_numpy_simd_dispatch_changes_no_output(tmp_path, capsys):
+    # numpy picks its SIMD kernels (for exp and log among them) when it is imported, and
+    # two kernels can round one value apart; a child with every feature numpy dispatches
+    # on turned off runs the baseline kernels. The names come from this numpy build, and
+    # disabling one the host lacks is no error, so any host runs this
+    try:
+        umath = importlib.import_module("numpy._core._multiarray_umath")
+    except ImportError:  # numpy 1.x
+        umath = importlib.import_module("numpy.core._multiarray_umath")
+    (tmp_path / "child").mkdir()
+    (tmp_path / "parent").mkdir()
+    child = subprocess.run(
+        [sys.executable, "-c", DISPATCH_CHILD, str(ROOT / "tests"), str(tmp_path / "child")],
+        env=dict(src_env(), NPY_DISABLE_CPU_FEATURES=" ".join(umath.__cpu_dispatch__)),
+        capture_output=True, text=True, timeout=120)
+    assert child.returncode == 0, child.stderr
+    assert ast.literal_eval(child.stdout.splitlines()[-1]) == numeric_digests(tmp_path / "parent")
+
+
 def run_script(name: str, *args: str) -> subprocess.CompletedProcess:
     return subprocess.run(
         [sys.executable, str(ROOT / "scripts" / name), *args],
