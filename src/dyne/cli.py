@@ -304,9 +304,9 @@ def _add_decode_flags(p: argparse.ArgumentParser, max_docs: bool = True) -> None
                    help="per-step combination of per-input distributions")
     p.add_argument("--length-penalty", type=float, default=d.length_penalty_alpha,
                    help="rank by raw_score / content_length**alpha")
-    p.add_argument("--block-repeat-ngram", type=int, default=None,
+    p.add_argument("--block-repeat-ngram", type=int, default=d.block_repeat_ngram,
                    help="forbid repeating any n-gram of this size")
-    p.add_argument("--seed", type=int, default=0, help="seed for document selection")
+    p.add_argument("--seed", type=int, default=d.seed, help="seed for document selection")
     if max_docs:  # a sweep sets it from each of its sizes
         p.add_argument("--max-docs", type=int, default=5,
                        help="documents sampled per cluster")

@@ -113,8 +113,10 @@ def _combine(stack: np.ndarray, reduce: Reduce) -> np.ndarray:
     """The ``[B, V]`` reduce of the ``[B, N, V]`` ``stack``: a row with a column out of
     order is sorted in place (no reduce bit depends on where -0.0 and 0.0 fall), then
     the top row is checked, since a sorted column holds NaN and +inf only on top. A row
-    of inputs that all hold the same bits reduces to that input; mean_logprob sums any
-    other from -0.0 (a column of -0.0 stays -0.0), and mean_prob gives such a column 0.0."""
+    of inputs that all hold the same bits (tested in place, row by row) reduces to that
+    input, written over the one reduce of the whole stack unless every row is such a row;
+    mean_logprob sums any other from -0.0 (a column of -0.0 stays -0.0), and mean_prob
+    gives such a column 0.0."""
     rising = stack[:, :-1] <= stack[:, 1:]
     if not rising.all():  # re-sort each stale row alone
         for b in np.flatnonzero(~rising.reshape(len(stack), -1).all(axis=1)).tolist():
@@ -123,14 +125,14 @@ def _combine(stack: np.ndarray, reduce: Reduce) -> np.ndarray:
         raise ValueError("model returned NaN or +inf; log-probabilities must be finite or -inf")
     # after the column sort, equal end rows mean equal values in every row; the
     # bit test then tells -0.0 from 0.0, which the sort leaves in either order
-    same = (stack[:, 0] == stack[:, -1]).all(axis=1)
-    if not same.any():
-        return _REDUCERS[reduce](stack)
-    bits = stack[same].view(np.int64)
-    same[same] = (bits == bits[:, :1]).all(axis=(1, 2))
-    out = stack[:, 0].copy()  # np.sum and exp/log would turn -0.0 into 0.0
-    if not same.all():
-        out[~same] = _REDUCERS[reduce](stack[~same])
+    bits = stack.view(np.int64)
+    same = [b for b in (stack[:, 0] == stack[:, -1]).all(axis=1).nonzero()[0].tolist()
+            if (bits[b] == bits[b, 0]).all()]
+    if len(same) == len(stack):  # np.sum and exp/log would turn -0.0 into 0.0
+        return stack[:, 0].copy()
+    out = _REDUCERS[reduce](stack)
+    if same:
+        out[same] = stack[same, 0]
     return out
 
 
@@ -223,8 +225,10 @@ class _Search:
                 raise ValueError(f"score_batch returned {got}; expected an ndarray of shape "
                                  f"{shape}")
             per_inputs.append(scores.astype(float, copy=False))  # what the reduce and trace see
-            if self.flat is None:
-                self.flat = np.argsort(per_inputs[b], axis=0) * shape[1] + np.arange(shape[1])
+            if self.flat is None:  # in place: one [N, V] array, held to the search's end
+                self.flat = np.argsort(per_inputs[b], axis=0)
+                self.flat *= shape[1]
+                self.flat += np.arange(shape[1])
             per_inputs[b].take(self.flat, out=stack[b], mode="clip")  # unbuffered; never clips
         if fresh:  # each row is copied, so no entry keeps a whole step's combine alive
             memo.update((key, [scores, row.copy(), None]) for key, scores, row
@@ -235,18 +239,14 @@ class _Search:
 def _head(entry: list, m: int) -> np.ndarray:
     """A memo entry's new ``[2, m + 1]`` head, by one `np.partition` of its row over the
     tokens after EOS's id (BOS and EOS come first in every vocabulary): the (m + 1)-th
-    largest value, then the values and ids (as floats) of the at most m tokens above
-    it, in id order; -inf and an empty slot are NaN."""
+    largest value (-inf when m takes every token), then the values and ids (as floats)
+    of the at most m tokens above it, in id order; -inf and an empty slot are NaN."""
     content, entry[2] = entry[1][EOS_ID + 1:], None  # a narrower head goes first
     head, cut = np.full((2, m + 1), np.nan), len(content) - m - 1
-    if cut < 0:  # every token
-        head[0, 1:], head[1, 1:] = content, np.arange(EOS_ID + 1, EOS_ID + 1 + m)
-        head[0, head[0] == -np.inf] = np.nan
-    else:
-        below = np.partition(content, cut)[cut]
-        ids = (content > below).nonzero()[0]
-        head[0, 1:len(ids) + 1], head[1, 1:len(ids) + 1] = content[ids], ids + EOS_ID + 1
-        head[0, 0] = below if below > -np.inf else np.nan
+    below = np.partition(content, cut)[cut] if cut >= 0 else -np.inf
+    ids = (content > below).nonzero()[0]
+    head[0, 1:len(ids) + 1], head[1, 1:len(ids) + 1] = content[ids], ids + EOS_ID + 1
+    head[0, 0] = below if below > -np.inf else np.nan
     entry[2] = head
     return head
 
@@ -285,20 +285,6 @@ def _rules(prefixes: list[TokenSeq], params: DecodeParams) -> tuple:
     return eos, forced, banned, rules
 
 
-def _allowed_tokens(combined: np.ndarray, prefixes: list[TokenSeq],
-                    params: DecodeParams) -> tuple[np.ndarray, list[str]]:
-    """The ``[B, V]`` mask of what `_rules` lets follow, and their names: EOS as they allow,
-    never BOS, a ban or a token scored -inf (its score could never recover)."""
-    eos, forced, banned, rules = _rules(prefixes, params)
-    allowed = combined > -np.inf
-    allowed[:, [BOS_ID] if eos else [BOS_ID, EOS_ID]] = False
-    if forced:
-        allowed[:, :EOS_ID] = allowed[:, EOS_ID + 1:] = False
-    if banned is not None:
-        allowed[np.arange(len(banned))[:, None], banned] = False
-    return allowed, rules
-
-
 def _rank(entries: list, m: int, raw: np.ndarray, banned, beam_size: int) -> tuple:
     """For live prefixes with memo ``entries``, running scores ``raw`` and `_rules` bans:
     their ``[B, 2, m + 1]`` heads; each head token's ``-(raw[b] + value)`` flat in (prefix,
@@ -324,12 +310,12 @@ STEP_BYTES_LIMIT = 2**30  # what a decode's step arrays may take (see `beam_sear
 
 def check_beam_memory(params: DecodeParams, width: int, n_inputs: int) -> None:
     """Refuse a ``beam_size`` whose decode over ``n_inputs`` inputs and ``width`` tokens
-    would hold more than `STEP_BYTES_LIMIT` bytes of step arrays, counted as in
-    `beam_search`: at most ``(width - 3) ** t`` prefixes of t < max_len tokens live."""
+    would hold more than `STEP_BYTES_LIMIT` bytes of step arrays and column order, counted
+    as in `beam_search`: at most ``(width - 3) ** t`` prefixes of t < max_len tokens live."""
     beam, n = int(params.beam_size), params.block_repeat_ngram
     live = min(beam, (width - 3) ** min(params.max_len - 1, beam.bit_length()))
     bans = 0 if n is None else max(0, params.max_len - n)
-    need = live * width * ((3 * n_inputs + 9) * 8 + n_inputs + bans)
+    need = width * (live * ((3 * n_inputs + 9) * 8 + n_inputs + bans) + 8 * n_inputs)
     if need > STEP_BYTES_LIMIT:
         raise ValueError(f"beam_size {beam} lets {live} prefixes live, whose step arrays need "
                          f"about {need:,} bytes for {n_inputs} input(s) over {width} tokens; "
@@ -363,8 +349,9 @@ def beam_search(
     and mean_prob temporary; and ``[V]`` rows for the reduce's shift, column sums,
     their quotient and log, the result and its copy in the memo. A ranking holds less,
     even at m = V, but for its n-gram ban test's bool per head token and ban (at most
-    ``max_len - n`` bans). A ``beam_size`` putting this past `STEP_BYTES_LIMIT` (1 GiB)
-    is a ValueError before anything is scored (see `check_beam_memory`).
+    ``max_len - n`` bans). The search holds its ``[N, V]`` int64 column order once. A
+    ``beam_size`` putting all this past `STEP_BYTES_LIMIT` (1 GiB) is a ValueError
+    before anything is scored (see `check_beam_memory`).
     """
     search = _Search(model, inputs, input_labels, params.reduce)
     width = len(search.vocab)
@@ -448,7 +435,11 @@ def brute_force_search(
         nonlocal best
         search.memo.clear()  # the oracle scores every prefix itself
         ((scores, combined, _),) = search.step([prefix])  # [N, V] and [V]
-        for w in np.flatnonzero(_allowed_tokens(combined[None], [prefix], params)[0][0]).tolist():
+        eos, forced, banned, _ = _rules([prefix], params)
+        allowed = combined > -np.inf  # a token scored -inf could never recover
+        allowed[[BOS_ID, *[EOS_ID] * (not eos), *([] if banned is None else banned[0])]] = False
+        allowed[EOS_ID + 1:] &= not forced  # a forced EOS is all that may follow
+        for w in np.flatnonzero(allowed).tolist():
             new_score, new_rows = score + float(combined[w]), (*rows, (combined[w], scores[:, w]))
             if w != EOS_ID:
                 walk(prefix + (w,), new_score, new_rows)

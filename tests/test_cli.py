@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -17,7 +18,8 @@ import pytest
 
 import dyne.cli
 import dyne.decoder
-from dyne import Cluster, ClusterSet, DecodeParams, ToyModelSpec, Vocab, rouge, save_clusters
+from dyne import (Cluster, ClusterSet, DecodeParams, Reduce, ToyModelSpec, Vocab, rouge,
+                  save_clusters)
 from dyne.cli import main
 from dyne.synthetic import build_consensus_corpus
 
@@ -834,6 +836,31 @@ class TestRunConfig:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "max_docs" in err
         assert not out.exists()
+
+
+@dataclasses.dataclass(frozen=True)
+class OtherDecodeDefaults(DecodeParams):
+    """`DecodeParams` with every default changed, so a flag whose default is a literal
+    shows."""
+
+    beam_size: int = 3
+    max_len: int = 9
+    min_len: int = 2
+    reduce: Reduce = Reduce.MEAN_PROB
+    length_penalty_alpha: float = 0.5
+    block_repeat_ngram: int | None = 2
+    seed: int = 7
+
+
+@pytest.mark.parametrize("command", ["decode", "sweep", "trace"])
+@pytest.mark.parametrize("params", [DecodeParams, OtherDecodeDefaults])
+def test_each_decode_flag_defaults_to_the_field_it_sets(monkeypatch, command, params):
+    monkeypatch.setattr(dyne.cli, "DecodeParams", params)
+    defaults = {a.dest: a.default for a in dyne.cli.build_parser()[1][command]._actions}
+    expected = dataclasses.asdict(params())
+    expected["length_penalty"] = expected.pop("length_penalty_alpha")
+    expected["reduce"] = expected["reduce"].value
+    assert {key: defaults[key] for key in expected} == expected
 
 
 class TestConfigFile:

@@ -300,6 +300,14 @@ class TestEnsembleStep:
         with pytest.raises(ValueError, match="at least one input"):
             sequence_score(copy_model(), [], (EOS_ID,))
 
+    def test_a_tuple_of_tuples_is_searched_as_given(self):
+        # a model may key its per-input work on the inputs object (CopyBigramModel's copy
+        # table), so a run of decodes of one tuple of tuples builds that work once
+        model, inputs = copy_model(), ((A, B), (B,))
+        assert _Search(model, inputs, None, Reduce.MEAN_LOGPROB).inputs is inputs
+        made = _Search(model, [list(x) for x in inputs], None, Reduce.MEAN_LOGPROB).inputs
+        assert made == inputs and isinstance(made, tuple)
+
     @pytest.mark.parametrize("make", [dict.fromkeys, set, iter, np.array],
                              ids=["dict", "set", "iterator", "ndarray"])
     def test_inputs_must_be_a_list_or_tuple(self, make):
@@ -1214,19 +1222,21 @@ class TestBeamMemoryBound:
         check_beam_memory(dataclasses.replace(sweep, beam_size=4 * 100), 243, 5)
 
     def test_limit_is_the_boundary(self):
-        # 8 inputs: (3 * 8 + 9) floats of 8 bytes and 8 bools per token and live prefix
-        params = DecodeParams(beam_size=STEP_BYTES_LIMIT // (1000 * (33 * 8 + 8)), max_len=30)
+        # 8 inputs: (3 * 8 + 9) floats of 8 bytes and 8 bools per token and live prefix,
+        # and the search's column order, 8 int64s per token
+        params = DecodeParams(beam_size=(STEP_BYTES_LIMIT // 1000 - 8 * 8) // (33 * 8 + 8),
+                              max_len=30)
         check_beam_memory(params, 1000, 8)  # the widest beam inside the limit
         with pytest.raises(ValueError, match="beam_size"):
             check_beam_memory(dataclasses.replace(params, beam_size=params.beam_size + 1), 1000, 8)
 
     def test_a_beam_needing_exactly_the_limit_is_accepted(self):
-        # 4 * 2,048 * ((3 * 5,240 + 9) * 8 + 5,240) = 2**13 * 2**17 bytes
+        # 65,536 * (8 * ((3 * 76 + 9) * 8 + 76) + 8 * 76) = 2**16 * 2**14 bytes
         assert STEP_BYTES_LIMIT == 2**30
-        params = DecodeParams(beam_size=4, max_len=30)
-        check_beam_memory(params, 2048, 5240)
-        with pytest.raises(ValueError, match="^beam_size 5 lets 5 prefixes live"):
-            check_beam_memory(dataclasses.replace(params, beam_size=5), 2048, 5240)
+        params = DecodeParams(beam_size=8, max_len=30)
+        check_beam_memory(params, 65536, 76)
+        with pytest.raises(ValueError, match="^beam_size 9 lets 9 prefixes live"):
+            check_beam_memory(dataclasses.replace(params, beam_size=9), 65536, 76)
 
     # width 4 leaves 1 content token, so 1 prefix lives at any length; width 5
     # leaves 2, and max_len 2 allows 1 content token before EOS, so 2 live
@@ -1258,6 +1268,18 @@ class TestBeamMemoryBound:
         with pytest.raises(ValueError, match="^beam_size 8 lets 8 prefixes live"):
             check_beam_memory(params, len(model.vocab), n_inputs)
 
+    @pytest.mark.parametrize("n_inputs", [8, 32])
+    @pytest.mark.parametrize("reduce", list(Reduce))
+    def test_check_beam_memory_counts_the_column_order(self, reduce, n_inputs, monkeypatch):
+        # at beam 1 the search's [N, V] column order, held once, is much of the peak:
+        # equal inputs pass through the reduce, and a uniform model's tokens all tie
+        vocab = Vocab.from_content(f"w{i}" for i in range(1997))
+        params = DecodeParams(beam_size=1, max_len=6, reduce=reduce)
+        peak = decode_peak(UniformModel(vocab), [(3, 4)] * n_inputs, params)
+        monkeypatch.setattr(dyne.decoder, "STEP_BYTES_LIMIT", peak - 1)
+        with pytest.raises(ValueError, match="^beam_size 1 lets 1 prefixes live"):
+            check_beam_memory(params, len(vocab), n_inputs)
+
     def test_check_beam_memory_counts_the_ban_test_of_full_heads(self, monkeypatch):
         # every token ties, so the heads widen to the whole vocabulary at the first step,
         # and each later step tests every head token against up to max_len - 1 bans
@@ -1270,8 +1292,8 @@ class TestBeamMemoryBound:
 
     def test_the_ban_count_is_the_boundary(self):
         # with blocking, max_len - n bans add a byte per token and prefix: 8 inputs,
-        # max_len 30 and n = 2 make 33 * 8 + 8 + 28 = 300 bytes
-        params = DecodeParams(beam_size=STEP_BYTES_LIMIT // (1000 * 300), max_len=30,
+        # max_len 30 and n = 2 make 33 * 8 + 8 + 28 = 300 bytes, past the column order's 64
+        params = DecodeParams(beam_size=(STEP_BYTES_LIMIT // 1000 - 8 * 8) // 300, max_len=30,
                               block_repeat_ngram=2)
         check_beam_memory(params, 1000, 8)
         with pytest.raises(ValueError, match="beam_size"):
@@ -1555,6 +1577,16 @@ def test_a_rounding_tie_past_a_positive_edge_widens_the_heads():
     assert result.tokens == plain_ensemble_beam_search(model, inputs, params)[0][0]
 
 
+@pytest.mark.parametrize("beam_size", [1, 2])
+def test_heads_are_never_wider_than_the_content_tokens(beam_size, monkeypatch):
+    # AB has 3 content tokens (UNK, a, b), all tied under a uniform model: a beam of 1
+    # starts at width 2 and widens, and a beam of 2 would start at 4
+    widths, head = [], dyne.decoder._head
+    monkeypatch.setattr(dyne.decoder, "_head", lambda e, m: widths.append(m) or head(e, m))
+    beam_search(UniformModel(AB), [(A, B)], DecodeParams(beam_size=beam_size, max_len=3))
+    assert max(widths) == len(AB) - EOS_ID - 1
+
+
 @pytest.mark.parametrize("reduce, reduce_fn, sign", [
     (Reduce.MEAN_LOGPROB, reduce_mean_logprob, -1.0), (Reduce.MEAN_PROB, reduce_mean_prob, 1.0)])
 def test_a_column_of_negative_zeros_in_unequal_rows(reduce, reduce_fn, sign):
@@ -1569,24 +1601,12 @@ def test_a_column_of_negative_zeros_in_unequal_rows(reduce, reduce_fn, sign):
     assert math.copysign(1.0, reduce_fn(table[[A, B]])[B]) == sign
 
 
-def plain_mask_row(combined, prefix, params):
-    """The ``[V]`` mask of what may follow ``prefix``, whose reduce is ``combined``,
-    rule by rule, with the reference search's n-gram ban."""
-    content_len, row = len(prefix) - 1, combined > -np.inf
-    row[[BOS_ID, *banned_next_tokens(prefix, params.block_repeat_ngram)]] = False
-    if content_len < params.min_len:
-        row[EOS_ID] = False
-    if content_len >= params.max_len - 1:
-        row[np.arange(len(row)) != EOS_ID] = False
-    return row
-
-
 @st.composite
 def mask_cases(draw):
-    """1-8 live prefixes of one length L over a few tokens, so that n-grams repeat; a
-    ``[B, V]`` combined array with -inf cells and columns; and params whose min_len
-    falls past, at or below the content length, which is max_len - 1 one time in
-    three, and whose n-gram blocking is off or n in {1, 2, 3, L, L + 1}."""
+    """1-8 live prefixes of one length L over a few tokens, so that n-grams repeat, and
+    params whose min_len falls past, at or below the content length, which is
+    max_len - 1 one time in three, and whose n-gram blocking is off or n in
+    {1, 2, 3, L, L + 1}."""
     width, content_len = draw(st.integers(4, 9)), draw(st.integers(0, 6))
     batch = draw(st.integers(1, 8))
     tokens = st.integers(UNK_ID, min(width - 1, UNK_ID + draw(st.integers(1, 3))))
@@ -1595,23 +1615,21 @@ def mask_cases(draw):
     max_len = content_len + 1 + draw(st.integers(0, 2))
     min_len = draw(st.integers(0, min(content_len + 1, max_len - 1)))
     n = draw(st.sampled_from([None, 1, 2, 3, content_len + 1, content_len + 2]))
-    cells = st.sampled_from([-math.inf, -1.0, -0.0, 0.0, -2.5])
-    combined = np.array(draw(st.lists(cells, min_size=batch * width, max_size=batch * width)))
-    combined = combined.reshape(batch, width)
-    combined[:, draw(st.lists(st.integers(0, width - 1), max_size=2))] = -math.inf
-    return combined, prefixes, DecodeParams(beam_size=batch, max_len=max_len, min_len=min_len,
-                                            block_repeat_ngram=n)
+    return prefixes, DecodeParams(beam_size=batch, max_len=max_len, min_len=min_len,
+                                  block_repeat_ngram=n)
 
 
 @given(mask_cases())
 @settings(max_examples=300, deadline=None)
-def test_the_step_mask_equals_a_per_prefix_reference_bitwise(case):
-    combined, prefixes, params = case
-    before = combined.tobytes()
-    allowed, _ = dyne.decoder._allowed_tokens(combined, prefixes, params)
-    expected = np.array([plain_mask_row(c, p, params) for c, p in zip(combined, prefixes)])
-    assert allowed.dtype == bool and allowed.tobytes() == expected.tobytes()
-    assert combined.tobytes() == before
+def test_the_step_rules_equal_a_per_prefix_reference(case):
+    prefixes, params = case
+    eos, forced, banned, _ = dyne.decoder._rules(prefixes, params)
+    for b, prefix in enumerate(prefixes):  # each prefix's rules, one at a time
+        content_len = len(prefix) - 1
+        assert eos == (content_len >= params.min_len)
+        assert forced == (content_len >= params.max_len - 1)
+        bans = set() if banned is None else set(banned[b].tolist()) - {BOS_ID}  # the filler
+        assert bans == banned_next_tokens(prefix, params.block_repeat_ngram) - {BOS_ID}
 
 
 @pytest.mark.parametrize("reduce", list(Reduce))
