@@ -55,15 +55,16 @@ pair, so that both sides' samples span the same phases of the host; a slice
 repeats its unit of work as many times as fill its share of the budget, and
 at least once. A ``wide`` or ``empty`` unit times ``load_model``
 (``load_s``) and, on the model it loaded, the first ``score_batch`` call,
-which builds the bigram table (``first_use_s``, load included). A ``decode``
-unit is a pass through the input sets, and the metric the seconds of one
-decode (``decode_s``); as in the gated ``decode_p50_ms``, each decode runs on
-a model loaded fresh outside the timer, so the bigram table is built inside
-it. Each slice hashes its first pass, after each decode and outside the
-timer. A ``stem`` unit is one pass over the corpus (``stem_s``). A ``peak``
-slice is one child, which imports ``dyne`` from the side's ``src/``, runs the
-command as perfbench's ``reference_run`` does, and reports its own ``VmHWM``
-(``peak_mb``); its sample is the mean over ``SLICES`` children.
+which builds the copy table and the first bigram row (``first_use_s``, load
+included). A ``decode`` unit is a pass through the input sets, and the metric
+the seconds of one decode (``decode_s``); as in the gated ``decode_p50_ms``,
+each decode runs on a model loaded fresh outside the timer, so the bigram rows
+it reads are built inside it. Each slice hashes its first pass, after each
+decode and outside the timer. A ``stem`` unit is one pass over the corpus
+(``stem_s``). A ``peak`` slice is one child, which imports ``dyne`` from the
+side's ``src/``, runs the command as perfbench's ``reference_run`` does, and
+reports its own ``VmHWM`` (``peak_mb``); its sample is the mean over
+``SLICES`` children.
 
 The result file holds, per workload and metric, each side's median and
 quartiles, the median and quartiles of the per-pair ``tree/base`` ratios
@@ -72,12 +73,13 @@ than either side's median), the pairs each side won with the lower value (a
 tie counts for neither), the environment (Python, numpy, ``nproc``, CPU),
 both commits, each side's ``src_lines`` (the lines of its ``src/dyne/*.py``)
 and ``src_file_lines`` (the same per file, by name), both also printed with
-the tree's change, and a sha256 of each side's outputs: the bigram-table
-arrays of a load, every ranked result of a decode (its tokens, the hex of
-both scores and every trace cell), the stems of a ``stem`` pass, one per
-line, and every artifact of a ``peak`` child but ``run_config.json``, which
-records the side's paths. When the two sides' outputs differ, the run still
-writes the file but exits 1. Uses only the stdlib and numpy.
+the tree's change, and a sha256 of each side's outputs: a load's scores of one
+input after every previous token, every ranked result of a decode (its
+tokens, the hex of both scores and every trace cell), the stems of a ``stem``
+pass, one per line, and every artifact of a ``peak`` child but
+``run_config.json``, which records the side's paths. When the two sides'
+outputs differ, the run still writes the file but exits 1. Uses only the
+stdlib and numpy.
 """
 
 from __future__ import annotations
@@ -206,11 +208,12 @@ def stems_sha256(stems: list[str]) -> str:
     return hashlib.sha256("\n".join(stems).encode()).hexdigest()
 
 
-def table_sha256(model) -> str:
-    digest = hashlib.sha256()
-    for array in getattr(model, "_bigram_table", ()):
-        digest.update(f"{array.dtype}{array.shape}".encode())
-        digest.update(np.ascontiguousarray(array).tobytes())
+def rows_sha256(model) -> str:
+    """A sha256 of ``model``'s scores of one input after each previous token, read
+    through the public ``score_batch``, so that it hashes every bigram row."""
+    digest, inputs = hashlib.sha256(), ((3,),)  # one input object: one copy table
+    for prev in range(len(model.vocab)):
+        digest.update(model.score_batch(inputs, (0, prev)).tobytes())
     return digest.hexdigest()
 
 
@@ -237,7 +240,7 @@ def load_slice(dyne, spec: str, budget_s: float) -> tuple[list[float], str]:
         model.score_batch([(3,)], (0, 3))
         t2 = time.perf_counter()
         load_s, first_use_s, loads = load_s + (t1 - t0), first_use_s + (t2 - t0), loads + 1
-    return [load_s, first_use_s, loads], table_sha256(model)
+    return [load_s, first_use_s, loads], rows_sha256(model)
 
 
 def decode_slice(dyne, case: tuple, budget_s: float) -> tuple[list[float], str]:

@@ -113,10 +113,10 @@ def _combine(stack: np.ndarray, reduce: Reduce) -> np.ndarray:
     """The ``[B, V]`` reduce of the ``[B, N, V]`` ``stack``: a row with a column out of
     order is sorted in place (no reduce bit depends on where -0.0 and 0.0 fall), then
     the top row is checked, since a sorted column holds NaN and +inf only on top. A row
-    of inputs that all hold the same bits (tested in place, row by row) reduces to that
-    input, written over the one reduce of the whole stack unless every row is such a row;
-    mean_logprob sums any other from -0.0 (a column of -0.0 stays -0.0), and mean_prob
-    gives such a column 0.0."""
+    of inputs that all hold the same bits (every row of one input; else tested in place,
+    row by row) reduces to that input, written over the one reduce of the whole stack
+    unless every row is such a row; mean_logprob sums any other from -0.0 (a column of
+    -0.0 stays -0.0), and mean_prob gives such a column 0.0."""
     rising = stack[:, :-1] <= stack[:, 1:]
     if not rising.all():  # re-sort each stale row alone
         for b in np.flatnonzero(~rising.reshape(len(stack), -1).all(axis=1)).tolist():
@@ -126,8 +126,9 @@ def _combine(stack: np.ndarray, reduce: Reduce) -> np.ndarray:
     # after the column sort, equal end rows mean equal values in every row; the
     # bit test then tells -0.0 from 0.0, which the sort leaves in either order
     bits = stack.view(np.int64)
-    same = [b for b in (stack[:, 0] == stack[:, -1]).all(axis=1).nonzero()[0].tolist()
-            if (bits[b] == bits[b, 0]).all()]
+    same = range(len(stack)) if stack.shape[1] == 1 else [  # one input: every row, untested
+        b for b in (stack[:, 0] == stack[:, -1]).all(axis=1).nonzero()[0].tolist()
+        if (bits[b] == bits[b, 0]).all()]
     if len(same) == len(stack):  # np.sum and exp/log would turn -0.0 into 0.0
         return stack[:, 0].copy()
     out = _REDUCERS[reduce](stack)
@@ -217,6 +218,8 @@ class _Search:
             del memo[key]
         # the new keys in first-occurrence order; their prefixes score alike by contract
         fresh = {key: prefix for key, prefix in zip(keys, prefixes) if key not in memo}
+        if not fresh:
+            return [memo[key] for key in keys]
         stack, per_inputs = np.empty((len(fresh), *shape)), []
         for b, prefix in enumerate(fresh.values()):
             scores = self.model.score_batch(self.inputs, prefix)
@@ -230,9 +233,8 @@ class _Search:
                 self.flat *= shape[1]
                 self.flat += np.arange(shape[1])
             per_inputs[b].take(self.flat, out=stack[b], mode="clip")  # unbuffered; never clips
-        if fresh:  # each row is copied, so no entry keeps a whole step's combine alive
-            memo.update((key, [scores, row.copy(), None]) for key, scores, row
-                        in zip(fresh, per_inputs, _combine(stack, self.reduce)))
+        memo.update((key, [scores, row.copy(), None]) for key, scores, row  # row copies: no entry
+                    in zip(fresh, per_inputs, _combine(stack, self.reduce)))  # keeps the stack
         return [memo[key] for key in keys]
 
 
@@ -265,24 +267,18 @@ def ranked_score(raw: float, content_length: int, alpha: float) -> float:
 
 
 def _rules(prefixes: list[TokenSeq], params: DecodeParams) -> tuple:
-    """For unfinished prefixes of one length: whether EOS may follow (min_len content
-    tokens exist) and whether it must (one content slot is left); the ``[B, S]`` ids that
-    n-gram blocking bans, or None: each token after an occurrence of a prefix's last
-    n - 1 tokens, by n - 1 comparisons over the ``[B, L]`` prefixes (a miss bans BOS,
-    never a candidate); and the content length and rules, named as a DecodeError does."""
+    """For unfinished prefixes of one length: whether EOS may follow (min_len content tokens
+    exist), whether it must (one content slot is left), and the ``[B, S]`` ids that n-gram
+    blocking bans, or None: each token after an occurrence of a prefix's last n - 1 tokens,
+    by n - 1 comparisons over the ``[B, L]`` prefixes, at n = 1 those (a miss bans BOS)."""
     content_len, n = len(prefixes[0]) - 1, params.block_repeat_ngram
     eos, forced, banned = content_len >= params.min_len, content_len == params.max_len - 1, None
-    rules = [f"content length {content_len}", *[f"min_len={params.min_len} masks EOS"] * (not eos),
-             *[f"max_len={params.max_len} forces EOS"] * forced]
-    if n is not None:
-        starts = len(prefixes[0]) - n + 1  # the n-grams in a prefix
-        if starts > 0:  # hit[b, i]: prefix b's n-gram at i begins with its last n - 1 tokens
-            live, hit = np.array(prefixes), np.ones((len(prefixes), starts), bool)  # [B, L]
-            for j in range(n - 1):
-                hit &= live[:, j:j + starts] == live[:, starts + j, None]
-            banned = np.where(hit, live[:, n - 1:], BOS_ID)
-        rules.append(f"block_repeat_ngram={n}")
-    return eos, forced, banned, rules
+    if n is not None and content_len >= n:  # else no n-gram of content tokens can repeat
+        starts, live = content_len + 2 - n, np.array(prefixes)  # the n-grams in a [B, L] row
+        banned = live if n == 1 else np.where(functools.reduce(np.logical_and, (
+            live[:, j:j + starts] == live[:, starts + j, None] for j in range(n - 1))),
+            live[:, n - 1:], BOS_ID)
+    return eos, forced, banned
 
 
 def _rank(entries: list, m: int, raw: np.ndarray, banned, beam_size: int) -> tuple:
@@ -367,7 +363,7 @@ def beam_search(
     # leave only EOS, so after at most max_len steps nothing is live.
     while prefixes:
         entries = search.step(prefixes)
-        eos, forced, banned, rules = _rules(prefixes, params)
+        eos, forced, banned = _rules(prefixes, params)
         for i, end in enumerate(entry[1][EOS_ID] for entry in entries if eos):
             if end > -np.inf:  # a prefix that takes EOS is a result at once
                 tokens, eos_raw = prefixes[i][1:] + (EOS_ID,), float(raw[i] + end)
@@ -383,6 +379,10 @@ def beam_search(
         if forced or not len(top):  # nothing to extend
             if pool:
                 break
+            rules = [f"content length {len(prefixes[0]) - 1}"]  # named only on failure
+            rules += [f"min_len={params.min_len} masks EOS"] * (not eos)
+            rules += [f"max_len={params.max_len} forces EOS"] * forced
+            rules += [f"block_repeat_ngram={n}" for n in [params.block_repeat_ngram] if n]
             raise DecodeError(f"no viable continuation for any hypothesis ({', '.join(rules)})")
         top.sort()  # (prefix, token) order, so that ``prefixes`` stay in sequence order
         parents, column = np.divmod(top, m)
@@ -435,7 +435,7 @@ def brute_force_search(
         nonlocal best
         search.memo.clear()  # the oracle scores every prefix itself
         ((scores, combined, _),) = search.step([prefix])  # [N, V] and [V]
-        eos, forced, banned, _ = _rules([prefix], params)
+        eos, forced, banned = _rules([prefix], params)
         allowed = combined > -np.inf  # a token scored -inf could never recover
         allowed[[BOS_ID, *[EOS_ID] * (not eos), *([] if banned is None else banned[0])]] = False
         allowed[EOS_ID + 1:] &= not forced  # a forced EOS is all that may follow

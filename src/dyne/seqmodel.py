@@ -27,6 +27,7 @@ import numpy as np
 
 from .errors import (FormatError, json_text, parse_object, read_input, real_number, tuple_of,
                      write_output)
+from .provenance import left_sum
 
 BOS_ID = 0
 EOS_ID = 1
@@ -347,8 +348,9 @@ class CopyBigramModel:
     copy counts, keeping the distribution normalized. All the model holds
     derives from its frozen spec: the ``[V]`` mask of A (0 at ``<s>`` and
     ``<unk>``, so ``|A| = V - 2``), the copy matrix of the last input-set object
-    and the bigram table, built on first use from the spec's key-sorted
-    count arrays with no pass over the pairs in Python; so its memory is bounded.
+    and a memo of bigram rows, each built when a prefix first ends in its token:
+    one per vocabulary id at most, so no larger than the spec; a race builds the
+    same bits twice, so concurrent scoring stays safe.
     """
 
     def __init__(self, spec: ToyModelSpec):
@@ -356,6 +358,7 @@ class CopyBigramModel:
         self._on_alphabet = np.ones(len(spec.vocab))
         self._on_alphabet[[BOS_ID, UNK_ID]] = 0.0
         self._copy_entry: tuple[tuple[TokenSeq, ...], np.ndarray] | None = None
+        self._rows: dict[int, tuple] = {}  # prev id -> `_bigram_part`'s fill, nexts, values
 
     @property
     def vocab(self) -> Vocab:
@@ -382,25 +385,22 @@ class CopyBigramModel:
         ids += np.repeat(np.arange(0, len(inputs) * size, size), lengths)  # a row per input
         counts = np.bincount(ids, minlength=len(inputs) * size).reshape(-1, size) * mask
         totals = counts.sum(axis=-1, keepdims=True) + k * (size - 2)
-        return self._spec.copy_weight * ((counts + k * mask) / totals)
-
-    @functools.cached_property
-    def _bigram_table(self) -> tuple[np.ndarray, ...]:
-        """The spec's key-sorted pairs, so equal specs sum each row in one order,
-        with ``starts`` offsets, each row's fill ``w * (k / total)`` and each
-        pair's ``w * ((c + k) / total)``."""
-        counts, size = self._spec.bigram_counts, len(self._spec.vocab)
-        prevs, raw = counts.prev, counts.count.astype(float)
-        k, w = self._spec.smooth_k, 1.0 - self._spec.copy_weight
-        totals = np.bincount(prevs, weights=raw, minlength=size) + k * (size - 2)
-        starts = np.searchsorted(prevs, np.arange(size + 1))
-        return w * (k / totals), starts, counts.next, w * ((raw + k) / totals[prevs])
+        np.divide(np.add(counts, k * mask, out=counts), totals, out=counts)  # in place
+        return np.multiply(counts, self._spec.copy_weight, out=counts)
 
     def _bigram_part(self, prev: int) -> np.ndarray:
-        fill, starts, nexts, values = self._bigram_table
-        row = self._on_alphabet * fill[prev]
-        lo, hi = starts[prev], starts[prev + 1]
-        row[nexts[lo:hi]] = values[lo:hi]
+        """The ``[V]`` weighted bigram row after ``prev``: ``w * (k / total)``, and ``w * ((c
+        + k) / total)`` at each successor, from parts built on the first request; the total
+        adds the spec's key-sorted counts left to right from 0.0, so equal specs agree."""
+        parts = self._rows.get(prev)
+        if parts is None:  # a race builds the same bits twice
+            counts, k = self._spec.bigram_counts, self._spec.smooth_k
+            lo, hi = np.searchsorted(counts.prev, (prev, prev + 1)).tolist()
+            w, raw = 1.0 - self._spec.copy_weight, counts.count[lo:hi]  # exact as floats
+            total = left_sum(raw.tolist()) + k * (len(self._on_alphabet) - 2)
+            parts = self._rows[prev] = w * (k / total), counts.next[lo:hi], w * ((raw + k) / total)
+        row = self._on_alphabet * parts[0]
+        row[parts[1]] = parts[2]
         return row
 
     def score_batch(self, inputs: Sequence[TokenSeq], prefix: TokenSeq) -> np.ndarray:
@@ -414,9 +414,9 @@ class CopyBigramModel:
             raise ValueError("score_batch needs at least one input")
         if entry is None:  # an equal input set may hold other types, so it is checked anew
             entry = self._copy_entry = (inputs, self._copy_part(inputs))
-        probs = entry[1] + self._bigram_part(prefix[-1])
+        probs = entry[1] + self._bigram_part(int(prefix[-1]))  # an int key: no wrap
         with np.errstate(divide="ignore"):
-            return np.log(probs)
+            return np.log(probs, out=probs)
 
     def score_next(self, input_ids: TokenSeq, prefix: TokenSeq) -> LogProbVector:
         return self.score_batch([input_ids], prefix)[0]

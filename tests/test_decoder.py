@@ -1623,13 +1623,45 @@ def mask_cases(draw):
 @settings(max_examples=300, deadline=None)
 def test_the_step_rules_equal_a_per_prefix_reference(case):
     prefixes, params = case
-    eos, forced, banned, _ = dyne.decoder._rules(prefixes, params)
+    eos, forced, banned = dyne.decoder._rules(prefixes, params)
     for b, prefix in enumerate(prefixes):  # each prefix's rules, one at a time
         content_len = len(prefix) - 1
         assert eos == (content_len >= params.min_len)
         assert forced == (content_len >= params.max_len - 1)
         bans = set() if banned is None else set(banned[b].tolist()) - {BOS_ID}  # the filler
         assert bans == banned_next_tokens(prefix, params.block_repeat_ngram) - {BOS_ID}
+
+
+class DeadEndModel:
+    """Never scores EOS, and scores every content token alike until a prefix holds
+    ``content_len`` of them, then none: a search ends with nothing to extend there,
+    as every content token outnumbers any prefix's bans."""
+
+    context = None
+
+    def __init__(self, content_len):
+        self.vocab, self.content_len = Vocab.from_content([f"w{i}" for i in range(12)]), content_len
+
+    def score_batch(self, inputs, prefix):
+        row = np.full(len(self.vocab), -np.inf)
+        row[EOS_ID + 1:] = -math.log(12) if len(prefix) <= self.content_len else -np.inf
+        return np.tile(row, (len(inputs), 1))
+
+
+@given(mask_cases())
+@settings(max_examples=300, deadline=None)
+def test_no_viable_continuation_names_the_rules_of_its_step(case):
+    # the rule names, built only when a search fails, as each step once listed them
+    prefixes, params = case
+    content_len, n = len(prefixes[0]) - 1, params.block_repeat_ngram
+    rules = [f"content length {content_len}",
+             *[f"min_len={params.min_len} masks EOS"] * (not content_len >= params.min_len),
+             *[f"max_len={params.max_len} forces EOS"] * (content_len == params.max_len - 1)]
+    if n is not None:
+        rules.append(f"block_repeat_ngram={n}")
+    with pytest.raises(DecodeError) as err:
+        beam_search(DeadEndModel(content_len), [(3, 4)], params)
+    assert str(err.value) == f"no viable continuation for any hypothesis ({', '.join(rules)})"
 
 
 @pytest.mark.parametrize("reduce", list(Reduce))

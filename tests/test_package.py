@@ -526,7 +526,7 @@ def test_paired_timing_decodes_the_benchmarks_pool_clusters(tmp_path, monkeypatc
     calls = []
 
     def beam_search(model, inputs, params):
-        calls.append((model, "_bigram_table" in vars(model), inputs, params))
+        calls.append((model, len(model._rows), inputs, params))  # rows built before it
         return []
 
     monkeypatch.setattr(dyne, "beam_search", beam_search)
@@ -556,7 +556,7 @@ def test_paired_timing_decodes_the_benchmarks_pool_clusters(tmp_path, monkeypatc
         assert [inputs for _, _, inputs, _ in calls] == input_sets
         assert all(params == expected_params[name] for *_, params in calls)
         assert len({id(model) for model, *_ in calls}) == len(calls)
-        assert not any(used for _, used, _, _ in calls)
+        assert not any(built for _, built, _, _ in calls)
         assert all(m.vocab == model.vocab for m, *_ in calls)
         assert all(isinstance(m, dyne.CopyBigramModel) for m, *_ in calls)
         # the sweep spec is copy-only, so its rows read no prefix token

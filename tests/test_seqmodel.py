@@ -6,6 +6,7 @@ import dataclasses
 import json
 import math
 import operator
+import sys
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -298,15 +299,34 @@ class TestCopyBigramModel:
         model.score_batch([(4, 4)], (BOS_ID, 3))
         assert held_bytes(model) == one_set
 
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int8, np.int64])
+    def test_a_numpy_last_token_scores_as_its_int(self, dtype):
+        # np.uint8(255) + 1 wraps to 0, so a row looked up by it once read no pairs
+        vocab = Vocab.from_content([f"w{i}" for i in range(300)])
+        spec = ToyModelSpec(0.0, 1.0, {(p, 7): 5 for p in (0, 126, 127, 255)}, vocab)
+        for prev in (126, 127, 255) if dtype is not np.int8 else (126, 127):
+            numpy_first, int_first = CopyBigramModel(spec), CopyBigramModel(spec)
+            rows = [model.score_batch([(3,)], (BOS_ID, last)) for model, last in
+                    ((numpy_first, dtype(prev)), (numpy_first, prev), (int_first, prev))]
+            assert len({row.tobytes() for row in rows}) == 1
+            assert math.isclose(rows[0][0, 7], math.log(6 / 306))  # (5 + k) / (5 + k * 301)
+
     def test_memory_bounded_over_every_previous_token(self):
+        # one memo row per previous token, built on its first request: all of them hold
+        # no more than a whole table would ([V] fills, [V + 1] offsets, and an id and a
+        # value per count), and asking again adds nothing
         vocab = Vocab.from_content([f"w{i}" for i in range(40)])
         counts = {(p, n): p + n for p in range(0, len(vocab), 3) for n in (EOS_ID, 5, 9)}
         model = CopyBigramModel(ToyModelSpec(0.5, 1.0, counts, vocab))
         model.score_batch([(3, 4)], (BOS_ID,))
-        first_use = held_bytes(model)
+        copy_table = model._copy_entry[1].nbytes
         for prev in range(len(vocab)):
             model.score_batch([(3, 4)], (BOS_ID, prev))
-        assert held_bytes(model) == first_use
+        every_row = held_bytes(model)
+        assert every_row <= copy_table + 8 * (2 * len(vocab) + 1 + 2 * len(counts))
+        for prev in reversed(range(len(vocab))):
+            model.score_batch([(3, 4)], (BOS_ID, np.int64(prev)))
+        assert held_bytes(model) == every_row and len(model._rows) == len(vocab)
 
     @given(st.data())
     @settings(max_examples=150, deadline=None)
@@ -370,10 +390,13 @@ class TestCopyBigramModel:
         for i, spec in enumerate(list(specs)):
             spec.save(tmp_path / f"spec{i}.json")
             specs.append(ToyModelSpec.load(tmp_path / f"spec{i}.json"))
+        table = table_built_from_the_mapping(specs[0])  # its total added as np.bincount adds
         for prev in range(len(vocab)):
             rows = {CopyBigramModel(spec).score_batch([(3,)], (BOS_ID, prev)).tobytes()
                     for spec in specs}
             assert len(rows) == 1
+            part = CopyBigramModel(specs[0])._bigram_part(prev)
+            assert part.tobytes() == row_of_the_table(table, prev).tobytes()
 
     @given(st.data())
     @settings(max_examples=100, deadline=None)
@@ -488,14 +511,23 @@ class TestCopyBigramModel:
         with pytest.raises(ValueError, match="out of vocabulary"):
             model.score_batch([(3, 4, 3), (4, 99)], (BOS_ID,))
 
-    def test_concurrent_scoring_matches_serial(self, ab_vocab):
-        model = CopyBigramModel(ToyModelSpec(0.7, 1.0, {(3, 4): 5}, ab_vocab))
-        calls = [((3, 4, 3), (BOS_ID, t)) for t in (3, 4, EOS_ID, UNK_ID) for _ in range(16)]
+    def test_concurrent_scoring_matches_serial(self):
+        vocab = Vocab.from_content([f"w{i}" for i in range(40)])
+        spec = ToyModelSpec(0.7, 1.0, {(p, n): p + n for p in range(0, 43, 2)
+                                       for n in (EOS_ID, 5, 9)}, vocab)
+        calls = [((3, 4, 3), (BOS_ID, t)) for _ in range(8) for t in range(len(vocab))]
+        model = CopyBigramModel(spec)
         serial = [model.score_next(x, p) for x, p in calls]
-        with ThreadPoolExecutor(max_workers=8) as pool:
-            threaded = list(pool.map(lambda c: model.score_next(*c), calls))
-        for s, t in zip(serial, threaded):
-            assert np.array_equal(s, t)
+        fresh = CopyBigramModel(spec)  # its rows are built by whichever threads ask first
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # threads switch inside a row's build
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                threaded = list(pool.map(lambda c: fresh.score_next(*c), calls, timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        assert [s.tobytes() for s in serial] == [t.tobytes() for t in threaded]
+        assert fresh._rows.keys() == set(range(len(vocab)))
 
 
 def count_validations(vocab: Vocab, monkeypatch, inputs) -> tuple[list, list, list]:
@@ -653,7 +685,7 @@ class TestSpecIsImmutable:
         counts[3, UNK_ID] = -1  # a pair the spec would reject
         del counts[4, EOS_ID]
         assert spec.bigram_counts == self.COUNTS
-        # the unscored model builds its bigram table only now, after the edits
+        # the unscored model builds its bigram rows only now, after the edits
         assert self.state(spec, unscored) == expected
         assert self.state(spec, scored) == expected
 
@@ -1041,35 +1073,71 @@ def table_built_from_the_mapping(spec: ToyModelSpec) -> tuple[np.ndarray, ...]:
     return w * (k / totals), starts, nexts, w * ((raw + k) / totals[prevs])
 
 
+def row_of_the_table(table: tuple[np.ndarray, ...], prev: int) -> np.ndarray:
+    """Row ``prev`` of a `table_built_from_the_mapping`, as the model once read it."""
+    fill, starts, nexts, values = table
+    row = np.ones(len(fill)) * fill[prev]
+    row[[BOS_ID, UNK_ID]] = 0.0
+    row[nexts[starts[prev]:starts[prev + 1]]] = values[starts[prev]:starts[prev + 1]]
+    return row
+
+
+def wide_sized_spec(rng: np.random.Generator) -> ToyModelSpec:
+    """A spec of the wide benchmark's size: V = 2,000 tokens and 20,000 counts."""
+    vocab = Vocab.from_content([f"w{i:04d}" for i in range(1997)])
+    prevs, nexts = [BOS_ID, *vocab.content_ids], [EOS_ID, *vocab.content_ids]
+    flat = rng.choice(len(prevs) * len(nexts), 20_000, replace=False).tolist()
+    counts = {(prevs[f // len(nexts)], nexts[f % len(nexts)]): int(c)
+              for f, c in zip(flat, rng.integers(1, 10, 20_000))}
+    return ToyModelSpec(0.5, 1.0, counts, vocab)
+
+
 class TestBigramTableArrays:
     @given(st.data())
     @settings(max_examples=100, deadline=None)
-    def test_table_byte_equal_however_the_spec_was_built(self, data):
+    def test_rows_byte_equal_however_the_spec_was_built(self, data):
+        # the last content token never precedes a count, and <s> may
         vocab = Vocab.from_content([f"w{i}" for i in range(data.draw(st.integers(1, 8)))])
-        pair = st.tuples(st.integers(0, len(vocab) - 1),
+        pair = st.tuples(st.integers(0, len(vocab) - 2),
                          st.sampled_from((EOS_ID, *vocab.content_ids)))
         counts = data.draw(st.dictionaries(
-            pair, st.integers(0, 2**20) | st.integers(2**52, 2**53 - 1), max_size=30))
+            pair, st.integers(0, 2**20) | st.integers(2**52, 2**53 - 1) | st.just(2**53 - 1),
+            max_size=30))
         cw = data.draw(st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1.0))
         k = data.draw(st.sampled_from([1e-3, 1.0]) | st.floats(1e-3, 5.0))
         in_code = ToyModelSpec(cw, k, counts, vocab)
         specs = [ToyModelSpec.from_json_text(in_code.to_json_text()), in_code,
                  ToyModelSpec(cw, k, dict(reversed(list(counts.items()))), vocab)]
         assert specs[0] == in_code and specs[0].to_json_text() == in_code.to_json_text()
-        tables = [CopyBigramModel(spec)._bigram_table for spec in specs]
-        tables.append(table_built_from_the_mapping(in_code))
-        for arrays in zip(*tables):
-            assert len({(a.dtype, a.shape, a.tobytes()) for a in arrays}) == 1
+        models = [CopyBigramModel(spec) for spec in specs]
+        table = table_built_from_the_mapping(in_code)
+        prevs = range(len(vocab))
+        for model, order in zip(models, (prevs, reversed(prevs), prevs)):  # any request order
+            for prev in order:
+                model._bigram_part(prev)
+        for prev in prevs:
+            rows = [model._bigram_part(prev) for model in models]
+            rows.append(row_of_the_table(table, prev))
+            assert len({(a.dtype, a.shape, a.tobytes()) for a in rows}) == 1, prev
+
+    def test_a_decode_builds_one_row_per_last_token_it_scores(self):
+        rng = np.random.default_rng(0)
+        model = CopyBigramModel(wide_sized_spec(rng))
+        inputs = rng.integers(3, len(model.vocab), (8, 400)).tolist()
+        lasts, score = [], model.score_batch
+
+        def spy(xs, prefix):
+            lasts.append(prefix[-1])
+            return score(xs, prefix)
+
+        model.score_batch = spy
+        beam_search(model, inputs, DecodeParams(beam_size=8, max_len=30, min_len=10))
+        assert model._rows.keys() == set(lasts) and len(model._rows) < len(model.vocab) / 10
 
     def test_wide_spec_file_loads_the_arrays_and_rows_built_in_code(self, tmp_path):
-        # the size of the wide benchmark's spec: V = 2,000 tokens, 20,000 counts
         rng = np.random.default_rng(0)
-        vocab = Vocab.from_content([f"w{i:04d}" for i in range(1997)])
-        prevs, nexts = [BOS_ID, *vocab.content_ids], [EOS_ID, *vocab.content_ids]
-        flat = rng.choice(len(prevs) * len(nexts), 20_000, replace=False).tolist()
-        counts = {(prevs[f // len(nexts)], nexts[f % len(nexts)]): int(c)
-                  for f, c in zip(flat, rng.integers(1, 10, 20_000))}
-        in_code = ToyModelSpec(0.5, 1.0, counts, vocab)
+        in_code = wide_sized_spec(rng)
+        vocab = in_code.vocab
         in_code.save(tmp_path / "spec.json")
         loaded = ToyModelSpec.load(tmp_path / "spec.json")
         for name in ("prev", "next", "count"):
