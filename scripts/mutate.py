@@ -24,9 +24,12 @@ copy, and must pass. Then, one mutant at a time, the copy's module is
 rewritten with the mutant and the tests run with ``-x``, no bytecode (a
 mutant can keep its file's size and mtime second, which a ``.pyc`` check
 would miss) and no plugin autoloading, which would take most of a small
-run's time; a mutant is killed by the first test that fails, by an error
-that stops the run, or by running ten times as long as the unmutated tests
-(at least 60 s), and survives when every test passes.
+run's time. A mutant is killed by the first test that fails, by an error
+that stops the run, or by a timeout, and survives when every test passes.
+A timeout is a test that runs ten times as long as it did in the unmutated
+run (at least `TEST_FLOOR_S`), which ``scripts/mutate_timer.py`` stops, or a
+whole run ten times as long as the unmutated one (at least 60 s), which
+stops a hang outside any test.
 
 The result, ``MUTATION_<module>.json`` at the project's root, holds each
 mutant's line, column, operator and source line, what killed it (a test id,
@@ -44,6 +47,7 @@ import hashlib
 import io
 import os
 import platform
+import re
 import shutil
 import subprocess
 import sys
@@ -57,6 +61,9 @@ FLIPS = {"<": "<=", "<=": "<", ">": ">=", ">=": ">", "==": "!=", "!=": "==",
 SYMBOLS = {ast.Lt: "<", ast.LtE: "<=", ast.Gt: ">", ast.GtE: ">=", ast.Eq: "==",
            ast.NotEq: "!=", ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.Div: "/"}
 WORK = ".mutate_work"
+TIMER = "mutate_timer"  # the pytest plugin, beside this script, that limits each test's time
+TEST_FLOOR_S = 2.0  # the least time a mutant's test gets, however fast it ran unmutated
+DURATION = re.compile(r"^(\d+\.\d+)s (?:setup|call|teardown) +(.+)$", re.M)  # --durations
 COPY_IGNORE = shutil.ignore_patterns(".git", WORK, ".bench_work", ".perfbench_work",
                                      "__pycache__", ".hypothesis", ".pytest_cache", "*.pyc")
 
@@ -108,25 +115,42 @@ def project_root(module: Path) -> Path:
     raise SystemExit(f"error: no pyproject.toml above {module}")
 
 
-def run_tests(copy: Path, tests: list[str], timeout: float | None) -> tuple[str, float]:
-    """``passed``, the id of the first failing test, ``error`` or ``timeout``, and
-    the seconds the run took."""
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+def run_tests(copy: Path, tests: list[str], limits: Path | None,
+              timeout: float | None) -> tuple[str, float, str]:
+    """``passed``, the id of the first failing test, ``error`` or ``timeout``; the
+    seconds the run took; and its output. ``limits`` names the JSON file of each test's
+    time limit, which `TIMER` enforces; a run without it reports every test's duration."""
+    env = {k: v for k, v in os.environ.items() if k not in ("PYTHONPATH", "MUTATE_LIMITS")}
     env.update(PYTHONDONTWRITEBYTECODE="1", PYTEST_DISABLE_PLUGIN_AUTOLOAD="1")
-    command = [sys.executable, "-m", "pytest", "-x", "-q", "-rfE", "-p", "no:cacheprovider",
-               *tests]
+    command = [sys.executable, "-m", "pytest", "-x", "-q", "-rfE", "-p", "no:cacheprovider"]
+    if limits is None:
+        command += ["--durations=0", "--durations-min=0"]
+    else:
+        env.update(PYTHONPATH=str(Path(__file__).resolve().parent), MUTATE_LIMITS=str(limits))
+        command += ["-p", TIMER]
     start = time.perf_counter()
     try:
-        done = subprocess.run(command, cwd=copy, env=env, capture_output=True, text=True,
-                              timeout=timeout)
+        done = subprocess.run([*command, *tests], cwd=copy, env=env, capture_output=True,
+                              text=True, timeout=timeout)
     except subprocess.TimeoutExpired:
-        return "timeout", time.perf_counter() - start
+        return "timeout", time.perf_counter() - start, ""
     seconds = time.perf_counter() - start
     if done.returncode == 0:
-        return "passed", seconds
+        return "passed", seconds, done.stdout
+    if re.search(r"^Timeout \(", done.stderr, re.M):  # faulthandler's banner
+        return "timeout", seconds, done.stdout
     failed = [line.split(" ", 1)[1].split(" - ", 1)[0] for line in done.stdout.splitlines()
               if line.startswith(("FAILED ", "ERROR "))]
-    return (failed[0] if done.returncode == 1 and failed else "error"), seconds
+    return (failed[0] if done.returncode == 1 and failed else "error"), seconds, done.stdout
+
+
+def per_test_limits(output: str) -> dict[str, float]:
+    """Each test's time limit in a mutant's run, from the unmutated run's durations: ten
+    times its setup, call and teardown together, and at least `TEST_FLOOR_S`."""
+    seconds: dict[str, float] = {}
+    for duration, nodeid in DURATION.findall(output):
+        seconds[nodeid] = seconds.get(nodeid, 0.0) + float(duration)
+    return {nodeid: max(TEST_FLOOR_S, 10 * s) for nodeid, s in seconds.items()}
 
 
 def git(root: Path, *args: str) -> str | None:
@@ -154,14 +178,16 @@ def main(argv: list[str] | None = None) -> int:
     try:
         shutil.copytree(root, copy, ignore=COPY_IGNORE)
         target = copy / module.relative_to(root)
-        outcome, base_s = run_tests(copy, args.tests, None)
+        outcome, base_s, output = run_tests(copy, args.tests, None, None)
         if outcome != "passed":
             raise SystemExit(f"error: the unmutated tests do not pass ({outcome})")
+        limits = work / "limits.json"  # outside the copy, which the tests see
+        write_output(limits, json_text(per_test_limits(output)))
         print(f"unmutated tests pass in {base_s:.1f} s; {len(found)} mutants", flush=True)
         results = []
         for i, (line, col, symbol, flipped) in enumerate(found, 1):
             write_output(target, apply(source, line, col, symbol, flipped))
-            outcome, seconds = run_tests(copy, args.tests, max(60.0, 10 * base_s))
+            outcome, seconds, _ = run_tests(copy, args.tests, limits, max(60.0, 10 * base_s))
             killed_by = "survived" if outcome == "passed" else outcome
             results.append({"line": line, "col": col, "operator": f"{symbol} -> {flipped}",
                             "source": source.splitlines()[line - 1].strip(),

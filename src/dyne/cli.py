@@ -8,14 +8,16 @@ Commands:
 * ``sweep``    - decode + evaluate across several ensemble sizes.
 * ``trace``    - decode a single cluster and emit its contribution matrix.
 
-Every command accepts ``--config FILE`` (JSON object of flag names);
-explicit flags override file values. Given the same config and seed, all
-output artifacts are byte-identical across runs.
+Each command is declared once, by ``command()`` in `build_parser`, with the
+flags its run requires and the flags it writes to. Every command accepts
+``--config FILE`` (a JSON object of flags by dest name); explicit flags override
+file values, and a required flag may come from either. Given the same config and
+seed, all output artifacts are byte-identical across runs.
 
-``decode`` and ``sweep`` record every setting (all flags but ``--config``
-and the output location, keyed as ``--config`` reads them) in one
-``run_config.json``, so ``--config run_config.json --out DIR`` replays the
-run. A sweep has no ``--max-docs``: each size decodes with max_docs = size.
+``decode`` and ``sweep`` record every setting (all flags but ``--config`` and
+those they write to, keyed as ``--config`` reads them) in one ``run_config.json``,
+so ``--config run_config.json --out DIR`` replays the run. A sweep has no
+``--max-docs``: each size decodes with max_docs = size.
 """
 
 from __future__ import annotations
@@ -286,12 +288,6 @@ def cmd_trace(args, settings: dict) -> int:
     return 0
 
 
-def _add_model_flags(p: argparse.ArgumentParser) -> None:
-    # "required" flags stay optional at parse time so a --config file can
-    # supply them; _require_flags enforces presence after merging.
-    p.add_argument("--model", default=None, help="path to the model spec file")
-
-
 def _add_decode_flags(p: argparse.ArgumentParser, max_docs: bool = True) -> None:
     d = DecodeParams()
     p.add_argument("--beam-size", type=int, default=d.beam_size, help="beam width")
@@ -340,40 +336,48 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     sub = parser.add_subparsers(dest="command", required=True)
     subparsers: dict[str, argparse.ArgumentParser] = {}
 
-    def command(name: str, func, summary: str) -> argparse.ArgumentParser:
+    @contextlib.contextmanager
+    def command(name: str, func, summary: str, required: tuple[str, ...],
+                writes: tuple[str, ...]) -> Iterator[argparse.ArgumentParser]:
+        """Declare a command. ``required`` names (by dest) the flags its run needs, in the
+        order the missing-flag error lists them; ``writes``, those its recorded settings leave
+        out. ``set_defaults`` stores both with no flag, so a ``--config`` cannot set them.
+        Adds ``--clusters``, ``--model`` if required, and ``--config`` after the block."""
         p = subparsers[name] = sub.add_parser(
             name, help=summary, formatter_class=argparse.ArgumentDefaultsHelpFormatter)
-        p.set_defaults(func=func)
+        p.set_defaults(func=func, required=required, writes=writes)
+        # required flags stay optional at parse time so a --config file can supply them
         p.add_argument("--clusters", default=None, help="JSONL cluster file")
-        return p
+        if "model" in required:
+            p.add_argument("--model", default=None, help="path to the model spec file")
+        yield p
+        p.add_argument("--config", default=None,
+                       help="JSON file of flag defaults; explicit flags win")
 
-    p = command("decode", cmd_decode, "decode every cluster in a file")
-    _add_model_flags(p)
-    _add_decode_flags(p)
-    p.add_argument("--out", default=None, help="output directory")
+    with command("decode", cmd_decode, "decode every cluster in a file",
+                 ("model", "clusters", "out"), ("out",)) as p:
+        _add_decode_flags(p)
+        p.add_argument("--out", default=None, help="output directory")
 
-    p = command("evaluate", cmd_evaluate, "score hypotheses against references")
-    p.add_argument("--hypotheses", default=None, help="summaries.jsonl from decode")
-    _add_rouge_flags(p)
-    p.add_argument("--report", default=None, help="write a JSON report here")
+    with command("evaluate", cmd_evaluate, "score hypotheses against references",
+                 ("hypotheses", "clusters"), ("report",)) as p:
+        p.add_argument("--hypotheses", default=None, help="summaries.jsonl from decode")
+        _add_rouge_flags(p)
+        p.add_argument("--report", default=None, help="write a JSON report here")
 
-    p = command("sweep", cmd_sweep, "decode + evaluate across ensemble sizes")
-    _add_model_flags(p)
-    _add_decode_flags(p, max_docs=False)
-    _add_rouge_flags(p)
-    p.add_argument("--sizes", type=int, nargs="+", default=None,
-                   help="ensemble sizes to decode with")
-    p.add_argument("--out", default=None, help="output directory")
+    with command("sweep", cmd_sweep, "decode + evaluate across ensemble sizes",
+                 ("model", "clusters", "sizes", "out"), ("out",)) as p:
+        _add_decode_flags(p, max_docs=False)
+        _add_rouge_flags(p)
+        p.add_argument("--sizes", type=int, nargs="+", default=None,
+                       help="ensemble sizes to decode with")
+        p.add_argument("--out", default=None, help="output directory")
 
-    p = command("trace", cmd_trace, "decode one cluster and emit its trace matrix")
-    _add_model_flags(p)
-    p.add_argument("--cluster-id", default=None, help="cluster to trace")
-    _add_decode_flags(p)
-    p.add_argument("--output", default=None, help="trace file (stdout when omitted)")
-
-    for sp in subparsers.values():
-        sp.add_argument("--config", default=None,
-                        help="JSON file of flag defaults; explicit flags win")
+    with command("trace", cmd_trace, "decode one cluster and emit its trace matrix",
+                 ("model", "clusters", "cluster_id"), ("output",)) as p:
+        p.add_argument("--cluster-id", default=None, help="cluster to trace")
+        _add_decode_flags(p)
+        p.add_argument("--output", default=None, help="trace file (stdout when omitted)")
     return parser, subparsers
 
 
@@ -389,10 +393,6 @@ def _config_value_ok(action: argparse.Action, value) -> bool:
     kind = bool if isinstance(action.default, bool) else types.get(action.type, str)
     return all(isinstance(v, kind) and isinstance(v, bool) == (kind is bool)
                and v in (action.choices or [v]) for v in (value if listed else [value]))
-
-
-# Where a command writes; the one part of its settings a run does not record.
-_OUTPUT_FLAGS = ("out", "output", "report")
 
 
 def _settings_table(sp: argparse.ArgumentParser) -> dict[str, argparse.Action]:
@@ -417,25 +417,12 @@ def _apply_config_file(args: argparse.Namespace, parser, subparsers, argv: list[
     return parser.parse_args(argv)
 
 
-_REQUIRED_FLAGS = {
-    "decode": ("model", "clusters", "out"),
-    "evaluate": ("hypotheses", "clusters"),
-    "sweep": ("model", "clusters", "sizes", "out"),
-    "trace": ("model", "clusters", "cluster_id"),
-}
-
-
 def _require_flags(args: argparse.Namespace) -> None:
-    missing = [
-        "--" + name.replace("_", "-")
-        for name in _REQUIRED_FLAGS[args.command]
-        if getattr(args, name) is None
-    ]
+    missing = ["--" + name.replace("_", "-") for name in args.required
+               if getattr(args, name) is None]
     if missing:
-        raise ValueError(
-            f"missing required argument(s) for {args.command}: {', '.join(missing)} "
-            f"(set them as flags or in --config)"
-        )
+        raise ValueError(f"missing required argument(s) for {args.command}: "
+                         f"{', '.join(missing)} (set them as flags or in --config)")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -447,7 +434,7 @@ def main(argv: list[str] | None = None) -> int:
             args = _apply_config_file(args, parser, subparsers, argv)
         _require_flags(args)
         settings = {name: getattr(args, name) for name in _settings_table(subparsers[args.command])
-                    if name not in _OUTPUT_FLAGS}
+                    if name not in args.writes}
         for name, values in settings.items():  # sizes, metrics: each value once
             if isinstance(values, list) and len(set(values)) < len(values):
                 twice = next(v for i, v in enumerate(values) if v in values[:i])

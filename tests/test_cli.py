@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import csv
 import dataclasses
 import io
@@ -998,6 +999,67 @@ class TestConfigFile:
         config_path.write_text(json.dumps(config))
         assert main(["sweep", "--config", str(config_path), *flags,
                      "--out", str(tmp / "sweep")]) == 0
+
+
+_DECODE_DEFAULTS = {"beam_size": 4, "max_len": 32, "min_len": 1, "reduce": "mean_logprob",
+                    "length_penalty": 0.0, "block_repeat_ngram": None, "seed": 0,
+                    "max_docs": 5, "max_input_tokens": 512, "trace_format": "csv"}
+_ROUGE_DEFAULTS = {"rouge_lowercase": True, "rouge_strip_punctuation": True,
+                   "rouge_stemming": False, "multi_ref": "max", "beta": 1.0,
+                   "metrics": ["rouge-1", "rouge-2", "rouge-l"]}
+_SWEEP_DEFAULTS = {k: v for k, v in _DECODE_DEFAULTS.items() if k != "max_docs"}
+# Each command's flags (but --help and --config) by dest, in the order --help lists them,
+# with their defaults.
+COMMAND_DEFAULTS = {
+    "decode": {"clusters": None, "model": None, **_DECODE_DEFAULTS, "out": None},
+    "evaluate": {"clusters": None, "hypotheses": None, **_ROUGE_DEFAULTS, "report": None},
+    "sweep": {"clusters": None, "model": None, **_SWEEP_DEFAULTS, **_ROUGE_DEFAULTS,
+              "sizes": None, "out": None},
+    "trace": {"clusters": None, "model": None, "cluster_id": None, **_DECODE_DEFAULTS,
+              "output": None},
+}
+
+
+class TestCommandDeclarations:
+    """Each command's flags, and the entries its declaration stores beside them."""
+
+    @pytest.mark.parametrize("command", sorted(COMMAND_DEFAULTS))
+    def test_help_lists_each_flag_and_default(self, monkeypatch, capsys, command):
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as info:
+            main([command, "--help"])
+        assert info.value.code == 0
+        out = capsys.readouterr().out
+        listed = [word.split()[0] for line in re.findall(r"^  (-\S.*?)(?:  |$)", out, re.M)
+                  for word in line.split(", ")]
+        defaults = COMMAND_DEFAULTS[command]
+        flags = []
+        for dest, default in defaults.items():
+            flag = dest.replace("_", "-")
+            flags += [f"--{flag}", f"--no-{flag}"] if isinstance(default, bool) else [f"--{flag}"]
+        assert listed == ["-h", "--help", *flags, "--config"]
+        actions = dyne.cli.build_parser()[1][command]._actions
+        assert [(a.dest, a.default) for a in actions] == [
+            ("help", argparse.SUPPRESS), *defaults.items(), ("config", None)]
+
+    @pytest.mark.parametrize("name", ["required", "writes", "func", "command"])
+    def test_config_cannot_set_a_stored_entry(self, workspace, capsys, name):
+        tmp, flags, _ = workspace
+        config = tmp / "config.json"
+        config.write_text(json.dumps({name: ["out"]}))
+        out = tmp / "out"
+        out.mkdir()
+        assert main(["decode", "--config", str(config), *flags, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {config}: unknown field(s): {name}\n"
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("command, extra", [("decode", []), ("sweep", ["--sizes", "1"])])
+    def test_run_config_records_no_stored_entry(self, workspace, command, extra):
+        tmp, flags, _ = workspace
+        out = tmp / "run"
+        assert main([command, *flags, *extra, "--out", str(out)]) == 0
+        recorded = json.loads((out / "run_config.json").read_text())
+        assert set(recorded) == set(COMMAND_DEFAULTS[command]) - {"out"}
 
 
 # One malformed file per case, keyed by (kind, fault). Every input file

@@ -649,33 +649,39 @@ def test_mutation_run_on_a_tiny_module(tmp_path, monkeypatch, capsys):
     mutate = load_script("mutate.py")
     monkeypatch.setattr(sys, "path", [*sys.path])  # restored when the test ends
     (tmp_path / "pyproject.toml").write_text('[tool.pytest.ini_options]\npythonpath = ["src"]\n')
-    source = "def below(a, b):\n    return a < b\n\n\ndef total(a, b):\n    return a + b * 1\n"
+    source = ("def below(a, b):\n    return a < b\n\n\ndef total(a, b):\n    return a + b * 1\n"
+              "\n\ndef countdown(n):\n    while n:\n        n = n - 1\n    return n\n")
     (tmp_path / "src").mkdir()
     (tmp_path / "src" / "tiny.py").write_text(source)
     (tmp_path / "tests").mkdir()
     (tmp_path / "tests" / "test_tiny.py").write_text(
-        "import os\n\nfrom tiny import below, total\n\n\n"
+        "import os\n\nfrom tiny import below, countdown, total\n\n\n"
         "def test_below():\n    assert below(1, 2)\n\n\n"  # 1 <= 2 too: `<=` survives
         "def test_total():\n    assert total(2, 1) == 3\n\n\n"
+        "def test_countdown():\n    assert countdown(3) == 0\n\n\n"  # n + 1 never ends
         "def test_no_plugins_autoloaded():\n"  # in the children's environment alone
         "    assert os.environ['PYTEST_DISABLE_PLUGIN_AUTOLOAD'] == '1'\n")
     autoload = os.environ.get("PYTEST_DISABLE_PLUGIN_AUTOLOAD")
-    assert mutate.mutants(source) == [(2, 13, "<", "<="), (6, 13, "+", "-"), (6, 17, "*", "/")]
+    assert mutate.mutants(source) == [(2, 13, "<", "<="), (6, 13, "+", "-"), (6, 17, "*", "/"),
+                                      (11, 14, "-", "+")]
     # an f-string's operator formats a message, and 3.11 gives it no token
     assert mutate.mutants('m = f"{a + b:>{w - 1}}"\nok = a < b\n') == [(2, 7, "<", "<=")]
     for module in (ROOT / "src" / "dyne").glob("*.py"):  # each mutant flips its own operator
         text = module.read_text(encoding="utf-8")
         assert all(mutate.apply(text, *m) != text for m in mutate.mutants(text)), module.name
+    monkeypatch.setattr(mutate, "TEST_FLOOR_S", 1.0)  # the hung test's limit
     assert mutate.main([str(tmp_path / "src" / "tiny.py"), "tests/test_tiny.py"]) == 0
     result = json.loads((tmp_path / "MUTATION_tiny.json").read_text())
     assert [(r["line"], r["operator"], r["killed_by"]) for r in result["results"]] == [
         (2, "< -> <=", "survived"), (6, "+ -> -", "tests/test_tiny.py::test_total"),
-        (6, "* -> /", "survived")]  # b / 1 == b * 1
-    assert (result["mutants"], result["killed"], result["survived"]) == (3, 1, 2)
+        (6, "* -> /", "survived"),  # b / 1 == b * 1
+        (11, "- -> +", "timeout")]
+    assert result["results"][-1]["seconds"] < 30  # the test's limit ended it, not the run's
+    assert (result["mutants"], result["killed"], result["survived"]) == (4, 2, 2)
     assert result["module_sha256"] == hashlib.sha256(source.encode()).hexdigest()
     # the run mutated only its copy, which it removed
     assert (tmp_path / "src" / "tiny.py").read_text() == source
     assert sorted(p.name for p in tmp_path.iterdir()) == [
         "MUTATION_tiny.json", "pyproject.toml", "src", "tests"]
-    assert "1/3 killed" in capsys.readouterr().out
+    assert "2/4 killed" in capsys.readouterr().out
     assert os.environ.get("PYTEST_DISABLE_PLUGIN_AUTOLOAD") == autoload

@@ -689,6 +689,15 @@ class TestSpecIsImmutable:
         assert self.state(spec, unscored) == expected
         assert self.state(spec, scored) == expected
 
+    @pytest.mark.parametrize("counts, shown", [
+        ({(3, 4): 2}, "bigram_counts({(3, 4): 2})"), ({}, "bigram_counts({})"),
+    ])
+    def test_repr_shows_the_counts_as_a_mapping(self, ab_vocab, counts, shown):
+        spec = ToyModelSpec(0.5, 1.0, counts, ab_vocab)
+        assert repr(spec.bigram_counts) == shown
+        assert repr(spec) == ("ToyModelSpec(copy_weight=0.5, smooth_k=1.0, "
+                              f"bigram_counts={shown}, vocab={ab_vocab!r})")
+
 
 class TestSpecSerialization:
     def test_round_trip_identity(self, ab_vocab):
